@@ -8,10 +8,9 @@ instance runs (the full-scale experiment lives in
 Every session that executes at least one benchmark also emits
 ``BENCH_10.json`` at the repo root: one record per benchmark test
 (outcome + wall time), any named measurements tests published through
-the ``bench_record`` fixture (kernel speedups, parallel-vs-serial
-ratios), plus the delta of the process-wide ``repro.obs.METRICS``
-registry over the session, so CI can archive how the numbers move
-commit over commit.
+the ``bench_record`` fixture (kernel speedups), plus the delta of the
+process-wide ``repro.obs.METRICS`` registry over the session, so CI can
+archive how the numbers move commit over commit.
 """
 
 import json

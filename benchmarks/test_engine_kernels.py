@@ -12,23 +12,18 @@ seed's row-at-a-time implementations (tuple-building hash joins,
 * every other operator gets a pytest-benchmark hook so per-kernel
   latencies land in CI's benchmark output;
 * the Table 1 avalanche workload runs end-to-end on the engine at three
-  scales (the bundle stays at 2 queries while per-operator cost grows);
-* a >= 3-query bundle runs serial vs. parallel on SQLite, which releases
-  the GIL during statement execution -- on a multi-core machine parallel
-  must win; on a single core we only bound the coordination overhead.
+  scales (the bundle stays at 2 queries while per-operator cost grows).
 
 All measured numbers are recorded into ``BENCH_5.json`` via
 ``bench_record``.
 """
 
-import os
 import random
 import time
 from operator import itemgetter
 
 import pytest
 
-from repro import Connection, fmap, fsum, group_with, pyq, the, tup
 from repro.algebra import (
     BinApp,
     Distinct,
@@ -40,22 +35,13 @@ from repro.algebra import (
     SemiJoin,
 )
 from repro.backends.engine.evaluate import Engine
-from repro.backends.sql import SQLiteBackend
 from repro.bench.table1 import run_dsh
-from repro.bench.workloads import orders_dataset
 from repro.ftypes import BoolT, DoubleT, IntT
 from repro.runtime.catalog import Catalog
 
 #: Acceptance bar for the join/group hot paths (ISSUE acceptance
 #: criterion); locally ~2.4x (join) and ~3.5x (group).
 MIN_KERNEL_SPEEDUP = 2.0
-
-
-def cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def best_of(f, repeats=7):
@@ -255,91 +241,3 @@ class TestAvalancheScaling:
         bench_record(f"avalanche_engine_{n}", categories=n,
                      queries=queries)
 
-
-# ----------------------------------------------------------------------
-# parallel bundle execution: serial vs. threaded on a 3-query bundle
-# ----------------------------------------------------------------------
-
-def _nested_report(db):
-    """The nested-orders report: a 3-query bundle (region -> customer ->
-    order totals)."""
-    customers = db.table("customers")
-    orders = db.table("orders")
-    lineitems = db.table("lineitems")
-
-    def order_totals(cid):
-        customer_orders = pyq(
-            "[oid for (cid2, month, oid) in orders if cid2 == cid]",
-            orders=orders, cid=cid)
-        return fmap(
-            lambda oid: fsum(pyq(
-                "[price for (line, oid2, price) in lineitems"
-                " if oid2 == oid]", lineitems=lineitems, oid=oid)),
-            customer_orders)
-
-    return fmap(
-        lambda g: tup(
-            the(fmap(lambda c: c[2], g)),
-            fmap(lambda c: tup(c[1], order_totals(c[0])), g)),
-        group_with(lambda c: c[2], customers))
-
-
-class TestParallelBundles:
-    def test_parallel_vs_serial_sqlite(self, request, bench_record):
-        quick = request.config.getoption("--quick", False)
-        catalog = orders_dataset(n_customers=60 if quick else 300)
-        db = Connection(backend="sqlite", catalog=catalog, trace=False)
-        report = _nested_report(db)
-        compiled = db.compile(report)
-        bundle = compiled.bundle
-        assert bundle.size >= 3
-
-        backend = SQLiteBackend()
-        prepared = backend.prepare_bundle(bundle)
-
-        def run(parallel):
-            return backend.execute_bundle(bundle, catalog,
-                                          prepared=prepared,
-                                          parallel=parallel)
-
-        # Warm both paths first (catalog load + worker connections).
-        serial_result = run(False)
-        parallel_result = run(True)
-        assert parallel_result.rows == serial_result.rows  # bit-identical
-
-        serial = best_of(lambda: run(False), repeats=5)
-        parallel = best_of(lambda: run(True), repeats=5)
-        cpus = cpu_count()
-        bench_record("parallel_bundle_sqlite",
-                     bundle_size=bundle.size, cpus=cpus,
-                     serial_s=serial, parallel_s=parallel,
-                     ratio=parallel / serial if serial else float("inf"))
-        if cpus > 1:
-            # SQLite releases the GIL per statement: with >= 3 queries
-            # and >= 2 cores, fan-out must beat the serial loop.
-            assert parallel < serial, (
-                f"parallel {parallel * 1e3:.2f}ms not faster than serial "
-                f"{serial * 1e3:.2f}ms on {cpus} CPUs")
-        else:
-            # Single core: no concurrency to win; only bound the thread
-            # coordination overhead.
-            assert parallel <= serial * 1.6, (
-                f"parallel overhead too high on 1 CPU: "
-                f"{parallel * 1e3:.2f}ms vs {serial * 1e3:.2f}ms")
-
-    def test_parallel_engine_identical_results(self, bench_record):
-        catalog = orders_dataset(n_customers=80)
-        serial_db = Connection(catalog=catalog, trace=False)
-        parallel_db = Connection(catalog=catalog, trace=False,
-                                 parallel_bundles=True)
-        report_s = _nested_report(serial_db)
-        report_p = _nested_report(parallel_db)
-        t0 = time.perf_counter()
-        expected = serial_db.run(report_s)
-        serial = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        got = parallel_db.run(report_p)
-        parallel = time.perf_counter() - t0
-        assert got == expected
-        bench_record("parallel_bundle_engine",
-                     serial_s=serial, parallel_s=parallel)

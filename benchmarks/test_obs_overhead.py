@@ -32,12 +32,12 @@ RUNS_PER_BATCH = 25
 LIMIT = 1.05
 
 
-def quickstart_connection(trace: bool, parallel: bool = False,
+def quickstart_connection(trace: bool,
                           stats: bool = True) -> tuple[Connection, object]:
     db = Connection(catalog=paper_dataset(), trace=trace,
-                    parallel_bundles=parallel, statement_stats=stats)
+                    statement_stats=stats)
     query = running_example_query(db)
-    db.run(query)  # warm: plan cache + codegen store filled (+ pool)
+    db.run(query)  # warm: plan cache + codegen store filled
     return db, query
 
 
@@ -74,23 +74,6 @@ def test_tracing_without_sink_is_under_five_percent():
     assert ratio <= LIMIT, (
         f"tracing with no sink costs {ratio - 1.0:+.1%} on the "
         f"quickstart workload; the observability layer promises < 5%")
-
-
-def test_tracing_under_parallel_execute_is_under_five_percent():
-    """The bound must also hold on the parallel execute path: worker
-    threads open *detached* spans (no tracer-stack sharing), and the
-    coordinating thread adopts them afterwards -- that extra machinery
-    has to stay in the noise just like the serial span stack."""
-    traced_db, traced_q = quickstart_connection(trace=True, parallel=True)
-    plain_db, plain_q = quickstart_connection(trace=False, parallel=True)
-
-    ratio = measured_ratio(traced_db, traced_q, plain_db, plain_q)
-
-    # the parallel path really ran: one execute span per bundle query
-    assert len(traced_db.last_trace.find_all("execute")) == 2
-    assert ratio <= LIMIT, (
-        f"tracing costs {ratio - 1.0:+.1%} under parallel bundle "
-        f"execution; the observability layer promises < 5%")
 
 
 def test_statement_stats_are_under_five_percent(bench_record):

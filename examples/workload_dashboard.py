@@ -2,7 +2,7 @@
 """Workload intelligence end to end: stats, dashboard, and the gate.
 
 Runs a small mixed workload (the paper's running example on the default
-engine backend plus a nested query on two SQLite shards), serves the
+engine backend plus a nested query on SQLite), serves the
 observability endpoints, and shows where each piece lives:
 
 * ``/metrics``     -- OpenMetrics text with trace-id exemplars
@@ -53,7 +53,7 @@ FLOOR = 0.05
 
 
 def nested_probe(db):
-    """Nested query whose inner member shards (decision ``S400``)."""
+    """Each facility with its features: a 2-query nested bundle."""
     features = db.table("features")
     return fmap(
         lambda f: features.filter(lambda g: g[0] == f[0]).map(
@@ -64,13 +64,13 @@ def nested_probe(db):
 def run_workload(runs: int = 5) -> list[Connection]:
     """A deterministic mixed workload over two connections."""
     engine = Connection(catalog=paper_dataset())
-    sharded = Connection(shards=2, catalog=paper_dataset())
+    sqlite = Connection(backend="sqlite", catalog=paper_dataset())
     example = running_example_query(engine)
-    nested = nested_probe(sharded)
+    nested = nested_probe(sqlite)
     for _ in range(runs):
         engine.run(example)
-        sharded.run(nested)
-    return [engine, sharded]
+        sqlite.run(nested)
+    return [engine, sqlite]
 
 
 def fetch(url: str) -> tuple[str, str]:
@@ -158,7 +158,6 @@ def write_baseline(path: Path) -> int:
         # Histograms and exemplars are run-specific, not baseline
         # material; rows/calls stay exact.
         stmt.pop("by_backend", None)
-        stmt.pop("by_shard", None)
         stmt["worst_trace_id"] = None
         stmt["first_seen"] = stmt["last_seen"] = 0.0
     doc["generated_at"] = 0.0

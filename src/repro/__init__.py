@@ -18,7 +18,6 @@ from .errors import (
     PartialFunctionError,
     QTypeError,
     SchemaError,
-    ShardError,
     UnsupportedError,
 )
 from .frontend import *  # noqa: F401,F403 - curated __all__
@@ -71,7 +70,6 @@ __all__ = list(_frontend_all) + [
     "PartialFunctionError",
     "QTypeError",
     "SchemaError",
-    "ShardError",
     "UnsupportedError",
     "__version__",
 ]

@@ -11,13 +11,10 @@ plan verifier with its ``F1xx``/``F2xx``/``F3xx`` diagnostic codes, and
 from .cost import (
     BundleCost,
     CostModel,
-    DispatchDecision,
     Est,
     QueryCost,
     annotate_costs,
-    decide_parallel,
     estimate_bundle,
-    scatter_worthwhile,
 )
 from .properties import (
     Card,
@@ -25,11 +22,6 @@ from .properties import (
     PropsCache,
     annotate_plan,
     infer_properties,
-)
-from .sharding import (
-    ShardDecision,
-    build_shard_plan,
-    shardable,
 )
 from .verifier import (
     STAGES,
@@ -66,31 +58,25 @@ __all__ = [
     "D_CODES",
     "DEFAULT_RATIO_BUDGET",
     "Diagnostic",
-    "DispatchDecision",
     "Est",
     "Props",
     "PropsCache",
     "QueryCost",
     "STAGES",
-    "ShardDecision",
     "VerifyReport",
     "annotate_costs",
     "annotate_plan",
-    "build_shard_plan",
     "avalanche_lint",
     "check_avalanche",
     "check_order",
     "check_plan",
-    "decide_parallel",
     "ensure_verified",
     "estimate_bundle",
     "infer_properties",
     "lint_calibration",
     "lint_report",
     "lint_statements",
-    "scatter_worthwhile",
     "set_verify_debug",
-    "shardable",
     "verify_bundle",
     "verify_debug_enabled",
 ]

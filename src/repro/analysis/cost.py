@@ -25,16 +25,11 @@ memoized, per-operator estimator that assigns every node
     over the *distinct* DAG nodes -- shared subplans are counted once,
     matching the engine's per-node memoization and SQL's WITH reuse.
 
-Three consumers:
+Two consumers:
 
 * the optimizer's property-driven rewrites are **cost-gated** -- a
   candidate replacement must *strictly* lower the estimated plan cost
   (``repro.optimizer.rewrites.properties``);
-* runtime dispatch -- scatter vs. single-image in
-  :mod:`repro.analysis.sharding` and parallel vs. serial bundle
-  execution in :class:`~repro.runtime.connection.Connection` -- compares
-  estimated work against fan-out overhead (stable ``S41x`` decision
-  codes, :func:`decide_parallel`);
 * the estimate-drift lint (:mod:`repro.analysis.lint`) diffs these
   static estimates against EXPLAIN ANALYZE actuals (``D5xx`` codes).
 
@@ -45,7 +40,7 @@ suite asserts they contain every engine-materialized row count).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ..algebra.dag import postorder
 from ..algebra.ops import (
@@ -76,8 +71,7 @@ from .properties import Props, PropsCache
 CALIBRATION_VERSION = 1
 
 #: Assumed row count of a table scan when no catalog statistics are
-#: available (shard decisions deliberately run stats-free so verdicts
-#: are stable across instances; see ``analysis.sharding``).
+#: available.
 DEFAULT_TABLE_ROWS = 1000
 
 #: Fraction of rows assumed to survive an opaque filter.
@@ -164,22 +158,12 @@ CALIBRATION: dict[str, dict[str, float]] = {
     },
 }
 
-#: Estimated fan-out overhead, in cost units, of scattering one query
-#: over one additional SQL shard (connection touch + thread hop +
-#: gather merge share).
-SCATTER_OVERHEAD = 120_000.0
-#: Estimated overhead, in cost units, of fanning one bundle query out
-#: to a worker thread (submit + future + span adoption).
-PARALLEL_OVERHEAD = 150_000.0
-
 
 def constants_for(backend: str) -> tuple[dict[str, float], bool]:
     """The calibration table for ``backend`` and whether it is a real
-    (calibrated) entry.  Shard-fanout names (``sqlite-x4``) resolve to
-    their base backend; unknown backends fall back to the engine table
+    (calibrated) entry.  Unknown backends fall back to the engine table
     uncalibrated -- the drift lint reports that as ``D502``."""
-    base = backend.split("-", 1)[0]
-    table = CALIBRATION.get(base)
+    table = CALIBRATION.get(backend)
     if table is None:
         return CALIBRATION["engine"], False
     return table, True
@@ -432,72 +416,3 @@ def annotate_costs(root: Node, model: CostModel) -> dict[int, str]:
     return {i: "[" + model.memo[id(node)].show() + "]"
             for i, node in enumerate(postorder(root))}
 
-
-# ----------------------------------------------------------------------
-# dispatch decisions (the S41x codes)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DispatchDecision:
-    """A cost-threshold dispatch verdict with its stable ``S41x`` code.
-
-    ==========  ======================================================
-    ``S410``    scatter: estimated per-query work amortizes the shard
-                fan-out overhead (``analysis.sharding``)
-    ``S411``    single-image: estimated work below scatter overhead
-    ``S412``    parallel bundle execution: estimated bundle work
-                amortizes the thread fan-out
-    ``S413``    serial bundle execution: estimated bundle work below
-                the thread fan-out overhead
-    ==========  ======================================================
-    """
-
-    parallel: bool
-    code: str
-    reason: str
-    est_cost: float = 0.0
-
-    def to_dict(self) -> dict[str, object]:
-        return {"parallel": self.parallel, "code": self.code,
-                "reason": self.reason, "est_cost": self.est_cost}
-
-
-def scatter_worthwhile(est_cost: float, coverage: float,
-                       fanout: int) -> tuple[bool, str]:
-    """The sharding cost gate: does the estimated per-shard saving --
-    ``cost x coverage x (1 - 1/fanout)`` -- exceed the scatter overhead
-    of ``fanout`` shard statements?  Returns ``(verdict, reason)``;
-    the caller maps it to ``S410``/``S411``."""
-    fanout = max(fanout, 2)
-    saving = est_cost * coverage * (1.0 - 1.0 / fanout)
-    overhead = SCATTER_OVERHEAD * fanout
-    if saving > overhead:
-        return True, (f"estimated work {est_cost:,.0f} x coverage "
-                      f"{coverage:.2f} amortizes scatter overhead "
-                      f"{overhead:,.0f}")
-    return False, (f"estimated saving {saving:,.0f} below scatter "
-                   f"overhead {overhead:,.0f}")
-
-
-def decide_parallel(cost: "BundleCost | None",
-                    n_queries: int) -> DispatchDecision:
-    """Parallel-vs-serial bundle dispatch for a connection with
-    ``parallel_bundles=True``: fan out only when the estimated bundle
-    work amortizes the per-query thread overhead."""
-    if n_queries <= 1:
-        return DispatchDecision(False, "S413",
-                                "single-query bundle runs inline")
-    if cost is None or not cost.queries:
-        return DispatchDecision(True, "S412",
-                                "no cost estimate; fan-out by request")
-    total = cost.total_cost
-    overhead = PARALLEL_OVERHEAD * n_queries
-    if total > overhead:
-        return DispatchDecision(
-            True, "S412",
-            f"estimated bundle work {total:,.0f} amortizes thread "
-            f"fan-out overhead {overhead:,.0f}", est_cost=total)
-    return DispatchDecision(
-        False, "S413",
-        f"estimated bundle work {total:,.0f} below thread fan-out "
-        f"overhead {overhead:,.0f}", est_cost=total)

@@ -1,10 +1,10 @@
 """Estimate-drift lint: do the static cost estimates match reality?
 
-The cost model (:mod:`repro.analysis.cost`) drives rewrite gating and
-runtime dispatch, so a silently rotten estimate degrades plans without
-failing a single test.  This lint closes the loop by diffing static
-estimates against *measured* EXPLAIN ANALYZE actuals and the
-per-fingerprint row aggregates of :mod:`repro.obs.stats`, reporting
+The cost model (:mod:`repro.analysis.cost`) drives rewrite gating, so a
+silently rotten estimate degrades plans without failing a single test.
+This lint closes the loop by diffing static estimates against
+*measured* EXPLAIN ANALYZE actuals and the per-fingerprint row
+aggregates of :mod:`repro.obs.stats`, reporting
 stable ``D5xx`` codes (:class:`~repro.analysis.Diagnostic` records,
 stage ``"drift"``):
 

@@ -51,11 +51,6 @@ class ExecutionResult:
     #: Backend-specific artefacts (e.g. the generated SQL text) for
     #: inspection by examples and tests.
     artifacts: dict = field(default_factory=dict)
-    #: Per-shard wall-clock seconds, as ``(shard_index, seconds)`` pairs
-    #: (one per shard-executed query slice; empty for unsharded
-    #: backends).  The runtime feeds these into the per-fingerprint
-    #: statement statistics' ``by_shard`` latency histograms.
-    shard_timings: list = field(default_factory=list)
 
 
 class Backend(abc.ABC):
@@ -84,8 +79,7 @@ class Backend(abc.ABC):
     def execute_bundle(self, bundle: Bundle, catalog: Catalog,
                        prepared: Any = None,
                        tracer=NULL_TRACER,
-                       collector=None,
-                       parallel: bool = False) -> ExecutionResult:
+                       collector=None) -> ExecutionResult:
         """Execute every query of the bundle against the catalog.
 
         ``prepared``, when given, is a previous :meth:`prepare_bundle`
@@ -102,13 +96,4 @@ class Backend(abc.ABC):
         time and row count -- at the finest granularity the backend
         supports; the engine backend additionally fills per-operator
         profiles when ``collector.per_op`` is set (EXPLAIN ANALYZE).
-
-        ``parallel=True`` asks the backend to fan the bundle's queries
-        out over worker threads.  Bundle queries are independent by
-        construction -- each is a complete plan over the catalog's
-        read-only tables; queries only *share* subplans, never mutate
-        state -- so any interleaving is observationally equal to the
-        serial order.  Backends that cannot parallelize (the MIL VM
-        shares one variable environment per bundle) simply ignore the
-        flag; the result must be identical either way.
         """

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from ...algebra import Node, describe
 from ...analysis import ensure_verified
@@ -16,16 +14,6 @@ from ..base import Backend, ExecutionResult, observe_query_time
 from .evaluate import BundleCache, Engine, compile_schedule
 
 
-def default_workers(n_queries: int) -> int:
-    """Worker count for intra-bundle parallelism: one per query, capped
-    by the machine (affinity-aware where the platform reports it)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    return max(1, min(n_queries, cpus))
-
-
 class EngineBackend(Backend):
     """Executes algebra plans directly (no SQL round trip).
 
@@ -35,17 +23,10 @@ class EngineBackend(Backend):
 
     Every ``execute_bundle`` owns one :class:`BundleCache`, so subplans
     shared between bundle queries (the outer query's spine feeding each
-    inner query) materialize once per bundle.  With ``parallel=True``
-    the bundle's queries -- independent by construction (each is a
-    self-contained plan over the catalog; they only *share* read-only
-    subplans) -- fan out over a thread pool, coordinating through the
-    same cache.
+    inner query) materialize once per bundle.
     """
 
     name = "engine"
-
-    def __init__(self) -> None:
-        self._pool: "ThreadPoolExecutor | None" = None
 
     def prepare_bundle(self, bundle: Bundle) -> list[tuple[Node, ...]]:
         """Flatten every plan DAG into its evaluation schedule."""
@@ -59,61 +40,32 @@ class EngineBackend(Backend):
                           for i, node in enumerate(schedule))
                 for schedule in prepared]
 
-    def _executor(self, n_queries: int) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=default_workers(max(n_queries, 2)),
-                thread_name_prefix="ferry-engine")
-        return self._pool
-
     def execute_bundle(self, bundle: Bundle, catalog: Catalog,
                        prepared: "list[tuple[Node, ...]] | None" = None,
                        tracer=NULL_TRACER,
-                       collector=None,
-                       parallel: bool = False) -> ExecutionResult:
+                       collector=None) -> ExecutionResult:
         engine = Engine(catalog)
         if prepared is None:
             prepared = self.prepare_bundle(bundle)
         cache = BundleCache()
         n = len(bundle.queries)
         per_op = collector is not None and collector.per_op
-        results: "list[list[tuple] | None]" = [None] * n
-        # Profiles are pre-registered in bundle order from this thread,
-        # so reports stay aligned with bundle.queries under parallelism.
-        qps = [collector.query(qi + 1) if collector is not None else None
-               for qi in range(n)]
-
-        if parallel and n > 1:
-            pool = self._executor(n)
-            futures = [
-                pool.submit(self._run_query, engine, cache, query, schedule,
-                            qi, tracer, qps[qi], per_op)
-                for qi, (query, schedule)
-                in enumerate(zip(bundle.queries, prepared))
-            ]
-            handles = []
-            for qi, future in enumerate(futures):
-                rows, handle = future.result()
-                results[qi] = rows
-                handles.append(handle)
-            for handle in handles:  # adopt spans in bundle-query order
-                tracer.attach(handle)
-        else:
-            for qi, (query, schedule) in enumerate(zip(bundle.queries,
-                                                       prepared)):
-                qp = qps[qi]
-                with tracer.span("execute", query=qi + 1,
-                                 backend=self.name) as sp:
-                    t0 = time.perf_counter()
-                    rows = self._evaluate_query(engine, cache, query,
-                                                schedule, qp, per_op)
-                    seconds = time.perf_counter() - t0
-                    sp.set(rows=len(rows))
-                    if qp is not None:
-                        qp.time = seconds
-                        qp.rows = len(rows)
-                observe_query_time(self.name, qi, seconds, tracer.trace_id)
-                results[qi] = rows
+        results: list[list[tuple]] = []
+        for qi, (query, schedule) in enumerate(zip(bundle.queries,
+                                                   prepared)):
+            qp = collector.query(qi + 1) if collector is not None else None
+            with tracer.span("execute", query=qi + 1,
+                             backend=self.name) as sp:
+                t0 = time.perf_counter()
+                rows = self._evaluate_query(engine, cache, query,
+                                            schedule, qp, per_op)
+                seconds = time.perf_counter() - t0
+                sp.set(rows=len(rows))
+                if qp is not None:
+                    qp.time = seconds
+                    qp.rows = len(rows)
+            observe_query_time(self.name, qi, seconds, tracer.trace_id)
+            results.append(rows)
 
         total_rows = sum(len(rows) for rows in results)
         METRICS.counter("backend.engine.queries").inc(n)
@@ -121,25 +73,6 @@ class EngineBackend(Backend):
         return ExecutionResult(results, queries_issued=n)
 
     # ------------------------------------------------------------------
-    def _run_query(self, engine: Engine, cache: BundleCache,
-                   query: SerializedQuery, schedule, qi: int, tracer, qp,
-                   per_op: bool):
-        """One bundle query on a worker thread: evaluate, project into
-        standard form, and time a detached span (attached to the trace by
-        the coordinating thread afterwards)."""
-        handle = tracer.detached("execute", query=qi + 1, backend=self.name)
-        with handle as sp:
-            t0 = time.perf_counter()
-            rows = self._evaluate_query(engine, cache, query, schedule, qp,
-                                        per_op)
-            seconds = time.perf_counter() - t0
-            sp.set(rows=len(rows))
-            if qp is not None:
-                qp.time = seconds
-                qp.rows = len(rows)
-        observe_query_time(self.name, qi, seconds, tracer.trace_id)
-        return rows, handle
-
     def _evaluate_query(self, engine: Engine, cache: BundleCache,
                         query: SerializedQuery, schedule, qp,
                         per_op: bool) -> list[tuple]:

@@ -257,11 +257,7 @@ class MILBackend(Backend):
     def execute_bundle(self, bundle: Bundle, catalog: Catalog,
                        prepared: "list[mil.MILProgram] | None" = None,
                        tracer=NULL_TRACER,
-                       collector=None,
-                       parallel: bool = False) -> ExecutionResult:
-        # ``parallel`` is accepted but ignored: every program in the
-        # bundle runs on one shared VM variable namespace, so the MIL
-        # backend stays serial (results are identical either way).
+                       collector=None) -> ExecutionResult:
         base: dict[str, list] = {}
         for table in catalog.table_names():
             schema = catalog.schema(table)

@@ -1,4 +1,4 @@
-"""SQL:1999 code generation and the DB-API / sharded executors."""
+"""SQL:1999 code generation and the DB-API executor."""
 
 from .backend import SQLiteBackend
 from .dbapi import (
@@ -10,7 +10,6 @@ from .dbapi import (
     load_catalog,
 )
 from .generate import GeneratedSQL, generate_sql, render_literal, sql_type
-from .shard import ShardedSQLiteBackend
 
 __all__ = [
     "Adapter",
@@ -20,7 +19,6 @@ __all__ = [
     "SQLiteAdapter",
     "SQLiteBackend",
     "SQLiteDialect",
-    "ShardedSQLiteBackend",
     "generate_sql",
     "load_catalog",
     "render_literal",

@@ -15,11 +15,9 @@ registered -- so this module isolates exactly those quirks:
 * :class:`Adapter` is the connection factory: anything that can produce
   a PEP 249 connection, register the FERRY_* UDFs on it, and say which
   driver it used.  :class:`SQLiteAdapter` wraps ``sqlite3``
-  (file-or-memory); the sharded executor instantiates one adapter per
-  shard.
+  (file-or-memory).
 * :func:`load_catalog` transfers a :class:`~repro.runtime.catalog.Catalog`
-  instance into a connection (CREATE TABLE + executemany INSERT), shared
-  by the single-image and sharded executors.
+  instance into a connection (CREATE TABLE + executemany INSERT).
 
 UDF error faithfulness: DB-API drivers report scalar-function failures
 as their generic database error, losing the Python exception type.  The
@@ -41,8 +39,8 @@ from ...ftypes import AtomT, BoolT, DateT, DoubleT, IntT, StringT, TimeT
 from ...runtime.catalog import Catalog
 
 # ----------------------------------------------------------------------
-# UDF error side channel (thread-local: parallel execution runs UDFs on
-# several threads at once, and each must see only its own error)
+# UDF error side channel (thread-local: backends on different threads
+# must each see only their own error)
 # ----------------------------------------------------------------------
 
 _UDF_ERRORS = threading.local()
@@ -201,10 +199,9 @@ class Adapter(Protocol):
     """A source of PEP 249 connections that can host FERRY bundles.
 
     Implementations pair a driver (``connect`` + ``register_udfs``) with
-    the :class:`Dialect` its SQL must be rendered in.  Executors call
-    ``connect()`` once per worker thread (DB-API connections are
-    single-thread objects in the general case) and never share the
-    returned object across threads.
+    the :class:`Dialect` its SQL must be rendered in.  DB-API
+    connections are single-thread objects in the general case, so an
+    executor never shares the returned object across threads.
     """
 
     #: The dialect this adapter's connections speak.
@@ -247,15 +244,11 @@ class SQLiteAdapter:
 # ----------------------------------------------------------------------
 
 def load_catalog(conn: Any, catalog: Catalog, dialect: Dialect,
-                 tables: "Iterable[str] | None" = None,
-                 keep: "Callable[[str, tuple], bool] | None" = None) -> None:
+                 tables: "Iterable[str] | None" = None) -> None:
     """Load (or reload) the catalog instance into ``conn``.
 
     Drops every existing table first, then creates and populates
-    ``tables`` (default: all of them).  ``keep(table, row)``, when given,
-    filters rows per table -- the hook through which a sharded executor
-    could partition instead of replicate (see DESIGN.md for why lifted
-    plans force full replicas today).
+    ``tables`` (default: all of them).
     """
     q = dialect.quote_ident
     cur = conn.cursor()
@@ -270,8 +263,7 @@ def load_catalog(conn: Any, catalog: Catalog, dialect: Dialect,
         cur.execute(f"CREATE TABLE {q(name)} ({cols})")
         placeholders = ", ".join("?" for _ in schema)
         rows = [tuple(dialect.to_db_value(v) for v in row)
-                for row in catalog.rows(name)
-                if keep is None or keep(name, row)]
+                for row in catalog.rows(name)]
         cur.executemany(f"INSERT INTO {q(name)} VALUES ({placeholders})",
                         rows)
     conn.commit()

@@ -72,8 +72,8 @@ class Bundle:
     #: stage passed; backends then skip re-verification at prepare time.
     verified: bool = False
     #: Compile-time cost estimate (a ``repro.analysis.cost.BundleCost``)
-    #: stamped by ``optimize_bundle``; runtime dispatch and the
-    #: estimate-drift lint consume it.  ``None`` until stamped.
+    #: stamped by ``optimize_bundle``; the estimate-drift lint consumes
+    #: it.  ``None`` until stamped.
     cost: "object | None" = None
 
     @property

@@ -99,18 +99,3 @@ class PartialFunctionError(ExecutionError):
     Haskell prelude functions raise.
     """
 
-
-class ShardError(ExecutionError):
-    """A shard of a partition-parallel execution failed.
-
-    ``shard`` identifies the failing partition (0-based).  Semantic
-    errors that would equally occur single-image (e.g.
-    :class:`PartialFunctionError` from a UDF) are *not* wrapped -- they
-    propagate as themselves so sharded and single-image execution raise
-    identically; this class marks infrastructure failures of the
-    scatter-gather machinery itself.
-    """
-
-    def __init__(self, shard: int, message: str):
-        super().__init__(f"shard {shard}: {message}")
-        self.shard = shard

@@ -26,7 +26,6 @@ threshold trips.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -86,28 +85,20 @@ class AnalyzeCollector:
     Passed to ``Backend.execute_bundle(collector=...)``.  ``per_op=True``
     asks the engine backend for the per-operator breakdown (the other
     backends ignore the flag -- their granularity is per query).
-
-    Registration is thread-safe (parallel bundle execution may open
-    profiles from worker threads), and :attr:`queries` is kept sorted by
-    bundle-query index so reports stay aligned with ``bundle.queries``
-    regardless of completion order.  The backends additionally
-    pre-register profiles in submission order before fanning out, so the
-    sort is a no-op on the built-in paths.
+    Backends open profiles in bundle order, so :attr:`queries` stays
+    aligned with ``bundle.queries``.
     """
 
-    __slots__ = ("per_op", "queries", "_lock")
+    __slots__ = ("per_op", "queries")
 
     def __init__(self, per_op: bool = False):
         self.per_op = per_op
         self.queries: list[QueryProfile] = []
-        self._lock = threading.Lock()
 
     def query(self, index: int) -> QueryProfile:
         """Open (and register) the profile for bundle query ``index``."""
         profile = QueryProfile(index)
-        with self._lock:
-            self.queries.append(profile)
-            self.queries.sort(key=lambda q: q.index)
+        self.queries.append(profile)
         return profile
 
     @property

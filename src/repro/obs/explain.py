@@ -36,9 +36,6 @@ class QueryExplain:
     #: Were inferred plan properties baked into ``plan``?
     #: (``conn.explain(q, properties=True)``.)
     properties: bool = False
-    #: Shard decision for this query (sharded SQL backend only):
-    #: ``{"shardable", "code", "reason", "coverage", "fanout"}``.
-    shard: "dict[str, Any] | None" = None
 
     @property
     def header(self) -> str:
@@ -109,7 +106,6 @@ class ExplainReport:
                 "operators": dict(q.operators),
                 "plan": q.plan,
                 "artifact": q.artifact,
-                "shard": q.shard,
             } for q in self.queries],
             "analyze": (self.analyze.to_dict()
                         if self.analyze is not None else None),
@@ -158,13 +154,6 @@ class ExplainReport:
                 lines.append("drift lint    : clean")
         for q in self.queries:
             lines.append(q.header)
-            if q.shard is not None:
-                fanout = (f"fan-out {q.shard['fanout']}"
-                          if q.shard["shardable"] else
-                          "single-image fallback")
-                lines.append(f"-- shard decision for Q{q.index}: "
-                             f"{q.shard['code']} {q.shard['reason']}; "
-                             f"{fanout}")
             if plans:
                 lines.append(q.plan)
             if artifacts and q.artifact is not None:
@@ -210,11 +199,6 @@ def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
         cache.schemas = schemas
         cost_model = CostModel(backend.name, table_rows=table_rows,
                                cache=cache)
-    # Backends exposing shard_decisions (the sharded SQL executor) get
-    # their per-query verdicts attached to the report.
-    decide = getattr(backend, "shard_decisions", None)
-    decisions = decide(bundle) if decide is not None else None
-    fanout = getattr(backend, "shards", None)
     for i, query in enumerate(bundle.queries):
         artifact = artifacts[i] if i < len(artifacts) else None
         annotations = None
@@ -235,14 +219,6 @@ def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
             operators=operator_histogram(query.plan),
             artifact=artifact,
             properties=properties,
-            shard=(None if decisions is None else {
-                "shardable": decisions[i].shardable,
-                "code": decisions[i].code,
-                "reason": decisions[i].reason,
-                "coverage": round(decisions[i].coverage, 4),
-                "est_cost": round(decisions[i].est_cost, 1),
-                "fanout": fanout,
-            }),
         ))
     return ExplainReport(
         backend=backend.name,

@@ -255,7 +255,6 @@ def statements_json(connections: Iterable[Any] = ()) -> dict[str, Any]:
             seen["last_seen"] = max(seen["last_seen"], entry["last_seen"])
             # Per-connection breakdowns don't merge meaningfully.
             seen.pop("by_backend", None)
-            seen.pop("by_shard", None)
     statements = sorted(merged.values(), key=lambda e: -e["total_time"])
     attempts = totals["calls"] + totals["errors"]
     return {

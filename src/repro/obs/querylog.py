@@ -37,7 +37,7 @@ class QueryLogEntry:
     #: execution failed before fingerprinting).
     fingerprint: str | None
     backend: str
-    #: ``"run"`` or ``"execute-prepared"``.
+    #: ``"run"``, ``"execute-prepared"`` or ``"explain-analyze"``.
     kind: str
     #: Epoch seconds when the execution started.
     started_at: float
@@ -52,7 +52,7 @@ class QueryLogEntry:
     slow: bool = False
     #: ``repr`` of the raised exception, for failed executions.
     error: str | None = None
-    #: The error's stable diagnostic code (``F101``, ``S400``, ...) when
+    #: The error's stable diagnostic code (``F101``, ``F302``, ...) when
     #: the exception carried one; ``None`` otherwise.
     code: str | None = None
     #: Stable execution id correlating this entry with its span tree,

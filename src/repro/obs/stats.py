@@ -13,9 +13,7 @@ erroring, or regressing?" without retaining per-run records:
   cache-miss storm and a data regression look different;
 * **latency** -- a log-bucket :class:`~repro.obs.metrics.Histogram` per
   backend plus a bounded reservoir of recent durations for p50/p95/p99;
-* **per-shard latency** -- one histogram per shard index, fed by the
-  scatter-gather executor's per-shard timings;
-* **error codes** -- counts per stable ``F``/``S`` diagnostic code;
+* **error codes** -- counts per stable ``F`` diagnostic code;
 * **worst-case exemplar** -- the ``trace_id`` of the slowest call, one
   hop from the flight recorder's span tree and AnalyzeReport.
 
@@ -33,7 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Any, Iterable
+from typing import Any
 
 from .metrics import Histogram
 
@@ -58,7 +56,7 @@ class StatementEntry:
     __slots__ = (
         "fingerprint", "calls", "errors", "cache_hits", "rows", "queries",
         "compile_time", "execute_time", "total_time", "min_time",
-        "max_time", "error_codes", "by_backend", "by_shard", "durations",
+        "max_time", "error_codes", "by_backend", "durations",
         "first_seen", "last_seen", "worst_trace_id", "folded",
         "est_rows",
     )
@@ -75,12 +73,10 @@ class StatementEntry:
         self.total_time = 0.0
         self.min_time = float("inf")
         self.max_time = 0.0
-        #: Errors per stable diagnostic code (``F101``, ``S400``, ...).
+        #: Errors per stable diagnostic code (``F101``, ``F302``, ...).
         self.error_codes: dict[str, int] = {}
         #: End-to-end latency histogram per backend name.
         self.by_backend: dict[str, Histogram] = {}
-        #: Per-shard execute-latency histogram (sharded SQL executor).
-        self.by_shard: dict[int, Histogram] = {}
         #: Recent durations (bounded) backing the p50/p95/p99 estimates.
         self.durations: deque[float] = deque(maxlen=reservoir)
         self.first_seen = 0.0
@@ -99,7 +95,6 @@ class StatementEntry:
                queries: int, cache_hit: bool, compile_time: float,
                execute_time: float, error: bool,
                error_code: "str | None",
-               shard_timings: Iterable[tuple[int, float]],
                trace_id: "str | None",
                est_rows: "float | None" = None) -> None:
         if est_rows is not None:
@@ -135,11 +130,6 @@ class StatementEntry:
                 hist = self.by_backend[backend] = Histogram(backend)
             exemplar = {"trace_id": trace_id} if trace_id else None
             hist.observe(duration, exemplar=exemplar)
-        for shard, seconds in shard_timings:
-            hist = self.by_shard.get(shard)
-            if hist is None:
-                hist = self.by_shard[shard] = Histogram(f"shard{shard}")
-            hist.observe(seconds)
 
     def fold(self, other: "StatementEntry") -> None:
         """Absorb an evicted entry's *exact* totals (identity is lost,
@@ -194,8 +184,6 @@ class StatementEntry:
             "error_codes": dict(self.error_codes),
             "by_backend": {name: hist.snapshot()
                            for name, hist in self.by_backend.items()},
-            "by_shard": {str(shard): hist.snapshot()
-                         for shard, hist in sorted(self.by_shard.items())},
             "first_seen": self.first_seen,
             "last_seen": self.last_seen,
             "worst_trace_id": self.worst_trace_id,
@@ -240,7 +228,6 @@ class StatementStats:
                compile_time: float = 0.0, execute_time: float = 0.0,
                error: "str | None" = None,
                error_code: "str | None" = None,
-               shard_timings: Iterable[tuple[int, float]] = (),
                trace_id: "str | None" = None,
                est_rows: "float | None" = None) -> None:
         """Fold one execution into the aggregate for ``fingerprint``."""
@@ -254,8 +241,7 @@ class StatementStats:
                          cache_hit=cache_hit, compile_time=compile_time,
                          execute_time=execute_time,
                          error=error is not None, error_code=error_code,
-                         shard_timings=shard_timings, trace_id=trace_id,
-                         est_rows=est_rows)
+                         trace_id=trace_id, est_rows=est_rows)
 
     def record_compile(self, fingerprint: "str | None",
                        compile_time: float, cache_hit: bool) -> None:

@@ -60,10 +60,7 @@ class Span:
         # so their totals can only exceed the parent's own reading through
         # clock granularity -- process_time in particular ticks coarsely
         # on some platforms.  Clamp the parent up to the children's sum so
-        # the containment invariant holds exactly, bottom-up.  (Detached
-        # children from parallel bundle execution may overlap in wall
-        # time; the clamp then reads as "total child work", still an
-        # upper-bounded containment.)
+        # the containment invariant holds exactly, bottom-up.
         if self.children:
             wall = max(wall, math.fsum(c.duration for c in self.children))
             cpu = max(cpu, math.fsum(c.cpu_time for c in self.children))
@@ -92,26 +89,6 @@ class _SpanHandle:
         self._tracer._stack.pop()
 
 
-class _DetachedSpanHandle:
-    """Context manager over a span that is *not* on the tracer stack.
-
-    Used by parallel bundle execution: worker threads cannot share the
-    tracer's stack discipline, so each opens a detached span, times its
-    work, and the coordinating thread attaches the finished spans to the
-    tree afterwards (in deterministic bundle-query order)."""
-
-    __slots__ = ("span",)
-
-    def __init__(self, span: Span):
-        self.span = span
-
-    def __enter__(self) -> Span:
-        return self.span
-
-    def __exit__(self, *exc) -> None:
-        self.span._finish()
-
-
 class Trace:
     """A finished span tree (the result of one traced execution)."""
 
@@ -123,8 +100,8 @@ class Trace:
         #: Wall-clock (epoch seconds) when the root span opened.
         self.started_at = started_at
         #: Process-unique id correlating this execution end-to-end: the
-        #: same id appears on detached worker/shard spans, the flight
-        #: recorder entry, JSONL sink records, and metric exemplars.
+        #: same id appears on the flight recorder entry, JSONL sink
+        #: records, and metric exemplars.
         self.trace_id = trace_id
 
     @property
@@ -201,8 +178,8 @@ class Tracer:
     """Builds one :class:`Trace`: a stack of open spans.
 
     Every tracer owns a stable :attr:`trace_id` from birth, so code that
-    runs *during* the execution (backends, metric exemplars, worker
-    threads) can reference the id the finished trace will carry."""
+    runs *during* the execution (backends, metric exemplars) can
+    reference the id the finished trace will carry."""
 
     __slots__ = ("root", "trace_id", "_stack", "_started_at")
 
@@ -218,20 +195,6 @@ class Tracer:
         self._stack[-1].children.append(span)
         self._stack.append(span)
         return _SpanHandle(self, span)
-
-    def detached(self, name: str, **attrs: Any) -> _DetachedSpanHandle:
-        """Open a span *off* the stack (safe to use from worker threads);
-        attach the handle later -- from the coordinating thread -- with
-        :meth:`attach`.  Detached spans are stamped with the tracer's
-        ``trace_id`` so rows produced on worker threads (parallel bundle
-        queries, SQL shards) stay correlated with their execution."""
-        attrs.setdefault("trace_id", self.trace_id)
-        return _DetachedSpanHandle(Span(name, attrs))
-
-    def attach(self, handle: _DetachedSpanHandle) -> None:
-        """Adopt a finished detached span as a child of the innermost
-        open span (call from the thread that owns this tracer)."""
-        self._stack[-1].children.append(handle.span)
 
     def finish(self) -> Trace:
         """Close the root span and return the finished trace."""
@@ -272,12 +235,6 @@ class NullTracer:
 
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         return NULL_SPAN
-
-    def detached(self, name: str, **attrs: Any) -> _NullSpan:
-        return NULL_SPAN
-
-    def attach(self, handle: Any) -> None:
-        pass
 
     def finish(self) -> None:
         return None

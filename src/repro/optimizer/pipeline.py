@@ -218,8 +218,8 @@ def optimize_bundle(bundle: Bundle, stats: PassStats | None = None,
                        bundle.root_is_list)
     verify_bundle(optimized, label="post-optimize", cache=cache)
     # Stamp the compile-time cost estimate of the *final* plans (this
-    # time with the executing backend's calibration): runtime dispatch
-    # (S412/S413), /statements drift rows, and the lint all read it.
+    # time with the executing backend's calibration): /statements
+    # drift rows and the lint read it.
     optimized.cost = estimate_bundle(optimized, backend=backend,
                                      table_rows=table_rows, cache=cache)
     return optimized

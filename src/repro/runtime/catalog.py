@@ -33,13 +33,6 @@ class Catalog:
         #: plan cache bakes this into its keys, so any schema change
         #: invalidates previously compiled plans (repro.runtime.plancache).
         self.schema_generation = 0
-        #: Advisory physical-partitioning hints, table -> column.  The
-        #: sharded SQL executor currently *replicates* every table and
-        #: partitions by predicate instead -- splitting base rows would
-        #: renumber the compiler's global surrogates (see DESIGN.md) --
-        #: but the hints are validated, survive alongside the schema,
-        #: and are surfaced to tooling via :meth:`partition_hint`.
-        self._partition_hints: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # definition
@@ -98,23 +91,8 @@ class Catalog:
         self._require(name)
         del self._schemas[name]
         del self._rows[name]
-        self._partition_hints.pop(name, None)
         self.version += 1
         self.schema_generation += 1
-
-    def set_partition_hint(self, name: str, column: str) -> None:
-        """Declare ``column`` the preferred physical partitioning key of
-        ``name`` (advisory; see the attribute docstring)."""
-        self._require(name)
-        if column not in {c for c, _ in self._schemas[name]}:
-            raise SchemaError(
-                f"table {name!r} has no column {column!r} to partition on")
-        self._partition_hints[name] = column
-
-    def partition_hint(self, name: str) -> "str | None":
-        """The declared partition column of ``name``, or ``None``."""
-        self._require(name)
-        return self._partition_hints.get(name)
 
     # ------------------------------------------------------------------
     # access

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from ..analysis import verify_bundle, verify_debug_enabled
-from ..analysis.cost import decide_parallel, estimate_bundle
+from ..analysis.cost import estimate_bundle
 from ..core.bundle import Bundle, compile_exp
 from ..errors import ObservabilityError, QTypeError
 from ..expr import exp_fingerprint, tables_referenced
@@ -122,34 +122,13 @@ class Connection:
     :class:`~repro.obs.AnalyzeReport`.  ``query_log_size`` bounds both
     of the recorder's views (N most recent + N slowest).
 
-    ``parallel_bundles=True`` *allows* fanning each bundle's queries out
-    over worker threads inside the backend (engine and SQLite; the MIL
-    VM stays serial).  Whether a given bundle actually fans out is
-    cost-gated: the compile-time estimate (``repro.analysis.cost``) must
-    amortize the per-query thread overhead, decided per execution with a
-    stable code (``S412`` fan-out / ``S413`` inline; see
-    ``conn.explain``).  Bundle queries are independent by construction,
-    so results are bit-identical to serial execution -- the knob only
-    changes wall-clock time.  Single-query bundles always run inline.
-
     ``statement_stats`` (default on) aggregates every execution into a
     per-fingerprint :class:`~repro.obs.StatementStats` -- calls, errors,
-    cache hits, rows, per-phase compile/execute time, per-backend and
-    per-shard latency histograms, and the worst call's trace id -- read
+    cache hits, rows, per-phase compile/execute time, per-backend
+    latency histograms, and the worst call's trace id -- read
     back via :meth:`statement_stats` (bounded by ``stats_capacity``
     tracked fingerprints; evictions fold into an overflow bucket so
     totals stay exact).
-
-    ``shards=N`` selects the partition-parallel SQL executor
-    (:class:`~repro.backends.sql.ShardedSQLiteBackend`): each bundle
-    query the analysis layer proves partitionable on its ``iter`` column
-    runs as ``N`` disjoint slices on ``N`` pinned SQLite connections and
-    is merged back on ``(iter, pos)``; non-shardable queries fall back to
-    single-image execution transparently.  Results are always identical
-    to ``backend="sqlite"``.  Only meaningful for the SQL backend --
-    combining ``shards`` with ``backend="engine"``/``"mil"`` raises
-    :class:`~repro.errors.QTypeError`.  ``conn.explain(q)`` shows each
-    query's shard decision and reason code.
     """
 
     def __init__(self, backend: "str | Any | None" = None,
@@ -159,8 +138,6 @@ class Connection:
                  sampling: "str | float | Any" = "always",
                  slow_query_threshold: "float | None" = None,
                  query_log_size: int = 32,
-                 parallel_bundles: bool = False,
-                 shards: "int | None" = None,
                  statement_stats: bool = True,
                  stats_capacity: int = 512):
         self.catalog = catalog or Catalog()
@@ -168,7 +145,7 @@ class Connection:
         #: Join-graph isolation (correlated-filter decorrelation); only
         #: ever disabled by the ablation benchmarks.
         self.decorrelate = decorrelate
-        self.backend = _resolve_backend(backend, shards)
+        self.backend = _resolve_backend(backend)
         self.plan_cache = (plan_cache if plan_cache is not None
                            else PlanCache(cache_size))
         #: Total number of relational queries issued over this connection's
@@ -185,8 +162,6 @@ class Connection:
         #: slow and promoted (profile + trace) into the query log;
         #: ``None`` disables the stopwatch entirely.
         self.slow_query_threshold = slow_query_threshold
-        #: Fan bundle queries out over threads inside the backend?
-        self.parallel_bundles = parallel_bundles
         #: The flight recorder: N most recent + N slowest executions.
         self.query_log = QueryLog(recent=query_log_size,
                                   slowest=query_log_size)
@@ -285,7 +260,6 @@ class Connection:
                 execute_time=info.get("execute_time", 0.0),
                 error=info.get("error"),
                 error_code=info.get("error_code"),
-                shard_timings=info.get("shard_timings", ()),
                 trace_id=info.get("trace_id"),
                 est_rows=info.get("est_rows"))
 
@@ -376,8 +350,8 @@ class Connection:
                 timings["verify"] = time.perf_counter() - t0
             METRICS.histogram("phase.verify").observe(timings["verify"])
         if bundle.cost is None:
-            # optimize=False still gets a cost stamp: dispatch gates and
-            # the drift lint work on unoptimized plans too.
+            # optimize=False still gets a cost stamp: the drift lint
+            # works on unoptimized plans too.
             bundle.cost = estimate_bundle(bundle, backend=self.backend.name,
                                           table_rows=self._table_stats())
         entry = CacheEntry(bundle, pass_stats=stats)
@@ -426,9 +400,7 @@ class Connection:
             return self._execute(compiled.bundle, code, tracer, collector,
                                  info=info)
         except Exception as err:
-            info["error"] = repr(err)
-            code = getattr(err, "code", None)
-            info["error_code"] = code if isinstance(code, str) else None
+            _note_error(info, err)
             raise
         finally:
             self._record_execution("run", tracer, info, started_at,
@@ -468,11 +440,28 @@ class Connection:
         drift = None
         if analyze:
             collector = AnalyzeCollector(per_op=True)
+            # A real execution: it lands in the flight recorder and the
+            # statement stats like any run, so their totals keep
+            # reconciling with ``executions`` and the METRICS counters.
+            info: dict[str, Any] = {"fingerprint": compiled.fingerprint,
+                                    "cache_hit": compiled.cache_hit,
+                                    "bundle_size": compiled.bundle.size,
+                                    "bundle": compiled.bundle}
+            started_at = time.time()
             t0 = time.perf_counter()
-            self._execute(compiled.bundle, prepared, NULL_TRACER, collector)
+            try:
+                self._execute(compiled.bundle, prepared, NULL_TRACER,
+                              collector, info=info)
+            except Exception as err:
+                _note_error(info, err)
+                raise
+            finally:
+                elapsed = time.perf_counter() - t0
+                self._record_execution("explain-analyze", NULL_TRACER, info,
+                                       started_at, elapsed, collector)
             analyze_report = build_analyze(
                 compiled.bundle, collector, self.backend.name,
-                time.perf_counter() - t0, table_rows=table_rows)
+                elapsed, table_rows=table_rows)
             from ..analysis.lint import lint_report
             drift = lint_report(compiled.bundle, analyze_report,
                                 self.backend.name, table_rows=table_rows)
@@ -506,20 +495,10 @@ class Connection:
     def _execute(self, bundle: Bundle, code: Any, tracer=NULL_TRACER,
                  collector: "AnalyzeCollector | None" = None,
                  info: "dict[str, Any] | None" = None) -> Any:
-        parallel = False
-        if self.parallel_bundles:
-            # The cost gate (S412 fan-out / S413 inline): thread fan-out
-            # must be amortized by the bundle's estimated work.
-            dispatch = decide_parallel(bundle.cost, bundle.size)
-            parallel = dispatch.parallel
-            tracer.root.set(dispatch=dispatch.code)
-            if info is not None:
-                info["dispatch"] = dispatch.code
         t0 = time.perf_counter()
         result = self.backend.execute_bundle(bundle, self.catalog,
                                              prepared=code, tracer=tracer,
-                                             collector=collector,
-                                             parallel=parallel)
+                                             collector=collector)
         execute_time = time.perf_counter() - t0
         exemplar = ({"trace_id": tracer.trace_id}
                     if tracer.trace_id is not None else None)
@@ -542,12 +521,10 @@ class Connection:
         if info is not None:
             # Feed the statement-stats reconciliation surface: rows here
             # is the stitched-row count (== connection.rows_stitched
-            # delta), queries the avalanche metric, shard timings the
-            # scatter-gather executor's per-shard clock readings.
+            # delta), queries the avalanche metric.
             info["rows"] = rows
             info["queries"] = result.queries_issued
             info["execute_time"] = execute_time
-            info["shard_timings"] = result.shard_timings
             if bundle.cost is not None:
                 # Static row estimate for the drift lint's per-
                 # fingerprint comparison (/statements, D500).
@@ -619,9 +596,7 @@ class PreparedQuery:
             return conn._execute(self.compiled.bundle, self._code, tracer,
                                  collector, info=info)
         except Exception as err:
-            info["error"] = repr(err)
-            code = getattr(err, "code", None)
-            info["error_code"] = code if isinstance(code, str) else None
+            _note_error(info, err)
             raise
         finally:
             conn._record_execution("execute-prepared", tracer, info,
@@ -629,17 +604,15 @@ class PreparedQuery:
                                    time.perf_counter() - t0, collector)
 
 
-def _resolve_backend(backend: "str | Any | None", shards: "int | None" = None):
-    if shards is not None:
-        # Sharding is a property of the SQL scatter-gather executor; the
-        # knob selects it (with backend=None or "sqlite") rather than
-        # silently ignoring the fan-out on engines that cannot honor it.
-        if backend is None or backend == "sqlite":
-            from ..backends.sql import ShardedSQLiteBackend
-            return ShardedSQLiteBackend(shards)
-        raise QTypeError(
-            f"shards={shards} requires the SQL backend; got "
-            f"backend={backend!r} (pass backend='sqlite' or omit it)")
+def _note_error(info: dict, err: Exception) -> None:
+    """Record a failed execution's exception (and its stable diagnostic
+    code, when it carries one) in the execution info dict."""
+    info["error"] = repr(err)
+    code = getattr(err, "code", None)
+    info["error_code"] = code if isinstance(code, str) else None
+
+
+def _resolve_backend(backend: "str | Any | None"):
     if backend is None:
         backend = "engine"
     if not isinstance(backend, str):

@@ -1,10 +1,8 @@
 """Unit tests of the cardinality-aware cost model (``repro.analysis.cost``).
 
 Pins: per-operator row estimation on hand-built plans, the calibration
-table lookup (including the sharded ``sqlite-x4`` alias and the
-uncalibrated fallback), bundle estimation, the scatter economics gate
-behind ``S400``/``S411``, and the parallel-dispatch gate behind
-``S412``/``S413``.
+table lookup (including the uncalibrated fallback), and bundle
+estimation.
 """
 
 import pytest
@@ -25,12 +23,9 @@ from repro.analysis.cost import (
     CALIBRATION,
     CALIBRATION_VERSION,
     DEFAULT_TABLE_ROWS,
-    PARALLEL_OVERHEAD,
     CostModel,
     constants_for,
-    decide_parallel,
     estimate_bundle,
-    scatter_worthwhile,
 )
 from repro.ftypes import BoolT, IntT
 from repro.runtime import Catalog, Connection
@@ -46,10 +41,6 @@ class TestCalibration:
         for name, table in CALIBRATION.items():
             assert table["__version__"] == CALIBRATION_VERSION, name
             assert table["__base__"] > 0 and table["__cell__"] > 0, name
-
-    def test_sharded_alias_resolves_to_the_base_backend(self):
-        table, calibrated = constants_for("sqlite-x4")
-        assert calibrated and table is CALIBRATION["sqlite"]
 
     def test_unknown_backend_falls_back_uncalibrated(self):
         table, calibrated = constants_for("postgres")
@@ -144,50 +135,3 @@ class TestBundleCost:
         assert compiled.bundle.cost is not None
         assert compiled.bundle.cost.total_cost > 0
 
-
-class TestScatterGate:
-    def test_large_plans_amortize_the_overhead(self):
-        ok, why = scatter_worthwhile(10_000_000.0, 0.9, 2)
-        assert ok and "amortizes" in why
-
-    def test_small_plans_do_not(self):
-        ok, why = scatter_worthwhile(1_000.0, 0.9, 2)
-        assert not ok and "below scatter overhead" in why
-
-    def test_higher_fanout_needs_more_work(self):
-        cost = 600_000.0
-        ok2, _ = scatter_worthwhile(cost, 1.0, 2)
-        ok16, _ = scatter_worthwhile(cost, 1.0, 16)
-        assert ok2 and not ok16
-
-
-class TestParallelDispatch:
-    def _cost(self, per_query, n):
-        db = Connection(catalog=Catalog())
-        db.create_table("t", [("a", int)], [(1,)])
-        bundle = db.compile(db.table("t")).bundle
-        cost = estimate_bundle(bundle, backend="engine")
-        # forge per-query totals without building a giant plan
-        object.__setattr__(cost.queries[0], "total_cost", per_query)
-        return cost
-
-    def test_single_query_is_always_inline(self):
-        d = decide_parallel(None, 1)
-        assert not d.parallel and d.code == "S413"
-
-    def test_missing_estimate_fans_out_by_request(self):
-        d = decide_parallel(None, 3)
-        assert d.parallel and d.code == "S412"
-        assert "no cost estimate" in d.reason
-
-    def test_cheap_bundle_stays_serial(self):
-        cost = self._cost(PARALLEL_OVERHEAD * 0.1, 1)
-        d = decide_parallel(cost, 2)
-        assert not d.parallel and d.code == "S413"
-        assert d.to_dict()["code"] == "S413"
-
-    def test_expensive_bundle_fans_out(self):
-        cost = self._cost(PARALLEL_OVERHEAD * 50, 1)
-        d = decide_parallel(cost, 2)
-        assert d.parallel and d.code == "S412"
-        assert d.est_cost == pytest.approx(cost.total_cost)

@@ -15,6 +15,8 @@ from repro.backends.sql import SQLiteBackend, render_literal, sql_type
 from repro.bench.table1 import running_example_query
 from repro.ftypes import BoolT, DateT, DoubleT, IntT, StringT, TimeT
 
+from ..conftest import feature_meanings_query
+
 
 @pytest.fixture()
 def db(paper_catalog):
@@ -100,6 +102,16 @@ class TestExecution:
         before = backend.statements_executed
         db.run(running_example_query(db))
         assert backend.statements_executed - before == 2
+
+    def test_statement_accounting_three_statement_bundle(self,
+                                                         paper_catalog):
+        db = Connection(backend="sqlite", catalog=paper_catalog)
+        q = feature_meanings_query(db)
+        assert db.compile(q).bundle.size == 3
+        before = db.backend.statements_executed
+        db.run(q)
+        assert db.backend.statements_executed - before == 3
+        assert db.queries_issued == 3
 
     def test_catalog_reload_on_version_change(self):
         db = Connection(backend="sqlite")

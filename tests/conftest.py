@@ -2,21 +2,14 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro import Connection
+from repro import Connection, fmap
 from repro.bench.workloads import numbers_dataset, paper_dataset
 from repro.runtime import Catalog
 from repro.semantics import Interpreter
 
 BACKENDS = ("engine", "sqlite", "mil")
-
-#: Fan-out of the sharded-SQL differential leg.  CI runs a dedicated
-#: tier-1 pass with ``FERRY_SHARDS=4``; the default keeps local runs
-#: cheap while still exercising scatter, gather, and fallback.
-SHARDS = int(os.environ.get("FERRY_SHARDS", "2"))
 
 
 def pytest_collection_modifyitems(config, items):
@@ -59,6 +52,19 @@ def oracle(paper_catalog) -> Interpreter:
     return Interpreter(paper_catalog)
 
 
+def feature_meanings_query(db: Connection):
+    """Facility -> feature -> meanings over the paper dataset: a
+    ``[[[String]]]`` result, hence a 3-query bundle."""
+    facilities, features, meanings = (
+        db.table(t) for t in ("facilities", "features", "meanings"))
+    return fmap(
+        lambda f: fmap(
+            lambda g: meanings.filter(lambda m: m[0] == g[1]).map(
+                lambda m: m[1]),
+            features.filter(lambda g: g[0] == f[1])),
+        facilities)
+
+
 def run_all_ways(q, catalog: Catalog):
     """Evaluate a query through the oracle and every backend; assert they
     agree and return the common value (the differential-testing core)."""
@@ -71,12 +77,4 @@ def run_all_ways(q, catalog: Catalog):
     # the optimizer must not change results either
     raw = Connection(backend="engine", catalog=catalog, optimize=False).run(q)
     assert raw == expected
-    # nor must intra-bundle parallelism (same plans, threaded fan-out)
-    par = Connection(backend="engine", catalog=catalog,
-                     parallel_bundles=True).run(q)
-    assert par == expected, "parallel bundle execution diverged"
-    # nor must partition-parallel SQL (scatter on iter, or transparent
-    # single-image fallback when the analysis refuses to shard)
-    sharded = Connection(shards=SHARDS, catalog=catalog).run(q)
-    assert sharded == expected, "sharded SQL execution diverged"
     return expected

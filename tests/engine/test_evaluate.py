@@ -21,10 +21,14 @@ from repro.algebra import (
     UnApp,
     UnionAll,
 )
+from repro import Connection
 from repro.backends.engine import Engine
+from repro.bench.workloads import paper_dataset
 from repro.errors import PartialFunctionError
 from repro.ftypes import BoolT, IntT, StringT
 from repro.runtime import Catalog
+
+from ..conftest import feature_meanings_query
 
 
 @pytest.fixture()
@@ -175,3 +179,31 @@ class TestScalarKernels:
         right = Project(shared, (("b", "pos"),))
         plan = EqJoin(left, right, (("a", "b"),))
         assert len(rows_of(engine, plan)) == 3
+
+
+class TestBundleCache:
+    def test_each_shared_dag_node_materializes_once_per_bundle(
+            self, monkeypatch):
+        """The queries of a bundle share subplans (the outer spine feeds
+        each inner query); across all three queries of a ``[[[.]]]``
+        bundle no DAG node is evaluated twice."""
+        db = Connection(catalog=paper_dataset())
+        q = feature_meanings_query(db)
+        schedules = db.backend.prepare_bundle(db.compile(q).bundle)
+        assert len(schedules) == 3
+        distinct = {id(node) for schedule in schedules for node in schedule}
+        assert sum(map(len, schedules)) > len(distinct), \
+            "the bundle's queries must share nodes for this test to bite"
+
+        counts: dict[int, int] = {}
+        original = Engine._eval
+
+        def counting_eval(self, node, memo):
+            counts[id(node)] = counts.get(id(node), 0) + 1
+            return original(self, node, memo)
+
+        monkeypatch.setattr(Engine, "_eval", counting_eval)
+        result = db.run(q)
+        assert any(any(inner for inner in outer) for outer in result)
+        assert set(counts) == distinct
+        assert set(counts.values()) == {1}

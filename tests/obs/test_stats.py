@@ -5,31 +5,21 @@ Two layers under test.  First the :class:`StatementStats` aggregator
 itself: exact counts, the LRU-eviction-into-overflow invariant (totals
 stay exact no matter the fingerprint cardinality), quantiles, and the
 compile-only accounting path.  Second the wiring: every
-``Connection.run`` must land in the stats with numbers that *reconcile
-exactly* against the process-wide METRICS counters -- including under
-``parallel_bundles=True`` and sharded SQL execution, where the work fans
-out over threads.
+``Connection.run`` (and ``explain(analyze=True)``, which executes too)
+must land in the stats with numbers that *reconcile exactly* against
+the process-wide METRICS counters.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import Connection, fmap, to_q
+from repro import Connection, to_q
 from repro.bench.table1 import running_example_query
 from repro.bench.workloads import numbers_dataset, paper_dataset
 from repro.errors import ObservabilityError
 from repro.obs import EVICTED, UNFINGERPRINTED, StatementStats
 from repro.obs.metrics import METRICS
-
-
-def nested_probe(db):
-    """Nested query whose inner member shards (decision ``S400``)."""
-    features = db.table("features")
-    return fmap(
-        lambda f: features.filter(lambda g: g[0] == f[0]).map(
-            lambda g: g[1]),
-        db.table("facilities"))
 
 
 def counters():
@@ -107,14 +97,6 @@ class TestStatementStatsUnit:
         entry = stats.get("fp1")
         assert entry["p50"] == pytest.approx(0.050, abs=0.002)
         assert entry["p99"] == pytest.approx(0.099, abs=0.002)
-
-    def test_shard_timings_build_per_shard_histograms(self):
-        stats = StatementStats()
-        stats.record("fp1", duration=0.5,
-                     shard_timings=[(0, 0.2), (1, 0.3), (1, 0.1)])
-        entry = stats.get("fp1")
-        assert entry["by_shard"]["0"]["count"] == 1
-        assert entry["by_shard"]["1"]["count"] == 2
 
     def test_record_compile_counts_no_call(self):
         stats = StatementStats()
@@ -236,25 +218,18 @@ class TestMetricsReconciliation:
         assert conn.statement_stats()["totals"]["cache_hits"] == \
             conn.cache_stats.hits
 
-    def test_parallel_bundles(self):
+    def test_explain_analyze_is_a_recorded_execution(self):
         before = counters()
-        conn = Connection(catalog=paper_dataset(), parallel_bundles=True)
-        q = nested_probe(conn)
-        for _ in range(3):
-            conn.run(q)
+        conn = Connection(catalog=paper_dataset())
+        q = running_example_query(conn)
+        conn.run(q)
+        conn.run(q)
+        conn.explain(q, analyze=True)
         reconcile(conn, before)
-
-    def test_sharded_sql(self):
-        before = counters()
-        conn = Connection(shards=4, catalog=paper_dataset())
-        q = nested_probe(conn)
-        for _ in range(3):
-            conn.run(q)
-        reconcile(conn, before)
-        [stmt] = conn.statement_stats()["statements"]
-        # The inner member shards (S400): all four shards report time.
-        assert set(stmt["by_shard"]) == {"0", "1", "2", "3"}
-        assert stmt["by_shard"]["0"]["count"] == 3
+        assert conn.statement_stats()["totals"]["calls"] == \
+            conn.executions == 3
+        assert [e.kind for e in conn.query_log.recent] == \
+            ["explain-analyze", "run", "run"]
 
     def test_errors_reconcile_too(self):
         from repro.frontend.tables import table

@@ -294,44 +294,6 @@ class TestTraceIds:
 
     def test_null_tracer_has_no_id(self):
         assert NULL_TRACER.trace_id is None
-        assert NULL_TRACER.detached("x").__enter__() is not None
-
-    def test_detached_spans_inherit_the_parent_id(self):
-        tracer = Tracer("run")
-        handle = tracer.detached("execute", query=1)
-        with handle:
-            pass
-        tracer.attach(handle)
-        trace = tracer.finish()
-        span = trace.find("execute")
-        assert span.attrs["trace_id"] == tracer.trace_id
-
-    def test_worker_spans_carry_the_run_id(self, paper_catalog):
-        """Parallel bundles execute on worker threads via detached
-        spans; every one must still name the run's trace id."""
-        db = Connection(catalog=paper_catalog, parallel_bundles=True)
-        db.run(running_example_query(db))
-        trace = db.last_trace
-        execs = [s for s, _ in trace.iter_spans() if s.name == "execute"]
-        assert len(execs) == 2
-        for span in execs:
-            assert span.attrs["trace_id"] == trace.trace_id
-
-    def test_shard_spans_carry_the_run_id(self, paper_catalog):
-        from repro import fmap
-        db = Connection(shards=2, catalog=paper_catalog)
-        features = db.table("features")
-        db.run(fmap(
-            lambda f: features.filter(lambda g: g[0] == f[0]).map(
-                lambda g: g[1]),
-            db.table("facilities")))
-        trace = db.last_trace
-        sharded = [s for s, _ in trace.iter_spans()
-                   if s.name == "execute" and "shard" in s.attrs
-                   and s.attrs["shard"] != "fallback"]
-        assert sharded, "the nested member must shard (S400)"
-        for span in sharded:
-            assert span.attrs["trace_id"] == trace.trace_id
 
     def test_entry_trace_id_matches_the_retained_trace(self, paper_db):
         paper_db.run(running_example_query(paper_db))

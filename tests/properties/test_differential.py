@@ -7,8 +7,6 @@ library's strongest correctness evidence for the paper's claim that the
 relational encodings "faithfully preserve the DSH semantics" (Section 3.2).
 """
 
-import os
-
 from hypothesis import given
 
 from .support import prop_settings
@@ -21,7 +19,6 @@ from .strategies import any_query, int_list_query, nested_query, scalar_query
 
 CATALOG = Catalog()
 SETTINGS = prop_settings(40)
-SHARDS = int(os.environ.get("FERRY_SHARDS", "2"))
 
 
 def run_everywhere(q):
@@ -31,10 +28,6 @@ def run_everywhere(q):
         assert db.run(q) == expected, f"{backend} diverged"
     raw = Connection(catalog=CATALOG, optimize=False)
     assert raw.run(q) == expected, "unoptimized engine diverged"
-    par = Connection(catalog=CATALOG, parallel_bundles=True)
-    assert par.run(q) == expected, "parallel bundle execution diverged"
-    sharded = Connection(shards=SHARDS, catalog=CATALOG)
-    assert sharded.run(q) == expected, "sharded SQL execution diverged"
     return expected
 
 

@@ -8,6 +8,7 @@ children account (approximately) for the end-to-end wall time.
 
 from repro import Connection
 from repro.bench.table1 import running_example_query
+from repro.obs.trace import Tracer
 
 #: Phase keys documented on CompiledQuery.timings.
 COLD_KEYS = {"check", "lookup", "lift", "optimize"}
@@ -114,11 +115,12 @@ class TestTraceAccounting:
 
     def test_span_durations_match_compile_timings(self, paper_db):
         q = running_example_query(paper_db)
-        paper_db.run(q)
-        trace = paper_db.last_trace
-        # the span and the timings dict measure the same region with
-        # separate clock reads: they must agree to within a millisecond
-        compiled = paper_db.compile(q, use_cache=False)
+        # the span and the timings dict measure the same region of one
+        # compile with separate clock reads: they must agree to within a
+        # millisecond
+        tracer = Tracer("compile")
+        compiled = paper_db.compile(q, use_cache=False, tracer=tracer)
+        trace = tracer.finish()
         for phase, span_name in (("lift", "lift"), ("optimize", "optimize")):
             span = trace.find(span_name)
             assert span is not None
