@@ -12,9 +12,7 @@ from repro import Connection
 from repro.bench.table1 import running_example_query
 from repro.bench.workloads import avalanche_dataset
 
-#: SQLite evaluates the deep CTE pyramid with nested-loop joins only, so
-#: it gets a smaller instance (the paper's backend was PostgreSQL).
-CATALOG_SMALL = avalanche_dataset(25)
+#: One instance for all three backends.
 CATALOG = avalanche_dataset(150)
 
 
@@ -25,8 +23,7 @@ def run_on(backend: str, catalog):
 
 class TestBackendsAgree:
     def test_all_backends_same_result(self):
-        results = [run_on(b, CATALOG_SMALL)
-                   for b in ("engine", "sqlite", "mil")]
+        results = [run_on(b, CATALOG) for b in ("engine", "sqlite", "mil")]
         assert results[0] == results[1] == results[2]
 
 
@@ -38,4 +35,4 @@ class TestBackendRuntime:
         benchmark(lambda: run_on("mil", CATALOG))
 
     def test_sqlite(self, benchmark):
-        benchmark(lambda: run_on("sqlite", CATALOG_SMALL))
+        benchmark(lambda: run_on("sqlite", CATALOG))

@@ -58,9 +58,11 @@ def main() -> None:
 
     stage("generated SQL:1999 (the PostgreSQL/SQLite target)")
     sql_backend = SQLiteBackend()
-    for i, q in enumerate(compiled.bundle.queries, start=1):
+    script = sql_backend.describe_prepared(
+        sql_backend.prepare_bundle(compiled.bundle))
+    for i, part in enumerate(script, start=1):
         print(f"-- Q{i}")
-        print(sql_backend.generate(q).text)
+        print(part)
         print()
 
     stage("generated MIL (the MonetDB-style column target)")

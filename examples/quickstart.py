@@ -60,9 +60,11 @@ def main() -> None:
     if args.show_sql:
         from repro.backends.sql import SQLiteBackend
         backend = SQLiteBackend()
-        for i, q in enumerate(compiled.bundle.queries, start=1):
+        script = backend.describe_prepared(
+            backend.prepare_bundle(compiled.bundle))
+        for i, part in enumerate(script, start=1):
             print(f"-- SQL for Q{i} " + "-" * 50)
-            print(backend.generate(q).text)
+            print(part)
             print()
 
     result = db.run(query)

@@ -94,6 +94,7 @@ class Backend(abc.ABC):
         ``collector`` (a :class:`repro.obs.AnalyzeCollector`), when
         given, receives one ``QueryProfile`` per bundle query -- wall
         time and row count -- at the finest granularity the backend
-        supports; the engine backend additionally fills per-operator
-        profiles when ``collector.per_op`` is set (EXPLAIN ANALYZE).
+        supports; when ``collector.per_op`` is set (EXPLAIN ANALYZE) the
+        engine backend additionally fills per-operator profiles, the
+        sqlite backend one profile per temporary-table step.
         """

@@ -9,7 +9,14 @@ from .dbapi import (
     SQLiteDialect,
     load_catalog,
 )
-from .generate import GeneratedSQL, generate_sql, render_literal, sql_type
+from .generate import (
+    GeneratedSQL,
+    Step,
+    generate_bundle,
+    generate_sql,
+    render_literal,
+    sql_type,
+)
 
 __all__ = [
     "Adapter",
@@ -19,6 +26,8 @@ __all__ = [
     "SQLiteAdapter",
     "SQLiteBackend",
     "SQLiteDialect",
+    "Step",
+    "generate_bundle",
     "generate_sql",
     "load_catalog",
     "render_literal",

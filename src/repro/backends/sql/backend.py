@@ -5,17 +5,24 @@ compliant relational system.  The paper used PostgreSQL 9.0; here any
 PEP 249 driver can play that role through the adapter layer in
 :mod:`repro.backends.sql.dbapi` (the default adapter wraps the stdlib
 ``sqlite3``: window functions, CTEs).  Catalog tables are loaded once per
-catalog version; each bundle member is a single SQL statement, so the
-connection's statement count directly measures avalanches (Table 1).
+catalog version; each bundle member is a single row-returning SQL
+statement, so the connection's statement count directly measures
+avalanches (Table 1).  Plan nodes shared inside the bundle are built once
+as temporary tables ahead of the first statement that reads them
+(``generate.Step``) -- a fixed number of auxiliary statements per
+program, whatever the data -- inside one transaction that is always
+rolled back, so no run leaves a table or an open transaction behind.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
 from ...analysis import ensure_verified
 from ...core.bundle import Bundle, SerializedQuery
 from ...errors import ExecutionError
+from ...obs.analyze import OpProfile
 from ...obs.metrics import METRICS
 from ...obs.trace import NULL_TRACER
 from ...runtime.catalog import Catalog
@@ -27,7 +34,7 @@ from .dbapi import (
     load_catalog,
     take_udf_error,
 )
-from .generate import GeneratedSQL, generate_sql
+from .generate import GeneratedSQL, generate_bundle, generate_sql
 
 
 class SQLiteBackend(Backend):
@@ -56,13 +63,20 @@ class SQLiteBackend(Backend):
     def prepare_bundle(self, bundle: Bundle) -> list[GeneratedSQL]:
         """Generate the bundle's SQL statements (no execution)."""
         ensure_verified(bundle, "backend:sqlite")
-        return [self.generate(query) for query in bundle.queries]
+        return generate_bundle(bundle.queries, self.dialect)
 
     def describe_prepared(self, prepared: "list[GeneratedSQL]") -> list[str]:
-        """The generated SQL statements, each stamped with the dialect
-        and DB-API driver that produced and will host it."""
+        """The bundle's script, split per query: each statement preceded
+        by the temporary-table steps no earlier statement has built, and
+        stamped with the dialect and DB-API driver that produced and
+        will host it."""
         stamp = f"-- dialect {self.dialect.name} ({self.adapter.describe()})"
-        return [f"{stamp}\n{gen.text}" for gen in prepared]
+        built: set[str] = set()
+        described = []
+        for gen in prepared:
+            described.append(f"{stamp}\n{gen.script(built)}")
+            built.update(step.name for step in gen.steps)
+        return described
 
     def execute_bundle(self, bundle: Bundle, catalog: Catalog,
                        prepared: "list[GeneratedSQL] | None" = None,
@@ -72,25 +86,29 @@ class SQLiteBackend(Backend):
             prepared = self.prepare_bundle(bundle)
         n = len(bundle.queries)
         sql_texts = [gen.text for gen in prepared]
+        per_op = collector is not None and collector.per_op
         results: list[list[tuple]] = []
         self._ensure_loaded(catalog)
-        for qi, (gen, query) in enumerate(zip(prepared, bundle.queries)):
-            # The host runs each statement as one opaque unit, so
-            # per-query wall time + row count is the finest ANALYZE
-            # granularity here.
-            qp = collector.query(qi + 1) if collector is not None else None
-            with tracer.span("execute", query=qi + 1,
-                             backend=self.name) as sp:
-                t0 = time.perf_counter()
-                rows = self.run_sql(gen, query)
-                seconds = time.perf_counter() - t0
-                sp.set(rows=len(rows))
-                if qp is not None:
-                    qp.time = seconds
-                    qp.rows = len(rows)
-            observe_query_time(self.name, qi, seconds, tracer.trace_id)
-            self.statements_executed += 1
-            results.append(rows)
+        built: set[str] = set()
+        with self._script():
+            for qi, (gen, query) in enumerate(zip(prepared, bundle.queries)):
+                # The host runs each statement as one opaque unit, so
+                # ANALYZE sees per-query wall time + row count, and
+                # inside a query one profile per temporary-table step.
+                qp = collector.query(qi + 1) if collector is not None else None
+                with tracer.span("execute", query=qi + 1,
+                                 backend=self.name) as sp:
+                    t0 = time.perf_counter()
+                    rows = self._run(gen, query, built,
+                                     qp.ops if per_op else None)
+                    seconds = time.perf_counter() - t0
+                    sp.set(rows=len(rows))
+                    if qp is not None:
+                        qp.time = seconds
+                        qp.rows = len(rows)
+                observe_query_time(self.name, qi, seconds, tracer.trace_id)
+                self.statements_executed += 1
+                results.append(rows)
 
         total_rows = sum(len(rows) for rows in results)
         METRICS.counter("backend.sqlite.queries").inc(n)
@@ -100,28 +118,47 @@ class SQLiteBackend(Backend):
 
     # ------------------------------------------------------------------
     def generate(self, query: SerializedQuery) -> GeneratedSQL:
-        """SQL for one bundle member (iter, pos, items; ordered)."""
-        out_cols = (query.iter_col, query.pos_col) + query.item_cols
-        return generate_sql(query.plan, out_cols,
-                            (query.iter_col, query.pos_col),
-                            self.dialect)
+        """SQL for one bundle member on its own (a bundle of one)."""
+        return generate_sql(query, self.dialect)
 
     def run_sql(self, gen: GeneratedSQL,
                 query: SerializedQuery) -> list[tuple]:
-        """Execute one generated statement and convert values back.
+        """Execute one generated statement standalone -- its steps, then
+        the SELECT -- and convert values back.
 
         Does *not* bump ``statements_executed`` -- the bundle loop does."""
+        with self._script():
+            return self._run(gen, query, set(), None)
+
+    @contextmanager
+    def _script(self):
+        """The lifetime of a script's temporary tables: one transaction,
+        always rolled back -- on success and on error -- which drops
+        every table created in it and leaves the connection idle."""
         clear_udf_error()
         try:
-            cursor = self._conn.execute(gen.text)
-            raw_rows = cursor.fetchall()
-        except Exception as err:
-            udf_err = take_udf_error()
-            if udf_err is not None:
-                raise udf_err from None
-            raise ExecutionError(
-                f"{self.dialect.name} rejected generated SQL: {err}\n"
-                f"{gen.text}") from None
+            self._send(self.dialect.begin)
+            yield
+        finally:
+            self._conn.rollback()
+
+    def _run(self, gen: GeneratedSQL, query: SerializedQuery,
+             built: "set[str]", ops: "list[OpProfile] | None"
+             ) -> list[tuple]:
+        """Build ``gen``'s steps not yet in ``built``, then fetch its
+        rows.  ``ops`` receives one profile per step built."""
+        for step in gen.steps:
+            if step.name in built:
+                continue
+            t0 = time.perf_counter()
+            self._send(step.create)
+            inserted = self._send(step.insert).rowcount
+            built.add(step.name)
+            if ops is not None:
+                ops.append(OpProfile(step.ref, step.op,
+                                     time.perf_counter() - t0, None,
+                                     inserted, step.width))
+        raw_rows = self._send(gen.text, fetch=True)
         converters = [self.dialect.from_db_value(ty)
                       for ty in query.item_types]
         rows = []
@@ -130,6 +167,21 @@ class SQLiteBackend(Backend):
             items = tuple(conv(v) for conv, v in zip(converters, raw[2:]))
             rows.append((it, pos) + items)
         return rows
+
+    def _send(self, sql: str, fetch: bool = False):
+        """Execute one statement; with ``fetch`` return its rows (the
+        host computes them lazily, so fetching can fail like executing),
+        else the cursor."""
+        try:
+            cursor = self._conn.execute(sql)
+            return cursor.fetchall() if fetch else cursor
+        except Exception as err:
+            udf_err = take_udf_error()
+            if udf_err is not None:
+                raise udf_err from None
+            raise ExecutionError(
+                f"{self.dialect.name} rejected generated SQL: {err}\n"
+                f"{sql}") from None
 
     # ------------------------------------------------------------------
     def _ensure_loaded(self, catalog: Catalog) -> None:

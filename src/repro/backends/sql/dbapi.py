@@ -126,6 +126,30 @@ class Dialect:
             TimeT: "TEXT",
         }[ty]
 
+    # -- relations -----------------------------------------------------
+    def table_ref(self, name: str) -> str:
+        """A catalog table in FROM/INSERT/DDL position.  Engines with a
+        schema to qualify it by override this, so that a catalog table
+        can never be taken for one of the generator's relations."""
+        return self.quote_ident(name)
+
+    def temp_table_ref(self, name: str) -> str:
+        """A generator-named temporary table (``ferry_...``, a plain
+        identifier) in FROM/INSERT/DDL position."""
+        return name
+
+    #: How the engine spells the start of a temporary-table definition.
+    create_temp = "CREATE LOCAL TEMPORARY TABLE"
+    #: Opens the transaction a bundle's temporary tables live in (rolling
+    #: it back drops them).
+    begin = "START TRANSACTION"
+
+    def create_temp_table(self, name: str,
+                          columns: "Iterable[tuple[str, AtomT]]") -> str:
+        cols = ", ".join(f"{self.quote_ident(c)} {self.type_name(ty)}"
+                         for c, ty in columns)
+        return f"{self.create_temp} {self.temp_table_ref(name)} ({cols})"
+
     # -- literals ------------------------------------------------------
     def literal(self, value: Any, ty: AtomT) -> str:
         if ty == BoolT:
@@ -178,12 +202,21 @@ class Dialect:
 class SQLiteDialect(Dialect):
     """SQLite's rendering of the standard dialect.
 
-    SQLite accepts every fragment the base dialect emits (it grew window
-    functions in 3.25), so the subclass only renames itself -- kept as a
-    distinct class so engine-specific overrides have an obvious home.
+    SQLite accepts every query fragment the base dialect emits (it grew
+    window functions in 3.25); what it spells differently is where tables
+    live -- catalog tables in schema ``main``, temporary ones in ``temp``
+    -- and the DDL around them.
     """
 
     name = "sqlite"
+    create_temp = "CREATE TEMP TABLE"
+    begin = "BEGIN"
+
+    def table_ref(self, name: str) -> str:
+        return f"main.{self.quote_ident(name)}"
+
+    def temp_table_ref(self, name: str) -> str:
+        return f"temp.{name}"
 
 
 #: The default dialect (module-level singleton; the generator and both
@@ -255,15 +288,15 @@ def load_catalog(conn: Any, catalog: Catalog, dialect: Dialect,
     existing = [r[0] for r in cur.execute(
         "SELECT name FROM sqlite_master WHERE type = 'table'")]
     for name in existing:
-        cur.execute(f"DROP TABLE {q(name)}")
+        cur.execute(f"DROP TABLE {dialect.table_ref(name)}")
     for name in (catalog.table_names() if tables is None else tables):
         schema = catalog.schema(name)
+        ref = dialect.table_ref(name)
         cols = ", ".join(f"{q(c)} {dialect.type_name(ty)}"
                          for c, ty in schema)
-        cur.execute(f"CREATE TABLE {q(name)} ({cols})")
+        cur.execute(f"CREATE TABLE {ref} ({cols})")
         placeholders = ", ".join("?" for _ in schema)
         rows = [tuple(dialect.to_db_value(v) for v in row)
                 for row in catalog.rows(name)]
-        cur.executemany(f"INSERT INTO {q(name)} VALUES ({placeholders})",
-                        rows)
+        cur.executemany(f"INSERT INTO {ref} VALUES ({placeholders})", rows)
     conn.commit()

@@ -1,23 +1,35 @@
 """SQL:1999 code generation from table-algebra plans.
 
-The Pathfinder role (step 3 of Figure 2): lower an optimized algebra DAG
-into a single SQL:1999 statement built from common table expressions, with
+The Pathfinder role (step 3 of Figure 2): lower a bundle of optimized
+algebra DAGs into SQL:1999 built from common table expressions, with
 ``ROW_NUMBER()``/``DENSE_RANK()`` window functions carrying the order and
 surrogate encodings -- the same shapes as the appendix of the paper
 ("binding due to rank operator", "binding due to duplicate elimination").
 
-Every operator node becomes one ``WITH`` binding (``t0000``, ``t0001``,
-...); shared subplans are emitted once, mirroring the DAG.  Engine
-quirks -- identifier quoting, type names, literal syntax, window-function
-spellings -- are delegated to a :class:`~repro.backends.sql.dbapi.Dialect`
-(default: SQLite); division and modulus are emitted as the UDF names the
-adapter registers so that Haskell's flooring ``div``/``mod`` semantics
-survive the translation.
+The generator works on the whole bundle (:func:`generate_bundle`).  A
+plan node with a single consumer becomes one ``WITH`` binding (``t0000``,
+``t0001``, ... numbered over the bundle).  A non-leaf node with several
+consumers -- counted over *all* of the bundle's plans, each query root
+being one -- becomes a :class:`Step`: a temporary table (``ferry_m0000``,
+...) filled once per bundle by ``INSERT ... WITH <its private bindings>
+SELECT``.  Each bundle member stays one row-returning ``WITH ... SELECT
+... ORDER BY iter, pos`` over base tables and temporary tables, and lists
+the steps it depends on in build order.
+
+Base tables and temporary tables are referenced schema-qualified through
+the dialect, so no catalog table name can collide with a binding or a
+temporary table.  Engine quirks -- identifier quoting, type names,
+literal syntax, window-function and DDL spellings -- are delegated to a
+:class:`~repro.backends.sql.dbapi.Dialect` (default: SQLite); division
+and modulus are emitted as the UDF names the adapter registers so that
+Haskell's flooring ``div``/``mod`` semantics survive the translation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import Collection, Sequence
 
 from ...algebra import (
     AntiJoin,
@@ -38,20 +50,50 @@ from ...algebra import (
     TableScan,
     UnApp,
     UnionAll,
+    describe,
     postorder,
     schema_of,
 )
+from ...core.bundle import SerializedQuery
 from ...errors import ExecutionError
 from ...ftypes import AtomT
 from .dbapi import SQLITE_DIALECT, Dialect
+
+
+@dataclass(frozen=True)
+class Step:
+    """One shared plan node, built once per bundle as a temporary table."""
+
+    #: Unqualified table name in the reserved ``ferry_`` namespace; the
+    #: executor keys "already built in this bundle" on it.
+    name: str
+    #: Postorder ``@n`` of the node in the plan of the statement listing
+    #: this step (the pretty-printer's reference).
+    ref: int
+    #: One-line operator description (``repro.algebra.describe``).
+    op: str
+    #: Number of columns of the table.
+    width: int
+    create: str
+    insert: str
 
 
 @dataclass
 class GeneratedSQL:
     """One SQL statement of the bundle."""
 
+    #: The row-returning SELECT.
     text: str
     columns: tuple[str, ...]  # iter, pos, item... in output order
+    #: The temporary tables ``text`` reads, transitively, in build order.
+    steps: tuple[Step, ...] = ()
+
+    def script(self, built: Collection[str] = ()) -> str:
+        """What running this statement sends, as text: the steps whose
+        tables are not among ``built``, then the SELECT."""
+        parts = [f"-- @{step.ref} {step.op}\n{step.create};\n{step.insert};"
+                 for step in self.steps if step.name not in built]
+        return "\n".join(parts + [self.text])
 
 
 # Module-level helpers bound to the default (SQLite) dialect, kept for
@@ -70,27 +112,104 @@ def quote_ident(name: str) -> str:
     return SQLITE_DIALECT.quote_ident(name)
 
 
-def generate_sql(root: Node, out_cols: tuple[str, ...],
-                 order_by: tuple[str, ...],
-                 dialect: Dialect = SQLITE_DIALECT) -> GeneratedSQL:
-    """Generate one SQL statement computing the plan ``root``, projecting
-    ``out_cols`` and ordering the result by ``order_by``."""
-    q = dialect.quote_ident
+def generate_bundle(queries: Sequence[SerializedQuery],
+                    dialect: Dialect = SQLITE_DIALECT) -> list[GeneratedSQL]:
+    """Generate the SQL of a whole bundle: per query one SELECT projecting
+    ``iter, pos, items`` ordered by ``(iter, pos)``, plus the
+    temporary-table steps it reads."""
+    d = dialect
+    plans = [list(postorder(query.plan)) for query in queries]
+
+    # Consumers per node over the whole bundle, then relation names.
+    consumers = Counter(id(query.plan) for query in queries)
+    numbered: list[Node] = []
+    seen: set[int] = set()
+    for plan in plans:
+        for node in plan:
+            if id(node) not in seen:
+                seen.add(id(node))
+                numbered.append(node)
+                consumers.update(id(child) for child in node.children)
     names: dict[int, str] = {}
-    ctes: list[str] = []
+    tables: dict[int, str] = {}  # shared node -> unqualified table name
+    for i, node in enumerate(numbered):
+        if node.children and consumers[id(node)] > 1:
+            tables[id(node)] = f"ferry_m{len(tables):04d}"
+            names[id(node)] = d.temp_table_ref(tables[id(node)])
+        else:
+            names[id(node)] = f"t{i:04d}"
+
+    # Every node is rendered once: as the body of its table's INSERT, or
+    # as a binding of the one block it is in (leaves: of each such block).
     memo: dict = {}
-    for i, node in enumerate(postorder(root)):
-        name = f"t{i:04d}"
-        names[id(node)] = name
-        body = _render(node, names, memo, dialect)
-        cols = ", ".join(q(c) for c in schema_of(node, memo))
-        ctes.append(f"{name}({cols}) AS (\n{body}\n)")
-    select = ", ".join(q(c) for c in out_cols)
-    order = ", ".join(f"{q(c)} ASC" for c in order_by)
-    text = ("WITH\n" + ",\n".join(ctes)
-            + f"\nSELECT {select}\nFROM {names[id(root)]}"
-            + (f"\nORDER BY {order}" if order_by else "") + ";")
-    return GeneratedSQL(text, out_cols)
+    bodies = {id(node): _render(node, names, memo, d) for node in numbered}
+    ctes = {id(node): f"{names[id(node)]}"
+                      f"({_select_list(_cols(node, memo), d)})"
+                      f" AS (\n{bodies[id(node)]}\n)"
+            for node in numbered if id(node) not in tables}
+
+    def bindings(block: list[Node]) -> str:
+        """The ``WITH`` clause binding every node of ``block``."""
+        if not block:
+            return ""
+        return "WITH\n" + ",\n".join(ctes[id(n)] for n in block) + "\n"
+
+    first: dict[int, Step] = {}  # shared node -> its step where first met
+    generated = []
+    for query, plan in zip(queries, plans):
+        steps = []
+        for ref, node in enumerate(plan):
+            name = tables.get(id(node))
+            if name is None:
+                continue
+            step = first.get(id(node))
+            if step is None:
+                schema = schema_of(node, memo)
+                step = first[id(node)] = Step(
+                    name, ref, describe(node), len(schema),
+                    d.create_temp_table(name, schema.items()),
+                    f"INSERT INTO {names[id(node)]}\n"
+                    f"{bindings(_block(node, tables)[:-1])}"
+                    f"{bodies[id(node)]}")
+            steps.append(step if step.ref == ref else replace(step, ref=ref))
+        root = query.plan
+        out_cols = (query.iter_col, query.pos_col) + query.item_cols
+        order = ", ".join(f"{d.quote_ident(c)} ASC" for c in out_cols[:2])
+        # A root that is not a table is bound like any other node and
+        # then projected: its body may be a compound SELECT, which cannot
+        # take the ORDER BY itself.
+        block = [] if id(root) in tables else _block(root, tables)
+        text = (f"{bindings(block)}SELECT {_select_list(out_cols, d)}\n"
+                f"FROM {names[id(root)]}\nORDER BY {order};")
+        generated.append(GeneratedSQL(text, out_cols, tuple(steps)))
+    return generated
+
+
+def generate_sql(query: SerializedQuery,
+                 dialect: Dialect = SQLITE_DIALECT) -> GeneratedSQL:
+    """SQL for one query on its own: a bundle of one."""
+    return generate_bundle([query], dialect)[0]
+
+
+def _block(root: Node, tables: "dict[int, str]") -> list[Node]:
+    """``root``'s block in postorder (``root`` last): the nodes reachable
+    from it without passing through a temporary table."""
+    block: list[Node] = []
+    seen: set[int] = set()
+    stack: list[tuple[Node, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in seen:
+            continue
+        if expanded:
+            seen.add(id(node))
+            block.append(node)
+        else:
+            stack.append((node, True))
+            for child in node.children:
+                if id(child) not in seen and id(child) not in tables:
+                    stack.append((child, False))
+    return block
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +244,7 @@ def _render(node: Node, names: dict[int, str], memo, d: Dialect) -> str:
     if isinstance(node, TableScan):
         cols = ", ".join(f"{q(src)} AS {q(out)}"
                          for out, src, _ in node.columns)
-        return f"  SELECT {cols}\n  FROM {q(node.table)}"
+        return f"  SELECT {cols}\n  FROM {d.table_ref(node.table)}"
 
     child = names[id(node.children[0])] if node.children else None
 
@@ -170,19 +289,35 @@ def _render(node: Node, names: dict[int, str], memo, d: Dialect) -> str:
     if isinstance(node, EqJoin):
         left, right = (names[id(c)] for c in node.children)
         base = _select_list(_cols(node, memo), d)
-        on = " AND ".join(f"{left}.{q(lc)} = {right}.{q(rc)}"
-                          for lc, rc in node.pairs)
-        return (f"  SELECT {base}\n  FROM {left}\n  JOIN {right}"
+        on = " AND ".join(f"l.{q(lc)} = r.{q(rc)}" for lc, rc in node.pairs)
+        return (f"  SELECT {base}\n  FROM {left} AS l\n  JOIN {right} AS r"
                 f"\n    ON {on}")
 
-    if isinstance(node, (SemiJoin, AntiJoin)):
+    if isinstance(node, SemiJoin):
+        # Uncorrelated IN: the host evaluates the subquery once (SQLite
+        # into an ephemeral index) instead of once per outer row.  A NULL
+        # key makes IN unknown, which WHERE drops -- as EXISTS would.
         left, right = (names[id(c)] for c in node.children)
         base = _select_list(_cols(node, memo), d)
-        on = " AND ".join(f"{right}.{q(rc)} = {left}.{q(lc)}"
-                          for lc, rc in node.pairs)
-        neg = "NOT " if isinstance(node, AntiJoin) else ""
-        return (f"  SELECT {base}\n  FROM {left}\n  WHERE {neg}EXISTS "
-                f"(SELECT 1 FROM {right} WHERE {on})")
+        lkeys = ", ".join(q(lc) for lc, _ in node.pairs)
+        rkeys = ", ".join(q(rc) for _, rc in node.pairs)
+        if len(node.pairs) > 1:
+            lkeys = f"({lkeys})"
+        return (f"  SELECT {base}\n  FROM {left}"
+                f"\n  WHERE {lkeys} IN (SELECT {rkeys} FROM {right})")
+
+    if isinstance(node, AntiJoin):
+        # NOT IN would lose rows as soon as a key on either side is
+        # NULL; an outer join against the distinct keys keeps the NOT
+        # EXISTS result (a NULL key matches nothing, so its row stays)
+        # and still probes the right side through one index.
+        left, right = (names[id(c)] for c in node.children)
+        base = ", ".join(f"l.{q(c)}" for c in _cols(node, memo))
+        rkeys = ", ".join(q(rc) for _, rc in node.pairs)
+        on = " AND ".join(f"r.{q(rc)} = l.{q(lc)}" for lc, rc in node.pairs)
+        return (f"  SELECT {base}\n  FROM {left} AS l\n  LEFT JOIN "
+                f"(SELECT DISTINCT {rkeys} FROM {right}) AS r"
+                f"\n    ON {on}\n  WHERE r.{q(node.pairs[0][1])} IS NULL")
 
     if isinstance(node, UnionAll):
         left, right = (names[id(c)] for c in node.children)

@@ -9,9 +9,15 @@ backend can observe:
   records one :class:`OpProfile` per operator -- exclusive wall time,
   input/output cardinalities, and output width -- keyed by the same
   ``@n`` postorder reference the pretty-printer uses;
-* **SQLite** and the **MIL** VM execute each bundle member as one opaque
-  statement/program, so they record per-query wall time and row counts
-  (one :class:`QueryProfile` each, with no per-operator breakdown).
+* **SQLite** executes each bundle member as one opaque statement, but
+  builds every plan node shared inside the bundle as a temporary table
+  first; it records per-query wall time and row counts plus one
+  :class:`OpProfile` per temporary-table step, under the shared node's
+  ``@n`` -- the time to build the table (the node and the unshared
+  operators below it) and the rows it holds;
+* the **MIL** VM executes each bundle member as one opaque program, so
+  it records per-query wall time and row counts only (one
+  :class:`QueryProfile` each).
 
 The annotated plan rendering (op -> time%, rows, cumulative time) is the
 profiling image of the paper's Figure 3(b) bundles: a fixed number of
@@ -32,17 +38,20 @@ from typing import Any
 
 @dataclass
 class OpProfile:
-    """One algebra operator's execution profile (engine backend only)."""
+    """One algebra operator's execution profile: every operator on the
+    engine, the temporary-table steps on SQL hosts."""
 
     #: Postorder index of the node in its plan DAG -- matches the ``@n``
     #: references of :func:`repro.algebra.plan_text`.
     ref: int
     #: One-line operator description (``repro.algebra.describe``).
     op: str
-    #: Exclusive wall-clock seconds spent evaluating this operator.
+    #: Wall-clock seconds spent evaluating this operator, exclusive of
+    #: every other profiled operator.
     time: float
-    #: Total input rows (sum over the operator's children).
-    rows_in: int
+    #: Total input rows (sum over the operator's children); ``None``
+    #: where the host does not expose them (SQL steps).
+    rows_in: "int | None"
     #: Output rows produced.
     rows_out: int
     #: Output width (number of columns) -- peak intermediate width is the
@@ -65,7 +74,8 @@ class QueryProfile:
     time: float = 0.0
     #: Result rows delivered.
     rows: int = 0
-    #: Per-operator profiles (engine backend; empty elsewhere).
+    #: Per-operator profiles (engine: all operators; sqlite: the
+    #: temporary-table steps this query built; empty on MIL).
     ops: list[OpProfile] = field(default_factory=list)
 
     @property
@@ -83,8 +93,9 @@ class AnalyzeCollector:
     """Gathers :class:`QueryProfile`\\ s during one bundle execution.
 
     Passed to ``Backend.execute_bundle(collector=...)``.  ``per_op=True``
-    asks the engine backend for the per-operator breakdown (the other
-    backends ignore the flag -- their granularity is per query).
+    asks for the per-operator breakdown the backend can give: every
+    operator on the engine, the temporary-table steps on sqlite, nothing
+    on MIL.
     Backends open profiles in bundle order, so :attr:`queries` stays
     aligned with ``bundle.queries``.
     """
@@ -115,8 +126,8 @@ class AnalyzeReport:
     total_time: float
     queries: list[QueryProfile] = field(default_factory=list)
     #: Annotated plan renderings, one per query: the ``-- Qn`` header
-    #: tagged with rows/time/share, then (on the engine) the plan tree
-    #: with per-operator time%, rows, and cumulative time.
+    #: tagged with rows/time/share, then (where operators were profiled)
+    #: the plan tree with per-operator time%, rows, and cumulative time.
     annotated: list[str] = field(default_factory=list)
 
     @property
@@ -183,8 +194,7 @@ def build_analyze(bundle, collector: AnalyzeCollector, backend: str,
         chunk = [header]
         if profile.ops:
             nodes = list(postorder(query.plan))
-            times = {id(node): op.time
-                     for node, op in zip(nodes, profile.ops)}
+            times = {id(nodes[op.ref]): op.time for op in profile.ops}
             ops_by_ref = {op.ref: op for op in profile.ops}
             qtime = profile.time or sum(op.time for op in profile.ops) or 1.0
             annotations = {}
@@ -194,9 +204,10 @@ def build_analyze(bundle, collector: AnalyzeCollector, backend: str,
                     continue
                 cum = _subtree_time(node, times)
                 node_est = model.memo[id(node)]
+                rows_in = "" if op.rows_in is None else f"in={op.rows_in} "
                 annotations[i] = (
                     f"[{op.time * 1e3:.3f} ms {100.0 * op.time / qtime:.1f}% "
-                    f"| in={op.rows_in} out={op.rows_out} "
+                    f"| {rows_in}out={op.rows_out} "
                     f"est_rows={node_est.rows:g} w={op.width} "
                     f"cum={cum * 1e3:.3f} ms]")
             chunk.append(plan_text(query.plan, annotations=annotations))

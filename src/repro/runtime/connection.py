@@ -418,7 +418,8 @@ class Connection:
         ``EXPLAIN ANALYZE`` -- it counts as a real execution) and attaches
         an :class:`~repro.obs.AnalyzeReport`: per-operator wall time,
         cardinalities, and peak intermediate width on the engine backend;
-        per-query timings and row counts on SQL/MIL.
+        per-query timings and row counts on SQL/MIL, on SQL also per
+        temporary-table step (the plan nodes shared inside the bundle).
 
         ``properties=True`` annotates every plan operator with its
         inferred properties (``repro.analysis``: cardinality bounds,

@@ -25,7 +25,7 @@ from repro.algebra import (
 )
 from repro.backends.engine import Engine
 from repro.backends.sql.backend import SQLiteBackend
-from repro.backends.sql.generate import generate_sql
+from repro.core.bundle import SerializedQuery
 from repro.ftypes import BoolT, DoubleT, IntT, StringT
 from repro.runtime import Catalog
 
@@ -38,23 +38,34 @@ NUMS = lt([(3,), (1,), (2,), (2,)], ("n", IntT))
 PAIRS = lt([(1, "a"), (2, "b"), (2, "c")], ("k", IntT), ("s", StringT))
 
 
+def serialized(plan: Node) -> SerializedQuery:
+    """``plan`` as a bundle member: constant ``iter``/``pos`` columns
+    attached on top, every plan column an item."""
+    schema = schema_of(plan)
+    root = Attach(Attach(plan, "_iter", 1, IntT), "_pos", 1, IntT)
+    return SerializedQuery(root, "_iter", "_pos", tuple(schema),
+                           tuple(schema.values()))
+
+
+def sql_rows(plan: Node) -> list[tuple]:
+    """``plan``'s rows via generated SQL: steps and SELECT, through
+    ``run_sql``."""
+    backend = SQLiteBackend()
+    backend._ensure_loaded(Catalog())
+    query = serialized(plan)
+    rows = backend.run_sql(backend.generate(query), query)
+    return sorted(row[2:] for row in rows)
+
+
 def both_ways(plan: Node):
     """Execute via the engine and via generated SQL; assert equal bags."""
     cols = tuple(schema_of(plan))
     engine_rel = Engine(Catalog()).execute(plan)
     idx = [engine_rel.col_index(c) for c in cols]
     engine_rows = sorted(tuple(r[i] for i in idx) for r in engine_rel.rows)
-
-    backend = SQLiteBackend()
-    backend._ensure_loaded(Catalog())
-    gen = generate_sql(plan, cols, ())
-    cursor = backend._conn.execute(gen.text)
-    sql_rows = sorted(tuple(row) for row in cursor.fetchall())
-    # SQLite returns ints for booleans; normalize for comparison
-    engine_rows = [tuple(int(v) if isinstance(v, bool) else v for v in r)
-                   for r in engine_rows]
-    assert sql_rows == engine_rows
-    return sql_rows
+    rows = sql_rows(plan)
+    assert rows == engine_rows
+    return rows
 
 
 class TestOperatorsOnSQLite:
@@ -99,6 +110,45 @@ class TestOperatorsOnSQLite:
             (2,), (2,)]
         assert both_ways(AntiJoin(NUMS, right, (("n", "j"),))) == [
             (1,), (3,)]
+
+    def test_multi_column_semijoin_antijoin(self):
+        right = lt([(2, "b"), (2, "x")], ("j", IntT), ("t", StringT))
+        pairs = (("k", "j"), ("s", "t"))
+        assert both_ways(SemiJoin(PAIRS, right, pairs)) == [(2, "b")]
+        assert both_ways(AntiJoin(PAIRS, right, pairs)) == [
+            (1, "a"), (2, "c")]
+
+    def test_antijoin_keeps_not_exists_result_on_null_keys(self):
+        # SQL's one-row answer to an aggregate without groups over no
+        # rows is the generator's only source of NULL: (NULL, 0).  A
+        # NULL key equals nothing, so NOT EXISTS keeps its row -- where
+        # NOT IN would drop it, and with a NULL on the right every row.
+        # (``run_sql`` converts no NULL: only the count is projected.)
+        nothing = GroupAggr(lt([], ("v", IntT)), (),
+                            (("max", "v", "m"), ("count", None, "c")))
+
+        def count_only(plan):
+            return sql_rows(Project(plan, (("c", "c"),)))
+
+        assert count_only(nothing) == [(0,)]
+        assert count_only(AntiJoin(nothing, NUMS, (("m", "n"),))) == [(0,)]
+        assert sql_rows(AntiJoin(NUMS, nothing, (("n", "m"),))) == [
+            (1,), (2,), (2,), (3,)]
+        assert count_only(SemiJoin(nothing, NUMS, (("m", "n"),))) == []
+        assert sql_rows(SemiJoin(NUMS, nothing, (("n", "m"),))) == []
+
+    def test_shared_node_is_a_step_and_joins_itself(self):
+        # both join inputs read the one RowNum: it becomes a temp table
+        ranked = RowNum(NUMS, "p", (("n", "asc"),))
+        left = Project(ranked, (("a", "n"), ("pa", "p")))
+        right = Project(ranked, (("b", "n"), ("pb", "p")))
+        plan = EqJoin(left, right, (("pa", "pb"),))
+        query = serialized(plan)
+        gen = SQLiteBackend().generate(query)
+        assert [step.op for step in gen.steps] == [
+            "RowNum p := row_number(order by n asc)"]
+        assert gen.text.count("temp.ferry_m0000") == 2
+        both_ways(plan)
 
     def test_union_all(self):
         both_ways(UnionAll(NUMS, NUMS))

@@ -3,19 +3,25 @@
 Includes the appendix golden test: the running example compiles to a
 bundle of exactly two SQL statements whose shapes match the paper's --
 a duplicate-elimination binding (DISTINCT) driving the outer query and
-DENSE_RANK bindings carrying surrogates in the inner query.
+DENSE_RANK bindings carrying surrogates in the inner query -- and the
+contract of the bundle script around them: every plan node shared inside
+the bundle is built once as a temporary table, by a number of statements
+that does not depend on the data, and nothing outlives the run.
 """
 
 import datetime
+import sqlite3
 
 import pytest
 
 from repro import Connection, PartialFunctionError, fmap, to_q
 from repro.backends.sql import SQLiteBackend, render_literal, sql_type
 from repro.bench.table1 import running_example_query
+from repro.bench.workloads import avalanche_dataset
 from repro.ftypes import BoolT, DateT, DoubleT, IntT, StringT, TimeT
+from repro.runtime import Catalog
 
-from ..conftest import feature_meanings_query
+from ..conftest import feature_meanings_query, run_all_ways
 
 
 @pytest.fixture()
@@ -23,39 +29,171 @@ def db(paper_catalog):
     return Connection(backend="sqlite", catalog=paper_catalog)
 
 
-def bundle_sql(db, q):
-    compiled = db.compile(q)
+def bundle_script(db, q):
+    """Per bundle member: the statements it sends, as one text."""
     backend = db.backend
-    return [backend.generate(query).text
-            for query in compiled.bundle.queries]
+    return backend.describe_prepared(
+        backend.prepare_bundle(db.compile(q).bundle))
+
+
+def statements_sent(db, q) -> list[str]:
+    """Every statement one warm ``run`` sends, via sqlite's trace hook."""
+    db.run(q)
+    sent: list[str] = []
+    db.backend._conn.set_trace_callback(sent.append)
+    try:
+        db.run(q)
+    finally:
+        db.backend._conn.set_trace_callback(None)
+    return sent
+
+
+def assert_idle(backend: SQLiteBackend) -> None:
+    """No temporary table and no open transaction outlive a run."""
+    conn = backend._conn
+    assert conn.execute(
+        "SELECT count(*) FROM sqlite_temp_master").fetchone() == (0,)
+    assert conn.in_transaction is False
 
 
 class TestAppendixGolden:
     def test_running_example_is_two_statements(self, db):
-        sqls = bundle_sql(db, running_example_query(db))
-        assert len(sqls) == 2
+        code = db.backend.prepare_bundle(
+            db.compile(running_example_query(db)).bundle)
+        assert len(code) == 2
 
     def test_outer_query_has_distinct_binding(self, db):
-        outer, _inner = bundle_sql(db, running_example_query(db))
+        outer, _inner = bundle_script(db, running_example_query(db))
         assert "SELECT DISTINCT" in outer
 
     def test_queries_use_rank_operators(self, db):
-        outer, inner = bundle_sql(db, running_example_query(db))
+        outer, inner = bundle_script(db, running_example_query(db))
         assert "DENSE_RANK() OVER" in inner
         assert "ROW_NUMBER() OVER" in outer
 
     def test_statements_are_cte_shaped_and_ordered(self, db):
-        for sql in bundle_sql(db, running_example_query(db)):
-            assert sql.startswith("WITH")
-            assert "t0000" in sql
-            assert sql.rstrip().endswith(";")
-            assert "ORDER BY" in sql
+        code = db.backend.prepare_bundle(
+            db.compile(running_example_query(db)).bundle)
+        for gen in code:
+            assert gen.text.startswith("WITH")
+            assert gen.text.rstrip().endswith(";")
+            assert "ORDER BY" in gen.text
+            assert "t0000" in gen.script()
 
     def test_result_matches_other_backends(self, db, paper_catalog):
         engine = Connection(backend="engine", catalog=paper_catalog)
         q1 = running_example_query(db)
         q2 = running_example_query(engine)
         assert db.run(q1) == engine.run(q2)
+
+
+class TestBundleScript:
+    def test_each_shared_node_is_materialised_once_per_bundle(self, db):
+        q = running_example_query(db)
+        q1, q2 = db.backend.prepare_bundle(db.compile(q).bundle)
+        # Q1 and Q2 both read the first table ...
+        assert q1.steps[0].name == q2.steps[0].name == "ferry_m0000"
+        tables = {step.name for step in q1.steps + q2.steps}
+        assert len(tables) == 8
+        # ... and the run creates it, like every other one, once
+        sent = statements_sent(db, q)
+        created = [s for s in sent if s.startswith("CREATE TEMP TABLE")]
+        assert len(created) == len(set(created)) == 8
+        assert sum(s.startswith("INSERT INTO temp.") for s in sent) == 8
+        # 18 auxiliary statements (BEGIN, 8 x CREATE + INSERT, ROLLBACK)
+        # around the bundle's two
+        assert len(sent) == 20
+
+    def test_statement_count_is_independent_of_the_data(self):
+        counts = []
+        for n in (5, 20):
+            db = Connection(backend="sqlite", catalog=avalanche_dataset(n))
+            before = db.backend.statements_executed
+            sent = statements_sent(db, running_example_query(db))
+            counts.append(len(sent))
+            assert db.backend.statements_executed - before == 2 * 2
+        assert counts[0] == counts[1]
+
+    def test_describe_prepared_prints_each_step_once(self, db):
+        outer, inner = bundle_script(db, running_example_query(db))
+        for part in (outer, inner):
+            assert part.startswith("-- dialect sqlite")
+        assert (outer + inner).count("CREATE TEMP TABLE") == 8
+        assert outer.count("temp.ferry_m0000 (") == 1
+        assert inner.count("temp.ferry_m0000 (") == 0
+
+    def test_standalone_run_sql_builds_its_own_steps(self, db):
+        q = running_example_query(db)
+        bundle = db.compile(q).bundle
+        backend = db.backend
+        code = backend.prepare_bundle(bundle)
+        bundle_rows = backend.execute_bundle(bundle, db.catalog,
+                                             prepared=code).rows
+        assert_idle(backend)
+        for gen, query, rows in zip(code, bundle.queries, bundle_rows):
+            assert backend.run_sql(gen, query) == rows
+            assert_idle(backend)
+
+
+class TestCleanup:
+    """Temporary tables live in one transaction per run, rolled back on
+    success and on error."""
+
+    def test_nothing_outlives_a_successful_run(self, db):
+        db.run(running_example_query(db))
+        assert_idle(db.backend)
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_failure_mid_bundle(self, tmp_path, on_disk):
+        path = str(tmp_path / "ferry.db") if on_disk else ":memory:"
+        catalog = Catalog()
+        catalog.create_table("t", [("n", int)], [(0,), (1,), (2,)])
+        db = Connection(backend=SQLiteBackend(path=path), catalog=catalog)
+        t = db.table("t")
+        bad = db.prepare(fmap(lambda x: fmap(lambda y: x // y, t), t))
+        good = fmap(lambda x: fmap(lambda y: x + y, t), t)
+
+        sent: list[str] = []
+        db.backend._conn.set_trace_callback(sent.append)
+        with pytest.raises(PartialFunctionError):
+            bad.execute()
+        db.backend._conn.set_trace_callback(None)
+        # Q1 ran and Q2's FERRY_IDIV failed with temp tables in place
+        assert sum(s.startswith("CREATE TEMP TABLE") for s in sent) == 2
+        assert sum(s.startswith("WITH") for s in sent) == 2
+        assert_idle(db.backend)
+
+        assert db.run(good) == [[0, 1, 2], [1, 2, 3], [2, 3, 4]]
+        with pytest.raises(PartialFunctionError):
+            bad.execute()
+        assert_idle(db.backend)
+        assert db.run(good) == [[0, 1, 2], [1, 2, 3], [2, 3, 4]]
+        if on_disk:
+            with sqlite3.connect(path) as other:
+                assert other.execute(
+                    "SELECT name FROM sqlite_master").fetchall() == [("t",)]
+
+
+class TestReservedNames:
+    """Catalog tables named like the generator's own relations."""
+
+    def test_tables_named_like_bindings_and_temp_tables(self):
+        catalog = Catalog()
+        for name in ("t0000", "t0001", "ferry_m0000"):
+            catalog.create_table(name, [("a", int), ("b", int)],
+                                 [(1, 10), (2, 20)])
+        db = Connection(catalog=catalog)
+        assert run_all_ways(fmap(lambda r: r[0], db.table("t0000")),
+                            catalog) == [1, 2]
+        # nested: bindings t0000.., and a temp table ferry_m0000, exist
+        nested = fmap(
+            lambda a: fmap(lambda b: a[0] + b[1],
+                           db.table("ferry_m0000")),
+            db.table("t0001"))
+        sqlite = Connection(backend="sqlite", catalog=catalog)
+        code = sqlite.backend.prepare_bundle(sqlite.compile(nested).bundle)
+        assert code[0].steps[0].name == "ferry_m0000"
+        assert run_all_ways(nested, catalog) == [[11, 21], [12, 22]]
 
 
 class TestDialect:

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from repro import AnalyzeReport, Connection, to_q
+from repro.algebra import describe, postorder
 from repro.bench.table1 import running_example_query
 from repro.obs import AnalyzeCollector, build_analyze
 
@@ -61,15 +62,15 @@ class TestEnginePerOperator:
 
 
 class TestOtherBackends:
-    """SQLite/MIL run each query as one opaque artifact: per-query
-    granularity, no operator breakdown."""
+    """MIL runs each query as one opaque program: per-query granularity,
+    no operator breakdown.  SQLite adds one profile per temporary-table
+    step -- the plan nodes shared inside the bundle."""
 
-    @pytest.mark.parametrize("backend", ["sqlite", "mil"])
-    def test_per_query_profiles(self, paper_catalog, backend):
-        db = Connection(backend=backend, catalog=paper_catalog)
+    def test_per_query_profiles_mil(self, paper_catalog):
+        db = Connection(backend="mil", catalog=paper_catalog)
         report = db.explain(running_example_query(db), analyze=True)
         analyze = report.analyze
-        assert analyze.backend == backend
+        assert analyze.backend == "mil"
         assert len(analyze.queries) == 2
         assert analyze.total_rows > 0
         for qp in analyze.queries:
@@ -77,6 +78,41 @@ class TestOtherBackends:
             assert qp.peak_width is None
             assert qp.rows > 0
             assert qp.time >= 0.0
+
+    def test_sqlite_profiles_every_temp_table_step(self, paper_catalog):
+        db = Connection(backend="sqlite", catalog=paper_catalog)
+        q = running_example_query(db)
+        report = db.explain(q, analyze=True)
+        bundle = db.compile(q).bundle
+        code = db.backend.prepare_bundle(bundle)
+        built: set[str] = set()
+        assert len(report.analyze.queries) == 2
+        for qp, gen, query in zip(report.analyze.queries, code,
+                                  bundle.queries):
+            assert qp.rows > 0
+            # one profile per step this statement had to build, under
+            # the shared node's @n, in build order
+            steps = [s for s in gen.steps if s.name not in built]
+            built.update(s.name for s in steps)
+            assert [(op.ref, op.op, op.width) for op in qp.ops] == [
+                (s.ref, s.op, s.width) for s in steps]
+            nodes = list(postorder(query.plan))
+            for op in qp.ops:
+                assert op.op == describe(nodes[op.ref])
+                assert op.rows_in is None
+                assert op.rows_out > 0
+                assert 0.0 <= op.time <= qp.time
+        assert len(built) == 8
+        # the rows the engine sees at the same operators
+        engine = Connection(backend="engine", catalog=paper_catalog)
+        reference = engine.explain(running_example_query(engine),
+                                   analyze=True).analyze
+        for qp, ref_qp in zip(report.analyze.queries, reference.queries):
+            for op in qp.ops:
+                assert op.rows_out == ref_qp.ops[op.ref].rows_out
+        rendered = report.analyze.render()
+        assert "in=" not in rendered
+        assert rendered.count("| out=") == 8
 
     def test_all_backends_agree_on_rows(self, paper_catalog):
         rows = set()

@@ -47,15 +47,16 @@ class TestDataIndependence:
     @prop_settings(15)
     @given(nested_query())
     def test_same_program_same_bundle_for_any_instance(self, q):
-        """The compiled artefact -- including the generated SQL text -- is
-        identical regardless of how much data the tables hold."""
+        """The compiled artefact -- including the generated SQL script,
+        temporary-table steps and all -- is identical regardless of how
+        much data the tables hold."""
         texts = []
         for rows in (0, 3, 50):
             db = Connection(backend="sqlite")
             db.create_table("t", [("n", int)], [(i,) for i in range(rows)])
             inner = fmap(lambda x: q, db.table("t"))
             compiled = db.compile(inner)
-            texts.append(tuple(db.backend.generate(query).text
-                               for query in compiled.bundle.queries))
+            texts.append(tuple(db.backend.describe_prepared(
+                db.backend.prepare_bundle(compiled.bundle))))
         assert texts[0] == texts[1] == texts[2]
         assert len(texts[0]) == count_list_constructors(ListT(q.ty))
