@@ -13,9 +13,6 @@ seed's row-at-a-time implementations (tuple-building hash joins,
   latencies land in CI's benchmark output;
 * the Table 1 avalanche workload runs end-to-end on the engine at three
   scales (the bundle stays at 2 queries while per-operator cost grows).
-
-All measured numbers are recorded into ``BENCH_5.json`` via
-``bench_record``.
 """
 
 import random
@@ -140,7 +137,7 @@ def seed_distinct(rows):
 # ----------------------------------------------------------------------
 
 class TestKernelSpeedups:
-    def test_join_kernel_2x_over_seed(self, kernel_env, bench_record):
+    def test_join_kernel_2x_over_seed(self, kernel_env):
         env = kernel_env
         join = EqJoin(env["lit_fact"], env["lit_dim"], (("k", "k2"),))
         columnar = best_of(lambda: env["engine"]._eval(join, env["memo"]))
@@ -151,13 +148,11 @@ class TestKernelSpeedups:
             seed_eqjoin(env["fact"], env["dim"]))
 
         speedup = seed / columnar
-        bench_record("join_kernel", rows=env["n_rows"],
-                     columnar_s=columnar, seed_s=seed, speedup=speedup)
         assert speedup >= MIN_KERNEL_SPEEDUP, (
             f"columnar join {columnar * 1e3:.2f}ms vs seed "
             f"{seed * 1e3:.2f}ms: only {speedup:.2f}x")
 
-    def test_group_kernel_2x_over_seed(self, kernel_env, bench_record):
+    def test_group_kernel_2x_over_seed(self, kernel_env):
         env = kernel_env
         grp = GroupAggr(env["lit_fact"], ("k",),
                         (("sum", "v", "s"), ("count", None, "c")))
@@ -169,8 +164,6 @@ class TestKernelSpeedups:
             seed_group_sum_count(env["fact"]))
 
         speedup = seed / columnar
-        bench_record("group_kernel", rows=env["n_rows"],
-                     columnar_s=columnar, seed_s=seed, speedup=speedup)
         assert speedup >= MIN_KERNEL_SPEEDUP, (
             f"columnar group {columnar * 1e3:.2f}ms vs seed "
             f"{seed * 1e3:.2f}ms: only {speedup:.2f}x")
@@ -232,12 +225,9 @@ def _const(value):
 # ----------------------------------------------------------------------
 
 class TestAvalancheScaling:
-    def test_engine_scaling(self, benchmark, avalanche_catalog,
-                            bench_record):
+    def test_engine_scaling(self, benchmark, avalanche_catalog):
         n, catalog = avalanche_catalog
         result, queries = benchmark(lambda: run_dsh(catalog, "engine"))
         assert len(result) == n
         assert queries == 2  # bundle size fixed regardless of scale
-        bench_record(f"avalanche_engine_{n}", categories=n,
-                     queries=queries)
 

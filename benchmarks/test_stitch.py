@@ -7,8 +7,7 @@ by their ``iter`` surrogate.  Backends deliver rows already sorted by
 C-level :func:`itertools.groupby` sweep instead of a per-row
 ``dict.setdefault`` loop.  This file checks the bulk path against the
 naive loop for correctness and asserts it is not slower (typically
-1.5-3x faster on wide fan-out), recording the measured ratio into the
-trajectory.
+1.5-3x faster on wide fan-out).
 """
 
 import time
@@ -58,14 +57,11 @@ class TestBulkIndexCorrectness:
 
 
 class TestBulkIndexSpeed:
-    def test_bulk_not_slower_than_setdefault(self, request, bench_record):
+    def test_bulk_not_slower_than_setdefault(self, request):
         quick = request.config.getoption("--quick", False)
         rows = _fanout_rows(200 if quick else 2000, 20)
         bulk = best_of(lambda: build_index(rows))
         naive = best_of(lambda: _setdefault_index(rows))
-        bench_record("stitch_index",
-                     rows=len(rows), bulk_s=bulk, setdefault_s=naive,
-                     speedup=naive / bulk if bulk else float("inf"))
         # Generous bound: the bulk path must never regress below the
         # naive loop (observed ~1.5-3x faster); timer noise headroom.
         assert bulk <= naive * 1.10, (

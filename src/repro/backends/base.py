@@ -15,31 +15,28 @@ Code generation is split from execution so prepared queries can skip it:
 :meth:`Backend.execute_bundle` accepts that artefact back via its
 ``prepared`` argument.  The runtime's plan cache stores the artefacts per
 backend, so a repeated program re-runs *only* the data-dependent part.
+
+The per-query loop is shared: :meth:`Backend.execute_bundle` runs and
+times each bundle query (span, profile, row count); a backend supplies
+:meth:`Backend.open_bundle` -- set up the bundle, run query *i*.
 """
 
 from __future__ import annotations
 
 import abc
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from ..core.bundle import Bundle
-from ..obs.metrics import METRICS
-from ..obs.trace import NULL_TRACER
+from ..obs.analyze import OpProfile, QueryProfile
+from ..obs.trace import NULL_TRACER, phase
 from ..runtime.catalog import Catalog
 
-
-def observe_query_time(backend_name: str, qi: int, seconds: float,
-                       trace_id: "str | None" = None) -> None:
-    """Record one bundle query's wall time into the per-backend
-    ``backend.<name>.query_seconds`` histogram.  Traced executions attach
-    an exemplar naming the trace id and 1-based query index, so the
-    OpenMetrics exposition links each latency bucket's worst case back to
-    the flight-recorder entry that produced it."""
-    exemplar = ({"trace_id": trace_id, "query": str(qi + 1)}
-                if trace_id is not None else None)
-    METRICS.histogram(f"backend.{backend_name}.query_seconds").observe(
-        seconds, exemplar=exemplar)
+#: ``run_query(i, ops)``: rows of bundle query ``i`` (0-based), sorted
+#: by ``(iter, pos)``.  ``ops``, when not ``None``, receives the
+#: operator/step profiles the backend can give for that query.
+RunQuery = Callable[[int, "list[OpProfile] | None"], "list[tuple]"]
 
 
 @dataclass
@@ -48,9 +45,9 @@ class ExecutionResult:
 
     rows: list[list[tuple]]
     queries_issued: int
-    #: Backend-specific artefacts (e.g. the generated SQL text) for
-    #: inspection by examples and tests.
-    artifacts: dict = field(default_factory=dict)
+    #: One profile per bundle query, in bundle order: wall time and row
+    #: count, plus operator/step profiles when ``per_op`` was asked for.
+    profiles: list[QueryProfile] = field(default_factory=list)
 
 
 class Backend(abc.ABC):
@@ -76,25 +73,45 @@ class Backend(abc.ABC):
         return []
 
     @abc.abstractmethod
+    def open_bundle(self, bundle: Bundle, catalog: Catalog,
+                    prepared: Any) -> "AbstractContextManager[RunQuery]":
+        """Set up one execution of ``bundle`` (load data, open a
+        transaction, ...) and yield the function that runs bundle query
+        ``i``; leaving the context tears the set-up down, on success and
+        on error."""
+
     def execute_bundle(self, bundle: Bundle, catalog: Catalog,
-                       prepared: Any = None,
-                       tracer=NULL_TRACER,
-                       collector=None) -> ExecutionResult:
+                       prepared: Any = None, tracer=NULL_TRACER,
+                       per_op: bool = False) -> ExecutionResult:
         """Execute every query of the bundle against the catalog.
 
         ``prepared``, when given, is a previous :meth:`prepare_bundle`
         result for this very bundle; the backend then skips code
         generation and goes straight to execution.
 
-        ``tracer`` (a :class:`repro.obs.Tracer`) receives one
-        ``execute`` span per bundle query, tagged with the query index
-        and its result row count -- the trace-level image of the
-        avalanche metric.
-
-        ``collector`` (a :class:`repro.obs.AnalyzeCollector`), when
-        given, receives one ``QueryProfile`` per bundle query -- wall
-        time and row count -- at the finest granularity the backend
-        supports; when ``collector.per_op`` is set (EXPLAIN ANALYZE) the
-        engine backend additionally fills per-operator profiles, the
-        sqlite backend one profile per temporary-table step.
+        Each query is timed once: ``tracer`` (a
+        :class:`repro.obs.Tracer`) receives one ``execute`` span per
+        bundle query, tagged with the query index and its result row
+        count -- the trace-level image of the avalanche metric -- and
+        the same measurement comes back as that query's
+        :class:`~repro.obs.QueryProfile`.  ``per_op`` (EXPLAIN ANALYZE)
+        adds per-operator profiles on the engine and one profile per
+        temporary-table step on sqlite.
         """
+        if prepared is None:
+            prepared = self.prepare_bundle(bundle)
+        took: dict[str, float] = {}
+        results: list[list[tuple]] = []
+        profiles: list[QueryProfile] = []
+        with self.open_bundle(bundle, catalog, prepared) as run_query:
+            for qi in range(len(bundle.queries)):
+                ops: "list[OpProfile] | None" = [] if per_op else None
+                with phase(tracer, took, "execute", query=qi + 1,
+                           backend=self.name) as span:
+                    rows = run_query(qi, ops)
+                    span.set(rows=len(rows))
+                results.append(rows)
+                profiles.append(QueryProfile(qi + 1, took["execute"],
+                                             len(rows), ops or []))
+        return ExecutionResult(results, queries_issued=len(results),
+                               profiles=profiles)

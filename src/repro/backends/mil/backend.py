@@ -10,7 +10,7 @@ columns is positional, exactly like MonetDB's BATs.
 from __future__ import annotations
 
 import itertools
-import time
+from contextlib import nullcontext
 
 from ...algebra import (
     AntiJoin,
@@ -37,10 +37,8 @@ from ...algebra import (
 from ...analysis import ensure_verified
 from ...core.bundle import Bundle
 from ...errors import ExecutionError
-from ...obs.metrics import METRICS
-from ...obs.trace import NULL_TRACER
 from ...runtime.catalog import Catalog
-from ..base import Backend, ExecutionResult, observe_query_time
+from ..base import Backend
 from . import program as mil
 
 
@@ -254,10 +252,8 @@ class MILBackend(Backend):
         """The MIL instruction listings."""
         return [program.show() for program in prepared]
 
-    def execute_bundle(self, bundle: Bundle, catalog: Catalog,
-                       prepared: "list[mil.MILProgram] | None" = None,
-                       tracer=NULL_TRACER,
-                       collector=None) -> ExecutionResult:
+    def open_bundle(self, bundle: Bundle, catalog: Catalog,
+                    prepared: "list[mil.MILProgram]"):
         base: dict[str, list] = {}
         for table in catalog.table_names():
             schema = catalog.schema(table)
@@ -265,31 +261,12 @@ class MILBackend(Backend):
             for i, (col, _ty) in enumerate(schema):
                 base[f"@{table}.{col}"] = [r[i] for r in rows]
         vm = mil.MILVM(base)
-        if prepared is None:
-            prepared = self.prepare_bundle(bundle)
-        results: list[list[tuple]] = []
-        programs: list[str] = []
-        total_rows = 0
-        for qi, program in enumerate(prepared):
-            programs.append(program.show())
-            # The VM runs a whole column program per query; per-query
-            # wall time + row count is the ANALYZE granularity here.
-            qp = collector.query(qi + 1) if collector is not None else None
-            with tracer.span("execute", query=qi + 1,
-                             backend=self.name) as sp:
-                t0 = time.perf_counter()
-                columns = vm.run(program)
-                # (iter, pos) is a key, so sorting full rows orders by it.
-                rows = sorted(zip(*columns)) if columns[0] else []
-                seconds = time.perf_counter() - t0
-                sp.set(rows=len(rows))
-                if qp is not None:
-                    qp.time = seconds
-                    qp.rows = len(rows)
-            observe_query_time(self.name, qi, seconds, tracer.trace_id)
-            total_rows += len(rows)
-            results.append([tuple(r) for r in rows])
-        METRICS.counter("backend.mil.queries").inc(len(bundle.queries))
-        METRICS.counter("backend.mil.rows").inc(total_rows)
-        return ExecutionResult(results, queries_issued=len(bundle.queries),
-                               artifacts={"mil": programs})
+
+        def run_query(qi, ops):
+            # The VM runs a whole column program per query: no
+            # per-operator profiles at this granularity.
+            columns = vm.run(prepared[qi])
+            # (iter, pos) is a key, so sorting full rows orders by it.
+            return sorted(zip(*columns)) if columns[0] else []
+
+        return nullcontext(run_query)  # nothing to tear down

@@ -23,10 +23,8 @@ from ...analysis import ensure_verified
 from ...core.bundle import Bundle, SerializedQuery
 from ...errors import ExecutionError
 from ...obs.analyze import OpProfile
-from ...obs.metrics import METRICS
-from ...obs.trace import NULL_TRACER
 from ...runtime.catalog import Catalog
-from ..base import Backend, ExecutionResult, observe_query_time
+from ..base import Backend
 from .dbapi import (
     Adapter,
     SQLiteAdapter,
@@ -78,43 +76,21 @@ class SQLiteBackend(Backend):
             built.update(step.name for step in gen.steps)
         return described
 
-    def execute_bundle(self, bundle: Bundle, catalog: Catalog,
-                       prepared: "list[GeneratedSQL] | None" = None,
-                       tracer=NULL_TRACER,
-                       collector=None) -> ExecutionResult:
-        if prepared is None:
-            prepared = self.prepare_bundle(bundle)
-        n = len(bundle.queries)
-        sql_texts = [gen.text for gen in prepared]
-        per_op = collector is not None and collector.per_op
-        results: list[list[tuple]] = []
+    @contextmanager
+    def open_bundle(self, bundle: Bundle, catalog: Catalog,
+                    prepared: "list[GeneratedSQL]"):
         self._ensure_loaded(catalog)
         built: set[str] = set()
-        with self._script():
-            for qi, (gen, query) in enumerate(zip(prepared, bundle.queries)):
-                # The host runs each statement as one opaque unit, so
-                # ANALYZE sees per-query wall time + row count, and
-                # inside a query one profile per temporary-table step.
-                qp = collector.query(qi + 1) if collector is not None else None
-                with tracer.span("execute", query=qi + 1,
-                                 backend=self.name) as sp:
-                    t0 = time.perf_counter()
-                    rows = self._run(gen, query, built,
-                                     qp.ops if per_op else None)
-                    seconds = time.perf_counter() - t0
-                    sp.set(rows=len(rows))
-                    if qp is not None:
-                        qp.time = seconds
-                        qp.rows = len(rows)
-                observe_query_time(self.name, qi, seconds, tracer.trace_id)
-                self.statements_executed += 1
-                results.append(rows)
 
-        total_rows = sum(len(rows) for rows in results)
-        METRICS.counter("backend.sqlite.queries").inc(n)
-        METRICS.counter("backend.sqlite.rows").inc(total_rows)
-        return ExecutionResult(results, queries_issued=n,
-                               artifacts={"sql": sql_texts})
+        def run_query(qi, ops):
+            # The host runs each statement as one opaque unit; inside a
+            # query ``ops`` gets one profile per temporary-table step.
+            rows = self._run(prepared[qi], bundle.queries[qi], built, ops)
+            self.statements_executed += 1
+            return rows
+
+        with self._script():
+            yield run_query
 
     # ------------------------------------------------------------------
     def generate(self, query: SerializedQuery) -> GeneratedSQL:
@@ -126,7 +102,7 @@ class SQLiteBackend(Backend):
         """Execute one generated statement standalone -- its steps, then
         the SELECT -- and convert values back.
 
-        Does *not* bump ``statements_executed`` -- the bundle loop does."""
+        Does *not* bump ``statements_executed`` -- a bundle execution does."""
         with self._script():
             return self._run(gen, query, set(), None)
 

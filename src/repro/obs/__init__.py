@@ -3,6 +3,10 @@
 The pipeline's instrumentation layer, shared by the runtime, the
 optimizer, and every backend:
 
+* :mod:`repro.obs.record` -- the :class:`ExecutionRecord` a connection
+  builds once per execution; the flight recorder, the statement stats
+  and the ``connection.*`` / ``phase.*`` / ``backend.*`` metrics are
+  views of it;
 * :mod:`repro.obs.trace` -- per-execution span trees (``conn.last_trace``)
   with pluggable sinks (JSON-lines export);
 * :mod:`repro.obs.explain` -- the structured report behind
@@ -23,7 +27,6 @@ optimizer, and every backend:
 """
 
 from .analyze import (
-    AnalyzeCollector,
     AnalyzeReport,
     OpProfile,
     QueryProfile,
@@ -45,13 +48,12 @@ from .stats import EVICTED, UNFINGERPRINTED, StatementStats
 from .querylog import (
     AlwaysSample,
     QueryLog,
-    QueryLogEntry,
     RatioSample,
     SamplingPolicy,
     SlowOnlySample,
-    make_entry,
     resolve_sampling,
 )
+from .record import ExecutionRecord, publish_metrics
 from .trace import (
     NULL_TRACER,
     CollectingSink,
@@ -62,6 +64,7 @@ from .trace import (
     Trace,
     Tracer,
     new_trace_id,
+    phase,
 )
 
 __all__ = [
@@ -71,10 +74,10 @@ __all__ = [
     "OPENMETRICS_CONTENT_TYPE",
     "UNFINGERPRINTED",
     "AlwaysSample",
-    "AnalyzeCollector",
     "AnalyzeReport",
     "CollectingSink",
     "Counter",
+    "ExecutionRecord",
     "ExplainReport",
     "Finding",
     "Histogram",
@@ -85,7 +88,6 @@ __all__ = [
     "OpProfile",
     "QueryExplain",
     "QueryLog",
-    "QueryLogEntry",
     "QueryProfile",
     "RatioSample",
     "SamplingPolicy",
@@ -100,9 +102,10 @@ __all__ = [
     "compare",
     "dump_metrics",
     "load_snapshot",
-    "make_entry",
     "new_trace_id",
     "parse_openmetrics",
+    "phase",
+    "publish_metrics",
     "render_openmetrics",
     "render_report",
     "resolve_sampling",

@@ -23,17 +23,18 @@ The annotated plan rendering (op -> time%, rows, cumulative time) is the
 profiling image of the paper's Figure 3(b) bundles: a fixed number of
 queries whose per-operator cost, not count, varies with the data.
 
-The same :class:`AnalyzeCollector` doubles as the flight recorder's
-cheap per-query stopwatch: connections with a slow-query threshold pass
-a ``per_op=False`` collector on every execution and promote the
-resulting report into :class:`~repro.obs.querylog.QueryLog` when the
-threshold trips.
+Every execution returns one :class:`QueryProfile` per bundle query
+(``Backend.execute_bundle`` times each once); ``per_op=True`` -- what
+``explain(analyze=True)`` asks for -- adds the operator/step profiles.
+Connections with a slow-query threshold build the annotated report from
+the same profiles when the threshold trips and promote it into the
+:class:`~repro.obs.querylog.QueryLog`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 
 @dataclass
@@ -89,34 +90,6 @@ class QueryProfile:
                 "ops": [op.to_dict() for op in self.ops]}
 
 
-class AnalyzeCollector:
-    """Gathers :class:`QueryProfile`\\ s during one bundle execution.
-
-    Passed to ``Backend.execute_bundle(collector=...)``.  ``per_op=True``
-    asks for the per-operator breakdown the backend can give: every
-    operator on the engine, the temporary-table steps on sqlite, nothing
-    on MIL.
-    Backends open profiles in bundle order, so :attr:`queries` stays
-    aligned with ``bundle.queries``.
-    """
-
-    __slots__ = ("per_op", "queries")
-
-    def __init__(self, per_op: bool = False):
-        self.per_op = per_op
-        self.queries: list[QueryProfile] = []
-
-    def query(self, index: int) -> QueryProfile:
-        """Open (and register) the profile for bundle query ``index``."""
-        profile = QueryProfile(index)
-        self.queries.append(profile)
-        return profile
-
-    @property
-    def total_rows(self) -> int:
-        return sum(q.rows for q in self.queries)
-
-
 @dataclass
 class AnalyzeReport:
     """Everything ``explain(analyze=True)`` measured while executing."""
@@ -165,12 +138,12 @@ def _subtree_time(root, times: dict[int, float]) -> float:
     return go(root)
 
 
-def build_analyze(bundle, collector: AnalyzeCollector, backend: str,
+def build_analyze(bundle, queries: "Sequence[QueryProfile]", backend: str,
                   total_time: float,
                   table_rows: "dict[str, int] | None" = None
                   ) -> AnalyzeReport:
-    """Assemble an :class:`AnalyzeReport` (with annotated plans) from a
-    collector filled by ``Backend.execute_bundle``.
+    """Assemble an :class:`AnalyzeReport` (with annotated plans) from
+    the per-query profiles ``Backend.execute_bundle`` returned.
 
     ``table_rows`` (exact catalog statistics) enables the static
     ``est_rows=`` annotations next to the measured actuals -- the
@@ -180,9 +153,9 @@ def build_analyze(bundle, collector: AnalyzeCollector, backend: str,
     from ..analysis.cost import CostModel
 
     model = CostModel(backend, table_rows=table_rows)
-    total = total_time or sum(q.time for q in collector.queries) or 1.0
+    total = total_time or sum(q.time for q in queries) or 1.0
     annotated: list[str] = []
-    for profile, query in zip(collector.queries, bundle.queries):
+    for profile, query in zip(queries, bundle.queries):
         share = 100.0 * profile.time / total if total else 0.0
         est = model.estimate(query.plan)
         header = (f"-- Q{profile.index} (iter={query.iter_col}, "
@@ -213,5 +186,5 @@ def build_analyze(bundle, collector: AnalyzeCollector, backend: str,
             chunk.append(plan_text(query.plan, annotations=annotations))
         annotated.append("\n".join(chunk))
     return AnalyzeReport(backend=backend, total_time=total_time,
-                         queries=list(collector.queries),
+                         queries=list(queries),
                          annotated=annotated)

@@ -9,7 +9,7 @@ plan-cache stats and flight-recorder summary:
   ``_bucket{le=...}``/``_count``/``_sum`` families, per-connection
   gauges labelled by backend, terminated by ``# EOF``;
 * :func:`snapshot_json` / ``dump_metrics(fmt="json")`` -- one JSON
-  document for ad-hoc scraping and the benchmark trajectory;
+  document for ad-hoc scraping;
 * :func:`statements_json` -- the workload-intelligence document: every
   connection's per-fingerprint :class:`~repro.obs.stats.StatementStats`
   snapshot, merged across connections and sorted busiest-first;

@@ -1,16 +1,18 @@
 """Process-wide metrics: named counters and latency histograms.
 
 A :class:`MetricsRegistry` is a flat namespace of instruments.  The
-runtime ships one process-wide default registry (:data:`METRICS`) that
-:class:`~repro.runtime.connection.Connection`, the plan cache, and all
-three backends write into, so a long-running service can answer "how
-many bundles ran, at what hit rate, with what per-phase latency?" from a
-single :meth:`MetricsRegistry.snapshot` call.
+runtime ships one process-wide default registry (:data:`METRICS`); the
+``connection.*``, ``phase.*`` and ``backend.*`` instruments are written
+by :func:`repro.obs.record.publish_metrics` from each published
+:class:`~repro.obs.record.ExecutionRecord`, the ``plancache.*`` ones by
+the plan cache, so a long-running service can answer "how many bundles
+ran, at what hit rate, with what per-phase latency?" from a single
+:meth:`MetricsRegistry.snapshot` call.
 
 Instrument names are dotted strings grouped by subsystem:
 
 ========================== ===========================================
-``connection.compiles``     ``compile()`` calls (cold or cached)
+``connection.compiles``     compiles (cold or cached) by run/prepare
 ``connection.executions``   ``run()``/``PreparedQuery.execute()`` calls
 ``connection.queries``      relational queries issued (Table 1 metric)
 ``connection.rows_stitched`` rows transferred back into Python values
@@ -153,6 +155,9 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         """Get (or lazily create) the counter called ``name``."""
+        c = self._counters.get(name)  # registered: one atomic dict read
+        if c is not None:
+            return c
         with self._lock:
             if name in self._histograms:
                 raise ValueError(f"{name!r} is already a histogram")
@@ -164,6 +169,9 @@ class MetricsRegistry:
     def histogram(self, name: str,
                   bounds: tuple[float, ...] = LATENCY_BOUNDS) -> Histogram:
         """Get (or lazily create) the histogram called ``name``."""
+        h = self._histograms.get(name)  # registered: one atomic dict read
+        if h is not None:
+            return h
         with self._lock:
             if name in self._counters:
                 raise ValueError(f"{name!r} is already a counter")

@@ -2,13 +2,13 @@
 
 Every :class:`~repro.runtime.connection.Connection` owns a
 :class:`QueryLog` that retains the N *most recent* and the N *slowest*
-executions it has seen -- fingerprints, durations, cache hit/miss,
-bundle sizes, and (when retained by the sampling policy) the full span
+executions it has seen: the :class:`~repro.obs.record.ExecutionRecord`
+itself -- fingerprint, duration, cache hit/miss, phases, per-query
+profiles, and (when retained by the sampling policy) the full span
 tree.  Executions slower than the connection's ``slow_query_threshold``
-are flagged ``slow`` and promoted with a full
-:class:`~repro.obs.analyze.AnalyzeReport` built from the per-query
-stopwatch the connection runs whenever a threshold is set, so a
-production incident leaves behind *profiles*, not just a latency number.
+are flagged ``slow`` and carry an annotated
+:class:`~repro.obs.analyze.AnalyzeReport`, so a production incident
+leaves behind *profiles*, not just a latency number.
 
 Memory is strictly bounded: the recent side is a ``deque(maxlen=N)``,
 the slow side a size-N min-heap keyed on duration, so a long-running
@@ -22,65 +22,9 @@ import heapq
 import itertools
 import threading
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any
 
-from .analyze import AnalyzeReport
-from .trace import Trace
-
-
-@dataclass
-class QueryLogEntry:
-    """One recorded execution."""
-
-    #: Structural fingerprint of the executed program (``None`` if the
-    #: execution failed before fingerprinting).
-    fingerprint: str | None
-    backend: str
-    #: ``"run"``, ``"execute-prepared"`` or ``"explain-analyze"``.
-    kind: str
-    #: Epoch seconds when the execution started.
-    started_at: float
-    #: End-to-end wall-clock seconds (compile + execute + stitch).
-    duration: float
-    cache_hit: bool
-    bundle_size: int
-    #: Stitched result rows, or ``None`` when the execution failed
-    #: before stitching.
-    rows: int | None
-    #: Did the execution exceed the connection's slow-query threshold?
-    slow: bool = False
-    #: ``repr`` of the raised exception, for failed executions.
-    error: str | None = None
-    #: The error's stable diagnostic code (``F101``, ``F302``, ...) when
-    #: the exception carried one; ``None`` otherwise.
-    code: str | None = None
-    #: Stable execution id correlating this entry with its span tree,
-    #: JSONL sink records, and metric exemplars (``None`` untraced).
-    trace_id: str | None = None
-    #: The full span tree, when tracing + sampling retained one.
-    trace: Trace | None = field(default=None, repr=False)
-    #: Per-query profile, promoted for slow executions.
-    analyze: AnalyzeReport | None = field(default=None, repr=False)
-
-    def summary(self) -> dict[str, Any]:
-        """JSON-able digest (traces/profiles reduced to their totals)."""
-        return {
-            "fingerprint": self.fingerprint,
-            "backend": self.backend,
-            "kind": self.kind,
-            "started_at": self.started_at,
-            "duration": self.duration,
-            "cache_hit": self.cache_hit,
-            "bundle_size": self.bundle_size,
-            "rows": self.rows,
-            "slow": self.slow,
-            "error": self.error,
-            "code": self.code,
-            "trace_id": self.trace_id,
-            "traced": self.trace is not None,
-            "analyzed": self.analyze is not None,
-        }
+from .record import ExecutionRecord
 
 
 class QueryLog:
@@ -91,11 +35,11 @@ class QueryLog:
             raise ValueError("query log bounds must be >= 1, "
                              f"got recent={recent}, slowest={slowest}")
         self._lock = threading.Lock()
-        self._recent: deque[QueryLogEntry] = deque(maxlen=recent)
+        self._recent: deque[ExecutionRecord] = deque(maxlen=recent)
         self._slow_bound = slowest
         #: min-heap of ``(duration, seq, entry)``; the root is the
         #: fastest of the retained slowest, evicted first.
-        self._slow_heap: list[tuple[float, int, QueryLogEntry]] = []
+        self._slow_heap: list[tuple[float, int, ExecutionRecord]] = []
         self._seq = itertools.count()
         #: Total executions ever recorded (not bounded by the buffers).
         self.recorded = 0
@@ -107,16 +51,16 @@ class QueryLog:
         #: unbounded in *count* but keyed on the small fixed code set).
         self.error_codes: dict[str, int] = {}
 
-    def record(self, entry: QueryLogEntry) -> None:
+    def record(self, entry: ExecutionRecord) -> None:
         with self._lock:
             self.recorded += 1
             if entry.slow:
                 self.slow_count += 1
             if entry.error is not None:
                 self.error_count += 1
-                if entry.code is not None:
-                    self.error_codes[entry.code] = \
-                        self.error_codes.get(entry.code, 0) + 1
+                if entry.error_code is not None:
+                    self.error_codes[entry.error_code] = \
+                        self.error_codes.get(entry.error_code, 0) + 1
             self._recent.append(entry)
             item = (entry.duration, next(self._seq), entry)
             if len(self._slow_heap) < self._slow_bound:
@@ -125,20 +69,20 @@ class QueryLog:
                 heapq.heapreplace(self._slow_heap, item)
 
     @property
-    def recent(self) -> list[QueryLogEntry]:
+    def recent(self) -> list[ExecutionRecord]:
         """Retained executions, most recent first."""
         with self._lock:
             return list(reversed(self._recent))
 
     @property
-    def slowest(self) -> list[QueryLogEntry]:
+    def slowest(self) -> list[ExecutionRecord]:
         """Retained executions, slowest first."""
         with self._lock:
             items = sorted(self._slow_heap,
                            key=lambda t: (-t[0], -t[1]))
         return [entry for _, _, entry in items]
 
-    def find_trace(self, trace_id: str) -> "QueryLogEntry | None":
+    def find_trace(self, trace_id: str) -> "ExecutionRecord | None":
         """The retained entry recorded under ``trace_id``, or ``None``.
 
         This is the exemplar back-link: an OpenMetrics exemplar names a
@@ -275,29 +219,3 @@ def resolve_sampling(policy: "str | float | SamplingPolicy"
     raise ValueError(f"unknown sampling policy {policy!r}; expected "
                      f"'always', 'slow-only', a ratio in [0, 1], or a "
                      f"SamplingPolicy instance")
-
-
-def make_entry(kind: str, backend: str, started_at: float, duration: float,
-               info: dict[str, Any], slow: bool,
-               trace: "Trace | None" = None,
-               analyze: "AnalyzeReport | None" = None) -> QueryLogEntry:
-    """Build a :class:`QueryLogEntry` from a connection's execution info
-    dict (keys: ``fingerprint``/``cache_hit``/``bundle_size``/``rows``/
-    ``error``/``error_code``/``trace_id``, all optional -- executions
-    may fail early)."""
-    return QueryLogEntry(
-        fingerprint=info.get("fingerprint"),
-        backend=backend,
-        kind=kind,
-        started_at=started_at,
-        duration=duration,
-        cache_hit=bool(info.get("cache_hit", False)),
-        bundle_size=int(info.get("bundle_size", 0)),
-        rows=info.get("rows"),
-        slow=slow,
-        error=info.get("error"),
-        code=info.get("error_code"),
-        trace_id=info.get("trace_id"),
-        trace=trace,
-        analyze=analyze,
-    )

@@ -1,0 +1,148 @@
+"""The execution record: one account of one ``Connection`` call.
+
+``Connection`` builds exactly one frozen :class:`ExecutionRecord` per
+``run`` / ``PreparedQuery.execute`` / ``explain(analyze=True)`` (and one
+of kind ``"prepare"`` per compile-only call) in a single finish step and
+publishes it.  Everything else in :mod:`repro.obs` is a view of it: the
+flight recorder stores the record itself, :class:`StatementStats` folds
+it into its fingerprint's aggregate, and :func:`publish_metrics` is the
+only writer of the ``connection.*`` / ``phase.*`` / ``backend.<name>.*``
+instruments -- so the views agree by construction.
+
+The unit of the record is the bundle query, whose count loop-lifting
+fixes from the result type alone: a record is small and bounded whatever
+the data.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Any, Mapping, Sequence
+
+from .analyze import AnalyzeReport, QueryProfile
+from .metrics import METRICS
+from .trace import Trace
+
+#: Phases that belong to executing, not compiling.
+_EXECUTION_PHASES = ("execute", "stitch")
+
+
+@dataclass(frozen=True)
+class ExecutionRecord:
+    """What one ``Connection`` call did."""
+
+    #: ``"run"``, ``"execute-prepared"``, ``"explain-analyze"``, or
+    #: ``"prepare"`` (compile only: counts no call).
+    kind: str
+    backend: str
+    #: Epoch seconds when the call started.
+    started_at: float
+    #: End-to-end wall-clock seconds (compile + execute + stitch).
+    duration: float
+    #: Structural fingerprint of the program (``None`` if the call
+    #: failed before fingerprinting).
+    fingerprint: "str | None" = None
+    #: Was the plan served without compiling -- by the plan cache, or by
+    #: a prepared handle?
+    cache_hit: bool = False
+    bundle_size: int = 0
+    #: Wall-clock seconds per pipeline phase that ran in this call:
+    #: ``check`` / ``lookup`` / ``lift`` / ``optimize`` / ``verify`` /
+    #: ``codegen`` / ``execute`` / ``stitch``.
+    phases: Mapping[str, float] = field(default_factory=dict)
+    #: One profile per bundle query (rows, seconds, and -- for
+    #: ``explain-analyze`` -- operator/step profiles).
+    queries: Sequence[QueryProfile] = ()
+    #: Result rows handed to the stitcher, or ``None`` when the call
+    #: failed before the bundle finished executing.
+    rows: "int | None" = None
+    #: Relational queries issued (the Table 1 avalanche metric).
+    queries_issued: int = 0
+    #: The cost model's static row estimate for the bundle.
+    est_rows: "float | None" = None
+    #: ``repr`` of the raised exception, for failed calls.
+    error: "str | None" = None
+    #: The error's stable diagnostic code (``F101``, ``F302``, ...) when
+    #: the exception carried one.
+    error_code: "str | None" = None
+    #: Did the call reach the connection's slow-query threshold?
+    slow: bool = False
+    #: Id correlating this record with its span tree, JSONL sink lines
+    #: and metric exemplars (``None`` untraced).
+    trace_id: "str | None" = None
+    #: The span tree, when tracing + sampling retained one.
+    trace: "Trace | None" = field(default=None, repr=False)
+    #: Annotated per-query profile, promoted for slow executions.
+    analyze: "AnalyzeReport | None" = field(default=None, repr=False)
+
+    @property
+    def executed(self) -> bool:
+        """Did this call execute a bundle (everything but ``prepare``)?"""
+        return self.kind != "prepare"
+
+    @property
+    def compile_time(self) -> float:
+        return sum(seconds for name, seconds in self.phases.items()
+                   if name not in _EXECUTION_PHASES)
+
+    @property
+    def execute_time(self) -> float:
+        return self.phases.get("execute", 0.0)
+
+    def summary(self) -> dict[str, Any]:
+        """JSON-able digest (traces/profiles reduced to flags)."""
+        return {
+            "fingerprint": self.fingerprint,
+            "backend": self.backend,
+            "kind": self.kind,
+            "started_at": self.started_at,
+            "duration": self.duration,
+            "cache_hit": self.cache_hit,
+            "bundle_size": self.bundle_size,
+            "rows": self.rows,
+            "slow": self.slow,
+            "error": self.error,
+            "code": self.error_code,
+            "trace_id": self.trace_id,
+            "traced": self.trace is not None,
+            "analyzed": self.analyze is not None,
+        }
+
+
+def publish_metrics(rec: ExecutionRecord) -> None:
+    """Write ``rec`` into the process-wide :data:`METRICS` registry: the
+    one place the ``connection.*``, ``phase.*`` and ``backend.<name>.*``
+    instruments are updated.  Traced records attach exemplars, so a
+    latency bucket's worst case links back to the flight-recorder
+    entry that produced it."""
+    if "check" in rec.phases:
+        METRICS.counter("connection.compiles").inc()
+    exemplar = ({"trace_id": rec.trace_id}
+                if rec.trace_id is not None else None)
+    for name, seconds in rec.phases.items():
+        METRICS.histogram(f"phase.{name}").observe(
+            seconds, exemplar=exemplar if name == "execute" else None)
+    if not rec.executed:
+        return
+    if rec.error is None:
+        METRICS.counter("connection.executions").inc()
+    else:
+        METRICS.counter("connection.errors").inc()
+    if rec.slow:
+        METRICS.counter("connection.slow_queries").inc()
+    if rec.rows is None:
+        return
+    # The bundle ran: cached or not, every execution issues its queries
+    # -- the Section 3.2 avalanche metric counts executions, not
+    # compilations.
+    METRICS.counter("connection.queries").inc(rec.queries_issued)
+    METRICS.counter("connection.rows_stitched").inc(rec.rows)
+    prefix = f"backend.{rec.backend}"
+    METRICS.counter(f"{prefix}.queries").inc(rec.queries_issued)
+    METRICS.counter(f"{prefix}.rows").inc(rec.rows)
+    seconds_hist = METRICS.histogram(f"{prefix}.query_seconds")
+    for profile in rec.queries:
+        seconds_hist.observe(
+            profile.time,
+            exemplar=(None if exemplar is None
+                      else {**exemplar, "query": str(profile.index)}))

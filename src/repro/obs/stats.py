@@ -29,11 +29,11 @@ All mutation happens under one lock; reads return plain-dict snapshots.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict, deque
 from typing import Any
 
 from .metrics import Histogram
+from .record import ExecutionRecord
 
 #: Fingerprint bucket for executions that failed before fingerprinting.
 UNFINGERPRINTED = "<unfingerprinted>"
@@ -90,46 +90,42 @@ class StatementEntry:
         self.est_rows: "float | None" = None
 
     # ------------------------------------------------------------------
-    def record(self, *, duration: float, started_at: float,
-               backend: "str | None", rows: "int | None",
-               queries: int, cache_hit: bool, compile_time: float,
-               execute_time: float, error: bool,
-               error_code: "str | None",
-               trace_id: "str | None",
-               est_rows: "float | None" = None) -> None:
-        if est_rows is not None:
-            self.est_rows = est_rows
-        if error:
+    def record(self, rec: ExecutionRecord) -> None:
+        self.compile_time += rec.compile_time
+        if rec.cache_hit:
+            self.cache_hits += 1
+        if not rec.executed:
+            return  # a prepare: compile cost and cache traffic, no call
+        if rec.est_rows is not None:
+            self.est_rows = rec.est_rows
+        if rec.error is not None:
             self.errors += 1
-            if error_code:
-                self.error_codes[error_code] = \
-                    self.error_codes.get(error_code, 0) + 1
+            if rec.error_code:
+                self.error_codes[rec.error_code] = \
+                    self.error_codes.get(rec.error_code, 0) + 1
         else:
             self.calls += 1
-        if cache_hit:
-            self.cache_hits += 1
-        if rows:
-            self.rows += rows
-        self.queries += queries
-        self.compile_time += compile_time
-        self.execute_time += execute_time
+        if rec.rows:
+            self.rows += rec.rows
+        self.queries += rec.queries_issued
+        self.execute_time += rec.execute_time
+        duration = rec.duration
         self.total_time += duration
         if duration < self.min_time:
             self.min_time = duration
         if duration >= self.max_time:
             self.max_time = duration
-            if trace_id is not None:
-                self.worst_trace_id = trace_id
+            if rec.trace_id is not None:
+                self.worst_trace_id = rec.trace_id
         self.durations.append(duration)
         if not self.first_seen:
-            self.first_seen = started_at
-        self.last_seen = started_at
-        if backend is not None:
-            hist = self.by_backend.get(backend)
-            if hist is None:
-                hist = self.by_backend[backend] = Histogram(backend)
-            exemplar = {"trace_id": trace_id} if trace_id else None
-            hist.observe(duration, exemplar=exemplar)
+            self.first_seen = rec.started_at
+        self.last_seen = rec.started_at
+        hist = self.by_backend.get(rec.backend)
+        if hist is None:
+            hist = self.by_backend[rec.backend] = Histogram(rec.backend)
+        exemplar = {"trace_id": rec.trace_id} if rec.trace_id else None
+        hist.observe(duration, exemplar=exemplar)
 
     def fold(self, other: "StatementEntry") -> None:
         """Absorb an evicted entry's *exact* totals (identity is lost,
@@ -221,38 +217,14 @@ class StatementStats:
             return len(self._entries)
 
     # ------------------------------------------------------------------
-    def record(self, fingerprint: "str | None", *, duration: float,
-               started_at: "float | None" = None,
-               backend: "str | None" = None, rows: "int | None" = None,
-               queries: int = 0, cache_hit: bool = False,
-               compile_time: float = 0.0, execute_time: float = 0.0,
-               error: "str | None" = None,
-               error_code: "str | None" = None,
-               trace_id: "str | None" = None,
-               est_rows: "float | None" = None) -> None:
-        """Fold one execution into the aggregate for ``fingerprint``."""
-        key = fingerprint if fingerprint is not None else UNFINGERPRINTED
-        if started_at is None:
-            started_at = time.time()
+    def record(self, rec: ExecutionRecord) -> None:
+        """Fold one execution record into its fingerprint's aggregate (a
+        record of kind ``prepare`` adds its compile time and cache
+        traffic without counting a call)."""
+        key = (rec.fingerprint if rec.fingerprint is not None
+               else UNFINGERPRINTED)
         with self._lock:
-            entry = self._touch(key)
-            entry.record(duration=duration, started_at=started_at,
-                         backend=backend, rows=rows, queries=queries,
-                         cache_hit=cache_hit, compile_time=compile_time,
-                         execute_time=execute_time,
-                         error=error is not None, error_code=error_code,
-                         trace_id=trace_id, est_rows=est_rows)
-
-    def record_compile(self, fingerprint: "str | None",
-                       compile_time: float, cache_hit: bool) -> None:
-        """Account a compile-only touch (``Connection.prepare``): phase
-        time and cache traffic, without counting a call."""
-        key = fingerprint if fingerprint is not None else UNFINGERPRINTED
-        with self._lock:
-            entry = self._touch(key)
-            entry.compile_time += compile_time
-            if cache_hit:
-                entry.cache_hits += 1
+            self._touch(key).record(rec)
 
     def _touch(self, key: str) -> StatementEntry:
         """Get-or-create ``key``'s entry, maintaining LRU order and the

@@ -242,6 +242,37 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
+class phase:
+    """One timed pipeline phase, measured once: ``with phase(tracer,
+    into, key)`` opens the span ``span_name`` (default: ``key``) and, on
+    exit, stores the phase's seconds in ``into[key]``.  Traced, that
+    number *is* the span's duration; untraced, one clock pair stands in
+    for the absent span -- so a phase's timing entry, its span and its
+    histogram observation can never disagree."""
+
+    __slots__ = ("_handle", "_into", "_key", "_t0")
+
+    def __init__(self, tracer: "Tracer | NullTracer", into: Any, key: Any,
+                 span_name: "str | None" = None, **attrs: Any):
+        self._handle = tracer.span(span_name or key, **attrs)
+        self._into = into
+        self._key = key
+
+    def __enter__(self) -> "Span | _NullSpan":
+        if self._handle is NULL_SPAN:
+            self._t0 = time.perf_counter()
+            return NULL_SPAN
+        return self._handle.__enter__()
+
+    def __exit__(self, *exc) -> None:
+        handle = self._handle
+        if handle is NULL_SPAN:
+            self._into[self._key] = time.perf_counter() - self._t0
+        else:
+            handle.__exit__(*exc)
+            self._into[self._key] = handle._span.duration
+
+
 class Sink:
     """Interface for trace exporters: receives every finished trace."""
 

@@ -15,28 +15,25 @@ cached bundle is valid for any instance with the same schema.
 :meth:`Connection.prepare` exposes the same machinery explicitly as a
 prepared-query handle.
 
-Every execution is observable (``repro.obs``): ``run`` and
-``PreparedQuery.execute`` record a span tree (``check`` → ``cache-lookup``
-→ ``lift`` → ``optimize`` per rewrite pass → ``codegen`` → one ``execute``
-span per bundle query → ``stitch``) retrievable via
-:attr:`Connection.last_trace` and exportable through sinks registered
-with :meth:`Connection.add_sink`; :meth:`Connection.explain` returns a
-structured :class:`~repro.obs.ExplainReport` including the runtime
-avalanche check (and, with ``analyze=True``, an execution-time
-:class:`~repro.obs.AnalyzeReport`); the process-wide
-:data:`repro.obs.METRICS` registry counts compiles, cache traffic,
-queries, and per-phase latencies; and every execution -- traced or not
--- lands in the connection's flight recorder
-(:attr:`Connection.query_log`), which retains the N most recent and N
-slowest executions and promotes profiles for runs past
-``slow_query_threshold``.
+Every execution is observable (``repro.obs``).  ``run``,
+``PreparedQuery.execute`` and ``explain(analyze=True)`` share one
+execution path that records a span tree (``check`` → ``cache-lookup`` →
+``lift`` → ``optimize`` per rewrite pass → ``codegen`` → one ``execute``
+span per bundle query → ``stitch``; :attr:`Connection.last_trace`, sinks
+via :meth:`Connection.add_sink`) and finishes by building one frozen
+:class:`~repro.obs.ExecutionRecord`.  Everything else is a view of that
+record: the flight recorder (:attr:`Connection.query_log`) stores it,
+the per-fingerprint statement statistics fold it in, and the
+process-wide :data:`repro.obs.METRICS` counters and per-phase
+histograms are written from it.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from ..analysis import verify_bundle, verify_debug_enabled
 from ..analysis.cost import estimate_bundle
@@ -46,9 +43,8 @@ from ..expr import exp_fingerprint, tables_referenced
 from ..frontend.q import Q, to_q
 from ..frontend.tables import SchemaLike, table
 from ..obs import (
-    METRICS,
     NULL_TRACER,
-    AnalyzeCollector,
+    ExecutionRecord,
     ExplainReport,
     QueryLog,
     StatementStats,
@@ -56,7 +52,8 @@ from ..obs import (
     Tracer,
     build_analyze,
     build_report,
-    make_entry,
+    phase,
+    publish_metrics,
     resolve_sampling,
 )
 from ..optimizer import PassStats
@@ -115,20 +112,19 @@ class Connection:
     traces are recorded but only retained when the run exceeds
     ``slow_query_threshold``).
 
-    ``slow_query_threshold`` (seconds) arms the flight recorder's
-    promotion path: every execution then runs a cheap per-query
-    stopwatch, and runs past the threshold land in
-    :attr:`Connection.query_log` flagged ``slow`` with a full
-    :class:`~repro.obs.AnalyzeReport`.  ``query_log_size`` bounds both
-    of the recorder's views (N most recent + N slowest).
+    ``slow_query_threshold`` (seconds): executions at least that long
+    land in :attr:`Connection.query_log` (the 32 most recent + 32
+    slowest executions) flagged ``slow``, with an annotated
+    :class:`~repro.obs.AnalyzeReport` built from the per-query rows and
+    times every record carries.
 
     ``statement_stats`` (default on) aggregates every execution into a
     per-fingerprint :class:`~repro.obs.StatementStats` -- calls, errors,
     cache hits, rows, per-phase compile/execute time, per-backend
     latency histograms, and the worst call's trace id -- read
-    back via :meth:`statement_stats` (bounded by ``stats_capacity``
-    tracked fingerprints; evictions fold into an overflow bucket so
-    totals stay exact).
+    back via :meth:`statement_stats` (bounded at 512 tracked
+    fingerprints; evictions fold into an overflow bucket so totals stay
+    exact).
     """
 
     def __init__(self, backend: "str | Any | None" = None,
@@ -137,9 +133,7 @@ class Connection:
                  plan_cache: PlanCache | None = None, trace: bool = True,
                  sampling: "str | float | Any" = "always",
                  slow_query_threshold: "float | None" = None,
-                 query_log_size: int = 32,
-                 statement_stats: bool = True,
-                 stats_capacity: int = 512):
+                 statement_stats: bool = True):
         self.catalog = catalog or Catalog()
         self.optimize = optimize
         #: Join-graph isolation (correlated-filter decorrelation); only
@@ -160,17 +154,17 @@ class Connection:
         self.sampling = resolve_sampling(sampling)
         #: Executions at least this many wall-clock seconds are flagged
         #: slow and promoted (profile + trace) into the query log;
-        #: ``None`` disables the stopwatch entirely.
+        #: ``None``: nothing is ever slow.
         self.slow_query_threshold = slow_query_threshold
         #: The flight recorder: N most recent + N slowest executions.
-        self.query_log = QueryLog(recent=query_log_size,
-                                  slowest=query_log_size)
+        self.query_log = QueryLog()
         #: Per-fingerprint workload aggregates (``pg_stat_statements``
         #: for FERRY); ``None`` when ``statement_stats=False``.
         self.stats: "StatementStats | None" = (
-            StatementStats(capacity=stats_capacity)
-            if statement_stats else None)
+            StatementStats() if statement_stats else None)
         self._last_trace: Trace | None = None
+        #: Guards ``executions`` / ``queries_issued`` (see ``_publish``).
+        self._lock = threading.Lock()
         #: Trace exporters (``repro.obs.Sink``); every finished trace is
         #: passed to each.
         self.sinks: list[Any] = []
@@ -216,52 +210,19 @@ class Connection:
     def remove_sink(self, sink: Any) -> None:
         self.sinks.remove(sink)
 
-    def _start_trace(self, name: str):
-        if not self.trace_enabled or not self.sampling.sample():
-            return NULL_TRACER
-        return Tracer(name, backend=self.backend.name)
-
-    def _record_execution(self, kind: str, tracer, info: dict,
-                          started_at: float, duration: float,
-                          collector: "AnalyzeCollector | None") -> None:
-        """Tail of every ``run``/``execute``: finish the trace, apply the
-        sampling keep-decision, detect slow queries, and log the
-        execution into the flight recorder and statement stats."""
-        slow = (self.slow_query_threshold is not None
-                and duration >= self.slow_query_threshold)
-        if slow:
-            METRICS.counter("connection.slow_queries").inc()
-        if info.get("error") is not None:
-            METRICS.counter("connection.errors").inc()
-        trace = tracer.finish()
-        if trace is not None and self.sampling.keep(slow):
-            self._last_trace = trace
-            for sink in self.sinks:
-                sink.emit(trace)
-        else:
-            trace = None
-        analyze = None
-        if collector is not None and collector.queries:
-            info.setdefault("rows", collector.total_rows)
-            if slow and "bundle" in info:
-                analyze = build_analyze(info["bundle"], collector,
-                                        self.backend.name, duration)
-        self.query_log.record(make_entry(
-            kind, self.backend.name, started_at, duration, info,
-            slow=slow, trace=trace, analyze=analyze))
+    def _publish(self, rec: ExecutionRecord) -> None:
+        """Hand a finished record to its views: metrics, the flight
+        recorder and the connection's own counters (executions only),
+        statement stats."""
+        publish_metrics(rec)
+        if rec.executed:
+            with self._lock:
+                if rec.error is None:
+                    self.executions += 1
+                self.queries_issued += rec.queries_issued
+            self.query_log.record(rec)
         if self.stats is not None:
-            self.stats.record(
-                info.get("fingerprint"), duration=duration,
-                started_at=started_at, backend=self.backend.name,
-                rows=info.get("rows"),
-                queries=info.get("queries", 0),
-                cache_hit=bool(info.get("cache_hit", False)),
-                compile_time=info.get("compile_time", 0.0),
-                execute_time=info.get("execute_time", 0.0),
-                error=info.get("error"),
-                error_code=info.get("error_code"),
-                trace_id=info.get("trace_id"),
-                est_rows=info.get("est_rows"))
+            self.stats.record(rec)
 
     # ------------------------------------------------------------------
     # schema definition (delegates to the catalog)
@@ -291,40 +252,31 @@ class Connection:
 
     def compile(self, q: Any, use_cache: bool = True,
                 tracer=NULL_TRACER) -> CompiledQuery:
-        """Loop-lift and optimize a query without executing it.
+        """Loop-lift and optimize a query without executing it (for
+        inspection: nothing is recorded).
 
         Consults the plan cache first: a structurally identical program
         compiled before (under the same flags and catalog schema) is
         returned without re-running the pipeline.
         """
-        METRICS.counter("connection.compiles").inc()
         timings: dict[str, float] = {}
-        with tracer.span("check"):
-            t0 = time.perf_counter()
+        with phase(tracer, timings, "check"):
             qq = to_q(q)
-            self._check_tables(qq)
-            timings["check"] = time.perf_counter() - t0
-        METRICS.histogram("phase.check").observe(timings["check"])
-
-        with tracer.span("cache-lookup") as sp:
-            t0 = time.perf_counter()
+            for ref in tables_referenced(qq.exp).values():
+                self.catalog.check_reference(ref)
+        with phase(tracer, timings, "lookup", "cache-lookup") as span:
             fp = exp_fingerprint(qq.exp)
             key = CacheKey(fp, self.optimize, self.decorrelate,
                            self.catalog.schema_generation)
             entry = self.plan_cache.lookup(key) if use_cache else None
-            timings["lookup"] = time.perf_counter() - t0
-            sp.set(hit=entry is not None)
-        METRICS.histogram("phase.lookup").observe(timings["lookup"])
+            span.set(hit=entry is not None)
         if entry is not None:
             return CompiledQuery(entry.bundle, self.optimize, fingerprint=fp,
                                  cache_hit=True, timings=timings,
                                  cache_entry=entry)
 
-        with tracer.span("lift"):
-            t0 = time.perf_counter()
+        with phase(tracer, timings, "lift"):
             bundle = compile_exp(qq.exp, decorrelate=self.decorrelate)
-            timings["lift"] = time.perf_counter() - t0
-        METRICS.histogram("phase.lift").observe(timings["lift"])
         if verify_debug_enabled():
             # Debug mode: staged verification of the raw loop-lifting
             # output, before any rewrite touches it.
@@ -333,22 +285,16 @@ class Connection:
         stats = None
         if self.optimize:
             from ..optimizer import optimize_bundle
-            with tracer.span("optimize"):
-                t0 = time.perf_counter()
-                stats = PassStats()
+            stats = PassStats()
+            with phase(tracer, timings, "optimize"):
                 bundle = optimize_bundle(bundle, stats, tracer,
                                          table_rows=self._table_stats(),
                                          backend=self.backend.name)
-                timings["optimize"] = time.perf_counter() - t0
-            METRICS.histogram("phase.optimize").observe(timings["optimize"])
         if not bundle.verified:
             # optimize=False path: the backend still only ever receives
             # verified plans.
-            with tracer.span("verify", stage="final"):
-                t0 = time.perf_counter()
+            with phase(tracer, timings, "verify", stage="final"):
                 verify_bundle(bundle, label="final")
-                timings["verify"] = time.perf_counter() - t0
-            METRICS.histogram("phase.verify").observe(timings["verify"])
         if bundle.cost is None:
             # optimize=False still gets a cost stamp: the drift lint
             # works on unoptimized plans too.
@@ -361,50 +307,28 @@ class Connection:
                              cache_hit=False, timings=timings,
                              pass_stats=stats, cache_entry=entry)
 
-    def prepare(self, q: Any, tracer=NULL_TRACER) -> "PreparedQuery":
+    def prepare(self, q: Any) -> "PreparedQuery":
         """Compile ``q`` (through the cache) into a reusable handle whose
         :meth:`PreparedQuery.execute` skips straight to backend execution
-        and stitching."""
+        and stitching.  Publishes a record of kind ``prepare``: the
+        compile phases and cache traffic count against the fingerprint,
+        no execution does."""
+        started_at, t0 = time.time(), time.perf_counter()
         qq = to_q(q)
-        compiled = self.compile(qq, tracer=tracer)
-        code = self._codegen(compiled, tracer)
-        if self.stats is not None:
-            # Account the compile-phase cost and cache traffic against
-            # the fingerprint without counting an execution.
-            self.stats.record_compile(compiled.fingerprint,
-                                      compiled.compile_time,
-                                      compiled.cache_hit)
+        compiled, code = self._prepare(qq)
+        self._publish(ExecutionRecord(
+            "prepare", self.backend.name, started_at,
+            time.perf_counter() - t0, fingerprint=compiled.fingerprint,
+            cache_hit=compiled.cache_hit, bundle_size=compiled.bundle.size,
+            phases=dict(compiled.timings)))
         return PreparedQuery(self, qq, compiled, code,
                              self.catalog.schema_generation)
 
     def run(self, q: Any) -> Any:
         """Execute a query and return its result as a plain Python value
         (the paper's ``fromQ``)."""
-        tracer = self._start_trace("run")
-        collector = (AnalyzeCollector()
-                     if self.slow_query_threshold is not None else None)
-        info: dict[str, Any] = {"trace_id": tracer.trace_id}
-        started_at = time.time()
-        t0 = time.perf_counter()
-        try:
-            compiled = self.compile(q, tracer=tracer)
-            info.update(fingerprint=compiled.fingerprint,
-                        cache_hit=compiled.cache_hit,
-                        bundle_size=compiled.bundle.size,
-                        bundle=compiled.bundle)
-            tracer.root.set(fingerprint=compiled.fingerprint,
-                            cache_hit=compiled.cache_hit,
-                            bundle_size=compiled.bundle.size)
-            code = self._codegen(compiled, tracer)
-            info["compile_time"] = compiled.compile_time
-            return self._execute(compiled.bundle, code, tracer, collector,
-                                 info=info)
-        except Exception as err:
-            _note_error(info, err)
-            raise
-        finally:
-            self._record_execution("run", tracer, info, started_at,
-                                   time.perf_counter() - t0, collector)
+        return self._execute(
+            "run", lambda tracer: (*self._prepare(q, tracer), True))[0]
 
     def explain(self, q: Any, analyze: bool = False,
                 properties: bool = False) -> ExplainReport:
@@ -433,36 +357,21 @@ class Connection:
         human-readable form, :meth:`~repro.obs.ExplainReport.to_dict`
         for a JSON-able one.
         """
-        compiled = self.compile(q)
-        prepared = self._codegen(compiled)
-        artifacts = self.backend.describe_prepared(prepared)
+        handle = self.prepare(q)
+        compiled = handle.compiled
+        artifacts = self.backend.describe_prepared(handle._code)
         table_rows = self._table_stats()
-        analyze_report = None
-        drift = None
+        analyze_report = drift = None
         if analyze:
-            collector = AnalyzeCollector(per_op=True)
-            # A real execution: it lands in the flight recorder and the
-            # statement stats like any run, so their totals keep
-            # reconciling with ``executions`` and the METRICS counters.
-            info: dict[str, Any] = {"fingerprint": compiled.fingerprint,
-                                    "cache_hit": compiled.cache_hit,
-                                    "bundle_size": compiled.bundle.size,
-                                    "bundle": compiled.bundle}
-            started_at = time.time()
-            t0 = time.perf_counter()
-            try:
-                self._execute(compiled.bundle, prepared, NULL_TRACER,
-                              collector, info=info)
-            except Exception as err:
-                _note_error(info, err)
-                raise
-            finally:
-                elapsed = time.perf_counter() - t0
-                self._record_execution("explain-analyze", NULL_TRACER, info,
-                                       started_at, elapsed, collector)
+            # A real execution of the prepared bundle, recorded like any
+            # other.
+            rec = self._execute(
+                "explain-analyze",
+                lambda tracer: (compiled, handle._code, False),
+                analyze=True)[1]
             analyze_report = build_analyze(
-                compiled.bundle, collector, self.backend.name,
-                elapsed, table_rows=table_rows)
+                compiled.bundle, rec.queries, self.backend.name,
+                rec.duration, table_rows=table_rows)
             from ..analysis.lint import lint_report
             drift = lint_report(compiled.bundle, analyze_report,
                                 self.backend.name, table_rows=table_rows)
@@ -474,67 +383,101 @@ class Connection:
                             drift=drift)
 
     # ------------------------------------------------------------------
+    def _execute(self, kind: str,
+                 plan: "Callable[[Any], tuple[CompiledQuery, Any, bool]]",
+                 analyze: bool = False) -> "tuple[Any, ExecutionRecord]":
+        """The one execution path: obtain the plan, run the bundle on
+        the backend, stitch -- and, whatever happened, finish by
+        building and publishing the one record of it.
+
+        ``plan(tracer)`` returns ``(compiled, code, fresh)``; ``fresh``
+        says the compile ran inside this execution, so its phases and
+        cache verdict belong to this record (otherwise the plan came
+        ready-made from a prepared handle: a hit, no compile phases).
+        ``analyze`` is EXPLAIN ANALYZE: operator/step profiles, no trace.
+        """
+        started_at, t0 = time.time(), time.perf_counter()
+        tracer = (Tracer(kind, backend=self.backend.name)
+                  if self.trace_enabled and not analyze
+                  and self.sampling.sample() else NULL_TRACER)
+        backend = self.backend.name
+        phases: dict[str, float] = {}
+        #: The record's fields, known as far as the execution got.
+        fields: dict[str, Any] = {}
+        bundle = result = None
+        try:
+            compiled, code, fresh = plan(tracer)
+            bundle = compiled.bundle
+            fields.update(fingerprint=compiled.fingerprint,
+                          cache_hit=compiled.cache_hit if fresh else True,
+                          bundle_size=bundle.size)
+            if fresh:
+                phases.update(compiled.timings)
+                tracer.root.set(**fields)
+            else:
+                tracer.root.set(fingerprint=compiled.fingerprint,
+                                bundle_size=bundle.size)
+            # No span of its own: the per-query ``execute`` spans sit
+            # directly under the root.
+            with phase(NULL_TRACER, phases, "execute"):
+                result = self.backend.execute_bundle(
+                    bundle, self.catalog, prepared=code, tracer=tracer,
+                    per_op=analyze)
+            rows = sum(len(r) for r in result.rows)
+            fields.update(queries=result.profiles, rows=rows,
+                          queries_issued=result.queries_issued,
+                          est_rows=(bundle.cost.est_rows
+                                    if bundle.cost is not None else None))
+            with phase(tracer, phases, "stitch") as span:
+                value = stitch(bundle, result.rows)
+                span.set(rows=rows)
+        except Exception as err:
+            err_code = getattr(err, "code", None)
+            fields.update(error=repr(err), error_code=(
+                err_code if isinstance(err_code, str) else None))
+            raise
+        finally:
+            duration = time.perf_counter() - t0
+            slow = (self.slow_query_threshold is not None
+                    and duration >= self.slow_query_threshold)
+            trace = tracer.finish()
+            if trace is not None and self.sampling.keep(slow):
+                self._last_trace = trace
+                for sink in self.sinks:
+                    sink.emit(trace)
+            else:
+                trace = None
+            rec = ExecutionRecord(
+                kind, backend, started_at, duration, phases=phases,
+                slow=slow, trace_id=tracer.trace_id, trace=trace,
+                analyze=(build_analyze(bundle, result.profiles, backend,
+                                       duration)
+                         if slow and result is not None else None),
+                **fields)
+            self._publish(rec)
+        return value, rec
+
+    def _prepare(self, q: Any, tracer=NULL_TRACER
+                 ) -> "tuple[CompiledQuery, Any]":
+        """Compile ``q`` and generate (or fetch) the backend's code."""
+        compiled = self.compile(q, tracer=tracer)
+        return compiled, self._codegen(compiled, tracer)
+
     def _codegen(self, compiled: CompiledQuery, tracer=NULL_TRACER) -> Any:
         """The backend's generated code for ``compiled``, reusing (and
         filling) the plan-cache entry's per-backend codegen store."""
         entry = compiled.cache_entry
-        with tracer.span("codegen", backend=self.backend.name) as sp:
-            if entry is not None:
-                code = entry.codegen.get(self.backend.name)
-                if code is not None:
-                    sp.set(cached=True)
-                    return code
-            t0 = time.perf_counter()
+        name = self.backend.name
+        code = entry.codegen.get(name) if entry is not None else None
+        if code is not None:
+            with tracer.span("codegen", backend=name, cached=True):
+                return code
+        with phase(tracer, compiled.timings, "codegen", backend=name,
+                   cached=False):
             code = self.backend.prepare_bundle(compiled.bundle)
-            compiled.timings["codegen"] = time.perf_counter() - t0
-            sp.set(cached=False)
-        METRICS.histogram("phase.codegen").observe(compiled.timings["codegen"])
         if entry is not None and code is not None:
-            entry.codegen[self.backend.name] = code
+            entry.codegen[name] = code
         return code
-
-    def _execute(self, bundle: Bundle, code: Any, tracer=NULL_TRACER,
-                 collector: "AnalyzeCollector | None" = None,
-                 info: "dict[str, Any] | None" = None) -> Any:
-        t0 = time.perf_counter()
-        result = self.backend.execute_bundle(bundle, self.catalog,
-                                             prepared=code, tracer=tracer,
-                                             collector=collector)
-        execute_time = time.perf_counter() - t0
-        exemplar = ({"trace_id": tracer.trace_id}
-                    if tracer.trace_id is not None else None)
-        METRICS.histogram("phase.execute").observe(execute_time,
-                                                   exemplar=exemplar)
-        # Cached or not, every execution issues the bundle's queries --
-        # the Section 3.2 avalanche metric counts executions, not
-        # compilations.
-        self.queries_issued += result.queries_issued
-        self.executions += 1
-        METRICS.counter("connection.executions").inc()
-        METRICS.counter("connection.queries").inc(result.queries_issued)
-        with tracer.span("stitch") as sp:
-            t0 = time.perf_counter()
-            value = stitch(bundle, result.rows)
-            rows = sum(len(r) for r in result.rows)
-            sp.set(rows=rows)
-        METRICS.histogram("phase.stitch").observe(time.perf_counter() - t0)
-        METRICS.counter("connection.rows_stitched").inc(rows)
-        if info is not None:
-            # Feed the statement-stats reconciliation surface: rows here
-            # is the stitched-row count (== connection.rows_stitched
-            # delta), queries the avalanche metric.
-            info["rows"] = rows
-            info["queries"] = result.queries_issued
-            info["execute_time"] = execute_time
-            if bundle.cost is not None:
-                # Static row estimate for the drift lint's per-
-                # fingerprint comparison (/statements, D500).
-                info["est_rows"] = bundle.cost.est_rows
-        return value
-
-    def _check_tables(self, q: Q) -> None:
-        for ref in tables_referenced(q.exp).values():
-            self.catalog.check_reference(ref)
 
     def _table_stats(self) -> dict[str, int]:
         """Exact per-table row counts (compile-time statistics).  Tables
@@ -574,43 +517,17 @@ class PreparedQuery:
 
     def execute(self) -> Any:
         """Run the prepared bundle and stitch the result."""
+        return self.connection._execute("execute-prepared", self._plan)[0]
+
+    def _plan(self, tracer) -> "tuple[CompiledQuery, Any, bool]":
         conn = self.connection
-        tracer = conn._start_trace("execute-prepared")
-        collector = (AnalyzeCollector()
-                     if conn.slow_query_threshold is not None else None)
-        info: dict[str, Any] = {"trace_id": tracer.trace_id}
-        started_at = time.time()
-        t0 = time.perf_counter()
-        try:
-            if conn.catalog.schema_generation != self._schema_generation:
-                # DDL since prepare(): re-validate and recompile.
-                fresh = conn.prepare(self._q, tracer=tracer)
-                self.compiled = fresh.compiled
-                self._code = fresh._code
-                self._schema_generation = fresh._schema_generation
-            info.update(fingerprint=self.compiled.fingerprint,
-                        cache_hit=True,
-                        bundle_size=self.compiled.bundle.size,
-                        bundle=self.compiled.bundle)
-            tracer.root.set(fingerprint=self.compiled.fingerprint,
-                            bundle_size=self.compiled.bundle.size)
-            return conn._execute(self.compiled.bundle, self._code, tracer,
-                                 collector, info=info)
-        except Exception as err:
-            _note_error(info, err)
-            raise
-        finally:
-            conn._record_execution("execute-prepared", tracer, info,
-                                   started_at,
-                                   time.perf_counter() - t0, collector)
-
-
-def _note_error(info: dict, err: Exception) -> None:
-    """Record a failed execution's exception (and its stable diagnostic
-    code, when it carries one) in the execution info dict."""
-    info["error"] = repr(err)
-    code = getattr(err, "code", None)
-    info["error_code"] = code if isinstance(code, str) else None
+        if conn.catalog.schema_generation == self._schema_generation:
+            return self.compiled, self._code, False
+        # DDL since prepare(): re-validate and recompile, as part of
+        # this execution.
+        self.compiled, self._code = conn._prepare(self._q, tracer)
+        self._schema_generation = conn.catalog.schema_generation
+        return self.compiled, self._code, True
 
 
 def _resolve_backend(backend: "str | Any | None"):

@@ -102,9 +102,10 @@ class TestBackend:
     def test_artifacts_contain_programs(self, paper_catalog):
         db = Connection(backend="mil", catalog=paper_catalog)
         compiled = db.compile(running_example_query(db))
-        result = db.backend.execute_bundle(compiled.bundle, paper_catalog)
-        assert len(result.artifacts["mil"]) == 2
-        assert "join" in result.artifacts["mil"][1]
+        programs = db.backend.describe_prepared(
+            db.backend.prepare_bundle(compiled.bundle))
+        assert len(programs) == 2
+        assert "join" in programs[1]
 
     def test_column_programs_match_row_engine(self, paper_catalog):
         q_mil = running_example_query(

@@ -6,6 +6,7 @@ import pytest
 
 from repro import Connection, fmap
 from repro.bench.workloads import numbers_dataset, paper_dataset
+from repro.obs import ExecutionRecord
 from repro.runtime import Catalog
 from repro.semantics import Interpreter
 
@@ -50,6 +51,16 @@ def nums_db() -> Connection:
 def oracle(paper_catalog) -> Interpreter:
     """The reference interpreter over the paper dataset."""
     return Interpreter(paper_catalog)
+
+
+def execution_record(fingerprint: "str | None", duration: float,
+                     **fields) -> ExecutionRecord:
+    """A record as ``Connection`` would publish it (kind ``run`` on the
+    engine unless ``fields`` say otherwise), for feeding the views
+    directly."""
+    defaults = dict(kind="run", backend="engine", started_at=0.0)
+    return ExecutionRecord(fingerprint=fingerprint, duration=duration,
+                           **{**defaults, **fields})
 
 
 def feature_meanings_query(db: Connection):

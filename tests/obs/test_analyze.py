@@ -8,7 +8,7 @@ import pytest
 from repro import AnalyzeReport, Connection, to_q
 from repro.algebra import describe, postorder
 from repro.bench.table1 import running_example_query
-from repro.obs import AnalyzeCollector, build_analyze
+from repro.obs import QueryProfile, build_analyze
 
 
 class TestEnginePerOperator:
@@ -162,13 +162,10 @@ class TestReportSurface:
         operator's exclusive time (shared DAG nodes counted once)."""
         q = running_example_query(paper_db)
         compiled = paper_db.compile(q)
-        collector = AnalyzeCollector(per_op=True)
-        paper_db._execute(compiled.bundle,
-                          paper_db._codegen(compiled),
-                          collector=collector)
+        profiles = paper_db.explain(q, analyze=True).analyze.queries
         from repro.obs.analyze import _subtree_time
         from repro.algebra import postorder
-        for qp, query in zip(collector.queries, compiled.bundle.queries):
+        for qp, query in zip(profiles, compiled.bundle.queries):
             nodes = list(postorder(query.plan))
             times = {id(n): op.time for n, op in zip(nodes, qp.ops)}
             root_cum = _subtree_time(query.plan, times)
@@ -179,11 +176,9 @@ class TestReportSurface:
         """Query shares are computed against the supplied bundle total."""
         q = to_q([1, 2, 3])
         compiled = paper_db.compile(q)
-        collector = AnalyzeCollector()
-        qp = collector.query(1)
-        qp.time, qp.rows = 0.25, 3
-        report = build_analyze(compiled.bundle, collector, "engine",
-                               total_time=0.5)
+        report = build_analyze(compiled.bundle,
+                               [QueryProfile(1, time=0.25, rows=3)],
+                               "engine", total_time=0.5)
         assert report.total_time == 0.5
         assert report.total_rows == 3
         assert "(50.0% of bundle)" in report.annotated[0]

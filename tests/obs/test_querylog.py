@@ -11,19 +11,16 @@ from repro.bench.table1 import running_example_query
 from repro.errors import FerryError
 from repro.obs import (
     AlwaysSample,
-    QueryLogEntry,
     RatioSample,
     SlowOnlySample,
     resolve_sampling,
 )
 
+from ..conftest import execution_record
 
-def entry(duration: float, **kw) -> QueryLogEntry:
-    defaults = dict(fingerprint="fp", backend="engine", kind="run",
-                    started_at=0.0, duration=duration, cache_hit=False,
-                    bundle_size=1, rows=0)
-    defaults.update(kw)
-    return QueryLogEntry(**defaults)
+
+def entry(duration: float, **kw):
+    return execution_record("fp", duration, **kw)
 
 
 class TestRetention:
@@ -122,14 +119,15 @@ class TestConnectionRecording:
         [rec] = db.query_log.recent
         assert rec.slow is False
         assert rec.analyze is None
-        # the stopwatch still ran, so the row count is known
+        # every record carries its row count
         assert rec.rows is not None and rec.rows > 0
 
     def test_no_threshold_means_no_stopwatch(self, paper_db):
         paper_db.run(running_example_query(paper_db))
         [rec] = paper_db.query_log.recent
-        # no stopwatch -> no promoted profile; the stitched-row count is
-        # recorded regardless (it reconciles with connection.rows_stitched)
+        # no threshold -> nothing is slow -> no promoted profile; the
+        # row count is recorded regardless (it reconciles with
+        # connection.rows_stitched)
         assert rec.analyze is None
         assert rec.rows is not None and rec.rows > 0
 
@@ -142,9 +140,9 @@ def _missing_table():
 class TestErrorCodes:
     def test_coded_entries_accumulate_per_code(self):
         log = QueryLog()
-        log.record(entry(0.1, error="boom", code="F301"))
-        log.record(entry(0.1, error="boom", code="F301"))
-        log.record(entry(0.1, error="boom", code="S400"))
+        log.record(entry(0.1, error="boom", error_code="F301"))
+        log.record(entry(0.1, error="boom", error_code="F301"))
+        log.record(entry(0.1, error="boom", error_code="S400"))
         log.record(entry(0.1, error="boom"))  # codeless error
         assert log.error_count == 4
         assert log.error_codes == {"F301": 2, "S400": 1}
@@ -163,14 +161,14 @@ class TestErrorCodes:
             paper_db.run(q)
         newest, _ = paper_db.query_log.recent
         assert newest.error is not None
-        assert newest.code == "F301"
+        assert newest.error_code == "F301"
         assert paper_db.query_log.snapshot()["error_codes"] == {"F301": 1}
 
     def test_codeless_errors_leave_codes_empty(self, paper_db):
         with pytest.raises(FerryError):
             paper_db.run(_missing_table())
         [rec] = paper_db.query_log.recent
-        assert rec.code is None
+        assert rec.error_code is None
         assert paper_db.query_log.error_codes == {}
 
 

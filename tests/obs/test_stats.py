@@ -21,6 +21,8 @@ from repro.errors import ObservabilityError
 from repro.obs import EVICTED, UNFINGERPRINTED, StatementStats
 from repro.obs.metrics import METRICS
 
+from ..conftest import execution_record as rec
+
 
 def counters():
     """The METRICS counters the stats totals must reconcile against."""
@@ -53,10 +55,10 @@ class TestStatementStatsUnit:
 
     def test_record_accumulates_exact_counts(self):
         stats = StatementStats()
-        stats.record("fp1", duration=0.1, rows=5, queries=2,
-                     cache_hit=False)
-        stats.record("fp1", duration=0.3, rows=5, queries=2,
-                     cache_hit=True)
+        stats.record(rec("fp1", 0.1, rows=5, queries_issued=2,
+                         cache_hit=False))
+        stats.record(rec("fp1", 0.3, rows=5, queries_issued=2,
+                         cache_hit=True))
         entry = stats.get("fp1")
         assert entry["calls"] == 2
         assert entry["rows"] == 10
@@ -69,10 +71,10 @@ class TestStatementStatsUnit:
 
     def test_errors_counted_separately_with_codes(self):
         stats = StatementStats()
-        stats.record("fp1", duration=0.1)
-        stats.record("fp1", duration=0.1, error="boom", error_code="F301")
-        stats.record("fp1", duration=0.1, error="boom", error_code="F301")
-        stats.record("fp1", duration=0.1, error="boom")
+        stats.record(rec("fp1", 0.1))
+        stats.record(rec("fp1", 0.1, error="boom", error_code="F301"))
+        stats.record(rec("fp1", 0.1, error="boom", error_code="F301"))
+        stats.record(rec("fp1", 0.1, error="boom"))
         entry = stats.get("fp1")
         assert entry["calls"] == 1
         assert entry["errors"] == 3
@@ -80,28 +82,29 @@ class TestStatementStatsUnit:
 
     def test_none_fingerprint_lands_in_unfingerprinted(self):
         stats = StatementStats()
-        stats.record(None, duration=0.1, error="boom")
+        stats.record(rec(None, 0.1, error="boom"))
         assert stats.get(UNFINGERPRINTED)["errors"] == 1
 
     def test_worst_trace_id_follows_max_time(self):
         stats = StatementStats()
-        stats.record("fp1", duration=0.2, trace_id="aa")
-        stats.record("fp1", duration=0.9, trace_id="bb")
-        stats.record("fp1", duration=0.4, trace_id="cc")
+        stats.record(rec("fp1", 0.2, trace_id="aa"))
+        stats.record(rec("fp1", 0.9, trace_id="bb"))
+        stats.record(rec("fp1", 0.4, trace_id="cc"))
         assert stats.get("fp1")["worst_trace_id"] == "bb"
 
     def test_quantiles_from_reservoir(self):
         stats = StatementStats()
         for ms in range(1, 101):
-            stats.record("fp1", duration=ms / 1000.0)
+            stats.record(rec("fp1", ms / 1000.0))
         entry = stats.get("fp1")
         assert entry["p50"] == pytest.approx(0.050, abs=0.002)
         assert entry["p99"] == pytest.approx(0.099, abs=0.002)
 
-    def test_record_compile_counts_no_call(self):
+    def test_prepare_record_counts_no_call(self):
         stats = StatementStats()
-        stats.record_compile("fp1", 0.05, cache_hit=False)
-        stats.record_compile("fp1", 0.0, cache_hit=True)
+        stats.record(rec("fp1", 0.05, kind="prepare",
+                         phases={"lift": 0.05}, cache_hit=False))
+        stats.record(rec("fp1", 0.0, kind="prepare", cache_hit=True))
         entry = stats.get("fp1")
         assert entry["calls"] == 0
         assert entry["cache_hits"] == 1
@@ -109,8 +112,8 @@ class TestStatementStatsUnit:
 
     def test_reset_drops_everything(self):
         stats = StatementStats(capacity=1)
-        stats.record("fp1", duration=0.1)
-        stats.record("fp2", duration=0.1)  # evicts fp1
+        stats.record(rec("fp1", 0.1))
+        stats.record(rec("fp2", 0.1))  # evicts fp1
         stats.reset()
         snap = stats.snapshot()
         assert snap["tracked"] == 0
@@ -122,7 +125,7 @@ class TestEvictionInvariant:
     def test_eviction_folds_into_overflow_keeping_totals_exact(self):
         stats = StatementStats(capacity=4)
         for i in range(20):
-            stats.record(f"fp{i}", duration=0.01, rows=3, queries=2)
+            stats.record(rec(f"fp{i}", 0.01, rows=3, queries_issued=2))
         snap = stats.snapshot()
         assert snap["tracked"] == 4
         assert snap["evicted_statements"] == 16
@@ -136,18 +139,18 @@ class TestEvictionInvariant:
 
     def test_lru_evicts_least_recently_called(self):
         stats = StatementStats(capacity=2)
-        stats.record("old", duration=0.1)
-        stats.record("hot", duration=0.1)
-        stats.record("hot", duration=0.1)  # touch: "old" is now LRU
-        stats.record("new", duration=0.1)  # evicts "old"
+        stats.record(rec("old", 0.1))
+        stats.record(rec("hot", 0.1))
+        stats.record(rec("hot", 0.1))  # touch: "old" is now LRU
+        stats.record(rec("new", 0.1))  # evicts "old"
         assert stats.get("old") is None
         assert stats.get("hot") is not None
         assert stats.get("new") is not None
 
     def test_evicted_bucket_carries_worst_case_forward(self):
         stats = StatementStats(capacity=1)
-        stats.record("slow", duration=9.0, trace_id="tt")
-        stats.record("fast", duration=0.1)  # evicts "slow"
+        stats.record(rec("slow", 9.0, trace_id="tt"))
+        stats.record(rec("fast", 0.1))  # evicts "slow"
         snap = stats.snapshot()
         assert snap["evicted"]["max_time"] == pytest.approx(9.0)
         assert snap["evicted"]["worst_trace_id"] == "tt"
@@ -239,3 +242,89 @@ class TestMetricsReconciliation:
         with pytest.raises(Exception):
             conn.run(table("missing", [("n", int)]))
         reconcile(conn, before)
+
+    @pytest.mark.parametrize("kind", ["run", "execute-prepared",
+                                      "explain-analyze", "failing-run",
+                                      "prepare"])
+    def test_every_view_is_the_published_record(self, kind, monkeypatch):
+        """Whatever ``Connection`` publishes, the flight recorder, the
+        statement-stats totals and the METRICS deltas are that record,
+        field by field."""
+        from repro.frontend.tables import table
+        conn = Connection(catalog=paper_dataset())
+        q = running_example_query(conn)
+        handle = conn.prepare(q)
+        published = []
+        record = conn.stats.record
+        monkeypatch.setattr(conn.stats, "record",
+                            lambda rec: (published.append(rec), record(rec)))
+        metrics = METRICS.snapshot()
+        totals = conn.statement_stats()["totals"]
+        logged = conn.query_log.recorded
+
+        if kind == "run":
+            conn.run(q)
+        elif kind == "execute-prepared":
+            handle.execute()
+        elif kind == "explain-analyze":
+            conn.explain(q, analyze=True)  # a prepare, then the execution
+        elif kind == "failing-run":
+            with pytest.raises(Exception):
+                conn.run(table("missing", [("n", int)]))
+        else:
+            conn.prepare(q)
+        rec = published[-1]
+        assert rec.kind == ("run" if kind == "failing-run" else kind)
+        assert (rec.error is not None) == (kind == "failing-run")
+        executed = [r for r in published if r.executed]
+
+        def total(values):
+            return pytest.approx(sum(values))
+
+        # the flight recorder holds the record itself
+        assert conn.query_log.recorded - logged == len(executed)
+        if executed:
+            assert conn.query_log.recent[0] is rec
+
+        # statement stats
+        after = conn.statement_stats()["totals"]
+        delta = {key: after[key] - totals[key] for key in after}
+        assert delta["calls"] == sum(r.error is None for r in executed)
+        assert delta["errors"] == sum(r.error is not None for r in executed)
+        assert delta["cache_hits"] == sum(r.cache_hit for r in published)
+        assert delta["rows"] == sum(r.rows or 0 for r in executed)
+        assert delta["queries"] == sum(r.queries_issued for r in executed)
+        assert delta["compile_time"] == total(r.compile_time
+                                              for r in published)
+        assert delta["execute_time"] == total(r.execute_time
+                                              for r in executed)
+        assert delta["total_time"] == total(r.duration for r in executed)
+
+        # METRICS
+        now = METRICS.snapshot()
+
+        def moved(name):
+            return now.get(name, 0) - metrics.get(name, 0)
+
+        assert moved("connection.executions") == delta["calls"]
+        assert moved("connection.errors") == delta["errors"]
+        assert moved("connection.queries") == delta["queries"]
+        assert moved("connection.rows_stitched") == delta["rows"]
+        assert moved("backend.engine.queries") == delta["queries"]
+        assert moved("backend.engine.rows") == delta["rows"]
+        assert moved("connection.compiles") == sum("check" in r.phases
+                                                   for r in published)
+        for name in ("check", "lookup", "lift", "optimize", "codegen",
+                     "execute", "stitch"):
+            hist, was = now.get(f"phase.{name}"), metrics.get(f"phase.{name}")
+            ran = [r.phases[name] for r in published if name in r.phases]
+            assert (hist["count"] if hist else 0) \
+                - (was["count"] if was else 0) == len(ran)
+            if ran:
+                assert hist["sum"] - (was["sum"] if was else 0.0) == \
+                    total(ran)
+        per_query = [p.time for r in executed for p in r.queries]
+        assert now["backend.engine.query_seconds"]["count"] \
+            - metrics["backend.engine.query_seconds"]["count"] == \
+            len(per_query) == sum(r.bundle_size for r in executed
+                                  if r.rows is not None)

@@ -3,7 +3,7 @@ many threads must lose no updates and create exactly one aggregate per
 fingerprint.
 
 The aggregator serializes mutation under one lock; these tests are the
-empirical check that the wiring (``run`` -> ``_record_execution`` ->
+empirical check that the wiring (``run`` -> one ``ExecutionRecord`` ->
 ``StatementStats.record``) preserves exactness when the *callers* race,
 and that raw :class:`StatementStats` stays exact even while eviction is
 churning the LRU under the same lock.
@@ -19,6 +19,8 @@ from repro import Connection
 from repro.bench.workloads import numbers_dataset
 from repro.errors import VerifyError
 from repro.obs.stats import StatementStats
+
+from ..conftest import execution_record as rec
 
 THREADS = 8
 RUNS_PER_THREAD = 25
@@ -66,6 +68,11 @@ class TestConnectionConcurrency:
         snap = conn.statement_stats()
         assert snap["totals"]["calls"] == THREADS * RUNS_PER_THREAD
         assert snap["totals"]["errors"] == 0
+        # The connection's own counters are updated in the same finish
+        # step as the views: no lost updates there either.
+        assert conn.executions == conn.query_log.recorded == \
+            snap["totals"]["calls"]
+        assert conn.queries_issued == snap["totals"]["queries"]
         # One aggregate per distinct program: no duplicate fingerprints.
         assert snap["tracked"] == len(queries)
         fps = [s["fingerprint"] for s in snap["statements"]]
@@ -120,8 +127,8 @@ class TestAggregatorConcurrency:
 
         def worker(i):
             for j in range(per_thread):
-                stats.record(f"fp{i}-{j % 40}", duration=0.001,
-                             rows=2, queries=1)
+                stats.record(rec(f"fp{i}-{j % 40}", 0.001, rows=2,
+                                 queries_issued=1))
 
         hammer(THREADS, worker)
         snap = stats.snapshot()

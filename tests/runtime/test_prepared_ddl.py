@@ -10,6 +10,7 @@ the differential property suite.
 import pytest
 
 from repro import Connection
+from repro.bench.workloads import numbers_dataset
 from repro.semantics import Interpreter
 
 BACKENDS = ("engine", "sqlite", "mil")
@@ -69,6 +70,26 @@ class TestPreparedAcrossDDL:
         bumped = handle._schema_generation
         handle.execute()  # no further DDL: no further re-prepare
         assert handle._schema_generation == bumped
+
+    def test_reprepare_is_recorded_as_the_compile_that_ran(self):
+        """An execute that re-prepares after DDL is a cache miss with
+        compile phases -- in the trace, the flight recorder and the
+        statement stats alike; the next execute is a plain hit again."""
+        db = Connection(catalog=numbers_dataset(10))
+        handle = db.prepare(db.table("nums").filter(lambda r: r > 2))
+        db.create_table("other", [("x", int)], [(1,)])
+        handle.execute()
+        assert db.last_trace.find("cache-lookup").attrs["hit"] is False
+        assert db.last_trace.find("lift") is not None
+        rec = db.query_log.recent[0]
+        assert rec.cache_hit is False
+        assert {"lift", "optimize"} <= set(rec.phases)
+        assert db.stats.get(handle.fingerprint)["cache_hits"] == 0
+        handle.execute()
+        rec = db.query_log.recent[0]
+        assert rec.cache_hit is True
+        assert set(rec.phases) == {"execute", "stitch"}
+        assert db.stats.get(handle.fingerprint)["cache_hits"] == 1
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_dropped_table_surfaces_schema_error(self, backend):
