@@ -12,7 +12,8 @@ stage ``"drift"``):
 ``D500``    rows misestimate: a point estimate differs from the
             measured row count beyond the ratio budget (default
             :data:`DEFAULT_RATIO_BUDGET` x) and the absolute slack
-            (tiny relations never alarm)
+            (tiny relations never alarm), or a query's measured peak
+            intermediate exceeds the model's sound upper bound
 ``D501``    cost inversion: the model ranked one bundle query far
             cheaper than a sibling, but the sibling measured far
             faster (both above the noise floor)
@@ -124,6 +125,16 @@ def lint_report(bundle: Any, analyze: Any, backend: str,
                 f"{profile.rows} (budget {ratio_budget:g}x)", query=qi))
         if profile.ops:
             nodes = list(postorder(query.plan))
+            bounds = [est.rows_hi for est in
+                      (model.memo[id(node)] for node in nodes)
+                      if est.rows_hi is not None]
+            if (len(bounds) == len(nodes)
+                    and profile.peak_rows > max(bounds)):
+                out.append(Diagnostic(
+                    "D500", "drift",
+                    f"peak intermediate of {profile.peak_rows} rows "
+                    f"exceeds the model's upper bound {max(bounds):g}",
+                    query=qi))
             for op in profile.ops:
                 node_est = model.memo[id(nodes[op.ref])]
                 if _misestimate(node_est.rows, op.rows_out, ratio_budget):
@@ -195,15 +206,23 @@ def _parse_assume(pairs: "list[str]") -> dict[str, int]:
 
 def _golden_workload(backend: str) -> "list[tuple[str, Any, Any]]":
     """(name, connection, query) triples of the golden workload: the
-    paper's running example plus a nested-orders report."""
+    paper's running example on Figure 1 and on the Table 1 instance at
+    100 categories (where a data-sized intermediate shows), plus a
+    nested-orders report."""
     from ..bench.table1 import running_example_query
-    from ..bench.workloads import orders_dataset, paper_dataset
+    from ..bench.workloads import (
+        avalanche_dataset,
+        orders_dataset,
+        paper_dataset,
+    )
     from ..frontend import fmap, pyq, tup
     from ..runtime.connection import Connection
 
     runs: list[tuple[str, Any, Any]] = []
-    db = Connection(backend=backend, catalog=paper_dataset())
-    runs.append(("running_example", db, running_example_query(db)))
+    for name, catalog in (("running_example", paper_dataset()),
+                          ("table1_100", avalanche_dataset(100))):
+        db = Connection(backend=backend, catalog=catalog)
+        runs.append((name, db, running_example_query(db)))
     orders = Connection(backend=backend,
                         catalog=orders_dataset(n_customers=25))
     customers = orders.table("customers")

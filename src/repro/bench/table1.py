@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from ..baselines.haskelldb import HaskellDBSession
 from ..baselines.haskelldb import run_running_example as haskelldb_example
-from ..frontend import qc
+from ..frontend import concat_map, fst, group_with, nub, pyq, qc, the, tup
 from ..runtime import Catalog, Connection
 from .stats import Measurement, measure
 from .workloads import avalanche_dataset
@@ -49,6 +49,39 @@ def running_example_query(db: Connection):
     return qc("[(the(cat), nub(concatMap(descr, fac)))"
               " | (cat, fac) <- facilities, then group by cat]",
               facilities=facilities, descr=descr_facility)
+
+
+def running_example_variants(db: Connection) -> dict:
+    """The same program through each front end (``qc``, ``pyq``, fluent
+    combinators): as written the three place their guards differently;
+    join-graph isolation compiles them to one plan."""
+    facilities, features, meanings = (
+        db.table(t) for t in ("facilities", "features", "meanings"))
+
+    def descr_pyq(f):
+        return pyq("[mean for (feat, mean) in meanings"
+                   " for (fac, feat2) in features"
+                   " if feat == feat2 and fac == f]",
+                   meanings=meanings, features=features, f=f)
+
+    def descr_fluent(f):
+        return concat_map(
+            lambda me: features.filter(
+                lambda ft: (ft[1] == me[0]) & (ft[0] == f))
+            .map(lambda ft: me[1]),
+            meanings)
+
+    groups = group_with(lambda r: r[0], facilities)
+    return {
+        "qc": running_example_query(db),
+        "pyq": pyq("[(the([cat for (cat, fac) in g]),"
+                   "  nub([m for (cat, fac) in g for m in descr(fac)]))"
+                   " for g in groups]",
+                   groups=groups, descr=descr_pyq, the=the, nub=nub),
+        "fluent": groups.map(
+            lambda g: tup(the(g.map(fst)),
+                          nub(concat_map(lambda r: descr_fluent(r[1]), g)))),
+    }
 
 
 def run_dsh(catalog: Catalog, backend: str = "engine"):

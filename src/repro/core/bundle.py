@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from ..algebra import Node, Project
 from ..errors import CompilationError
+from ..expr import Exp, free_vars, normalize
 from ..ftypes import AtomT, ListT, Type, count_list_constructors
 from .layout import AtomLay, Layout, NestLay, TupleLay, Vec, layout_cols
 from .lift import LiftCompiler
@@ -143,7 +144,27 @@ def serialize(vec: Vec, result_ty: Type) -> Bundle:
 
 def compile_exp(exp, decorrelate: bool = True) -> Bundle:
     """Loop-lift a closed expression and serialize the resulting vectors
-    (the complete compile pipeline minus optimization)."""
+    (the complete compile pipeline minus optimization).
+
+    ``decorrelate`` switches join-graph isolation as a whole: the
+    expression normal form (``repro.expr.normalize``) and the lifter's
+    decorrelated-filter rule that turns its isolated filters into joins.
+    """
+    if decorrelate:
+        exp = _isolated(exp)
     compiler = LiftCompiler(decorrelate=decorrelate)
     vec = compiler.compile_top(exp)
     return serialize(vec, exp.ty)
+
+
+def _isolated(exp: Exp) -> Exp:
+    """``normalize(exp)``, refused if it changed the type or captured a
+    variable -- a normaliser bug must not reach a backend as a plan."""
+    out = normalize(exp)
+    if out is not exp and (out.ty != exp.ty
+                           or not free_vars(out) <= free_vars(exp)):
+        raise CompilationError(
+            f"join-graph isolation broke the program: {exp.ty.show()} with "
+            f"free variables {sorted(free_vars(exp))} became "
+            f"{out.ty.show()} with {sorted(free_vars(out))}")
+    return out

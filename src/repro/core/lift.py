@@ -87,8 +87,9 @@ Env = dict[str, Vec]
 class LiftCompiler:
     """One compilation run (owns the fresh-name supply).
 
-    ``decorrelate=False`` disables the join-graph-isolation rule (the
-    correlated-filter decorrelation), exposing the naive quadratic
+    ``decorrelate=False`` disables the decorrelated-filter rule (the
+    lifter's half of join-graph isolation; ``compile_exp`` switches the
+    expression normal form off with it), exposing the naive quadratic
     ``loop x source`` plans -- used by the decorrelation ablation.
     """
 

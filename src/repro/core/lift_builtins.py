@@ -42,7 +42,17 @@ from ..algebra import (
     UnionAll,
 )
 from ..errors import CompilationError
-from ..expr import AppE, LamE
+from ..expr import (
+    AppE,
+    BinOpE,
+    Exp,
+    LamE,
+    TupleE,
+    TupleElemE,
+    VarE,
+    conjuncts,
+    free_vars,
+)
 from ..ftypes import AtomT, BoolT, DoubleT, IntT, ListT, Type
 from .layout import AtomLay, Layout, NestLay, TupleLay, Vec, layout_cols, relabel
 from .lift import Env, LiftCompiler, Loop
@@ -200,11 +210,16 @@ def _filter_vec(comp: LiftCompiler, lam: LamE, xv: Vec, env: Env) -> Vec:
     return comp.renumber(vec)
 
 
-def _split_and(e) -> list:
-    from ..expr import BinOpE
-    if isinstance(e, BinOpE) and e.op == "and":
-        return _split_and(e.lhs) + _split_and(e.rhs)
-    return [e]
+def _projected(e: Exp, param: str, lay: Layout) -> "Layout | None":
+    """The part of an element's layout that the projection path
+    ``param.i.j...`` denotes (``None`` for any other expression)."""
+    if isinstance(e, VarE):
+        return lay if e.name == param else None
+    if isinstance(e, TupleElemE):
+        inner = _projected(e.tup, param, lay)
+        if isinstance(inner, TupleLay):
+            return inner.parts[e.index]
+    return None
 
 
 def _try_decorrelated_filter(comp: LiftCompiler, lam: LamE, xs_exp,
@@ -214,13 +229,14 @@ def _try_decorrelated_filter(comp: LiftCompiler, lam: LamE, xs_exp,
     correlating elements with the iteration context -- as one equi-join
     between the per-iteration key values and the source evaluated *once*.
 
-    This is the compiler half of the paper's join-graph isolation [10]:
-    without it, ``xs`` materializes as loop x source (quadratic in the
-    Table 1 workload, where the running example filters ``features`` by
-    the iterated facility); with it, the plan is the join the paper's
+    This is the lifter's half of the paper's join-graph isolation [10];
+    ``repro.expr.normalize`` is the other, handing it each such filter
+    around the largest closed generator product.  Without the pair,
+    ``xs`` materializes as loop x source (quadratic in the Table 1
+    workload, where the running example filters ``features`` by the
+    iterated facility); with it, the plan is the join the paper's
     appendix SQL shows (``a0001.item10_str = a0003.facility``).
     """
-    from ..expr import BinOpE, Exp, TupleE, free_vars
     if not comp.decorrelate:
         return None  # ablation: rule disabled
     if free_vars(xs_exp):
@@ -228,7 +244,7 @@ def _try_decorrelated_filter(comp: LiftCompiler, lam: LamE, xs_exp,
     param = lam.param
     keys: list[tuple[Exp, Exp]] = []  # (element side, iteration side)
     rest: list[Exp] = []
-    for conj in _split_and(lam.body):
+    for conj in conjuncts(lam.body):
         if isinstance(conj, BinOpE) and conj.op == "eq":
             fv_l, fv_r = free_vars(conj.lhs), free_vars(conj.rhs)
             if fv_l == {param} and param not in fv_r:
@@ -243,12 +259,18 @@ def _try_decorrelated_filter(comp: LiftCompiler, lam: LamE, xs_exp,
 
     # The source, compiled once under the unit loop (loop hoisting).
     base = comp.compile(xs_exp, comp.unit_loop(), {})
-    # Element-side key columns, computed per source element.
-    elem_body = (keys[0][0] if len(keys) == 1
-                 else TupleE(tuple(k for k, _ in keys)))
-    key_lam = LamE(param, lam.param_ty, elem_body)
-    plan, _bi, bp, lay, klay = _attach_lambda(comp, key_lam, base, {})
-    key_cols = layout_cols(klay)
+    # Element-side key columns: the source's own where every key is a
+    # projection of the element, else computed per source element.
+    own = [_projected(k, param, base.layout) for k, _ in keys]
+    if all(isinstance(part, AtomLay) for part in own):
+        plan, bp, lay = base.plan, base.pos_col, base.layout
+        key_cols = [_atom_col(part) for part in own]
+    else:
+        elem_body = (keys[0][0] if len(keys) == 1
+                     else TupleE(tuple(k for k, _ in keys)))
+        key_lam = LamE(param, lam.param_ty, elem_body)
+        plan, _bi, bp, lay, klay = _attach_lambda(comp, key_lam, base, {})
+        key_cols = layout_cols(klay)
     # Iteration-side key values: one row per live iteration.
     free_body = (keys[0][1] if len(keys) == 1
                  else TupleE(tuple(f for _, f in keys)))
@@ -261,9 +283,7 @@ def _try_decorrelated_filter(comp: LiftCompiler, lam: LamE, xs_exp,
         return vec
     rest_body = rest[0]
     for conj in rest[1:]:
-        from ..ftypes import BoolT as _B
-        from ..expr import BinOpE as _BinOpE
-        rest_body = _BinOpE("and", rest_body, conj, _B)
+        rest_body = BinOpE("and", rest_body, conj, BoolT)
     return _filter_vec(comp, LamE(param, lam.param_ty, rest_body), vec, env)
 
 

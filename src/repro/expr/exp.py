@@ -14,6 +14,7 @@ as dictionary keys by the compiler.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -34,6 +35,14 @@ class FnT(Type):
 
     def show(self) -> str:
         return f"({self.arg.show()} -> {self.res.show()})"
+
+
+_fresh_counter = itertools.count()
+
+
+def fresh_var(prefix: str = "x") -> str:
+    """A globally fresh variable name for lambda parameters."""
+    return f"{prefix}{next(_fresh_counter)}"
 
 
 class Exp:

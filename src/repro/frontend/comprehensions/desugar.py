@@ -72,7 +72,7 @@ Extractor = Callable[[Q], Q]
 def desugar_comprehension(comp: P.PComp, env: Scope) -> Q:
     """Lower a parsed comprehension to a combinator query."""
     stream, binders = None, {}
-    for qual in _schedule_guards(comp.quals):
+    for qual in comp.quals:
         stream, binders = _step(qual, stream, binders, env)
     if stream is None:
         # No generator at all: [e | guards] behaves like a 0/1-element list.
@@ -81,84 +81,9 @@ def desugar_comprehension(comp: P.PComp, env: Scope) -> Q:
     return C.fmap(lambda t: _eval(comp.head, _scope(binders, t, env)), stream)
 
 
-def _conjuncts(e: P.PExpr) -> list[P.PExpr]:
-    """Split a guard into its top-level ``and`` conjuncts."""
-    if isinstance(e, P.PBin) and e.op == "and":
-        return _conjuncts(e.lhs) + _conjuncts(e.rhs)
-    return [e]
-
-
-def _schedule_guards(quals: tuple[P.PQual, ...]) -> list[P.PQual]:
-    """Attach each guard conjunct at the earliest qualifier that binds its
-    variables (classic comprehension guard pushdown).
-
-    Filtering early keeps generator cross products small -- the
-    comprehension-level half of the paper's "join graph isolation" [10];
-    the compiler's decorrelation rule (``repro.core``) is the other half.
-    Guards never move across a ``group by`` (it rebinds every variable);
-    moving across sorts and unrelated generators is semantics-preserving
-    for the pure predicates the query language admits.
-    """
-    slots: list[tuple[P.PQual, list[P.PExpr]]] = []  # (qual, guards after)
-    bound_after: list[set[str]] = []  # names bound once slot i has run
-    bound: set[str] = set()
-    barrier = 0  # first slot index a guard may attach to (post group-by)
-
-    def attach(conj: P.PExpr) -> None:
-        deps = _names(conj)
-        target = None
-        for i in range(barrier, len(slots)):
-            if deps & bound <= bound_after[i]:
-                target = i
-                break
-        if target is None and slots:
-            target = len(slots) - 1
-        if target is None:
-            slots.append((P.PGuard(conj), []))
-            bound_after.append(set(bound))
-            return
-        qual, _ = slots[target]
-        if (isinstance(qual, FusedGen)
-                and deps & bound <= _pat_names(qual.pat)):
-            qual.fused.append(conj)
-        else:
-            slots[target][1].append(conj)
-
-    for qual in quals:
-        if isinstance(qual, P.PGuard):
-            for conj in _conjuncts(qual.cond):
-                attach(conj)
-            continue
-        if isinstance(qual, P.PGen):
-            qual = FusedGen(qual.pat, qual.src, [])
-            bound |= _pat_names(qual.pat)
-        elif isinstance(qual, P.PLet):
-            bound.add(qual.name)
-        slots.append((qual, []))
-        bound_after.append(set(bound))
-        if isinstance(qual, P.PGroup):
-            barrier = len(slots)
-
-    out: list[P.PQual] = []
-    for qual, guards in slots:
-        out.append(qual)
-        out.extend(P.PGuard(g) for g in guards)
-    return out
-
-
-class FusedGen(P.PQual):
-    """A generator with guard conjuncts fused into its source: the source
-    list is filtered *before* it is paired with the outer stream."""
-
-    def __init__(self, pat: P.PPat, src: P.PExpr, fused: list[P.PExpr]):
-        self.pat = pat
-        self.src = src
-        self.fused = fused
-
-
 def _step(qual: P.PQual, stream: Q | None,
           binders: dict[str, Extractor], env: Scope):
-    if isinstance(qual, (P.PGen, FusedGen)):
+    if isinstance(qual, P.PGen):
         return _add_generator(qual, stream, binders, env)
     if stream is None and not isinstance(qual, P.PGen):
         # Guards/lets before any generator run over the unit stream.
@@ -192,11 +117,11 @@ def _step(qual: P.PQual, stream: Q | None,
     raise ComprehensionSyntaxError(f"unknown qualifier {qual!r}")
 
 
-def _add_generator(gen: "P.PGen | FusedGen", stream: Q | None,
+def _add_generator(gen: P.PGen, stream: Q | None,
                    binders: dict[str, Extractor], env: Scope):
     pat = gen.pat
     if stream is None:
-        src = _generator_source(gen, dict(env))
+        src = _as_list_source(_eval(gen.src, dict(env)))
         new_binders: dict[str, Extractor] = {}
         _bind_pattern(pat, _identity, new_binders)
         return src, new_binders
@@ -206,30 +131,11 @@ def _add_generator(gen: "P.PGen | FusedGen", stream: Q | None,
     new = C.concat_map(
         lambda t: C.fmap(
             lambda y: tup(t, y),
-            _generator_source(gen, _scope(binders, t, env))),
+            _as_list_source(_eval(gen.src, _scope(binders, t, env)))),
         stream)
     shifted = {n: _compose(ex, 0) for n, ex in binders.items()}
     _bind_pattern(pat, _compose(_identity, 1), shifted)
     return new, shifted
-
-
-def _generator_source(gen: "P.PGen | FusedGen", scope: dict) -> Q:
-    """Evaluate a generator source, applying fused guard conjuncts as a
-    filter over the source *before* it is paired with the stream."""
-    src = _as_list_source(_eval(gen.src, scope))
-    fused = getattr(gen, "fused", None)
-    if not fused:
-        return src
-
-    def pred(y: Q) -> Q:
-        inner = dict(scope)
-        _destructure(gen.pat, y, inner)
-        out = to_q(_eval(fused[0], inner))
-        for conj in fused[1:]:
-            out = out & to_q(_eval(conj, inner))
-        return out
-
-    return C.ffilter(pred, src)
 
 
 def _as_list_source(value: Any) -> Q:
@@ -277,57 +183,6 @@ def _scope(binders: Mapping[str, Extractor], t: Q, env: Scope) -> dict:
     for name, ex in binders.items():
         scope[name] = ex(t)
     return scope
-
-
-def _names(e: P.PExpr) -> set[str]:
-    out: set[str] = set()
-    stack: list[Any] = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, P.PVar):
-            out.add(node.name)
-        elif isinstance(node, P.PLam):
-            out |= _names(node.body) - _pat_names(node.pat)
-        elif isinstance(node, P.PComp):
-            out |= _comp_free_names(node)
-        elif hasattr(node, "__dataclass_fields__"):
-            for field in node.__dataclass_fields__:
-                val = getattr(node, field)
-                if isinstance(val, (P.PExpr, P.PQual, P.PPat)):
-                    stack.append(val)
-                elif isinstance(val, tuple):
-                    stack.extend(v for v in val
-                                 if isinstance(v, (P.PExpr, P.PQual, P.PPat)))
-    return out
-
-
-def _pat_names(pat: P.PPat) -> set[str]:
-    if isinstance(pat, P.PVarPat):
-        return {pat.name}
-    if isinstance(pat, P.PTuplePat):
-        names: set[str] = set()
-        for sub in pat.parts:
-            names |= _pat_names(sub)
-        return names
-    return set()
-
-
-def _comp_free_names(comp: P.PComp) -> set[str]:
-    bound: set[str] = set()
-    free: set[str] = set()
-    for qual in comp.quals:
-        if isinstance(qual, P.PGen):
-            free |= _names(qual.src) - bound
-            bound |= _pat_names(qual.pat)
-        elif isinstance(qual, P.PGuard):
-            free |= _names(qual.cond) - bound
-        elif isinstance(qual, P.PLet):
-            free |= _names(qual.value) - bound
-            bound.add(qual.name)
-        elif isinstance(qual, (P.PGroup, P.PSort)):
-            free |= _names(qual.key) - bound
-    free |= _names(comp.head) - bound
-    return free
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,6 @@ unpacked with ``a, b = q``.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Iterator
 
 from ..errors import QTypeError
@@ -32,6 +31,7 @@ from ..expr import (
     TupleElemE,
     UnOpE,
     VarE,
+    fresh_var,
 )
 from ..ftypes import (
     AtomT,
@@ -51,14 +51,6 @@ from ..ftypes import (
     is_orderable,
     normalize_value,
 )
-
-_fresh_counter = itertools.count()
-
-
-def fresh_var(prefix: str = "x") -> str:
-    """A globally fresh variable name for lambda parameters."""
-    return f"{prefix}{next(_fresh_counter)}"
-
 
 class Q:
     """A queryable value of some Ferry type (the paper's ``Q a``).

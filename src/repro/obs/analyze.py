@@ -84,9 +84,15 @@ class QueryProfile:
         """Widest intermediate relation, or ``None`` without per-op data."""
         return max((op.width for op in self.ops), default=None)
 
+    @property
+    def peak_rows(self) -> "int | None":
+        """Largest intermediate relation (operator or step output), or
+        ``None`` without per-op data -- what the plan's shape costs."""
+        return max((op.rows_out for op in self.ops), default=None)
+
     def to_dict(self) -> dict[str, Any]:
         return {"index": self.index, "time": self.time, "rows": self.rows,
-                "peak_width": self.peak_width,
+                "peak_width": self.peak_width, "peak_rows": self.peak_rows,
                 "ops": [op.to_dict() for op in self.ops]}
 
 
@@ -158,10 +164,12 @@ def build_analyze(bundle, queries: "Sequence[QueryProfile]", backend: str,
     for profile, query in zip(queries, bundle.queries):
         share = 100.0 * profile.time / total if total else 0.0
         est = model.estimate(query.plan)
+        peak = ("" if profile.peak_rows is None
+                else f"peak_rows={profile.peak_rows} ")
         header = (f"-- Q{profile.index} (iter={query.iter_col}, "
                   f"pos={query.pos_col}, "
                   f"items={', '.join(query.item_cols)})"
-                  f"  [rows={profile.rows} est_rows={est.rows:g} "
+                  f"  [rows={profile.rows} est_rows={est.rows:g} {peak}"
                   f"time={profile.time * 1e3:.3f} ms "
                   f"({share:.1f}% of bundle)]")
         chunk = [header]

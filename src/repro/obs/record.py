@@ -89,6 +89,13 @@ class ExecutionRecord:
     def execute_time(self) -> float:
         return self.phases.get("execute", 0.0)
 
+    @property
+    def peak_intermediate_rows(self) -> "int | None":
+        """Largest operator/step output of any bundle query, or ``None``
+        when no query carries per-op profiles."""
+        return max((q.peak_rows for q in self.queries
+                    if q.peak_rows is not None), default=None)
+
     def summary(self) -> dict[str, Any]:
         """JSON-able digest (traces/profiles reduced to flags)."""
         return {

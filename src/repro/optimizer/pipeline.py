@@ -12,10 +12,12 @@ On the stabilized plan one *property-driven* sweep runs (key-based
 Distinct elimination, RowNum over an already-dense order column,
 constant-true Select -- driven by ``repro.analysis`` inference); if it
 fires, a single syntactic tidy-up round absorbs the leftovers.
-Running inference once on the *smallest* plan -- and
-sharing its :class:`~repro.analysis.PropsCache` with the final
-verifier -- keeps the analysis layer's compile-time cost to a single
-memoized walk per compile.
+The sweep, its cost gate and the final verifier share one
+:class:`~repro.analysis.PropsCache`, which memoizes per node *object*:
+nodes a pass rebuilt are analysed again and every cost-gated candidate
+re-estimates its whole plan, so a cold compile makes dozens of
+inference and plan-cost calls (36 and 30 on the running example), not
+one walk -- the optimizer is most of a cold compile.
 
 Every query of a bundle is verified by the staged plan verifier
 (``repro.analysis``) before it reaches a backend; under verifier debug

@@ -136,8 +136,8 @@ class Connection:
                  statement_stats: bool = True):
         self.catalog = catalog or Catalog()
         self.optimize = optimize
-        #: Join-graph isolation (correlated-filter decorrelation); only
-        #: ever disabled by the ablation benchmarks.
+        #: Join-graph isolation (expression normal form + decorrelated
+        #: filters); only ever disabled by the ablation benchmarks.
         self.decorrelate = decorrelate
         self.backend = _resolve_backend(backend)
         self.plan_cache = (plan_cache if plan_cache is not None

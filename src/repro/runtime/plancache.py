@@ -40,7 +40,7 @@ class CacheKey(NamedTuple):
     fingerprint: str
     #: Was the Pathfinder-style rewrite pipeline applied?
     optimize: bool
-    #: Was correlated-filter decorrelation applied?
+    #: Was join-graph isolation (normal form + decorrelation) applied?
     decorrelate: bool
     #: The catalog's DDL generation when the plan was compiled; any
     #: CREATE/DROP bumps it, invalidating every prior entry.

@@ -89,6 +89,22 @@ class TestD500:
         out = [d for d in lint_report(FakeBundle(plan), report, "engine")
                if d.code == "D500" and d.node_ref is not None]
         assert len(out) == 1 and out[0].node_ref == 0
+        # the same profile's peak (4000 rows) is past the plan's sound
+        # upper bound (a 2-row literal): one more, query-level finding
+        (peak,) = [d for d in
+                   lint_report(FakeBundle(plan), report, "engine")
+                   if d.code == "D500" and "peak" in d.message]
+        assert peak.query == 0 and peak.node_ref is None
+
+    def test_peak_inside_the_upper_bound_is_clean(self):
+        plan = lit(2)
+        op = OpProfile(ref=0, op="LitTable 2x2", time=0.0,
+                       rows_in=0, rows_out=2, width=2)
+        report = analyze_for(
+            QueryProfile(index=1, time=0.0, rows=2, ops=[op]))
+        assert not [d for d in
+                    lint_report(FakeBundle(plan), report, "engine")
+                    if d.code == "D500"]
 
     def test_statements_snapshot_misestimate(self):
         snap = {"statements": [
@@ -186,7 +202,7 @@ class TestCLI:
         assert findings and all(f["code"].startswith("D5")
                                 for f in findings)
         assert {f["workload"] for f in findings} <= {
-            "running_example", "nested_orders"}
+            "running_example", "table1_100", "nested_orders"}
 
     def test_bad_assume_rows_rejected(self):
         with pytest.raises(SystemExit):

@@ -92,17 +92,18 @@ class TestBundleScript:
         q = running_example_query(db)
         q1, q2 = db.backend.prepare_bundle(db.compile(q).bundle)
         # Q1 and Q2 both read the first table ...
-        assert q1.steps[0].name == q2.steps[0].name == "ferry_m0000"
+        assert q1.steps[0].name == "ferry_m0000"
+        assert "ferry_m0000" in [step.name for step in q2.steps]
         tables = {step.name for step in q1.steps + q2.steps}
-        assert len(tables) == 8
+        assert len(tables) == 7
         # ... and the run creates it, like every other one, once
         sent = statements_sent(db, q)
         created = [s for s in sent if s.startswith("CREATE TEMP TABLE")]
-        assert len(created) == len(set(created)) == 8
-        assert sum(s.startswith("INSERT INTO temp.") for s in sent) == 8
-        # 18 auxiliary statements (BEGIN, 8 x CREATE + INSERT, ROLLBACK)
+        assert len(created) == len(set(created)) == 7
+        assert sum(s.startswith("INSERT INTO temp.") for s in sent) == 7
+        # 16 auxiliary statements (BEGIN, 7 x CREATE + INSERT, ROLLBACK)
         # around the bundle's two
-        assert len(sent) == 20
+        assert len(sent) == 18
 
     def test_statement_count_is_independent_of_the_data(self):
         counts = []
@@ -118,7 +119,7 @@ class TestBundleScript:
         outer, inner = bundle_script(db, running_example_query(db))
         for part in (outer, inner):
             assert part.startswith("-- dialect sqlite")
-        assert (outer + inner).count("CREATE TEMP TABLE") == 8
+        assert (outer + inner).count("CREATE TEMP TABLE") == 7
         assert outer.count("temp.ferry_m0000 (") == 1
         assert inner.count("temp.ferry_m0000 (") == 0
 

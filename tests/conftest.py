@@ -6,6 +6,7 @@ import pytest
 
 from repro import Connection, fmap
 from repro.bench.workloads import numbers_dataset, paper_dataset
+from repro.expr import free_vars, normalize
 from repro.obs import ExecutionRecord
 from repro.runtime import Catalog
 from repro.semantics import Interpreter
@@ -76,10 +77,25 @@ def feature_meanings_query(db: Connection):
         facilities)
 
 
+def check_normal_form(exp, catalog: Catalog, expected=None):
+    """The normaliser's contract on one program: same value under the
+    list-prelude semantics, same type, no new free variable, and a fixed
+    point.  Returns the normal form."""
+    if expected is None:
+        expected = Interpreter(catalog).run(exp)
+    normal = normalize(exp)
+    assert Interpreter(catalog).run(normal) == expected
+    assert normal.ty == exp.ty
+    assert free_vars(normal) <= free_vars(exp)
+    assert normalize(normal) is normal
+    return normal
+
+
 def run_all_ways(q, catalog: Catalog):
     """Evaluate a query through the oracle and every backend; assert they
     agree and return the common value (the differential-testing core)."""
     expected = Interpreter(catalog).run(q.exp)
+    check_normal_form(q.exp, catalog, expected)
     for backend in BACKENDS:
         actual = Connection(backend=backend, catalog=catalog).run(q)
         assert actual == expected, (

@@ -1,15 +1,15 @@
-"""The decorrelation (join-graph isolation) rule and guard scheduling."""
+"""Join-graph isolation: where the normal form places guard conjuncts,
+and the lifter's decorrelated-filter rule that compiles them."""
 
 import pytest
 
-from repro import Connection, ffilter, fmap, table
+from repro import Connection, ffilter, fmap, qc, table, to_q
+from repro.expr import AppE, conjuncts, normalize
 from repro.frontend.comprehensions import parser as P
-from repro.frontend.comprehensions.desugar import (
-    FusedGen,
-    _conjuncts,
-    _schedule_guards,
-)
+from repro.frontend.comprehensions.desugar import desugar_comprehension
 from repro.semantics import Interpreter
+
+from ..conftest import check_normal_form
 
 
 @pytest.fixture()
@@ -21,45 +21,91 @@ def db():
     return conn
 
 
+def filters(exp):
+    """``(source, conjunct count)`` of every filter in ``exp``, with the
+    source a table name, ``product`` or the builtin it filters."""
+    out = []
+
+    def go(e):
+        if isinstance(e, AppE) and e.fun == "filter":
+            src = e.args[1]
+            name = getattr(src, "name", None) or (
+                "product" if getattr(src, "fun", "") == "concat_map"
+                else getattr(src, "fun", type(src).__name__))
+            out.append((name, len(conjuncts(e.args[0].body))))
+        for child in e.children():
+            go(child)
+
+    go(exp)
+    return sorted(out)
+
+
 class TestGuardScheduling:
-    def parse(self, src):
-        return P.parse_comprehension(src).quals
+    """The placements the desugarer's guard scheduler used to make, now
+    asserted on the normal form of what ``qc`` emits as written."""
+
+    XS = table("xs", [("a", int)])
+    YS = table("ys", [("b", int)])
+    T = table("t", [("k", int), ("v", str)])
+
+    def normal(self, src, **env):
+        env = {"xs": self.XS, "ys": self.YS, "t": self.T, **env}
+        written = desugar_comprehension(P.parse_comprehension(src), env).exp
+        return written, normalize(written)
 
     def test_conjunct_split(self):
-        expr = P.parse_expression("a and b and c")
-        assert len(_conjuncts(expr)) == 3
+        _, n = self.normal("[x | x <- xs, y <- ys, x > 1 and y > 2 and x == y]")
+        assert sum(count for _, count in filters(n)) == 3
 
     def test_single_generator_guard_fused(self):
-        quals = _schedule_guards(self.parse("[x | x <- xs, x > 1]"))
-        (gen,) = quals
-        assert isinstance(gen, FusedGen)
-        assert len(gen.fused) == 1
+        written, n = self.normal("[x | x <- xs, x > 1]")
+        assert filters(n) == [("xs", 1)]
+        assert n is written  # already where it belongs
 
     def test_multi_generator_guard_stays_after(self):
-        quals = _schedule_guards(self.parse(
-            "[x | x <- xs, y <- ys, x == y]"))
-        assert isinstance(quals[0], FusedGen) and not quals[0].fused
-        assert isinstance(quals[1], FusedGen) and not quals[1].fused
-        assert isinstance(quals[2], P.PGuard)
+        # ... after the generator that binds its last variable: on its
+        # source, where the lifter's rule makes it the join key
+        written, n = self.normal("[x | x <- xs, y <- ys, x == y]")
+        assert filters(written) == [("product", 1)]
+        assert filters(n) == [("ys", 1)]
 
     def test_mixed_guard_splits_across_generators(self):
-        quals = _schedule_guards(self.parse(
-            "[x | x <- xs, y <- ys, x > 1 and y > 2 and x == y]"))
-        assert quals[0].fused and len(quals[0].fused) == 1   # x > 1
-        assert quals[1].fused and len(quals[1].fused) == 1   # y > 2
-        assert isinstance(quals[2], P.PGuard)                # x == y
+        _, n = self.normal(
+            "[x | x <- xs, y <- ys, x > 1 and y > 2 and x == y]")
+        assert filters(n) == [("xs", 1), ("ys", 2)]   # x > 1 | y > 2, x == y
 
     def test_guard_never_crosses_group_by(self):
-        quals = _schedule_guards(self.parse(
-            "[the(x) | x <- xs, then group by x, length(x) > 1]"))
+        written, n = self.normal(
+            "[the(x) | x <- xs, then group by x, length(x) > 1]")
         # the guard references x *after* grouping; it must stay there
-        assert isinstance(quals[-1], P.PGuard)
-        assert not quals[0].fused
+        assert filters(n) == [("group_with", 1)]
+        assert n is written
 
     def test_free_variable_guard_fuses_into_generator(self):
-        quals = _schedule_guards(self.parse("[v | (k, v) <- t, k == x]"))
-        (gen,) = quals
-        assert len(gen.fused) == 1
+        written, n = self.normal("[v | (k, v) <- t, k == x]", x=to_q(1))
+        assert filters(n) == [("t", 1)]
+        assert n is written
+
+    def test_correlated_key_floats_around_the_closed_product(self):
+        inner = lambda f: qc(  # noqa: E731
+            "[v | x <- xs, (k, v) <- t, x == k and k == f]",
+            xs=self.XS, t=self.T, f=f)
+        n = normalize(fmap(inner, self.XS).exp)
+        # x == k is the product's own join key; k == f joins the product,
+        # compiled once, to the enclosing iteration
+        assert filters(n) == [("product", 1), ("t", 1)]
+
+    def test_three_generators_recurse_into_the_left_product(self):
+        zs = table("zs", [("c", int)])
+        _, n = self.normal(
+            "[z | x <- xs, y <- ys, z <- zs, x == y and y == z]", zs=zs)
+        assert filters(n) == [("ys", 1), ("zs", 1)]
+
+    def test_partial_and_builtin_conjuncts_stay_where_written(self):
+        written, n = self.normal(
+            "[x | x <- xs, y <- ys, x // y > 1 and length([x]) == y]")
+        assert filters(n) == [("product", 2)]
+        assert n is written
 
 
 class TestDecorrelationSemantics:
@@ -68,6 +114,7 @@ class TestDecorrelationSemantics:
         q = fmap(lambda x: ffilter(lambda r: r[0] == x % 4, t),
                  db.table("nums"))
         oracle = Interpreter(db.catalog).run(q.exp)
+        check_normal_form(q.exp, db.catalog, oracle)
         assert db.run(q) == oracle
         naive = Connection(catalog=db.catalog, decorrelate=False)
         assert naive.run(q) == oracle
@@ -82,6 +129,7 @@ class TestDecorrelationSemantics:
         q = fmap(lambda x: ffilter(lambda r: (r[0] == 1) & (r[1] != "a"), t),
                  db.table("nums"))
         oracle = Interpreter(db.catalog).run(q.exp)
+        check_normal_form(q.exp, db.catalog, oracle)
         assert db.run(q) == oracle
 
     def test_swapped_equality_sides(self, db):
@@ -89,6 +137,7 @@ class TestDecorrelationSemantics:
         q = fmap(lambda x: ffilter(lambda r: x % 4 == r[0], t),
                  db.table("nums"))
         oracle = Interpreter(db.catalog).run(q.exp)
+        check_normal_form(q.exp, db.catalog, oracle)
         assert db.run(q) == oracle
 
     def test_non_invariant_source_not_decorrelated(self, db):
@@ -98,6 +147,7 @@ class TestDecorrelationSemantics:
         q = fmap(lambda x: ffilter(lambda y: y == x,
                                    nums.map(lambda z: z + x)), nums)
         oracle = Interpreter(db.catalog).run(q.exp)
+        check_normal_form(q.exp, db.catalog, oracle)
         assert db.run(q) == oracle
 
     def test_running_example_agrees_across_modes(self):

@@ -51,6 +51,12 @@ class TestEnginePerOperator:
                                   analyze=True)
         for qp in report.analyze.queries:
             assert qp.peak_width == max(op.width for op in qp.ops)
+            assert qp.peak_rows == max(op.rows_out for op in qp.ops)
+            assert f"peak_rows={qp.peak_rows} " in \
+                report.analyze.annotated[qp.index - 1].splitlines()[0]
+        record = paper_db.query_log.recent[0]
+        assert record.peak_intermediate_rows == max(
+            qp.peak_rows for qp in report.analyze.queries)
 
     def test_root_rows_out_equals_query_rows(self, paper_db):
         """The last postorder node is the plan root: its output
@@ -76,8 +82,11 @@ class TestOtherBackends:
         for qp in analyze.queries:
             assert qp.ops == []
             assert qp.peak_width is None
+            assert qp.peak_rows is None
             assert qp.rows > 0
             assert qp.time >= 0.0
+        assert "peak_rows" not in analyze.render()
+        assert db.query_log.recent[0].peak_intermediate_rows is None
 
     def test_sqlite_profiles_every_temp_table_step(self, paper_catalog):
         db = Connection(backend="sqlite", catalog=paper_catalog)
@@ -102,7 +111,7 @@ class TestOtherBackends:
                 assert op.rows_in is None
                 assert op.rows_out > 0
                 assert 0.0 <= op.time <= qp.time
-        assert len(built) == 8
+        assert len(built) == 7
         # the rows the engine sees at the same operators
         engine = Connection(backend="engine", catalog=paper_catalog)
         reference = engine.explain(running_example_query(engine),
@@ -112,7 +121,7 @@ class TestOtherBackends:
                 assert op.rows_out == ref_qp.ops[op.ref].rows_out
         rendered = report.analyze.render()
         assert "in=" not in rendered
-        assert rendered.count("| out=") == 8
+        assert rendered.count("| out=") == 7
 
     def test_all_backends_agree_on_rows(self, paper_catalog):
         rows = set()
@@ -139,7 +148,7 @@ class TestReportSurface:
                                   analyze=True)
         text = str(report)
         assert "== analyze (backend=engine" in text
-        assert re.search(r"-- Q1 .*\[rows=\d+ est_rows=[\d.]+ "
+        assert re.search(r"-- Q1 .*\[rows=\d+ est_rows=[\d.]+ peak_rows=\d+ "
                          r"time=\d+\.\d+ ms \(\d+\.\d+% of bundle\)\]",
                          text)
         # per-operator annotation on at least every plan line with a ref
@@ -156,6 +165,7 @@ class TestReportSurface:
         assert [q["index"] for q in analyze["queries"]] == [1, 2]
         for q in analyze["queries"]:
             assert q["peak_width"] == max(op["width"] for op in q["ops"])
+            assert q["peak_rows"] == max(op["rows_out"] for op in q["ops"])
 
     def test_cumulative_time_of_root_covers_the_query(self, paper_db):
         """The root's inclusive subtree time equals the sum of every

@@ -198,6 +198,111 @@ def any_query(draw) -> Q:
 
 
 # ----------------------------------------------------------------------
+# multi-generator comprehensions with scattered guard conjuncts
+# ----------------------------------------------------------------------
+
+_PAIR = st.tuples(st.integers(0, 3), st.integers(0, 3))
+_CMP = {"eq": lambda a, b: a == b, "ne": lambda a, b: a != b,
+        "lt": lambda a, b: a < b, "le": lambda a, b: a <= b}
+
+
+def _pair_table(rows) -> Q:
+    return to_q(rows) if rows else nil(TupleT((IntT, IntT)))
+
+
+@st.composite
+def join_comprehension(draw) -> Q:
+    """``[head | o <- [0..3], g0 <- t0, ..., gn <- tn, guards]`` over 2-4
+    literal pair tables, as one query per value of ``o``.
+
+    Each guard conjunct compares a generator field with another field,
+    the enclosing variable ``o`` or a literal, and is written at a drawn
+    position: on the source of the last generator it mentions or any
+    later one, or as a filter around the binding stream after it --
+    every place a front end may leave a guard.  The last generator's
+    head is either the pair stream's (``qc``/``pyq``) or fused into its
+    ``map`` (combinator style).
+    """
+    n = draw(st.integers(2, 4))
+    tables = [_pair_table(draw(st.lists(_PAIR, max_size=4)))
+              for _ in range(n)]
+    field = st.tuples(st.just("gen"), st.integers(0, n - 1),
+                      st.integers(0, 1))
+    other = st.one_of(field, st.just(("outer",)),
+                      st.tuples(st.just("lit"), st.integers(0, 3)))
+    guards = []  # (generator index, "source" | "around", op, lhs, rhs)
+    for _ in range(draw(st.integers(0, 5))):
+        lhs, rhs = draw(field), draw(other)
+        if draw(st.booleans()):
+            lhs, rhs = rhs, lhs
+        first = max(t[1] for t in (lhs, rhs) if t[0] == "gen")
+        guards.append((draw(st.integers(first, n - 1)),
+                       draw(st.sampled_from(("source", "around"))),
+                       draw(st.sampled_from(sorted(_CMP))), lhs, rhs))
+    fused_head = draw(st.booleans())
+
+    def sited(k, site):
+        return [g[2:] for g in guards if g[:2] == (k, site)]
+
+    def unpack(k):
+        """Generator values ``[g0..gk]`` of an element of stream ``k``
+        (left-nested pairs; stream 0 is the first table itself)."""
+        def gens(s):
+            out = []
+            for _ in range(k):
+                out.append(s[1])
+                s = s[0]
+            return [s] + out[::-1]
+        return gens
+
+    def comprehension(o):
+        def term(t, gens):
+            if t[0] == "gen":
+                return gens[t[1]][t[2]]
+            return o if t[0] == "outer" else to_q(t[1])
+
+        def guarded(k, site, xs, gens_of):
+            conjs = sited(k, site)
+            if not conjs:
+                return xs
+
+            def holds(e):
+                gens = gens_of(e)
+                conds = [_CMP[op](to_q(term(lhs, gens)), term(rhs, gens))
+                         for op, lhs, rhs in conjs]
+                out = conds[0]
+                for c in conds[1:]:
+                    out = out & c
+                return out
+            return ffilter(holds, xs)
+
+        def head(gens):
+            return tup(gens[0][0], gens[-1][1])
+
+        stream = guarded(0, "around",
+                         guarded(0, "source", tables[0], unpack(0)),
+                         unpack(0))
+        for k in range(1, n):
+            fuse = fused_head and k == n - 1 and not sited(k, "around")
+
+            def step(s, k=k, fuse=fuse):
+                before = unpack(k - 1)(s)
+                src = guarded(k, "source", tables[k],
+                              lambda y: before + [y])
+                if fuse:
+                    return fmap(lambda y: head(before + [y]), src)
+                return fmap(lambda y: tup(s, y), src)
+
+            stream = concat_map(step, stream)
+            if fuse:
+                return stream
+            stream = guarded(k, "around", stream, unpack(k))
+        return fmap(lambda s: head(unpack(n - 1)(s)), stream)
+
+    return fmap(comprehension, to_q([0, 1, 2, 3]))
+
+
+# ----------------------------------------------------------------------
 # arbitrary nested values, generated type-first so lists stay homogeneous
 # ----------------------------------------------------------------------
 
