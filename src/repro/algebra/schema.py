@@ -9,7 +9,7 @@ their source instead of surfacing as wrong answers.
 
 from __future__ import annotations
 
-from ..errors import CompilationError
+from ..errors import VerifyError
 from ..expr.exp import ARITH_OPS, BOOL_OPS, CMP_OPS, STR_OPS
 from ..ftypes import AtomT, BoolT, DateT, DoubleT, IntT, StringT, TimeT
 from .ops import (
@@ -68,7 +68,7 @@ def schema_of(node: Node, memo: dict[int, Schema] | None = None) -> Schema:
 
 
 def _fail(node: Node, msg: str, code: str = "F104") -> None:
-    """Raise a coded :class:`CompilationError`.
+    """Raise a coded :class:`VerifyError` (a :class:`CompilationError`).
 
     ``code`` is the verifier's stable diagnostic code (``F101`` unknown
     column, ``F102`` duplicate name, ``F103`` type mismatch, ``F104``
@@ -76,8 +76,7 @@ def _fail(node: Node, msg: str, code: str = "F104") -> None:
     mismatch); the error also carries the offending ``node`` so the
     verifier can attach the pretty-printer's ``@n`` ref.
     """
-    err = CompilationError(f"{node.label}: {msg}")
-    err.code = code
+    err = VerifyError(f"{node.label}: {msg}", code=code)
     err.node = node
     raise err
 
@@ -143,6 +142,8 @@ def _infer(node: Node, memo: dict[int, Schema]) -> Schema:
         child = schema_of(node.child, memo)
         if node.col in child:
             _fail(node, f"column {node.col!r} already exists", code="F102")
+        if not node.order:
+            _fail(node, "numbering without an order is non-deterministic")
         for col, direction in node.order:
             _col(node, child, col)
             if direction not in ("asc", "desc"):

@@ -2,11 +2,9 @@
 
 The engine follows the MonetDB/MIL execution model the paper targets:
 a relation is a set of *parallel columns* (one Python list per column,
-positionally aligned), not a list of row tuples.  Operators become
-whole-column kernels -- projection is pure column aliasing, selection is
-one ``itertools.compress`` pass per column, joins gather via
-``map(col.__getitem__, index)`` -- so the per-row interpretive overhead
-of the seed's tuple-at-a-time evaluator disappears from the hot path.
+positionally aligned), not a list of row tuples, so operators are the
+whole-column kernels of :mod:`repro.backends.kernels` and projection is
+pure column aliasing.
 
 Columns are treated as immutable once a relation is built: kernels that
 "extend" a relation share the input's column objects and only append
@@ -16,8 +14,10 @@ across the bundle-wide materialization cache) safe.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Any, Iterable, Sequence
+from itertools import compress
+from typing import Any, Sequence
+
+from ..kernels import gather
 
 
 class Relation:
@@ -41,18 +41,6 @@ class Relation:
         self.nrows = nrows
         self._index = {c: i for i, c in enumerate(self.cols)}
 
-    @classmethod
-    def from_rows(cls, cols: Sequence[str],
-                  rows: Iterable[tuple]) -> "Relation":
-        """Build a columnar relation by transposing row tuples."""
-        rows = rows if isinstance(rows, list) else list(rows)
-        cols = tuple(cols)
-        if rows:
-            columns = [list(col) for col in zip(*rows)]
-        else:
-            columns = [[] for _ in cols]
-        return cls(cols, columns, len(rows))
-
     # ------------------------------------------------------------------
     @property
     def rows(self) -> list[tuple]:
@@ -71,25 +59,28 @@ class Relation:
         """The (shared, do-not-mutate) value sequence of ``col``."""
         return self.columns[self._index[col]]
 
-    def take(self, index: Sequence[int]) -> "Relation":
-        """Gather rows by position (the MIL backend's ``Take``), keeping
-        the schema: one C-level ``map`` per column."""
+    def extended(self, col: str, values: Sequence[Any]) -> "Relation":
+        """This relation with one more column (the others are shared)."""
+        return Relation(self.cols + (col,), self.columns + [values],
+                        self.nrows)
+
+    def beside(self, other: "Relation") -> "Relation":
+        """This relation's columns followed by ``other``'s, row for row."""
+        return Relation(self.cols + other.cols, self.columns + other.columns,
+                        self.nrows)
+
+    def filtered(self, mask: Sequence[Any]) -> "Relation":
+        """The rows whose ``mask`` entry is true: one
+        ``itertools.compress`` pass per column."""
+        return Relation(self.cols, [list(compress(col, mask))
+                                    for col in self.columns])
+
+    def gathered(self, index: Sequence[int]) -> "Relation":
+        """The rows at the positions of ``index`` (the identity index
+        shares this relation's columns)."""
         return Relation(self.cols,
-                        [list(map(col.__getitem__, index))
-                         for col in self.columns],
+                        [gather(col, index) for col in self.columns],
                         len(index))
-
-    def sort_perm(self, keys: Sequence[tuple[int, bool]]) -> list[int]:
-        """Positions sorted by the ``(column index, descending)`` keys.
-
-        Successive stable sorts, last key first; each pass's key function
-        is the column's bound ``__getitem__`` (no per-row closure), so
-        mixed-direction multi-key sorts stay C-level.
-        """
-        perm = list(range(self.nrows))
-        for idx, descending in reversed(list(keys)):
-            perm.sort(key=self.columns[idx].__getitem__, reverse=descending)
-        return perm
 
     def __len__(self) -> int:
         return self.nrows
@@ -97,14 +88,3 @@ class Relation:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Relation {self.cols} x {self.nrows} rows>"
 
-
-def sort_rows(rows: list[tuple], keys: list[tuple[int, bool]]) -> list[tuple]:
-    """Multi-key sort of row tuples with per-key direction via successive
-    stable sorts (strings cannot be negated, so ``reverse=`` per pass is
-    the portable way to mix ascending and descending keys).  Key
-    extraction uses ``itemgetter`` -- one reusable C-level getter per
-    pass instead of a fresh Python lambda."""
-    out = list(rows)
-    for idx, descending in reversed(keys):
-        out.sort(key=itemgetter(idx), reverse=descending)
-    return out

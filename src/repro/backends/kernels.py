@@ -1,0 +1,252 @@
+"""Column kernels: how a join, sort, numbering, grouping or scalar map
+is computed over plain Python lists.
+
+The paper's MIL target processes whole columns (BATs) per primitive.
+Both executors of that model in this tree -- the in-memory engine, which
+walks an algebra plan, and the MIL VM, which runs a flat column program
+-- assemble their operators from the pure functions below, so each
+algorithm lives in exactly one place.
+
+A *column* is a list, positionally aligned with its relation's other
+columns and never mutated once built; an *index* is a sequence of row
+positions to :func:`gather` by; the *identity index* ``range(n)`` says
+"every row, in place", and gathering by it shares the column.
+"""
+
+from __future__ import annotations
+
+from itertools import compress, groupby, repeat
+from operator import add, eq, ge, gt, le, lt, mul, ne, neg, sub
+from typing import Any, Callable, Iterable, Sequence
+
+from ..errors import ExecutionError, PartialFunctionError
+from ..runtime.catalog import Catalog
+from ..semantics.interp import like_match
+
+Column = Sequence[Any]
+Index = Sequence[int]
+
+
+def _guarded(fn: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    def wrapped(a: Any, b: Any) -> Any:
+        if b == 0:
+            raise PartialFunctionError("division by zero")
+        return fn(a, b)
+    return wrapped
+
+
+#: Scalar operators, applied with ``map`` over whole columns:
+#: ``operator.*`` wherever a C-level callable exists, so the map never
+#: re-enters the interpreter.
+BIN: dict[str, Callable[[Any, Any], Any]] = {
+    "add": add,
+    "sub": sub,
+    "mul": mul,
+    "div": _guarded(lambda a, b: a / b),
+    "idiv": _guarded(lambda a, b: a // b),
+    "mod": _guarded(lambda a, b: a % b),
+    "eq": eq,
+    "ne": ne,
+    "lt": lt,
+    "le": le,
+    "gt": gt,
+    "ge": ge,
+    "and": lambda a, b: a and b,
+    "or": lambda a, b: a or b,
+    "min": min,
+    "max": max,
+    "cat": add,
+    "like": like_match,
+}
+
+UN: dict[str, Callable[[Any], Any]] = {
+    "not": lambda a: not a,
+    "neg": neg,
+    "abs": abs,
+    "to_double": float,
+    "upper": lambda a: a.upper(),
+    "lower": lambda a: a.lower(),
+    "strlen": len,
+    "year": lambda d: d.year,
+    "month": lambda d: d.month,
+    "day": lambda d: d.day,
+    "hour": lambda t: t.hour,
+    "minute": lambda t: t.minute,
+    "second": lambda t: t.second,
+}
+
+
+def transpose(rows: Sequence[tuple[Any, ...]], width: int) -> list[list[Any]]:
+    """Row tuples as ``width`` columns: one C-level ``zip``."""
+    if not rows:
+        return [[] for _ in range(width)]
+    return [list(col) for col in zip(*rows)]
+
+
+def table_columns(catalog: Catalog, table: str,
+                  cols: Iterable[str]) -> list[list[Any]]:
+    """The named columns of a base table: one transposition of its rows,
+    whatever the number of columns asked for."""
+    names = [name for name, _ in catalog.schema(table)]
+    rows = catalog.rows(table)
+    by_name = dict(zip(names, zip(*rows) if rows else repeat(())))
+    return [list(by_name[col]) for col in cols]
+
+
+def gather(col: Column, index: Index) -> Column:
+    """``col`` at the positions of ``index``; the identity index aliases
+    the column (columns are immutable, so sharing one costs nothing)."""
+    if index == range(len(col)):
+        return col
+    return list(map(col.__getitem__, index))
+
+
+def key_column(cols: Sequence[Column]) -> Column:
+    """One hashable, comparable key per row: the value column itself for
+    a single column (no tuple wrapping), a zipped tuple column otherwise."""
+    if len(cols) == 1:
+        return cols[0]
+    return list(zip(*cols))
+
+
+def sort_perm(keys: Sequence[tuple[Column, bool]], nrows: int) -> list[int]:
+    """Row positions sorted by the ``(column, descending)`` keys.
+
+    Successive stable sorts, last key first; each pass's key function is
+    the column's bound ``__getitem__`` (no per-row closure), so
+    mixed-direction multi-key sorts stay C-level.
+    """
+    perm = list(range(nrows))
+    for col, descending in reversed(keys):
+        perm.sort(key=col.__getitem__, reverse=descending)
+    return perm
+
+
+def row_number(perm: Index, part: Sequence[Column]) -> list[int]:
+    """1, 2, 3, ... along ``perm``, restarting per distinct ``part``
+    key.  Numbers are written back through the permutation, so the
+    input's row order is kept and no column needs gathering."""
+    out = [0] * len(perm)
+    if not part:
+        for n, i in enumerate(perm, start=1):
+            out[i] = n
+        return out
+    keys = key_column(part)
+    counters: dict[Any, int] = {}
+    for i in perm:
+        key = keys[i]
+        n = counters.get(key, 0) + 1
+        counters[key] = n
+        out[i] = n
+    return out
+
+
+def dense_rank(perm: Index, cols: Sequence[Column]) -> list[int]:
+    """Dense rank along ``perm``: the rank advances whenever the key
+    over ``cols`` changes; ties share a rank."""
+    out = [0] * len(perm)
+    runs = groupby(perm, key=key_column(cols).__getitem__)
+    for rank, (_, run) in enumerate(runs, start=1):
+        for i in run:
+            out[i] = rank
+    return out
+
+
+def _positions(keys: Iterable[Any]) -> dict[Any, list[int]]:
+    """Each distinct key's row positions, keys in first-occurrence order."""
+    found: dict[Any, list[int]] = {}
+    for i, key in enumerate(keys):
+        rows = found.get(key)
+        if rows is None:
+            found[key] = [i]
+        else:
+            rows.append(i)
+    return found
+
+
+def join_index(lkeys: Column, rkeys: Column) -> tuple[Index, Index]:
+    """The equi-join of two key columns as aligned (left, right) indices.
+
+    When every probe matches exactly one build row the left index is the
+    identity index, so a 1:1 join passes its left columns through
+    untouched and gathers only the right side.
+    """
+    pos = dict(zip(rkeys, range(len(rkeys))))
+    if len(pos) == len(rkeys):
+        # Unique build keys (the common case: the right side is keyed,
+        # e.g. the compiler's surrogate spines): probe the whole key
+        # column with one C-level map, then compress out the misses.
+        hits: list[Any] = list(map(pos.get, lkeys))
+        if None not in hits:
+            return range(len(hits)), hits
+        mask = [j is not None for j in hits]
+        return list(compress(range(len(hits)), mask)), list(compress(hits, mask))
+    li: list[int] = []
+    ri: list[int] = []
+    get = _positions(rkeys).get
+    for i, key in enumerate(lkeys):
+        js = get(key)
+        if js is not None:
+            li += repeat(i, len(js))
+            ri += js
+    return li, ri
+
+
+def semi_mask(lkeys: Column, rkeys: Column, anti: bool) -> list[bool]:
+    """Per left row: does its key occur on the right (``anti``: not)?"""
+    keys = set(rkeys)
+    if anti:
+        return [k not in keys for k in lkeys]
+    return list(map(keys.__contains__, lkeys))
+
+
+def distinct_index(cols: Sequence[Column]) -> Index:
+    """Positions of the first occurrence of each distinct row, ascending;
+    the identity index when no row repeats."""
+    keys = key_column(cols)
+    n = len(keys)
+    # Written back to front, each key ends up holding its first position.
+    first = dict(zip(reversed(keys), range(n - 1, -1, -1)))
+    if len(first) == n:
+        return range(n)
+    return sorted(first.values())
+
+
+def cross_index(nl: int, nr: int) -> tuple[Index, Index]:
+    """Cartesian product of ``nl`` by ``nr`` rows, left-major."""
+    return [i for i in range(nl) for _ in range(nr)], list(range(nr)) * nl
+
+
+def group_members(cols: Sequence[Column],
+                  nrows: int) -> tuple[list[Column], list[list[int]]]:
+    """Group ``nrows`` rows by the key over ``cols``: one output column
+    of distinct values per key column, and each group's member positions,
+    both in first-occurrence order.
+
+    Without key columns every row has the same (empty) key, so there is
+    one group iff there are rows (SQL semantics at the algebra level: no
+    rows, no group, no output row).
+    """
+    keys = key_column(cols) if cols else repeat((), nrows)
+    members = list(_positions(keys).values())
+    firsts = [rows[0] for rows in members]
+    return [gather(col, firsts) for col in cols], members
+
+
+_FOLDS: dict[str, Callable[[Iterable[Any]], Any]] = {
+    "sum": sum, "min": min, "max": max, "all": all, "any": any,
+}
+
+
+def aggregate(func: str, values: Column,
+              members: Sequence[Index]) -> list[Any]:
+    """One aggregate value per group; ``count`` reads no ``values``."""
+    if func == "count":
+        return list(map(len, members))
+    getv = values.__getitem__
+    if func == "avg":
+        return [float(sum(map(getv, m))) / len(m) for m in members]
+    fold = _FOLDS.get(func)
+    if fold is None:  # pragma: no cover - schema validation rejects
+        raise ExecutionError(f"unknown aggregate {func!r}")
+    return [fold(map(getv, m)) for m in members]

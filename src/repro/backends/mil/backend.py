@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import nullcontext
+from operator import itemgetter
 
 from ...algebra import (
     AntiJoin,
@@ -39,6 +40,7 @@ from ...core.bundle import Bundle
 from ...errors import ExecutionError
 from ...runtime.catalog import Catalog
 from ..base import Backend
+from ..kernels import table_columns
 from . import program as mil
 
 
@@ -87,12 +89,10 @@ class MILGenerator:
 
         if isinstance(node, Attach):
             (child,) = kids
-            out = dict(child)
-            like = next(iter(child.values()))
             var = self.fresh()
-            self.emit(mil.ConstCol(var, node.value, like))
-            out[node.col] = var
-            return out
+            self.emit(mil.ConstCol(var, node.value,
+                                   next(iter(child.values()))))
+            return {**child, node.col: var}
 
         if isinstance(node, Project):
             (child,) = kids
@@ -121,9 +121,7 @@ class MILGenerator:
             var = self.fresh()
             self.emit(mil.RowNumber(var, perm,
                                     tuple(child[c] for c in node.part)))
-            out = dict(child)
-            out[node.col] = var
-            return out
+            return {**child, node.col: var}
 
         if isinstance(node, RowRank):
             (child,) = kids
@@ -133,18 +131,14 @@ class MILGenerator:
             var = self.fresh()
             self.emit(mil.DenseRank(var, perm,
                                     tuple(child[c] for c, _ in node.order)))
-            out = dict(child)
-            out[node.col] = var
-            return out
+            return {**child, node.col: var}
 
         if isinstance(node, Cross):
             left, right = kids
             li, ri = self.fresh("i"), self.fresh("i")
             self.emit(mil.CrossIndex(li, ri, next(iter(left.values())),
                                      next(iter(right.values()))))
-            out = self._gather(left, li)
-            out.update(self._gather(right, ri))
-            return out
+            return {**self._gather(left, li), **self._gather(right, ri)}
 
         if isinstance(node, EqJoin):
             left, right = kids
@@ -153,9 +147,7 @@ class MILGenerator:
                 li, ri,
                 tuple(left[l] for l, _ in node.pairs),
                 tuple(right[r] for _, r in node.pairs)))
-            out = self._gather(left, li)
-            out.update(self._gather(right, ri))
-            return out
+            return {**self._gather(left, li), **self._gather(right, ri)}
 
         if isinstance(node, (SemiJoin, AntiJoin)):
             left, right = kids
@@ -188,7 +180,8 @@ class MILGenerator:
                 out[out_col] = var
             self.emit(mil.GroupAggregate(
                 tuple(child[c] for c in node.group),
-                tuple(agg_specs), group_out))
+                tuple(agg_specs), group_out,
+                like=next(iter(child.values()))))
             for name, var in zip(node.group, group_out):
                 out[name] = var
             return out
@@ -210,17 +203,13 @@ class MILGenerator:
             else:
                 self.emit(mil.Map2(var, node.op, child[node.lhs],
                                    child[node.rhs]))
-            out = dict(child)
-            out[node.out] = var
-            return out
+            return {**child, node.out: var}
 
         if isinstance(node, UnApp):
             (child,) = kids
             var = self.fresh()
             self.emit(mil.Map1(var, node.op, child[node.col]))
-            out = dict(child)
-            out[node.out] = var
-            return out
+            return {**child, node.out: var}
 
         raise ExecutionError(f"cannot lower {node.label} to MIL")
 
@@ -254,12 +243,17 @@ class MILBackend(Backend):
 
     def open_bundle(self, bundle: Bundle, catalog: Catalog,
                     prepared: "list[mil.MILProgram]"):
+        # Load what the programs read: the distinct (table, column)
+        # pairs of their LoadCol instructions, one transposition a table.
+        loads = sorted({(instr.table, instr.column)
+                        for program in prepared
+                        for instr in program.instructions
+                        if isinstance(instr, mil.LoadCol)})
         base: dict[str, list] = {}
-        for table in catalog.table_names():
-            schema = catalog.schema(table)
-            rows = catalog.rows(table)
-            for i, (col, _ty) in enumerate(schema):
-                base[f"@{table}.{col}"] = [r[i] for r in rows]
+        for table, pairs in itertools.groupby(loads, key=itemgetter(0)):
+            cols = [col for _, col in pairs]
+            base.update(zip((f"@{table}.{col}" for col in cols),
+                            table_columns(catalog, table, cols)))
         vm = mil.MILVM(base)
 
         def run_query(qi, ops):

@@ -12,9 +12,10 @@ the next runs -- the column-at-a-time execution model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from itertools import compress, repeat
+from typing import Any
 
-from ...errors import ExecutionError, PartialFunctionError
+from .. import kernels
 
 
 class Instr:
@@ -74,63 +75,6 @@ class ConstCol(Instr):
 
 
 @dataclass
-class Alias(Instr):
-    dst: str
-    src: str
-
-    def execute(self, env: dict[str, list]) -> None:
-        env[self.dst] = env[self.src]
-
-    def show(self) -> str:
-        return f"{self.dst} := {self.src}"
-
-
-def _div(a, b):
-    if b == 0:
-        raise PartialFunctionError("division by zero")
-    return a / b
-
-
-def _idiv(a, b):
-    if b == 0:
-        raise PartialFunctionError("division by zero")
-    return a // b
-
-
-def _mod(a, b):
-    if b == 0:
-        raise PartialFunctionError("division by zero")
-    return a % b
-
-
-_BIN: dict[str, Callable[[Any, Any], Any]] = {
-    "add": lambda a, b: a + b, "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b, "div": _div, "idiv": _idiv, "mod": _mod,
-    "eq": lambda a, b: a == b, "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b, "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b, "ge": lambda a, b: a >= b,
-    "and": lambda a, b: a and b, "or": lambda a, b: a or b,
-    "min": min, "max": max,
-    "cat": lambda a, b: a + b,
-}
-
-from ...semantics.interp import like_match as _like_match  # noqa: E402
-
-_BIN["like"] = _like_match
-
-_UN: dict[str, Callable[[Any], Any]] = {
-    "not": lambda a: not a, "neg": lambda a: -a, "abs": abs,
-    "to_double": float,
-    "upper": lambda a: a.upper(), "lower": lambda a: a.lower(),
-    "strlen": len,
-    "year": lambda d: d.year, "month": lambda d: d.month,
-    "day": lambda d: d.day,
-    "hour": lambda t: t.hour, "minute": lambda t: t.minute,
-    "second": lambda t: t.second,
-}
-
-
-@dataclass
 class Map2(Instr):
     """Column-wise binary operator (the MIL ``[op]`` multiplex)."""
 
@@ -140,9 +84,8 @@ class Map2(Instr):
     rhs: str
 
     def execute(self, env: dict[str, list]) -> None:
-        fn = _BIN[self.op]
-        env[self.dst] = [fn(a, b) for a, b in zip(env[self.lhs],
-                                                  env[self.rhs])]
+        env[self.dst] = list(map(kernels.BIN[self.op], env[self.lhs],
+                                 env[self.rhs]))
 
     def show(self) -> str:
         return f"{self.dst} := [{self.op}]({self.lhs}, {self.rhs})"
@@ -157,11 +100,9 @@ class Map2Const(Instr):
     const_left: bool = False
 
     def execute(self, env: dict[str, list]) -> None:
-        fn = _BIN[self.op]
-        if self.const_left:
-            env[self.dst] = [fn(self.const, a) for a in env[self.lhs]]
-        else:
-            env[self.dst] = [fn(a, self.const) for a in env[self.lhs]]
+        col, const = env[self.lhs], repeat(self.const)
+        args = (const, col) if self.const_left else (col, const)
+        env[self.dst] = list(map(kernels.BIN[self.op], *args))
 
     def show(self) -> str:
         if self.const_left:
@@ -176,8 +117,7 @@ class Map1(Instr):
     src: str
 
     def execute(self, env: dict[str, list]) -> None:
-        fn = _UN[self.op]
-        env[self.dst] = [fn(a) for a in env[self.src]]
+        env[self.dst] = list(map(kernels.UN[self.op], env[self.src]))
 
     def show(self) -> str:
         return f"{self.dst} := [{self.op}]({self.src})"
@@ -191,7 +131,8 @@ class MaskIndex(Instr):
     mask: str
 
     def execute(self, env: dict[str, list]) -> None:
-        env[self.dst] = [i for i, v in enumerate(env[self.mask]) if v]
+        mask = env[self.mask]
+        env[self.dst] = list(compress(range(len(mask)), mask))
 
     def show(self) -> str:
         return f"{self.dst} := {self.mask}.uselect(true)"
@@ -207,8 +148,7 @@ class Take(Instr):
     index: str
 
     def execute(self, env: dict[str, list]) -> None:
-        col = env[self.src]
-        env[self.dst] = [col[i] for i in env[self.index]]
+        env[self.dst] = kernels.gather(env[self.src], env[self.index])
 
     def show(self) -> str:
         return f"{self.dst} := {self.src}.take({self.index})"
@@ -222,15 +162,7 @@ class DistinctIndex(Instr):
     cols: tuple[str, ...]
 
     def execute(self, env: dict[str, list]) -> None:
-        seen: set = set()
-        out = []
-        columns = [env[c] for c in self.cols]
-        for i in range(len(columns[0])):
-            key = tuple(col[i] for col in columns)
-            if key not in seen:
-                seen.add(key)
-                out.append(i)
-        env[self.dst] = out
+        env[self.dst] = kernels.distinct_index([env[c] for c in self.cols])
 
     def show(self) -> str:
         return f"{self.dst} := distinct({', '.join(self.cols)})"
@@ -244,12 +176,9 @@ class SortPerm(Instr):
     keys: tuple[tuple[str, str], ...]
 
     def execute(self, env: dict[str, list]) -> None:
-        n = len(env[self.keys[0][0]]) if self.keys else 0
-        perm = list(range(n))
-        for col, direction in reversed(self.keys):
-            column = env[col]
-            perm.sort(key=lambda i: column[i], reverse=(direction == "desc"))
-        env[self.dst] = perm
+        keys = [(env[col], direction == "desc")
+                for col, direction in self.keys]
+        env[self.dst] = kernels.sort_perm(keys, len(keys[0][0]) if keys else 0)
 
     def show(self) -> str:
         keys = ", ".join(f"{c} {d}" for c, d in self.keys)
@@ -266,15 +195,8 @@ class RowNumber(Instr):
     part: tuple[str, ...]
 
     def execute(self, env: dict[str, list]) -> None:
-        perm = env[self.perm]
-        part_cols = [env[c] for c in self.part]
-        counters: dict[tuple, int] = {}
-        out = [0] * len(perm)
-        for i in perm:
-            key = tuple(col[i] for col in part_cols)
-            counters[key] = counters.get(key, 0) + 1
-            out[i] = counters[key]
-        env[self.dst] = out
+        env[self.dst] = kernels.row_number(
+            env[self.perm], [env[c] for c in self.part])
 
     def show(self) -> str:
         part = ", ".join(self.part) or "()"
@@ -288,18 +210,8 @@ class DenseRank(Instr):
     keys: tuple[str, ...]
 
     def execute(self, env: dict[str, list]) -> None:
-        perm = env[self.perm]
-        key_cols = [env[c] for c in self.keys]
-        out = [0] * len(perm)
-        rank = 0
-        prev: Any = object()
-        for i in perm:
-            key = tuple(col[i] for col in key_cols)
-            if key != prev:
-                rank += 1
-                prev = key
-            out[i] = rank
-        env[self.dst] = out
+        env[self.dst] = kernels.dense_rank(
+            env[self.perm], [env[c] for c in self.keys])
 
     def show(self) -> str:
         return f"{self.dst} := dense_rank(perm={self.perm}, keys={list(self.keys)})"
@@ -315,20 +227,9 @@ class HashJoinIndex(Instr):
     right_keys: tuple[str, ...]
 
     def execute(self, env: dict[str, list]) -> None:
-        rcols = [env[c] for c in self.right_keys]
-        n_right = len(rcols[0]) if rcols else 0
-        buckets: dict[tuple, list[int]] = {}
-        for j in range(n_right):
-            buckets.setdefault(tuple(col[j] for col in rcols), []).append(j)
-        lcols = [env[c] for c in self.left_keys]
-        n_left = len(lcols[0]) if lcols else 0
-        li, ri = [], []
-        for i in range(n_left):
-            for j in buckets.get(tuple(col[i] for col in lcols), ()):
-                li.append(i)
-                ri.append(j)
-        env[self.dst_left] = li
-        env[self.dst_right] = ri
+        env[self.dst_left], env[self.dst_right] = kernels.join_index(
+            kernels.key_column([env[c] for c in self.left_keys]),
+            kernels.key_column([env[c] for c in self.right_keys]))
 
     def show(self) -> str:
         return (f"({self.dst_left}, {self.dst_right}) := join("
@@ -343,14 +244,10 @@ class SemiIndex(Instr):
     anti: bool
 
     def execute(self, env: dict[str, list]) -> None:
-        rcols = [env[c] for c in self.right_keys]
-        n_right = len(rcols[0]) if rcols else 0
-        keys = {tuple(col[j] for col in rcols) for j in range(n_right)}
-        lcols = [env[c] for c in self.left_keys]
-        n_left = len(lcols[0]) if lcols else 0
-        env[self.dst] = [
-            i for i in range(n_left)
-            if (tuple(col[i] for col in lcols) in keys) != self.anti]
+        mask = kernels.semi_mask(
+            kernels.key_column([env[c] for c in self.left_keys]),
+            kernels.key_column([env[c] for c in self.right_keys]), self.anti)
+        env[self.dst] = list(compress(range(len(mask)), mask))
 
     def show(self) -> str:
         op = "antijoin" if self.anti else "semijoin"
@@ -365,9 +262,8 @@ class CrossIndex(Instr):
     right_like: str
 
     def execute(self, env: dict[str, list]) -> None:
-        nl, nr = len(env[self.left_like]), len(env[self.right_like])
-        env[self.dst_left] = [i for i in range(nl) for _ in range(nr)]
-        env[self.dst_right] = [j for _ in range(nl) for j in range(nr)]
+        env[self.dst_left], env[self.dst_right] = kernels.cross_index(
+            len(env[self.left_like]), len(env[self.right_like]))
 
     def show(self) -> str:
         return (f"({self.dst_left}, {self.dst_right}) := "
@@ -396,48 +292,18 @@ class GroupAggregate(Instr):
     aggs: tuple[tuple[str, "str | None", str], ...]
     #: outputs for the group-by columns themselves
     group_out: tuple[str, ...]
+    #: a column as long as the input: the row count of a global
+    #: aggregate, which has no group column to take it from
+    like: str = ""
 
     def execute(self, env: dict[str, list]) -> None:
-        gcols = [env[c] for c in self.group_cols]
-        n = len(gcols[0]) if gcols else 0
-        order: list[tuple] = []
-        members: dict[tuple, list[int]] = {}
-        for i in range(n):
-            key = tuple(col[i] for col in gcols)
-            if key not in members:
-                members[key] = []
-                order.append(key)
-            members[key].append(i)
-        for out, col in zip(self.group_out, zip(*order) if order else
-                            [[] for _ in self.group_cols]):
-            env[out] = list(col)
-        if not order:
-            for out in self.group_out:
-                env[out] = []
+        key_columns, members = kernels.group_members(
+            [env[c] for c in self.group_cols],
+            len(env[self.like or self.group_cols[0]]))
+        env.update(zip(self.group_out, key_columns))
         for func, in_col, out in self.aggs:
-            values = []
-            for key in order:
-                idx = members[key]
-                if func == "count":
-                    values.append(len(idx))
-                    continue
-                col = env[in_col]
-                xs = [col[i] for i in idx]
-                if func == "sum":
-                    values.append(sum(xs))
-                elif func == "min":
-                    values.append(min(xs))
-                elif func == "max":
-                    values.append(max(xs))
-                elif func == "avg":
-                    values.append(float(sum(xs)) / len(xs))
-                elif func == "all":
-                    values.append(all(xs))
-                elif func == "any":
-                    values.append(any(xs))
-                else:  # pragma: no cover
-                    raise ExecutionError(f"unknown aggregate {func!r}")
-            env[out] = values
+            env[out] = kernels.aggregate(
+                func, env[in_col] if in_col else (), members)
 
     def show(self) -> str:
         aggs = ", ".join(f"{o} := {{{f}}}({c or '*'})"

@@ -335,6 +335,10 @@ def _render(node: Node, names: dict[int, str], memo, d: Dialect) -> str:
         if node.group:
             sql += ("\n  GROUP BY "
                     + ", ".join(q(c) for c in node.group))
+        else:
+            # SQL answers an aggregate without groups over no rows with
+            # one row (0 / NULL); the algebra's answer is no group, no row.
+            sql += "\n  HAVING COUNT(*) > 0"
         return sql
 
     if isinstance(node, BinApp):

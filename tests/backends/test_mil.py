@@ -114,6 +114,20 @@ class TestBackend:
         eng_db = Connection(backend="engine", catalog=paper_catalog)
         assert mil_db.run(q_mil) == eng_db.run(q_mil)
 
+    def test_loads_only_the_columns_the_programs_read(self, paper_catalog,
+                                                     monkeypatch):
+        paper_catalog.create_table("audit", [("who", str)], [("nobody",)])
+        db = Connection(backend="mil", catalog=paper_catalog)
+        q = running_example_query(db)
+        want = db.run(q)  # cold: compile-time statistics read every table
+        reads = []
+        rows = paper_catalog.rows
+        monkeypatch.setattr(paper_catalog, "rows",
+                            lambda name: reads.append(name) or rows(name))
+        assert db.run(q) == want
+        # one transposition per referenced table, none of the others
+        assert sorted(reads) == ["facilities", "features", "meanings"]
+
     def test_generator_counts_instructions(self):
         db = Connection(backend="mil")
         compiled = db.compile(fmap(lambda x: x + 1, to_q([1, 2])))

@@ -1,7 +1,8 @@
-"""Per-operator SQL generation: every algebra operator round-trips
-through the SQL generator and SQLite with the same semantics the
-in-memory engine gives it."""
+"""Per-operator code generation: every algebra operator round-trips
+through the SQL generator and SQLite, and through the MIL generator and
+its VM, with the same semantics the in-memory engine gives it."""
 
+import pytest
 
 from repro.algebra import (
     AntiJoin,
@@ -19,13 +20,16 @@ from repro.algebra import (
     RowRank,
     Select,
     SemiJoin,
+    TableScan,
     UnApp,
     UnionAll,
     schema_of,
 )
 from repro.backends.engine import Engine
+from repro.backends.mil import MILVM, MILGenerator
 from repro.backends.sql.backend import SQLiteBackend
 from repro.core.bundle import SerializedQuery
+from repro.errors import VerifyError
 from repro.ftypes import BoolT, DoubleT, IntT, StringT
 from repro.runtime import Catalog
 
@@ -47,24 +51,34 @@ def serialized(plan: Node) -> SerializedQuery:
                            tuple(schema.values()))
 
 
-def sql_rows(plan: Node) -> list[tuple]:
+def sql_rows(plan: Node, backend: "SQLiteBackend | None" = None
+             ) -> list[tuple]:
     """``plan``'s rows via generated SQL: steps and SELECT, through
-    ``run_sql``."""
-    backend = SQLiteBackend()
-    backend._ensure_loaded(Catalog())
+    ``run_sql`` (on ``backend``'s loaded tables, by default none)."""
+    if backend is None:
+        backend = SQLiteBackend()
+        backend._ensure_loaded(Catalog())
     query = serialized(plan)
     rows = backend.run_sql(backend.generate(query), query)
     return sorted(row[2:] for row in rows)
 
 
+def mil_rows(plan: Node) -> list[tuple]:
+    """``plan``'s rows via a generated MIL column program on the VM."""
+    program = MILGenerator().generate(plan, tuple(schema_of(plan)))
+    return sorted(zip(*MILVM({}).run(program)))
+
+
 def both_ways(plan: Node):
-    """Execute via the engine and via generated SQL; assert equal bags."""
+    """Execute via the engine, via generated SQL and via generated MIL;
+    assert equal bags."""
     cols = tuple(schema_of(plan))
     engine_rel = Engine(Catalog()).execute(plan)
     idx = [engine_rel.col_index(c) for c in cols]
     engine_rows = sorted(tuple(r[i] for i in idx) for r in engine_rel.rows)
     rows = sql_rows(plan)
     assert rows == engine_rows
+    assert mil_rows(plan) == engine_rows
     return rows
 
 
@@ -119,23 +133,32 @@ class TestOperatorsOnSQLite:
             (1, "a"), (2, "c")]
 
     def test_antijoin_keeps_not_exists_result_on_null_keys(self):
-        # SQL's one-row answer to an aggregate without groups over no
-        # rows is the generator's only source of NULL: (NULL, 0).  A
-        # NULL key equals nothing, so NOT EXISTS keeps its row -- where
-        # NOT IN would drop it, and with a NULL on the right every row.
-        # (``run_sql`` converts no NULL: only the count is projected.)
-        nothing = GroupAggr(lt([], ("v", IntT)), (),
-                            (("max", "v", "m"), ("count", None, "c")))
+        # No generated statement yields NULL (an aggregate without
+        # groups answers no rows with no row), so the one-row table
+        # (NULL, 0) is put into the database behind the generator's
+        # back.  A NULL key equals nothing, so NOT EXISTS keeps its row
+        # -- where NOT IN would drop it, and with a NULL on the right
+        # every row.  (``run_sql`` converts no NULL: only the count is
+        # projected.)
+        catalog = Catalog()
+        catalog.create_table("t", [("c", int), ("m", int)], [(0, 0)])
+        backend = SQLiteBackend()
+        backend._ensure_loaded(catalog)
+        backend._conn.execute(
+            f'UPDATE {backend.dialect.table_ref("t")} SET "m" = NULL')
+        backend._conn.commit()
+        nothing = TableScan("t", (("c", "c", IntT), ("m", "m", IntT)))
 
         def count_only(plan):
-            return sql_rows(Project(plan, (("c", "c"),)))
+            return sql_rows(Project(plan, (("c", "c"),)), backend)
 
         assert count_only(nothing) == [(0,)]
         assert count_only(AntiJoin(nothing, NUMS, (("m", "n"),))) == [(0,)]
-        assert sql_rows(AntiJoin(NUMS, nothing, (("n", "m"),))) == [
-            (1,), (2,), (2,), (3,)]
+        assert sql_rows(AntiJoin(NUMS, nothing, (("n", "m"),)),
+                        backend) == [(1,), (2,), (2,), (3,)]
         assert count_only(SemiJoin(nothing, NUMS, (("m", "n"),))) == []
-        assert sql_rows(SemiJoin(NUMS, nothing, (("n", "m"),))) == []
+        assert sql_rows(SemiJoin(NUMS, nothing, (("n", "m"),)),
+                        backend) == []
 
     def test_shared_node_is_a_step_and_joins_itself(self):
         # both join inputs read the one RowNum: it becomes a temp table
@@ -161,6 +184,31 @@ class TestOperatorsOnSQLite:
                                      ("max", "v", "hi"),
                                      ("avg", "v", "m")))
         assert both_ways(plan) == [(1, 6, 2, 2, 4, 3.0), (2, 6, 1, 6, 6, 6.0)]
+
+    def test_global_aggregate_of_rows_is_one_row(self):
+        aggs = (("count", None, "c"), ("sum", "n", "s"))
+        assert both_ways(GroupAggr(NUMS, (), aggs)) == [(4, 8)]
+        assert both_ways(GroupAggr(NUMS, (), aggs[:1])) == [(4,)]
+
+    def test_global_aggregate_of_no_rows_is_no_row(self):
+        # not SQL's (0,) / NULL: ``analysis/properties.py`` infers
+        # non-null columns and Card(0..1) for this node
+        empty = lt([], ("n", IntT))
+        aggs = (("count", None, "c"), ("sum", "n", "s"))
+        assert both_ways(GroupAggr(empty, (), aggs)) == []
+        assert both_ways(GroupAggr(empty, (), aggs[:1])) == []
+        assert both_ways(GroupAggr(Select(
+            BinApp(NUMS, "gt", "n", Const(9, IntT), "big"), "big"),
+            (), aggs[1:])) == []
+
+    @pytest.mark.parametrize("plan", [
+        RowNum(NUMS, "p", (), ()), RowNum(NUMS, "p", (), ("n",)),
+        RowRank(NUMS, "p", ())], ids=["rownum", "partitioned", "rowrank"])
+    def test_numbering_without_an_order_is_rejected(self, plan):
+        # it would number arbitrarily: no two backends need agree
+        with pytest.raises(VerifyError) as exc:
+            schema_of(plan)
+        assert exc.value.code == "F104"
 
     def test_bool_aggregates(self):
         t = BinApp(lt([(1, 2), (1, 4), (2, 6)],
