@@ -15,13 +15,19 @@ measure:
     This is the 5% promise: with the plan cache on (the default),
     debug-off compile cost stays within 5% of seed.
 
-``cold_ratio`` (regression ceiling 2.5)
-    A cold compile pays for what the seed never did: one memoized
-    property-inference walk over the stabilized DAG (shared by the
-    sweep, the F190 self-checks, and the final verifier through
-    ``PropsCache``), plus the rewrite sweep and tidy-up round.  That is
-    real work, bought deliberately -- the ceiling only pins it against
-    silent regression (e.g. a second full inference walk sneaking in).
+cold compile (counter bound, no clock)
+    A cold compile pays for what the seed never did: property inference
+    (shared by the sweep, the F190 self-checks, and the final verifier
+    through the compile's ``PlanStore``), the cost gate, and the
+    tidy-up round.  That is real work, bought deliberately; what must
+    not happen is a *second* inference walk sneaking in.  A wall-clock
+    ratio against the seed pipeline cannot tell: the seed side is the
+    syntactic passes, which the store memoizes too, so the ratio moves
+    with its denominator when nothing about the analysis did.  The
+    guard is the store's own count, ``inferences <= nodes_interned``
+    -- every interned node is analysed at most once per compile -- the
+    same verdict on every machine (``tests/optimizer/test_plan_store.py``
+    holds the tier-1 form).
 
 ``inference_ms`` / ``verify_ms``
     Absolute component costs on the running example's final bundle.
@@ -34,7 +40,7 @@ import time
 from contextlib import contextmanager
 
 from repro import Connection
-from repro.analysis import PropsCache, verify_bundle
+from repro.analysis import PlanStore, verify_bundle
 from repro.analysis import verifier as verifier_mod
 from repro.bench.table1 import running_example_query
 from repro.bench.workloads import paper_dataset
@@ -42,9 +48,7 @@ from repro.optimizer import pipeline
 
 BATCHES = 10
 WARM_RUNS_PER_BATCH = 25
-COLD_COMPILES_PER_BATCH = 6
 WARM_LIMIT = 1.05
-COLD_CEILING = 2.5
 
 
 @contextmanager
@@ -111,26 +115,13 @@ def test_warm_compile_cost_within_five_percent_of_seed():
 def test_cold_compile_analysis_cost_recorded():
     db = Connection(catalog=paper_dataset())
     query = running_example_query(db)
-    db.compile(query, use_cache=False)  # import/codegen warm-up
-
-    def cold_batch():
-        t0 = time.perf_counter()
-        for _ in range(COLD_COMPILES_PER_BATCH):
-            db.compile(query, use_cache=False)
-        return time.perf_counter() - t0
-
-    def seed_cold_batch():
-        with seed_pipeline():
-            return cold_batch()
-
-    ratio = interleaved_ratio(cold_batch, seed_cold_batch)
-
-    # the sweep really ran on the current side (its cost is real)
     stats = db.compile(query, use_cache=False).pass_stats
+
+    # the sweep really ran (its cost is real) ...
     assert stats.rewrites_fired.get("rownum_dense", 0) >= 3
-    assert ratio <= COLD_CEILING, (
-        f"cold compile is {ratio:.2f}x seed; one memoized inference "
-        f"walk per compile should stay under {COLD_CEILING}x")
+    # ... on one analysis of each node, gate and verifier included
+    assert 0 < stats.inferences <= stats.nodes_interned
+    assert 0 < stats.cost_estimates <= stats.nodes_interned
 
 
 def test_component_costs_are_measurable():
@@ -147,7 +138,7 @@ def test_component_costs_are_measurable():
         return best * 1000.0
 
     inference_ms = best_of(
-        lambda: [PropsCache().infer(q.plan) for q in bundle.queries])
+        lambda: [PlanStore().infer(q.plan) for q in bundle.queries])
     verify_ms = best_of(
         lambda: verify_bundle(bundle, label="bench", mark=False))
 

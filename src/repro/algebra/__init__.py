@@ -3,8 +3,10 @@
 from .dag import (
     contains,
     node_count,
+    node_key,
     operator_histogram,
     postorder,
+    replace_children,
     rewrite_dag,
 )
 from .ops import (
@@ -38,7 +40,7 @@ __all__ = [
     "Cross", "Distinct", "EqJoin", "GroupAggr", "LitTable", "Node",
     "Project", "RowNum", "RowRank", "Schema", "Select", "SemiJoin",
     "TableScan", "UnApp", "UnionAll", "bundle_text", "contains",
-    "describe", "node_count",
+    "describe", "node_count", "node_key",
     "operator_histogram", "plan_dot", "plan_text", "postorder",
-    "rewrite_dag", "schema_of",
+    "replace_children", "rewrite_dag", "schema_of",
 ]

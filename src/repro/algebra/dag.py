@@ -2,34 +2,57 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from dataclasses import fields
+from operator import attrgetter
+from typing import Any, Callable, Iterator, TypeVar
 
-from .ops import Node
+from .ops import BinApp, Const, Node
+
+T = TypeVar("T")
+
+
+def fill(root: Node, memo: dict[int, T], compute: Callable[[Node], T]) -> T:
+    """``memo[id(n)] = compute(n)`` for every node of ``root``'s plan the
+    memo does not hold yet, children before parents (iterative -- plans
+    can be thousands of operators deep).  The walk never descends below
+    a node already in ``memo``, so a memo that outlives the call must
+    belong to something that keeps its nodes alive."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in memo:
+            stack.pop()
+            continue
+        ready = True
+        for child in node.children:
+            if id(child) not in memo:
+                stack.append(child)
+                ready = False
+        if ready:
+            memo[id(node)] = compute(node)
+            stack.pop()
+    return memo[id(root)]
 
 
 def postorder(root: Node) -> Iterator[Node]:
     """Yield every node reachable from ``root`` exactly once, children
-    before parents (iterative -- plans can be deep)."""
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in seen:
-            continue
-        if expanded:
-            seen.add(id(node))
-            yield node
-        else:
-            stack.append((node, True))
-            for child in node.children:
-                if id(child) not in seen:
-                    stack.append((child, False))
+    before parents."""
+    seen: dict[int, Node] = {}
+    fill(root, seen, lambda node: node)
+    return iter(seen.values())
 
 
 def node_count(root: Node) -> int:
     """Number of distinct operator nodes in the plan DAG (shared subplans
     counted once) -- the plan-size metric of the optimizer ablation."""
-    return sum(1 for _ in postorder(root))
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for child in stack.pop().children:
+            if id(child) not in seen:
+                seen.add(id(child))
+                stack.append(child)
+    return len(seen)
 
 
 def operator_histogram(root: Node) -> dict[str, int]:
@@ -53,12 +76,42 @@ def rewrite_dag(root: Node, visit: Callable[[Node, tuple[Node, ...]], Node],
     ``visit`` receives each node together with its (already rewritten)
     children and returns the replacement node (possibly the input,
     reconstructed over the new children).  Sharing is preserved: each
-    distinct node is visited once.
+    distinct node is visited once -- once per ``memo`` (see
+    :func:`fill`), when the caller carries one across calls.
     """
-    if memo is None:
-        memo = {}
-    result: dict[int, Node] = {}
-    for node in postorder(root):
-        new_children = tuple(result[id(c)] for c in node.children)
-        result[id(node)] = visit(node, new_children)
-    return result[id(root)]
+    results: dict[int, Node] = {} if memo is None else memo
+    return fill(root, results, lambda node: visit(
+        node, tuple(results[id(c)] for c in node.children)))
+
+
+def _params_getter(cls: type) -> Callable[[Any], tuple[Any, ...]]:
+    names = [f.name for f in fields(cls)
+             if f.name not in ("child", "left", "right")]
+    if len(names) > 1:
+        return attrgetter(*names)
+    return lambda node: tuple(getattr(node, name) for name in names)
+
+
+#: Per operator class: node -> the tuple of its non-child fields (every
+#: operator declares its children first).
+_PARAMS = {cls: _params_getter(cls) for cls in Node.__subclasses__()}
+
+
+def node_key(node: Node) -> tuple[Any, ...]:
+    """Structural identity of ``node`` *given* the identity of its
+    children: two nodes with equal keys compute the same relation.  The
+    hash-consing key of the optimizer's plan store."""
+    cls = type(node)
+    params = _PARAMS[cls](node)
+    if cls is BinApp:  # spell ``Const`` operands out structurally
+        params = tuple((Const, p.value, p.ty) if type(p) is Const else p
+                       for p in params)
+    return (cls, params, *map(id, node.children))
+
+
+def replace_children(node: Node, children: tuple[Node, ...]) -> Node:
+    """``node`` over ``children``: itself when they are its own, else a
+    copy."""
+    if children == node.children:
+        return node
+    return type(node)(*children, *_PARAMS[type(node)](node))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from ..errors import VerifyError
 from ..expr.exp import ARITH_OPS, BOOL_OPS, CMP_OPS, STR_OPS
 from ..ftypes import AtomT, BoolT, DateT, DoubleT, IntT, StringT, TimeT
+from .dag import fill
 from .ops import (
     AGG_FUNCS,
     AntiJoin,
@@ -49,22 +50,7 @@ def schema_of(node: Node, memo: dict[int, Schema] | None = None) -> Schema:
     cached = memo.get(id(node))
     if cached is not None:
         return cached
-    # iterative postorder prefill (children before parents)
-    seen: set[int] = set(memo)
-    stack: list[tuple[Node, bool]] = [(node, False)]
-    while stack:
-        current, expanded = stack.pop()
-        if id(current) in seen:
-            continue
-        if expanded:
-            seen.add(id(current))
-            memo[id(current)] = _infer(current, memo)
-        else:
-            stack.append((current, True))
-            for child in current.children:
-                if id(child) not in seen:
-                    stack.append((child, False))
-    return memo[id(node)]
+    return fill(node, memo, lambda current: _infer(current, memo))
 
 
 def _fail(node: Node, msg: str, code: str = "F104") -> None:
@@ -91,6 +77,7 @@ def _col(node: Node, schema: Schema, col: str) -> AtomT:
 
 
 def _infer(node: Node, memo: dict[int, Schema]) -> Schema:
+    """``node``'s schema from its children's, which ``memo`` holds."""
     if isinstance(node, LitTable):
         out = {}
         for name, ty in node.schema:
@@ -112,7 +99,7 @@ def _infer(node: Node, memo: dict[int, Schema]) -> Schema:
         return out
 
     if isinstance(node, Attach):
-        child = schema_of(node.child, memo)
+        child = memo[id(node.child)]
         if node.col in child:
             _fail(node, f"column {node.col!r} already exists", code="F102")
         out = dict(child)
@@ -120,7 +107,7 @@ def _infer(node: Node, memo: dict[int, Schema]) -> Schema:
         return out
 
     if isinstance(node, Project):
-        child = schema_of(node.child, memo)
+        child = memo[id(node.child)]
         out = {}
         for new, old in node.cols:
             if new in out:
@@ -129,17 +116,17 @@ def _infer(node: Node, memo: dict[int, Schema]) -> Schema:
         return out
 
     if isinstance(node, Select):
-        child = schema_of(node.child, memo)
+        child = memo[id(node.child)]
         if _col(node, child, node.col) != BoolT:
             _fail(node, f"selection column {node.col!r} is not Bool",
                   code="F103")
         return dict(child)
 
     if isinstance(node, Distinct):
-        return dict(schema_of(node.child, memo))
+        return dict(memo[id(node.child)])
 
     if isinstance(node, (RowNum, RowRank)):
-        child = schema_of(node.child, memo)
+        child = memo[id(node.child)]
         if node.col in child:
             _fail(node, f"column {node.col!r} already exists", code="F102")
         if not node.order:
@@ -156,8 +143,8 @@ def _infer(node: Node, memo: dict[int, Schema]) -> Schema:
         return out
 
     if isinstance(node, (Cross, EqJoin, SemiJoin, AntiJoin)):
-        left = schema_of(node.left, memo)
-        right = schema_of(node.right, memo)
+        left = memo[id(node.left)]
+        right = memo[id(node.right)]
         if isinstance(node, (EqJoin, SemiJoin, AntiJoin)):
             if not node.pairs:
                 _fail(node, "join requires at least one column pair")
@@ -177,15 +164,15 @@ def _infer(node: Node, memo: dict[int, Schema]) -> Schema:
         return out
 
     if isinstance(node, UnionAll):
-        left = schema_of(node.left, memo)
-        right = schema_of(node.right, memo)
+        left = memo[id(node.left)]
+        right = memo[id(node.right)]
         if left != right:
             _fail(node, f"schemas differ: {_show(left)} vs {_show(right)}",
                   code="F106")
         return dict(left)
 
     if isinstance(node, GroupAggr):
-        child = schema_of(node.child, memo)
+        child = memo[id(node.child)]
         out: Schema = {}
         for col in node.group:
             out[col] = _col(node, child, col)
@@ -209,7 +196,7 @@ def _infer(node: Node, memo: dict[int, Schema]) -> Schema:
         return out
 
     if isinstance(node, BinApp):
-        child = schema_of(node.child, memo)
+        child = memo[id(node.child)]
         if node.out in child:
             _fail(node, f"column {node.out!r} already exists", code="F102")
         lty = _operand_ty(node, child, node.lhs)
@@ -237,7 +224,7 @@ def _infer(node: Node, memo: dict[int, Schema]) -> Schema:
         return out
 
     if isinstance(node, UnApp):
-        child = schema_of(node.child, memo)
+        child = memo[id(node.child)]
         if node.out in child:
             _fail(node, f"column {node.out!r} already exists", code="F102")
         ity = _col(node, child, node.col)

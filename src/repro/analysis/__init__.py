@@ -18,6 +18,7 @@ from .cost import (
 )
 from .properties import (
     Card,
+    PlanStore,
     Props,
     PropsCache,
     annotate_plan,
@@ -59,6 +60,7 @@ __all__ = [
     "DEFAULT_RATIO_BUDGET",
     "Diagnostic",
     "Est",
+    "PlanStore",
     "Props",
     "PropsCache",
     "QueryCost",

@@ -39,10 +39,11 @@ suite asserts they contain every engine-materialized row count).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..algebra.dag import postorder
+from ..algebra.dag import fill, postorder
 from ..algebra.ops import (
     AntiJoin,
     Attach,
@@ -62,7 +63,7 @@ from ..algebra.ops import (
     UnApp,
     UnionAll,
 )
-from .properties import Props, PropsCache
+from .properties import PlanStore, Props
 
 #: Version stamp of the calibration tables below.  Bumped whenever the
 #: constants are re-derived from ``benchmarks/test_engine_kernels.py``;
@@ -241,24 +242,27 @@ class BundleCost:
 class CostModel:
     """Memoized per-node cost estimator over a shared plan DAG.
 
-    ``cache`` is the compile's :class:`~repro.analysis.PropsCache` --
+    ``cache`` is the compile's :class:`~repro.analysis.PlanStore` --
     estimation piggybacks on the property inference the pipeline
-    already paid for.  ``table_rows`` maps table names to exact row
-    counts (compile-time catalog statistics); without it scans assume
+    already paid for, and the store keeps the memo's nodes alive.
+    ``table_rows`` maps table names to exact row counts (compile-time
+    catalog statistics); without it scans assume
     :data:`DEFAULT_TABLE_ROWS` and the bounds stay as wide as ``Card``.
     """
 
     __slots__ = ("constants", "calibrated", "backend", "table_rows",
-                 "cache", "memo")
+                 "cache", "memo", "height")
 
     def __init__(self, backend: str = "engine",
                  table_rows: "Mapping[str, int] | None" = None,
-                 cache: "PropsCache | None" = None):
+                 cache: "PlanStore | None" = None):
         self.backend = backend
         self.constants, self.calibrated = constants_for(backend)
         self.table_rows = table_rows
-        self.cache = cache if cache is not None else PropsCache()
+        self.cache = cache if cache is not None else PlanStore()
         self.memo: dict[int, Est] = {}
+        #: longest path to a leaf, per estimated node (orders `delta`)
+        self.height: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def estimate(self, node: Node) -> Est:
@@ -267,10 +271,7 @@ class CostModel:
         if cached is not None:
             return cached
         self.cache.infer(node)  # pins + analyzes the whole subtree
-        for current in postorder(node):
-            if id(current) not in self.memo:
-                self.memo[id(current)] = self._estimate(current)
-        return self.memo[id(node)]
+        return fill(node, self.memo, self._estimate)
 
     def plan_cost(self, root: Node) -> float:
         """Total estimated work of ``root``'s plan: ``self_cost`` summed
@@ -278,6 +279,40 @@ class CostModel:
         self.estimate(root)
         return sum(self.memo[id(node)].self_cost
                    for node in postorder(root))
+
+    def delta(self, new: Node, old: Node) -> float:
+        """``plan_cost(new) - plan_cost(old)`` over only the nodes the
+        two plans do not share (the rewrite gate: candidate and original
+        differ in a few operators on top of a common subplan, which is
+        never walked).  Both are walked top-down by decreasing height,
+        so every ancestor of a node is popped before it and the sides
+        that reach it (1 = new, 2 = old) are final by then; the walk
+        ends once no unpopped node is reached from one side only."""
+        if new is old:
+            return 0.0
+        self.estimate(new)
+        self.estimate(old)
+        height = self.height
+        side = {id(new): 1, id(old): 2}
+        heap = [(-height[id(n)], id(n), n) for n in (new, old)]
+        heapq.heapify(heap)
+        one_sided = 2  # unpopped nodes reached from one side only
+        total = 0.0
+        while one_sided:
+            _, nid, node = heapq.heappop(heap)
+            reach = side[nid]
+            if reach != 3:
+                one_sided -= 1
+                cost = self.memo[nid].self_cost
+                total += cost if reach == 1 else -cost
+            for child in node.children:
+                seen = side.get(id(child), 0)
+                if not seen:
+                    heapq.heappush(
+                        heap, (-height[id(child)], id(child), child))
+                side[id(child)] = seen | reach
+                one_sided += (seen | reach != 3) - (seen in (1, 2))
+        return total
 
     def query_cost(self, root: Node) -> QueryCost:
         est = self.estimate(root)
@@ -304,6 +339,9 @@ class CostModel:
             rows = min(rows, hi)
         rows = max(rows, lo)
         rows_in = sum(self.memo[id(c)].rows for c in node.children)
+        self.height[id(node)] = 1 + max(
+            (self.height[id(c)] for c in node.children), default=0)
+        self.cache.estimates += 1
         c = self.constants
         per_row = c.get(node.label, c["Project"])
         self_cost = (c["__base__"] + per_row * rows_in
@@ -397,7 +435,7 @@ class CostModel:
 
 def estimate_bundle(bundle: object, backend: str = "engine",
                     table_rows: "Mapping[str, int] | None" = None,
-                    cache: "PropsCache | None" = None) -> BundleCost:
+                    cache: "PlanStore | None" = None) -> BundleCost:
     """Per-query :class:`QueryCost` for a whole bundle (the compile
     pipeline stamps the result on ``bundle.cost``)."""
     model = CostModel(backend, table_rows=table_rows, cache=cache)

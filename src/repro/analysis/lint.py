@@ -38,7 +38,7 @@ import sys
 from typing import Any, Mapping
 
 from .cost import CALIBRATION_VERSION, CostModel, constants_for
-from .properties import PropsCache
+from .properties import PlanStore
 from .verifier import Diagnostic
 
 #: Largest tolerated est/actual ratio before D500 fires.
@@ -101,7 +101,7 @@ def lint_calibration(backend: str, plans: "list[Any] | None" = None
 def lint_report(bundle: Any, analyze: Any, backend: str,
                 table_rows: "Mapping[str, int] | None" = None,
                 ratio_budget: float = DEFAULT_RATIO_BUDGET,
-                cache: "PropsCache | None" = None) -> "list[Diagnostic]":
+                cache: "PlanStore | None" = None) -> "list[Diagnostic]":
     """Diff static estimates against one EXPLAIN ANALYZE run.
 
     ``bundle`` is the compiled bundle, ``analyze`` the

@@ -43,10 +43,12 @@ materialized engine relations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Any
+from typing import Any, Callable
 
+from ..algebra.dag import fill, node_key, replace_children
 from ..algebra.ops import (
     AntiJoin,
     Attach,
@@ -193,27 +195,90 @@ class Props:
 # inference entry point
 # ----------------------------------------------------------------------
 
-class PropsCache:
-    """A property/schema memo shared across pipeline stages.
+class PlanStore:
+    """One compile's plans as a single interned DAG, and every fact
+    derived from it.
 
-    The optimizer's property sweep, the rewrite self-checks, and the
-    final verifier all analyze largely the *same* DAG; threading one
-    cache through them means each node is inferred exactly once per
-    compile.  Memos are keyed on node identity, so the cache also
-    *pins* every analyzed node (``pins``): without that, a dead
-    intermediate plan could be garbage-collected and a later allocation
-    could reuse its ``id()``, silently inheriting stale facts.
+    :meth:`intern` hash-conses on :func:`~repro.algebra.dag.node_key`:
+    structurally equal subplans -- within a plan or across the queries
+    of a bundle -- are one object, so common-subexpression elimination
+    is construction and "this rewrite changed nothing" is ``is``.
+    Schema, :class:`Props`, ``CostModel.memo`` and each rewrite family's
+    result (:meth:`rewrite`) hang off a node by ``id()`` and are never
+    invalidated -- a rewrite makes a *new* node -- so a node is analysed
+    and rewritten once per compile, whoever asks.  That is sound only
+    while no ``id()`` is recycled: the store keeps every node it was
+    shown alive (``canonical`` the interned ones, ``pins`` the rest).
     """
 
-    __slots__ = ("props", "schemas", "pins")
+    __slots__ = ("canonical", "twin", "pins", "props", "schemas",
+                 "rewritten", "visits", "estimates")
 
     def __init__(self) -> None:
+        #: structural key -> the interned node
+        self.canonical: dict[tuple[Any, ...], Node] = {}
+        #: ``id`` of every node :meth:`intern` saw -> its interned twin
+        self.twin: dict[int, Node] = {}
+        self.pins: list[Node] = []
         self.props: dict[int, Props] = {}
         self.schemas: dict[int, Schema] = {}
-        self.pins: list[Node] = []
+        #: rewrite family -> ``id(interned node)`` -> its rewrite
+        self.rewritten: dict[str, dict[int, Node]] = {}
+        #: work counters: rule applications per family, cost estimates
+        self.visits: Counter[str] = Counter()
+        self.estimates = 0
+
+    def intern(self, root: Node) -> Node:
+        """The interned node structurally equal to ``root``; what of
+        ``root``'s plan the store has not seen is hash-consed in."""
+        return self.twin.get(id(root)) or fill(root, self.twin, self._adopt)
+
+    def _adopt(self, node: Node) -> Node:
+        canon = self.add(replace_children(
+            node, tuple(self.twin[id(c)] for c in node.children)))
+        if canon is not node:
+            self.pins.append(node)  # its id stays a key of ``twin``
+        return canon
+
+    def add(self, node: Node) -> Node:
+        """:meth:`intern` for a node built over interned children."""
+        canon = self.canonical.setdefault(node_key(node), node)
+        self.twin[id(canon)] = canon
+        return canon
+
+    def rebuild(self, node: Node, children: tuple[Node, ...]) -> Node:
+        """Interned ``node`` over interned ``children``."""
+        built = replace_children(node, children)
+        return node if built is node else self.add(built)
+
+    def rewrite(self, family: str, root: Node,
+                visit: Callable[[Node, tuple[Node, ...]], Node],
+                idempotent: bool = False) -> Node:
+        """``root`` rewritten bottom-up by the rule family ``visit``
+        (an interned node and its rewritten children -> its interned
+        replacement), each node once for the life of the store.
+        ``idempotent``: a result is its own rewrite, and is marked so."""
+        memo = self.rewritten.setdefault(family, {})
+
+        def once(node: Node) -> Node:
+            self.visits[family] += 1
+            result = visit(node, tuple(memo[id(c)] for c in node.children))
+            if idempotent:
+                memo[id(result)] = result
+            return result
+
+        root = self.intern(root)
+        return memo.get(id(root)) or fill(root, memo, once)
+
+    def schema(self, node: Node) -> Schema:
+        return schema_of(node, self.schemas)
 
     def infer(self, node: Node) -> Props:
         return infer_properties(node, self.props, self.schemas, self.pins)
+
+
+#: The store under the name it had when it held only properties.
+PropsCache = PlanStore
 
 
 def infer_properties(node: Node, memo: "dict[int, Props] | None" = None,
@@ -223,34 +288,22 @@ def infer_properties(node: Node, memo: "dict[int, Props] | None" = None,
 
     Pass the same ``memo``/``schemas`` dictionaries across calls (e.g.
     for every query of a bundle) to analyze shared subplans exactly
-    once; ``pins`` (see :class:`PropsCache`) additionally receives every
+    once; ``pins`` (see :class:`PlanStore`) additionally receives every
     newly analyzed node, keeping ``id()`` keys stable.  The walk is
     iterative -- plans can be thousands of operators deep.
     """
-    if memo is None:
-        memo = {}
-    if schemas is None:
-        schemas = {}
-    cached = memo.get(id(node))
+    props: dict[int, Props] = {} if memo is None else memo
+    known: dict[int, Schema] = {} if schemas is None else schemas
+    cached = props.get(id(node))
     if cached is not None:
         return cached
-    seen: set[int] = set(memo)
-    stack: list[tuple[Node, bool]] = [(node, False)]
-    while stack:
-        current, expanded = stack.pop()
-        if id(current) in seen:
-            continue
-        if expanded:
-            seen.add(id(current))
-            memo[id(current)] = _infer_props(current, memo, schemas)
-            if pins is not None:
-                pins.append(current)
-        else:
-            stack.append((current, True))
-            for child in current.children:
-                if id(child) not in seen:
-                    stack.append((child, False))
-    return memo[id(node)]
+
+    def compute(current: Node) -> Props:
+        if pins is not None:
+            pins.append(current)
+        return _infer_props(current, props, known)
+
+    return fill(node, props, compute)
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +312,8 @@ def infer_properties(node: Node, memo: "dict[int, Props] | None" = None,
 
 def _minimize(keys: "set[Key]") -> frozenset[Key]:
     """Keep only minimal keys (drop supersets), capped at MAX_KEYS."""
+    if len(keys) < 2:
+        return frozenset(keys)
     ordered = sorted(keys, key=lambda k: (len(k), sorted(k)))
     out: list[Key] = []
     for k in ordered:
@@ -300,7 +355,6 @@ def _finish(schema: Schema, keys: "set[Key]", constants: dict,
     minimal = _minimize(keys)
     if frozenset() in minimal and (card.hi is None or card.hi > 1):
         card = Card(card.lo, 1)
-    cols = set(schema)
     constants = {c: v for c, v in constants.items() if c in cols}
     return Props(schema, minimal, constants, card,
                  non_null & cols,

@@ -45,7 +45,7 @@ from ..algebra.schema import Schema, _infer
 from ..errors import CompilationError, VerifyError
 from ..ftypes import IntT, Type, count_list_constructors
 from ..obs.metrics import METRICS
-from .properties import Props, infer_properties
+from .properties import PlanStore
 
 #: Stage names, in checking order.
 STAGES = ("structural", "order", "avalanche")
@@ -179,14 +179,12 @@ def check_plan(root: Node, schemas: "dict[int, Schema] | None" = None,
 # order stage
 # ----------------------------------------------------------------------
 
-def check_order(query: Any, index: int,
-                props_memo: "dict[int, Props]",
-                schemas: "dict[int, Schema]",
-                pins: "list | None" = None) -> list[Diagnostic]:
+def check_order(query: Any, index: int, store: PlanStore
+                ) -> list[Diagnostic]:
     """Order verification of one bundle member (standard form + ``pos``
     pedigree).  ``query`` is a ``SerializedQuery``."""
     out: list[Diagnostic] = []
-    schema = schemas.get(id(query.plan))
+    schema = store.schemas.get(id(query.plan))
     if schema is None or not schema:
         return out  # structural stage already failed this plan
     expected = [query.iter_col, query.pos_col, *query.item_cols]
@@ -209,8 +207,7 @@ def check_order(query: Any, index: int,
             f"pos column {query.pos_col!r} is "
             f"{schema[query.pos_col].show()}, not Int", query=index))
         return out
-    props = infer_properties(query.plan, props_memo, schemas, pins)
-    if not props.order_ok(query.pos_col):
+    if not store.infer(query.plan).order_ok(query.pos_col):
         out.append(Diagnostic(
             "F201", "order",
             f"pos column {query.pos_col!r} has no row-numbering "
@@ -265,27 +262,24 @@ def verify_bundle(bundle: Any, label: str = "final",
                   cache: Any = None) -> VerifyReport:
     """Run the selected verifier stages over a whole bundle.
 
-    One shared schema/property memo serves every query, so plans that
-    share subDAGs (the compiler's cross-query sharing) are walked once.
-    Passing the optimizer's :class:`~repro.analysis.PropsCache` as
-    ``cache`` makes verification incremental over the analysis the
-    pipeline already did.  On success with all stages selected the
-    bundle is stamped ``verified`` -- backends skip re-verification of
-    bundles the connection pipeline already checked.
+    One :class:`~repro.analysis.PlanStore` serves every query, so plans
+    that share subDAGs (the compiler's cross-query sharing) are walked
+    once.  Passing the optimizer's store as ``cache`` makes verification
+    incremental over the analysis the pipeline already did.  On success
+    with all stages selected the bundle is stamped ``verified`` --
+    backends skip re-verification of bundles the connection pipeline
+    already checked.
     """
     stages = tuple(stages)
     report = VerifyReport(label=label, stages=stages)
-    schemas: dict[int, Schema] = cache.schemas if cache is not None else {}
-    props_memo: dict[int, Props] = cache.props if cache is not None else {}
-    pins = cache.pins if cache is not None else None
+    store: PlanStore = cache if cache is not None else PlanStore()
     if "structural" in stages:
         for i, query in enumerate(bundle.queries):
-            check_plan(query.plan, schemas, query=i,
+            check_plan(query.plan, store.schemas, query=i,
                        collect=report.diagnostics)
     if "order" in stages:
         for i, query in enumerate(bundle.queries):
-            report.diagnostics.extend(
-                check_order(query, i, props_memo, schemas, pins))
+            report.diagnostics.extend(check_order(query, i, store))
     if "avalanche" in stages:
         report.diagnostics.extend(check_avalanche(bundle))
     METRICS.counter("verify.runs").inc()

@@ -188,24 +188,20 @@ def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
 
     bundle = compiled.bundle
     queries = []
-    props_memo: dict = {}
-    schemas: dict = {}
-    cost_model = None
     if properties:
+        from ..analysis import PlanStore
         from ..analysis.cost import CostModel
-        from ..analysis.properties import PropsCache
-        cache = PropsCache()
-        cache.props = props_memo  # share the annotate_plan walk
-        cache.schemas = schemas
+        store = PlanStore()  # annotate_plan and the estimates share a walk
         cost_model = CostModel(backend.name, table_rows=table_rows,
-                               cache=cache)
+                               cache=store)
     for i, query in enumerate(bundle.queries):
         artifact = artifacts[i] if i < len(artifacts) else None
         annotations = None
         if properties:
             from ..analysis import annotate_plan
             from ..analysis.cost import annotate_costs
-            annotations = annotate_plan(query.plan, props_memo, schemas)
+            annotations = annotate_plan(query.plan, store.props,
+                                        store.schemas)
             for ref, note in annotate_costs(query.plan,
                                             cost_model).items():
                 annotations[ref] = f"{annotations[ref]} {note}"

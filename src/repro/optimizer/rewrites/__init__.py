@@ -1,6 +1,6 @@
 """Individual rewrite passes of the algebra optimizer."""
 
-from .cse import eliminate_common_subexpressions, replace_children
+from .cse import eliminate_common_subexpressions
 from .constfold import fold_constants
 from .icols import prune_unneeded_columns
 from .projmerge import merge_projections
@@ -12,5 +12,4 @@ __all__ = [
     "fold_constants",
     "merge_projections",
     "prune_unneeded_columns",
-    "replace_children",
 ]

@@ -9,32 +9,33 @@
 
 from __future__ import annotations
 
-from ...algebra import Attach, BinApp, Const, Node, Select, rewrite_dag
+from ...algebra import Attach, BinApp, Const, Node, Select
+from ...analysis import PlanStore
 from ...errors import PartialFunctionError
 from ...expr.exp import BOOL_OPS, CMP_OPS
 from ...ftypes import AtomT, BoolT
-from .cse import replace_children
+from ...semantics.interp import _binop
 
 
-def fold_constants(root: Node) -> Node:
-    memo: dict = {}
+def fold_constants(root: Node, store: "PlanStore | None" = None) -> Node:
+    store = store or PlanStore()
 
     def visit(node: Node, children: tuple[Node, ...]) -> Node:
-        node = (replace_children(node, children)
-                if node.children else node)
+        node = store.rebuild(node, children)
         if isinstance(node, BinApp):
-            return _fold_binapp(node, memo)
+            return store.add(_fold_binapp(node))
         if isinstance(node, Select):
             child = node.child
             if (isinstance(child, Attach) and child.col == node.col
                     and child.value is True):
-                return Attach(child.child, child.col, True, child.ty)
+                return store.add(
+                    Attach(child.child, child.col, True, child.ty))
         return node
 
-    return rewrite_dag(root, visit)
+    return store.rewrite("constfold", root, visit, idempotent=True)
 
 
-def _fold_binapp(node: BinApp, memo) -> Node:
+def _fold_binapp(node: BinApp) -> Node:
     lhs, rhs = node.lhs, node.rhs
     child = node.child
     # Read operands straight out of constant attachments.
@@ -45,7 +46,7 @@ def _fold_binapp(node: BinApp, memo) -> Node:
             rhs = Const(child.value, child.ty)
     if isinstance(lhs, Const) and isinstance(rhs, Const):
         try:
-            value = _eval(node.op, lhs.value, rhs.value)
+            value = _binop(node.op, lhs.value, rhs.value)
         except PartialFunctionError:
             # division by zero must stay a runtime error
             return BinApp(node.child, node.op, lhs, rhs, node.out)
@@ -54,11 +55,6 @@ def _fold_binapp(node: BinApp, memo) -> Node:
     if lhs is not node.lhs or rhs is not node.rhs:
         return BinApp(node.child, node.op, lhs, rhs, node.out)
     return node
-
-
-def _eval(op: str, a, b):
-    from ...semantics.interp import _binop
-    return _binop(op, a, b)
 
 
 def _result_ty(op: str, operand_ty: AtomT) -> AtomT:

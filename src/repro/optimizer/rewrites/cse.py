@@ -1,143 +1,23 @@
 """Common subexpression elimination (hash-consing plan DAGs).
 
 The loop-lifting compiler freely re-projects and re-derives the same
-subplans (environment lifting duplicates joins per variable); this pass
-shares structurally identical nodes, shrinking plans and letting the
-engine's per-node memoization (and SQL's WITH bindings) evaluate shared
-work once.
+subplans (environment lifting duplicates joins per variable), within a
+query and across the queries of a bundle.  Sharing structurally
+identical nodes shrinks plans and lets the engine's per-node memoization
+(and SQL's WITH bindings) evaluate shared work once.  It is not a pass:
+interning a plan into the compile's :class:`~repro.analysis.PlanStore`
+*is* the elimination, and every node a later rewrite builds goes through
+the same table.
 """
 
 from __future__ import annotations
 
-from ...algebra import (
-    AntiJoin,
-    Attach,
-    BinApp,
-    Const,
-    Cross,
-    Distinct,
-    EqJoin,
-    GroupAggr,
-    LitTable,
-    Node,
-    Project,
-    RowNum,
-    RowRank,
-    Select,
-    SemiJoin,
-    TableScan,
-    UnApp,
-    UnionAll,
-    rewrite_dag,
-)
-
-
-def _operand_key(operand):
-    if isinstance(operand, Const):
-        return ("const", operand.value, operand.ty)
-    return ("col", operand)
-
-
-def _node_key(node: Node, child_ids: tuple[int, ...]):
-    if isinstance(node, LitTable):
-        return ("lit", node.rows, node.schema)
-    if isinstance(node, TableScan):
-        return ("scan", node.table, node.columns)
-    if isinstance(node, Attach):
-        return ("attach", node.col, node.value, node.ty, child_ids)
-    if isinstance(node, Project):
-        return ("project", node.cols, child_ids)
-    if isinstance(node, Select):
-        return ("select", node.col, child_ids)
-    if isinstance(node, Distinct):
-        return ("distinct", child_ids)
-    if isinstance(node, RowNum):
-        return ("rownum", node.col, node.order, node.part, child_ids)
-    if isinstance(node, RowRank):
-        return ("rowrank", node.col, node.order, child_ids)
-    if isinstance(node, Cross):
-        return ("cross", child_ids)
-    if isinstance(node, EqJoin):
-        return ("eqjoin", node.pairs, child_ids)
-    if isinstance(node, SemiJoin):
-        return ("semijoin", node.pairs, child_ids)
-    if isinstance(node, AntiJoin):
-        return ("antijoin", node.pairs, child_ids)
-    if isinstance(node, UnionAll):
-        return ("union", child_ids)
-    if isinstance(node, GroupAggr):
-        return ("groupaggr", node.group, node.aggs, child_ids)
-    if isinstance(node, BinApp):
-        return ("binapp", node.op, _operand_key(node.lhs),
-                _operand_key(node.rhs), node.out, child_ids)
-    if isinstance(node, UnApp):
-        return ("unapp", node.op, node.col, node.out, child_ids)
-    return ("opaque", id(node))  # pragma: no cover
+from ...algebra import Node
+from ...analysis import PlanStore
 
 
 def eliminate_common_subexpressions(root: Node,
-                                    canonical: "dict | None" = None) -> Node:
-    """Share structurally identical subplans.
-
-    ``canonical`` maps structural node keys to their canonical node
-    objects.  Passing the same dict across several calls hash-conses
-    *across* those plans: structurally equal subplans in different
-    bundle queries collapse to one shared object (``optimize_bundle``
-    uses this so the engine's cross-query bundle cache -- keyed on node
-    identity -- sees the sharing the per-query rewrites destroyed).
-    """
-    if canonical is None:
-        canonical = {}
-
-    def visit(node: Node, children: tuple[Node, ...]) -> Node:
-        rebuilt = _rebuild(node, children)
-        key = _node_key(rebuilt, tuple(id(c) for c in children))
-        existing = canonical.get(key)
-        if existing is not None:
-            return existing
-        canonical[key] = rebuilt
-        return rebuilt
-
-    return rewrite_dag(root, visit)
-
-
-def _rebuild(node: Node, children: tuple[Node, ...]) -> Node:
-    """Reconstruct ``node`` over (possibly shared) new children."""
-    if not node.children:
-        return node
-    if tuple(id(c) for c in children) == tuple(id(c) for c in node.children):
-        return node
-    return replace_children(node, children)
-
-
-def replace_children(node: Node, children: tuple[Node, ...]) -> Node:
-    """Build a copy of ``node`` whose children are ``children``."""
-    if isinstance(node, Attach):
-        return Attach(children[0], node.col, node.value, node.ty)
-    if isinstance(node, Project):
-        return Project(children[0], node.cols)
-    if isinstance(node, Select):
-        return Select(children[0], node.col)
-    if isinstance(node, Distinct):
-        return Distinct(children[0])
-    if isinstance(node, RowNum):
-        return RowNum(children[0], node.col, node.order, node.part)
-    if isinstance(node, RowRank):
-        return RowRank(children[0], node.col, node.order)
-    if isinstance(node, Cross):
-        return Cross(children[0], children[1])
-    if isinstance(node, EqJoin):
-        return EqJoin(children[0], children[1], node.pairs)
-    if isinstance(node, SemiJoin):
-        return SemiJoin(children[0], children[1], node.pairs)
-    if isinstance(node, AntiJoin):
-        return AntiJoin(children[0], children[1], node.pairs)
-    if isinstance(node, UnionAll):
-        return UnionAll(children[0], children[1])
-    if isinstance(node, GroupAggr):
-        return GroupAggr(children[0], node.group, node.aggs)
-    if isinstance(node, BinApp):
-        return BinApp(children[0], node.op, node.lhs, node.rhs, node.out)
-    if isinstance(node, UnApp):
-        return UnApp(children[0], node.op, node.col, node.out)
-    raise TypeError(f"cannot rebuild {node.label}")  # pragma: no cover
+                                    store: "PlanStore | None" = None) -> Node:
+    """Share structurally identical subplans.  Interning several plans
+    into the same ``store`` shares them *across* those plans too."""
+    return (store or PlanStore()).intern(root)

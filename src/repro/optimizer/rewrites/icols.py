@@ -19,6 +19,8 @@ content:
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from ...algebra import (
     AntiJoin,
     Attach,
@@ -38,27 +40,44 @@ from ...algebra import (
     TableScan,
     UnApp,
     UnionAll,
+    Schema,
     postorder,
-    schema_of,
 )
-from .cse import replace_children
+from ...analysis import PlanStore
 
 
-def prune_unneeded_columns(root: Node) -> Node:
+def prune_unneeded_columns(root: Node,
+                           store: "PlanStore | None" = None) -> Node:
     """Remove columns (and the operators that only compute them) that no
-    consumer reads.  The root's full output is demanded."""
-    memo: dict = {}
+    consumer reads.  The root's full output is demanded.
+
+    Demand is a property of the whole plan (a shared node serves the
+    union of its consumers), so unlike the bottom-up families the result
+    is memoized per *root* only; below it, a node whose every column is
+    demanded and whose children stand is not rebuilt."""
+    store = store or PlanStore()
+    root = store.intern(root)
+    pruned = store.rewritten.setdefault("icols", {})
+    if id(root) in pruned:
+        return pruned[id(root)]
+    needed: dict[int, set[str]] = {id(root): set(store.schema(root))}
+    schemas = store.schemas  # now holds every node of the plan
     order = list(postorder(root))
-    needed: dict[int, set[str]] = {id(n): set() for n in order}
-    needed[id(root)] = set(schema_of(root, memo))
     # Parents precede children in reversed postorder.
     for node in reversed(order):
-        _demand(node, needed, memo)
+        _demand(node, needed, schemas)
 
     rebuilt: dict[int, Node] = {}
     for node in order:
         children = tuple(rebuilt[id(c)] for c in node.children)
-        rebuilt[id(node)] = _narrow(node, children, needed[id(node)], memo)
+        n = needed[id(node)]
+        if (children == node.children and len(n) == len(schemas[id(node)])
+                and not isinstance(node, UnionAll)):
+            rebuilt[id(node)] = node
+        else:
+            store.visits["icols"] += 1
+            rebuilt[id(node)] = _narrow(node, children, n, store)
+    pruned[id(root)] = rebuilt[id(root)]
     return rebuilt[id(root)]
 
 
@@ -66,11 +85,12 @@ def prune_unneeded_columns(root: Node) -> Node:
 # demand propagation (top-down)
 # ----------------------------------------------------------------------
 
-def _demand(node: Node, needed: dict[int, set[str]], memo) -> None:
+def _demand(node: Node, needed: dict[int, set[str]],
+            schemas: dict[int, Schema]) -> None:
     n = needed[id(node)]
 
-    def want(child: Node, cols) -> None:
-        needed[id(child)] |= set(cols)
+    def want(child: Node, cols: Iterable[str]) -> None:
+        needed.setdefault(id(child), set()).update(cols)
 
     if isinstance(node, Project):
         want(node.child, {old for new, old in node.cols if new in n})
@@ -79,18 +99,18 @@ def _demand(node: Node, needed: dict[int, set[str]], memo) -> None:
     elif isinstance(node, Select):
         want(node.child, n | {node.col})
     elif isinstance(node, Distinct):
-        want(node.child, schema_of(node.child, memo))
+        want(node.child, schemas[id(node.child)])
     elif isinstance(node, RowNum):
         want(node.child, (n - {node.col}) | {c for c, _ in node.order}
              | set(node.part))
     elif isinstance(node, RowRank):
         want(node.child, (n - {node.col}) | {c for c, _ in node.order})
     elif isinstance(node, Cross):
-        lsch = set(schema_of(node.left, memo))
+        lsch = set(schemas[id(node.left)])
         want(node.left, n & lsch)
         want(node.right, n - lsch)
     elif isinstance(node, EqJoin):
-        lsch = set(schema_of(node.left, memo))
+        lsch = set(schemas[id(node.left)])
         want(node.left, (n & lsch) | {l for l, _ in node.pairs})
         want(node.right, (n - lsch) | {r for _, r in node.pairs})
     elif isinstance(node, (SemiJoin, AntiJoin)):
@@ -118,7 +138,8 @@ def _demand(node: Node, needed: dict[int, set[str]], memo) -> None:
 # ----------------------------------------------------------------------
 
 def _narrow(node: Node, children: tuple[Node, ...], n: set[str],
-            memo) -> Node:
+            store: PlanStore) -> Node:
+    intern = store.add
     if isinstance(node, LitTable):
         keep = [i for i, (name, _) in enumerate(node.schema) if name in n]
         if not keep:  # keep cardinality
@@ -127,47 +148,38 @@ def _narrow(node: Node, children: tuple[Node, ...], n: set[str],
             return node
         schema = tuple(node.schema[i] for i in keep)
         rows = tuple(tuple(row[i] for i in keep) for row in node.rows)
-        return LitTable(rows, schema)
+        return intern(LitTable(rows, schema))
 
     if isinstance(node, TableScan):
         keep = [c for c in node.columns if c[0] in n] or [node.columns[0]]
         if len(keep) == len(node.columns):
             return node
-        return TableScan(node.table, tuple(keep))
+        return intern(TableScan(node.table, tuple(keep)))
 
     if isinstance(node, Project):
         cols = tuple((new, old) for new, old in node.cols if new in n)
         if not cols:
             # Nothing demanded: keep cardinality through any one column
             # that survived in the narrowed child.
-            child_col = next(iter(schema_of(children[0], {})))
+            child_col = next(iter(store.schema(children[0])))
             cols = ((child_col, child_col),)
-        return Project(children[0], cols)
+        return intern(Project(children[0], cols))
 
-    if isinstance(node, Attach) and node.col not in n:
-        return children[0]
-
-    if isinstance(node, (RowNum, RowRank)) and node.col not in n:
-        return children[0]
-
-    if isinstance(node, BinApp) and node.out not in n:
-        return children[0]
-
-    if isinstance(node, UnApp) and node.out not in n:
+    if (isinstance(node, (Attach, RowNum, RowRank)) and node.col not in n
+            or isinstance(node, (BinApp, UnApp)) and node.out not in n):
         return children[0]
 
     if isinstance(node, GroupAggr):
         aggs = tuple(a for a in node.aggs if a[2] in n)
-        return GroupAggr(children[0], node.group, aggs)
+        return intern(GroupAggr(children[0], node.group, aggs))
 
-    if isinstance(node, UnionAll):
+    if isinstance(node, UnionAll) and n:  # (a root always demands columns)
         # Children were narrowed independently; realign them on the
         # demanded schema (sorted for determinism).
-        cols = tuple(sorted(n)) if n else None
-        if cols is None:  # pragma: no cover - root always demands columns
-            return replace_children(node, children)
-        left = Project(children[0], tuple((c, c) for c in cols))
-        right = Project(children[1], tuple((c, c) for c in cols))
-        return UnionAll(left, right)
+        cols = tuple((c, c) for c in sorted(n))
+        left, right = (
+            c if isinstance(c, Project) and c.cols == cols  # aligned
+            else intern(Project(c, cols)) for c in children)
+        return intern(UnionAll(left, right))
 
-    return replace_children(node, children) if node.children else node
+    return store.rebuild(node, children)

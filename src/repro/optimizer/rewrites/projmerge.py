@@ -7,30 +7,29 @@ which leaves chains of narrowed projections behind.
 
 from __future__ import annotations
 
-from ...algebra import Node, Project, rewrite_dag, schema_of
-from .cse import replace_children
+from ...algebra import Node, Project
+from ...analysis import PlanStore
 
 
-def merge_projections(root: Node) -> Node:
-    memo: dict = {}
+def merge_projections(root: Node, store: "PlanStore | None" = None) -> Node:
+    store = store or PlanStore()
 
     def visit(node: Node, children: tuple[Node, ...]) -> Node:
         if not isinstance(node, Project):
-            return (replace_children(node, children)
-                    if node.children else node)
-        child = children[0]
-        cols = node.cols
-        # Project over Project: compose the rename maps.
-        while isinstance(child, Project):
-            inner = dict(child.cols)
-            cols = tuple((new, inner[old]) for new, old in cols)
-            child = child.child
-        # Identity projection: same names, same order, no duplication.
-        child_cols = list(schema_of(child, memo))
-        if (len(cols) == len(child_cols)
-                and all(new == old for new, old in cols)
-                and [new for new, _ in cols] == child_cols):
-            return child
-        return Project(child, cols)
+            node = store.rebuild(node, children)
+        else:
+            child = children[0]
+            cols = node.cols
+            # Project over Project: compose the rename maps.
+            while isinstance(child, Project):
+                inner = dict(child.cols)
+                cols = tuple((new, inner[old]) for new, old in cols)
+                child = child.child
+            # Identity projection: same names, same order, no duplication.
+            if cols == tuple((c, c) for c in store.schema(child)):
+                node = child
+            elif child is not node.child:
+                node = store.add(Project(child, cols))
+        return node
 
-    return rewrite_dag(root, visit)
+    return store.rewrite("projmerge", root, visit, idempotent=True)

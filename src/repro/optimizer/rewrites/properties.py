@@ -35,12 +35,16 @@ Every candidate is **cost-gated**: it fires only when the estimated
 plan cost (``repro.analysis.cost``, engine calibration -- deliberately
 backend-independent so all backends optimize to identical algebra)
 strictly drops; rejected candidates are accounted separately
-(``PassStats.rewrites_gated``).  Every application is additionally
-self-verified: the rewritten plan is re-inferred and must keep the
-original root schema (exactly, including column order) and every
-inferred root key; a violation raises
-:class:`~repro.errors.VerifyError` (``F190``) instead of emitting a
-mis-optimized plan.
+(``PassStats.rewrites_gated``).  The gate is local
+(``CostModel.delta``): only the few operators candidate and original do
+not share are compared.  Match and gate are both taken on the node as
+it stood before the sweep -- every rewrite preserves semantics, so the
+facts hold for the rebuilt children the rewrite is applied over -- which
+makes the family a memoized function of an interned node
+(:class:`~repro.analysis.PlanStore`): a node shared by several queries
+is decided once.  The pipeline self-verifies every plan the sweep
+changed (:func:`_self_verify`, ``F190``) instead of emitting a
+mis-optimized one.
 """
 
 from __future__ import annotations
@@ -54,11 +58,10 @@ from ...algebra.ops import (
     Select,
     SemiJoin,
 )
-from ...algebra.schema import schema_of
+from ...algebra.dag import postorder
 from ...analysis.cost import CostModel
-from ...analysis.properties import Props, PropsCache, _rename_keys
+from ...analysis.properties import PlanStore, _rename_keys
 from ...errors import VerifyError
-from .cse import replace_children
 
 #: Rewrite names, as accounted in ``PassStats.rewrites_fired`` /
 #: ``PassStats.rewrites_gated``.
@@ -68,78 +71,73 @@ REWRITES = ("distinct_elim", "rownum_dense", "select_true",
 
 def apply_property_rewrites(root: Node,
                             fired: "dict[str, int] | None" = None,
-                            cache: "PropsCache | None" = None,
+                            cache: "PlanStore | None" = None,
                             model: "CostModel | None" = None,
-                            gated: "dict[str, int] | None" = None) -> Node:
+                            gated: "dict[str, int] | None" = None,
+                            decided: "dict[int, tuple[str, bool]] | None"
+                            = None) -> Node:
     """One bottom-up sweep of the cost-gated property rewrites.
 
     ``fired`` (e.g. ``PassStats.rewrites_fired``) accumulates how often
-    each rewrite applied; ``gated`` how often a matching candidate was
-    rejected because its estimated cost did not strictly drop.
-    Decisions are taken on the properties of the *original* DAG; since
-    every rewrite preserves semantics, the facts remain valid for the
-    rebuilt children they are applied over.  ``cache`` -- a
-    :class:`~repro.analysis.PropsCache` shared with the rest of the
-    compile -- makes the sweep's inference, the cost estimates, and the
-    self-check incremental over nodes analyzed earlier; ``model`` (a
-    :class:`~repro.analysis.cost.CostModel` over the same cache) carries
-    catalog row statistics into the gate when the caller has them.
+    each rewrite applied in ``root``'s plan; ``gated`` how often a
+    matching candidate was rejected because its estimated cost did not
+    strictly drop.  ``cache`` is the compile's plan store; ``model`` (a
+    :class:`~repro.analysis.cost.CostModel` over it) is the gate's
+    estimator -- a stats-free engine-calibrated one by default.
+    ``decided`` (``id(node)`` -> rewrite name, passed the gate?) carries
+    a sweep's decisions from plan to plan of a bundle: a node shared with
+    a plan swept before is decided once, yet counts for every plan that
+    contains it, as it would in a sweep per plan.
     """
-    if cache is None:
-        cache = PropsCache()
-    if model is None:
-        model = CostModel("engine", cache=cache)
-    cache.infer(root)
-    props = cache.props
+    store = cache or PlanStore()
+    model = model or CostModel("engine", cache=store)
+    decided = {} if decided is None else decided
+    root = store.intern(root)
 
-    local: dict[str, int] = {}
-    result: dict[int, Node] = {}
-    from ...algebra.dag import postorder
-    changed = False
-    for node in postorder(root):
-        children = tuple(result[id(c)] for c in node.children)
-        default = (node if children == node.children
-                   else replace_children(node, children))
-        hit = _rewrite_node(node, children, props)
-        if hit is not None:
-            name, candidate = hit
-            # The gate: a candidate must *strictly* lower the estimated
-            # plan cost, else the default (un-rewritten) node stands.
-            if model.plan_cost(candidate) < model.plan_cost(default):
-                local[name] = local.get(name, 0) + 1
-                result[id(node)] = candidate
-                changed = True
-                continue
-            if gated is not None:
-                gated[name] = gated.get(name, 0) + 1
-        result[id(node)] = default
-    new_root = result[id(root)]
-    if changed:
-        _self_verify(root, new_root, cache)
-        if fired is not None:
-            for name, n in local.items():
-                fired[name] = fired.get(name, 0) + n
+    def visit(node: Node, children: tuple[Node, ...]) -> Node:
+        default = store.rebuild(node, children)
+        hit = _rewrite_node(node, children, store)
+        if hit is None:
+            return default
+        # The gate: a candidate must *strictly* lower the estimated
+        # plan cost, else the default (un-rewritten) node stands.  It
+        # prices the rewrite where it matched, on the plan as it stood:
+        # rewritten children compute the same relations, and estimating
+        # over them analyses nodes the tidy-up round replaces anyway.
+        was = (hit if children == node.children
+               else _rewrite_node(node, node.children, store))
+        assert was is not None  # what matched over them matches over its own
+        wins = model.delta(store.intern(was[1]), node) < 0
+        decided[id(node)] = hit[0], wins
+        return store.intern(hit[1]) if wins else default
+
+    new_root = store.rewrite("properties", root, visit)
+    for node in postorder(root) if decided else ():
+        if id(node) in decided:
+            name, wins = decided[id(node)]
+            counts = fired if wins else gated
+            if counts is not None:
+                counts[name] = counts.get(name, 0) + 1
     return new_root
 
 
 def _rewrite_node(node: Node, children: tuple[Node, ...],
-                  props: "dict[int, Props]"
-                  ) -> "tuple[str, Node] | None":
+                  store: PlanStore) -> "tuple[str, Node] | None":
     """The candidate replacement for ``node`` over its rebuilt
     ``children`` -- ``(rewrite name, candidate)`` -- or ``None`` when no
     rewrite matches.  The caller cost-gates the candidate."""
     if isinstance(node, Distinct):
-        if props[id(node.child)].keys:
+        if store.infer(node.child).keys:
             return "distinct_elim", children[0]
         return None
 
     if isinstance(node, Select):
-        if props[id(node.child)].constants.get(node.col) is True:
+        if store.infer(node.child).constants.get(node.col) is True:
             return "select_true", children[0]
         return None
 
     if isinstance(node, RowNum):
-        cp = props[id(node.child)]
+        cp = store.infer(node.child)
         # Constant columns order nothing; drop them from the spec.
         order = [(c, d) for c, d in node.order if c not in cp.constants]
         if (len(order) == 1 and order[0][1] == "asc"
@@ -150,17 +148,16 @@ def _rewrite_node(node: Node, children: tuple[Node, ...],
         return None
 
     if isinstance(node, Project) and isinstance(node.child, EqJoin):
-        return _semijoin_reduce(node, children, props)
+        return _semijoin_reduce(node, children, store)
 
     if isinstance(node, EqJoin):
-        return _selfjoin_elim(node, children, props)
+        return _selfjoin_elim(node, children, store)
 
     return None
 
 
 def _semijoin_reduce(node: Project, children: tuple[Node, ...],
-                     props: "dict[int, Props]"
-                     ) -> "tuple[str, Node] | None":
+                     store: PlanStore) -> "tuple[str, Node] | None":
     """``Project(EqJoin(l, r))`` -> ``Project(SemiJoin(l, r))`` when the
     join is right-unique and the projection takes nothing from ``r``
     beyond its join columns (remapped to their left partners)."""
@@ -169,8 +166,8 @@ def _semijoin_reduce(node: Project, children: tuple[Node, ...],
         return None
     old_join = node.child
     assert isinstance(old_join, EqJoin)
-    lp = props[id(old_join.left)]
-    rp = props[id(old_join.right)]
+    lp = store.infer(old_join.left)
+    rp = store.infer(old_join.right)
     rcols = frozenset(r for _, r in old_join.pairs)
     if not rp.has_key(rcols):
         return None  # the join multiplies rows; it is not a filter
@@ -199,7 +196,7 @@ def _semijoin_reduce(node: Project, children: tuple[Node, ...],
         # mirror Props normalization: constant columns leave keys
         new_keys.add(frozenset(
             c for c in key if src_of[c] not in lp.constants))
-    for key in props[id(node)].keys:
+    for key in store.infer(node).keys:
         if not any(k <= key for k in new_keys):
             return None
     return "semijoin_reduce", Project(
@@ -207,8 +204,7 @@ def _semijoin_reduce(node: Project, children: tuple[Node, ...],
 
 
 def _selfjoin_elim(node: EqJoin, children: tuple[Node, ...],
-                   props: "dict[int, Props]"
-                   ) -> "tuple[str, Node] | None":
+                   store: PlanStore) -> "tuple[str, Node] | None":
     """``EqJoin(Project(b), Project(b), pairs)`` -> ``Project(b)`` when
     every pair equates two renames of the *same* column of the shared
     ``b`` and those columns hold a key of ``b``.
@@ -227,7 +223,7 @@ def _selfjoin_elim(node: EqJoin, children: tuple[Node, ...],
             and left.child is right.child):
         return None  # a lower rewrite broke the sharing
     base = old_left.child
-    bp = props[id(base)]
+    bp = store.infer(base)
     lsrc = dict(old_left.cols)
     rsrc = dict(old_right.cols)
     join_src = set()
@@ -249,25 +245,25 @@ def _selfjoin_elim(node: EqJoin, children: tuple[Node, ...],
     for key in _rename_keys(bp.keys, renames):
         new_keys.add(frozenset(
             c for c in key if src_of[c] not in bp.constants))
-    for key in props[id(node)].keys:
+    for key in store.infer(node).keys:
         if not any(k <= key for k in new_keys):
             return None
     return "semijoin_reduce", Project(left.child, cols)
 
 
-def _self_verify(old_root: Node, new_root: Node, cache: PropsCache) -> None:
+def _self_verify(old_root: Node, new_root: Node, cache: PlanStore) -> None:
     """Re-run inference on the rewritten plan and diff it against the
     original: the schema must be identical (names, types, order) and no
-    inferred root key may be lost.  ``cache`` already holds the old
-    plan's analysis, so only rebuilt nodes are inferred."""
-    new_schema = schema_of(new_root, cache.schemas)
-    old_schema = cache.schemas[id(old_root)]
+    inferred root key may be lost.  ``cache`` already holds the analysis
+    of what the two plans share, so only rebuilt nodes are inferred."""
+    new_schema = cache.schema(new_root)
+    old_schema = cache.schema(old_root)
     if list(new_schema.items()) != list(old_schema.items()):
         raise VerifyError(
             "F190: property rewrite changed the root schema: "
             f"{list(old_schema)} -> {list(new_schema)}", code="F190")
     new_props = cache.infer(new_root)
-    for key in cache.props[id(old_root)].keys:
+    for key in cache.infer(old_root).keys:
         if not new_props.has_key(key):
             raise VerifyError(
                 "F190: property rewrite lost root key "
