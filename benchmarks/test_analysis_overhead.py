@@ -3,10 +3,10 @@ the guard that debug-off compile cost stays within 5% of seed on the
 path users actually pay: the warm plan-cache path.
 
 The seed control is the pre-analysis pipeline, reconstructed by
-patching out the property sweep and replacing the final staged
-verification with the seed's single structural walk (``check_plan`` was
-``algebra.validate`` before the verifier subsumed it).  Against it we
-measure:
+patching the property rules out of the sweep and replacing the final
+staged verification with the seed's single structural walk
+(``check_plan`` was ``algebra.validate`` before the verifier subsumed
+it).  Against it we measure:
 
 ``warm_ratio`` (guarded <= 1.05)
     Full warm ``run`` cost -- compile is a content-addressed cache hit
@@ -19,7 +19,7 @@ cold compile (counter bound, no clock)
     A cold compile pays for what the seed never did: property inference
     (shared by the sweep, the F190 self-checks, and the final verifier
     through the compile's ``PlanStore``), the cost gate, and the
-    tidy-up round.  That is real work, bought deliberately; what must
+    extra sweeps.  That is real work, bought deliberately; what must
     not happen is a *second* inference walk sneaking in.  A wall-clock
     ratio against the seed pipeline cannot tell: the seed side is the
     syntactic passes, which the store memoizes too, so the ratio moves
@@ -45,6 +45,7 @@ from repro.analysis import verifier as verifier_mod
 from repro.bench.table1 import running_example_query
 from repro.bench.workloads import paper_dataset
 from repro.optimizer import pipeline
+from repro.optimizer.rewrites import properties
 
 BATCHES = 10
 WARM_RUNS_PER_BATCH = 25
@@ -53,9 +54,9 @@ WARM_LIMIT = 1.05
 
 @contextmanager
 def seed_pipeline():
-    """The pre-analysis optimizer: no property sweep, and bundle
-    validation is the seed's single structural schema walk."""
-    real_sweep = pipeline.apply_property_rewrites
+    """The pre-analysis optimizer: no property rule in the sweep, and
+    bundle validation is the seed's single structural schema walk."""
+    real_rules = properties._rewrite_node
     real_verify = pipeline.verify_bundle
 
     def seed_validate(bundle, label="final", cache=None, **kwargs):
@@ -64,13 +65,12 @@ def seed_pipeline():
         bundle.verified = True  # keep the warm run path identical
         return verifier_mod.VerifyReport(label=label)
 
-    pipeline.apply_property_rewrites = (
-        lambda plan, fired=None, cache=None, **kwargs: plan)
+    properties._rewrite_node = lambda node, store, shared: None
     pipeline.verify_bundle = seed_validate
     try:
         yield
     finally:
-        pipeline.apply_property_rewrites = real_sweep
+        properties._rewrite_node = real_rules
         pipeline.verify_bundle = real_verify
 
 

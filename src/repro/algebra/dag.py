@@ -34,11 +34,12 @@ def fill(root: Node, memo: dict[int, T], compute: Callable[[Node], T]) -> T:
     return memo[id(root)]
 
 
-def postorder(root: Node) -> Iterator[Node]:
-    """Yield every node reachable from ``root`` exactly once, children
-    before parents."""
+def postorder(*roots: Node) -> Iterator[Node]:
+    """Yield every node reachable from ``roots`` (one plan, or the plans
+    of a bundle) exactly once, children before parents."""
     seen: dict[int, Node] = {}
-    fill(root, seen, lambda node: node)
+    for root in roots:
+        fill(root, seen, lambda node: node)
     return iter(seen.values())
 
 

@@ -74,14 +74,19 @@ def _operand(op) -> str:
     return repr(op.value) if isinstance(op, Const) else op
 
 
-def plan_text(root: Node, annotations: "dict[int, str] | None" = None) -> str:
+def plan_text(root: Node, annotations: "dict[int, str] | None" = None,
+              earlier: "dict[int, str] | None" = None,
+              label: str = "") -> str:
     """Indented tree rendering; shared subplans are printed once and then
     referenced by number.
 
     ``annotations`` optionally maps a node's postorder reference (the
     ``@n`` number) to a suffix appended to its line -- EXPLAIN ANALYZE
     uses this to tag operators with time%, cardinalities, and cumulative
-    cost without touching the tree layout.
+    cost without touching the tree layout.  ``earlier`` carries the
+    sharing across the plans of a bundle: it maps the nodes already
+    printed to where (``"Q1 @8"``), a plan refers to those instead of
+    printing them again, and records its own under ``label``.
     """
     ids: dict[int, int] = {}
     for i, node in enumerate(postorder(root)):
@@ -96,6 +101,9 @@ def plan_text(root: Node, annotations: "dict[int, str] | None" = None) -> str:
             lines.append(f"{indent}@{ref} (shared, see above)")
             return
         printed.add(id(node))
+        if earlier is not None and id(node) in earlier:
+            lines.append(f"{indent}@{ref} (shared with {earlier[id(node)]})")
+            return
         suffix = ""
         if annotations is not None and ref in annotations:
             suffix = f"  {annotations[ref]}"
@@ -104,18 +112,23 @@ def plan_text(root: Node, annotations: "dict[int, str] | None" = None) -> str:
             go(child, depth + 1)
 
     go(root, 0)
+    if earlier is not None:
+        earlier.update((nid, f"{label} @{ids[nid]}") for nid in printed
+                       if nid not in earlier)
     return "\n".join(lines)
 
 
 def bundle_text(bundle) -> str:
     """Render every query of a :class:`~repro.core.bundle.Bundle` with
-    its ``-- Qn`` header (the classic ``explain`` text layout)."""
+    its ``-- Qn`` header (the classic ``explain`` text layout); a subplan
+    an earlier query printed is referred to, not repeated."""
     chunks = []
+    earlier: dict[int, str] = {}
     for i, query in enumerate(bundle.queries, start=1):
         chunks.append(f"-- Q{i} (iter={query.iter_col}, "
                       f"pos={query.pos_col}, "
                       f"items={', '.join(query.item_cols)})")
-        chunks.append(plan_text(query.plan))
+        chunks.append(plan_text(query.plan, earlier=earlier, label=f"Q{i}"))
     return "\n".join(chunks)
 
 

@@ -20,7 +20,6 @@ from .properties import (
     Card,
     PlanStore,
     Props,
-    PropsCache,
     annotate_plan,
     infer_properties,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "Est",
     "PlanStore",
     "Props",
-    "PropsCache",
     "QueryCost",
     "STAGES",
     "VerifyReport",

@@ -26,6 +26,14 @@ with
     exactly the values ``1..n`` (the paper's ``pos`` encoding).  Only
     facts that hold for every instance are recorded; rewrites may rely
     on them.
+``order``
+    *sound* numbering facts: ``(col, by, part)`` means that within every
+    group of rows agreeing on ``part``, ``col`` is the dense rank of the
+    ``by`` columns (``(column, direction)`` pairs) -- and their
+    ``row_number`` wherever no two rows of a group tie on them.
+    ``RowRank`` and tie-free ``RowNum`` state it; it survives renaming,
+    added columns and ``Distinct``, and falls at anything that drops
+    rows.  Numbering the same run again is then a ``Project``.
 ``provenance``
     *lineage-grade* order pedigree: columns that descend from a
     ``RowNum`` (or an equivalent dense source) through operators that
@@ -37,8 +45,8 @@ with
 
 Inference is sound for everything except ``provenance`` (documented
 above); the hypothesis differential suite checks ``keys``,
-``constants``, ``card``, ``non_null`` and ``dense`` against actually
-materialized engine relations.
+``constants``, ``card``, ``non_null``, ``dense`` and ``order`` against
+actually materialized engine relations.
 """
 
 from __future__ import annotations
@@ -86,6 +94,7 @@ LIT_PAIR_BUDGET = 2_000_000
 
 Key = frozenset  # of column names
 DenseFact = tuple  # (col, frozenset[str])
+OrderFact = tuple  # (col, ((col, "asc"|"desc"), ...), frozenset[str])
 
 
 @dataclass(frozen=True)
@@ -136,6 +145,7 @@ class Props:
     non_null: frozenset[str] = frozenset()
     dense: frozenset[DenseFact] = frozenset()
     provenance: frozenset[str] = frozenset()
+    order: frozenset[OrderFact] = frozenset()
 
     # -- queries -------------------------------------------------------
     def has_key(self, cols: "frozenset[str] | set[str]") -> bool:
@@ -164,6 +174,33 @@ class Props:
         # superkey (each group holds exactly one row).
         return self.constants.get(col) == 1 and self.has_key(part)
 
+    def numbered(self, order: "tuple[tuple[str, str], ...]",
+                 part: "tuple[str, ...]", unique: bool) -> "str | None":
+        """The column that already holds ``dense_rank(order by order
+        partition by part)`` -- with ``unique``, ``row_number`` -- if an
+        order fact names one.  The two agree exactly where ``order`` and
+        ``part`` tell all rows apart, which (the rank being a function of
+        them) is where they form a superkey together with it."""
+        spec = (tuple((c, d) for c, d in order if c not in self.constants),
+                frozenset(part) - self.constants.keys())
+        for col, by, within in self.order:
+            if (by, within) == spec and (not unique or self.has_key(
+                    within.union({col}, (c for c, _ in by)))):
+                return col
+        return None
+
+    def restricted(self, schema: Schema) -> "Props":
+        """The facts that survive dropping every column not in
+        ``schema`` (what icols does to a relation)."""
+        if len(schema) == len(self.schema):
+            return self
+        cols = schema.keys()
+        return _finish(
+            schema, {k for k in self.keys if k <= cols}, self.constants,
+            self.card, self.non_null, self.dense, self.provenance,
+            frozenset((c, by, within) for c, by, within in self.order
+                      if cols >= within.union({c}, (o for o, _ in by))))
+
     def order_ok(self, col: str) -> bool:
         """Lint-grade: does ``col`` plausibly encode list order?  (Used
         by the F2xx order stage; see module docstring for soundness.)"""
@@ -188,6 +225,10 @@ class Props:
             parts.append("dense " + ",".join(
                 f"{c}/{{{','.join(sorted(p))}}}" if p else f"{c}"
                 for c, p in facts[:3]))
+        if self.order:
+            parts.append("order " + ",".join(sorted(
+                f"{c}~{'.'.join(o for o, _ in by)}"
+                for c, by, _ in self.order)[:3]))
         return "[" + "; ".join(parts) + "]"
 
 
@@ -212,7 +253,7 @@ class PlanStore:
     """
 
     __slots__ = ("canonical", "twin", "pins", "props", "schemas",
-                 "rewritten", "visits", "estimates")
+                 "rewritten", "visits", "estimates", "inferences")
 
     def __init__(self) -> None:
         #: structural key -> the interned node
@@ -226,7 +267,7 @@ class PlanStore:
         self.rewritten: dict[str, dict[int, Node]] = {}
         #: work counters: rule applications per family, cost estimates
         self.visits: Counter[str] = Counter()
-        self.estimates = 0
+        self.estimates = self.inferences = 0
 
     def intern(self, root: Node) -> Node:
         """The interned node structurally equal to ``root``; what of
@@ -252,19 +293,17 @@ class PlanStore:
         return node if built is node else self.add(built)
 
     def rewrite(self, family: str, root: Node,
-                visit: Callable[[Node, tuple[Node, ...]], Node],
-                idempotent: bool = False) -> Node:
+                visit: Callable[[Node, tuple[Node, ...]], Node]) -> Node:
         """``root`` rewritten bottom-up by the rule family ``visit``
         (an interned node and its rewritten children -> its interned
-        replacement), each node once for the life of the store.
-        ``idempotent``: a result is its own rewrite, and is marked so."""
+        replacement), each node once for the life of the store.  A
+        result is its own rewrite, and is marked so."""
         memo = self.rewritten.setdefault(family, {})
 
         def once(node: Node) -> Node:
             self.visits[family] += 1
             result = visit(node, tuple(memo[id(c)] for c in node.children))
-            if idempotent:
-                memo[id(result)] = result
+            memo[id(result)] = result
             return result
 
         root = self.intern(root)
@@ -274,36 +313,35 @@ class PlanStore:
         return schema_of(node, self.schemas)
 
     def infer(self, node: Node) -> Props:
-        return infer_properties(node, self.props, self.schemas, self.pins)
+        """The facts about ``node``: carried over from the node it
+        rewrites (:meth:`carry`) or inferred, once."""
+        return self.props.get(id(node)) or fill(node, self.props, self._infer)
 
+    def _infer(self, node: Node) -> Props:
+        self.inferences += 1
+        self.pins.append(node)  # its id stays a key of ``props``
+        return _infer_props(node, self.props, self.schemas)
 
-#: The store under the name it had when it held only properties.
-PropsCache = PlanStore
+    def carry(self, old: Node, new: Node) -> None:
+        """``new`` holds the rows of ``old`` under the same names (or a
+        subset of them): every fact about ``old`` that only names
+        columns ``new`` still has is a fact about ``new``, without
+        inferring it again."""
+        facts = self.props.get(id(old))
+        if facts is not None and id(new) not in self.props:
+            self.props[id(new)] = facts.restricted(self.schema(new))
 
 
 def infer_properties(node: Node, memo: "dict[int, Props] | None" = None,
-                     schemas: "dict[int, Schema] | None" = None,
-                     pins: "list[Node] | None" = None) -> Props:
-    """Infer :class:`Props` for ``node``, memoized over the shared DAG.
-
-    Pass the same ``memo``/``schemas`` dictionaries across calls (e.g.
-    for every query of a bundle) to analyze shared subplans exactly
-    once; ``pins`` (see :class:`PlanStore`) additionally receives every
-    newly analyzed node, keeping ``id()`` keys stable.  The walk is
-    iterative -- plans can be thousands of operators deep.
-    """
+                     schemas: "dict[int, Schema] | None" = None) -> Props:
+    """Infer :class:`Props` for ``node``, memoized over the shared DAG
+    (iteratively -- plans can be thousands of operators deep).  Pass the
+    same ``memo``/``schemas`` across calls to analyze shared subplans
+    once; the caller keeps the nodes alive meanwhile."""
     props: dict[int, Props] = {} if memo is None else memo
     known: dict[int, Schema] = {} if schemas is None else schemas
-    cached = props.get(id(node))
-    if cached is not None:
-        return cached
-
-    def compute(current: Node) -> Props:
-        if pins is not None:
-            pins.append(current)
-        return _infer_props(current, props, known)
-
-    return fill(node, props, compute)
+    return props.get(id(node)) or fill(
+        node, props, lambda current: _infer_props(current, props, known))
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +365,8 @@ def _minimize(keys: "set[Key]") -> frozenset[Key]:
 def _finish(schema: Schema, keys: "set[Key]", constants: dict,
             card: Card, non_null: "frozenset[str]",
             dense: "frozenset[DenseFact]",
-            provenance: "frozenset[str]") -> Props:
+            provenance: "frozenset[str]",
+            order: "frozenset[OrderFact]" = frozenset()) -> Props:
     """Normalize the mutual implications between properties."""
     cols = set(schema)
     consts = {c for c in constants if c in cols}
@@ -345,6 +384,18 @@ def _finish(schema: Schema, keys: "set[Key]", constants: dict,
             else:
                 stripped.add((c, frozenset(p - consts)))
         dense = frozenset(stripped)
+    if consts and order:  # constant columns order and partition nothing
+        order = frozenset(
+            (c, tuple(o for o in by if o[0] not in consts), within - consts)
+            for c, by, within in order)
+    for c, by, within in order:
+        run = within.union(o for o, _ in by)
+        if any(k <= run | {c} for k in keys):
+            # No two rows tie, and the rank follows from the order
+            # columns: they are a key, and the rank is the row number.
+            keys.add(run)
+            dense |= {(c, within)}
+            provenance |= {c}
     # Density implies uniqueness: within a part group col is 1..n, so
     # part + col projects without duplicates.
     for col, part in dense:
@@ -360,7 +411,7 @@ def _finish(schema: Schema, keys: "set[Key]", constants: dict,
                  non_null & cols,
                  frozenset((c, p) for c, p in dense
                            if c in cols and p <= cols),
-                 provenance & cols)
+                 provenance & cols, order)
 
 
 def _scan_literal(node: LitTable, schema: Schema
@@ -416,23 +467,25 @@ def _scan_literal(node: LitTable, schema: Schema
     return keys, constants, frozenset(non_null), frozenset(dense)
 
 
+def _renamed(cols: "frozenset[str]", renames: "dict[str, list[str]]"
+             ) -> "list[frozenset[str]]":
+    """``cols`` across a Project: every column must be kept; a
+    duplicated column yields one set per choice of new name (capped)."""
+    if not cols <= renames.keys():
+        return []
+    choices = [renames[c] for c in cols]
+    n_combos = 1
+    for ch in choices:
+        n_combos *= len(ch)
+    if n_combos > 8:
+        choices = [ch[:1] for ch in choices]
+    return [frozenset(combo) for combo in product(*choices)]
+
+
 def _rename_keys(keys: "frozenset[Key]", renames: "dict[str, list[str]]"
                  ) -> set[Key]:
-    """Survive keys across a Project: every key column must be kept; a
-    duplicated column yields one key per choice of new name (capped)."""
-    out: set[Key] = set()
-    for k in keys:
-        choices = [renames.get(c) for c in k]
-        if any(ch is None for ch in choices):
-            continue
-        n_combos = 1
-        for ch in choices:
-            n_combos *= len(ch)  # type: ignore[arg-type]
-        if n_combos > 8:
-            choices = [ch[:1] for ch in choices]  # type: ignore[index]
-        for combo in product(*choices):  # type: ignore[arg-type]
-            out.add(frozenset(combo))
-    return out
+    """Survive keys across a Project (see :func:`_renamed`)."""
+    return {new for k in keys for new in _renamed(k, renames)}
 
 
 def _operand_const(operand: "str | Const",
@@ -483,7 +536,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         prov = p.provenance | ({node.col} if node.value == 1
                                else frozenset())
         return _finish(schema, set(p.keys), constants, p.card, non_null,
-                       p.dense, prov)
+                       p.dense, prov, p.order)
 
     if isinstance(node, Project):
         p = memo[id(node.child)]
@@ -495,24 +548,18 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                      if old in p.constants}
         non_null = frozenset(new for new, old in node.cols
                              if old in p.non_null)
-        dense: set[DenseFact] = set()
-        for col, part in p.dense:
-            new_cols = renames.get(col, [])
-            part_choices = [renames.get(c) for c in part]
-            if not new_cols or any(ch is None for ch in part_choices):
-                continue
-            n_combos = 1
-            for ch in part_choices:
-                n_combos *= len(ch)  # type: ignore[arg-type]
-            if n_combos > 8:
-                part_choices = [ch[:1] for ch in part_choices]  # type: ignore[index]
-            for nc in new_cols:
-                for combo in product(*part_choices):  # type: ignore[arg-type]
-                    dense.add((nc, frozenset(combo)))
+        dense = {(nc, part) for col, old_part in p.dense
+                 for part in _renamed(old_part, renames)
+                 for nc in renames.get(col, ())}
         prov = frozenset(new for new, old in node.cols
                          if old in p.provenance)
+        order = frozenset(
+            (renames[c][0], tuple((renames[o][0], d) for o, d in by),
+             frozenset(renames[w][0] for w in within))
+            for c, by, within in p.order
+            if renames.keys() >= within.union({c}, (o for o, _ in by)))
         return _finish(schema, keys, constants, p.card, non_null,
-                       frozenset(dense), prov)
+                       frozenset(dense), prov, order)
 
     if isinstance(node, Select):
         p = memo[id(node.child)]
@@ -530,8 +577,9 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         keys = set(p.keys)
         keys.add(frozenset(schema))
         card = Card(min(p.card.lo, 1), p.card.hi)
+        # The distinct rows hold the same order values: a rank stands.
         return _finish(schema, keys, dict(p.constants), card, p.non_null,
-                       frozenset(), p.provenance)
+                       frozenset(), p.provenance, p.order)
 
     if isinstance(node, RowNum):
         p = memo[id(node.child)]
@@ -543,8 +591,12 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         dense = set(p.dense)
         dense.add((node.col, frozenset(node.part)))
         prov = p.provenance | {node.col}
+        order = p.order
+        if p.has_key({c for c, _ in node.order}.union(node.part)):
+            # no ties: the row number is the dense rank
+            order |= {(node.col, node.order, frozenset(node.part))}
         return _finish(schema, keys, constants, p.card,
-                       p.non_null | {node.col}, frozenset(dense), prov)
+                       p.non_null | {node.col}, frozenset(dense), prov, order)
 
     if isinstance(node, RowRank):
         p = memo[id(node.child)]
@@ -555,7 +607,8 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         # keys tie, so (col, ()) is *not* a density fact w.r.t. rows;
         # it is also no key.  Lineage only.
         return _finish(schema, set(p.keys), constants, p.card,
-                       p.non_null | {node.col}, p.dense, p.provenance)
+                       p.non_null | {node.col}, p.dense, p.provenance,
+                       p.order | {(node.col, node.order, frozenset())})
 
     if isinstance(node, Cross):
         lp = memo[id(node.left)]
@@ -682,7 +735,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         non_null = p.non_null | ({node.out} if ins_non_null
                                  else frozenset())
         return _finish(schema, set(p.keys), constants, p.card, non_null,
-                       p.dense, p.provenance)
+                       p.dense, p.provenance, p.order)
 
     if isinstance(node, UnApp):
         p = memo[id(node.child)]
@@ -696,7 +749,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         non_null = p.non_null | ({node.out} if node.col in p.non_null
                                  else frozenset())
         return _finish(schema, set(p.keys), constants, p.card, non_null,
-                       p.dense, p.provenance)
+                       p.dense, p.provenance, p.order)
 
     # Unknown operator: schema_of above would have raised; this is for
     # completeness only.

@@ -161,6 +161,7 @@ def build_analyze(bundle, queries: "Sequence[QueryProfile]", backend: str,
     model = CostModel(backend, table_rows=table_rows)
     total = total_time or sum(q.time for q in queries) or 1.0
     annotated: list[str] = []
+    earlier: dict[int, str] = {}  # nodes an earlier query printed
     for profile, query in zip(queries, bundle.queries):
         share = 100.0 * profile.time / total if total else 0.0
         est = model.estimate(query.plan)
@@ -191,7 +192,8 @@ def build_analyze(bundle, queries: "Sequence[QueryProfile]", backend: str,
                     f"| {rows_in}out={op.rows_out} "
                     f"est_rows={node_est.rows:g} w={op.width} "
                     f"cum={cum * 1e3:.3f} ms]")
-            chunk.append(plan_text(query.plan, annotations=annotations))
+            chunk.append(plan_text(query.plan, annotations, earlier,
+                                   f"Q{profile.index}"))
         annotated.append("\n".join(chunk))
     return AnalyzeReport(backend=backend, total_time=total_time,
                          queries=list(queries),

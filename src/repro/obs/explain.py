@@ -188,6 +188,7 @@ def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
 
     bundle = compiled.bundle
     queries = []
+    earlier: dict[int, str] = {}  # nodes an earlier query printed
     if properties:
         from ..analysis import PlanStore
         from ..analysis.cost import CostModel
@@ -211,7 +212,7 @@ def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
             pos_col=query.pos_col,
             item_cols=query.item_cols,
             item_types=tuple(t.show() for t in query.item_types),
-            plan=plan_text(query.plan, annotations),
+            plan=plan_text(query.plan, annotations, earlier, f"Q{i + 1}"),
             operators=operator_histogram(query.plan),
             artifact=artifact,
             properties=properties,

@@ -1,5 +1,5 @@
 """Pathfinder-style algebra optimizer (rewrite pipeline)."""
 
-from .pipeline import PassStats, optimize_bundle, optimize_plan
+from .pipeline import PassStats, optimize_bundle
 
-__all__ = ["PassStats", "optimize_bundle", "optimize_plan"]
+__all__ = ["PassStats", "optimize_bundle"]

@@ -1,15 +1,6 @@
-"""Individual rewrite passes of the algebra optimizer."""
+"""Individual rewrite families of the algebra optimizer."""
 
-from .cse import eliminate_common_subexpressions
-from .constfold import fold_constants
 from .icols import prune_unneeded_columns
-from .projmerge import merge_projections
-from .properties import apply_property_rewrites
+from .properties import simplify
 
-__all__ = [
-    "apply_property_rewrites",
-    "eliminate_common_subexpressions",
-    "fold_constants",
-    "merge_projections",
-    "prune_unneeded_columns",
-]
+__all__ = ["prune_unneeded_columns", "simplify"]

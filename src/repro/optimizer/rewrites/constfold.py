@@ -3,42 +3,27 @@
 * ``BinApp`` whose operand column is produced by an ``Attach`` of a
   constant reads the constant directly (the dead ``Attach`` then falls to
   icols);
-* ``BinApp`` over two constants becomes an ``Attach`` of the folded value;
-* ``Select`` on a column attached as constant ``True`` disappears.
+* ``BinApp`` over two constants becomes an ``Attach`` of the folded value.
+
+(``Select`` on a constant-``True`` column is the property rule
+``select_true``.)
 """
 
 from __future__ import annotations
 
-from ...algebra import Attach, BinApp, Const, Node, Select
-from ...analysis import PlanStore
+from ...algebra import Attach, BinApp, Const, Node
 from ...errors import PartialFunctionError
 from ...expr.exp import BOOL_OPS, CMP_OPS
 from ...ftypes import AtomT, BoolT
 from ...semantics.interp import _binop
 
 
-def fold_constants(root: Node, store: "PlanStore | None" = None) -> Node:
-    store = store or PlanStore()
-
-    def visit(node: Node, children: tuple[Node, ...]) -> Node:
-        node = store.rebuild(node, children)
-        if isinstance(node, BinApp):
-            return store.add(_fold_binapp(node))
-        if isinstance(node, Select):
-            child = node.child
-            if (isinstance(child, Attach) and child.col == node.col
-                    and child.value is True):
-                return store.add(
-                    Attach(child.child, child.col, True, child.ty))
-        return node
-
-    return store.rewrite("constfold", root, visit, idempotent=True)
-
-
-def _fold_binapp(node: BinApp) -> Node:
+def fold_binapp(node: BinApp) -> Node:
+    """``node`` with constant operands read out of the ``Attach`` below
+    it and, when both are constant, folded into an ``Attach`` -- or
+    ``node`` itself."""
     lhs, rhs = node.lhs, node.rhs
     child = node.child
-    # Read operands straight out of constant attachments.
     if isinstance(child, Attach):
         if lhs == child.col:
             lhs = Const(child.value, child.ty)
@@ -50,8 +35,8 @@ def _fold_binapp(node: BinApp) -> Node:
         except PartialFunctionError:
             # division by zero must stay a runtime error
             return BinApp(node.child, node.op, lhs, rhs, node.out)
-        ty = _result_ty(node.op, lhs.ty)
-        return Attach(node.child, node.out, value, ty)
+        return Attach(node.child, node.out, value,
+                      _result_ty(node.op, lhs.ty))
     if lhs is not node.lhs or rhs is not node.rhs:
         return BinApp(node.child, node.op, lhs, rhs, node.out)
     return node

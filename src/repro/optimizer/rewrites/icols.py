@@ -1,11 +1,14 @@
-"""icols: needed-columns analysis and pruning.
+"""icols: needed-columns analysis and pruning, over a whole bundle.
 
 Pathfinder's classic cleanup pass: the loop-lifting rules conservatively
-carry every column along; most are never consumed.  A top-down demand
-analysis computes, per DAG node, the set of columns any consumer actually
-reads; a bottom-up rebuild then narrows literal tables, scans and
-projections, and deletes attachments, scalar applications and row
-numbering whose output column is dead.
+carry every column along; most are never consumed.  One top-down demand
+analysis over *all* roots of the bundle computes, per DAG node, the
+columns any consumer reads -- a node shared by several queries serves
+the union of their demands, and so stays one node -- and a bottom-up
+rebuild narrows literal tables, scans and projections (merging the
+projections it rebuilds), and deletes attachments, scalar applications
+and numberings whose output column is dead, together with the demand
+they alone put on their inputs.
 
 Care is taken with operators whose *cardinality* depends on column
 content:
@@ -41,44 +44,50 @@ from ...algebra import (
     UnApp,
     UnionAll,
     Schema,
-    postorder,
 )
+from ...algebra.dag import postorder
 from ...analysis import PlanStore
+from .projmerge import merge_projection
 
 
-def prune_unneeded_columns(root: Node,
-                           store: "PlanStore | None" = None) -> Node:
-    """Remove columns (and the operators that only compute them) that no
-    consumer reads.  The root's full output is demanded.
-
-    Demand is a property of the whole plan (a shared node serves the
-    union of its consumers), so unlike the bottom-up families the result
-    is memoized per *root* only; below it, a node whose every column is
-    demanded and whose children stand is not rebuilt."""
-    store = store or PlanStore()
-    root = store.intern(root)
-    pruned = store.rewritten.setdefault("icols", {})
-    if id(root) in pruned:
-        return pruned[id(root)]
-    needed: dict[int, set[str]] = {id(root): set(store.schema(root))}
-    schemas = store.schemas  # now holds every node of the plan
-    order = list(postorder(root))
+def demanded(roots: "list[Node]", store: PlanStore
+             ) -> "tuple[list[Node], dict[int, set[str]]]":
+    """The nodes of the bundle's DAG, children before parents, and per
+    node the columns some consumer reads.  A root's full output is
+    demanded; a node shared by several queries serves the union of their
+    demands (and therefore stays one node)."""
+    needed: dict[int, set[str]] = {}
+    for root in roots:
+        needed.setdefault(id(root), set()).update(store.schema(root))
+    order = list(postorder(*roots))
+    schemas = store.schemas  # now holds every node of the bundle
     # Parents precede children in reversed postorder.
     for node in reversed(order):
         _demand(node, needed, schemas)
+    return order, needed
 
+
+def prune_unneeded_columns(roots: "list[Node]",
+                           store: "PlanStore | None" = None) -> "list[Node]":
+    """Remove columns (and the operators that only compute them) that no
+    consumer in the bundle reads: one top-down demand pass over all
+    ``roots``, then a bottom-up rebuild of what narrows -- a node whose
+    every column is demanded and whose children stand is not rebuilt."""
+    store = store or PlanStore()
+    roots = [store.intern(root) for root in roots]
+    order, needed = demanded(roots, store)
+    schemas = store.schemas
     rebuilt: dict[int, Node] = {}
     for node in order:
         children = tuple(rebuilt[id(c)] for c in node.children)
         n = needed[id(node)]
-        if (children == node.children and len(n) == len(schemas[id(node)])
-                and not isinstance(node, UnionAll)):
+        if children == node.children and len(n) == len(schemas[id(node)]):
             rebuilt[id(node)] = node
         else:
             store.visits["icols"] += 1
             rebuilt[id(node)] = _narrow(node, children, n, store)
-    pruned[id(root)] = rebuilt[id(root)]
-    return rebuilt[id(root)]
+            store.carry(node, rebuilt[id(node)])  # same rows, fewer columns
+    return [rebuilt[id(root)] for root in roots]
 
 
 # ----------------------------------------------------------------------
@@ -92,19 +101,16 @@ def _demand(node: Node, needed: dict[int, set[str]],
     def want(child: Node, cols: Iterable[str]) -> None:
         needed.setdefault(id(child), set()).update(cols)
 
-    if isinstance(node, Project):
+    made = _computes(node)
+    if made is not None:
+        col, reads = made  # a dead one puts no demand on what it reads
+        want(node.child, (n - {col}) | reads if col in n else n)
+    elif isinstance(node, Project):
         want(node.child, {old for new, old in node.cols if new in n})
-    elif isinstance(node, Attach):
-        want(node.child, n - {node.col})
     elif isinstance(node, Select):
         want(node.child, n | {node.col})
     elif isinstance(node, Distinct):
         want(node.child, schemas[id(node.child)])
-    elif isinstance(node, RowNum):
-        want(node.child, (n - {node.col}) | {c for c, _ in node.order}
-             | set(node.part))
-    elif isinstance(node, RowRank):
-        want(node.child, (n - {node.col}) | {c for c, _ in node.order})
     elif isinstance(node, Cross):
         lsch = set(schemas[id(node.left)])
         want(node.left, n & lsch)
@@ -125,12 +131,23 @@ def _demand(node: Node, needed: dict[int, set[str]],
         # Aggregates with dead outputs are dropped, but the grouping
         # columns always stay -- they define the groups.
         want(node.child, set(node.group) | ins)
-    elif isinstance(node, BinApp):
-        cols = {c for c in (node.lhs, node.rhs) if not isinstance(c, Const)}
-        want(node.child, (n - {node.out}) | cols)
-    elif isinstance(node, UnApp):
-        want(node.child, (n - {node.out}) | {node.col})
     # LitTable / TableScan have no children.
+
+
+def _computes(node: Node) -> "tuple[str, set[str]] | None":
+    """For the operators that only add a column to their input: that
+    column, and the columns read to compute it."""
+    if isinstance(node, Attach):
+        return node.col, set()
+    if isinstance(node, (RowNum, RowRank)):
+        return node.col, ({c for c, _ in node.order}
+                          | set(getattr(node, "part", ())))
+    if isinstance(node, BinApp):
+        return node.out, {c for c in (node.lhs, node.rhs)
+                          if not isinstance(c, Const)}
+    if isinstance(node, UnApp):
+        return node.out, {node.col}
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -163,10 +180,10 @@ def _narrow(node: Node, children: tuple[Node, ...], n: set[str],
             # that survived in the narrowed child.
             child_col = next(iter(store.schema(children[0])))
             cols = ((child_col, child_col),)
-        return intern(Project(children[0], cols))
+        return merge_projection(intern(Project(children[0], cols)), store)
 
-    if (isinstance(node, (Attach, RowNum, RowRank)) and node.col not in n
-            or isinstance(node, (BinApp, UnApp)) and node.out not in n):
+    made = _computes(node)
+    if made is not None and made[0] not in n:
         return children[0]
 
     if isinstance(node, GroupAggr):
@@ -175,10 +192,13 @@ def _narrow(node: Node, children: tuple[Node, ...], n: set[str],
 
     if isinstance(node, UnionAll) and n:  # (a root always demands columns)
         # Children were narrowed independently; realign them on the
-        # demanded schema (sorted for determinism).
-        cols = tuple((c, c) for c in sorted(n))
+        # demanded schema (sorted for determinism).  An arm that has it
+        # already stands: an identity projection would only be folded
+        # away again.
+        names = sorted(n)
+        cols = tuple((c, c) for c in names)
         left, right = (
-            c if isinstance(c, Project) and c.cols == cols  # aligned
+            c if list(store.schema(c)) == names
             else intern(Project(c, cols)) for c in children)
         return intern(UnionAll(left, right))
 

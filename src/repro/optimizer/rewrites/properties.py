@@ -1,268 +1,269 @@
-"""Property-driven rewrites (Pathfinder's peephole style), cost-gated.
+"""The ``simplify`` family: every peephole rule in one bottom-up visit.
 
-Unlike the syntactic passes, these rewrites fire on *inferred* plan
-properties (``repro.analysis``), which see through whatever operator
-chain produced the fact:
+Constant folding (:mod:`.constfold`) and projection merging
+(:mod:`.projmerge`) are syntactic.  The rest are Pathfinder's
+property-driven rewrites: they fire on *inferred* plan properties
+(``repro.analysis``), which see through whatever operator chain
+produced the fact, and are accounted by name:
 
-``distinct_elim``
-    ``Distinct(q)`` -> ``q`` when ``q`` already has a key (its rows are
-    duplicate-free, so duplicate elimination is the identity).
-``rownum_dense``
-    ``RowNum col := row_number(order by o asc partition by P)(q)`` ->
-    ``Project[..., col <= o](q)`` when ``o`` is soundly dense-from-1
-    per ``P`` in ``q``: numbering an already-numbered run just copies
-    the order column.
-``select_true``
-    ``Select c (q)`` -> ``q`` when ``c`` is the constant ``True`` in
-    ``q`` -- including when the constant travelled through projections,
-    joins, or a comparison the constant-folder cannot see
-    (``x == x``).
-``semijoin_reduce``
-    Two shapes, both rooted in the loop-lifting compiler's
-    surrogate-regeneration joins.  (a) ``Project[left cols
-    only](EqJoin(l, r, pairs))`` -> ``Project(SemiJoin(l, r, pairs))``
-    when the join columns are a key of ``r``: each left row matches at
-    most one right partner, so the join contributes *filtering* but no
-    payload and no multiplicity; projected join columns of ``r`` are
-    remapped to their (pointwise equal) left partners.  (b) the
-    self-join identity: ``EqJoin(Project(b), Project(b), pairs)`` ->
-    one merged ``Project(b)`` when every pair equates renames of the
-    same column of the shared ``b`` and those columns hold a key of
-    ``b`` -- joining a relation to itself on its own key matches every
-    row with exactly itself.
+``distinct_elim``  ``Distinct(q)`` -> ``q`` when ``q`` has a key.
+``select_true``  ``Select c (q)`` -> ``q`` when ``c`` is the constant
+    ``True`` in ``q`` -- also through projections, joins or ``x == x``.
+``rownum_dense``  ``RowNum c := row_number(order by o asc partition by
+    P)`` -> ``Project[.., c <= o]`` when ``o`` is dense-from-1 per ``P``.
+``rownum_rank``  ``RowNum`` / ``RowRank`` ``c`` by an order (within a
+    partition) that an *order fact* says column ``n`` already numbers
+    -> ``Project[.., c <= n]``: a second numbering of the same run.
+``unit_cross``  ``Project(Cross(LitTable[1 row], q))`` -> ``Project`` over
+    ``Attach``-es on ``q``: the unit loop relation is a constant column.
+``selfjoin_elim``  ``EqJoin(d, Project(b))`` on a key column of ``b``
+    that ``d``, a descendant of ``b``, still carries -> ``d`` widened by
+    the columns of ``b`` the join fetched: the loop-lifting compiler's
+    surrogate-regeneration joins (:func:`_selfjoin_elim`).
 
 Every candidate is **cost-gated**: it fires only when the estimated
 plan cost (``repro.analysis.cost``, engine calibration -- deliberately
 backend-independent so all backends optimize to identical algebra)
-strictly drops; rejected candidates are accounted separately
-(``PassStats.rewrites_gated``).  The gate is local
-(``CostModel.delta``): only the few operators candidate and original do
-not share are compared.  Match and gate are both taken on the node as
-it stood before the sweep -- every rewrite preserves semantics, so the
-facts hold for the rebuilt children the rewrite is applied over -- which
-makes the family a memoized function of an interned node
-(:class:`~repro.analysis.PlanStore`): a node shared by several queries
-is decided once.  The pipeline self-verifies every plan the sweep
-changed (:func:`_self_verify`, ``F190``) instead of emitting a
-mis-optimized one.
+strictly drops over the operators candidate and original do not share
+(``CostModel.delta``); rejected candidates are accounted separately
+(``PassStats.rewrites_gated``).  Before the gate a candidate must show,
+by inference, every key of the node it replaces: the pipeline
+self-verifies the plans it changed (:func:`_self_verify`, ``F190``),
+and skipping a rewrite beats failing the compile.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from ...algebra.ops import (
+    Attach,
+    BinApp,
+    Cross,
     Distinct,
     EqJoin,
+    GroupAggr,
+    LitTable,
     Node,
     Project,
     RowNum,
+    RowRank,
     Select,
-    SemiJoin,
+    UnionAll,
 )
-from ...algebra.dag import postorder
+from ...algebra.dag import postorder, replace_children
 from ...analysis.cost import CostModel
-from ...analysis.properties import PlanStore, _rename_keys
+from ...analysis.properties import PlanStore, Props, infer_properties
 from ...errors import VerifyError
+from .constfold import fold_binapp
+from .projmerge import merge_projection
 
 #: Rewrite names, as accounted in ``PassStats.rewrites_fired`` /
 #: ``PassStats.rewrites_gated``.
-REWRITES = ("distinct_elim", "rownum_dense", "select_true",
-            "semijoin_reduce")
+REWRITES = ("distinct_elim", "rownum_dense", "rownum_rank", "select_true",
+            "selfjoin_elim", "unit_cross")
 
 
-def apply_property_rewrites(root: Node,
-                            fired: "dict[str, int] | None" = None,
-                            cache: "PlanStore | None" = None,
-                            model: "CostModel | None" = None,
-                            gated: "dict[str, int] | None" = None,
-                            decided: "dict[int, tuple[str, bool]] | None"
-                            = None) -> Node:
-    """One bottom-up sweep of the cost-gated property rewrites.
+def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
+             model: "CostModel | None" = None,
+             fired: "dict[str, int] | None" = None,
+             gated: "dict[str, int] | None" = None) -> "list[Node]":
+    """One sweep of the rules over the plans of a bundle, each interned
+    node once for the life of ``store``.
 
-    ``fired`` (e.g. ``PassStats.rewrites_fired``) accumulates how often
-    each rewrite applied in ``root``'s plan; ``gated`` how often a
-    matching candidate was rejected because its estimated cost did not
-    strictly drop.  ``cache`` is the compile's plan store; ``model`` (a
-    :class:`~repro.analysis.cost.CostModel` over it) is the gate's
-    estimator -- a stats-free engine-calibrated one by default.
-    ``decided`` (``id(node)`` -> rewrite name, passed the gate?) carries
-    a sweep's decisions from plan to plan of a bundle: a node shared with
-    a plan swept before is decided once, yet counts for every plan that
-    contains it, as it would in a sweep per plan.
+    A node is rebuilt over its simplified children and then rewritten
+    until no rule applies, so a rule sees merged projections below it
+    and what it builds merges into the projection above it in the same
+    sweep.  ``fired`` / ``gated`` (``PassStats.rewrites_fired`` /
+    ``rewrites_gated``) count per plan: a node shared by several queries
+    is decided once, yet counts for every plan that contains it.
+    ``model`` is the gate's estimator, a stats-free engine-calibrated
+    one by default.
     """
-    store = cache or PlanStore()
-    model = model or CostModel("engine", cache=store)
-    decided = {} if decided is None else decided
-    root = store.intern(root)
+    store = store or PlanStore()
+    gate = model or CostModel("engine", cache=store)
+    done = store.rewritten.setdefault("simplify", {})
+    decided: dict[int, list[tuple[str, bool]]] = {}
+    roots = [store.intern(root) for root in roots]
+    for root in roots:
+        store.infer(root)  # carried from here on (``PlanStore.carry``)
+    #: consumers per node of the bundle, and per node a visit returned
+    uses = Counter(id(c) for node in postorder(*roots) for c in node.children)
+    shared: Counter[int] = Counter()
 
     def visit(node: Node, children: tuple[Node, ...]) -> Node:
-        default = store.rebuild(node, children)
-        hit = _rewrite_node(node, children, store)
-        if hit is None:
-            return default
-        # The gate: a candidate must *strictly* lower the estimated
-        # plan cost, else the default (un-rewritten) node stands.  It
-        # prices the rewrite where it matched, on the plan as it stood:
-        # rewritten children compute the same relations, and estimating
-        # over them analyses nodes the tidy-up round replaces anyway.
-        was = (hit if children == node.children
-               else _rewrite_node(node, node.children, store))
-        assert was is not None  # what matched over them matches over its own
-        wins = model.delta(store.intern(was[1]), node) < 0
-        decided[id(node)] = hit[0], wins
-        return store.intern(hit[1]) if wins else default
+        cur = store.rebuild(node, children)
+        while id(cur) not in done:  # a simplified node is its own result
+            store.carry(node, cur)
+            new = cur
+            if isinstance(cur, BinApp):
+                new = store.add(fold_binapp(cur))
+            elif isinstance(cur, Project):
+                new = merge_projection(cur, store)
+            if new is cur:
+                hit = _rewrite_node(cur, store, shared)
+                if hit is None:
+                    break
+                new = store.intern(hit[1])
+                if isinstance(new, Project):
+                    new = merge_projection(new, store)
+                # it must show every key of what it replaces ...
+                kept = store.infer(new)
+                if not all(map(kept.has_key, store.infer(cur).keys)):
+                    break
+                # ... and *strictly* lower the estimated plan cost
+                wins = gate.delta(new, cur) < 0
+                decided.setdefault(id(node), []).append((hit[0], wins))
+                if not wins:
+                    break
+            cur = new
+        shared[id(cur)] += uses[id(node)]
+        return cur
 
-    new_root = store.rewrite("properties", root, visit)
-    for node in postorder(root) if decided else ():
-        if id(node) in decided:
-            name, wins = decided[id(node)]
-            counts = fired if wins else gated
-            if counts is not None:
-                counts[name] = counts.get(name, 0) + 1
-    return new_root
+    out = [store.rewrite("simplify", root, visit) for root in roots]
+    for root in roots if decided else ():
+        for node in postorder(root):
+            for name, wins in decided.get(id(node), ()):
+                counts = fired if wins else gated
+                if counts is not None:
+                    counts[name] = counts.get(name, 0) + 1
+    return out
 
 
-def _rewrite_node(node: Node, children: tuple[Node, ...],
-                  store: PlanStore) -> "tuple[str, Node] | None":
-    """The candidate replacement for ``node`` over its rebuilt
-    ``children`` -- ``(rewrite name, candidate)`` -- or ``None`` when no
-    rewrite matches.  The caller cost-gates the candidate."""
+def _rewrite_node(node: Node, store: PlanStore, shared: "Counter[int]"
+                  ) -> "tuple[str, Node] | None":
+    """The candidate replacement for ``node`` -- ``(rewrite name,
+    candidate)`` -- or ``None`` when no rewrite matches.  The caller
+    cost-gates the candidate."""
     if isinstance(node, Distinct):
         if store.infer(node.child).keys:
-            return "distinct_elim", children[0]
+            return "distinct_elim", node.child
         return None
 
     if isinstance(node, Select):
         if store.infer(node.child).constants.get(node.col) is True:
-            return "select_true", children[0]
+            return "select_true", node.child
         return None
 
-    if isinstance(node, RowNum):
+    if isinstance(node, (RowNum, RowRank)):
         cp = store.infer(node.child)
+        part = node.part if isinstance(node, RowNum) else ()
         # Constant columns order nothing; drop them from the spec.
         order = [(c, d) for c, d in node.order if c not in cp.constants]
-        if (len(order) == 1 and order[0][1] == "asc"
-                and cp.is_dense(order[0][0], node.part)):
-            cols = tuple((c, c) for c in cp.schema)
-            return "rownum_dense", Project(
-                children[0], cols + ((node.col, order[0][0]),))
+        name, src = "rownum_rank", cp.numbered(
+            node.order, part, unique=isinstance(node, RowNum))
+        if (src is None and isinstance(node, RowNum) and len(order) == 1
+                and order[0][1] == "asc" and cp.is_dense(order[0][0], part)):
+            name, src = "rownum_dense", order[0][0]
+        if src is None:
+            return None
+        cols = tuple((c, c) for c in store.schema(node.child))
+        return name, Project(node.child, cols + ((node.col, src),))
+
+    if isinstance(node, Project) and isinstance(node.child, Cross):
+        # Under a projection (where every loop-lifted product sits) the
+        # column order of what replaces the product is immaterial.
+        cross = node.child
+        for unit, other in (cross.children, cross.children[::-1]):
+            if isinstance(unit, LitTable) and len(unit.rows) == 1:
+                for (col, ty), value in zip(unit.schema, unit.rows[0]):
+                    other = Attach(other, col, value, ty)
+                return "unit_cross", Project(other, node.cols)
         return None
 
-    if isinstance(node, Project) and isinstance(node.child, EqJoin):
-        return _semijoin_reduce(node, children, store)
-
     if isinstance(node, EqJoin):
-        return _selfjoin_elim(node, children, store)
+        return _selfjoin_elim(node, store, shared)
 
     return None
 
 
-def _semijoin_reduce(node: Project, children: tuple[Node, ...],
-                     store: PlanStore) -> "tuple[str, Node] | None":
-    """``Project(EqJoin(l, r))`` -> ``Project(SemiJoin(l, r))`` when the
-    join is right-unique and the projection takes nothing from ``r``
-    beyond its join columns (remapped to their left partners)."""
-    join = children[0]
-    if not isinstance(join, EqJoin):  # a lower rewrite replaced it
+def _selfjoin_elim(node: EqJoin, store: PlanStore, shared: "Counter[int]"
+                   ) -> "tuple[str, Node] | None":
+    """``EqJoin(d, Project(b))`` on a key column of ``b`` -> ``Project(d')``
+    when ``d`` descends from ``b`` and still carries that column.
+
+    This is the loop-lifting compiler's surrogate-regeneration idiom: a
+    numbered subplan ``b`` is filtered, joined and renamed into ``d``
+    and then joined back to (a projection of) ``b`` on the surrogate
+    that keys it, to re-attach columns of ``b``.  Every row of ``d``
+    meets exactly the row of ``b`` it descends from, so the join goes
+    once ``d'`` hands those columns up itself (:func:`_carry`)."""
+    if len(node.pairs) != 1:
         return None
-    old_join = node.child
-    assert isinstance(old_join, EqJoin)
-    lp = store.infer(old_join.left)
-    rp = store.infer(old_join.right)
-    rcols = frozenset(r for _, r in old_join.pairs)
-    if not rp.has_key(rcols):
-        return None  # the join multiplies rows; it is not a filter
-    pair_map = {r: l for l, r in old_join.pairs}
-    cols: list[tuple[str, str]] = []
-    for new, old in node.cols:
-        if old in lp.schema:
-            cols.append((new, old))
-        elif (old in pair_map
-              and rp.schema.get(old) == lp.schema.get(pair_map[old])):
-            # The join equates old with its left partner pointwise.
-            cols.append((new, pair_map[old]))
+    for (derived, dcol), (anchor, acol) in (
+            zip(node.children, node.pairs[0]),
+            zip(node.children[::-1], node.pairs[0][::-1])):
+        base, cols = ((anchor.child, anchor.cols)
+                      if isinstance(anchor, Project) else
+                      (anchor, tuple((c, c) for c in store.schema(anchor))))
+        src = dict(cols)[acol]
+        if store.infer(base).has_key({src}):
+            wide = _carry(derived, dcol, base, src, cols, store, shared)
+            if wide is not None:
+                return "selfjoin_elim", Project(
+                    wide, tuple((c, c) for c in store.schema(node)))
+    return None
+
+
+def _carry(node: Node, col: str, base: Node, src: str,
+           extra: "tuple[tuple[str, str], ...]", store: PlanStore,
+           shared: "Counter[int]") -> "Node | None":
+    """``node`` with the columns ``extra`` (new name, column of ``base``)
+    of the ``base`` row each of its rows descends from -- provided its
+    column ``col`` is ``base``'s ``src``, handed up through renames and
+    operators that only drop or repeat rows; else ``None``."""
+    path: list[tuple[Node, int]] = []
+    while True:
+        schema = store.schema(node)
+        if any(new in schema and (node is not base or new != old)
+               for new, old in extra):
+            return None  # the name is taken on the way up
+        if node is base:
+            break
+        if shared[id(node)] > 1:
+            return None  # widening it would compute it twice
+        at = 0
+        if isinstance(node, Project):
+            col = dict(node.cols)[col]
+        elif (isinstance(node, (GroupAggr, UnionAll)) or not node.children
+              or col in (getattr(node, "col", None),
+                         getattr(node, "out", None))):
+            return None  # computed here, not handed up
+        elif col not in store.schema(node.children[0]):
+            at = 1
+        path.append((node, at))
+        node = node.children[at]
+    if col != src:
+        return None
+    wide = store.add(Project(base, tuple((c, c) for c in schema) + tuple(
+        e for e in extra if e[0] not in schema)))
+    for node, at in reversed(path):
+        if isinstance(node, Project):
+            wide = merge_projection(store.add(Project(
+                wide, node.cols + tuple((n, n) for n, _ in extra))), store)
         else:
-            return None  # a genuine right-side payload column
-    # Key-preservation precheck: the self-verifier (F190) demands every
-    # inferred root key survive.  The semi-join keeps only the *left*
-    # keys (and wipes density facts), so prove each old root key is
-    # covered by a remapped left key before committing -- skipping the
-    # rewrite beats failing the compile.
-    renames: dict[str, list[str]] = {}
-    for new, src in cols:
-        renames.setdefault(src, []).append(new)
-    src_of = dict(zip((new for new, _ in cols), (s for _, s in cols)))
-    new_keys = set()
-    for key in _rename_keys(lp.keys, renames):
-        # mirror Props normalization: constant columns leave keys
-        new_keys.add(frozenset(
-            c for c in key if src_of[c] not in lp.constants))
-    for key in store.infer(node).keys:
-        if not any(k <= key for k in new_keys):
-            return None
-    return "semijoin_reduce", Project(
-        SemiJoin(join.left, join.right, old_join.pairs), tuple(cols))
+            kids = list(node.children)
+            kids[at] = wide
+            wide = store.add(replace_children(node, tuple(kids)))
+    return wide
 
 
-def _selfjoin_elim(node: EqJoin, children: tuple[Node, ...],
-                   store: PlanStore) -> "tuple[str, Node] | None":
-    """``EqJoin(Project(b), Project(b), pairs)`` -> ``Project(b)`` when
-    every pair equates two renames of the *same* column of the shared
-    ``b`` and those columns hold a key of ``b``.
-
-    This is the loop-lifting compiler's surrogate-regeneration idiom:
-    a ranked subplan is projected twice and self-joined on its own
-    surrogate to re-derive iteration columns.  Joining a relation to
-    itself on a key matches every row with exactly itself, so the join
-    is the identity and the two projections merge into one."""
-    old_left, old_right = node.left, node.right
-    if not (isinstance(old_left, Project) and isinstance(old_right, Project)
-            and old_left.child is old_right.child):
-        return None
-    left, right = children
-    if not (isinstance(left, Project) and isinstance(right, Project)
-            and left.child is right.child):
-        return None  # a lower rewrite broke the sharing
-    base = old_left.child
-    bp = store.infer(base)
-    lsrc = dict(old_left.cols)
-    rsrc = dict(old_right.cols)
-    join_src = set()
-    for lcol, rcol in node.pairs:
-        if lsrc.get(lcol) != rsrc.get(rcol):
-            return None  # a genuine join over two different columns
-        join_src.add(lsrc[lcol])
-    if not bp.has_key(frozenset(join_src)):
-        return None  # rows can match foreign partners: not the identity
-    cols = old_left.cols + old_right.cols
-    # Key preservation for the self-verifier (F190): remap the base keys
-    # through the merged projection and require every inferred key of
-    # the old join to stay covered.
-    renames: dict[str, list[str]] = {}
-    for new, src in cols:
-        renames.setdefault(src, []).append(new)
-    src_of = {new: src for new, src in cols}
-    new_keys = set()
-    for key in _rename_keys(bp.keys, renames):
-        new_keys.add(frozenset(
-            c for c in key if src_of[c] not in bp.constants))
-    for key in store.infer(node).keys:
-        if not any(k <= key for k in new_keys):
-            return None
-    return "semijoin_reduce", Project(left.child, cols)
-
-
-def _self_verify(old_root: Node, new_root: Node, cache: PlanStore) -> None:
+def _self_verify(old_root: Node, new_root: Node, cache: PlanStore,
+                 fresh: "dict[int, Props] | None" = None) -> None:
     """Re-run inference on the rewritten plan and diff it against the
     original: the schema must be identical (names, types, order) and no
-    inferred root key may be lost.  ``cache`` already holds the analysis
-    of what the two plans share, so only rebuilt nodes are inferred."""
+    inferred root key may be lost.  ``fresh`` is the memo of that re-run
+    (shared by the plans of a bundle): the pipeline's store *carries*
+    facts from a node to its rewrite, which is what this checks, so the
+    rewritten plan is inferred from its leaves, apart from the store."""
     new_schema = cache.schema(new_root)
     old_schema = cache.schema(old_root)
     if list(new_schema.items()) != list(old_schema.items()):
         raise VerifyError(
             "F190: property rewrite changed the root schema: "
             f"{list(old_schema)} -> {list(new_schema)}", code="F190")
-    new_props = cache.infer(new_root)
+    new_props = infer_properties(new_root, {} if fresh is None else fresh,
+                                 cache.schemas)
     for key in cache.infer(old_root).keys:
         if not new_props.has_key(key):
             raise VerifyError(

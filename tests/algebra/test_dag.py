@@ -93,6 +93,21 @@ class TestPretty:
         text = plan_text(u)
         assert "shared" in text
 
+    def test_plan_text_refers_to_what_an_earlier_plan_printed(self):
+        base = Attach(leaf(), "k", 1, IntT)
+        first = Project(base, (("x", "a"),))
+        second = Project(UnionAll(base, base), (("y", "a"),))
+        earlier: dict = {}
+        assert "shared" not in plan_text(first, earlier=earlier, label="Q1")
+        text = plan_text(second, earlier=earlier, label="Q2").splitlines()
+        # printed under Q1 as @1: referred to, once, and not descended into
+        assert text[2].strip() == "@1 (shared with Q1 @1)"
+        assert text[3].strip() == "@1 (shared, see above)"
+        assert len(text) == 4 and "LitTable" not in "".join(text)
+        assert earlier[id(second)] == "Q2 @3"
+        # without the map every plan stands alone
+        assert "shared with" not in plan_text(second)
+
     def test_plan_dot_shape(self):
         dot = plan_dot(Cross(leaf("a"), leaf("b")))
         assert dot.startswith("digraph")

@@ -1,7 +1,8 @@
 """Unit tests of the plan-property inference engine on hand-built plans.
 
 Each test pins one inference rule from ``repro.analysis.properties``
-(keys, constants, cardinality bounds, density, provenance) on a plan
+(keys, constants, cardinality bounds, density, order facts, provenance)
+on a plan
 small enough that the expected property set can be stated by hand; the
 hypothesis suite (``tests/properties/test_property_inference.py``)
 checks the same judgements against materialized relations at scale.
@@ -17,11 +18,15 @@ from repro.algebra import (
     LitTable,
     Project,
     RowNum,
+    RowRank,
     Select,
+    SemiJoin,
     UnionAll,
 )
 from repro.analysis import Card, infer_properties
+from repro.backends.engine.evaluate import Engine
 from repro.ftypes import BoolT, IntT, StringT
+from repro.runtime import Catalog
 
 
 def lit(*cols, rows=()):
@@ -98,6 +103,84 @@ class TestUnaryRules:
     def test_constant_one_is_dense_per_superkey(self):
         one = Attach(UNIQ, "p", 1, IntT)
         assert infer_properties(one).is_dense("p", ("v",))
+
+
+class TestOrderFacts:
+    """``(col, by, part)``: within ``part``, ``col`` is the dense rank of
+    the ``by`` columns -- their row number where nothing ties."""
+
+    TIES = lit(("g", IntT), ("v", IntT),
+               rows=[(1, 30), (1, 10), (2, 30), (2, 30), (1, 10)])
+    BY_V = (("v", "asc"),)
+    RANKED = RowRank(TIES, "r", BY_V)
+
+    def holds(self, plan) -> bool:
+        """Every order fact inferred for ``plan`` is true of its rows."""
+        rel = Engine(Catalog()).execute(plan)
+        rows = list(zip(*rel.columns)) if rel.columns else []
+        at = {c: i for i, c in enumerate(rel.cols)}
+        facts = infer_properties(plan).order
+        for col, by, part in facts:
+            assert all(d == "asc" for _, d in by)  # enough for these plans
+            for row in rows:
+                group = [r for r in rows
+                         if all(r[at[p]] == row[at[p]] for p in part)]
+                before = {tuple(r[at[c]] for c, _ in by) for r in group
+                          if tuple(r[at[c]] for c, _ in by)
+                          < tuple(row[at[c]] for c, _ in by)}
+                if row[at[col]] != 1 + len(before):
+                    return False
+        return bool(facts)
+
+    def test_rowrank_states_its_order(self):
+        assert infer_properties(self.RANKED).order == {
+            ("r", self.BY_V, frozenset())}
+        assert self.holds(self.RANKED)
+
+    def test_rownum_states_it_only_without_ties(self):
+        tied = RowNum(self.TIES, "n", self.BY_V, ("g",))
+        assert not infer_properties(tied).order
+        free = RowNum(UNIQ, "n", self.BY_V, ("i",))
+        # the constant partition column i is normalized away
+        assert infer_properties(free).order == {
+            ("n", self.BY_V, frozenset())}
+        assert self.holds(free)
+
+    def test_survives_renaming_added_columns_and_distinct(self):
+        plan = Distinct(Project(
+            Attach(self.RANKED, "k", 7, IntT),
+            (("w", "v"), ("s", "r"), ("k", "k"))))
+        assert infer_properties(plan).order == {
+            ("s", (("w", "asc"),), frozenset())}
+        assert self.holds(plan)
+        # ... where the rank is a row number: dense, and a key by itself
+        p = infer_properties(plan)
+        assert p.is_dense("s", ()) and p.has_key({"s"}) and p.has_key({"w"})
+        assert p.order_ok("s")
+
+    def test_falls_when_a_column_or_a_row_goes(self):
+        assert not infer_properties(
+            Project(self.RANKED, (("r", "r"), ("g", "g")))).order
+        flagged = BinApp(self.RANKED, "gt", "v", Const(10, IntT), "f")
+        assert infer_properties(flagged).order
+        for filtered in (Select(flagged, "f"),
+                         SemiJoin(self.RANKED, UNIQ, (("g", "i"),)),
+                         EqJoin(self.RANKED, lit(("j", IntT), rows=[(2,)]),
+                                (("g", "j"),)),
+                         UnionAll(self.RANKED, self.RANKED)):
+            assert not infer_properties(filtered).order
+
+    def test_numbered_answers_the_second_numbering(self):
+        p = infer_properties(Attach(self.RANKED, "k", 7, IntT))
+        by_k_v = (("k", "asc"), ("v", "asc"))  # a constant orders nothing
+        assert p.numbered(by_k_v, ("k",), unique=False) == "r"
+        assert p.numbered((("v", "desc"),), (), unique=False) is None
+        assert p.numbered(self.BY_V, ("g",), unique=False) is None
+        # as a row number only where v tells all rows apart
+        assert p.numbered(self.BY_V, (), unique=True) is None
+        distinct = infer_properties(Distinct(Project(
+            self.RANKED, (("v", "v"), ("r", "r")))))
+        assert distinct.numbered(self.BY_V, (), unique=True) == "r"
 
 
 class TestScalarApplications:

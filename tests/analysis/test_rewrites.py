@@ -1,24 +1,24 @@
 """The property-driven rewrites: firing evidence and self-verification.
 
-Each of the three rewrites (``distinct_elim``, ``rownum_dense``,
-``select_true``) is shown firing on a real frontend query --
+Each rewrite is shown firing on a real frontend query --
 ``PassStats.rewrites_fired`` is the acceptance evidence -- with results
 identical across all three backends, and the F190 self-check is pinned
-on deliberately broken rewrite outputs.
+on deliberately broken rewrite outputs.  (``tests/optimizer/
+test_rewrites.py`` holds the same rules on hand-built plans.)
 """
 
 import pytest
 
 from repro import Connection, ffilter, group_with, nub, number, to_q
 from repro.algebra import Distinct, LitTable, Project
-from repro.analysis import PropsCache
+from repro.analysis import PlanStore
 from repro.bench.table1 import running_example_query
 from repro.bench.workloads import paper_dataset
 from repro.errors import VerifyError
 from repro.optimizer.rewrites.properties import (
     REWRITES,
     _self_verify,
-    apply_property_rewrites,
+    simplify,
 )
 from repro.runtime import Catalog
 
@@ -56,6 +56,15 @@ class TestFiring:
         counts = fired(db, running_example_query(db))
         assert counts.get("rownum_dense", 0) >= 3
 
+    def test_the_running_example_fires_the_bundle_level_rules(self):
+        db = Connection(catalog=paper_dataset())
+        counts = fired(db, running_example_query(db))
+        # per plan: the spine both queries share counts for each
+        assert counts["unit_cross"] == 4      # the unit loop, 3 tables
+        assert counts["rownum_rank"] == 2     # the groups' second numbering
+        assert counts["selfjoin_elim"] == 12  # surrogate re-attachments
+        assert run_all_ways(running_example_query(db), paper_dataset())
+
     def test_semantically_required_distinct_survives(self):
         # plain group_with over duplicate-heavy input: the outer Distinct
         # is load-bearing and must NOT be eliminated
@@ -80,7 +89,7 @@ class TestSelfVerification:
         from repro.ftypes import IntT
 
         old = self.lit(("a", IntT), ("b", IntT), rows=[(1, 2)])
-        cache = PropsCache()
+        cache = PlanStore()
         cache.infer(old)
         new = Project(old, (("a", "a"),))  # drops column b
         with pytest.raises(VerifyError) as exc:
@@ -92,7 +101,7 @@ class TestSelfVerification:
 
         dupes = self.lit(("a", IntT), rows=[(1,), (1,), (2,)])
         old = Distinct(dupes)
-        cache = PropsCache()
+        cache = PlanStore()
         cache.infer(old)
         # "rewriting" Distinct away here is wrong: the child has no key
         with pytest.raises(VerifyError) as exc:
@@ -101,6 +110,8 @@ class TestSelfVerification:
 
     def test_identity_sweep_changes_nothing(self):
         db = Connection(catalog=paper_dataset())
-        plan = db.compile(running_example_query(db)).bundle.queries[0].plan
-        # the optimizer already ran to fixpoint: a second sweep is a no-op
-        assert apply_property_rewrites(plan) is plan
+        bundle = db.compile(running_example_query(db)).bundle
+        plans = [query.plan for query in bundle.queries]
+        # the optimizer already ran the bundle to its fixpoint: another
+        # sweep over it is a no-op
+        assert simplify(plans) == plans

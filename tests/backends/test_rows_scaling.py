@@ -10,8 +10,11 @@ than) doubles that sum: before, ``loop x meanings`` and the late
 """
 
 from repro import Connection, pyq, qc
+from repro.algebra import postorder
 from repro.bench.table1 import running_example_query
-from repro.bench.workloads import avalanche_dataset
+from repro.bench.workloads import avalanche_dataset, orders_dataset
+
+from .test_sql_scaling import nested_orders_query
 
 #: Allowed growth of the summed operator output per doubling of the data.
 MAX_GROWTH = 2.1
@@ -66,3 +69,29 @@ def test_flat_join_costs_the_same_through_either_front_end():
     # written); the normal form places it like qc's
     assert via_pyq <= 2 * via_qc
     assert via_qc <= 40 * (50 + 100 + 64)
+
+
+def test_nested_orders_rows_follow_the_shared_spine():
+    """Nested orders groups its customers once for all three queries of
+    its bundle; a plan node shared by several queries runs once, so it
+    counts once here."""
+    sizes = (50, 100, 200)
+    counts = []
+    for size in sizes:
+        catalog = orders_dataset(size)
+        db = Connection(catalog=catalog)
+        q = nested_orders_query(db)
+        report = db.explain(q, analyze=True).analyze
+        rows = {}
+        for profile, query in zip(report.queries, db.compile(q).bundle.queries):
+            nodes = list(postorder(query.plan))
+            rows.update((id(nodes[op.ref]), op.rows_out)
+                        for op in profile.ops)
+        counts.append(sum(rows.values()))
+    for small, large in zip(counts, counts[1:]):
+        assert large <= MAX_GROWTH * small, (
+            f"superlinear plan: {dict(zip(sizes, counts))} operator rows")
+    data_rows = sum(len(catalog.rows(t)) for t in catalog.table_names())
+    # 48 operators and no numbering of the line items: 5.6 operator rows
+    # per input + result row (8.9 with one spine per query, 80 operators)
+    assert counts[-1] <= 6.5 * (data_rows + report.total_rows)

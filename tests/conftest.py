@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import pathlib
+import sys
+
 import pytest
 
 from repro import Connection, fmap
@@ -12,6 +17,20 @@ from repro.runtime import Catalog
 from repro.semantics import Interpreter
 
 BACKENDS = ("engine", "sqlite", "mil")
+
+
+@functools.cache
+def e2e_workloads():
+    """``benchmarks/e2e/workloads.py`` as a module: the end-to-end
+    benchmark's own programs and generators (it imports nothing but
+    ``repro``), for the tests that pin what those programs compile to."""
+    path = (pathlib.Path(__file__).resolve().parents[1]
+            / "benchmarks" / "e2e" / "workloads.py")
+    spec = importlib.util.spec_from_file_location("e2e_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def pytest_collection_modifyitems(config, items):

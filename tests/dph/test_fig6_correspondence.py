@@ -4,6 +4,8 @@ and DSH's loop-lifted algebra plan for sparse-vector multiplication.
 The paper's table of correspondences:
 
 * ``bpermuteP`` (bulk indexed lookup)  =>  relational equi-join over ``pos``
+  (a product and a selection ``pos = index + 1``: the optimizer removes
+  the lifter's surrogate ``EqJoin``-s around it, the lookup stays)
 * ``*^`` (lifted multiplication)       =>  column-wise ``BinApp mul``
 * ``sumP``                             =>  grouped aggregation ``sum``
 """
@@ -11,7 +13,15 @@ The paper's table of correspondences:
 import pytest
 
 from repro import Connection
-from repro.algebra import BinApp, EqJoin, GroupAggr, contains
+from repro.algebra import (
+    BinApp,
+    Cross,
+    GroupAggr,
+    Project,
+    Select,
+    contains,
+    postorder,
+)
 from repro.dph import (
     FIG6_SV,
     FIG6_V,
@@ -53,9 +63,26 @@ class TestStructuralCorrespondence:
         assert compiled.bundle.size == 1  # scalar result: one query
         return compiled.bundle.queries[0].plan
 
+    def pos_lookup(self):
+        """``(select, comparison, product)`` of the join on ``pos``."""
+        for node in postorder(self.plan()):
+            if isinstance(node, Select):
+                cmp = node.child
+                while not (isinstance(cmp, BinApp) and cmp.out == node.col):
+                    cmp = cmp.child
+                below = cmp.child
+                while not isinstance(below, Cross):
+                    assert isinstance(below, (BinApp, Project))
+                    below = below.child
+                return node, cmp, below
+        raise AssertionError("no selection in the plan")
+
     def test_bpermute_becomes_equi_join(self):
-        # positional lookup v !! i compiles to a join on the pos encoding
-        assert contains(self.plan(), lambda n: isinstance(n, EqJoin))
+        # positional lookup v !! i compiles to a join on the pos encoding:
+        # an equality selection over the product of the two vectors
+        _select, cmp, product = self.pos_lookup()
+        assert cmp.op == "eq"
+        assert isinstance(product, Cross)
 
     def test_lifted_multiplication_becomes_binapp(self):
         assert contains(self.plan(),
@@ -68,12 +95,12 @@ class TestStructuralCorrespondence:
                        and any(f == "sum" for f, _, _ in n.aggs)))
 
     def test_index_join_compares_positions(self):
-        # at least one equi-join pair compares an Int column computed from
-        # the sparse indexes against the dense vector's positions
-        plan = self.plan()
-        joins = []
-        from repro.algebra import postorder
-        for node in postorder(plan):
-            if isinstance(node, EqJoin):
-                joins.append(node)
-        assert len(joins) >= 2  # the iter-joins plus the pos lookup join
+        # the join predicate compares the dense vector's positions with
+        # an Int column computed from the sparse indexes (0-based index
+        # + 1 = 1-based pos)
+        _select, cmp, _product = self.pos_lookup()
+        computed = [node for node in postorder(self.plan())
+                    if isinstance(node, BinApp) and node.op == "add"
+                    and node.out in (cmp.lhs, cmp.rhs)]
+        assert len(computed) == 1
+        assert computed[0].rhs.value == 1

@@ -76,7 +76,9 @@ class TestConvergence:
                 results[backend, name] = db.run(q)
                 budget = 4 * (self.INPUT_ROWS + report.total_rows)
                 for profile in report.queries:
-                    if backend != "mil":  # no per-operator data there
+                    # no per-operator data on mil, nor for a sqlite
+                    # statement whose every step an earlier one built
+                    if profile.ops:
                         assert profile.peak_rows <= budget
             assert sizes["qc"] == sizes["pyq"] == sizes["fluent"]
         assert len({repr(r) for r in results.values()}) == 1

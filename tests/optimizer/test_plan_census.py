@@ -1,0 +1,158 @@
+"""The plan census: what the optimizer leaves behind, without a clock.
+
+Every ``RowNum``/``RowRank`` is a sort on the engine and the MIL VM and a
+window function in SQL, every node an operator somebody executes; the
+counts below are upper bounds on both, per bundle, for the paper's
+programs and the 24-program ``paper_mix`` corpus of the end-to-end
+benchmark.  They moved with the bundle-wide fixpoint (nested orders 80
+nodes / 17 numberings, running example 73 / 16, corpus 966 / 105 before
+it) and may only go down from here.  The second half pins what "fixpoint"
+means: a finished bundle is left alone by both rewrite families, shares
+its ``group_with`` spine across its queries as *objects*, and holds no
+operator, column or projection the tidy-up should have removed.
+"""
+
+import pytest
+
+from repro import Connection
+from repro.algebra import (
+    Project,
+    RowNum,
+    RowRank,
+    UnionAll,
+    node_count,
+    postorder,
+)
+from repro.analysis import PlanStore
+from repro.bench.table1 import running_example_variants
+from repro.bench.workloads import paper_dataset
+from repro.optimizer.rewrites import prune_unneeded_columns, simplify
+from repro.optimizer.rewrites.icols import _computes, demanded
+from repro.optimizer.rewrites.projmerge import merge_projection
+from repro.runtime import Catalog
+
+from ..conftest import e2e_workloads
+from ..properties.test_regressions import CORPUS as REGRESSIONS
+
+W = e2e_workloads()
+PAPER_MIX = W.make_catalog(W.paper_mix_tables(1, 42))
+
+
+def compiled(program):
+    db = Connection(catalog=PAPER_MIX)
+    return db.compile(program.build(db), use_cache=False)
+
+
+def census(bundle) -> tuple[int, int]:
+    """(distinct nodes, numbering operators) of a bundle's DAG."""
+    nodes = list(postorder(*(query.plan for query in bundle.queries)))
+    return len(nodes), sum(isinstance(n, (RowNum, RowRank)) for n in nodes)
+
+
+def program(name):
+    return next(p for p in W.CORPUS if p.name == name)
+
+
+class TestCensus:
+    #: program -> (distinct nodes, RowNum + RowRank), upper bounds
+    BOUNDS = {
+        "running_example_qc": (44, 11),
+        "running_example_fluent": (44, 11),
+        "running_example_pyq": (44, 11),
+        "nested_orders": (48, 7),
+        "dotp": (24, 0),
+    }
+    CORPUS_BOUND = (749, 75)
+
+    @pytest.mark.parametrize("name", BOUNDS)
+    def test_the_papers_programs(self, name):
+        nodes, numberings = census(compiled(program(name)).bundle)
+        max_nodes, max_numberings = self.BOUNDS[name]
+        assert nodes <= max_nodes
+        assert numberings <= max_numberings
+
+    def test_the_corpus_total(self):
+        totals = [census(compiled(p).bundle) for p in W.CORPUS]
+        assert sum(n for n, _ in totals) <= self.CORPUS_BOUND[0]
+        assert sum(k for _, k in totals) <= self.CORPUS_BOUND[1]
+
+    def test_three_front_ends_still_one_plan(self):
+        db = Connection(catalog=paper_dataset())
+        shapes = {
+            name: [node_count(query.plan)
+                   for query in db.compile(q, use_cache=False).bundle.queries]
+            for name, q in running_example_variants(db).items()}
+        assert shapes["qc"] == shapes["pyq"] == shapes["fluent"]
+        assert sum(shapes["qc"]) <= 21 + 34
+
+    def test_every_bundle_converges_in_a_few_sweeps(self):
+        # a working sweep or three, then one that changes nothing
+        for p in W.CORPUS:
+            assert 2 <= compiled(p).pass_stats.rounds <= 6, p.name
+
+
+class TestSharedSpine:
+    def test_the_group_with_spine_is_one_object(self):
+        """Nested orders groups its customers once: the numbering of the
+        table, the group rank and the duplicate elimination above it are
+        the *same nodes* in all three queries of the bundle (a demand
+        pass per query used to narrow them three different ways)."""
+        bundle = compiled(program("nested_orders")).bundle
+        spines = []
+        for query in bundle.queries:
+            [rank] = [n for n in postorder(query.plan)
+                      if isinstance(n, RowRank)]
+            spines.append([n for n in postorder(rank)])
+        first, *others = spines
+        for spine in others:
+            assert len(spine) == len(first)
+            assert all(a is b for a, b in zip(spine, first))
+        # ... and so are the groups' positions built on top of it
+        numbered = [[n for n in postorder(query.plan)
+                     if isinstance(n, RowNum) and n.part]
+                    for query in bundle.queries]
+        assert numbered[0][0] is numbered[1][0] is numbered[2][0]
+
+
+def bundle_of(name):
+    """A ``paper_mix`` program or a regression-corpus query, compiled."""
+    if name in REGRESSIONS:
+        build, _expected = REGRESSIONS[name]
+        db = Connection(catalog=Catalog())
+        return db.compile(build(), use_cache=False).bundle
+    return compiled(program(name)).bundle
+
+
+@pytest.mark.parametrize(
+    "name", [p.name for p in W.CORPUS] + sorted(REGRESSIONS))
+class TestTidy:
+    """After the fixpoint nothing is left that a family would remove."""
+
+    def test_no_operator_computes_a_column_nobody_reads(self, name):
+        bundle = bundle_of(name)
+        store = PlanStore()
+        roots = [store.intern(query.plan) for query in bundle.queries]
+        order, needed = demanded(roots, store)
+        for node in order:
+            made = _computes(node)
+            assert made is None or made[0] in needed[id(node)], (
+                f"{name}: dead {type(node).__name__} {made[0]}")
+
+    def test_no_projection_is_left_to_merge(self, name):
+        bundle = bundle_of(name)
+        store = PlanStore()
+        roots = [store.intern(query.plan) for query in bundle.queries]
+        for node in postorder(*roots):
+            if isinstance(node, Project):
+                assert not isinstance(node.child, Project), name
+                assert merge_projection(node, store) is node, name
+            if isinstance(node, UnionAll):
+                for arm in node.children:
+                    if isinstance(arm, Project):  # not an identity
+                        assert merge_projection(arm, store) is arm, name
+
+    def test_both_families_leave_it_alone(self, name):
+        plans = [query.plan for query in bundle_of(name).queries]
+        store = PlanStore()
+        assert prune_unneeded_columns(plans, store) == plans
+        assert simplify(plans, store) == plans

@@ -13,9 +13,9 @@ import pytest
 
 from repro import Connection
 from repro.algebra import (
-    EqJoin,
     LitTable,
     Project,
+    RowRank,
     bundle_text,
     node_key,
     postorder,
@@ -27,8 +27,8 @@ from repro.core.bundle import compile_exp
 from repro.dph import FIG6_SV, FIG6_V, dotp_query
 from repro.frontend.q import to_q
 from repro.ftypes import IntT
-from repro.obs.trace import NULL_SPAN
-from repro.optimizer import PassStats, optimize_bundle, optimize_plan
+from repro.obs.trace import NULL_SPAN, NULL_TRACER
+from repro.optimizer import PassStats, optimize_bundle
 from repro.optimizer.pipeline import _FAMILIES, _optimize
 from repro.runtime import Catalog
 
@@ -115,10 +115,7 @@ class TestInterning:
 
 
 class TestFixpoint:
-    # Nested orders is left out on purpose: its optimized bundle still
-    # holds one semi-join reduction that only a *second* property sweep
-    # finds (see optimizer/pipeline.py, "Rounds and termination").
-    @pytest.mark.parametrize("name", ["running_example", "dotp"])
+    @pytest.mark.parametrize("name", PROGRAMS)
     def test_an_optimized_bundle_is_left_alone(self, name):
         once, _ = optimized(name)
         stats = PassStats()
@@ -140,26 +137,31 @@ class TestFixpoint:
 class TestCostGate:
     """A candidate fires only when the estimated cost strictly drops."""
 
-    def join(self, rows):
-        left = LitTable(rows, (("a", IntT),))
-        right = LitTable(rows, (("b", IntT),))
-        return Project(EqJoin(left, right, (("a", "b"),)), (("a", "a"),))
+    def twice_ranked(self, rows):
+        """``b`` ranks the rows by the order ``a`` already ranks them by:
+        ``rownum_rank`` offers ``b <= a`` for the second ``RowRank``."""
+        ranked = RowRank(LitTable(rows, (("v", IntT),)), "a", (("v", "asc"),))
+        return RowRank(ranked, "b", (("v", "asc"),))
+
+    def optimize(self, plan):
+        stats = PassStats()
+        [out] = _optimize([plan], PlanStore(), stats, NULL_TRACER)
+        return out, stats
 
     def test_a_tie_is_rejected_and_counted(self):
-        # Over empty inputs the semi-join costs what the join costs (two
-        # operators' fixed cost each): the candidate matches, the gate
-        # rejects it, the join stands.
-        stats = PassStats()
-        out = optimize_plan(self.join(()), stats)
-        assert stats.rewrites_gated == {"semijoin_reduce": 1}
+        # Over no rows a projection costs what a ranking costs (one
+        # operator's fixed cost): the candidate matches, the gate
+        # rejects it, the second ranking stands.
+        out, stats = self.optimize(self.twice_ranked(()))
+        assert stats.rewrites_gated == {"rownum_rank": 1}
         assert stats.rewrites_fired == {}
-        assert isinstance(out.child, EqJoin)
+        assert isinstance(out, RowRank)
 
     def test_the_same_candidate_fires_when_it_saves_work(self):
-        stats = PassStats()
-        optimize_plan(self.join(((1,), (2,))), stats)
-        assert stats.rewrites_fired == {"semijoin_reduce": 1}
+        out, stats = self.optimize(self.twice_ranked(((1,), (2,))))
+        assert stats.rewrites_fired == {"rownum_rank": 1}
         assert stats.rewrites_gated == {}
+        assert isinstance(out, Project) and ("b", "a") in out.cols
 
 
 class GcTracer:

@@ -1,4 +1,4 @@
-"""Optimizer rewrites: each pass in isolation, plus pipeline soundness."""
+"""Optimizer rewrites: each family in isolation, plus pipeline soundness."""
 
 import pytest
 
@@ -7,25 +7,54 @@ from repro.algebra import (
     Attach,
     BinApp,
     Const,
+    Cross,
     EqJoin,
     LitTable,
     Project,
+    RowNum,
+    RowRank,
     Select,
     UnionAll,
+    contains,
     node_count,
+    postorder,
     schema_of,
 )
-from repro.analysis import check_plan
+from repro.analysis import PlanStore, check_plan
+from repro.backends.engine.evaluate import Engine
 from repro.bench.workloads import paper_dataset
 from repro.bench.table1 import running_example_query
 from repro.ftypes import IntT
-from repro.optimizer import optimize_plan
-from repro.optimizer.rewrites import (
-    eliminate_common_subexpressions,
-    fold_constants,
-    merge_projections,
-    prune_unneeded_columns,
-)
+from repro.obs.trace import NULL_TRACER
+from repro.runtime import Catalog
+from repro.optimizer import PassStats
+from repro.optimizer.pipeline import _optimize
+from repro.optimizer.rewrites import prune_unneeded_columns, simplify
+
+
+def optimize_plan(plan):
+    """The pipeline over a bundle of one plan."""
+    [out] = _optimize([plan], PlanStore(), PassStats(), NULL_TRACER)
+    return out
+
+
+def eliminate_common_subexpressions(plan):
+    """CSE is construction: interning a plan shares its equal subplans."""
+    return PlanStore().intern(plan)
+
+
+def prune(plan):
+    [out] = prune_unneeded_columns([plan])
+    return out
+
+
+def simplified(plan):
+    [out] = simplify([plan])
+    return out
+
+
+#: constant folding and projection merging are rules of the one sweep
+fold_constants = merge_projections = simplified
 
 
 def leaf(*names):
@@ -84,21 +113,21 @@ class TestConstFold:
 class TestIcols:
     def test_prunes_dead_attach(self):
         plan = Project(Attach(leaf("a"), "junk", 1, IntT), (("out", "a"),))
-        out = prune_unneeded_columns(plan)
+        out = prune(plan)
         assert node_count(out) == 2  # Attach gone
 
     def test_prunes_littable_columns(self):
         wide = LitTable(((1, 2, 3),),
                         (("a", IntT), ("b", IntT), ("c", IntT)))
         plan = Project(wide, (("out", "b"),))
-        out = prune_unneeded_columns(plan)
+        out = prune(plan)
         assert list(schema_of(out.child)) == ["b"]
 
     def test_distinct_blocks_pruning(self):
         from repro.algebra import Distinct
         wide = LitTable(((1, 2), (1, 3)), (("a", IntT), ("b", IntT)))
         plan = Project(Distinct(wide), (("out", "a"),))
-        out = prune_unneeded_columns(plan)
+        out = prune(plan)
         # pruning "b" below Distinct would merge the two rows
         assert list(schema_of(out.child.child)) == ["a", "b"]
         check_plan(out)
@@ -107,7 +136,7 @@ class TestIcols:
         wide = leaf("a", "b")
         u = UnionAll(wide, leaf("a", "b"))
         plan = Project(u, (("out", "a"),))
-        out = prune_unneeded_columns(plan)
+        out = prune(plan)
         check_plan(out)
 
     def test_never_empties_a_relation(self):
@@ -116,7 +145,7 @@ class TestIcols:
         from repro.algebra import SemiJoin
         plan = SemiJoin(leaf("a"), Project(leaf("b", "c"), (("b", "b"),)),
                         (("a", "b"),))
-        out = prune_unneeded_columns(plan)
+        out = prune(plan)
         check_plan(out)
         assert len(schema_of(out)) >= 1
 
@@ -139,6 +168,131 @@ class TestProjMerge:
         base = leaf("a", "b")
         plan = Project(base, (("b", "b"), ("a", "a")))
         assert isinstance(merge_projections(plan), Project)
+
+
+def rows_of(plan) -> list:
+    """The plan's rows on the engine, columns by name, as a sorted bag."""
+    rel = Engine(Catalog()).execute(plan)
+    order = sorted(range(len(rel.cols)), key=lambda i: rel.cols[i])
+    return sorted(tuple(row[i] for i in order) for row in rel.rows)
+
+
+class TestSelfJoinElim:
+    """``EqJoin(d, Project(b))`` on a key of ``b`` that ``d`` descends
+    from: the join goes, ``d`` carries the columns it fetched."""
+
+    #: a numbered relation: k is its key, p a payload column
+    BASE = RowNum(LitTable(((10, 7), (20, 8), (30, 7), (40, 9)),
+                           (("v", IntT), ("p", IntT))),
+                  "k", (("v", "asc"),))
+
+    def derived(self, base=None):
+        """``d``: rows of the base filtered, repeated and renamed."""
+        base = self.BASE if base is None else base
+        twice = Cross(Project(base, (("dk", "k"), ("dv", "v"))),
+                      LitTable(((1,), (2,)), (("n", IntT),)))
+        flagged = BinApp(twice, "gt", "dv", Const(10, IntT), "f")
+        return Project(Select(flagged, "f"), (("j", "dk"), ("n", "n")))
+
+    def anchor(self):
+        return Project(self.BASE, (("ak", "k"), ("ap", "p"), ("ak2", "k")))
+
+    def rewritten(self, plan):
+        fired: dict = {}
+        [out] = simplify([plan], fired=fired)
+        assert rows_of(out) == rows_of(plan)
+        assert list(schema_of(out)) == list(schema_of(plan))
+        return out, fired
+
+    def joins(self, plan):
+        return [n for n in postorder(plan) if isinstance(n, EqJoin)]
+
+    @pytest.mark.parametrize("anchor_first", [False, True])
+    def test_the_join_goes_and_its_columns_are_carried(self, anchor_first):
+        sides = (self.derived(), self.anchor())
+        pair = (("j", "ak"),)
+        if anchor_first:
+            sides, pair = sides[::-1], (("ak", "j"),)
+        out, fired = self.rewritten(EqJoin(*sides, pair))
+        assert fired == {"selfjoin_elim": 1}
+        assert not self.joins(out)
+        assert len(rows_of(out)) == 6  # three base rows pass, twice each
+
+    def test_the_classic_self_join_is_the_shortest_path(self):
+        plan = EqJoin(Project(self.BASE, (("a", "k"), ("av", "v"))),
+                      Project(self.BASE, (("b", "k"), ("bp", "p"))),
+                      (("a", "b"),))
+        out, fired = self.rewritten(plan)
+        assert fired == {"selfjoin_elim": 1}
+        assert isinstance(out, Project) and out.child is not None
+        assert not self.joins(out)
+
+    def test_a_join_on_a_non_key_stays(self):
+        # p is no key of the base: rows meet foreign partners
+        plan = EqJoin(Project(self.BASE, (("a", "p"),)),
+                      Project(self.BASE, (("b", "p"), ("bv", "v"))),
+                      (("a", "b"),))
+        out, fired = self.rewritten(plan)
+        assert not fired and len(self.joins(out)) == 1
+        assert len(rows_of(out)) == 6  # 2 x 2 + 1 + 1
+
+    def test_a_column_computed_on_the_way_is_not_the_bases(self):
+        renumbered = RowNum(Project(self.BASE, (("dv", "v"),)),
+                            "j", (("dv", "desc"),))
+        plan = EqJoin(renumbered, self.anchor(), (("j", "ak"),))
+        out, fired = self.rewritten(plan)
+        assert not fired and len(self.joins(out)) == 1
+
+    def test_a_path_somebody_else_reads_is_not_widened(self):
+        derived = self.derived()
+        plan = UnionAll(
+            Project(EqJoin(derived, self.anchor(), (("j", "ak"),)),
+                    (("x", "ap"),)),
+            Project(derived, (("x", "n"),)))
+        out, fired = self.rewritten(plan)
+        # widening `derived` for the join would compute it twice
+        assert not fired and len(self.joins(out)) == 1
+
+
+class TestNumberingRules:
+    def test_unit_cross_becomes_attach(self):
+        unit = LitTable(((1,),), (("i", IntT),))
+        table = LitTable(((5,), (6,)), (("v", IntT),))
+        fired: dict = {}
+        for plan in (Project(Cross(unit, table), (("v", "v"), ("i", "i"))),
+                     Project(Cross(table, unit), (("i", "i"), ("v", "v")))):
+            [out] = simplify([plan], fired=fired)
+            assert rows_of(out) == rows_of(plan)
+            assert not contains(out, lambda n: isinstance(n, Cross))
+            assert contains(out, lambda n: isinstance(n, Attach))
+        assert fired == {"unit_cross": 2}
+
+    def test_a_product_of_two_relations_stays(self):
+        two = LitTable(((1,), (2,)), (("i", IntT),))
+        other = LitTable(((5,), (6,)), (("v", IntT),))
+        plan = Project(Cross(two, other), (("v", "v"),))
+        fired: dict = {}
+        simplify([plan], fired=fired)
+        assert not fired
+
+    def test_group_with_numbers_its_groups_once(self):
+        # RowRank -> Project -> Distinct -> RowNum over the same order:
+        # the lifter's group_with spine
+        db = Connection(catalog=paper_dataset())
+        q = group_with(lambda r: r[0], db.table("features"))
+        compiled = db.compile(q, use_cache=False)
+        assert compiled.pass_stats.rewrites_fired["rownum_rank"] == 1
+        [rank] = [n for n in postorder(*(query.plan for query
+                                         in compiled.bundle.queries))
+                  if isinstance(n, RowRank)]
+        numberings = [n for n in postorder(
+            *(query.plan for query in compiled.bundle.queries))
+            if isinstance(n, RowNum) and not n.part
+            and {c for c, _ in n.order} <= {c for c, _ in rank.order}]
+        assert not numberings
+        raw = Connection(catalog=paper_dataset(), optimize=False)
+        assert db.run(q) == raw.run(
+            group_with(lambda r: r[0], raw.table("features")))
 
 
 class TestPipeline:

@@ -1,7 +1,8 @@
 """Property-suite plumbing: the ``property`` marker and example scaling.
 
 Everything under ``tests/properties`` is marked ``property`` (except the
-deterministic regression corpus, which stays tier-1), so CI can run the
+deterministic corpora -- ``test_regressions`` and tests marked ``tier1``
+explicitly -- which stay tier-1), so CI can run the
 fast suite with ``-m "not property"`` and the full randomized sweep as
 its own job.  ``FERRY_EXAMPLES_MULT`` multiplies each test's example
 budget -- the CI property job sets it to 5 for the full-depth run.
@@ -19,6 +20,7 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if _HERE not in pathlib.Path(item.fspath).parents:
             continue
-        if item.module.__name__.endswith("test_regressions"):
+        if (item.module.__name__.endswith("test_regressions")
+                or item.get_closest_marker("tier1")):
             continue  # explicit corpus: deterministic, stays tier-1
         item.add_marker(pytest.mark.property)

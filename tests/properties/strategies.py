@@ -38,6 +38,7 @@ from repro import (
     take,
     take_while,
     to_q,
+    the,
     tup,
     zip_q,
 )
@@ -300,6 +301,95 @@ def join_comprehension(draw) -> Q:
         return fmap(lambda s: head(unpack(n - 1)(s)), stream)
 
     return fmap(comprehension, to_q([0, 1, 2, 3]))
+
+
+# ----------------------------------------------------------------------
+# nested-result programs: 2-4 bundle members over one shared spine
+# ----------------------------------------------------------------------
+
+def _key(r):
+    return r[0]
+
+
+def _val(r):
+    return r[1]
+
+
+def _lookup(u, k):
+    """The ``v`` of every ``u`` row whose key is ``k`` (may be empty)."""
+    return fmap(_val, ffilter(lambda w: w[0] == k, u))
+
+
+#: name -> (bundle size, builder over two ``(k, v)`` pair tables).  Every
+#: member of a bundle reads the same ``group_with`` / ``sort_with`` spine
+#: over ``t``: the optimizer builds it once for all of them, so these are
+#: the programs on which cross-query sharing is load-bearing.
+SPINE_PROGRAMS = {
+    "groups_with_items": (2, lambda t, u: fmap(
+        lambda g: tup(the(fmap(_key, g)), fmap(_val, g)),
+        group_with(_key, t))),
+    "groups_two_views": (3, lambda t, u: fmap(
+        lambda g: tup(fmap(_val, g), fmap(_val, sort_with_desc(_val, g))),
+        group_with(_key, t))),
+    "groups_three_views": (4, lambda t, u: fmap(
+        lambda g: tup(fmap(_key, g), fmap(_val, g), nub(fmap(_val, g))),
+        group_with(_key, t))),
+    "groups_with_lookups": (3, lambda t, u: fmap(
+        lambda g: fmap(lambda r: tup(r[1], _lookup(u, r[0])), g),
+        group_with(_key, t))),
+    "groups_of_groups": (3, lambda t, u: fmap(
+        lambda g: fmap(lambda h: fmap(_val, h),
+                       group_with(lambda r: r[1] % 2, g)),
+        group_with(_key, t))),
+    "groups_sum_and_items": (2, lambda t, u: fmap(
+        lambda g: tup(the(fmap(_key, g)), fsum(fmap(_val, g)),
+                      length(g), fmap(_val, g)),
+        group_with(_key, t))),
+    "groups_filtered_items": (2, lambda t, u: fmap(
+        lambda g: ffilter(lambda v: v > 0, fmap(_val, g)),
+        group_with(_key, t))),
+    "sorted_with_lookups": (2, lambda t, u: fmap(
+        lambda r: tup(r[0], _lookup(u, r[0])), sort_with(_val, t))),
+    "sorted_then_grouped": (2, lambda t, u: fmap(
+        lambda g: fmap(_key, g),
+        group_with(lambda r: r[1] % 3, sort_with(_val, t)))),
+    "sorted_two_lookups": (3, lambda t, u: fmap(
+        lambda r: tup(_lookup(u, r[0]), _lookup(t, r[1])),
+        sort_with_desc(_key, t))),
+    "groups_zipped_views": (3, lambda t, u: fmap(
+        lambda g: tup(fmap(_val, g),
+                      fmap(lambda p: p[0] + p[1],
+                           zip_q(fmap(_val, g), fmap(_key, reverse(g))))),
+        group_with(_key, t))),
+    "groups_items_and_lookups": (4, lambda t, u: fmap(
+        lambda g: tup(fmap(_val, g),
+                      fmap(lambda r: _lookup(u, r[1]), g)),
+        group_with(_key, t))),
+}
+
+_KV = st.tuples(st.integers(0, 3), st.integers(-4, 4))
+
+
+@st.composite
+def pair_rows(draw) -> list:
+    """Rows of a ``(k, v)`` table: none, duplicate-heavy keys (and whole
+    duplicate rows), or a general handful."""
+    mode = draw(st.integers(0, 3))
+    if mode == 0:
+        return []
+    if mode == 1:
+        k = draw(st.integers(0, 1))
+        return [(k, v) for v in draw(st.lists(st.integers(-1, 1),
+                                              min_size=2, max_size=8))]
+    return draw(st.lists(_KV, max_size=8))
+
+
+@st.composite
+def shared_spine_program(draw):
+    """``(name, rows of t, rows of u)``: a :data:`SPINE_PROGRAMS` entry
+    and an instance for it."""
+    return (draw(st.sampled_from(sorted(SPINE_PROGRAMS))),
+            draw(pair_rows()), draw(pair_rows()))
 
 
 # ----------------------------------------------------------------------

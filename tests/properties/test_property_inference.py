@@ -1,12 +1,14 @@
 """Property: inferred plan properties hold on materialized relations.
 
 The inference engine (``repro.analysis.properties``) claims its ``keys``,
-``constants``, ``card``, ``non_null`` and ``dense`` judgements are sound
-for every instance.  This suite compiles random well-typed pipelines,
-executes the bundle on the in-memory engine with a bundle cache (so every
-intermediate DAG node's relation is retained), and checks each judgement
-against the actual rows -- a falsifier for the analysis layer the same
-way ``test_differential`` falsifies the backends.
+``constants``, ``card``, ``non_null``, ``dense`` and ``order`` judgements
+are sound for every instance.  This suite compiles random well-typed
+pipelines -- optimized, and as the lifter left them, where the numbering
+chains the order facts are about still stand -- executes the bundle on
+the in-memory engine with a bundle cache (so every intermediate DAG
+node's relation is retained), and checks each judgement against the
+actual rows -- a falsifier for the analysis layer the same way
+``test_differential`` falsifies the backends.
 """
 
 from hypothesis import given
@@ -23,11 +25,24 @@ CATALOG = Catalog()
 SETTINGS = prop_settings(30)
 
 
+def dense_ranks(by_values: list, directions: list) -> dict:
+    """value tuple -> its dense rank under the ``asc``/``desc`` order."""
+    distinct = list(set(by_values))
+    for i in reversed(range(len(directions))):  # stable, minor key first
+        distinct.sort(key=lambda t: t[i], reverse=directions[i] == "desc")
+    return {value: rank for rank, value in enumerate(distinct, start=1)}
+
+
 def check_inference(q):
+    for optimize in (True, False):
+        audit(q, optimize)
+
+
+def audit(q, optimize, catalog=CATALOG):
     """Compile, materialize every node, and audit all inferred facts."""
-    db = Connection(backend="engine", catalog=CATALOG)
+    db = Connection(backend="engine", catalog=catalog, optimize=optimize)
     bundle = db.compile(q, use_cache=False).bundle
-    engine = Engine(CATALOG)
+    engine = Engine(catalog)
     cache = BundleCache()
     props_memo, schemas = {}, {}
     for query in bundle.queries:
@@ -70,6 +85,19 @@ def check_inference(q):
                 assert sorted(vals) == list(range(1, len(vals) + 1)), (
                     f"column {col!r} inferred dense per "
                     f"{{{', '.join(pcols)}}} but group {gk!r} holds {vals}")
+        for col, by, part in props.order:
+            pcols = sorted(part)
+            groups = {}
+            for r in range(rel.nrows):
+                gk = tuple(rel.columns[idx[c]][r] for c in pcols)
+                groups.setdefault(gk, []).append(
+                    (tuple(rel.columns[idx[c]][r] for c, _ in by),
+                     rel.columns[idx[col]][r]))
+            for gk, pairs in groups.items():
+                want = dense_ranks([v for v, _ in pairs], [d for _, d in by])
+                assert all(rank == want[v] for v, rank in pairs), (
+                    f"column {col!r} inferred the dense rank of {by} per "
+                    f"{{{', '.join(pcols)}}} but group {gk!r} holds {pairs}")
     assert audited > 0
 
 
