@@ -2,14 +2,15 @@
 
 The loop-lifted running example re-derives surrogate keys by joining a
 relation back to the numbered relation it descends from, on the key
-that numbers it; the cost-gated ``selfjoin_elim`` rewrite replaces each
-such join by the columns carried along.  This bench quantifies the
-payoff on the paper's avalanche workload: plan sizes, rewrite fire
-counts, and end-to-end execution time with the rewrite enabled and
-disabled.  (The file keeps the name of the ``semijoin_reduce`` family
-the rewrite came from; its ``Project(EqJoin) -> SemiJoin`` shape was
-deleted after the audit in EXPERIMENTS.md: 3 fires on the 24-program
-corpus, no operator row saved.)
+that numbers it; the ``selfjoin_elim`` rewrite replaces each such join
+by the columns carried along.  This bench quantifies the payoff on the
+paper's avalanche workload: plan sizes, rewrite fire counts, and
+end-to-end execution time with the rewrite enabled and disabled (the
+rule is patched out; nothing prices a candidate, so there is no cost
+model to bend).  (The file keeps the name of the ``semijoin_reduce``
+family the rewrite came from; its ``Project(EqJoin) -> SemiJoin`` shape
+was deleted after the audit in EXPERIMENTS.md: 3 fires on the
+24-program corpus, no operator row saved.)
 """
 
 import time

@@ -1,19 +1,19 @@
-"""Static analysis over compiled plans: properties, cost, verifier, lint.
+"""Static analysis over compiled plans: properties, bounds, verifier, lint.
 
 See :mod:`repro.analysis.properties` for the inferred property lattice
 (keys, constants, cardinality bounds, non-null sets, density and order
-provenance), :mod:`repro.analysis.cost` for the cardinality-aware cost
-model built on top of it, :mod:`repro.analysis.verifier` for the staged
-plan verifier with its ``F1xx``/``F2xx``/``F3xx`` diagnostic codes, and
-:mod:`repro.analysis.lint` for the estimate-drift lint (``D5xx``).
+provenance), :mod:`repro.analysis.cost` for the per-instance row bounds
+folded through the same lattice, :mod:`repro.analysis.verifier` for the
+staged plan verifier with its ``F1xx``/``F2xx``/``F3xx`` diagnostic
+codes, and :mod:`repro.analysis.lint` for the row-bounds lint
+(``D500``).
 """
 
 from .cost import (
+    Bounds,
     BundleCost,
-    CostModel,
-    Est,
-    QueryCost,
-    annotate_costs,
+    RowBounds,
+    annotate_bounds,
     estimate_bundle,
 )
 from .properties import (
@@ -37,34 +37,28 @@ from .verifier import (
     verify_debug_enabled,
 )
 
-#: Lint names served lazily (so ``python -m repro.analysis.lint`` does
-#: not re-import the module it is executing).
-_LINT_EXPORTS = ("D_CODES", "DEFAULT_RATIO_BUDGET", "lint_calibration",
-                 "lint_report", "lint_statements")
-
 
 def __getattr__(name: str):
-    if name in _LINT_EXPORTS:
-        from . import lint
-        return getattr(lint, name)
+    # Served lazily, so that ``python -m repro.analysis.lint`` does not
+    # re-import the module it is executing.
+    if name == "lint_report":
+        from .lint import lint_report
+        return lint_report
     raise AttributeError(
         f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
+    "Bounds",
     "BundleCost",
     "Card",
-    "CostModel",
-    "D_CODES",
-    "DEFAULT_RATIO_BUDGET",
     "Diagnostic",
-    "Est",
     "PlanStore",
     "Props",
-    "QueryCost",
+    "RowBounds",
     "STAGES",
     "VerifyReport",
-    "annotate_costs",
+    "annotate_bounds",
     "annotate_plan",
     "avalanche_lint",
     "check_avalanche",
@@ -73,9 +67,7 @@ __all__ = [
     "ensure_verified",
     "estimate_bundle",
     "infer_properties",
-    "lint_calibration",
     "lint_report",
-    "lint_statements",
     "set_verify_debug",
     "verify_bundle",
     "verify_debug_enabled",

@@ -54,7 +54,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from ..algebra.dag import fill, node_key, replace_children
 from ..algebra.ops import (
@@ -132,6 +132,11 @@ class Card:
     def filtered(self) -> "Card":
         """Bounds after dropping an unknown subset of rows."""
         return Card(0, self.hi)
+
+    def meet(self, other: "Card") -> "Card":
+        """Both bounds hold: the tighter ``lo`` and the tighter ``hi``."""
+        his = [c.hi for c in (self, other) if c.hi is not None]
+        return Card(max(self.lo, other.lo), min(his, default=None))
 
 
 @dataclass
@@ -244,8 +249,8 @@ class PlanStore:
     structurally equal subplans -- within a plan or across the queries
     of a bundle -- are one object, so common-subexpression elimination
     is construction and "this rewrite changed nothing" is ``is``.
-    Schema, :class:`Props`, ``CostModel.memo`` and each rewrite family's
-    result (:meth:`rewrite`) hang off a node by ``id()`` and are never
+    Schema, :class:`Props` and each rewrite family's result
+    (:meth:`rewrite`) hang off a node by ``id()`` and are never
     invalidated -- a rewrite makes a *new* node -- so a node is analysed
     and rewritten once per compile, whoever asks.  That is sound only
     while no ``id()`` is recycled: the store keeps every node it was
@@ -253,7 +258,7 @@ class PlanStore:
     """
 
     __slots__ = ("canonical", "twin", "pins", "props", "schemas",
-                 "rewritten", "visits", "estimates", "inferences")
+                 "rewritten", "visits", "inferences")
 
     def __init__(self) -> None:
         #: structural key -> the interned node
@@ -265,9 +270,9 @@ class PlanStore:
         self.schemas: dict[int, Schema] = {}
         #: rewrite family -> ``id(interned node)`` -> its rewrite
         self.rewritten: dict[str, dict[int, Node]] = {}
-        #: work counters: rule applications per family, cost estimates
+        #: work counters: rule applications per family, ``Props`` inferred
         self.visits: Counter[str] = Counter()
-        self.estimates = self.inferences = 0
+        self.inferences = 0
 
     def intern(self, root: Node) -> Node:
         """The interned node structurally equal to ``root``; what of
@@ -509,22 +514,61 @@ _SAME_COL_CMP = {"eq": True, "le": True, "ge": True,
 # per-operator rules
 # ----------------------------------------------------------------------
 
+def row_bounds(node: Node, kids: "list[Props]", cards: "list[Card]",
+               table_rows: "Mapping[str, int] | None" = None) -> Card:
+    """Sound bounds on the rows of ``node`` from bounds ``cards`` on the
+    rows of its children and the facts ``kids`` inferred about them.
+
+    The one cardinality rule per operator: inference calls it with the
+    children's ``Props.card``, the row-bounds fold of
+    :mod:`repro.analysis.cost` with bounds that also know the exact
+    size of every table (``table_rows``)."""
+    if isinstance(node, LitTable):
+        return Card(len(node.rows), len(node.rows))
+    if isinstance(node, TableScan):
+        n = None if table_rows is None else table_rows.get(node.table)
+        return Card() if n is None else Card(n, n)
+    if isinstance(node, Select):
+        return (cards[0] if kids[0].constants.get(node.col) is True
+                else cards[0].filtered())
+    if isinstance(node, Distinct):
+        return Card(min(cards[0].lo, 1), cards[0].hi)
+    if isinstance(node, (SemiJoin, AntiJoin)):
+        return cards[0].filtered()
+    if isinstance(node, Cross):
+        return cards[0].times(cards[1])
+    if isinstance(node, EqJoin):
+        # A side whose join columns are a key matches each row of the
+        # other side at most once.
+        if kids[1].has_key({r for _, r in node.pairs}):
+            return cards[0].filtered()
+        if kids[0].has_key({l for l, _ in node.pairs}):
+            return cards[1].filtered()
+        return cards[0].times(cards[1]).filtered()
+    if isinstance(node, UnionAll):
+        return cards[0].plus(cards[1])
+    if isinstance(node, GroupAggr):
+        # Groups with no rows do not appear; no grouping is one group.
+        return Card(min(cards[0].lo, 1), cards[0].hi if node.group else 1)
+    return cards[0]  # one output row per input row
+
+
 def _infer_props(node: Node, memo: "dict[int, Props]",
                  schemas: "dict[int, Schema]") -> Props:
     schema = schema_of(node, schemas)
+    kids = [memo[id(c)] for c in node.children]
+    card = row_bounds(node, kids, [p.card for p in kids])
 
     if isinstance(node, LitTable):
         keys, constants, non_null, dense = _scan_literal(node, schema)
-        n = len(node.rows)
-        prov = frozenset(c for c, _ in dense) if n else frozenset(
+        prov = frozenset(c for c, _ in dense) if node.rows else frozenset(
             c for c in schema if schema[c] == IntT)
-        return _finish(schema, keys, constants, Card(n, n), non_null,
-                       dense, prov)
+        return _finish(schema, keys, constants, card, non_null, dense, prov)
 
     if isinstance(node, TableScan):
         # Catalog rows are validated against the declared atom types on
         # insert, so scans never produce None.
-        return _finish(schema, set(), {}, Card(0, None),
+        return _finish(schema, set(), {}, card,
                        frozenset(schema), frozenset(), frozenset())
 
     if isinstance(node, Attach):
@@ -535,7 +579,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                                  else frozenset())
         prov = p.provenance | ({node.col} if node.value == 1
                                else frozenset())
-        return _finish(schema, set(p.keys), constants, p.card, non_null,
+        return _finish(schema, set(p.keys), constants, card, non_null,
                        p.dense, prov, p.order)
 
     if isinstance(node, Project):
@@ -558,7 +602,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
              frozenset(renames[w][0] for w in within))
             for c, by, within in p.order
             if renames.keys() >= within.union({c}, (o for o, _ in by)))
-        return _finish(schema, keys, constants, p.card, non_null,
+        return _finish(schema, keys, constants, card, non_null,
                        frozenset(dense), prov, order)
 
     if isinstance(node, Select):
@@ -566,8 +610,6 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         constants = dict(p.constants)
         # Downstream of the filter the selection column is always true.
         constants[node.col] = True
-        card = (p.card if p.constants.get(node.col) is True
-                else p.card.filtered())
         # Filtering breaks density but not lineage.
         return _finish(schema, set(p.keys), constants, card, p.non_null,
                        frozenset(), p.provenance)
@@ -576,7 +618,6 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         p = memo[id(node.child)]
         keys = set(p.keys)
         keys.add(frozenset(schema))
-        card = Card(min(p.card.lo, 1), p.card.hi)
         # The distinct rows hold the same order values: a rank stands.
         return _finish(schema, keys, dict(p.constants), card, p.non_null,
                        frozenset(), p.provenance, p.order)
@@ -595,7 +636,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         if p.has_key({c for c, _ in node.order}.union(node.part)):
             # no ties: the row number is the dense rank
             order |= {(node.col, node.order, frozenset(node.part))}
-        return _finish(schema, keys, constants, p.card,
+        return _finish(schema, keys, constants, card,
                        p.non_null | {node.col}, frozenset(dense), prov, order)
 
     if isinstance(node, RowRank):
@@ -606,7 +647,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         # DENSE_RANK is dense 1..k globally, but k < nrows when order
         # keys tie, so (col, ()) is *not* a density fact w.r.t. rows;
         # it is also no key.  Lineage only.
-        return _finish(schema, set(p.keys), constants, p.card,
+        return _finish(schema, set(p.keys), constants, card,
                        p.non_null | {node.col}, p.dense, p.provenance,
                        p.order | {(node.col, node.order, frozenset())})
 
@@ -625,7 +666,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         for col, part in rp.dense:
             for lk in lp.keys:
                 dense.add((col, part | lk))
-        return _finish(schema, keys, constants, lp.card.times(rp.card),
+        return _finish(schema, keys, constants, card,
                        lp.non_null | rp.non_null, frozenset(dense),
                        lp.provenance | rp.provenance)
 
@@ -649,13 +690,6 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                 constants[rc] = constants[lc]
             elif rc in constants and lc not in constants:
                 constants[lc] = constants[rc]
-        lo = 0
-        if right_unique:
-            hi = lp.card.hi
-        elif left_unique:
-            hi = rp.card.hi
-        else:
-            hi = lp.card.times(rp.card).hi
         dense: set[DenseFact] = set()
         # A right-side run dense per exactly the join columns survives:
         # each left row pulls in one complete partition group.
@@ -667,15 +701,14 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
             if part == lcols:
                 for rk in rp.keys:
                     dense.add((col, part | rk))
-        return _finish(schema, keys, constants, Card(lo, hi),
+        return _finish(schema, keys, constants, card,
                        lp.non_null | rp.non_null, frozenset(dense),
                        lp.provenance | rp.provenance)
 
     if isinstance(node, (SemiJoin, AntiJoin)):
         lp = memo[id(node.left)]
-        return _finish(schema, set(lp.keys), dict(lp.constants),
-                       lp.card.filtered(), lp.non_null, frozenset(),
-                       lp.provenance)
+        return _finish(schema, set(lp.keys), dict(lp.constants), card,
+                       lp.non_null, frozenset(), lp.provenance)
 
     if isinstance(node, UnionAll):
         lp = memo[id(node.left)]
@@ -692,7 +725,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                 constants[c] = lv
         # Concatenating two provenant runs is the compiler's append /
         # take-while encoding; order pedigree survives (lint-grade).
-        return _finish(schema, set(), constants, lp.card.plus(rp.card),
+        return _finish(schema, set(), constants, card,
                        lp.non_null & rp.non_null, frozenset(),
                        lp.provenance & rp.provenance)
 
@@ -702,10 +735,6 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         keys = {group}
         keys |= {k for k in p.keys if k <= group}
         constants = {c: v for c, v in p.constants.items() if c in group}
-        if not node.group:
-            card = Card(0 if p.card.lo == 0 else 1, 1)
-        else:
-            card = Card(0 if p.card.lo == 0 else 1, p.card.hi)
         # Groups with no rows do not appear, so aggregates never see an
         # empty input: sum/min/max/... of a non-empty group is non-None.
         non_null = frozenset(c for c in group if c in p.non_null)
@@ -734,7 +763,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
             for o in (node.lhs, node.rhs))
         non_null = p.non_null | ({node.out} if ins_non_null
                                  else frozenset())
-        return _finish(schema, set(p.keys), constants, p.card, non_null,
+        return _finish(schema, set(p.keys), constants, card, non_null,
                        p.dense, p.provenance, p.order)
 
     if isinstance(node, UnApp):
@@ -748,7 +777,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                 pass
         non_null = p.non_null | ({node.out} if node.col in p.non_null
                                  else frozenset())
-        return _finish(schema, set(p.keys), constants, p.card, non_null,
+        return _finish(schema, set(p.keys), constants, card, non_null,
                        p.dense, p.provenance, p.order)
 
     # Unknown operator: schema_of above would have raised; this is for

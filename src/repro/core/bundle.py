@@ -72,9 +72,9 @@ class Bundle:
     #: Stamped by ``repro.analysis.verify_bundle`` once every verifier
     #: stage passed; backends then skip re-verification at prepare time.
     verified: bool = False
-    #: Compile-time cost estimate (a ``repro.analysis.cost.BundleCost``)
-    #: stamped by ``optimize_bundle``; the estimate-drift lint consumes
-    #: it.  ``None`` until stamped.
+    #: Row bounds of the queries' results for the catalog instance
+    #: compiled against (a ``repro.analysis.cost.BundleCost``), stamped
+    #: by ``optimize_bundle``.  ``None`` until stamped.
     cost: "object | None" = None
 
     @property

@@ -151,26 +151,26 @@ def build_analyze(bundle, queries: "Sequence[QueryProfile]", backend: str,
     """Assemble an :class:`AnalyzeReport` (with annotated plans) from
     the per-query profiles ``Backend.execute_bundle`` returned.
 
-    ``table_rows`` (exact catalog statistics) enables the static
-    ``est_rows=`` annotations next to the measured actuals -- the
-    side-by-side view the estimate-drift lint (``D500``) automates.
+    ``table_rows`` (exact catalog statistics) seeds the static
+    ``bound=lo..hi`` annotations next to the measured actuals -- the
+    side-by-side view the row-bounds lint (``D500``) automates.
     """
     from ..algebra import plan_text, postorder
-    from ..analysis.cost import CostModel
+    from ..analysis.cost import RowBounds
 
-    model = CostModel(backend, table_rows=table_rows)
+    bounds = RowBounds(table_rows)
     total = total_time or sum(q.time for q in queries) or 1.0
     annotated: list[str] = []
     earlier: dict[int, str] = {}  # nodes an earlier query printed
     for profile, query in zip(queries, bundle.queries):
         share = 100.0 * profile.time / total if total else 0.0
-        est = model.estimate(query.plan)
+        bound = bounds.of(query.plan).show()
         peak = ("" if profile.peak_rows is None
                 else f"peak_rows={profile.peak_rows} ")
         header = (f"-- Q{profile.index} (iter={query.iter_col}, "
                   f"pos={query.pos_col}, "
                   f"items={', '.join(query.item_cols)})"
-                  f"  [rows={profile.rows} est_rows={est.rows:g} {peak}"
+                  f"  [rows={profile.rows} bound={bound} {peak}"
                   f"time={profile.time * 1e3:.3f} ms "
                   f"({share:.1f}% of bundle)]")
         chunk = [header]
@@ -185,12 +185,12 @@ def build_analyze(bundle, queries: "Sequence[QueryProfile]", backend: str,
                 if op is None:
                     continue
                 cum = _subtree_time(node, times)
-                node_est = model.memo[id(node)]
+                bound = bounds.memo[id(node)].show()
                 rows_in = "" if op.rows_in is None else f"in={op.rows_in} "
                 annotations[i] = (
                     f"[{op.time * 1e3:.3f} ms {100.0 * op.time / qtime:.1f}% "
                     f"| {rows_in}out={op.rows_out} "
-                    f"est_rows={node_est.rows:g} w={op.width} "
+                    f"bound={bound} w={op.width} "
                     f"cum={cum * 1e3:.3f} ms]")
             chunk.append(plan_text(query.plan, annotations, earlier,
                                    f"Q{profile.index}"))

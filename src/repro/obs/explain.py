@@ -71,13 +71,11 @@ class ExplainReport:
     #: Staged-verifier verdict over the compiled bundle
     #: (a :class:`repro.analysis.VerifyReport`), or ``None``.
     verify: Any = None
-    #: Compile-time cost estimate of the bundle (a
-    #: :class:`repro.analysis.cost.BundleCost`), or ``None``.
-    cost: Any = None
-    #: Estimate-drift lint findings (``D500``/``D501``/``D502``
-    #: :class:`repro.analysis.Diagnostic` records; only populated by
+    #: Row-bounds lint findings (``D500``
+    #: :class:`repro.analysis.Diagnostic` records: a measured row count
+    #: outside its static bounds; only populated by
     #: ``conn.explain(q, analyze=True)``), or ``None``.
-    drift: Any = None
+    lint: Any = None
 
     @property
     def avalanche_ok(self) -> bool:
@@ -111,10 +109,8 @@ class ExplainReport:
                         if self.analyze is not None else None),
             "verify": (self.verify.to_dict()
                        if self.verify is not None else None),
-            "cost": (self.cost.to_dict()
-                     if self.cost is not None else None),
-            "drift": ([d.to_dict() for d in self.drift]
-                      if self.drift is not None else None),
+            "lint": ([d.to_dict() for d in self.lint]
+                     if self.lint is not None else None),
         }
 
     def render(self, plans: bool = True, artifacts: bool = True) -> str:
@@ -139,19 +135,11 @@ class ExplainReport:
                 lines.append(f"verifier      : "
                              f"{len(self.verify.diagnostics)} diagnostic(s)")
                 lines.extend(f"  {d}" for d in self.verify.diagnostics)
-        if self.cost is not None:
-            calib = ("calibrated" if self.cost.calibrated
-                     else "uncalibrated fallback")
-            lines.append(f"cost estimate : {self.cost.total_cost:,.0f} "
-                         f"units, {self.cost.est_rows:g} rows "
-                         f"({calib} v{self.cost.calibration_version})")
-        if self.drift is not None:
-            if self.drift:
-                lines.append(f"drift lint    : "
-                             f"{len(self.drift)} finding(s)")
-                lines.extend(f"  {d}" for d in self.drift)
-            else:
-                lines.append("drift lint    : clean")
+        if self.lint is not None:
+            verdict = (f"{len(self.lint)} finding(s)" if self.lint
+                       else "clean")
+            lines.append(f"bounds lint   : {verdict}")
+            lines.extend(f"  {d}" for d in self.lint)
         for q in self.queries:
             lines.append(q.header)
             if plans:
@@ -171,17 +159,17 @@ def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
                  analyze: Any = None, properties: bool = False,
                  verify: Any = None,
                  table_rows: "dict[str, int] | None" = None,
-                 drift: Any = None) -> ExplainReport:
+                 lint: Any = None) -> ExplainReport:
     """Assemble an :class:`ExplainReport` from a ``CompiledQuery``, its
     backend, the backend's per-query artifact renderings, and (for
     ``analyze=True`` explains) the execution profile.
 
     ``properties=True`` renders each plan with per-node property *and*
-    cost-estimate annotations (``repro.analysis.annotate_plan`` +
-    ``repro.analysis.cost.annotate_costs``, sharpened by ``table_rows``
-    catalog statistics) next to the ``@n`` refs; ``verify`` attaches the
-    staged verifier's report, ``drift`` the estimate-drift lint's
-    findings.
+    row-bounds annotations (``repro.analysis.annotate_plan`` +
+    ``repro.analysis.annotate_bounds``, the latter seeded with the
+    ``table_rows`` catalog statistics) next to the ``@n`` refs;
+    ``verify`` attaches the staged verifier's report, ``lint`` the
+    row-bounds lint's findings.
     """
     from ..algebra import operator_histogram, plan_text
     from ..ftypes import count_list_constructors
@@ -190,21 +178,21 @@ def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
     queries = []
     earlier: dict[int, str] = {}  # nodes an earlier query printed
     if properties:
-        from ..analysis import PlanStore
-        from ..analysis.cost import CostModel
-        store = PlanStore()  # annotate_plan and the estimates share a walk
-        cost_model = CostModel(backend.name, table_rows=table_rows,
-                               cache=store)
+        from ..analysis import (
+            PlanStore,
+            RowBounds,
+            annotate_bounds,
+            annotate_plan,
+        )
+        store = PlanStore()  # annotate_plan and the bounds share a walk
+        bounds = RowBounds(table_rows, store)
     for i, query in enumerate(bundle.queries):
         artifact = artifacts[i] if i < len(artifacts) else None
         annotations = None
         if properties:
-            from ..analysis import annotate_plan
-            from ..analysis.cost import annotate_costs
             annotations = annotate_plan(query.plan, store.props,
                                         store.schemas)
-            for ref, note in annotate_costs(query.plan,
-                                            cost_model).items():
+            for ref, note in annotate_bounds(query.plan, bounds).items():
                 annotations[ref] = f"{annotations[ref]} {note}"
         queries.append(QueryExplain(
             index=i + 1,
@@ -230,6 +218,5 @@ def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
         pass_stats=compiled.pass_stats,
         analyze=analyze,
         verify=verify,
-        cost=getattr(bundle, "cost", None),
-        drift=drift,
+        lint=lint,
     )

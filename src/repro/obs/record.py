@@ -58,8 +58,6 @@ class ExecutionRecord:
     rows: "int | None" = None
     #: Relational queries issued (the Table 1 avalanche metric).
     queries_issued: int = 0
-    #: The cost model's static row estimate for the bundle.
-    est_rows: "float | None" = None
     #: ``repr`` of the raised exception, for failed calls.
     error: "str | None" = None
     #: The error's stable diagnostic code (``F101``, ``F302``, ...) when

@@ -58,7 +58,6 @@ class StatementEntry:
         "compile_time", "execute_time", "total_time", "min_time",
         "max_time", "error_codes", "by_backend", "durations",
         "first_seen", "last_seen", "worst_trace_id", "folded",
-        "est_rows",
     )
 
     def __init__(self, fingerprint: str, reservoir: int):
@@ -85,9 +84,6 @@ class StatementEntry:
         self.worst_trace_id: "str | None" = None
         #: Distinct fingerprints folded into this entry (overflow bucket).
         self.folded = 0
-        #: Latest static row estimate per execution (``bundle.cost``);
-        #: the drift lint compares it against ``rows / calls`` (D500).
-        self.est_rows: "float | None" = None
 
     # ------------------------------------------------------------------
     def record(self, rec: ExecutionRecord) -> None:
@@ -96,8 +92,6 @@ class StatementEntry:
             self.cache_hits += 1
         if not rec.executed:
             return  # a prepare: compile cost and cache traffic, no call
-        if rec.est_rows is not None:
-            self.est_rows = rec.est_rows
         if rec.error is not None:
             self.errors += 1
             if rec.error_code:
@@ -150,8 +144,6 @@ class StatementEntry:
             self.first_seen = other.first_seen
         self.last_seen = max(self.last_seen, other.last_seen)
         self.folded += 1 + other.folded
-        if self.est_rows is None:
-            self.est_rows = other.est_rows
 
     # ------------------------------------------------------------------
     @property
@@ -184,7 +176,6 @@ class StatementEntry:
             "last_seen": self.last_seen,
             "worst_trace_id": self.worst_trace_id,
             "folded": self.folded,
-            "est_rows": self.est_rows,
         }
 
 

@@ -15,31 +15,37 @@ nothing:
     demands and so stays one node -- then a rebuild of what narrows;
 ``simplify``  (:mod:`.rewrites.properties`) one memoized bottom-up
     ``visit`` per interned node that folds constants, merges projections
-    and applies the cost-gated property rules until none matches.
+    and applies the property rules until none matches.
 
-**Termination.**  On the tree unfolding of the bundle every step
-strictly lowers (operators weighted by cost rank, then total width):
-icols only drops columns and the operators computing them, a rule only
-replaces a node by a cheaper one over the same children (the gate) and
-a merge removes a projection.  A sweep therefore strictly shrinks that
-measure or changes nothing, and the first that changes nothing stops
-the loop: its result is a fixpoint of both families, so no dead column
-and no mergeable projection is left.
+**Termination.**  Rank the operators ``EqJoin`` > ``Cross`` > ``RowNum``
+= ``RowRank`` > ``Distinct`` = ``Select`` > ``Attach`` > the rest.
+Every rule removes an operator and adds only operators ranked below it:
+``Distinct`` / ``Select`` -> its child, ``RowNum`` / ``RowRank`` ->
+``Project``, ``Cross`` with a unit literal -> ``Attach``-es, ``EqJoin``
+-> its input, widened by projections.  icols only drops columns and the
+operators computing them, and a merge removes a projection.  On the
+tree unfolding of the bundle every step therefore strictly lowers (the
+multiset of operator ranks, then total width) -- whatever the data and
+the backend, nothing is priced.  A sweep shrinks that measure or
+changes nothing, and the first that changes nothing stops the loop: its
+result is a fixpoint of both families, so no dead column and no
+mergeable projection is left.
 
-**The memo contract.**  A fact -- schema, ``Props``, cost estimate, a
-node's simplification -- is keyed by an interned node and never
-invalidated; a rewrite makes a *new* node, and the store keeps every
-node it was shown alive, so no ``id()`` key is recycled.  A node's
-rewrite holds the same rows under the same names, so its ``Props`` are
+**The memo contract.**  A fact -- schema, ``Props``, a node's
+simplification -- is keyed by an interned node and never invalidated; a
+rewrite makes a *new* node, and the store keeps every node it was shown
+alive, so no ``id()`` key is recycled.  A node's rewrite holds the same
+rows under the same names, so its ``Props`` are
 *carried* to it, not inferred again (``PlanStore.carry``): inference
 runs once on the pruned raw plans and then only on what the rules
 build.  Self-verification (``F190``) is the exception by design: once,
 at the end, it infers every changed plan afresh and compares schema and
 keys with the plan as it entered the first sweep.
 
-The finished bundle is verified and cost-stamped in the same store;
-under verifier debug mode (``FERRY_VERIFY=1`` / ``set_verify_debug``)
-the structural stage also runs at every family boundary.
+The finished bundle is verified and its row bounds
+(:mod:`repro.analysis.cost`) are stamped in the same store; under
+verifier debug mode (``FERRY_VERIFY=1`` / ``set_verify_debug``) the
+structural stage also runs at every family boundary.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from ..analysis import (
     verify_bundle,
     verify_debug_enabled,
 )
-from ..analysis.cost import CostModel, estimate_bundle
+from ..analysis.cost import estimate_bundle
 from ..core.bundle import Bundle, SerializedQuery
 from ..obs.trace import NULL_TRACER
 from .rewrites import prune_unneeded_columns, simplify
@@ -78,36 +84,28 @@ class PassStats:
     #: DAG nodes before/after, summed over plans.
     nodes_before: int = 0
     nodes_after: int = 0
-    #: Fire counts of the cost-gated rewrites (``rewrites.REWRITES``).
+    #: Fire counts of the property rewrites (``rewrites.REWRITES``).
     rewrites_fired: dict[str, int] = field(default_factory=dict)
-    #: Candidates that matched but were rejected by the cost gate (the
-    #: estimated plan cost did not strictly drop), per rewrite name.
+    #: Candidates that matched but were skipped because inference could
+    #: not show every key of the node they replace, per rewrite name.
     rewrites_gated: dict[str, int] = field(default_factory=dict)
     #: Work counters of the plan store: nodes hash-consed, ``Props``
-    #: inferred (not carried), cost estimates computed, rule applications
-    #: per family; none of the others exceeds ``nodes_interned``.
+    #: inferred (not carried), rule applications per family; none of
+    #: the others exceeds ``nodes_interned``.
     nodes_interned: int = 0
     inferences: int = 0
-    cost_estimates: int = 0
     rule_visits: dict[str, int] = field(default_factory=dict)
 
 
 def _optimize(plans: "list[Node]", store: PlanStore, stats: PassStats,
               tracer: Any) -> "list[Node]":
     """The roots of ``plans`` at the fixpoint of the module docstring."""
-    # The rewrite gate deliberately estimates with the *engine*
-    # calibration and *without* catalog row statistics: every backend
-    # and every catalog instance must optimize the same program to
-    # identical algebra (the goldens and the data-independence property
-    # tests assert this).  Instance statistics only sharpen the cost
-    # *stamp* of the finished bundle, never the plan shape.
-    model = CostModel("engine", cache=store)
     debug = verify_debug_enabled()
     families: dict[str, Callable[["list[Node]"], "list[Node]"]] = {
         "cse": lambda roots: [store.intern(root) for root in roots],
         "icols": lambda roots: prune_unneeded_columns(roots, store),
         "simplify": lambda roots: simplify(
-            roots, store, model, stats.rewrites_fired, stats.rewrites_gated),
+            roots, store, stats.rewrites_fired, stats.rewrites_gated),
     }
     sizes = [node_count(plan) for plan in plans]
     stats.plans += len(plans)
@@ -153,10 +151,10 @@ def optimize_bundle(bundle: Bundle, stats: PassStats | None = None,
 
     The finished bundle -- the exact plans every backend receives --
     then goes through all three verifier stages (structural, order,
-    avalanche) and is stamped ``verified``, and carries the compile-time
-    cost estimate of the *final* plans (this time with the executing
-    backend's calibration and the catalog's row counts): /statements
-    drift rows and the lint read it.
+    avalanche) and is stamped ``verified``, and carries the row bounds
+    of the *final* plans (``bundle.cost``; ``table_rows`` are the
+    catalog's exact table sizes, ``backend`` is a label).  Neither
+    argument influences the plans.
     """
     if stats is None:
         stats = PassStats()
@@ -174,7 +172,6 @@ def optimize_bundle(bundle: Bundle, stats: PassStats | None = None,
                                      table_rows=table_rows, cache=store)
     stats.nodes_interned += len(store.canonical)
     stats.inferences += store.inferences
-    stats.cost_estimates += store.estimates
     for name in _FAMILIES:
         stats.rule_visits[name] = (stats.rule_visits.get(name, 0)
                                    + store.visits[name])

@@ -21,15 +21,15 @@ produced the fact, and are accounted by name:
     the columns of ``b`` the join fetched: the loop-lifting compiler's
     surrogate-regeneration joins (:func:`_selfjoin_elim`).
 
-Every candidate is **cost-gated**: it fires only when the estimated
-plan cost (``repro.analysis.cost``, engine calibration -- deliberately
-backend-independent so all backends optimize to identical algebra)
-strictly drops over the operators candidate and original do not share
-(``CostModel.delta``); rejected candidates are accounted separately
-(``PassStats.rewrites_gated``).  Before the gate a candidate must show,
-by inference, every key of the node it replaces: the pipeline
-self-verifies the plans it changed (:func:`_self_verify`, ``F190``),
-and skipping a rewrite beats failing the compile.
+Nothing prices a candidate: each rule replaces a node by one of
+strictly lower rank in a fixed operator order (see
+:mod:`repro.optimizer.pipeline`, *Termination*), whatever the data and
+the backend, so all backends optimize to identical algebra.  The one
+gate is safety: a candidate must show, by inference, every key of the
+node it replaces -- the pipeline self-verifies the plans it changed
+(:func:`_self_verify`, ``F190``), and skipping a rewrite beats failing
+the compile.  Skipped candidates are accounted separately
+(``PassStats.rewrites_gated``).
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from ...algebra.ops import (
     UnionAll,
 )
 from ...algebra.dag import postorder, replace_children
-from ...analysis.cost import CostModel
 from ...analysis.properties import PlanStore, Props, infer_properties
 from ...errors import VerifyError
 from .constfold import fold_binapp
@@ -65,7 +64,6 @@ REWRITES = ("distinct_elim", "rownum_dense", "rownum_rank", "select_true",
 
 
 def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
-             model: "CostModel | None" = None,
              fired: "dict[str, int] | None" = None,
              gated: "dict[str, int] | None" = None) -> "list[Node]":
     """One sweep of the rules over the plans of a bundle, each interned
@@ -77,11 +75,8 @@ def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
     sweep.  ``fired`` / ``gated`` (``PassStats.rewrites_fired`` /
     ``rewrites_gated``) count per plan: a node shared by several queries
     is decided once, yet counts for every plan that contains it.
-    ``model`` is the gate's estimator, a stats-free engine-calibrated
-    one by default.
     """
     store = store or PlanStore()
-    gate = model or CostModel("engine", cache=store)
     done = store.rewritten.setdefault("simplify", {})
     decided: dict[int, list[tuple[str, bool]]] = {}
     roots = [store.intern(root) for root in roots]
@@ -107,14 +102,11 @@ def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
                 new = store.intern(hit[1])
                 if isinstance(new, Project):
                     new = merge_projection(new, store)
-                # it must show every key of what it replaces ...
-                kept = store.infer(new)
-                if not all(map(kept.has_key, store.infer(cur).keys)):
-                    break
-                # ... and *strictly* lower the estimated plan cost
-                wins = gate.delta(new, cur) < 0
-                decided.setdefault(id(node), []).append((hit[0], wins))
-                if not wins:
+                # it must show every key of what it replaces
+                safe = all(map(store.infer(new).has_key,
+                               store.infer(cur).keys))
+                decided.setdefault(id(node), []).append((hit[0], safe))
+                if not safe:
                     break
             cur = new
         shared[id(cur)] += uses[id(node)]
@@ -123,8 +115,8 @@ def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
     out = [store.rewrite("simplify", root, visit) for root in roots]
     for root in roots if decided else ():
         for node in postorder(root):
-            for name, wins in decided.get(id(node), ()):
-                counts = fired if wins else gated
+            for name, safe in decided.get(id(node), ()):
+                counts = fired if safe else gated
                 if counts is not None:
                     counts[name] = counts.get(name, 0) + 1
     return out
@@ -134,7 +126,7 @@ def _rewrite_node(node: Node, store: PlanStore, shared: "Counter[int]"
                   ) -> "tuple[str, Node] | None":
     """The candidate replacement for ``node`` -- ``(rewrite name,
     candidate)`` -- or ``None`` when no rewrite matches.  The caller
-    cost-gates the candidate."""
+    checks that the candidate keeps the node's keys."""
     if isinstance(node, Distinct):
         if store.infer(node.child).keys:
             return "distinct_elim", node.child

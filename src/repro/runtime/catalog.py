@@ -15,8 +15,10 @@ from typing import Any, Iterable, Sequence
 
 from ..errors import SchemaError
 from ..expr import TableE
-from ..ftypes import AtomT, check_value, normalize_value
+from ..ftypes import AtomT, IntT, check_value, normalize_value
 from ..frontend.tables import SchemaLike, normalize_schema
+
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 class Catalog:
@@ -68,6 +70,12 @@ class Catalog:
                 except Exception as err:
                     raise SchemaError(
                         f"table {name!r}, column {col_name!r}: {err}") from None
+                if ty == IntT and not _INT64_MIN <= value <= _INT64_MAX:
+                    # A SQL host stores Int as a signed 64-bit integer;
+                    # what it cannot hold no backend may accept.
+                    raise SchemaError(
+                        f"table {name!r}, column {col_name!r}, row {row!r}: "
+                        f"{value} is outside the signed 64-bit range of Int")
             checked.append(tuple(
                 normalize_value(v, ty)
                 for v, (_, ty) in zip(reordered, cols)))

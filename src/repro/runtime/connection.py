@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from ..analysis import verify_bundle, verify_debug_enabled
-from ..analysis.cost import estimate_bundle
 from ..core.bundle import Bundle, compile_exp
 from ..errors import ObservabilityError, QTypeError
 from ..expr import exp_fingerprint, tables_referenced
@@ -295,11 +294,6 @@ class Connection:
             # verified plans.
             with phase(tracer, timings, "verify", stage="final"):
                 verify_bundle(bundle, label="final")
-        if bundle.cost is None:
-            # optimize=False still gets a cost stamp: the drift lint
-            # works on unoptimized plans too.
-            bundle.cost = estimate_bundle(bundle, backend=self.backend.name,
-                                          table_rows=self._table_stats())
         entry = CacheEntry(bundle, pass_stats=stats)
         if use_cache:
             self.plan_cache.insert(key, entry)
@@ -347,10 +341,11 @@ class Connection:
 
         ``properties=True`` annotates every plan operator with its
         inferred properties (``repro.analysis``: cardinality bounds,
-        keys, constant columns, density facts) *and* its cost estimate
-        (``est N rows .. cost``) next to the ``@n`` refs; combined with
-        ``analyze=True`` the report also carries the estimate-drift
-        lint's findings (``D500``/``D501``/``D502``).
+        keys, constant columns, density facts) *and* its row bounds for
+        this catalog instance (``[rows lo..hi w=N]``) next to the ``@n``
+        refs.  With ``analyze=True`` every measured row count is printed
+        beside its bounds (``bound=lo..hi``) and the report carries the
+        row-bounds lint's findings (``D500``: a count outside them).
 
         Returns an :class:`~repro.obs.ExplainReport`; ``print`` it (or
         call :meth:`~repro.obs.ExplainReport.render`) for the
@@ -361,7 +356,7 @@ class Connection:
         compiled = handle.compiled
         artifacts = self.backend.describe_prepared(handle._code)
         table_rows = self._table_stats()
-        analyze_report = drift = None
+        analyze_report = findings = None
         if analyze:
             # A real execution of the prepared bundle, recorded like any
             # other.
@@ -373,14 +368,14 @@ class Connection:
                 compiled.bundle, rec.queries, self.backend.name,
                 rec.duration, table_rows=table_rows)
             from ..analysis.lint import lint_report
-            drift = lint_report(compiled.bundle, analyze_report,
-                                self.backend.name, table_rows=table_rows)
+            findings = lint_report(compiled.bundle, analyze_report,
+                                   table_rows)
         verify = verify_bundle(compiled.bundle, label="explain",
                                raise_on_error=False, mark=False)
         return build_report(compiled, self.backend, artifacts,
                             analyze=analyze_report, properties=properties,
                             verify=verify, table_rows=table_rows,
-                            drift=drift)
+                            lint=findings)
 
     # ------------------------------------------------------------------
     def _execute(self, kind: str,
@@ -425,9 +420,7 @@ class Connection:
                     per_op=analyze)
             rows = sum(len(r) for r in result.rows)
             fields.update(queries=result.profiles, rows=rows,
-                          queries_issued=result.queries_issued,
-                          est_rows=(bundle.cost.est_rows
-                                    if bundle.cost is not None else None))
+                          queries_issued=result.queries_issued)
             with phase(tracer, phases, "stitch") as span:
                 value = stitch(bundle, result.rows)
                 span.set(rows=rows)

@@ -1,29 +1,23 @@
-"""Unit tests of the estimate-drift lint (``repro.analysis.lint``).
+"""Unit tests of the row-bounds lint (``repro.analysis.lint``).
 
-Every D-code gets a dedicated trigger on forged profiles or
-monkeypatched calibration tables, ``_misestimate``'s slack/budget edges
-are pinned, and the CLI gate is exercised end to end: clean exit 0 on
-the golden workload, exit 1 when ``--assume-rows`` seeds a deliberate
-D500 misestimate.
+``D500`` -- a measured row count outside the static bounds -- gets a
+dedicated trigger per place it can fire (query, operator, peak) on
+forged profiles, and the CLI gate is exercised end to end: clean exit 0
+on the golden workload (Table 1 at 100 *and* 800 categories), exit 1
+when ``--assume-rows`` claims a table is smaller than it is.
 """
 
 import json
 
 import pytest
 
-from repro.algebra import Cross, LitTable
+from repro import Connection
+from repro.algebra import LitTable, Select, TableScan
 from repro.analysis import lint
-from repro.analysis.cost import CALIBRATION
-from repro.analysis.lint import (
-    DEFAULT_RATIO_BUDGET,
-    ROW_SLACK,
-    _misestimate,
-    _parse_assume,
-    lint_calibration,
-    lint_report,
-    lint_statements,
-)
-from repro.ftypes import IntT
+from repro.analysis.lint import _parse_assume, lint_report
+from repro.bench.table1 import running_example_query
+from repro.bench.workloads import avalanche_dataset
+from repro.ftypes import BoolT, IntT
 from repro.obs.analyze import AnalyzeReport, OpProfile, QueryProfile
 
 
@@ -48,37 +42,44 @@ def analyze_for(*profiles):
                          queries=list(profiles))
 
 
-class TestMisestimate:
-    def test_inside_absolute_slack_never_alarms(self):
-        assert not _misestimate(0.0, ROW_SLACK, DEFAULT_RATIO_BUDGET)
-        assert not _misestimate(1000.0, 1000.0 + ROW_SLACK, 8.0)
-
-    def test_small_counts_past_slack_use_the_floor(self):
-        # |0 - 17| > slack and 17 > 8 * max(0, 1.0)
-        assert _misestimate(0.0, ROW_SLACK + 1.0, 8.0)
-
-    def test_ratio_budget_is_the_boundary(self):
-        assert not _misestimate(100.0, 700.0, 8.0)   # 7x: inside
-        assert _misestimate(100.0, 900.0, 8.0)       # 9x: outside
-        assert _misestimate(900.0, 100.0, 8.0)       # symmetric
-
-
 class TestD500:
     def test_per_query_rows_misestimate(self):
         plan = lit(2)
         report = analyze_for(QueryProfile(index=1, time=0.0, rows=5000))
-        out = [d for d in lint_report(FakeBundle(plan), report, "engine")
-               if d.code == "D500"]
-        assert len(out) == 1
-        assert out[0].query == 0 and out[0].node_ref is None
-        assert "5000" in out[0].message
+        (out,) = lint_report(FakeBundle(plan), report)
+        assert (out.code, out.stage) == ("D500", "bounds")
+        assert out.query == 0 and out.node_ref is None
+        assert "5000" in out.message and "2..2" in out.message
+
+    def test_rows_below_the_lower_bound_are_a_finding_too(self):
+        report = analyze_for(QueryProfile(index=1, time=0.0, rows=1))
+        (out,) = lint_report(FakeBundle(lit(2)), report)
+        assert out.code == "D500" and "2..2" in out.message
 
     def test_accurate_estimate_is_clean(self):
-        plan = lit(2)
         report = analyze_for(QueryProfile(index=1, time=0.0, rows=2))
-        assert not [d for d in
-                    lint_report(FakeBundle(plan), report, "engine")
-                    if d.code == "D500"]
+        assert lint_report(FakeBundle(lit(2)), report) == []
+
+    def test_any_count_inside_the_bounds_is_clean(self):
+        # No ratio budget, no slack: 0..3 admits 0 and 3 alike ...
+        rows = LitTable(((1, True), (2, False), (3, True)),
+                        (("i", IntT), ("b", BoolT)))
+        for n in (0, 2, 3):
+            report = analyze_for(QueryProfile(index=1, time=0.0, rows=n))
+            assert lint_report(FakeBundle(Select(rows, "b")), report) == []
+        # ... and 4 not, however close
+        report = analyze_for(QueryProfile(index=1, time=0.0, rows=4))
+        assert len(lint_report(FakeBundle(Select(rows, "b")), report)) == 1
+
+    def test_open_bounds_never_alarm(self):
+        scan = TableScan("t", (("c1", "a", IntT),))
+        op = OpProfile(ref=0, op="TableScan", time=0.0, rows_in=0,
+                       rows_out=10 ** 9, width=1)
+        report = analyze_for(
+            QueryProfile(index=1, time=0.0, rows=10 ** 9, ops=[op]))
+        assert lint_report(FakeBundle(scan), report) == []
+        # the catalog statistic closes them
+        assert len(lint_report(FakeBundle(scan), report, {"t": 5})) == 3
 
     def test_per_operator_misestimate_carries_the_node_ref(self):
         plan = lit(2)
@@ -86,14 +87,13 @@ class TestD500:
                        rows_in=0, rows_out=4000, width=2)
         report = analyze_for(
             QueryProfile(index=1, time=0.0, rows=2, ops=[op]))
-        out = [d for d in lint_report(FakeBundle(plan), report, "engine")
-               if d.code == "D500" and d.node_ref is not None]
-        assert len(out) == 1 and out[0].node_ref == 0
+        findings = lint_report(FakeBundle(plan), report)
+        assert {d.code for d in findings} == {"D500"}
+        (at_op,) = [d for d in findings if d.node_ref is not None]
+        assert at_op.node_ref == 0 and "LitTable 2x2" in at_op.message
         # the same profile's peak (4000 rows) is past the plan's sound
         # upper bound (a 2-row literal): one more, query-level finding
-        (peak,) = [d for d in
-                   lint_report(FakeBundle(plan), report, "engine")
-                   if d.code == "D500" and "peak" in d.message]
+        (peak,) = [d for d in findings if "peak" in d.message]
         assert peak.query == 0 and peak.node_ref is None
 
     def test_peak_inside_the_upper_bound_is_clean(self):
@@ -102,83 +102,24 @@ class TestD500:
                        rows_in=0, rows_out=2, width=2)
         report = analyze_for(
             QueryProfile(index=1, time=0.0, rows=2, ops=[op]))
-        assert not [d for d in
-                    lint_report(FakeBundle(plan), report, "engine")
-                    if d.code == "D500"]
-
-    def test_statements_snapshot_misestimate(self):
-        snap = {"statements": [
-            {"fingerprint": "deadbeef" * 8, "est_rows": 10.0,
-             "rows": 100_000, "calls": 10},          # mean 10k vs 10
-            {"fingerprint": "cafebabe" * 8, "est_rows": 10.0,
-             "rows": 100, "calls": 10},              # mean 10: exact
-            {"fingerprint": "0" * 64, "rows": 99, "calls": 3},  # no est
-            {"fingerprint": "1" * 64, "est_rows": 5.0,
-             "rows": 0, "calls": 0},                 # never ran
-        ]}
-        out = lint_statements(snap)
-        assert [d.code for d in out] == ["D500"]
-        assert "deadbeef" in out[0].message
+        assert lint_report(FakeBundle(plan), report) == []
 
 
-class TestD501:
-    def test_cost_inversion_between_siblings(self):
-        cheap, big = lit(2), Cross(
-            lit(200, ("a", IntT)), lit(200, ("b", IntT)))
-        # Model says `cheap` is ~1500x cheaper, clock says 100x slower.
-        report = analyze_for(
-            QueryProfile(index=1, time=1.0, rows=2),
-            QueryProfile(index=2, time=0.01, rows=40_000))
-        out = [d for d in
-               lint_report(FakeBundle(cheap, big), report, "engine")
-               if d.code == "D501"]
-        assert len(out) == 1
-        assert out[0].query == 0 and "slower" in out[0].message
+class TestExplain:
+    @pytest.mark.parametrize("backend", ["engine", "sqlite", "mil"])
+    def test_the_running_example_at_800_categories_is_clean(self, backend):
+        db = Connection(backend=backend, catalog=avalanche_dataset(800))
+        report = db.explain(running_example_query(db), analyze=True)
+        assert report.lint == []
+        assert "bounds lint   : clean" in report.render(plans=False)
+        assert report.to_dict()["lint"] == []
+        # every measured count is printed beside its bounds
+        assert "rows=1600 bound=0.." in report.analyze.annotated[1]
 
-    def test_noise_floor_suppresses_fast_queries(self):
-        cheap, big = lit(2), Cross(
-            lit(200, ("a", IntT)), lit(200, ("b", IntT)))
-        report = analyze_for(
-            QueryProfile(index=1, time=0.004, rows=2),
-            QueryProfile(index=2, time=0.0001, rows=40_000))
-        assert not [d for d in
-                    lint_report(FakeBundle(cheap, big), report, "engine")
-                    if d.code == "D501"]
-
-    def test_consistent_ordering_is_clean(self):
-        cheap, big = lit(2), Cross(
-            lit(200, ("a", IntT)), lit(200, ("b", IntT)))
-        report = analyze_for(
-            QueryProfile(index=1, time=0.01, rows=2),
-            QueryProfile(index=2, time=1.0, rows=40_000))
-        assert not [d for d in
-                    lint_report(FakeBundle(cheap, big), report, "engine")
-                    if d.code == "D501"]
-
-
-class TestD502:
-    def test_unknown_backend_is_uncalibrated(self):
-        out = lint_calibration("postgres")
-        assert [d.code for d in out] == ["D502"]
-        assert "no calibration table" in out[0].message
-
-    def test_version_mismatch(self, monkeypatch):
-        stale = dict(CALIBRATION["engine"], __version__=0)
-        monkeypatch.setitem(CALIBRATION, "engine", stale)
-        out = lint_calibration("engine")
-        assert [d.code for d in out] == ["D502"]
-        assert "version 0" in out[0].message
-
-    def test_missing_operator_constant(self, monkeypatch):
-        gappy = {k: v for k, v in CALIBRATION["engine"].items()
-                 if k != "LitTable"}
-        monkeypatch.setitem(CALIBRATION, "engine", gappy)
-        out = lint_calibration("engine", plans=[lit(2)])
-        assert [d.code for d in out] == ["D502"]
-        assert "'LitTable'" in out[0].message
-
-    def test_current_calibration_is_clean(self):
-        assert lint_calibration("engine", plans=[lit(2)]) == []
+    def test_plain_explain_does_not_lint(self):
+        db = Connection(catalog=avalanche_dataset(10))
+        report = db.explain(running_example_query(db))
+        assert report.lint is None and "bounds lint" not in str(report)
 
 
 class TestCLI:
@@ -187,22 +128,35 @@ class TestCLI:
         assert "clean" in capsys.readouterr().out
 
     def test_seeded_misestimate_trips_the_gate(self, capsys):
-        # The ISSUE's acceptance check: a deliberate stats lie must
-        # produce D500 findings and a non-zero exit.
-        rc = lint.main(["--assume-rows", "facilities=100000"])
+        # The ISSUE's acceptance check: claiming a table is *smaller*
+        # than it is makes the bounds unsound, which must produce D500
+        # findings and a non-zero exit on every backend.
+        for backend in ("engine", "sqlite", "mil"):
+            rc = lint.main(["--backend", backend,
+                            "--assume-rows", "facilities=1"])
+            out = capsys.readouterr().out
+            assert rc == 1, backend
+            assert "D500" in out and "bounds finding(s)" in out
+
+    def test_a_larger_assumed_size_trips_only_the_lower_bounds(self, capsys):
+        # 100000 assumed rows: the scan's bounds are 100000..100000, so
+        # the engine's operator profile (9 rows) falls below them; the
+        # queries' own bounds start at 0 and stay satisfied.
+        assert lint.main(["--assume-rows", "facilities=100000"]) == 1
         out = capsys.readouterr().out
-        assert rc == 1
-        assert "D500" in out and "drift finding(s)" in out
+        assert "TableScan" in out and "the query" not in out
 
     def test_json_output(self, capsys):
-        rc = lint.main(["--json",
-                        "--assume-rows", "facilities=100000"])
+        rc = lint.main(["--json", "--assume-rows", "facilities=1"])
         assert rc == 1
         findings = json.loads(capsys.readouterr().out)
-        assert findings and all(f["code"].startswith("D5")
-                                for f in findings)
+        assert findings and all(f["code"] == "D500" for f in findings)
         assert {f["workload"] for f in findings} <= {
-            "running_example", "table1_100", "nested_orders"}
+            "running_example", "table1_100", "table1_800", "nested_orders"}
+
+    def test_there_is_no_ratio_budget(self):
+        with pytest.raises(SystemExit):
+            lint.main(["--ratio-budget", "8"])
 
     def test_bad_assume_rows_rejected(self):
         with pytest.raises(SystemExit):

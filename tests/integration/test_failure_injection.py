@@ -1,5 +1,7 @@
 """Failure injection: every documented error path raises precisely."""
 
+import dataclasses
+
 import pytest
 
 from repro import (
@@ -16,6 +18,7 @@ from repro import (
     last,
     maximum_q,
     nil,
+    queryable,
     table,
     the,
     to_q,
@@ -47,6 +50,36 @@ class TestSchemaFailures:
     def test_errors_are_ferry_errors(self, db):
         with pytest.raises(FerryError):
             db.run(table("missing", {"n": int}))
+
+    @pytest.mark.parametrize("hostile", [2 ** 63, -2 ** 63 - 1, 10 ** 30])
+    def test_int_outside_signed_64_bit_is_rejected(self, db, hostile):
+        # An Int is what a SQL host can store.  The engine and the MIL VM
+        # would carry the bignum and sqlite raise a stray OverflowError
+        # at load time; the catalog decides it for all three, naming
+        # table, column and row.
+        with pytest.raises(SchemaError) as err:
+            db.create_table("big", [("id", int), ("n", int)],
+                            [(1, 7), (2, hostile)])
+        for part in ("'big'", "'n'", f"(2, {hostile})", "64-bit"):
+            assert part in str(err.value)
+        assert not db.catalog.has_table("big")
+
+    def test_the_ends_of_the_signed_64_bit_range_are_ints(self, db):
+        ends = [-2 ** 63, 2 ** 63 - 1]
+        db.create_table("ends", [("n", int)], [(n,) for n in ends])
+        assert db.run(db.table("ends")) == ends
+
+    def test_a_record_table_rejects_the_same_int(self, db):
+        @queryable
+        @dataclasses.dataclass
+        class Reading:
+            sensor: str
+            value: int
+
+        with pytest.raises(SchemaError, match="'value'.*64-bit"):
+            db.create_table_from_records(
+                Reading, [Reading("a", 1), Reading("b", 2 ** 63)])
+        assert not db.catalog.has_table("reading")
 
 
 class TestPartialOperations:

@@ -148,12 +148,12 @@ class TestReportSurface:
                                   analyze=True)
         text = str(report)
         assert "== analyze (backend=engine" in text
-        assert re.search(r"-- Q1 .*\[rows=\d+ est_rows=[\d.]+ peak_rows=\d+ "
+        assert re.search(r"-- Q1 .*\[rows=\d+ bound=\d+\.\.\d+ peak_rows=\d+ "
                          r"time=\d+\.\d+ ms \(\d+\.\d+% of bundle\)\]",
                          text)
         # per-operator annotation on at least every plan line with a ref
         assert re.search(r"\[\d+\.\d+ ms \d+\.\d+% \| in=\d+ out=\d+ "
-                         r"est_rows=[\d.]+ w=\d+ cum=\d+\.\d+ ms\]", text)
+                         r"bound=\d+\.\.\d+ w=\d+ cum=\d+\.\d+ ms\]", text)
 
     def test_to_dict_round_trips_through_json(self, paper_db):
         report = paper_db.explain(running_example_query(paper_db),

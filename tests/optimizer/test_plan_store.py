@@ -13,6 +13,7 @@ import pytest
 
 from repro import Connection
 from repro.algebra import (
+    Distinct,
     LitTable,
     Project,
     RowRank,
@@ -59,8 +60,6 @@ class TestWorkDoneOnce:
     def test_each_interned_node_is_analysed_at_most_once(self, name):
         _, stats = optimized(name)
         assert 0 < stats.inferences <= stats.nodes_interned
-        # the gate model and the final stamp each estimate a node once
-        assert 0 < stats.cost_estimates <= stats.nodes_interned
 
     def test_each_family_visits_a_node_at_most_once(self, name):
         _, stats = optimized(name)
@@ -135,7 +134,8 @@ class TestFixpoint:
 
 
 class TestCostGate:
-    """A candidate fires only when the estimated cost strictly drops."""
+    """No candidate is priced: the one gate left is that a candidate
+    must show every key of the node it replaces."""
 
     def twice_ranked(self, rows):
         """``b`` ranks the rows by the order ``a`` already ranks them by:
@@ -148,20 +148,47 @@ class TestCostGate:
         [out] = _optimize([plan], PlanStore(), stats, NULL_TRACER)
         return out, stats
 
-    def test_a_tie_is_rejected_and_counted(self):
-        # Over no rows a projection costs what a ranking costs (one
-        # operator's fixed cost): the candidate matches, the gate
-        # rejects it, the second ranking stands.
+    def test_a_tie_fires(self):
+        # Over no rows a projection does the work a ranking does (none).
+        # The cost gate called that a tie and kept the second ranking;
+        # a rule needs no such permission -- a Project ranks below a
+        # RowRank whatever the data.
         out, stats = self.optimize(self.twice_ranked(()))
-        assert stats.rewrites_gated == {"rownum_rank": 1}
-        assert stats.rewrites_fired == {}
-        assert isinstance(out, RowRank)
+        assert stats.rewrites_fired == {"rownum_rank": 1}
+        assert stats.rewrites_gated == {}
+        assert isinstance(out, Project) and ("b", "a") in out.cols
 
     def test_the_same_candidate_fires_when_it_saves_work(self):
         out, stats = self.optimize(self.twice_ranked(((1,), (2,))))
         assert stats.rewrites_fired == {"rownum_rank": 1}
         assert stats.rewrites_gated == {}
         assert isinstance(out, Project) and ("b", "a") in out.cols
+
+    def test_a_candidate_that_loses_a_key_is_skipped_and_counted(
+            self, monkeypatch):
+        # No rule of the family offers such a candidate (that is what
+        # F190 re-verifies), so a broken one is planted: it drops every
+        # Distinct, also where the child has duplicates and the
+        # all-columns key of the Distinct is lost.
+        from repro.optimizer.rewrites import properties as rules
+
+        def drop_every_distinct(node, store, shared):
+            if isinstance(node, Distinct):
+                return "distinct_elim", node.child
+            return None
+
+        monkeypatch.setattr(rules, "_rewrite_node", drop_every_distinct)
+        dups = Distinct(LitTable(((1,), (1,)), (("v", IntT),)))
+        out, stats = self.optimize(dups)
+        assert out is not dups.child and isinstance(out, Distinct)
+        assert stats.rewrites_gated == {"distinct_elim": 1}
+        assert stats.rewrites_fired == {}
+        # where the child does have a key the same candidate is safe
+        out, stats = self.optimize(
+            Distinct(LitTable(((1,), (2,)), (("v", IntT),))))
+        assert isinstance(out, LitTable)
+        assert stats.rewrites_fired == {"distinct_elim": 1}
+        assert stats.rewrites_gated == {}
 
 
 class GcTracer:

@@ -1,59 +1,115 @@
-"""Property: the cost model's row bounds contain the engine actuals.
+"""Property: the static row bounds contain every measured row count.
 
-The cost estimator (``repro.analysis.cost``) propagates ``(lo, hi)``
-row bounds through the same sound combinators the ``Card`` lattice
-uses, then clamps its point estimate into them.  The *bounds* are a
-soundness claim -- for every instance, the materialized relation of
-every plan node must hold between ``rows_lo`` and ``rows_hi`` rows.
-(The *point* estimate carries no such claim; the estimate-drift lint
-``D500`` polices it statistically instead.)
-
-This suite compiles random well-typed pipelines, materializes every
-intermediate DAG node on the in-memory engine, and audits each node's
-bounds, with and without catalog row statistics.
+``repro.analysis.cost`` bounds the rows of every plan node for the
+catalog instance at hand: the ``Card`` rule of each operator, seeded
+with the exact table sizes ``Connection._table_stats()`` reports.  The
+bounds are a soundness claim -- the materialized relation of every plan
+node must hold between ``lo`` and ``hi`` rows -- and this suite is the
+reference they are held to.  It compiles programs over literal lists
+*and over real tables* (empty, one row, duplicate-heavy keys, whole
+duplicate rows: the exact-``TableScan`` path is what makes the bounds
+finite), optimized and as the lifter left them, materializes every
+intermediate DAG node on the in-memory engine and audits each node's
+bounds and width; per query it holds the row counts sqlite and the MIL
+VM report to the same bounds.
 """
 
+import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from repro import Connection
-from repro.analysis.cost import CostModel
+from repro import (
+    Connection,
+    append,
+    concat_map,
+    ffilter,
+    fmap,
+    fsum,
+    length,
+    nub,
+    tup,
+)
+from repro.analysis.cost import RowBounds, estimate_bundle
 from repro.backends.engine.evaluate import BundleCache, Engine
 from repro.runtime import Catalog
 
-from .strategies import any_query, int_list_query, nested_query
+from .strategies import (
+    SPINE_PROGRAMS,
+    any_query,
+    int_list_query,
+    nested_query,
+    pair_rows,
+)
 from .support import prop_settings
+from .test_shared_spines import INSTANCES, catalog_of
 
-CATALOG = Catalog()
 SETTINGS = prop_settings(30)
 
+#: name -> builder over two ``(k, v)`` pair tables: flat programs, one
+#: per way a bound is derived from exact scans (``SPINE_PROGRAMS`` adds
+#: the nested ones).
+FLAT_PROGRAMS = {
+    "scan": lambda t, u: t,
+    "filter": lambda t, u: ffilter(lambda r: r[1] > 0, t),
+    "join": lambda t, u: concat_map(
+        lambda a: fmap(lambda b: tup(a[1], b[1]),
+                       ffilter(lambda b: a[0] == b[0], u)), t),
+    "product": lambda t, u: concat_map(
+        lambda a: fmap(lambda b: a[1] + b[1], u), t),
+    "append": lambda t, u: append(fmap(lambda r: r[1], t),
+                                  fmap(lambda r: r[0], u)),
+    "nub": lambda t, u: nub(fmap(lambda r: r[0], t)),
+    "count": lambda t, u: length(t),
+    "sum_of_matches": lambda t, u: fmap(
+        lambda a: fsum(fmap(lambda b: b[1],
+                            ffilter(lambda b: a[0] == b[0], u))), t),
+}
+PROGRAMS = {**FLAT_PROGRAMS,
+            **{name: build for name, (_, build) in SPINE_PROGRAMS.items()}}
 
-def check_bounds(q, table_rows=None):
-    """Compile, materialize every node, and audit every Est's bounds."""
-    db = Connection(backend="engine", catalog=CATALOG)
-    bundle = db.compile(q, use_cache=False).bundle
-    engine = Engine(CATALOG)
-    cache = BundleCache()
-    model = CostModel("engine", table_rows=table_rows)
-    for query in bundle.queries:
-        engine.execute(query.plan, cache=cache)
-        model.estimate(query.plan)
+TABLES = {**INSTANCES,
+          "one_row_each": ([(1, 1)], [(1, 2)]),
+          "one_row_no_match": ([(0, 5)], [(3, 5)])}
 
-    audited = 0
-    for nid, rel in cache.values.items():
-        est = model.memo.get(nid)
-        if est is None:
-            continue
-        audited += 1
-        assert est.contains(rel.nrows), (
-            f"estimated bounds ({est.rows_lo:g}..{est.rows_hi}) exclude "
-            f"the actual {rel.nrows} rows")
-        assert est.rows_lo <= est.rows, "point estimate below lo bound"
-        if est.rows_hi is not None:
-            assert est.rows <= est.rows_hi, "point estimate above hi bound"
-        assert est.self_cost >= 0.0
-        assert est.width == len(rel.cols), (
-            f"estimated width {est.width} != actual {len(rel.cols)}")
-    assert audited > 0
+
+def check_bounds(q, catalog=None):
+    """Compile (optimized, and not), materialize every node on the
+    engine, and audit every node's bounds and width."""
+    catalog = catalog if catalog is not None else Catalog()
+    for optimize in (True, False):
+        db = Connection(backend="engine", catalog=catalog,
+                        optimize=optimize)
+        bundle = db.compile(q, use_cache=False).bundle
+        engine = Engine(catalog)
+        cache = BundleCache()
+        bounds = RowBounds(db._table_stats())
+        for query in bundle.queries:
+            engine.execute(query.plan, cache=cache)
+            bounds.of(query.plan)
+
+        audited = 0
+        for nid, rel in cache.values.items():
+            bound = bounds.memo.get(nid)
+            if bound is None:
+                continue
+            audited += 1
+            assert bound.lo <= rel.nrows, (
+                f"bounds {bound.show()} exclude the actual {rel.nrows} rows")
+            assert bound.hi is not None, (
+                "every table's size is known, yet the bound is open")
+            assert rel.nrows <= bound.hi, (
+                f"bounds {bound.show()} exclude the actual {rel.nrows} rows")
+            assert bound.width == len(rel.cols), (
+                f"width {bound.width} != actual {len(rel.cols)}")
+        assert audited > 0
+
+
+def check_program(name, t_rows, u_rows):
+    catalog = catalog_of(t_rows, u_rows)
+    oracle = Connection(catalog=catalog)
+    check_bounds(PROGRAMS[name](oracle.table("t"), oracle.table("u")),
+                 catalog)
+    return catalog
 
 
 class TestBoundsContainActuals:
@@ -72,8 +128,39 @@ class TestBoundsContainActuals:
     def test_any(self, q):
         check_bounds(q)
 
-    @SETTINGS
-    @given(nested_query())
-    def test_with_catalog_statistics(self, q):
-        # Stats only sharpen TableScan bounds; soundness must survive.
-        check_bounds(q, table_rows={})
+    @prop_settings(60)
+    @given(st.sampled_from(sorted(PROGRAMS)), pair_rows(), pair_rows())
+    def test_with_catalog_statistics(self, name, t_rows, u_rows):
+        # Real tables, the connection's real statistics: every scan is
+        # exact, so every bound is finite -- and must still hold.
+        check_program(name, t_rows, u_rows)
+
+
+@pytest.mark.tier1
+@pytest.mark.parametrize("instance", TABLES)
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_fixed_corpus(name, instance):
+    catalog = check_program(name, *TABLES[instance])
+    # per query, the other two backends answer to the same bounds
+    for backend in ("sqlite", "mil"):
+        db = Connection(backend=backend, catalog=catalog)
+        q = PROGRAMS[name](db.table("t"), db.table("u"))
+        report = db.explain(q, analyze=True)
+        bounds = estimate_bundle(db.compile(q).bundle,
+                                 table_rows=db._table_stats()).queries
+        assert len(bounds) == len(report.analyze.queries)
+        for bound, profile in zip(bounds, report.analyze.queries):
+            assert bound.contains(profile.rows), (
+                f"{backend} Q{profile.index}: bounds {bound.show()} "
+                f"exclude the measured {profile.rows} rows")
+        assert report.lint == []
+
+
+def test_a_statistic_that_undercounts_is_caught():
+    """The audit is not vacuous: with a table size that is too small the
+    same check fails."""
+    catalog = catalog_of(*TABLES["general"])
+    db = Connection(catalog=catalog)
+    bundle = db.compile(db.table("t")).bundle
+    [bound] = estimate_bundle(bundle, table_rows={"t": 1, "u": 5}).queries
+    assert not bound.contains(len(TABLES["general"][0]))

@@ -12,6 +12,7 @@ push with a readable name instead of depending on example generation.
 import pytest
 
 from repro import (
+    and_q,
     append,
     concat,
     cond,
@@ -79,6 +80,11 @@ CORPUS = {
         lambda: fmap(lambda p: p[0] + p[1], zip_q(EMPTY(), to_q([1]))), []),
     "append_two_empties": (lambda: append(EMPTY(), EMPTY()), []),
     "append_empty_left": (lambda: append(EMPTY(), to_q([7])), [7]),
+    # the row-bounds fold met a rewritten node whose facts were carried
+    # while the literal below it had never been analysed (KeyError)
+    "all_over_appended_empties": (
+        lambda: and_q(fmap(lambda x: x > 0, append(EMPTY(), EMPTY()))),
+        True),
     "reverse_of_singleton_groups": (
         lambda: reverse(fmap(lambda x: singleton(x), to_q([1, 2]))),
         [[2], [1]]),
