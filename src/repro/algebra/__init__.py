@@ -31,6 +31,7 @@ from .ops import (
     TableScan,
     UnApp,
     UnionAll,
+    position_column,
 )
 from .pretty import bundle_text, describe, plan_dot, plan_text
 from .schema import Schema, schema_of
@@ -41,6 +42,7 @@ __all__ = [
     "Project", "RowNum", "RowRank", "Schema", "Select", "SemiJoin",
     "TableScan", "UnApp", "UnionAll", "bundle_text", "contains",
     "describe", "node_count", "node_key",
-    "operator_histogram", "plan_dot", "plan_text", "postorder",
+    "operator_histogram", "plan_dot", "plan_text",
+    "position_column", "postorder",
     "replace_children", "rewrite_dag", "schema_of",
 ]

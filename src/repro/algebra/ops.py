@@ -11,7 +11,8 @@ Operator inventory (the classic Pathfinder set):
 
 ===============  ====================================================
 ``LitTable``     literal table (also: the compiler's loop relations)
-``TableScan``    reference to a catalog table, columns renamed
+``TableScan``    reference to a catalog table, columns renamed, rows
+                 optionally numbered in the table's canonical order
 ``Attach``       attach a constant column
 ``Project``      project / rename / duplicate columns
 ``Select``       keep rows whose Boolean column is true
@@ -37,9 +38,9 @@ own hash-consing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Any, Iterable, Union
 
-from ..ftypes import AtomT
+from ..ftypes import AtomT, IntT
 
 #: Sort direction markers for RowNum/RowRank order specifications.
 ASC = "asc"
@@ -85,10 +86,33 @@ class LitTable(Node):
 @dataclass(frozen=True, eq=False)
 class TableScan(Node):
     """Scan a catalog table; ``columns`` maps fresh output column names to
-    the source columns (all of them, in canonical alphabetical order)."""
+    the source columns (all of them, in canonical alphabetical order).
+
+    ``pos``, when asked for, is one more output column: the row's 1-based
+    position in the catalog's canonical row order (all columns
+    ascending) -- the list order of the table, which every host stores
+    and none has to sort for.  It is named like a column, ``(out,
+    source)``, the source name being :func:`position_column` of the
+    table's own column names."""
 
     table: str
     columns: tuple[tuple[str, str, AtomT], ...]  # (out, source, type)
+    pos: "tuple[str, str] | None" = None  # (out, source)
+
+    @property
+    def outputs(self) -> tuple[tuple[str, str, AtomT], ...]:
+        """Every output column, the position last."""
+        return (self.columns if self.pos is None
+                else self.columns + ((*self.pos, IntT),))
+
+
+def position_column(names: Iterable[str]) -> str:
+    """The name under which a table whose columns are ``names`` keeps the
+    position of its rows: ``pos``, lengthened until no column bears it."""
+    taken, name = set(names), "pos"
+    while name in taken:
+        name += "_"
+    return name
 
 
 @dataclass(frozen=True, eq=False)

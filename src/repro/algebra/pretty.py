@@ -32,7 +32,8 @@ def describe(node: Node) -> str:
         return f"LitTable[{len(node.rows)} rows]({cols})"
     if isinstance(node, TableScan):
         cols = ", ".join(f"{new}<={src}" for new, src, _ in node.columns)
-        return f'TableScan "{node.table}" ({cols})'
+        pos = f" pos {node.pos[0]}" if node.pos else ""
+        return f'TableScan "{node.table}" ({cols}){pos}'
     if isinstance(node, Attach):
         return f"Attach {node.col} := {node.value!r}"
     if isinstance(node, Project):

@@ -92,7 +92,7 @@ def _infer(node: Node, memo: dict[int, Schema]) -> Schema:
 
     if isinstance(node, TableScan):
         out = {}
-        for new, _src, ty in node.columns:
+        for new, _src, ty in node.outputs:
             if new in out:
                 _fail(node, f"duplicate column {new!r}", code="F102")
             out[new] = ty

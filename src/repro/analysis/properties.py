@@ -567,9 +567,13 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
 
     if isinstance(node, TableScan):
         # Catalog rows are validated against the declared atom types on
-        # insert, so scans never produce None.
-        return _finish(schema, set(), {}, card,
-                       frozenset(schema), frozenset(), frozenset())
+        # insert, so scans never produce None.  The position numbers the
+        # rows 1..n -- as a row number, not as the rank of the columns: a
+        # table may hold a row twice, so no order fact (it would make
+        # the columns a key).
+        pos = frozenset(node.pos[:1] if node.pos else ())
+        return _finish(schema, set(), {}, card, frozenset(schema),
+                       frozenset((c, frozenset()) for c in pos), pos)
 
     if isinstance(node, Attach):
         p = memo[id(node.child)]
@@ -734,12 +738,20 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         group = frozenset(node.group)
         keys = {group}
         keys |= {k for k in p.keys if k <= group}
+        # Groups share no row: where a column tells the rows of (part of)
+        # a group key apart, its least or greatest value tells the groups.
+        keys |= {k ^ {col, out} for func, col, out in node.aggs
+                 if func in ("min", "max")
+                 for k in p.keys if col in k and k - {col} <= group}
         constants = {c: v for c, v in p.constants.items() if c in group}
         # Groups with no rows do not appear, so aggregates never see an
         # empty input: sum/min/max/... of a non-empty group is non-None.
         non_null = frozenset(c for c in group if c in p.non_null)
         non_null |= {out for _, _, out in node.aggs}
-        prov = group & p.provenance
+        # The least or greatest position of a group orders the groups.
+        prov = (group & p.provenance).union(
+            out for func, col, out in node.aggs
+            if func in ("min", "max") and col in p.provenance)
         return _finish(schema, keys, constants, card, non_null,
                        frozenset(), prov)
 

@@ -187,10 +187,10 @@ class Engine:
                             len(node.rows))
 
         if isinstance(node, TableScan):
-            return Relation([out for out, _, _ in node.columns],
+            return Relation([out for out, _, _ in node.outputs],
                             kernels.table_columns(
                                 self.catalog, node.table,
-                                [src for _, src, _ in node.columns]))
+                                [src for _, src, _ in node.outputs]))
 
         if isinstance(node, Attach):
             (rel,) = children

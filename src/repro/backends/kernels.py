@@ -85,12 +85,10 @@ def transpose(rows: Sequence[tuple[Any, ...]], width: int) -> list[list[Any]]:
 
 def table_columns(catalog: Catalog, table: str,
                   cols: Iterable[str]) -> list[list[Any]]:
-    """The named columns of a base table: one transposition of its rows,
-    whatever the number of columns asked for."""
-    names = [name for name, _ in catalog.schema(table)]
-    rows = catalog.rows(table)
-    by_name = dict(zip(names, zip(*rows) if rows else repeat(())))
-    return [list(by_name[col]) for col in cols]
+    """The named columns of a base table (its position column is one of
+    them), shared with the catalog, which transposes a table once."""
+    by_name = catalog.columns(table)
+    return [by_name[col] for col in cols]
 
 
 def gather(col: Column, index: Index) -> Column:

@@ -81,7 +81,7 @@ class MILGenerator:
 
         if isinstance(node, TableScan):
             out = {}
-            for new, src, _ty in node.columns:
+            for new, src, _ty in node.outputs:
                 var = self.fresh()
                 self.emit(mil.LoadCol(var, node.table, src))
                 out[new] = var
@@ -244,7 +244,7 @@ class MILBackend(Backend):
     def open_bundle(self, bundle: Bundle, catalog: Catalog,
                     prepared: "list[mil.MILProgram]"):
         # Load what the programs read: the distinct (table, column)
-        # pairs of their LoadCol instructions, one transposition a table.
+        # pairs of their LoadCol instructions, shared with the catalog.
         loads = sorted({(instr.table, instr.column)
                         for program in prepared
                         for instr in program.instructions

@@ -85,7 +85,7 @@ class SQLiteBackend(Backend):
         def run_query(qi, ops):
             # The host runs each statement as one opaque unit; inside a
             # query ``ops`` gets one profile per temporary-table step.
-            rows = self._run(prepared[qi], bundle.queries[qi], built, ops)
+            rows = self._run(prepared[qi], built, ops)
             self.statements_executed += 1
             return rows
 
@@ -99,12 +99,12 @@ class SQLiteBackend(Backend):
 
     def run_sql(self, gen: GeneratedSQL,
                 query: SerializedQuery) -> list[tuple]:
-        """Execute one generated statement standalone -- its steps, then
-        the SELECT -- and convert values back.
+        """Execute one generated statement (``query``'s) standalone --
+        its steps, then the SELECT -- and convert values back.
 
         Does *not* bump ``statements_executed`` -- a bundle execution does."""
         with self._script():
-            return self._run(gen, query, set(), None)
+            return self._run(gen, set(), None)
 
     @contextmanager
     def _script(self):
@@ -118,11 +118,11 @@ class SQLiteBackend(Backend):
         finally:
             self._conn.rollback()
 
-    def _run(self, gen: GeneratedSQL, query: SerializedQuery,
-             built: "set[str]", ops: "list[OpProfile] | None"
-             ) -> list[tuple]:
+    def _run(self, gen: GeneratedSQL, built: "set[str]",
+             ops: "list[OpProfile] | None") -> list[tuple]:
         """Build ``gen``'s steps not yet in ``built``, then fetch its
-        rows.  ``ops`` receives one profile per step built."""
+        rows -- as they come, unless ``gen`` says a column converts.
+        ``ops`` receives one profile per step built."""
         for step in gen.steps:
             if step.name in built:
                 continue
@@ -134,15 +134,8 @@ class SQLiteBackend(Backend):
                 ops.append(OpProfile(step.ref, step.op,
                                      time.perf_counter() - t0, None,
                                      inserted, step.width))
-        raw_rows = self._send(gen.text, fetch=True)
-        converters = [self.dialect.from_db_value(ty)
-                      for ty in query.item_types]
-        rows = []
-        for raw in raw_rows:
-            it, pos = raw[0], raw[1]
-            items = tuple(conv(v) for conv, v in zip(converters, raw[2:]))
-            rows.append((it, pos) + items)
-        return rows
+        rows = self._send(gen.text, fetch=True)
+        return list(map(gen.convert, rows)) if gen.convert else rows
 
     def _send(self, sql: str, fetch: bool = False):
         """Execute one statement; with ``fetch`` return its rows (the

@@ -17,7 +17,8 @@ registered -- so this module isolates exactly those quirks:
   driver it used.  :class:`SQLiteAdapter` wraps ``sqlite3``
   (file-or-memory).
 * :func:`load_catalog` transfers a :class:`~repro.runtime.catalog.Catalog`
-  instance into a connection (CREATE TABLE + executemany INSERT).
+  instance into a connection (CREATE TABLE + executemany INSERT), every
+  row with its position in the catalog's canonical order.
 
 UDF error faithfulness: DB-API drivers report scalar-function failures
 as their generic database error, losing the Python exception type.  The
@@ -34,6 +35,7 @@ import sqlite3
 import threading
 from typing import Any, Callable, Iterable, Protocol
 
+from ...algebra.ops import position_column
 from ...errors import ExecutionError, PartialFunctionError
 from ...ftypes import AtomT, BoolT, DateT, DoubleT, IntT, StringT, TimeT
 from ...runtime.catalog import Catalog
@@ -126,6 +128,11 @@ class Dialect:
             TimeT: "TEXT",
         }[ty]
 
+    #: Type of a catalog table's position column
+    #: (:func:`~repro.algebra.position_column`): the key rows are stored
+    #: and scanned by.
+    position_type = "INTEGER PRIMARY KEY"
+
     # -- relations -----------------------------------------------------
     def table_ref(self, name: str) -> str:
         """A catalog table in FROM/INSERT/DDL position.  Engines with a
@@ -184,19 +191,13 @@ class Dialect:
             return value.isoformat()
         return value
 
-    def from_db_value(self, ty: AtomT) -> Callable[[Any], Any]:
-        """Converter from driver-level values back to Python atoms."""
-        if ty == BoolT:
-            return lambda v: bool(v)
-        if ty == IntT:
-            return lambda v: int(v)
-        if ty == DoubleT:
-            return lambda v: float(v)
-        if ty == DateT:
-            return lambda v: datetime.date.fromisoformat(v)
-        if ty == TimeT:
-            return lambda v: datetime.time.fromisoformat(v)
-        return lambda v: v
+    def from_db_value(self, ty: AtomT) -> "Callable[[Any], Any] | None":
+        """Converter from driver-level values back to Python atoms;
+        ``None`` where the driver hands out the atom itself (``Int``,
+        ``String``)."""
+        return {BoolT: bool, DoubleT: float,
+                DateT: datetime.date.fromisoformat,
+                TimeT: datetime.time.fromisoformat}.get(ty)
 
 
 class SQLiteDialect(Dialect):
@@ -205,7 +206,9 @@ class SQLiteDialect(Dialect):
     SQLite accepts every query fragment the base dialect emits (it grew
     window functions in 3.25); what it spells differently is where tables
     live -- catalog tables in schema ``main``, temporary ones in ``temp``
-    -- and the DDL around them.
+    -- and the DDL around them.  An ``INTEGER PRIMARY KEY`` is its alias
+    of the rowid: the position column costs nothing to store, and a scan
+    delivers rows in its order.
     """
 
     name = "sqlite"
@@ -281,7 +284,8 @@ def load_catalog(conn: Any, catalog: Catalog, dialect: Dialect,
     """Load (or reload) the catalog instance into ``conn``.
 
     Drops every existing table first, then creates and populates
-    ``tables`` (default: all of them).
+    ``tables`` (default: all of them); the first column of each holds
+    the row's position in the catalog's canonical order.
     """
     q = dialect.quote_ident
     cur = conn.cursor()
@@ -292,11 +296,12 @@ def load_catalog(conn: Any, catalog: Catalog, dialect: Dialect,
     for name in (catalog.table_names() if tables is None else tables):
         schema = catalog.schema(name)
         ref = dialect.table_ref(name)
-        cols = ", ".join(f"{q(c)} {dialect.type_name(ty)}"
-                         for c, ty in schema)
+        pos = position_column(c for c, _ in schema)
+        cols = ", ".join([f"{q(pos)} {dialect.position_type}"] + [
+            f"{q(c)} {dialect.type_name(ty)}" for c, ty in schema])
         cur.execute(f"CREATE TABLE {ref} ({cols})")
-        placeholders = ", ".join("?" for _ in schema)
-        rows = [tuple(dialect.to_db_value(v) for v in row)
-                for row in catalog.rows(name)]
+        placeholders = ", ".join("?" for _ in range(len(schema) + 1))
+        rows = [(i, *map(dialect.to_db_value, row))
+                for i, row in enumerate(catalog.rows(name), start=1)]
         cur.executemany(f"INSERT INTO {ref} VALUES ({placeholders})", rows)
     conn.commit()

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Collection, Sequence
+from typing import Callable, Collection, Sequence
 
 from ...algebra import (
     AntiJoin,
@@ -87,6 +87,9 @@ class GeneratedSQL:
     columns: tuple[str, ...]  # iter, pos, item... in output order
     #: The temporary tables ``text`` reads, transitively, in build order.
     steps: tuple[Step, ...] = ()
+    #: Fetched row -> result row, or ``None`` when the driver's values
+    #: are the atoms already (no ``Bool``/``Double``/``Date``/``Time`` item).
+    convert: "Callable[[tuple], tuple] | None" = None
 
     def script(self, built: Collection[str] = ()) -> str:
         """What running this statement sends, as text: the steps whose
@@ -181,8 +184,27 @@ def generate_bundle(queries: Sequence[SerializedQuery],
         block = [] if id(root) in tables else _block(root, tables)
         text = (f"{bindings(block)}SELECT {_select_list(out_cols, d)}\n"
                 f"FROM {names[id(root)]}\nORDER BY {order};")
-        generated.append(GeneratedSQL(text, out_cols, tuple(steps)))
+        generated.append(GeneratedSQL(text, out_cols, tuple(steps),
+                                      _row_converter(query, d)))
     return generated
+
+
+def _row_converter(query: SerializedQuery, d: Dialect
+                   ) -> "Callable[[tuple], tuple] | None":
+    """The conversion of one fetched row of ``query``, built once per
+    statement: only the item columns whose type the driver does not
+    hand back as the atom are touched."""
+    todo = [(i, conv) for i, ty in enumerate(query.item_types, start=2)
+            if (conv := d.from_db_value(ty)) is not None]
+    if not todo:
+        return None
+
+    def convert(raw: tuple) -> tuple:
+        row = list(raw)
+        for i, conv in todo:
+            row[i] = conv(row[i])
+        return tuple(row)
+    return convert
 
 
 def generate_sql(query: SerializedQuery,
@@ -243,7 +265,7 @@ def _render(node: Node, names: dict[int, str], memo, d: Dialect) -> str:
 
     if isinstance(node, TableScan):
         cols = ", ".join(f"{q(src)} AS {q(out)}"
-                         for out, src, _ in node.columns)
+                         for out, src, _ in node.outputs)
         return f"  SELECT {cols}\n  FROM {d.table_ref(node.table)}"
 
     child = names[id(node.children[0])] if node.children else None

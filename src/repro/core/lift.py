@@ -42,6 +42,7 @@ from ..algebra import (
     TableScan,
     UnApp,
     UnionAll,
+    position_column,
 )
 from ..errors import CompilationError
 from ..expr import (
@@ -491,12 +492,13 @@ class LiftCompiler:
         return out
 
     def _compile_table(self, e: TableE, loop: Loop) -> Vec:
+        # List order is the catalog's canonical row order: the scan hands
+        # out each row's position in it, nothing sorts the table.
         cols = tuple((self.fresh(), src, ty) for src, ty in e.columns)
-        scan = TableScan(e.name, cols)
         pc = self.fresh()
-        numbered = RowNum(scan, pc,
-                          tuple((out, "asc") for out, _, _ in cols))
-        crossed = Cross(loop.plan, numbered)
+        scan = TableScan(e.name, cols, (pc, position_column(
+            src for src, _ in e.columns)))
+        crossed = Cross(loop.plan, scan)
         lays = [AtomLay(out, ty) for out, _, ty in cols]
         layout: Layout = lays[0] if len(lays) == 1 else TupleLay(tuple(lays))
         out = Vec(crossed, loop.col, pc, layout)

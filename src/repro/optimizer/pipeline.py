@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import is_
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from ..algebra import Node, node_count
 from ..analysis import (
@@ -98,14 +98,17 @@ class PassStats:
 
 
 def _optimize(plans: "list[Node]", store: PlanStore, stats: PassStats,
-              tracer: Any) -> "list[Node]":
-    """The roots of ``plans`` at the fixpoint of the module docstring."""
+              tracer: Any, serial: "Sequence[tuple[str, str]]" = ()
+              ) -> "list[Node]":
+    """The roots of ``plans`` at the fixpoint of the module docstring;
+    ``serial`` names the ``(iter, pos)`` columns of plans that are
+    bundle queries."""
     debug = verify_debug_enabled()
     families: dict[str, Callable[["list[Node]"], "list[Node]"]] = {
         "cse": lambda roots: [store.intern(root) for root in roots],
         "icols": lambda roots: prune_unneeded_columns(roots, store),
         "simplify": lambda roots: simplify(
-            roots, store, stats.rewrites_fired, stats.rewrites_gated),
+            roots, store, stats.rewrites_fired, stats.rewrites_gated, serial),
     }
     sizes = [node_count(plan) for plan in plans]
     stats.plans += len(plans)
@@ -159,7 +162,8 @@ def optimize_bundle(bundle: Bundle, stats: PassStats | None = None,
     if stats is None:
         stats = PassStats()
     store = PlanStore()
-    plans = _optimize([q.plan for q in bundle.queries], store, stats, tracer)
+    plans = _optimize([q.plan for q in bundle.queries], store, stats, tracer,
+                      [(q.iter_col, q.pos_col) for q in bundle.queries])
     queries = [
         SerializedQuery(plan, q.iter_col, q.pos_col, q.item_cols,
                         q.item_types)

@@ -168,10 +168,13 @@ def _narrow(node: Node, children: tuple[Node, ...], n: set[str],
         return intern(LitTable(rows, schema))
 
     if isinstance(node, TableScan):
-        keep = [c for c in node.columns if c[0] in n] or [node.columns[0]]
-        if len(keep) == len(node.columns):
+        pos = node.pos if node.pos and node.pos[0] in n else None
+        keep = [c for c in node.columns if c[0] in n]
+        if not keep and pos is None:  # keep cardinality
+            keep = [node.columns[0]]
+        if len(keep) == len(node.columns) and pos == node.pos:
             return node
-        return intern(TableScan(node.table, tuple(keep)))
+        return intern(TableScan(node.table, tuple(keep), pos))
 
     if isinstance(node, Project):
         cols = tuple((new, old) for new, old in node.cols if new in n)

@@ -35,6 +35,9 @@ the compile.  Skipped candidates are accounted separately
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
+from functools import partial
+from typing import Callable, Sequence
 
 from ...algebra.ops import (
     Attach,
@@ -54,18 +57,22 @@ from ...algebra.ops import (
 from ...algebra.dag import postorder, replace_children
 from ...analysis.properties import PlanStore, Props, infer_properties
 from ...errors import VerifyError
+from ...ftypes import IntT
 from .constfold import fold_binapp
+from .icols import _computes, _demand
 from .projmerge import merge_projection
 
 #: Rewrite names, as accounted in ``PassStats.rewrites_fired`` /
 #: ``PassStats.rewrites_gated``.
-REWRITES = ("distinct_elim", "rownum_dense", "rownum_rank", "select_true",
-            "selfjoin_elim", "unit_cross")
+REWRITES = ("distinct_elim", "order_inline", "pos_order", "rownum_dense",
+            "rownum_rank", "select_true", "selfjoin_elim", "unit_cross")
+_FLIP = {"asc": "desc", "desc": "asc"}
 
 
 def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
              fired: "dict[str, int] | None" = None,
-             gated: "dict[str, int] | None" = None) -> "list[Node]":
+             gated: "dict[str, int] | None" = None,
+             serial: "Sequence[tuple[str, str]]" = ()) -> "list[Node]":
     """One sweep of the rules over the plans of a bundle, each interned
     node once for the life of ``store``.
 
@@ -75,6 +82,8 @@ def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
     sweep.  ``fired`` / ``gated`` (``PassStats.rewrites_fired`` /
     ``rewrites_gated``) count per plan: a node shared by several queries
     is decided once, yet counts for every plan that contains it.
+    ``serial`` names, per root that is a bundle query, its ``(iter,
+    pos)`` columns: such a root is read in their order (``pos_order``).
     """
     store = store or PlanStore()
     done = store.rewritten.setdefault("simplify", {})
@@ -83,8 +92,41 @@ def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
     for root in roots:
         store.infer(root)  # carried from here on (``PlanStore.carry``)
     #: consumers per node of the bundle, and per node a visit returned
-    uses = Counter(id(c) for node in postorder(*roots) for c in node.children)
+    nodes = list(postorder(*roots))
+    uses = Counter(id(c) for node in nodes for c in node.children)
     shared: Counter[int] = Counter()
+    parents: dict[int, list[Node]] = {}  # filled once a rule asks
+
+    def unread(node: Node, col: str) -> bool:
+        """Does no consumer of ``node`` read its column ``col`` -- itself,
+        or by handing it up to one that does (a root's reader reads all)?"""
+        if not parents:
+            for parent in nodes:
+                for child in parent.children:
+                    parents.setdefault(id(child), []).append(parent)
+        if not uses[id(node)]:
+            return False
+        for parent in parents[id(node)]:
+            if col in _own_reads(parent, store):
+                return False
+            ups = ([new for new, old in parent.cols if old == col]
+                   if isinstance(parent, Project)
+                   else [col] if col in store.schema(parent) else [])
+            if not all(unread(parent, up) for up in ups):
+                return False
+        return True
+
+    def adopt(origin: Node, cur: Node, hit: "tuple[str, Node]"
+              ) -> "Node | None":
+        """The interned candidate ``hit`` offers for ``cur`` (which
+        ``origin`` became), accounted -- ``None`` unless it shows every
+        key of what it replaces."""
+        new = store.intern(hit[1])
+        if isinstance(new, Project):
+            new = merge_projection(new, store)
+        safe = all(map(store.infer(new).has_key, store.infer(cur).keys))
+        decided.setdefault(id(origin), []).append((hit[0], safe))
+        return new if safe else None
 
     def visit(node: Node, children: tuple[Node, ...]) -> Node:
         cur = store.rebuild(node, children)
@@ -97,22 +139,25 @@ def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
                 new = merge_projection(cur, store)
             if new is cur:
                 hit = _rewrite_node(cur, store, shared)
-                if hit is None:
-                    break
-                new = store.intern(hit[1])
-                if isinstance(new, Project):
-                    new = merge_projection(new, store)
-                # it must show every key of what it replaces
-                safe = all(map(store.infer(new).has_key,
-                               store.infer(cur).keys))
-                decided.setdefault(id(node), []).append((hit[0], safe))
-                if not safe:
+                if hit is None and isinstance(cur, (RowNum, RowRank)):
+                    hit = _order_inline(cur, store, shared,
+                                        partial(unread, node))
+                new = hit and adopt(node, cur, hit)
+                if new is None:
                     break
             cur = new
         shared[id(cur)] += uses[id(node)]
         return cur
 
     out = [store.rewrite("simplify", root, visit) for root in roots]
+    # A query's root is read in (iter, pos) order, whichever node it came
+    # out as (it may be one a visit met inside another plan).
+    for i, cols in enumerate(serial):
+        hit = (not uses[id(roots[i])] and isinstance(out[i], Project)
+               and _pos_order(out[i], *cols, store, shared))
+        new = hit and adopt(roots[i], out[i], hit)
+        if new:
+            out[i] = store.rewrite("simplify", new, visit)
     for root in roots if decided else ():
         for node in postorder(root):
             for name, safe in decided.get(id(node), ()):
@@ -179,7 +224,7 @@ def _selfjoin_elim(node: EqJoin, store: PlanStore, shared: "Counter[int]"
     and then joined back to (a projection of) ``b`` on the surrogate
     that keys it, to re-attach columns of ``b``.  Every row of ``d``
     meets exactly the row of ``b`` it descends from, so the join goes
-    once ``d'`` hands those columns up itself (:func:`_carry`)."""
+    once ``d'`` hands those columns up itself (:func:`_widen`)."""
     if len(node.pairs) != 1:
         return None
     for (derived, dcol), (anchor, acol) in (
@@ -190,30 +235,121 @@ def _selfjoin_elim(node: EqJoin, store: PlanStore, shared: "Counter[int]"
                       (anchor, tuple((c, c) for c in store.schema(anchor))))
         src = dict(cols)[acol]
         if store.infer(base).has_key({src}):
-            wide = _carry(derived, dcol, base, src, cols, store, shared)
-            if wide is not None:
-                return "selfjoin_elim", Project(
-                    wide, tuple((c, c) for c in store.schema(node)))
+            found = _trace(derived, dcol, lambda n, _: n is base, store)
+            wide = found and found[2] == src and _widen(
+                found[0], base, tuple(e for e in cols if e[1] != src),
+                store, shared)
+            if wide:  # the key itself is there: ``dcol``
+                same = {new: dcol for new, old in cols if old == src}
+                return "selfjoin_elim", Project(wide, tuple(
+                    (c, same.get(c, c)) for c in store.schema(node)))
     return None
 
 
-def _carry(node: Node, col: str, base: Node, src: str,
-           extra: "tuple[tuple[str, str], ...]", store: PlanStore,
-           shared: "Counter[int]") -> "Node | None":
-    """``node`` with the columns ``extra`` (new name, column of ``base``)
-    of the ``base`` row each of its rows descends from -- provided its
-    column ``col`` is ``base``'s ``src``, handed up through renames and
-    operators that only drop or repeat rows; else ``None``."""
+def _order_inline(node: "RowNum | RowRank", store: PlanStore,
+                  shared: "Counter[int]", unread: "Callable[[str], bool]"
+                  ) -> "tuple[str, Node] | None":
+    """A numbering that orders by the number ``n`` of another one orders
+    by what ``n`` ranks instead: ``n`` compares as those columns do
+    among rows of one partition of *its* numbering, and this one only
+    compares rows that share it -- its own partition and the order
+    columns before ``n`` fix it (:func:`_determines`).  Nobody else
+    reads ``n`` (``unread``, :func:`_ranked`), so the next ``icols``
+    deletes the numbering below."""
+    part = set(getattr(node, "part", ()))
+    for i, (n, way) in enumerate(node.order):
+        hit = _ranked(node.child, n, store, shared, unread)
+        if hit is None or not _determines(
+                hit[0], part.union(c for c, _ in node.order[:i]), hit[2],
+                store):
+            continue
+        wide, by, _ = hit
+        order = dict(node.order[:i])  # a column orders once, where first met
+        for col, d in by:
+            order.setdefault(col, d if way == "asc" else _FLIP[d])
+        for col, d in node.order[i + 1:]:
+            order.setdefault(col, d)
+        if order:
+            return "order_inline", Project(
+                replace(node, child=wide, order=tuple(order.items())),
+                tuple((c, c) for c in store.schema(node)))
+    return None
+
+
+def _pos_order(root: Project, iter_col: str, pos_col: str, store: PlanStore,
+               shared: "Counter[int]") -> "tuple[str, Node] | None":
+    """The root of a bundle query is read in ``(iter, pos)`` order and
+    ``pos`` for nothing else: a ``pos`` that numbers one ``Int`` column
+    ascending, within partitions ``iter`` fixes, is that column -- if it
+    descends from a numbering itself, so that the verifier's order stage
+    still finds the lineage of ``pos``."""
+    src = dict(root.cols)
+    hit = _ranked(root.child, src[pos_col], store, shared)
+    if hit is None:
+        return None
+    wide, by, within = hit
+    if ([d for _, d in by] != ["asc"] or store.schema(wide)[by[0][0]] != IntT
+            or not store.infer(wide).order_ok(by[0][0])  # (F201)
+            or not _determines(wide, {src[iter_col]}, within, store)):
+        return None
+    return "pos_order", Project(wide, tuple(
+        (new, by[0][0] if new == pos_col else old) for new, old in root.cols))
+
+
+def _ranked(node: Node, col: str, store: PlanStore, shared: "Counter[int]",
+            unread: "Callable[[str], bool]" = lambda col: True
+            ) -> "tuple[Node, tuple, frozenset[str]] | None":
+    """``(wide, by, within)`` when column ``col`` of ``node`` is the
+    number a ``RowNum`` / ``RowRank`` below gives, handed up to ``node``
+    alone and read by nothing on the way -- nor, says ``unread``, past
+    ``node`` -- and ranks ``by`` within ``within`` there (:func:`_ranks`):
+    ``wide`` is ``node`` handing up those columns as well.  (A
+    ``Distinct`` on the way reads the number: none is crossed.)  The
+    cheap questions come first: few candidates pass them."""
+    found = _trace(node, col, lambda n, c: isinstance(
+        n, (RowNum, RowRank)) and n.col == c, store)
+    if found is None:
+        return None
+    path, made, _ = found
+    steps = [step for step, _ in path] + [made]
+    if any(shared[id(step)] > 1 for step in steps) or not unread(col):
+        return None
+    for step in steps:
+        if isinstance(step, Project):
+            col = dict(step.cols)[col]
+            if [old for _, old in step.cols].count(col) > 1:
+                return None  # handed up under a second name
+        elif col in _own_reads(step, store):
+            return None
+    fact = _ranks(made, store)
+    if fact is None:
+        return None
+    by, within = fact
+    cols = sorted(within.union(o for o, _ in by))
+    wide = _widen(path, made, tuple((o, o) for o in cols), store, shared)
+    return wide and (wide, by, within)
+
+
+def _own_reads(node: Node, store: PlanStore) -> "set[str]":
+    """The columns ``node`` reads of its input(s) whatever is asked of it."""
+    made = _computes(node)
+    if made is not None:
+        return made[1]
+    needed: dict[int, set[str]] = {id(node): set()}
+    _demand(node, needed, store.schemas)
+    return set().union(*(needed.get(id(c), ()) for c in node.children))
+
+
+def _trace(node: Node, col: str, stop: "Callable[[Node, str], bool]",
+           store: PlanStore
+           ) -> "tuple[list[tuple[Node, int]], Node, str] | None":
+    """Follow column ``col`` of ``node`` down, through renames and
+    operators that only drop or repeat rows, to the first node ``stop``
+    accepts: the steps taken (node, index of the child followed), that
+    node and the column's name there -- ``None`` when the column is
+    computed on the way."""
     path: list[tuple[Node, int]] = []
-    while True:
-        schema = store.schema(node)
-        if any(new in schema and (node is not base or new != old)
-               for new, old in extra):
-            return None  # the name is taken on the way up
-        if node is base:
-            break
-        if shared[id(node)] > 1:
-            return None  # widening it would compute it twice
+    while not stop(node, col):
         at = 0
         if isinstance(node, Project):
             col = dict(node.cols)[col]
@@ -225,19 +361,107 @@ def _carry(node: Node, col: str, base: Node, src: str,
             at = 1
         path.append((node, at))
         node = node.children[at]
-    if col != src:
+    return path, node, col
+
+
+def _widen(path: "list[tuple[Node, int]]", base: Node,
+           extra: "tuple[tuple[str, str], ...]", store: PlanStore,
+           shared: "Counter[int]") -> "Node | None":
+    """The top of ``path`` (:func:`_trace`) handing up, as ``extra`` (new
+    name, column of ``base``), columns of the ``base`` row each of its
+    rows descends from -- columns that follow from the traced one, or a
+    ``Distinct`` on the way would tell more rows apart.  A step that
+    hands them up already stands; one that has to change but has a
+    second consumer (it would be computed twice) gives ``None``."""
+    have = store.schema(base)
+    if any(new in have and new != old for new, old in extra):
         return None
-    wide = store.add(Project(base, tuple((c, c) for c in schema) + tuple(
-        e for e in extra if e[0] not in schema)))
+    fresh = tuple(e for e in extra if e[0] not in have)
+    wide = base
+    if fresh:
+        wide = store.add(Project(base, tuple((c, c) for c in have) + fresh))
+    names = [new for new, _ in extra]
     for node, at in reversed(path):
+        cols: "tuple[tuple[str, str], ...]" = ()
         if isinstance(node, Project):
-            wide = merge_projection(store.add(Project(
-                wide, node.cols + tuple((n, n) for n, _ in extra))), store)
+            src = dict(node.cols)
+            cols = tuple((n, n) for n in names if n not in src)
+            taken = any(src.get(n, n) != n for n in names)
+        else:
+            below = store.schema(node.children[at])
+            taken = any(n in store.schema(node) and n not in below
+                        for n in names)
+        if taken:
+            return None  # the name means something else on the way up
+        if wide is node.children[at] and not cols:
+            wide = node
+        elif shared[id(node)] > 1:
+            return None
+        elif isinstance(node, Project):
+            wide = merge_projection(
+                store.add(Project(wide, node.cols + cols)), store)
         else:
             kids = list(node.children)
             kids[at] = wide
             wide = store.add(replace_children(node, tuple(kids)))
     return wide
+
+
+def _determines(node: Node, xs: "set[str]", ws: "frozenset[str]",
+                store: PlanStore) -> bool:
+    """Do rows of ``node`` that agree on the columns ``xs`` agree on the
+    columns ``ws``?  Shown by constants, keys (a key of a join's input
+    fixes all that input hands up), equated columns and numberings (a
+    rank follows from what it ranks: :func:`_ranks`) -- here, or below
+    operators that only drop or repeat rows."""
+    while True:
+        p = store.infer(node)
+        xs, size = xs | p.constants.keys(), 0
+        while isinstance(node, (EqJoin, Cross)) and size < len(xs):
+            size = len(xs)
+            for pair in getattr(node, "pairs", ()):
+                if xs & set(pair):
+                    xs = xs.union(pair)
+            for child in node.children:
+                own = store.schema(child).keys()
+                if store.infer(child).has_key(xs & own):
+                    xs = xs | own
+        if isinstance(node, (RowNum, RowRank)) and node.col in ws:
+            fact = _ranks(node, store)
+            if fact and xs >= fact[1].union(c for c, _ in fact[0]):
+                xs = xs | {node.col}
+        ws = ws - xs
+        if not ws or p.has_key(xs):
+            return True
+        if isinstance(node, Project):
+            src = dict(node.cols)
+            xs = {src[x] for x in xs if x in src}
+            ws = frozenset(src[w] for w in ws)
+        elif isinstance(node, (GroupAggr, UnionAll)):
+            return False
+        for child in node.children:
+            have = store.schema(child).keys()
+            if ws <= have:  # (a semijoin hands up nothing of its right)
+                node, xs = child, xs & have
+                break
+        else:
+            return False
+
+
+def _ranks(made: "RowNum | RowRank", store: PlanStore
+           ) -> "tuple[tuple[tuple[str, str], ...], frozenset[str]] | None":
+    """``(by, within)`` when the number ``made`` gives is the rank of its
+    order columns ``by`` within its partition ``within``, constants left
+    out: a ``RowRank``, or a ``RowNum`` no two rows of a partition tie
+    in."""
+    consts = store.infer(made.child).constants.keys()
+    by = tuple(o for o in made.order if o[0] not in consts)
+    within = frozenset(getattr(made, "part", ())).difference(consts)
+    if isinstance(made, RowNum) and not _determines(
+            made.child, within.union(c for c, _ in by),
+            frozenset(store.schema(made.child)), store):
+        return None
+    return by, within
 
 
 def _self_verify(old_root: Node, new_root: Node, cache: PlanStore,

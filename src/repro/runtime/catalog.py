@@ -6,16 +6,19 @@ reference interpreter all read table data from a catalog, which guarantees
 that every implementation sees the *same* canonical row order: rows sorted
 ascending by the full (alphabetically ordered) column tuple.  This is the
 deterministic base order on which the relational ``pos`` encoding of list
-order is built (Section 3.2).
+order is built (Section 3.2) -- and its only source: a ``TableScan`` hands
+out a row's position in it (:meth:`Catalog.columns`), nothing sorts a
+base table again, so the order must be total (no NaN).
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
+from ..algebra.ops import position_column
 from ..errors import SchemaError
 from ..expr import TableE
-from ..ftypes import AtomT, IntT, check_value, normalize_value
+from ..ftypes import AtomT, DoubleT, IntT, check_value, normalize_value
 from ..frontend.tables import SchemaLike, normalize_schema
 
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
@@ -28,6 +31,8 @@ class Catalog:
     def __init__(self) -> None:
         self._schemas: dict[str, tuple[tuple[str, AtomT], ...]] = {}
         self._rows: dict[str, list[tuple]] = {}
+        #: Per table scanned so far: its rows as columns (:meth:`columns`).
+        self._columns: dict[str, dict[str, list]] = {}
         #: Incremented on every schema/data change; backends use it to
         #: know when to (re)load the instance.
         self.version = 0
@@ -76,6 +81,13 @@ class Catalog:
                     raise SchemaError(
                         f"table {name!r}, column {col_name!r}, row {row!r}: "
                         f"{value} is outside the signed 64-bit range of Int")
+                if ty == DoubleT and value != value:
+                    # NaN compares to nothing: the canonical row order,
+                    # the one source of a table's list order, needs a
+                    # total one.
+                    raise SchemaError(
+                        f"table {name!r}, column {col_name!r}, row {row!r}: "
+                        f"NaN has no place in the canonical row order")
             checked.append(tuple(
                 normalize_value(v, ty)
                 for v, (_, ty) in zip(reordered, cols)))
@@ -99,6 +111,7 @@ class Catalog:
         self._require(name)
         del self._schemas[name]
         del self._rows[name]
+        self._columns.pop(name, None)
         self.version += 1
         self.schema_generation += 1
 
@@ -120,6 +133,21 @@ class Catalog:
         """Rows of ``name`` in canonical order (full-tuple ascending)."""
         self._require(name)
         return self._rows[name]
+
+    def columns(self, name: str) -> dict[str, list]:
+        """The rows of ``name`` as columns, by name, plus their 1-based
+        positions under the table's :func:`position_column` name.  A
+        table never changes, so it is transposed once; callers share the
+        lists and must not mutate them."""
+        cols = self._columns.get(name)
+        if cols is None:
+            names = [col for col, _ in self.schema(name)]
+            rows = self._rows[name]
+            cols = {col: [row[i] for row in rows]
+                    for i, col in enumerate(names)}
+            cols[position_column(names)] = list(range(1, len(rows) + 1))
+            self._columns[name] = cols
+        return cols
 
     def check_reference(self, ref: TableE) -> None:
         """Validate a ``table`` combinator reference against the catalog.

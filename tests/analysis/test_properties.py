@@ -15,12 +15,14 @@ from repro.algebra import (
     Cross,
     Distinct,
     EqJoin,
+    GroupAggr,
     LitTable,
     Project,
     RowNum,
     RowRank,
     Select,
     SemiJoin,
+    TableScan,
     UnionAll,
 )
 from repro.analysis import Card, infer_properties
@@ -64,6 +66,42 @@ class TestLiterals:
         dense = lit(("p", IntT), ("v", IntT), rows=[(2, 5), (1, 6)])
         p = infer_properties(dense)
         assert p.order_ok("p") and not p.order_ok("v")
+
+
+class TestPositionalScan:
+    SCAN = TableScan("t", (("a", "a", IntT), ("b", "b", StringT)),
+                     ("p", "pos"))
+
+    def test_the_position_is_a_dense_non_null_key(self):
+        p = infer_properties(self.SCAN)
+        assert list(p.schema) == ["a", "b", "p"] and p.schema["p"] == IntT
+        assert p.has_key({"p"}) and not p.has_key({"a", "b"})
+        assert p.is_dense("p", ()) and p.order_ok("p")
+        assert p.non_null == {"a", "b", "p"}
+
+    def test_it_is_a_row_number_not_a_rank_of_the_columns(self):
+        # a table may hold a row twice: an order fact "p ranks (a, b)"
+        # would make (a, b) a key and let a load-bearing Distinct go
+        assert not infer_properties(self.SCAN).order
+        catalog = Catalog()
+        catalog.create_table("t", [("a", int), ("b", str)],
+                             [(1, "x"), (1, "x"), (0, "y")])
+        rel = Engine(catalog).execute(self.SCAN)
+        assert rel.rows == [(0, "y", 1), (1, "x", 2), (1, "x", 3)]
+
+    def test_a_scan_without_position_states_nothing_new(self):
+        p = infer_properties(TableScan("t", (("a", "a", IntT),)))
+        assert not p.keys and not p.dense and not p.provenance
+
+    def test_the_least_position_of_a_group_tells_the_groups_apart(self):
+        # nub: one row per distinct (a, b), ordered by first occurrence
+        first = GroupAggr(self.SCAN, ("a", "b"), (("min", "p", "m"),))
+        p = infer_properties(first)
+        assert p.has_key({"m"}) and p.has_key({"a", "b"})
+        assert p.order_ok("m")
+        total = GroupAggr(self.SCAN, ("a",), (("sum", "p", "s"),))
+        assert not infer_properties(total).has_key({"s"})
+        assert not infer_properties(total).order_ok("s")
 
 
 class TestUnaryRules:

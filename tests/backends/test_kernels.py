@@ -138,7 +138,24 @@ class TestColumns:
     def test_table_columns_of_an_empty_table(self):
         catalog = Catalog()
         catalog.create_table("t", [("a", int), ("b", str)], [])
-        assert k.table_columns(catalog, "t", ["b", "a"]) == [[], []]
+        assert k.table_columns(catalog, "t", ["b", "a", "pos"]) == [
+            [], [], []]
+
+    def test_table_columns_are_the_catalogs_own(self):
+        """A table is immutable: it is transposed once, scans share the
+        lists -- and its position column is one of them."""
+        catalog = Catalog()
+        catalog.create_table("t", [("a", int), ("pos", str)],
+                             [(2, "y"), (1, "x"), (2, "y")])
+        first = k.table_columns(catalog, "t", ["a", "pos_"])
+        assert first == [[1, 2, 2], [1, 2, 3]]
+        again = k.table_columns(catalog, "t", ["pos_", "a"])
+        assert again[0] is first[1] and again[1] is first[0]
+        assert catalog.columns("t")["pos"] == ["x", "y", "y"]
+        # a new table under the name is a new table
+        catalog.drop_table("t")
+        catalog.create_table("t", [("a", int)], [(7,)])
+        assert k.table_columns(catalog, "t", ["a", "pos"]) == [[7], [1]]
 
     def test_gather(self):
         col = ["a", "b", "c"]

@@ -114,19 +114,25 @@ class TestBackend:
         eng_db = Connection(backend="engine", catalog=paper_catalog)
         assert mil_db.run(q_mil) == eng_db.run(q_mil)
 
-    def test_loads_only_the_columns_the_programs_read(self, paper_catalog,
-                                                     monkeypatch):
+    def test_transposes_only_the_tables_the_programs_read(
+            self, paper_catalog, monkeypatch):
         paper_catalog.create_table("audit", [("who", str)], [("nobody",)])
         db = Connection(backend="mil", catalog=paper_catalog)
         q = running_example_query(db)
         want = db.run(q)  # cold: compile-time statistics read every table
+        # one transposition per referenced table, none of the others ...
+        assert sorted(paper_catalog._columns) == [
+            "facilities", "features", "meanings"]
+        kept = {t: dict(cols) for t, cols in paper_catalog._columns.items()}
         reads = []
         rows = paper_catalog.rows
         monkeypatch.setattr(paper_catalog, "rows",
                             lambda name: reads.append(name) or rows(name))
         assert db.run(q) == want
-        # one transposition per referenced table, none of the others
-        assert sorted(reads) == ["facilities", "features", "meanings"]
+        # ... and none at all on a warm run: the scans share the columns
+        assert reads == []
+        for table, cols in paper_catalog._columns.items():
+            assert all(cols[c] is kept[table][c] for c in cols)
 
     def test_generator_counts_instructions(self):
         db = Connection(backend="mil")

@@ -141,6 +141,32 @@ class TestBundleScript:
             assert_idle(backend)
 
 
+class TestRowConversion:
+    """The fetched rows are the result rows unless a column's type says
+    otherwise -- decided once per statement, not per cell."""
+
+    def test_int_and_string_rows_are_returned_as_fetched(self, db):
+        q = running_example_query(db)
+        for gen in db.backend.prepare_bundle(db.compile(q).bundle):
+            assert gen.convert is None
+
+    def test_only_the_columns_that_need_it_convert(self):
+        db = Connection(backend="sqlite")
+        day = datetime.date(2009, 6, 29)
+        db.create_table("m", [("d", datetime.date), ("n", int),
+                              ("ok", bool), ("x", float)],
+                        [(day, 1, True, 2), (day, 2, False, 0.5)])
+        query = db.compile(db.table("m")).bundle.queries[0]
+        [gen] = db.backend.prepare_bundle(db.compile(db.table("m")).bundle)
+        # (iter, pos, d, n, ok, x) as the driver hands it over
+        raw = (1, 1, "2009-06-29", 1, 1, 2)
+        assert gen.convert(raw) == (1, 1, day, 1, True, 2.0)
+        assert type(gen.convert(raw)[5]) is float
+        assert query.item_types == (DateT, IntT, BoolT, DoubleT)
+        assert db.run(db.table("m")) == [(day, 1, True, 2.0),
+                                         (day, 2, False, 0.5)]
+
+
 class TestCleanup:
     """Temporary tables live in one transaction per run, rolled back on
     success and on error."""

@@ -82,6 +82,38 @@ class TestSchemaFailures:
         assert not db.catalog.has_table("reading")
 
 
+    @pytest.mark.parametrize("nan", [float("nan"), -float("nan")])
+    def test_nan_is_rejected(self, db, nan):
+        # The canonical row order is the only source of a base table's
+        # list order, so it must be total.  The engine and the MIL VM
+        # would return whatever ``list.sort`` made of the NaN and sqlite
+        # die of a stray TypeError; the catalog decides it for all
+        # three, naming table, column and row.
+        with pytest.raises(SchemaError) as err:
+            db.create_table("readings", [("id", int), ("x", float)],
+                            [(1, 0.5), (2, nan), (3, -1.0)])
+        for part in ("'readings'", "'x'", "(2, nan)", "NaN"):
+            assert part in str(err.value)
+        assert not db.catalog.has_table("readings")
+
+    def test_infinities_are_doubles_and_order(self, db):
+        values = [float("inf"), 0.0, float("-inf")]
+        db.create_table("wide", [("x", float)], [(x,) for x in values])
+        assert db.run(db.table("wide")) == sorted(values)
+
+    def test_a_record_table_rejects_nan(self, db):
+        @queryable
+        @dataclasses.dataclass
+        class Sample:
+            sensor: str
+            level: float
+
+        with pytest.raises(SchemaError, match="'level'.*NaN"):
+            db.create_table_from_records(
+                Sample, [Sample("a", 1.0), Sample("b", float("nan"))])
+        assert not db.catalog.has_table("sample")
+
+
 class TestPartialOperations:
     def test_head_of_empty(self, db):
         with pytest.raises(PartialFunctionError):

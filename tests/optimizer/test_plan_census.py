@@ -6,7 +6,9 @@ counts below are upper bounds on both, per bundle, for the paper's
 programs and the 24-program ``paper_mix`` corpus of the end-to-end
 benchmark.  They moved with the bundle-wide fixpoint (nested orders 80
 nodes / 17 numberings, running example 73 / 16, corpus 966 / 105 before
-it) and may only go down from here.  The second half pins what "fixpoint"
+it) and with ordering by the columns instead of by their number (48 / 7,
+44 / 11 and 746 / 75 before the positional scan, order inlining and the
+order-only root ``pos``), and may only go down from here.  The second half pins what "fixpoint"
 means: a finished bundle is left alone by both rewrite families, shares
 its ``group_with`` spine across its queries as *objects*, and holds no
 operator, column or projection the tidy-up should have removed.
@@ -62,14 +64,14 @@ def program(name):
 class TestCensus:
     #: program -> (distinct nodes, RowNum + RowRank), upper bounds
     BOUNDS = {
-        "running_example_qc": (44, 11),
-        "running_example_fluent": (44, 11),
-        "running_example_pyq": (44, 11),
-        "nested_orders": (48, 7),
+        "running_example_qc": (30, 3),
+        "running_example_fluent": (30, 3),
+        "running_example_pyq": (30, 3),
+        "nested_orders": (43, 5),
         "dotp": (22, 0),
-        "group_with": (29, 5),
+        "group_with": (28, 2),
     }
-    CORPUS_BOUND = (746, 75)
+    CORPUS_BOUND = (665, 26)
 
     @pytest.mark.parametrize("name", BOUNDS)
     def test_the_papers_programs(self, name):
@@ -83,6 +85,28 @@ class TestCensus:
         assert sum(n for n, _ in totals) <= self.CORPUS_BOUND[0]
         assert sum(k for _, k in totals) <= self.CORPUS_BOUND[1]
 
+    #: (nodes, numberings) of every corpus program before the order
+    #: rules (PR 22): none may be worse for them
+    BEFORE = {
+        "running_example_qc": (44, 11), "running_example_fluent": (44, 11),
+        "running_example_pyq": (44, 11), "nested_orders": (48, 7),
+        "dotp": (22, 0), "map_filter": (10, 2), "concat_map": (12, 4),
+        "sort_asc_desc": (20, 4), "group_with": (29, 3), "nub": (7, 2),
+        "zip_unzip": (22, 2), "take_drop": (18, 2),
+        "take_drop_while": (42, 1), "number_reverse": (6, 2),
+        "append_cons": (24, 3), "head_last_the_index": (41, 2),
+        "length_null": (32, 1), "aggregates": (31, 0),
+        "quantifiers": (65, 0), "cond": (37, 1), "nested_tuples": (23, 1),
+        "queryable_record": (8, 2), "maybe": (41, 1), "either": (76, 2),
+    }
+
+    def test_no_program_grew(self):
+        assert set(self.BEFORE) == {p.name for p in W.CORPUS}
+        for p in W.CORPUS:
+            nodes, numberings = census(compiled(p).bundle)
+            assert nodes <= self.BEFORE[p.name][0], p.name
+            assert numberings <= self.BEFORE[p.name][1], p.name
+
     def test_three_front_ends_still_one_plan(self):
         db = Connection(catalog=paper_dataset())
         shapes = {
@@ -90,7 +114,7 @@ class TestCensus:
                    for query in db.compile(q, use_cache=False).bundle.queries]
             for name, q in running_example_variants(db).items()}
         assert shapes["qc"] == shapes["pyq"] == shapes["fluent"]
-        assert sum(shapes["qc"]) <= 21 + 34
+        assert sum(shapes["qc"]) <= 17 + 23
 
     def test_every_bundle_converges_in_a_few_sweeps(self):
         # a working sweep or four, then one that changes nothing
@@ -164,19 +188,30 @@ class TestTermination:
             self, monkeypatch):
         offered = []
 
-        def recording(node, store, shared, offer=rules._rewrite_node):
-            hit = offer(node, store, shared)
-            if hit is not None:
-                offered.append((hit[0], node, hit[1]))
-            return hit
+        def recording(offer):
+            def record(node, *args):
+                hit = offer(node, *args)
+                if hit is not None:
+                    offered.append((hit[0], node, hit[1]))
+                return hit
+            return record
 
-        monkeypatch.setattr(rules, "_rewrite_node", recording)
+        for rule in ("_rewrite_node", "_order_inline", "_pos_order"):
+            monkeypatch.setattr(rules, rule, recording(getattr(rules, rule)))
         for name in EVERY_PROGRAM:
             stats = compiled_by_name(name).pass_stats
             assert stats.rounds <= 5, name
             assert stats.rewrites_gated == {}, name
         assert {name for name, _, _ in offered} == set(rules.REWRITES)
         for name, old, new in offered:
+            if name in ("order_inline", "pos_order"):
+                # they order by the columns a number ranks; the number,
+                # which nobody else reads, then falls to icols -- and
+                # the numbering that made it with it
+                dead = {c for c, _ in getattr(old, "order", ())} - {
+                    c for c, _ in getattr(new.child, "order", ())}
+                [new] = prune_unneeded_columns([Project(new.child, tuple(
+                    c for c in new.cols if c[0] not in dead))])
             assert unfolded_ranks(new) < unfolded_ranks(old), (
                 f"{name}: {type(old).__name__} -> {type(new).__name__}")
 

@@ -295,6 +295,93 @@ class TestNumberingRules:
             group_with(lambda r: r[0], raw.table("features")))
 
 
+class TestOrderByColumns:
+    """``order_inline`` / ``pos_order`` on hand-built plans: what a
+    number ranks replaces the number, where -- and only where -- the
+    reader compares rows of one partition of its numbering."""
+
+    #: v tells rows apart; (g, w) does not
+    ROWS = LitTable(((1, 30, 5), (1, 10, 6), (1, 20, 5), (2, 25, 5),
+                     (2, 15, 7), (3, 12, 5)),
+                    (("g", IntT), ("v", IntT), ("w", IntT)))
+    INNER = RowNum(ROWS, "n", (("v", "desc"),), ("g",))
+
+    def outer(self, order, part=(), inner=None, keep=("m", "w")):
+        """``m``: a second numbering, of the rows of ``inner`` a filter
+        leaves (so that its ``n`` is no longer dense)."""
+        flagged = BinApp(inner or self.INNER, "gt", "v", Const(10, IntT), "f")
+        below = Project(Select(flagged, "f"),
+                        (("g", "g"), ("n", "n"), ("w", "w")))
+        return Project(RowNum(below, "m", order, part),
+                       tuple((c, c) for c in keep))
+
+    def optimized(self, plan, serial=(), same_rows=True):
+        stats = PassStats()
+        [out] = _optimize([plan], PlanStore(), stats, NULL_TRACER, serial)
+        assert not same_rows or rows_of(out) == rows_of(plan)
+        return out, stats.rewrites_fired
+
+    def numberings(self, plan):
+        return [n for n in postorder(plan) if isinstance(n, RowNum)]
+
+    def test_the_number_gives_way_to_what_it_ranks(self):
+        out, fired = self.optimized(
+            self.outer((("g", "desc"), ("n", "desc"))))
+        assert fired == {"order_inline": 1}
+        [num] = self.numberings(out)
+        # desc of a desc rank: the inlined column turns around
+        assert num.order == (("g", "desc"), ("v", "asc"))
+
+    def test_the_partition_may_fix_it_as_well(self):
+        out, fired = self.optimized(self.outer((("n", "asc"),), ("g",)))
+        assert fired == {"order_inline": 1}
+        [num] = self.numberings(out)
+        assert num.order == (("v", "desc"),) and num.part == ("g",)
+
+    def test_rows_of_different_partitions_compare_by_the_number(self):
+        # m orders all rows by n: 1st of group 1, 1st of group 2, ...
+        out, fired = self.optimized(self.outer((("n", "asc"), ("w", "asc"))))
+        assert not fired and len(self.numberings(out)) == 2
+
+    def test_a_number_somebody_reads_stays(self):
+        out, fired = self.optimized(
+            self.outer((("g", "asc"), ("n", "asc")), keep=("m", "n")))
+        assert not fired and len(self.numberings(out)) == 2
+
+    def test_a_number_that_breaks_ties_ranks_nothing(self):
+        tied = RowNum(self.ROWS, "n", (("w", "asc"),), ("g",))
+        out, fired = self.optimized(
+            self.outer((("g", "asc"), ("n", "asc")), inner=tied))
+        assert not fired and len(self.numberings(out)) == 2
+
+    def test_a_root_pos_is_an_order_not_a_count(self):
+        # pos renumbers, per iter g, the rows a filter leaves of a list
+        # whose positions d a literal holds
+        listed = LitTable(((1, 1, 5), (1, 2, 6), (1, 3, 5), (2, 4, 5),
+                           (2, 5, 7), (3, 6, 5)),
+                          (("g", IntT), ("d", IntT), ("w", IntT)))
+        flagged = BinApp(listed, "gt", "w", Const(5, IntT), "f")
+        pos = RowNum(Select(flagged, "f"), "p", (("d", "asc"),), ("g",))
+        root = Project(pos, (("g", "g"), ("p", "p"), ("w", "w")))
+        out, fired = self.optimized(root, serial=[("g", "p")],
+                                    same_rows=False)
+        assert fired == {"pos_order": 1}
+        assert not self.numberings(out) and dict(out.cols)["p"] == "d"
+        # the same rows in the same (iter, pos) order; pos has gaps now
+        by_pos = [[(g, w) for g, _, w in sorted(rows_of(plan))]
+                  for plan in (root, out)]
+        assert by_pos[0] == by_pos[1] == [(1, 6), (2, 7)]
+        # ... for the reader of a bundle query only
+        out, fired = self.optimized(root)
+        assert not fired and len(self.numberings(out)) == 1
+
+    def test_a_pos_without_lineage_keeps_its_numbering(self):
+        pos = RowNum(self.ROWS, "p", (("v", "asc"),), ("g",))
+        root = Project(pos, (("g", "g"), ("p", "p"), ("w", "w")))
+        out, fired = self.optimized(root, serial=[("g", "p")])
+        assert not fired and len(self.numberings(out)) == 1
+
+
 class TestPipeline:
     def test_shrinks_running_example(self):
         db = Connection(catalog=paper_dataset(), optimize=False)

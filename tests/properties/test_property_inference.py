@@ -13,12 +13,13 @@ actual rows -- a falsifier for the analysis layer the same way
 
 from hypothesis import given
 
-from repro import Connection
+from repro import Connection, concat_map, nub, number, sort_with_desc, tup
+from repro.algebra import TableScan, postorder
 from repro.analysis import infer_properties
 from repro.backends.engine.evaluate import BundleCache, Engine
 from repro.runtime import Catalog
 
-from .strategies import any_query, int_list_query, nested_query
+from .strategies import any_query, int_list_query, nested_query, pair_rows
 from .support import prop_settings
 
 CATALOG = Catalog()
@@ -116,3 +117,33 @@ class TestPropertyInference:
     @given(any_query())
     def test_mixed_shapes(self, q):
         check_inference(q)
+
+
+class TestScanFacts:
+    """The positional scan's key / dense-from-1 / non-null facts (and the
+    keys a least position gives a ``nub``) on generated base tables --
+    empty, duplicate-heavy, with whole duplicate rows."""
+
+    @SETTINGS
+    @given(pair_rows(), pair_rows())
+    def test_positions_of_generated_tables(self, t_rows, u_rows):
+        catalog = Catalog()
+        for name, rows in (("t", t_rows), ("u", u_rows)):
+            catalog.create_table(name, [("k", int), ("v", int)], rows)
+        db = Connection(catalog=catalog)
+        t, u = db.table("t"), db.table("u")
+        programs = (
+            number(t), nub(t), sort_with_desc(lambda r: r[1], t),
+            concat_map(lambda r: u.filter(lambda s: s[0] == r[0]).map(
+                lambda s: tup(r[1], s[1])), t))
+        for q in programs:
+            for optimize in (True, False):
+                audit(q, optimize, catalog)
+        # ... and the audit had the facts to falsify
+        raw = Connection(catalog=catalog, optimize=False).compile(
+            number(t), use_cache=False).bundle
+        [scan] = [n for n in postorder(raw.queries[0].plan)
+                  if isinstance(n, TableScan)]
+        facts = infer_properties(scan)
+        assert facts.has_key({scan.pos[0]}) and facts.is_dense(scan.pos[0], ())
+        assert scan.pos[0] in facts.non_null and not facts.order
