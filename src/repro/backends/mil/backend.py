@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from contextlib import nullcontext
-from operator import itemgetter
 
 from ...algebra import (
     AntiJoin,
@@ -40,7 +39,6 @@ from ...core.bundle import Bundle
 from ...errors import ExecutionError
 from ...runtime.catalog import Catalog
 from ..base import Backend
-from ..kernels import table_columns
 from . import program as mil
 
 
@@ -243,18 +241,13 @@ class MILBackend(Backend):
 
     def open_bundle(self, bundle: Bundle, catalog: Catalog,
                     prepared: "list[mil.MILProgram]"):
-        # Load what the programs read: the distinct (table, column)
-        # pairs of their LoadCol instructions, shared with the catalog.
-        loads = sorted({(instr.table, instr.column)
-                        for program in prepared
-                        for instr in program.instructions
-                        if isinstance(instr, mil.LoadCol)})
-        base: dict[str, list] = {}
-        for table, pairs in itertools.groupby(loads, key=itemgetter(0)):
-            cols = [col for _, col in pairs]
-            base.update(zip((f"@{table}.{col}" for col in cols),
-                            table_columns(catalog, table, cols)))
-        vm = mil.MILVM(base)
+        # Bind what the programs read -- the (table, column) pairs of
+        # their LoadCol instructions -- to the catalog's own columns.
+        vm = mil.MILVM({
+            f"@{instr.table}.{instr.column}":
+                catalog.columns(instr.table)[instr.column]
+            for program in prepared for instr in program.instructions
+            if isinstance(instr, mil.LoadCol)})
 
         def run_query(qi, ops):
             # The VM runs a whole column program per query: no

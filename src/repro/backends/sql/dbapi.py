@@ -300,7 +300,7 @@ def load_catalog(conn: Any, catalog: Catalog, dialect: Dialect,
         cols = ", ".join([f"{q(pos)} {dialect.position_type}"] + [
             f"{q(c)} {dialect.type_name(ty)}" for c, ty in schema])
         cur.execute(f"CREATE TABLE {ref} ({cols})")
-        placeholders = ", ".join("?" for _ in range(len(schema) + 1))
+        placeholders = ", ".join("?" * (len(schema) + 1))
         rows = [(i, *map(dialect.to_db_value, row))
                 for i, row in enumerate(catalog.rows(name), start=1)]
         cur.executemany(f"INSERT INTO {ref} VALUES ({placeholders})", rows)

@@ -5,6 +5,10 @@ algebra DAGs into SQL:1999 built from common table expressions, with
 ``ROW_NUMBER()``/``DENSE_RANK()`` window functions carrying the order and
 surrogate encodings -- the same shapes as the appendix of the paper
 ("binding due to rank operator", "binding due to duplicate elimination").
+Base tables are not numbered that way: a scan that needs the rows'
+positions selects the position column ``load_catalog`` stored with them
+(``TableScan.pos``), and a bundle member's final ``ORDER BY iter, pos``
+only needs ``pos`` to sort as the list does, not to count from 1.
 
 The generator works on the whole bundle (:func:`generate_bundle`).  A
 plan node with a single consumer becomes one ``WITH`` binding (``t0000``,

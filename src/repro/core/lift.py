@@ -15,6 +15,12 @@ loop -- the relational engine is then "free to consider these bindings and
 the corresponding evaluations ... in any order it sees fit (or in
 parallel)".
 
+List order starts at the base tables: ``table t`` compiles to a
+positional ``TableScan`` -- the scan hands out each row's position in
+the catalog's canonical row order as its ``pos`` column; no ``RowNum``
+numbers a base table -- and every rule from there on derives its ``pos``
+from the ``pos`` of its inputs.
+
 The compilation of the individual list-prelude combinators lives in
 ``repro.core.lift_builtins``; this module owns the expression dispatch
 and the vector toolbox (boxing, merging, environment lifting) they share.

@@ -22,8 +22,12 @@ nothing:
 Every rule removes an operator and adds only operators ranked below it:
 ``Distinct`` / ``Select`` -> its child, ``RowNum`` / ``RowRank`` ->
 ``Project``, ``Cross`` with a unit literal -> ``Attach``-es, ``EqJoin``
--> its input, widened by projections.  icols only drops columns and the
-operators computing them, and a merge removes a projection.  On the
+-> its input, widened by projections.  The order rules (``order_inline``,
+``pos_order``) make the only reader of a numbering's number read the
+columns that number ranks instead -- a longer order list over a wider
+path -- and take the next icols to get there: it deletes the numbering.
+icols only drops columns and the operators computing them, and a merge
+removes a projection.  On the
 tree unfolding of the bundle every step therefore strictly lowers (the
 multiset of operator ranks, then total width) -- whatever the data and
 the backend, nothing is priced.  A sweep shrinks that measure or

@@ -5,10 +5,11 @@ carry every column along; most are never consumed.  One top-down demand
 analysis over *all* roots of the bundle computes, per DAG node, the
 columns any consumer reads -- a node shared by several queries serves
 the union of their demands, and so stays one node -- and a bottom-up
-rebuild narrows literal tables, scans and projections (merging the
-projections it rebuilds), and deletes attachments, scalar applications
-and numberings whose output column is dead, together with the demand
-they alone put on their inputs.
+rebuild narrows literal tables, scans (the position column a scan hands
+out goes like any other when nobody asks for it) and projections
+(merging the projections it rebuilds), and deletes attachments, scalar
+applications and numberings whose output column is dead, together with
+the demand they alone put on their inputs.
 
 Care is taken with operators whose *cardinality* depends on column
 content:

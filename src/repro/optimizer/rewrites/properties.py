@@ -20,9 +20,17 @@ produced the fact, and are accounted by name:
     that ``d``, a descendant of ``b``, still carries -> ``d`` widened by
     the columns of ``b`` the join fetched: the loop-lifting compiler's
     surrogate-regeneration joins (:func:`_selfjoin_elim`).
+``order_inline``  a ``RowNum`` / ``RowRank`` that orders by the number
+    ``n`` of a numbering below, which nothing else reads -> the same
+    over the columns ``n`` ranks, handed up to it; icols then deletes
+    the numbering below (:func:`_order_inline`).
+``pos_order``  the ``pos`` of a bundle query's root, the number of one
+    ``Int`` column with a numbering lineage -> that column: a root
+    ``pos`` is an order, not a count (:func:`_pos_order`).
 
-Nothing prices a candidate: each rule replaces a node by one of
-strictly lower rank in a fixed operator order (see
+Nothing prices a candidate: each rule -- the two order rules together
+with the icols that follows them -- replaces a node by one of strictly
+lower rank in a fixed operator order (see
 :mod:`repro.optimizer.pipeline`, *Termination*), whatever the data and
 the backend, so all backends optimize to identical algebra.  The one
 gate is safety: a candidate must show, by inference, every key of the
@@ -259,11 +267,12 @@ def _order_inline(node: "RowNum | RowRank", store: PlanStore,
     part = set(getattr(node, "part", ()))
     for i, (n, way) in enumerate(node.order):
         hit = _ranked(node.child, n, store, shared, unread)
-        if hit is None or not _determines(
-                hit[0], part.union(c for c, _ in node.order[:i]), hit[2],
-                store):
+        if hit is None:
             continue
-        wide, by, _ = hit
+        wide, by, within = hit
+        if not _determines(wide, part.union(c for c, _ in node.order[:i]),
+                           within, store):
+            continue
         order = dict(node.order[:i])  # a column orders once, where first met
         for col, d in by:
             order.setdefault(col, d if way == "asc" else _FLIP[d])
