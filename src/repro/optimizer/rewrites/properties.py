@@ -106,23 +106,11 @@ def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
     parents: dict[int, list[Node]] = {}  # filled once a rule asks
 
     def unread(node: Node, col: str) -> bool:
-        """Does no consumer of ``node`` read its column ``col`` -- itself,
-        or by handing it up to one that does (a root's reader reads all)?"""
         if not parents:
             for parent in nodes:
                 for child in parent.children:
                     parents.setdefault(id(child), []).append(parent)
-        if not uses[id(node)]:
-            return False
-        for parent in parents[id(node)]:
-            if col in _own_reads(parent, store):
-                return False
-            ups = ([new for new, old in parent.cols if old == col]
-                   if isinstance(parent, Project)
-                   else [col] if col in store.schema(parent) else [])
-            if not all(unread(parent, up) for up in ups):
-                return False
-        return True
+        return _unread(node, col, parents, store)
 
     def adopt(origin: Node, cur: Node, hit: "tuple[str, Node]"
               ) -> "Node | None":
@@ -173,6 +161,22 @@ def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
                 if counts is not None:
                     counts[name] = counts.get(name, 0) + 1
     return out
+
+
+def _unread(node: Node, col: str, parents: "dict[int, list[Node]]",
+            store: PlanStore) -> bool:
+    """Does no consumer of ``node`` (``parents``: the consumers of every
+    node of the bundle) read its column ``col`` -- itself, or by handing
+    it up to one that does?  The reader of a root reads all of it."""
+    for parent in parents.get(id(node), ()):
+        if col in _own_reads(parent, store):
+            return False
+        ups = ([new for new, old in parent.cols if old == col]
+               if isinstance(parent, Project)
+               else [col] if col in store.schema(parent) else [])
+        if not all(_unread(parent, up, parents, store) for up in ups):
+            return False
+    return id(node) in parents
 
 
 def _rewrite_node(node: Node, store: PlanStore, shared: "Counter[int]"
