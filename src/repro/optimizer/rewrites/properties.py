@@ -106,6 +106,8 @@ def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
     parents: dict[int, list[Node]] = {}  # filled once a rule asks
 
     def unread(node: Node, col: str) -> bool:
+        # (:func:`_unread` recurses, not this closure: one that names
+        # itself is a cycle, and would keep the store for the collector)
         if not parents:
             for parent in nodes:
                 for child in parent.children:
@@ -319,15 +321,12 @@ def _ranked(node: Node, col: str, store: PlanStore, shared: "Counter[int]",
     ``wide`` is ``node`` handing up those columns as well.  (A
     ``Distinct`` on the way reads the number: none is crossed.)  The
     cheap questions come first: few candidates pass them."""
-    found = _trace(node, col, lambda n, c: isinstance(
+    found = _trace(node, col, lambda n, c: shared[id(n)] > 1 or isinstance(
         n, (RowNum, RowRank)) and n.col == c, store)
-    if found is None:
+    if found is None or shared[id(found[1])] > 1 or not unread(col):
         return None
     path, made, _ = found
-    steps = [step for step, _ in path] + [made]
-    if any(shared[id(step)] > 1 for step in steps) or not unread(col):
-        return None
-    for step in steps:
+    for step in [step for step, _ in path] + [made]:
         if isinstance(step, Project):
             col = dict(step.cols)[col]
             if [old for _, old in step.cols].count(col) > 1:
