@@ -321,8 +321,8 @@ def _ranked(node: Node, col: str, store: PlanStore, shared: "Counter[int]",
     ``wide`` is ``node`` handing up those columns as well.  (A
     ``Distinct`` on the way reads the number: none is crossed.)  The
     cheap questions come first: few candidates pass them."""
-    found = _trace(node, col, lambda n, c: shared[id(n)] > 1 or isinstance(
-        n, (RowNum, RowRank)) and n.col == c, store)
+    found = _trace(node, col, lambda n, c: shared.get(id(n), 0) > 1 or (
+        isinstance(n, (RowNum, RowRank)) and n.col == c), store)
     if found is None or shared[id(found[1])] > 1 or not unread(col):
         return None
     path, made, _ = found
