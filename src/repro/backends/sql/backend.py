@@ -12,10 +12,13 @@ as temporary tables ahead of the first statement that reads them
 (``generate.Step``) -- a fixed number of auxiliary statements per
 program, whatever the data -- inside one transaction that is always
 rolled back, so no run leaves a table or an open transaction behind.
+A backend runs one bundle at a time: a lock spans the catalog load and
+the script, so threads sharing one connection take turns.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 
@@ -52,6 +55,9 @@ class SQLiteBackend(Backend):
                                  else adapter)
         self.dialect = self.adapter.dialect
         self._conn = self.adapter.connect()
+        #: Serializes bundles on ``_conn``: the catalog load and a
+        #: script's transaction + temporary tables cannot interleave.
+        self._lock = threading.Lock()
         #: Catalog (identity, version) currently loaded into ``_conn``.
         self._loaded: "tuple[int, int] | None" = None
         #: SQL statements executed over this backend's lifetime.
@@ -79,7 +85,6 @@ class SQLiteBackend(Backend):
     @contextmanager
     def open_bundle(self, bundle: Bundle, catalog: Catalog,
                     prepared: "list[GeneratedSQL]"):
-        self._ensure_loaded(catalog)
         built: set[str] = set()
 
         def run_query(qi, ops):
@@ -89,8 +94,10 @@ class SQLiteBackend(Backend):
             self.statements_executed += 1
             return rows
 
-        with self._script():
-            yield run_query
+        with self._lock:
+            self._ensure_loaded(catalog)
+            with self._script():
+                yield run_query
 
     # ------------------------------------------------------------------
     def generate(self, query: SerializedQuery) -> GeneratedSQL:
@@ -103,7 +110,7 @@ class SQLiteBackend(Backend):
         its steps, then the SELECT -- and convert values back.
 
         Does *not* bump ``statements_executed`` -- a bundle execution does."""
-        with self._script():
+        with self._lock, self._script():
             return self._run(gen, set(), None)
 
     @contextmanager

@@ -235,9 +235,10 @@ class Adapter(Protocol):
     """A source of PEP 249 connections that can host FERRY bundles.
 
     Implementations pair a driver (``connect`` + ``register_udfs``) with
-    the :class:`Dialect` its SQL must be rendered in.  DB-API
-    connections are single-thread objects in the general case, so an
-    executor never shares the returned object across threads.
+    the :class:`Dialect` its SQL must be rendered in.  The returned
+    object may be used from several threads, one at a time: the executor
+    serializes every use of it under its own lock, so an adapter must
+    not tie its connections to the thread that opened them.
     """
 
     #: The dialect this adapter's connections speak.
@@ -261,7 +262,8 @@ class SQLiteAdapter:
         self.path = path
 
     def connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.path)
+        # Any thread may use it; the backend's lock takes turns.
+        conn = sqlite3.connect(self.path, check_same_thread=False)
         self.register_udfs(conn)
         return conn
 

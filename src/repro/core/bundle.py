@@ -14,7 +14,7 @@ Python values (``repro.runtime.stitch``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..algebra import Node, Project
 from ..errors import CompilationError
@@ -76,6 +76,10 @@ class Bundle:
     #: compiled against (a ``repro.analysis.cost.BundleCost``), stamped
     #: by ``optimize_bundle``.  ``None`` until stamped.
     cost: "object | None" = None
+    #: The ``repro.runtime.stitch.Stitcher`` compiled from ``root_ref``
+    #: by the first ``stitch``, reused by every later one.
+    stitcher: "object | None" = field(default=None, init=False,
+                                      compare=False, repr=False)
 
     @property
     def size(self) -> int:

@@ -27,11 +27,14 @@ from ..expr import (
     LamE,
     ListE,
     LitE,
+    TableE,
     TupleE,
     TupleElemE,
     UnOpE,
     VarE,
+    exp_fingerprint,
     fresh_var,
+    tables_referenced,
 )
 from ..ftypes import (
     AtomT,
@@ -60,13 +63,16 @@ class Q:
     :class:`repro.runtime.Connection`.
     """
 
-    __slots__ = ("exp", "rec")
+    __slots__ = ("exp", "rec", "_fingerprint", "_tables")
 
     def __init__(self, exp: Exp, rec: type | None = None):
         self.exp = exp
         #: Optional record class whose fields name this tuple's components
         #: (the View-instance equivalent for records, Section 3.1).
         self.rec = rec
+        # What the plan cache needs from ``exp``, kept from the first use.
+        self._fingerprint: str | None = None
+        self._tables: tuple[TableE, ...] | None = None
 
     # ------------------------------------------------------------------
     # introspection
@@ -88,8 +94,15 @@ class Q:
         are cached (:mod:`repro.runtime.plancache`).  Unlike ``hash()``,
         this is stable across processes.
         """
-        from ..expr import exp_fingerprint
-        return exp_fingerprint(self.exp)
+        if self._fingerprint is None:
+            self._fingerprint = exp_fingerprint(self.exp)
+        return self._fingerprint
+
+    def tables_referenced(self) -> "tuple[TableE, ...]":
+        """The table references (with declared row types) of ``exp``."""
+        if self._tables is None:
+            self._tables = tuple(tables_referenced(self.exp).values())
+        return self._tables
 
     # Q is a DSL value; identity-based hashing would be misleading next to
     # the overloaded ``==``, so Q is unhashable by design (structural

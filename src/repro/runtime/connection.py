@@ -38,7 +38,6 @@ from typing import Any, Callable, Iterable, Sequence
 from ..analysis import verify_bundle, verify_debug_enabled
 from ..core.bundle import Bundle, compile_exp
 from ..errors import ObservabilityError, QTypeError
-from ..expr import exp_fingerprint, tables_referenced
 from ..frontend.q import Q, to_q
 from ..frontend.tables import SchemaLike, table
 from ..obs import (
@@ -256,15 +255,17 @@ class Connection:
 
         Consults the plan cache first: a structurally identical program
         compiled before (under the same flags and catalog schema) is
-        returned without re-running the pipeline.
+        returned without re-running the pipeline.  The ``Q`` handle
+        keeps its fingerprint and table references, so compiling it
+        again only re-checks those references against the live catalog.
         """
         timings: dict[str, float] = {}
         with phase(tracer, timings, "check"):
             qq = to_q(q)
-            for ref in tables_referenced(qq.exp).values():
+            for ref in qq.tables_referenced():
                 self.catalog.check_reference(ref)
         with phase(tracer, timings, "lookup", "cache-lookup") as span:
-            fp = exp_fingerprint(qq.exp)
+            fp = qq.fingerprint()
             key = CacheKey(fp, self.optimize, self.decorrelate,
                            self.catalog.schema_generation)
             entry = self.plan_cache.lookup(key) if use_cache else None
