@@ -140,7 +140,7 @@ def generate_bundle(queries: Sequence[SerializedQuery],
     names: dict[int, str] = {}
     tables: dict[int, str] = {}  # shared node -> unqualified table name
     for i, node in enumerate(numbered):
-        if node.children and consumers[id(node)] > 1:
+        if node.children and (consumers[id(node)] > 1 or _divides(node)):
             tables[id(node)] = f"ferry_m{len(tables):04d}"
             names[id(node)] = d.temp_table_ref(tables[id(node)])
         else:
@@ -215,6 +215,13 @@ def generate_sql(query: SerializedQuery,
                  dialect: Dialect = SQLITE_DIALECT) -> GeneratedSQL:
     """SQL for one query on its own: a bundle of one."""
     return generate_bundle([query], dialect)[0]
+
+
+def _divides(node: Node) -> bool:
+    """A division is a step of its own: inside one statement, SQLite may
+    test it on rows that a later join drops, and a division by zero must
+    raise only on the rows that reach it."""
+    return isinstance(node, BinApp) and node.op in ("div", "idiv", "mod")
 
 
 def _block(root: Node, tables: "dict[int, str]") -> list[Node]:

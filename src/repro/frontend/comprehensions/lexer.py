@@ -61,7 +61,7 @@ def tokenize(src: str) -> list[Token]:
                 f"unexpected character {src[i]!r} at offset {i} in "
                 f"comprehension: {src!r}")
         i = m.end()
-        kind = m.lastgroup
+        kind = str(m.lastgroup)
         if kind in ("ws", "comment"):
             continue
         text = m.group()

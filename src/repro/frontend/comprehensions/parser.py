@@ -1,7 +1,8 @@
 """Recursive-descent parser for the ``qc`` quasi-quoter.
 
 Produces a small surface AST (``PExpr``/``PQual``/``PPat``) that the
-desugarer lowers onto the combinator library.  Operator precedence follows
+desugarer lowers onto the combinator library; ``pyq`` lowers Python's
+``ast`` onto the same nodes.  Operator precedence follows
 Haskell's (boolean < comparison < ``++``/``:`` < additive < multiplicative
 < unary < application/projection).
 """
@@ -9,10 +10,12 @@ Haskell's (boolean < comparison < ``++``/``:`` < additive < multiplicative
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NoReturn, Sequence, TypeVar
 
 from ...errors import ComprehensionSyntaxError
 from .lexer import Token, tokenize
+
+_T = TypeVar("_T")
 
 
 # ----------------------------------------------------------------------
@@ -60,6 +63,8 @@ class PUn(PExpr):
 class PCall(PExpr):
     fn: PExpr
     args: tuple[PExpr, ...]
+    #: Keyword arguments; only ``pyq``'s ``sorted(key=, reverse=)`` has any.
+    kwargs: tuple[tuple[str, PExpr], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -175,23 +180,26 @@ class _Parser:
                 f"at offset {tok.pos} in: {self.src!r}")
         return self.next()
 
-    def fail(self, msg: str) -> None:
+    def fail(self, msg: str) -> NoReturn:
         tok = self.peek()
         raise ComprehensionSyntaxError(
             f"{msg} at offset {tok.pos} (near {tok.text!r}) in: {self.src!r}")
 
-    # -- entry points -----------------------------------------------------
-    def parse_comprehension(self) -> PComp:
-        self.expect("op", "[")
-        head = self.parse_expr()
-        self.expect("op", "|")
-        quals = [self.parse_qual()]
+    def more(self, item: Callable[[], _T]) -> list[_T]:
+        """``(',' item)*``."""
+        items: list[_T] = []
         while self.at("op", ","):
             self.next()
-            quals.append(self.parse_qual())
-        self.expect("op", "]")
+            items.append(item())
+        return items
+
+    # -- entry points -----------------------------------------------------
+    def parse_comprehension(self) -> PComp:
+        comp = self._parse_bracket()
+        if not isinstance(comp, PComp):
+            self.fail("expected a comprehension [e | quals]")
         self.expect("eof")
-        return PComp(head, tuple(quals))
+        return comp
 
     def parse_standalone_expr(self) -> PExpr:
         e = self.parse_expr()
@@ -214,7 +222,10 @@ class _Parser:
             self.next(), self.next()
             return self._parse_order_key()
         mark = self.i
-        pat = self._try_pattern()
+        try:
+            pat: PPat | None = self.parse_pattern()
+        except ComprehensionSyntaxError:
+            pat = None
         if pat is not None and self.at("op", "<-"):
             self.next()
             return PGen(pat, self.parse_expr())
@@ -236,7 +247,6 @@ class _Parser:
             self.expect("kw", "by")
             return self._parse_order_key()
         self.fail("expected 'group by' or 'sortWith by' after 'then'")
-        raise AssertionError  # pragma: no cover
 
     def _parse_order_key(self) -> PSort:
         key = self.parse_expr()
@@ -249,15 +259,6 @@ class _Parser:
         return PSort(key, descending)
 
     # -- patterns -----------------------------------------------------------
-    def _try_pattern(self) -> PPat | None:
-        try:
-            mark = self.i
-            pat = self.parse_pattern()
-        except ComprehensionSyntaxError:
-            self.i = mark
-            return None
-        return pat
-
     def parse_pattern(self) -> PPat:
         if self.at("op", "_"):
             self.next()
@@ -266,16 +267,10 @@ class _Parser:
             return PVarPat(self.next().text)
         if self.at("op", "("):
             self.next()
-            parts = [self.parse_pattern()]
-            while self.at("op", ","):
-                self.next()
-                parts.append(self.parse_pattern())
+            parts = [self.parse_pattern(), *self.more(self.parse_pattern)]
             self.expect("op", ")")
-            if len(parts) == 1:
-                return parts[0]
-            return PTuplePat(tuple(parts))
+            return parts[0] if len(parts) == 1 else PTuplePat(tuple(parts))
         self.fail("expected a pattern")
-        raise AssertionError  # pragma: no cover
 
     # -- expressions ----------------------------------------------------
     def parse_expr(self) -> PExpr:
@@ -326,12 +321,9 @@ class _Parser:
     def parse_listops(self) -> PExpr:
         # ++ and : are right-associative, same precedence (Haskell level 5)
         e = self.parse_additive()
-        if self.at("op", "++"):
-            self.next()
-            return PBin("append", e, self.parse_listops())
-        if self.at("op", ":"):
-            self.next()
-            return PBin("cons", e, self.parse_listops())
+        if self.at("op", "++") or self.at("op", ":"):
+            op = "append" if self.next().text == "++" else "cons"
+            return PBin(op, e, self.parse_listops())
         return e
 
     def parse_additive(self) -> PExpr:
@@ -360,12 +352,8 @@ class _Parser:
         while True:
             if self.at("op", "("):
                 self.next()
-                args: list[PExpr] = []
-                if not self.at("op", ")"):
-                    args.append(self.parse_expr())
-                    while self.at("op", ","):
-                        self.next()
-                        args.append(self.parse_expr())
+                args: list[PExpr] = [] if self.at("op", ")") else [
+                    self.parse_expr(), *self.more(self.parse_expr)]
                 self.expect("op", ")")
                 e = PCall(e, tuple(args))
             elif self.at("op", "."):
@@ -386,28 +374,18 @@ class _Parser:
             return PLit(float(self.next().text))
         if self.at("string"):
             return PLit(self.next().text)
-        if self.at("kw", "True"):
-            self.next()
-            return PLit(True)
-        if self.at("kw", "False"):
-            self.next()
-            return PLit(False)
+        if self.at("kw", "True") or self.at("kw", "False"):
+            return PLit(self.next().text == "True")
         if self.at("name"):
             return PVar(self.next().text)
         if self.at("op", "("):
             self.next()
-            parts = [self.parse_expr()]
-            while self.at("op", ","):
-                self.next()
-                parts.append(self.parse_expr())
+            parts = [self.parse_expr(), *self.more(self.parse_expr)]
             self.expect("op", ")")
-            if len(parts) == 1:
-                return parts[0]
-            return PTuple(tuple(parts))
+            return parts[0] if len(parts) == 1 else PTuple(tuple(parts))
         if self.at("op", "["):
             return self._parse_bracket()
         self.fail("expected an expression")
-        raise AssertionError  # pragma: no cover
 
     def _parse_bracket(self) -> PExpr:
         """Either a list literal ``[a, b]`` or a nested comprehension
@@ -419,16 +397,10 @@ class _Parser:
         first = self.parse_expr()
         if self.at("op", "|"):
             self.next()
-            quals = [self.parse_qual()]
-            while self.at("op", ","):
-                self.next()
-                quals.append(self.parse_qual())
+            quals = [self.parse_qual(), *self.more(self.parse_qual)]
             self.expect("op", "]")
             return PComp(first, tuple(quals))
-        elems = [first]
-        while self.at("op", ","):
-            self.next()
-            elems.append(self.parse_expr())
+        elems = [first, *self.more(self.parse_expr)]
         self.expect("op", "]")
         return PList(tuple(elems))
 

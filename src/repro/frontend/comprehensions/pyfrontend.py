@@ -1,329 +1,203 @@
-"""``pyq`` -- Python-native comprehension syntax via ``ast`` introspection.
+"""``pyq`` -- Python comprehension syntax, lowered onto the ``qc`` AST.
 
-Where :func:`qc` gives the paper's Haskell-flavoured surface syntax,
-``pyq`` accepts a *Python* list comprehension (as source text) and
-desugars it through the standard ``ast`` module::
+``pyq`` accepts a *Python* list comprehension as source text::
 
     pyq('[m for (f, m) in meanings for (fac, f2) in features'
         ' if f == f2 and fac == x]',
         meanings=..., features=..., x=...)
 
-Supported constructs: multiple (dependent) generators with tuple targets,
-``if`` guards, conditional expressions, boolean/arith/comparison operators,
-nested comprehensions, lambdas, calls to environment functions, and a
-mapping of Python builtins onto the query prelude (``len`` -> ``length``,
-``sum``, ``max``/``min``, ``any``/``all``, ``sorted(key=...)``,
-``reversed``, ``enumerate``, ``zip``, ``abs``, ``float``).
-
-Python has no ``group by`` comprehension syntax; grouping is reached via
-``group_with`` / the ``qc`` quoter.
+This module lowers, it does not desugar: it parses the source with
+Python's ``ast`` module and rewrites the tree onto the ``qc`` surface AST
+(:mod:`.parser`), which the one desugarer (:mod:`.desugar`) turns into a
+query.  Python-only syntax becomes existing nodes (a chained comparison a
+conjunction, ``not in`` a negated ``elem``, ``&``/``|`` the connectives,
+``x[i]`` a projection or list index, ``lambda a, b:`` a tuple pattern);
+Python's builtin names mean what :data:`BUILTINS` says.  There is no
+``group by``: use ``group_with`` or ``qc``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Any, Callable, Mapping
+import functools
+from typing import Any, Callable
 
-from ...errors import ComprehensionSyntaxError, QTypeError
-from ...ftypes import ListT
+from ...errors import ComprehensionSyntaxError
+from ...expr import LitE
+from ...ftypes import BoolT
 from .. import combinators as C
-from ..q import Q, cond, max_q, min_q, to_q, tup
+from ..q import Q, max_q, min_q, to_q, tup
+from . import parser as P
+from .desugar import desugar
 
 
 def pyq(source: str, **env: Any) -> Q:
-    """Desugar a Python comprehension string into a query."""
-    try:
-        tree = ast.parse(source.strip(), mode="eval")
-    except SyntaxError as err:
-        raise ComprehensionSyntaxError(f"invalid Python syntax: {err}") from None
-    body = tree.body
+    """Translate a Python comprehension string into a query."""
+    body = _parse(source)
     if not isinstance(body, (ast.ListComp, ast.GeneratorExp)):
         raise ComprehensionSyntaxError(
             "pyq expects a list comprehension or generator expression")
-    return _comp(body, dict(env))
+    return desugar(_lower(body), env, BUILTINS)
 
 
 def pye(source: str, **env: Any) -> Q:
     """Translate a bare Python expression string into a query."""
+    return desugar(_lower(_parse(source)), env, BUILTINS)
+
+
+def _parse(source: str) -> ast.expr:
     try:
-        tree = ast.parse(source.strip(), mode="eval")
-    except SyntaxError as err:
+        return ast.parse(source.strip(), mode="eval").body
+    except (SyntaxError, ValueError) as err:
         raise ComprehensionSyntaxError(f"invalid Python syntax: {err}") from None
-    return to_q(_expr(tree.body, dict(env)))
 
 
 # ----------------------------------------------------------------------
-# comprehension desugaring (same stream/binder scheme as qc)
+# lowering: Python ast -> qc surface AST
 # ----------------------------------------------------------------------
 
-def _comp(node: "ast.ListComp | ast.GeneratorExp", env: dict) -> Q:
-    stream: Q | None = None
-    binders: dict[str, Callable[[Q], Q]] = {}
-    for gen in node.generators:
-        if gen.is_async:
-            raise ComprehensionSyntaxError("async comprehensions are not queries")
-        stream, binders = _add_gen(gen.target, gen.iter, stream, binders, env)
-        for guard in gen.ifs:
-            stream = C.ffilter(
-                lambda t, g=guard: _expr(g, _scope(binders, t, env)), stream)
-    assert stream is not None  # Python grammar guarantees >= 1 generator
-    return C.fmap(lambda t: _expr(node.elt, _scope(binders, t, env)), stream)
+_BIN_OPS: dict[type[ast.AST], str] = {
+    ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div",
+    ast.FloorDiv: "idiv", ast.Mod: "mod", ast.BitAnd: "and", ast.BitOr: "or"}
+_CMP_OPS: dict[type[ast.AST], str] = {
+    ast.Eq: "eq", ast.NotEq: "ne", ast.Lt: "lt", ast.LtE: "le",
+    ast.Gt: "gt", ast.GtE: "ge", ast.In: "elem"}
+_UN_OPS: dict[type[ast.AST], str] = {ast.Not: "not", ast.USub: "neg"}
 
 
-def _add_gen(target: ast.expr, src: ast.expr, stream: Q | None,
-             binders: dict, env: dict):
-    if stream is None:
-        srcq = _as_list(_expr(src, dict(env)))
-        fresh: dict[str, Callable[[Q], Q]] = {}
-        _bind(target, lambda t: t, fresh)
-        return srcq, fresh
-    new = C.concat_map(
-        lambda t: C.fmap(
-            lambda y: tup(t, y),
-            _as_list(_expr(src, _scope(binders, t, env)))),
-        stream)
-    shifted = {n: (lambda t, ex=ex: ex(t[0])) for n, ex in binders.items()}
-    _bind(target, lambda t: t[1], shifted)
-    return new, shifted
-
-
-def _bind(target: ast.expr, extract: Callable[[Q], Q], binders: dict) -> None:
-    if isinstance(target, ast.Name):
-        binders[target.id] = extract
-        return
-    if isinstance(target, ast.Tuple):
-        for i, sub in enumerate(target.elts):
-            _bind(sub, lambda t, ex=extract, i=i: ex(t)[i], binders)
-        return
-    raise ComprehensionSyntaxError(
-        f"unsupported comprehension target {ast.dump(target)}")
-
-
-def _scope(binders: Mapping[str, Callable[[Q], Q]], t: Q, env: dict) -> dict:
-    scope = dict(env)
-    for name, ex in binders.items():
-        scope[name] = ex(t)
-    return scope
-
-
-def _as_list(value: Any) -> Q:
-    q = to_q(value)
-    if not isinstance(q.ty, ListT):
-        raise QTypeError(f"generator source must be a list query, got "
-                         f"{q.ty.show()}")
-    return q
-
-
-# ----------------------------------------------------------------------
-# expression translation
-# ----------------------------------------------------------------------
-
-_CMP_OPS = {
-    ast.Eq: lambda a, b: a == b,
-    ast.NotEq: lambda a, b: a != b,
-    ast.Lt: lambda a, b: a < b,
-    ast.LtE: lambda a, b: a <= b,
-    ast.Gt: lambda a, b: a > b,
-    ast.GtE: lambda a, b: a >= b,
-}
-
-_BIN_OPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
-    ast.FloorDiv: lambda a, b: a // b,
-    ast.Mod: lambda a, b: a % b,
-    ast.BitAnd: lambda a, b: a & b,
-    ast.BitOr: lambda a, b: a | b,
-}
-
-
-def _expr(node: ast.expr, scope: dict) -> Any:
+def _lower(node: ast.expr) -> P.PExpr:
     if isinstance(node, ast.Constant):
-        return to_q(node.value)
+        return P.PLit(node.value)
     if isinstance(node, ast.Name):
-        return _name(node.id, scope)
+        return P.PVar(node.id)
     if isinstance(node, ast.Tuple):
-        return tup(*(_expr(e, scope) for e in node.elts))
+        return P.PTuple(tuple(map(_lower, node.elts)))
     if isinstance(node, ast.List):
-        elems = [to_q(_expr(e, scope)) for e in node.elts]
-        if not elems:
-            raise ComprehensionSyntaxError(
-                "cannot infer the element type of []; pass nil(ty) via the "
-                "environment")
-        from ..q import nil
-        out = nil(elems[0].ty)
-        for elem in reversed(elems):
-            out = C.cons(elem, out)
-        return out
+        return P.PList(tuple(map(_lower, node.elts)))
     if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
-        return _comp(node, scope)
+        return _comprehension(node)
     if isinstance(node, ast.Compare):
-        return _compare(node, scope)
+        operands = [_lower(n) for n in (node.left, *node.comparators)]
+        return _fold("and", [_comparison(op, lhs, rhs) for op, lhs, rhs
+                             in zip(node.ops, operands, operands[1:])])
     if isinstance(node, ast.BoolOp):
-        vals = [to_q(_expr(v, scope)) for v in node.values]
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = (acc & v) if isinstance(node.op, ast.And) else (acc | v)
-        return acc
+        return _fold("and" if isinstance(node.op, ast.And) else "or",
+                     [_lower(n) for n in node.values])
     if isinstance(node, ast.BinOp):
-        handler = _BIN_OPS.get(type(node.op))
-        if handler is None:
-            raise ComprehensionSyntaxError(
-                f"unsupported operator {type(node.op).__name__}")
-        return handler(to_q(_expr(node.left, scope)), _expr(node.right, scope))
+        return P.PBin(_op(_BIN_OPS, node.op, "operator"),
+                      _lower(node.left), _lower(node.right))
     if isinstance(node, ast.UnaryOp):
-        operand = to_q(_expr(node.operand, scope))
-        if isinstance(node.op, ast.Not):
-            return ~operand
-        if isinstance(node.op, ast.USub):
-            return -operand
-        raise ComprehensionSyntaxError(
-            f"unsupported unary operator {type(node.op).__name__}")
+        return P.PUn(_op(_UN_OPS, node.op, "unary operator"),
+                     _lower(node.operand))
     if isinstance(node, ast.IfExp):
-        return cond(_expr(node.test, scope), _expr(node.body, scope),
-                    _expr(node.orelse, scope))
+        return P.PIf(_lower(node.test), _lower(node.body),
+                     _lower(node.orelse))
     if isinstance(node, ast.Subscript):
-        operand = to_q(_expr(node.value, scope))
         idx = node.slice
         if isinstance(idx, ast.Constant) and isinstance(idx.value, int):
-            return operand[idx.value]
-        return operand[to_q(_expr(idx, scope))]
+            return P.PProj(_lower(node.value), idx.value)
+        return P.PBin("index", _lower(node.value), _lower(idx))
     if isinstance(node, ast.Attribute):
-        return getattr(to_q(_expr(node.value, scope)), node.attr)
+        return P.PProj(_lower(node.value), node.attr)
     if isinstance(node, ast.Call):
-        return _call(node, scope)
+        return _call(node)
     if isinstance(node, ast.Lambda):
-        return _lambda(node, scope)
+        return _lambda(node)
     if isinstance(node, ast.Starred):
         raise ComprehensionSyntaxError("starred expressions are not queries")
     raise ComprehensionSyntaxError(
         f"unsupported Python construct {type(node).__name__}")
 
 
-def _compare(node: ast.Compare, scope: dict) -> Q:
-    left = to_q(_expr(node.left, scope))
-    result: Q | None = None
-    for op, comparator in zip(node.ops, node.comparators):
-        right = to_q(_expr(comparator, scope))
-        if isinstance(op, ast.In):
-            clause = C.elem(left, right)
-        elif isinstance(op, ast.NotIn):
-            clause = C.not_elem(left, right)
-        else:
-            handler = _CMP_OPS.get(type(op))
-            if handler is None:
-                raise ComprehensionSyntaxError(
-                    f"unsupported comparison {type(op).__name__}")
-            clause = handler(left, right)
-        result = clause if result is None else (result & clause)
-        left = right
-    assert result is not None
-    return result
+def _op(table: dict[type[ast.AST], str], op: ast.AST, what: str) -> str:
+    if type(op) not in table:
+        raise ComprehensionSyntaxError(
+            f"unsupported {what} {type(op).__name__}")
+    return table[type(op)]
 
 
-def _lambda(node: ast.Lambda, scope: dict) -> Callable[..., Any]:
-    params = [a.arg for a in node.args.args]
-    if (node.args.vararg or node.args.kwarg or node.args.kwonlyargs
-            or node.args.defaults):
+def _comprehension(node: ast.ListComp | ast.GeneratorExp) -> P.PComp:
+    quals: list[P.PQual] = []
+    for gen in node.generators:
+        if gen.is_async:
+            raise ComprehensionSyntaxError("async comprehensions are not queries")
+        quals.append(P.PGen(_target(gen.target), _lower(gen.iter)))
+        quals.extend(P.PGuard(_lower(guard)) for guard in gen.ifs)
+    return P.PComp(_lower(node.elt), tuple(quals))
+
+
+def _target(node: ast.expr) -> P.PPat:
+    if isinstance(node, ast.Name):
+        return P.PVarPat(node.id)
+    if isinstance(node, ast.Tuple):
+        return P.PTuplePat(tuple(_target(t) for t in node.elts))
+    raise ComprehensionSyntaxError(
+        f"unsupported comprehension target {ast.dump(node)}")
+
+
+def _comparison(op: ast.cmpop, lhs: P.PExpr, rhs: P.PExpr) -> P.PExpr:
+    if isinstance(op, ast.NotIn):
+        return P.PUn("not", P.PBin("elem", lhs, rhs))
+    return P.PBin(_op(_CMP_OPS, op, "comparison"), lhs, rhs)
+
+
+def _fold(op: str, operands: list[P.PExpr]) -> P.PExpr:
+    return functools.reduce(lambda a, b: P.PBin(op, a, b), operands)
+
+
+def _lambda(node: ast.Lambda) -> P.PLam:
+    args = node.args
+    if (args.posonlyargs or args.vararg or args.kwarg or args.kwonlyargs
+            or args.defaults):
         raise ComprehensionSyntaxError(
             "query lambdas take plain positional parameters only")
-
-    def fn(*args: Any) -> Any:
-        if len(args) != len(params):
-            raise QTypeError(f"lambda expects {len(params)} arguments, "
-                             f"got {len(args)}")
-        inner = dict(scope)
-        inner.update(zip(params, args))
-        return _expr(node.body, inner)
-
-    return fn
+    params = tuple(P.PVarPat(a.arg) for a in args.args)
+    return P.PLam(params[0] if len(params) == 1 else P.PTuplePat(params),
+                  _lower(node.body))
 
 
-def _call(node: ast.Call, scope: dict) -> Any:
+def _call(node: ast.Call) -> P.PCall:
     if node.keywords and not (isinstance(node.func, ast.Name)
                               and node.func.id == "sorted"):
         raise ComprehensionSyntaxError("keyword arguments are only supported "
                                        "on sorted(xs, key=...)")
-    args = [_expr(a, scope) for a in node.args]
-    if isinstance(node.func, ast.Name):
-        name = node.func.id
-        if name in scope and callable(scope[name]):
-            return scope[name](*args)
-        builtin = _PY_BUILTINS.get(name)
-        if builtin is not None:
-            return builtin(node, args, scope)
-        raise ComprehensionSyntaxError(f"unknown function {name!r}")
-    fn = _expr(node.func, scope)
-    if not callable(fn):
-        raise ComprehensionSyntaxError("expression is not callable")
-    return fn(*args)
-
-
-def _py_sorted(node: ast.Call, args: list, scope: dict) -> Q:
-    key: Callable[..., Any] = lambda x: x
-    reverse = False
+    kwargs: list[tuple[str, P.PExpr]] = []
     for kw in node.keywords:
-        if kw.arg == "key":
-            key = _expr(kw.value, scope)
-        elif kw.arg == "reverse":
-            if not (isinstance(kw.value, ast.Constant)
-                    and isinstance(kw.value.value, bool)):
-                raise ComprehensionSyntaxError(
-                    "sorted(..., reverse=) must be a literal bool")
-            reverse = kw.value.value
-        else:
+        if kw.arg is None or kw.arg not in ("key", "reverse"):
             raise ComprehensionSyntaxError(f"sorted: unknown keyword {kw.arg!r}")
-    which = C.sort_with_desc if reverse else C.sort_with
-    return which(key, args[0])
+        if kw.arg == "reverse" and not (isinstance(kw.value, ast.Constant)
+                                        and isinstance(kw.value.value, bool)):
+            raise ComprehensionSyntaxError(
+                "sorted(..., reverse=) must be a literal bool")
+        kwargs.append((kw.arg, _lower(kw.value)))
+    return P.PCall(_lower(node.func), tuple(map(_lower, node.args)),
+                   tuple(kwargs))
 
 
-def _py_max(node: ast.Call, args: list, scope: dict) -> Q:
-    if len(args) == 1:
-        return C.maximum_q(args[0])
-    if len(args) == 2:
-        return max_q(args[0], args[1])
-    raise ComprehensionSyntaxError("max takes a list or two scalars")
+# ----------------------------------------------------------------------
+# Python's builtin names
+# ----------------------------------------------------------------------
+
+def _sorted(xs: Any, *, key: Callable[..., Any] = lambda x: x,
+            reverse: Q | None = None) -> Q:
+    # the lowering lets only a literal bool through as ``reverse``
+    desc = reverse is not None and reverse.exp == LitE(True, BoolT)
+    return (C.sort_with_desc if desc else C.sort_with)(key, xs)
 
 
-def _py_min(node: ast.Call, args: list, scope: dict) -> Q:
-    if len(args) == 1:
-        return C.minimum_q(args[0])
-    if len(args) == 2:
-        return min_q(args[0], args[1])
-    raise ComprehensionSyntaxError("min takes a list or two scalars")
-
-
-def _py_enumerate(node: ast.Call, args: list, scope: dict) -> Q:
-    # Python yields (index, element) starting at 0; number is 1-based (x, i).
-    return C.fmap(lambda p: tup(p[1] - 1, p[0]), C.number(args[0]))
-
-
-_PY_BUILTINS: dict[str, Callable[[ast.Call, list, dict], Any]] = {
-    "len": lambda n, a, s: C.length(a[0]),
-    "sum": lambda n, a, s: C.fsum(a[0]),
-    "abs": lambda n, a, s: abs(to_q(a[0])),
-    "float": lambda n, a, s: to_q(a[0]).to_double(),
-    "any": lambda n, a, s: C.or_q(a[0]),
-    "all": lambda n, a, s: C.and_q(a[0]),
-    "reversed": lambda n, a, s: C.reverse(a[0]),
-    "list": lambda n, a, s: to_q(a[0]),
-    "zip": lambda n, a, s: C.zip_q(a[0], a[1]) if len(a) == 2
-                           else C.zip3_q(a[0], a[1], a[2]),
-    "sorted": _py_sorted,
-    "max": _py_max,
-    "min": _py_min,
-    "enumerate": _py_enumerate,
+#: What Python's builtin names mean inside ``pyq``/``pye``.
+BUILTINS: dict[str, Callable[..., Any]] = {
+    "len": C.length, "sum": C.fsum,
+    "abs": lambda x: abs(to_q(x)),
+    "float": lambda x: to_q(x).to_double(),
+    "any": C.or_q, "all": C.and_q,
+    "reversed": C.reverse, "list": lambda xs: to_q(xs),
+    "zip": lambda xs, ys, zs=None: (C.zip_q(xs, ys) if zs is None
+                                    else C.zip3_q(xs, ys, zs)),
+    "max": lambda xs, y=None: C.maximum_q(xs) if y is None else max_q(xs, y),
+    "min": lambda xs, y=None: C.minimum_q(xs) if y is None else min_q(xs, y),
+    "sorted": _sorted,
+    # Python counts from 0; number pairs each element with its 1-based pos
+    "enumerate": lambda xs: C.fmap(lambda p: tup(p[1] - 1, p[0]),
+                                   C.number(xs)),
 }
-
-
-def _name(name: str, scope: dict) -> Any:
-    if name in scope:
-        val = scope[name]
-        return val if callable(val) else to_q(val)
-    if name in ("True", "False"):  # pragma: no cover - Constants in py3
-        return to_q(name == "True")
-    raise ComprehensionSyntaxError(
-        f"unbound name {name!r}; bind it in the comprehension or pass it "
-        f"as a keyword argument to pyq()")

@@ -370,6 +370,8 @@ def nil(elem_ty: Type) -> Q:
 def tup(*parts: Any) -> Q:
     """Build a tuple query from component queries or Python values."""
     qs = [to_q(p) for p in parts]
+    if not qs:
+        raise QTypeError("empty tuples are not representable")
     if len(qs) == 1:
         return qs[0]
     return Q(TupleE(tuple(q.exp for q in qs)))
@@ -410,6 +412,9 @@ def lam(f: Callable[..., Any], arg_ty: Type, rec: type | None = None) -> LamE:
     components are unpacked positionally (the view-pattern convenience of
     Section 3.1).
     """
+    if not callable(f):
+        what = f.ty.show() if isinstance(f, Q) else type(f).__name__
+        raise QTypeError(f"expected a function, got {what}")
     name = fresh_var()
     var = Q(VarE(name, arg_ty), rec=rec)
     args: tuple[Any, ...]

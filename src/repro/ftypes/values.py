@@ -125,10 +125,18 @@ def _merge(a: Type, b: Type, context: Any) -> Type:
                      f"{a.show()} with {b.show()}")
 
 
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
 def check_value(value: Any, ty: Type) -> None:
     """Validate that ``value`` inhabits ``ty``; raise :class:`QTypeError`
     otherwise.  ``int`` values are additionally accepted at ``DoubleT``
-    (they are widened by :func:`normalize_value`)."""
+    (they are widened by :func:`normalize_value`).
+
+    This is the one value rule for table rows and query literals alike:
+    an ``Int`` is what a SQL host stores, a signed 64-bit integer, so what
+    it cannot hold no backend may accept; and a NaN compares to nothing,
+    while list order and ``nub`` need a total order on values."""
     if isinstance(ty, AtomT):
         ok = {
             BoolT: lambda v: isinstance(v, bool),
@@ -143,6 +151,11 @@ def check_value(value: Any, ty: Type) -> None:
         }[ty]
         if not ok(value):
             raise QTypeError(f"value {value!r} does not inhabit {ty.show()}")
+        if ty == IntT and not _INT64_MIN <= value <= _INT64_MAX:
+            raise QTypeError(f"{value} is outside the signed 64-bit range "
+                             f"of Int")
+        if value != value:
+            raise QTypeError("NaN has no place in the total order of Double")
         return
     if isinstance(ty, TupleT):
         if not isinstance(value, tuple) or len(value) != len(ty.elts):

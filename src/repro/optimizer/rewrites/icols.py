@@ -172,7 +172,10 @@ def _narrow(node: Node, children: tuple[Node, ...], n: set[str],
         pos = node.pos if node.pos and node.pos[0] in n else None
         keep = [c for c in node.columns if c[0] in n]
         if not keep and pos is None:  # keep cardinality
-            keep = [node.columns[0]]
+            if node.columns:
+                keep = [node.columns[0]]
+            else:  # an earlier sweep left only the position
+                pos = node.pos
         if len(keep) == len(node.columns) and pos == node.pos:
             return node
         return intern(TableScan(node.table, tuple(keep), pos))

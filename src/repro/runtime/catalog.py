@@ -16,12 +16,10 @@ from __future__ import annotations
 from typing import Any, Iterable, Sequence
 
 from ..algebra.ops import position_column
-from ..errors import SchemaError
+from ..errors import QTypeError, SchemaError
 from ..expr import TableE
-from ..ftypes import AtomT, DoubleT, IntT, check_value, normalize_value
+from ..ftypes import AtomT, check_value, normalize_value
 from ..frontend.tables import SchemaLike, normalize_schema
-
-_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 class Catalog:
@@ -72,22 +70,10 @@ class Catalog:
             for value, (col_name, ty) in zip(reordered, cols):
                 try:
                     check_value(value, ty)
-                except Exception as err:
-                    raise SchemaError(
-                        f"table {name!r}, column {col_name!r}: {err}") from None
-                if ty == IntT and not _INT64_MIN <= value <= _INT64_MAX:
-                    # A SQL host stores Int as a signed 64-bit integer;
-                    # what it cannot hold no backend may accept.
+                except QTypeError as err:
                     raise SchemaError(
                         f"table {name!r}, column {col_name!r}, row {row!r}: "
-                        f"{value} is outside the signed 64-bit range of Int")
-                if ty == DoubleT and value != value:
-                    # NaN compares to nothing: the canonical row order,
-                    # the one source of a table's list order, needs a
-                    # total one.
-                    raise SchemaError(
-                        f"table {name!r}, column {col_name!r}, row {row!r}: "
-                        f"NaN has no place in the canonical row order")
+                        f"{err}") from None
             checked.append(tuple(
                 normalize_value(v, ty)
                 for v, (_, ty) in zip(reordered, cols)))

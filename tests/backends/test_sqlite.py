@@ -190,9 +190,11 @@ class TestCleanup:
         with pytest.raises(PartialFunctionError):
             bad.execute()
         db.backend._conn.set_trace_callback(None)
-        # Q1 ran and Q2's FERRY_IDIV failed with the temp table in place
-        assert sum(s.startswith("CREATE TEMP TABLE") for s in sent) == 1
-        assert sum(s.startswith("WITH") for s in sent) == 2
+        # Q1 ran, then Q2's FERRY_IDIV step failed in its INSERT, with the
+        # shared step's temp table and its own in place
+        assert sum(s.startswith("CREATE TEMP TABLE") for s in sent) == 2
+        assert sum(s.startswith("WITH") for s in sent) == 1
+        assert sent[-2].startswith("INSERT") and "FERRY_IDIV" in sent[-2]
         assert_idle(db.backend)
 
         assert db.run(good) == [[0, 1, 2], [1, 2, 3], [2, 3, 4]]

@@ -5,8 +5,6 @@ import pytest
 
 from repro import Connection, ffilter, fmap, qc, table, to_q
 from repro.expr import AppE, conjuncts, normalize
-from repro.frontend.comprehensions import parser as P
-from repro.frontend.comprehensions.desugar import desugar_comprehension
 from repro.semantics import Interpreter
 
 from ..conftest import check_normal_form
@@ -50,7 +48,7 @@ class TestGuardScheduling:
 
     def normal(self, src, **env):
         env = {"xs": self.XS, "ys": self.YS, "t": self.T, **env}
-        written = desugar_comprehension(P.parse_comprehension(src), env).exp
+        written = qc(src, **env).exp
         return written, normalize(written)
 
     def test_conjunct_split(self):

@@ -18,6 +18,8 @@ from repro import (
     last,
     maximum_q,
     nil,
+    nub,
+    qc,
     queryable,
     table,
     the,
@@ -113,6 +115,17 @@ class TestSchemaFailures:
                 Sample, [Sample("a", 1.0), Sample("b", float("nan"))])
         assert not db.catalog.has_table("sample")
 
+    @pytest.mark.parametrize("literal", [
+        lambda: to_q([2 ** 63, 1]),
+        lambda: nub(to_q([float("nan"), 1.0, float("nan")])),
+    ], ids=["int-outside-64-bit", "nan"])
+    def test_query_literals_follow_the_table_rule(self, db, literal):
+        # ``to_q`` checks a literal by the rule ``create_table`` uses, so
+        # sqlite cannot widen the Int to a Double nor write the NaN into
+        # its SQL text while the engine and MIL return something else.
+        with pytest.raises(QTypeError, match="64-bit|NaN"):
+            db.run(literal())
+
 
 class TestPartialOperations:
     def test_head_of_empty(self, db):
@@ -140,6 +153,14 @@ class TestPartialOperations:
     def test_division_by_zero(self, db):
         with pytest.raises(PartialFunctionError):
             db.run(fmap(lambda n: n // (n - n), db.table("t")))
+
+    @pytest.mark.parametrize("op", ["//", "%"])
+    def test_a_division_no_row_reaches_does_not_raise(self, db, op):
+        # Inside one statement sqlite may test the guard's comparison on
+        # rows of the outer scan before the join that drops them.
+        q = qc(f"[n | n <- t, (if n > 0 then 0 else 1 {op} 0) == 0]",
+               t=db.table("t"))
+        assert db.run(q) == [1, 2]
 
 
 class TestConstructionFailures:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Connection, ffilter, fmap, fsum, group_with, tup
+from repro import Connection, ffilter, fmap, fsum, group_with, length, table, tup
 from repro.algebra import (
     Attach,
     BinApp,
@@ -148,6 +148,16 @@ class TestIcols:
         out = prune(plan)
         check_plan(out)
         assert len(schema_of(out)) >= 1
+
+    @pytest.mark.parametrize("backend", ["engine", "sqlite", "mil"])
+    def test_a_scan_left_with_its_position_keeps_it(self, backend):
+        # one sweep narrows the inner scan to its pos, the next demands
+        # nothing of it: the pos stays, so the length stays right
+        catalog = Catalog()
+        catalog.create_table("t", [("a", int)], [(1,), (2,)])
+        t = table("t", [("a", int)])
+        q = fmap(lambda r: length(fmap(lambda x: 0, t)), t)
+        assert Connection(backend=backend, catalog=catalog).run(q) == [2, 2]
 
 
 class TestProjMerge:
