@@ -23,17 +23,12 @@ from .errors import (
 from .frontend import *  # noqa: F401,F403 - curated __all__
 from .frontend import __all__ as _frontend_all
 from .obs import (
-    METRICS,
     AnalyzeReport,
     CollectingSink,
     ExplainReport,
     JsonLinesSink,
-    MetricsRegistry,
-    MetricsServer,
     QueryLog,
     Trace,
-    dump_metrics,
-    serve_metrics,
 )
 from .runtime import (
     Catalog,
@@ -53,15 +48,10 @@ __all__ = list(_frontend_all) + [
     "Connection",
     "ExplainReport",
     "JsonLinesSink",
-    "METRICS",
-    "MetricsRegistry",
-    "MetricsServer",
     "PlanCache",
     "PreparedQuery",
     "QueryLog",
     "Trace",
-    "dump_metrics",
-    "serve_metrics",
     "CompilationError",
     "ComprehensionSyntaxError",
     "ExecutionError",

@@ -31,6 +31,7 @@ re-raise it faithfully -- division by zero must surface as
 from __future__ import annotations
 
 import datetime
+import math
 import sqlite3
 import threading
 from typing import Any, Callable, Iterable, Protocol
@@ -164,7 +165,11 @@ class Dialect:
         if ty == IntT:
             return str(int(value))
         if ty == DoubleT:
-            return repr(float(value))
+            value = float(value)
+            if math.isinf(value):
+                # No SQL literal spells infinity; an overflowing one does.
+                return "9e999" if value > 0 else "-9e999"
+            return repr(value)
         if ty == StringT:
             return "'" + str(value).replace("'", "''") + "'"
         if ty in (DateT, TimeT):

@@ -45,9 +45,7 @@ def infer_type(value: Any, hint: Type | None = None) -> Type:
     if isinstance(value, float):
         return DoubleT
     if isinstance(value, str):
-        if "\x00" in value:
-            raise QTypeError("NUL characters are not representable in "
-                             "database text values")
+        _check_text(value)
         return StringT
     # datetime.datetime is a subclass of datetime.date; reject it explicitly
     # so date columns stay pure calendar dates.
@@ -128,6 +126,20 @@ def _merge(a: Type, b: Type, context: Any) -> Type:
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
+def _check_text(value: str) -> None:
+    """Refuse what a database text column cannot hold: a NUL, or a lone
+    surrogate (not UTF-8)."""
+    try:
+        value.encode("utf-8")
+        utf8 = True
+    except UnicodeEncodeError:
+        utf8 = False
+    if utf8 and "\x00" not in value:
+        return
+    raise QTypeError(f"value {value!r} is not database text "
+                     f"(a NUL or a lone surrogate)")
+
+
 def check_value(value: Any, ty: Type) -> None:
     """Validate that ``value`` inhabits ``ty``; raise :class:`QTypeError`
     otherwise.  ``int`` values are additionally accepted at ``DoubleT``
@@ -135,8 +147,10 @@ def check_value(value: Any, ty: Type) -> None:
 
     This is the one value rule for table rows and query literals alike:
     an ``Int`` is what a SQL host stores, a signed 64-bit integer, so what
-    it cannot hold no backend may accept; and a NaN compares to nothing,
-    while list order and ``nub`` need a total order on values."""
+    it cannot hold no backend may accept; a NaN compares to nothing,
+    while list order and ``nub`` need a total order on values; and a
+    ``String`` is database text -- no NUL, and nothing UTF-8 cannot
+    encode (a lone surrogate)."""
     if isinstance(ty, AtomT):
         ok = {
             BoolT: lambda v: isinstance(v, bool),
@@ -144,13 +158,15 @@ def check_value(value: Any, ty: Type) -> None:
             DoubleT: lambda v: (isinstance(v, float)
                                 or (isinstance(v, int)
                                     and not isinstance(v, bool))),
-            StringT: lambda v: isinstance(v, str) and "\x00" not in v,
+            StringT: lambda v: isinstance(v, str),
             DateT: lambda v: (isinstance(v, datetime.date)
                               and not isinstance(v, datetime.datetime)),
             TimeT: lambda v: isinstance(v, datetime.time),
         }[ty]
         if not ok(value):
             raise QTypeError(f"value {value!r} does not inhabit {ty.show()}")
+        if ty == StringT:
+            _check_text(value)
         if ty == IntT and not _INT64_MIN <= value <= _INT64_MAX:
             raise QTypeError(f"{value} is outside the signed 64-bit range "
                              f"of Int")

@@ -4,10 +4,9 @@
 ``run`` / ``PreparedQuery.execute`` / ``explain(analyze=True)`` (and one
 of kind ``"prepare"`` per compile-only call) in a single finish step and
 publishes it.  Everything else in :mod:`repro.obs` is a view of it: the
-flight recorder stores the record itself, :class:`StatementStats` folds
-it into its fingerprint's aggregate, and :func:`publish_metrics` is the
-only writer of the ``connection.*`` / ``phase.*`` / ``backend.<name>.*``
-instruments -- so the views agree by construction.
+flight recorder stores the record itself and :class:`StatementStats`
+folds it into its fingerprint's aggregate -- so the views agree by
+construction.
 
 The unit of the record is the bundle query, whose count loop-lifting
 fixes from the result type alone: a record is small and bounded whatever
@@ -19,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from .analyze import AnalyzeReport, QueryProfile
-from .metrics import METRICS
+from .analyze import QueryProfile
 from .trace import Trace
 
 #: Phases that belong to executing, not compiling.
@@ -63,15 +61,11 @@ class ExecutionRecord:
     #: The error's stable diagnostic code (``F101``, ``F302``, ...) when
     #: the exception carried one.
     error_code: "str | None" = None
-    #: Did the call reach the connection's slow-query threshold?
-    slow: bool = False
-    #: Id correlating this record with its span tree, JSONL sink lines
-    #: and metric exemplars (``None`` untraced).
+    #: Id correlating this record with its span tree and JSONL sink
+    #: lines (``None`` untraced).
     trace_id: "str | None" = None
-    #: The span tree, when tracing + sampling retained one.
+    #: The span tree, when the connection traces.
     trace: "Trace | None" = field(default=None, repr=False)
-    #: Annotated per-query profile, promoted for slow executions.
-    analyze: "AnalyzeReport | None" = field(default=None, repr=False)
 
     @property
     def executed(self) -> bool:
@@ -95,7 +89,7 @@ class ExecutionRecord:
                     if q.peak_rows is not None), default=None)
 
     def summary(self) -> dict[str, Any]:
-        """JSON-able digest (traces/profiles reduced to flags)."""
+        """JSON-able digest (the span tree reduced to a flag)."""
         return {
             "fingerprint": self.fingerprint,
             "backend": self.backend,
@@ -105,49 +99,9 @@ class ExecutionRecord:
             "cache_hit": self.cache_hit,
             "bundle_size": self.bundle_size,
             "rows": self.rows,
-            "slow": self.slow,
             "error": self.error,
             "code": self.error_code,
             "trace_id": self.trace_id,
             "traced": self.trace is not None,
-            "analyzed": self.analyze is not None,
         }
 
-
-def publish_metrics(rec: ExecutionRecord) -> None:
-    """Write ``rec`` into the process-wide :data:`METRICS` registry: the
-    one place the ``connection.*``, ``phase.*`` and ``backend.<name>.*``
-    instruments are updated.  Traced records attach exemplars, so a
-    latency bucket's worst case links back to the flight-recorder
-    entry that produced it."""
-    if "check" in rec.phases:
-        METRICS.counter("connection.compiles").inc()
-    exemplar = ({"trace_id": rec.trace_id}
-                if rec.trace_id is not None else None)
-    for name, seconds in rec.phases.items():
-        METRICS.histogram(f"phase.{name}").observe(
-            seconds, exemplar=exemplar if name == "execute" else None)
-    if not rec.executed:
-        return
-    if rec.error is None:
-        METRICS.counter("connection.executions").inc()
-    else:
-        METRICS.counter("connection.errors").inc()
-    if rec.slow:
-        METRICS.counter("connection.slow_queries").inc()
-    if rec.rows is None:
-        return
-    # The bundle ran: cached or not, every execution issues its queries
-    # -- the Section 3.2 avalanche metric counts executions, not
-    # compilations.
-    METRICS.counter("connection.queries").inc(rec.queries_issued)
-    METRICS.counter("connection.rows_stitched").inc(rec.rows)
-    prefix = f"backend.{rec.backend}"
-    METRICS.counter(f"{prefix}.queries").inc(rec.queries_issued)
-    METRICS.counter(f"{prefix}.rows").inc(rec.rows)
-    seconds_hist = METRICS.histogram(f"{prefix}.query_seconds")
-    for profile in rec.queries:
-        seconds_hist.observe(
-            profile.time,
-            exemplar=(None if exemplar is None
-                      else {**exemplar, "query": str(profile.index)}))

@@ -11,17 +11,18 @@ erroring, or regressing?" without retaining per-run records:
   monotone counts per fingerprint;
 * **compile vs. execute time** -- per-phase second totals, so a
   cache-miss storm and a data regression look different;
-* **latency** -- a log-bucket :class:`~repro.obs.metrics.Histogram` per
-  backend plus a bounded reservoir of recent durations for p50/p95/p99;
+* **latency** -- min / max / mean plus a bounded reservoir of recent
+  durations for p50/p95/p99;
 * **error codes** -- counts per stable ``F`` diagnostic code;
-* **worst-case exemplar** -- the ``trace_id`` of the slowest call, one
-  hop from the flight recorder's span tree and AnalyzeReport.
+* **worst call** -- the ``trace_id`` of the slowest call, one hop
+  (``QueryLog.find_trace``) from the flight recorder's span tree.
 
 Memory is strictly bounded: at most ``capacity`` fingerprints are
 tracked (LRU on last call), and evicted entries *fold into an overflow
 bucket* instead of vanishing -- the totals across ``statements`` plus
-``evicted`` reconcile exactly with the process-wide METRICS counters no
-matter how hostile the workload's fingerprint cardinality is.
+``evicted`` reconcile exactly with the connection's own counters
+(``executions``, ``queries_issued``) no matter how hostile the
+workload's fingerprint cardinality is.
 
 All mutation happens under one lock; reads return plain-dict snapshots.
 """
@@ -32,7 +33,6 @@ import threading
 from collections import OrderedDict, deque
 from typing import Any
 
-from .metrics import Histogram
 from .record import ExecutionRecord
 
 #: Fingerprint bucket for executions that failed before fingerprinting.
@@ -56,7 +56,7 @@ class StatementEntry:
     __slots__ = (
         "fingerprint", "calls", "errors", "cache_hits", "rows", "queries",
         "compile_time", "execute_time", "total_time", "min_time",
-        "max_time", "error_codes", "by_backend", "durations",
+        "max_time", "error_codes", "durations",
         "first_seen", "last_seen", "worst_trace_id", "folded",
     )
 
@@ -74,13 +74,11 @@ class StatementEntry:
         self.max_time = 0.0
         #: Errors per stable diagnostic code (``F101``, ``F302``, ...).
         self.error_codes: dict[str, int] = {}
-        #: End-to-end latency histogram per backend name.
-        self.by_backend: dict[str, Histogram] = {}
         #: Recent durations (bounded) backing the p50/p95/p99 estimates.
         self.durations: deque[float] = deque(maxlen=reservoir)
         self.first_seen = 0.0
         self.last_seen = 0.0
-        #: ``trace_id`` of the slowest call seen (exemplar linkage).
+        #: ``trace_id`` of the slowest call seen.
         self.worst_trace_id: "str | None" = None
         #: Distinct fingerprints folded into this entry (overflow bucket).
         self.folded = 0
@@ -115,11 +113,6 @@ class StatementEntry:
         if not self.first_seen:
             self.first_seen = rec.started_at
         self.last_seen = rec.started_at
-        hist = self.by_backend.get(rec.backend)
-        if hist is None:
-            hist = self.by_backend[rec.backend] = Histogram(rec.backend)
-        exemplar = {"trace_id": rec.trace_id} if rec.trace_id else None
-        hist.observe(duration, exemplar=exemplar)
 
     def fold(self, other: "StatementEntry") -> None:
         """Absorb an evicted entry's *exact* totals (identity is lost,
@@ -170,8 +163,6 @@ class StatementEntry:
             "p95": _quantile(sample, 0.95),
             "p99": _quantile(sample, 0.99),
             "error_codes": dict(self.error_codes),
-            "by_backend": {name: hist.snapshot()
-                           for name, hist in self.by_backend.items()},
             "first_seen": self.first_seen,
             "last_seen": self.last_seen,
             "worst_trace_id": self.worst_trace_id,

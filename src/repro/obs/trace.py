@@ -101,7 +101,7 @@ class Trace:
         self.started_at = started_at
         #: Process-unique id correlating this execution end-to-end: the
         #: same id appears on the flight recorder entry, JSONL sink
-        #: records, and metric exemplars.
+        #: records, and a statement's ``worst_trace_id``.
         self.trace_id = trace_id
 
     @property
@@ -178,7 +178,7 @@ class Tracer:
     """Builds one :class:`Trace`: a stack of open spans.
 
     Every tracer owns a stable :attr:`trace_id` from birth, so code that
-    runs *during* the execution (backends, metric exemplars) can
+    runs *during* the execution (backends, the execution record) can
     reference the id the finished trace will carry."""
 
     __slots__ = ("root", "trace_id", "_stack", "_started_at")
@@ -294,9 +294,9 @@ class JsonLinesSink(Sink):
     """Writes one JSON object per span, one per line (JSONL).
 
     ``target`` is a file path or any text file-like object.  Records
-    carry the trace's process-unique ``trace`` id (the same
-    ``trace_id`` exemplars and the flight recorder reference) and its
-    epoch start timestamp, so lines from interleaved connections remain
+    carry the trace's process-unique ``trace`` id (the same ``trace_id``
+    the statement stats and the flight recorder reference) and its epoch
+    start timestamp, so lines from interleaved connections remain
     groupable and joinable against the other observability surfaces.
 
     Appends are thread-safe: each trace is serialized outside the lock

@@ -22,10 +22,9 @@ execution path that records a span tree (``check`` → ``cache-lookup`` →
 span per bundle query → ``stitch``; :attr:`Connection.last_trace`, sinks
 via :meth:`Connection.add_sink`) and finishes by building one frozen
 :class:`~repro.obs.ExecutionRecord`.  Everything else is a view of that
-record: the flight recorder (:attr:`Connection.query_log`) stores it,
-the per-fingerprint statement statistics fold it in, and the
-process-wide :data:`repro.obs.METRICS` counters and per-phase
-histograms are written from it.
+record: the flight recorder (:attr:`Connection.query_log`) stores it
+and the per-fingerprint statement statistics
+(:meth:`Connection.statement_stats`) fold it in.
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ from ..obs import (
     build_analyze,
     build_report,
     phase,
-    publish_metrics,
-    resolve_sampling,
 )
 from ..optimizer import PassStats
 from .catalog import Catalog
@@ -95,42 +92,31 @@ class CompiledQuery:
 class Connection:
     """A database session: catalog + backend (default: in-memory engine).
 
-    ``cache_size`` bounds the connection's :class:`PlanCache`; pass a
-    shared ``plan_cache`` instead to let many connections reuse each
-    other's compiled plans (entries are keyed on the compilation flags
-    and the catalog's schema generation, so sharing is always safe).
+    Each connection owns a :class:`PlanCache` of 128 plans; pass
+    ``plan_cache`` to choose its size (``PlanCache(n)``) or to let many
+    connections reuse each other's compiled plans (entries are keyed on
+    the compilation flags and the catalog's schema generation, so
+    sharing is always safe).
 
-    ``trace=False`` disables span recording entirely (the tracer becomes
-    a shared no-op object, and reading :attr:`last_trace` raises
-    :class:`~repro.errors.ObservabilityError`); with tracing on but no
-    sink installed the cost is a handful of slotted span objects per
-    execution.  ``sampling`` keeps tracing cheap under load: ``"always"``
-    (default), a ratio in ``[0, 1]`` (head sampling -- untraced runs pay
-    the ``NULL_TRACER`` floor), or ``"slow-only"`` (tail sampling --
-    traces are recorded but only retained when the run exceeds
-    ``slow_query_threshold``).
-
-    ``slow_query_threshold`` (seconds): executions at least that long
-    land in :attr:`Connection.query_log` (the 32 most recent + 32
-    slowest executions) flagged ``slow``, with an annotated
-    :class:`~repro.obs.AnalyzeReport` built from the per-query rows and
-    times every record carries.
+    Every execution lands in :attr:`query_log` (the 32 most recent + 32
+    slowest executions).  ``trace=False`` disables span recording
+    entirely (the tracer becomes a shared no-op object, and reading
+    :attr:`last_trace` raises :class:`~repro.errors.ObservabilityError`);
+    with tracing on but no sink installed the cost is a handful of
+    slotted span objects per execution.
 
     ``statement_stats`` (default on) aggregates every execution into a
     per-fingerprint :class:`~repro.obs.StatementStats` -- calls, errors,
-    cache hits, rows, per-phase compile/execute time, per-backend
-    latency histograms, and the worst call's trace id -- read
-    back via :meth:`statement_stats` (bounded at 512 tracked
-    fingerprints; evictions fold into an overflow bucket so totals stay
-    exact).
+    cache hits, rows, per-phase compile/execute time, latency quantiles,
+    and the worst call's trace id -- read back via
+    :meth:`statement_stats` (bounded at 512 tracked fingerprints;
+    evictions fold into an overflow bucket so totals stay exact).
     """
 
     def __init__(self, backend: "str | Any | None" = None,
                  catalog: Catalog | None = None, optimize: bool = True,
-                 decorrelate: bool = True, cache_size: int = 128,
+                 decorrelate: bool = True,
                  plan_cache: PlanCache | None = None, trace: bool = True,
-                 sampling: "str | float | Any" = "always",
-                 slow_query_threshold: "float | None" = None,
                  statement_stats: bool = True):
         self.catalog = catalog or Catalog()
         self.optimize = optimize
@@ -139,7 +125,7 @@ class Connection:
         self.decorrelate = decorrelate
         self.backend = _resolve_backend(backend)
         self.plan_cache = (plan_cache if plan_cache is not None
-                           else PlanCache(cache_size))
+                           else PlanCache())
         #: Total number of relational queries issued over this connection's
         #: lifetime (Table 1 instrumentation).  Counts *executions*: a
         #: plan served from the cache still issues its queries.
@@ -148,12 +134,6 @@ class Connection:
         self.executions = 0
         #: Record span trees for every execution?
         self.trace_enabled = trace
-        #: Trace sampling policy (``repro.obs.SamplingPolicy``).
-        self.sampling = resolve_sampling(sampling)
-        #: Executions at least this many wall-clock seconds are flagged
-        #: slow and promoted (profile + trace) into the query log;
-        #: ``None``: nothing is ever slow.
-        self.slow_query_threshold = slow_query_threshold
         #: The flight recorder: N most recent + N slowest executions.
         self.query_log = QueryLog()
         #: Per-fingerprint workload aggregates (``pg_stat_statements``
@@ -172,10 +152,9 @@ class Connection:
     # ------------------------------------------------------------------
     @property
     def last_trace(self) -> "Trace | None":
-        """The span tree of the most recent retained execution.
+        """The span tree of the most recent traced execution.
 
-        ``None`` before the first traced execution (or when the sampling
-        policy dropped every trace so far).  Raises
+        ``None`` before the first traced execution.  Raises
         :class:`~repro.errors.ObservabilityError` when the connection
         was built with ``trace=False`` -- a loud answer instead of a
         permanently-``None`` surprise.
@@ -209,10 +188,9 @@ class Connection:
         self.sinks.remove(sink)
 
     def _publish(self, rec: ExecutionRecord) -> None:
-        """Hand a finished record to its views: metrics, the flight
-        recorder and the connection's own counters (executions only),
+        """Hand a finished record to its views: the connection's own
+        counters and the flight recorder (executions only), then the
         statement stats."""
-        publish_metrics(rec)
         if rec.executed:
             with self._lock:
                 if rec.error is None:
@@ -394,13 +372,11 @@ class Connection:
         """
         started_at, t0 = time.time(), time.perf_counter()
         tracer = (Tracer(kind, backend=self.backend.name)
-                  if self.trace_enabled and not analyze
-                  and self.sampling.sample() else NULL_TRACER)
+                  if self.trace_enabled and not analyze else NULL_TRACER)
         backend = self.backend.name
         phases: dict[str, float] = {}
         #: The record's fields, known as far as the execution got.
         fields: dict[str, Any] = {}
-        bundle = result = None
         try:
             compiled, code, fresh = plan(tracer)
             bundle = compiled.bundle
@@ -432,22 +408,14 @@ class Connection:
             raise
         finally:
             duration = time.perf_counter() - t0
-            slow = (self.slow_query_threshold is not None
-                    and duration >= self.slow_query_threshold)
             trace = tracer.finish()
-            if trace is not None and self.sampling.keep(slow):
+            if trace is not None:
                 self._last_trace = trace
                 for sink in self.sinks:
                     sink.emit(trace)
-            else:
-                trace = None
             rec = ExecutionRecord(
                 kind, backend, started_at, duration, phases=phases,
-                slow=slow, trace_id=tracer.trace_id, trace=trace,
-                analyze=(build_analyze(bundle, result.profiles, backend,
-                                       duration)
-                         if slow and result is not None else None),
-                **fields)
+                trace_id=tracer.trace_id, trace=trace, **fields)
             self._publish(rec)
         return value, rec
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 from ..core.bundle import Bundle
-from ..obs.metrics import METRICS
 
 
 class CacheKey(NamedTuple):
@@ -103,11 +102,9 @@ class PlanCache:
             entry = self._entries.get(key)
             if entry is None:
                 self.stats.misses += 1
-                METRICS.counter("plancache.misses").inc()
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            METRICS.counter("plancache.hits").inc()
             return entry
 
     def insert(self, key: CacheKey, entry: CacheEntry) -> CacheEntry:
@@ -116,11 +113,9 @@ class PlanCache:
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
-            METRICS.counter("plancache.inserts").inc()
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
-                METRICS.counter("plancache.evictions").inc()
             return entry
 
     def clear(self) -> None:

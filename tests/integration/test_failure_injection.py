@@ -13,6 +13,7 @@ from repro import (
     favg,
     fmap,
     foldr,
+    fsum,
     head,
     index,
     last,
@@ -102,6 +103,31 @@ class TestSchemaFailures:
         values = [float("inf"), 0.0, float("-inf")]
         db.create_table("wide", [("x", float)], [(x,) for x in values])
         assert db.run(db.table("wide")) == sorted(values)
+
+    def test_infinite_double_constants(self, db):
+        # sqlite reads an overflowing literal as an infinity; the SQL
+        # text must not spell the constant as Python's ``inf``.
+        inf = float("inf")
+        assert db.run(fmap(lambda x: x + inf, to_q([1.0, 2.0]))) == \
+            [inf, inf]
+        assert db.run(fmap(lambda x: x - inf, to_q([1.0]))) == [-inf]
+        assert db.run(fsum(to_q([inf, 1.0]))) == inf
+
+    @pytest.mark.parametrize("text", ["\x00", "\ud800", "a\udfffb"],
+                             ids=["nul", "lone-surrogate", "inner-surrogate"])
+    def test_text_outside_utf8_is_rejected(self, db, text):
+        # sqlite stores UTF-8: a lone surrogate would escape its driver
+        # as a UnicodeEncodeError while the engine and MIL return it.
+        # The catalog decides it for all three, naming table, column
+        # and row, and ``to_q`` refuses the same literal.
+        with pytest.raises(SchemaError) as err:
+            db.create_table("notes", [("id", int), ("s", str)],
+                            [(1, "ok"), (2, text)])
+        for part in ("'notes'", "'s'", f"(2, {text!r})", "database text"):
+            assert part in str(err.value)
+        assert not db.catalog.has_table("notes")
+        with pytest.raises(QTypeError, match="database text"):
+            db.run(to_q(["fine", text]))
 
     def test_a_record_table_rejects_nan(self, db):
         @queryable

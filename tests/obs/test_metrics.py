@@ -1,160 +1,61 @@
-"""The metrics registry: instruments, snapshots, and pipeline wiring."""
-
-import json
-import threading
+"""Pipeline wiring: what real executions leave in the connection's
+views -- the flight recorder, the statement stats and the plan-cache
+counters."""
 
 import pytest
 
-from repro import METRICS, Connection, to_q
+from repro import Connection, to_q
 from repro.bench.table1 import running_example_query
-from repro.obs.metrics import Histogram, MetricsRegistry
-
-
-class TestInstruments:
-    def test_counter_inc(self):
-        reg = MetricsRegistry()
-        c = reg.counter("x")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        assert reg.counter("x") is c  # get-or-create returns the same one
-
-    def test_histogram_stats(self):
-        h = Histogram("lat")
-        for v in (0.5e-5, 2e-4, 2e-4, 0.5):
-            h.observe(v)
-        assert h.count == 4
-        assert h.min == 0.5e-5 and h.max == 0.5
-        assert h.mean == pytest.approx((0.5e-5 + 2e-4 + 2e-4 + 0.5) / 4)
-        snap = h.snapshot()
-        assert snap["buckets"]["<=1e-05"] == 1
-        assert snap["buckets"]["<=0.001"] == 2
-        assert snap["buckets"]["<=1"] == 1
-
-    def test_histogram_bucket_boundaries_at_powers_of_two(self):
-        """Bucket semantics are ``<=`` (bisect_right): an observation at
-        an exact bound lands in that bound's bucket, not the next one --
-        pinned at exact powers of two, which are exactly representable
-        in binary floating point so no rounding can mask an off-by-one."""
-        bounds = (1.0, 2.0, 4.0, 8.0)
-        h = Histogram("pow2", bounds=bounds)
-        for v in bounds:
-            h.observe(v)
-        snap = h.snapshot()
-        assert snap["buckets"] == {
-            "<=1": 1, "<=2": 1, "<=4": 1, "<=8": 1, "+inf": 0,
-        }
-        # nudge one ulp above a bound: must spill into the next bucket
-        import math
-        h2 = Histogram("pow2.up", bounds=bounds)
-        for v in bounds:
-            h2.observe(math.nextafter(v, math.inf))
-        snap2 = h2.snapshot()
-        assert snap2["buckets"] == {
-            "<=1": 0, "<=2": 1, "<=4": 1, "<=8": 1, "+inf": 1,
-        }
-        # ...and one ulp below stays within the same bound
-        h3 = Histogram("pow2.down", bounds=bounds)
-        for v in bounds:
-            h3.observe(math.nextafter(v, 0.0))
-        snap3 = h3.snapshot()
-        assert snap3["buckets"] == {
-            "<=1": 1, "<=2": 1, "<=4": 1, "<=8": 1, "+inf": 0,
-        }
-
-    def test_name_kind_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ValueError):
-            reg.histogram("x")
-        reg.histogram("y")
-        with pytest.raises(ValueError):
-            reg.counter("y")
-
-    def test_snapshot_is_json_able_and_sorted(self):
-        reg = MetricsRegistry()
-        reg.counter("b.count").inc(2)
-        reg.histogram("a.lat").observe(0.01)
-        snap = reg.snapshot()
-        assert list(snap) == ["a.lat", "b.count"]
-        assert snap["b.count"] == 2
-        json.dumps(snap)  # must not raise
-
-    def test_reset_keeps_registrations(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(3)
-        reg.histogram("h").observe(1.0)
-        reg.reset()
-        assert reg.counter("c").value == 0
-        assert reg.histogram("h").count == 0
-
-    def test_counter_is_thread_safe(self):
-        reg = MetricsRegistry()
-        c = reg.counter("n")
-        threads = [threading.Thread(
-            target=lambda: [c.inc() for _ in range(1000)])
-            for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert c.value == 8000
 
 
 class TestPipelineWiring:
-    """The process-wide registry observes real executions."""
-
-    def deltas(self, before, after):
-        keys = set(before) | set(after)
-        return {k: (after.get(k, 0), before.get(k, 0)) for k in keys
-                if not isinstance(after.get(k), dict)}
+    """Every execution's record reaches each per-connection view."""
 
     def test_run_counts_compiles_queries_and_rows(self, paper_catalog):
-        before = METRICS.snapshot()
         db = Connection(catalog=paper_catalog)
         q = running_example_query(db)
         db.run(q)
         db.run(q)
-        after = METRICS.snapshot()
 
-        def delta(name):
-            return after.get(name, 0) - before.get(name, 0)
-
-        assert delta("connection.compiles") == 2
-        assert delta("connection.executions") == 2
-        assert delta("connection.queries") == 4  # bundle of 2, run twice
-        assert delta("plancache.hits") == 1
-        assert delta("plancache.misses") == 1
-        assert delta("plancache.inserts") == 1
-        assert delta("backend.engine.queries") == 4
-        assert delta("connection.rows_stitched") > 0
-        assert (delta("connection.rows_stitched")
-                == delta("backend.engine.rows"))
+        records = db.query_log.recent
+        assert sum("check" in r.phases for r in records) == 2
+        assert sum("lift" in r.phases for r in records) == 1
+        assert db.executions == 2
+        assert db.queries_issued == 4  # bundle of 2, run twice
+        assert (db.cache_stats.hits, db.cache_stats.misses) == (1, 1)
+        assert len(db.plan_cache) == 1
+        totals = db.statement_stats()["totals"]
+        assert totals["calls"] == 2 and totals["queries"] == 4
+        assert totals["cache_hits"] == db.cache_stats.hits
+        assert totals["rows"] > 0
+        assert totals["rows"] == sum(r.rows for r in records)
 
     @pytest.mark.parametrize("backend", ["engine", "sqlite", "mil"])
     def test_every_backend_reports(self, paper_catalog, backend):
-        before = METRICS.snapshot()
         db = Connection(backend=backend, catalog=paper_catalog)
         db.run(running_example_query(db))
-        after = METRICS.snapshot()
-        assert (after.get(f"backend.{backend}.queries", 0)
-                - before.get(f"backend.{backend}.queries", 0)) == 2
-        assert (after.get(f"backend.{backend}.rows", 0)
-                - before.get(f"backend.{backend}.rows", 0)) > 0
+        [rec] = db.query_log.recent
+        assert rec.backend == backend
+        assert rec.queries_issued == 2 == len(rec.queries)
+        assert rec.rows > 0
+        assert sum(p.rows for p in rec.queries) == rec.rows
+        totals = db.statement_stats()["totals"]
+        assert (totals["queries"], totals["rows"]) == (2, rec.rows)
 
     def test_phase_histograms_observe_cold_and_warm(self):
-        before = METRICS.snapshot()
         db = Connection()
         q = to_q([[1, 2], [3]])
         db.run(q)
         db.run(q)
-        after = METRICS.snapshot()
+        warm, cold = db.query_log.recent
         for phase in ("check", "lookup", "lift", "optimize", "codegen",
                       "execute", "stitch"):
-            name = f"phase.{phase}"
-            grew = (after[name]["count"]
-                    - (before[name]["count"] if name in before else 0))
             # lift/optimize/codegen run once (cold); the rest run twice
-            expected = 1 if phase in ("lift", "optimize", "codegen") else 2
-            assert grew == expected, (phase, grew)
-            assert after[name]["sum"] >= 0.0
+            assert phase in cold.phases, phase
+            assert (phase in warm.phases) == (
+                phase not in ("lift", "optimize", "codegen")), phase
+        [stmt] = db.statement_stats()["statements"]
+        assert stmt["compile_time"] == pytest.approx(
+            cold.compile_time + warm.compile_time)
+        assert stmt["execute_time"] == pytest.approx(
+            cold.execute_time + warm.execute_time)

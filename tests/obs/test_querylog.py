@@ -1,4 +1,4 @@
-"""The flight recorder: bounded retention, slow promotion, sampling."""
+"""The flight recorder: bounded retention, errors, trace lookup."""
 
 import json
 
@@ -6,15 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Connection, QueryLog, to_q
+from repro import Connection, QueryLog
 from repro.bench.table1 import running_example_query
 from repro.errors import FerryError
-from repro.obs import (
-    AlwaysSample,
-    RatioSample,
-    SlowOnlySample,
-    resolve_sampling,
-)
 
 from ..conftest import execution_record
 
@@ -56,12 +50,11 @@ class TestRetention:
 
     def test_clear_keeps_cumulative_counts(self):
         log = QueryLog(recent=4, slowest=4)
-        log.record(entry(1.0, slow=True))
+        log.record(entry(1.0))
         log.record(entry(2.0, error="ValueError('x')"))
         log.clear()
         assert log.recent == [] and log.slowest == []
-        assert log.recorded == 2
-        assert log.slow_count == 1 and log.error_count == 1
+        assert log.recorded == 2 and log.error_count == 1
 
     def test_snapshot_is_json_able(self):
         log = QueryLog(recent=2, slowest=2)
@@ -87,6 +80,8 @@ class TestConnectionRecording:
         assert newest.fingerprint == oldest.fingerprint
         assert newest.bundle_size == 2
         assert newest.trace is paper_db.last_trace
+        # every record carries its row count
+        assert newest.rows is not None and newest.rows > 0
 
     def test_prepared_execute_is_recorded(self, paper_db):
         handle = paper_db.prepare(running_example_query(paper_db))
@@ -101,35 +96,6 @@ class TestConnectionRecording:
         [rec] = paper_db.query_log.recent
         assert rec.error is not None
         assert paper_db.query_log.error_count == 1
-
-    def test_slow_run_is_promoted_with_a_profile(self, paper_catalog):
-        db = Connection(catalog=paper_catalog, slow_query_threshold=0.0)
-        db.run(running_example_query(db))
-        [rec] = db.query_log.recent
-        assert rec.slow is True
-        assert rec.rows is not None and rec.rows > 0
-        assert rec.analyze is not None
-        assert rec.analyze.backend == "engine"
-        assert len(rec.analyze.queries) == 2
-        assert db.query_log.slow_count == 1
-
-    def test_fast_run_is_not_promoted(self, paper_catalog):
-        db = Connection(catalog=paper_catalog, slow_query_threshold=1e9)
-        db.run(running_example_query(db))
-        [rec] = db.query_log.recent
-        assert rec.slow is False
-        assert rec.analyze is None
-        # every record carries its row count
-        assert rec.rows is not None and rec.rows > 0
-
-    def test_no_threshold_means_no_stopwatch(self, paper_db):
-        paper_db.run(running_example_query(paper_db))
-        [rec] = paper_db.query_log.recent
-        # no threshold -> nothing is slow -> no promoted profile; the
-        # row count is recorded regardless (it reconciles with
-        # connection.rows_stitched)
-        assert rec.analyze is None
-        assert rec.rows is not None and rec.rows > 0
 
 
 def _missing_table():
@@ -189,53 +155,3 @@ class TestFindTrace:
         [rec] = db.query_log.recent
         assert rec.trace_id is None
 
-
-class TestSampling:
-    def test_resolve_specs(self):
-        assert isinstance(resolve_sampling("always"), AlwaysSample)
-        assert isinstance(resolve_sampling("slow-only"), SlowOnlySample)
-        assert isinstance(resolve_sampling(0.5), RatioSample)
-        policy = SlowOnlySample()
-        assert resolve_sampling(policy) is policy
-        with pytest.raises(ValueError):
-            resolve_sampling("sometimes")
-        with pytest.raises(ValueError):
-            resolve_sampling(1.5)
-        with pytest.raises(ValueError):
-            resolve_sampling(True)
-
-    def test_ratio_is_deterministic(self):
-        policy = RatioSample(0.25)
-        decisions = [policy.sample() for _ in range(100)]
-        assert sum(decisions) == 25
-        assert decisions[3] is True  # accumulator fires on the 4th call
-
-    def test_ratio_connection_traces_the_expected_fraction(
-            self, paper_catalog):
-        db = Connection(catalog=paper_catalog, sampling=0.5)
-        q = running_example_query(db)
-        for _ in range(6):
-            db.run(q)
-        traced = [e for e in db.query_log.recent if e.trace is not None]
-        assert len(traced) == 3
-        assert db.query_log.recorded == 6  # untraced runs still logged
-
-    def test_slow_only_retains_only_slow_traces(self, paper_catalog):
-        fast = Connection(catalog=paper_catalog, sampling="slow-only",
-                          slow_query_threshold=1e9)
-        fast.run(running_example_query(fast))
-        assert fast.last_trace is None
-        assert fast.query_log.recent[0].trace is None
-
-        slow = Connection(catalog=paper_catalog, sampling="slow-only",
-                          slow_query_threshold=0.0)
-        slow.run(running_example_query(slow))
-        assert slow.last_trace is not None
-        assert slow.query_log.recent[0].trace is slow.last_trace
-
-    def test_zero_ratio_never_traces(self, paper_catalog):
-        db = Connection(catalog=paper_catalog, sampling=0.0)
-        for _ in range(5):
-            db.run(to_q([1]))
-        assert db.last_trace is None
-        assert all(e.trace is None for e in db.query_log.recent)

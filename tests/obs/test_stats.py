@@ -7,7 +7,7 @@ stay exact no matter the fingerprint cardinality), quantiles, and the
 compile-only accounting path.  Second the wiring: every
 ``Connection.run`` (and ``explain(analyze=True)``, which executes too)
 must land in the stats with numbers that *reconcile exactly* against
-the process-wide METRICS counters.
+the connection's own counters and its flight recorder.
 """
 
 from __future__ import annotations
@@ -19,31 +19,22 @@ from repro.bench.table1 import running_example_query
 from repro.bench.workloads import numbers_dataset, paper_dataset
 from repro.errors import ObservabilityError
 from repro.obs import EVICTED, UNFINGERPRINTED, StatementStats
-from repro.obs.metrics import METRICS
 
 from ..conftest import execution_record as rec
 
 
-def counters():
-    """The METRICS counters the stats totals must reconcile against."""
-    return {
-        "executions": METRICS.counter("connection.executions").value,
-        "queries": METRICS.counter("connection.queries").value,
-        "rows": METRICS.counter("connection.rows_stitched").value,
-        "errors": METRICS.counter("connection.errors").value,
-    }
-
-
-def reconcile(conn: Connection, before: dict) -> None:
-    """Assert the connection's stats totals equal the METRICS deltas."""
-    after = counters()
+def reconcile(conn: Connection) -> None:
+    """Assert a fresh connection's stats totals equal its own counters
+    and its flight recorder (every record still retained)."""
+    log = conn.query_log
     totals = conn.statement_stats()["totals"]
-    # ``connection.executions`` counts completed executions; failed runs
-    # land in ``connection.errors`` instead.
-    assert totals["calls"] == after["executions"] - before["executions"]
-    assert totals["queries"] == after["queries"] - before["queries"]
-    assert totals["rows"] == after["rows"] - before["rows"]
-    assert totals["errors"] == after["errors"] - before["errors"]
+    # ``executions`` counts completed executions; the log records failed
+    # ones too, counting them in ``error_count``.
+    assert conn.executions == log.recorded - log.error_count == \
+        totals["calls"]
+    assert log.error_count == totals["errors"]
+    assert conn.queries_issued == totals["queries"]
+    assert sum(r.rows or 0 for r in log.recent) == totals["rows"]
 
 
 class TestStatementStatsUnit:
@@ -169,7 +160,7 @@ class TestConnectionWiring:
         assert stmt["queries"] > 0
         assert stmt["compile_time"] > 0.0
         assert stmt["execute_time"] > 0.0
-        assert stmt["by_backend"]["engine"]["count"] == 2
+        assert stmt["p50"] is not None
 
     def test_fingerprint_matches_plan_cache(self, paper_db):
         q = running_example_query(paper_db)
@@ -211,24 +202,22 @@ class TestConnectionWiring:
 
 class TestMetricsReconciliation:
     def test_engine_default(self):
-        before = counters()
         conn = Connection(catalog=paper_dataset())
         q = running_example_query(conn)
         for _ in range(3):
             conn.run(q)
         conn.run(to_q([1, 2, 3]))
-        reconcile(conn, before)
+        reconcile(conn)
         assert conn.statement_stats()["totals"]["cache_hits"] == \
             conn.cache_stats.hits
 
     def test_explain_analyze_is_a_recorded_execution(self):
-        before = counters()
         conn = Connection(catalog=paper_dataset())
         q = running_example_query(conn)
         conn.run(q)
         conn.run(q)
         conn.explain(q, analyze=True)
-        reconcile(conn, before)
+        reconcile(conn)
         assert conn.statement_stats()["totals"]["calls"] == \
             conn.executions == 3
         assert [e.kind for e in conn.query_log.recent] == \
@@ -236,20 +225,19 @@ class TestMetricsReconciliation:
 
     def test_errors_reconcile_too(self):
         from repro.frontend.tables import table
-        before = counters()
         conn = Connection(catalog=numbers_dataset(5))
         conn.run(conn.table("nums").filter(lambda r: r > 2))
         with pytest.raises(Exception):
             conn.run(table("missing", [("n", int)]))
-        reconcile(conn, before)
+        reconcile(conn)
 
     @pytest.mark.parametrize("kind", ["run", "execute-prepared",
                                       "explain-analyze", "failing-run",
                                       "prepare"])
     def test_every_view_is_the_published_record(self, kind, monkeypatch):
         """Whatever ``Connection`` publishes, the flight recorder, the
-        statement-stats totals and the METRICS deltas are that record,
-        field by field."""
+        statement-stats totals and the connection's counters are that
+        record, field by field."""
         from repro.frontend.tables import table
         conn = Connection(catalog=paper_dataset())
         q = running_example_query(conn)
@@ -258,9 +246,9 @@ class TestMetricsReconciliation:
         record = conn.stats.record
         monkeypatch.setattr(conn.stats, "record",
                             lambda rec: (published.append(rec), record(rec)))
-        metrics = METRICS.snapshot()
         totals = conn.statement_stats()["totals"]
-        logged = conn.query_log.recorded
+        logged, failed = conn.query_log.recorded, conn.query_log.error_count
+        executions, issued = conn.executions, conn.queries_issued
 
         if kind == "run":
             conn.run(q)
@@ -283,6 +271,8 @@ class TestMetricsReconciliation:
 
         # the flight recorder holds the record itself
         assert conn.query_log.recorded - logged == len(executed)
+        assert conn.query_log.error_count - failed == \
+            sum(r.error is not None for r in executed)
         if executed:
             assert conn.query_log.recent[0] is rec
 
@@ -300,31 +290,6 @@ class TestMetricsReconciliation:
                                               for r in executed)
         assert delta["total_time"] == total(r.duration for r in executed)
 
-        # METRICS
-        now = METRICS.snapshot()
-
-        def moved(name):
-            return now.get(name, 0) - metrics.get(name, 0)
-
-        assert moved("connection.executions") == delta["calls"]
-        assert moved("connection.errors") == delta["errors"]
-        assert moved("connection.queries") == delta["queries"]
-        assert moved("connection.rows_stitched") == delta["rows"]
-        assert moved("backend.engine.queries") == delta["queries"]
-        assert moved("backend.engine.rows") == delta["rows"]
-        assert moved("connection.compiles") == sum("check" in r.phases
-                                                   for r in published)
-        for name in ("check", "lookup", "lift", "optimize", "codegen",
-                     "execute", "stitch"):
-            hist, was = now.get(f"phase.{name}"), metrics.get(f"phase.{name}")
-            ran = [r.phases[name] for r in published if name in r.phases]
-            assert (hist["count"] if hist else 0) \
-                - (was["count"] if was else 0) == len(ran)
-            if ran:
-                assert hist["sum"] - (was["sum"] if was else 0.0) == \
-                    total(ran)
-        per_query = [p.time for r in executed for p in r.queries]
-        assert now["backend.engine.query_seconds"]["count"] \
-            - metrics["backend.engine.query_seconds"]["count"] == \
-            len(per_query) == sum(r.bundle_size for r in executed
-                                  if r.rows is not None)
+        # the connection's own counters
+        assert conn.executions - executions == delta["calls"]
+        assert conn.queries_issued - issued == delta["queries"]

@@ -118,6 +118,11 @@ class TestConnectionConcurrency:
         assert stmt["calls"] == 1 + (THREADS // 2) * RUNS_PER_THREAD
         assert stmt["errors"] == (THREADS // 2) * RUNS_PER_THREAD
         assert stmt["error_codes"] == {"F301": stmt["errors"]}
+        log = conn.query_log
+        assert conn.executions == log.recorded - log.error_count == \
+            stmt["calls"]
+        assert log.error_count == stmt["errors"]
+        assert conn.queries_issued == stmt["queries"]
 
 
 class TestAggregatorConcurrency:

@@ -172,7 +172,7 @@ class TestLRUEviction:
             PlanCache(capacity=0)
 
     def test_connection_eviction_at_capacity(self):
-        db = Connection(catalog=make_catalog(), cache_size=1)
+        db = Connection(catalog=make_catalog(), plan_cache=PlanCache(1))
         db.run(squares(db))
         db.run(fmap(lambda x: x + 1, db.table("t")))  # evicts squares
         assert db.cache_stats.evictions == 1
