@@ -10,7 +10,7 @@ import pathlib
 
 import pytest
 
-from repro.bench.workloads import avalanche_dataset, paper_dataset
+from examples.workloads import avalanche_dataset, paper_dataset
 
 _HERE = pathlib.Path(__file__).parent
 

@@ -9,8 +9,7 @@ MonetDB/MIL).
 
 
 from repro import Connection
-from repro.bench.table1 import running_example_query
-from repro.bench.workloads import avalanche_dataset
+from examples.workloads import avalanche_dataset, running_example_query
 
 #: One instance for all three backends.
 CATALOG = avalanche_dataset(150)

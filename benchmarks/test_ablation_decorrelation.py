@@ -1,6 +1,6 @@
 """Ablation: join-graph isolation [10], on and off.
 
-One switch (``Connection(decorrelate=...)``) governs both halves of the
+One switch (``compile_exp(exp, decorrelate=...)``) governs both halves of the
 rule: the expression normal form that moves every guard conjunct to its
 generator and floats a key correlated with the enclosing iteration
 (``fac == f`` in the running example's ``descrFacility``) around the
@@ -21,8 +21,12 @@ import pytest
 
 from repro import Connection
 from repro.algebra import node_count
-from repro.bench.table1 import running_example_variants
-from repro.bench.workloads import avalanche_dataset
+from examples.workloads import (
+    avalanche_dataset,
+    raw_bundle,
+    run_raw,
+    running_example_variants,
+)
 
 CATALOG_TINY = avalanche_dataset(12)
 CATALOG = avalanche_dataset(40)
@@ -30,14 +34,14 @@ FRONT_ENDS = ("qc", "pyq", "fluent")
 
 
 def run(catalog, decorrelate: bool, front_end: str = "qc"):
-    db = Connection(catalog=catalog, decorrelate=decorrelate)
-    return db.run(running_example_variants(db)[front_end])
+    q = running_example_variants(Connection(catalog=catalog))[front_end]
+    return run_raw(q, catalog, optimize=True, decorrelate=decorrelate)
 
 
 def plan_sizes(decorrelate: bool, front_end: str) -> list[int]:
-    db = Connection(catalog=CATALOG_TINY, decorrelate=decorrelate)
-    compiled = db.compile(running_example_variants(db)[front_end])
-    return [node_count(q.plan) for q in compiled.bundle.queries]
+    q = running_example_variants(Connection(catalog=CATALOG_TINY))[front_end]
+    bundle = raw_bundle(q, optimize=True, decorrelate=decorrelate)
+    return [node_count(q.plan) for q in bundle.queries]
 
 
 class TestEquivalence:

@@ -18,7 +18,7 @@ descriptors, and the BETWEEN-style range-scan simulation.
 import pytest
 
 from repro import Connection, fmap, fsum, group_with
-from repro.bench.workloads import numbers_dataset
+from examples.workloads import numbers_dataset
 from repro.dph import from_list, sum_s
 
 N = 3000

@@ -8,26 +8,26 @@ pipeline enabled and disabled.
 
 from repro import Connection
 from repro.algebra import node_count
-from repro.bench.table1 import running_example_query
-from repro.bench.workloads import avalanche_dataset
+from examples.workloads import (
+    avalanche_dataset,
+    raw_bundle,
+    run_raw,
+    running_example_query,
+)
 
 CATALOG = avalanche_dataset(150)
+QUERY = running_example_query(Connection(catalog=CATALOG))
 
 
 def run(optimize: bool):
-    db = Connection(catalog=CATALOG, optimize=optimize)
-    return db.run(running_example_query(db))
+    return run_raw(QUERY, CATALOG, optimize=optimize)
 
 
 class TestPlanSizes:
     def test_optimizer_shrinks_plans(self):
-        raw = Connection(catalog=CATALOG, optimize=False)
-        opt = Connection(catalog=CATALOG, optimize=True)
-        q = running_example_query(raw)
-        raw_sizes = [node_count(s.plan)
-                     for s in raw.compile(q).bundle.queries]
-        opt_sizes = [node_count(s.plan)
-                     for s in opt.compile(q).bundle.queries]
+        raw_sizes, opt_sizes = (
+            [node_count(s.plan) for s in raw_bundle(QUERY, optimize).queries]
+            for optimize in (False, True))
         assert sum(opt_sizes) < sum(raw_sizes)
 
     def test_results_identical(self):

@@ -12,7 +12,7 @@ costs.
 
 from repro import Connection, fmap, ffilter, reverse, sort_with
 from repro.baselines.linq import LinqSession
-from repro.bench.workloads import numbers_dataset
+from examples.workloads import numbers_dataset
 
 N = 4000
 CATALOG = numbers_dataset(N)

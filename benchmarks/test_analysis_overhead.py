@@ -44,8 +44,7 @@ from contextlib import contextmanager
 from repro import Connection
 from repro.analysis import PlanStore, estimate_bundle, verify_bundle
 from repro.analysis import verifier as verifier_mod
-from repro.bench.table1 import running_example_query
-from repro.bench.workloads import paper_dataset
+from examples.workloads import paper_dataset, running_example_query
 from repro.optimizer import pipeline
 from repro.optimizer.rewrites import properties
 
@@ -117,7 +116,7 @@ def test_warm_compile_cost_within_five_percent_of_seed():
 def test_cold_compile_analysis_cost_recorded():
     db = Connection(catalog=paper_dataset())
     query = running_example_query(db)
-    stats = db.compile(query, use_cache=False).pass_stats
+    stats = db.compile(query).pass_stats
 
     # the sweep really ran (its cost is real) ...
     assert stats.rewrites_fired.get("rownum_dense", 0) >= 3
@@ -128,7 +127,7 @@ def test_cold_compile_analysis_cost_recorded():
 def test_component_costs_are_measurable(record_property):
     db = Connection(catalog=paper_dataset())
     query = running_example_query(db)
-    bundle = db.compile(query, use_cache=False).bundle
+    bundle = db.compile(query).bundle
 
     def best_of(fn, repeats=30):
         best = float("inf")

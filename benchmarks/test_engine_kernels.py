@@ -32,7 +32,7 @@ from repro.algebra import (
     SemiJoin,
 )
 from repro.backends.engine.evaluate import Engine
-from repro.bench.table1 import run_dsh
+from examples.workloads import run_dsh
 from repro.ftypes import BoolT, DoubleT, IntT
 from repro.runtime.catalog import Catalog
 

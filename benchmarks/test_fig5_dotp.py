@@ -10,7 +10,7 @@ in-memory algebra engine; all three must produce the same value.
 import pytest
 
 from repro import Connection
-from repro.bench.workloads import sparse_vector
+from examples.workloads import sparse_vector
 from repro.dph import dotp_comprehension, dotp_query, dotp_vectorised, from_list
 
 SIZES = (256, 2048)

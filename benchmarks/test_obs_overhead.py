@@ -22,8 +22,7 @@ import time
 import pytest
 
 from repro import Connection, ObservabilityError
-from repro.bench.table1 import running_example_query
-from repro.bench.workloads import paper_dataset
+from examples.workloads import paper_dataset, running_example_query
 
 BATCHES = 14
 RUNS_PER_BATCH = 25

@@ -12,7 +12,7 @@ optimizer never ran again.
 import time
 
 from repro import Connection
-from repro.bench.table1 import running_example_query
+from examples.workloads import running_example_query
 
 #: CI headroom: locally the observed ratio is ~40-60x.
 MIN_SPEEDUP = 10.0
@@ -32,10 +32,10 @@ class TestRepeatCompilePath:
     def test_warm_compile_at_least_10x_faster(self, paper_catalog):
         db = Connection(catalog=paper_catalog)
 
-        # Cold: a fresh structurally-distinct-from-nothing program; bypass
-        # the cache so every repeat pays the full pipeline.
-        cold = best_of(lambda: db.compile(running_example_query(db),
-                                          use_cache=False))
+        # Cold: empty the cache first so every repeat pays the full
+        # pipeline.
+        cold = best_of(lambda: (db.plan_cache.clear(),
+                                db.compile(running_example_query(db))))
 
         db.compile(running_example_query(db))  # populate the cache
         warm = best_of(lambda: db.compile(running_example_query(db)))

@@ -18,8 +18,7 @@ import time
 import repro.optimizer.rewrites.properties as properties
 from repro import Connection
 from repro.algebra import node_count
-from repro.bench.table1 import running_example_query
-from repro.bench.workloads import avalanche_dataset
+from examples.workloads import avalanche_dataset, running_example_query
 
 CATALOG = avalanche_dataset(200)
 

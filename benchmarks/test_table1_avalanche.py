@@ -14,7 +14,7 @@ tables with a growing number of distinct categories.
 the per-scale timings; query counts are asserted exactly.
 """
 
-from repro.bench.table1 import run_dsh, run_haskelldb
+from examples.workloads import run_dsh, run_haskelldb
 
 
 class TestQueryCounts:

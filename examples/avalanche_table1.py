@@ -17,7 +17,7 @@ Usage:
 
 import argparse
 
-from repro.bench.table1 import format_table1, run_table1
+from workloads import format_table1, run_table1
 
 
 def main() -> None:

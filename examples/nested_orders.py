@@ -15,7 +15,7 @@ import dataclasses
 import pprint
 
 from repro import Connection, fmap, fsum, group_with, pyq, queryable, the, tup
-from repro.bench.workloads import orders_dataset
+from workloads import orders_dataset
 from repro.ftypes import count_list_constructors
 
 

@@ -15,6 +15,7 @@ from repro.backends.engine import EngineBackend
 from repro.backends.mil import MILGenerator
 from repro.backends.sql import SQLiteBackend
 from repro.expr import pretty
+from workloads import raw_bundle
 
 
 def stage(title: str) -> None:
@@ -42,11 +43,11 @@ def main() -> None:
     print(pretty(query.exp))
     print(f"\nresult type: {query.ty.show()}")
 
-    raw = Connection(catalog=db.catalog, optimize=False).compile(query)
+    raw = raw_bundle(query)
     compiled = db.compile(query)
 
     stage("step 2: loop-lifted table algebra (unoptimized)")
-    for i, q in enumerate(raw.bundle.queries, start=1):
+    for i, q in enumerate(raw.queries, start=1):
         print(f"Q{i}: {node_count(q.plan)} operators, "
               f"{operator_histogram(q.plan)}")
 

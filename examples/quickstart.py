@@ -17,7 +17,7 @@ import argparse
 import pprint
 
 from repro import Connection, qc
-from repro.bench.workloads import paper_dataset
+from workloads import paper_dataset
 
 
 def main() -> None:

@@ -10,10 +10,19 @@ reference output.
 from repro import Connection, ffilter, fmap, fsum, group_with, reverse, sort_with
 from repro.algebra import node_count
 from repro.baselines.linq import LinqSession
-from repro.bench.stats import measure
-from repro.bench.table1 import format_table1, run_dsh, run_table1, running_example_query
-from repro.bench.workloads import avalanche_dataset, numbers_dataset, sparse_vector
 from repro.dph import dotp_comprehension, dotp_query, dotp_vectorised, from_list, sum_s
+from workloads import (
+    avalanche_dataset,
+    format_table1,
+    measure,
+    numbers_dataset,
+    raw_bundle,
+    run_dsh,
+    run_raw,
+    run_table1,
+    running_example_query,
+    sparse_vector,
+)
 
 
 def main() -> None:
@@ -31,11 +40,11 @@ def main() -> None:
     print("\n=== OPTIMIZER ABLATION (running example, n=150) ===",
           flush=True)
     catalog = avalanche_dataset(150)
+    q = running_example_query(Connection(catalog=catalog))
     for optimize in (False, True):
-        db = Connection(catalog=catalog, optimize=optimize)
-        q = running_example_query(db)
-        sizes = [node_count(s.plan) for s in db.compile(q).bundle.queries]
-        m = measure(lambda: db.run(q), runs=3)
+        sizes = [node_count(s.plan)
+                 for s in raw_bundle(q, optimize).queries]
+        m = measure(lambda: run_raw(q, catalog, optimize), runs=3)
         print(f"optimize={optimize!s:5}: plan sizes {sizes}, "
               f"runtime {m.show()}", flush=True)
 

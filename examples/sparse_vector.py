@@ -12,8 +12,7 @@ import argparse
 
 from repro import Connection
 from repro.algebra import BinApp, EqJoin, GroupAggr, postorder
-from repro.bench.stats import measure
-from repro.bench.workloads import sparse_vector
+from workloads import measure, sparse_vector
 from repro.dph import (
     FIG6_SV,
     FIG6_V,

@@ -16,6 +16,7 @@ from .cost import (
     annotate_bounds,
     estimate_bundle,
 )
+from .lint import lint_report
 from .properties import (
     Card,
     PlanStore,
@@ -36,16 +37,6 @@ from .verifier import (
     verify_bundle,
     verify_debug_enabled,
 )
-
-
-def __getattr__(name: str):
-    # Served lazily, so that ``python -m repro.analysis.lint`` does not
-    # re-import the module it is executing.
-    if name == "lint_report":
-        from .lint import lint_report
-        return lint_report
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

@@ -31,6 +31,7 @@ Haskell's flooring ``div``/``mod`` semantics survive the translation.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Collection, Sequence
@@ -60,7 +61,7 @@ from ...algebra import (
 )
 from ...core.bundle import SerializedQuery
 from ...errors import ExecutionError
-from ...ftypes import AtomT
+from ...ftypes import AtomT, DoubleT
 from .dbapi import SQLITE_DIALECT, Dialect
 
 
@@ -197,7 +198,8 @@ def _row_converter(query: SerializedQuery, d: Dialect
                    ) -> "Callable[[tuple], tuple] | None":
     """The conversion of one fetched row of ``query``, built once per
     statement: only the item columns whose type the driver does not
-    hand back as the atom are touched."""
+    hand back as the atom are touched.  SQLite stores a NaN as NULL and
+    Ferry has no NULL, so a NULL ``Double`` can only be a NaN."""
     todo = [(i, conv) for i, ty in enumerate(query.item_types, start=2)
             if (conv := d.from_db_value(ty)) is not None]
     if not todo:
@@ -206,7 +208,12 @@ def _row_converter(query: SerializedQuery, d: Dialect
     def convert(raw: tuple) -> tuple:
         row = list(raw)
         for i, conv in todo:
-            row[i] = conv(row[i])
+            try:
+                row[i] = conv(row[i])
+            except TypeError:
+                if row[i] is not None or query.item_types[i - 2] != DoubleT:
+                    raise
+                row[i] = math.nan
         return tuple(row)
     return convert
 

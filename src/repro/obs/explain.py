@@ -62,7 +62,7 @@ class ExplainReport:
     #: Wall-clock seconds per compile phase (from the compilation that
     #: produced this report; empty keys mean the plan cache served it).
     timings: dict[str, float] = field(default_factory=dict)
-    #: Optimizer pass statistics (``None`` on cache hits / optimize=False).
+    #: Optimizer pass statistics (``None`` on cache hits).
     pass_stats: Any = None
     #: Execution-time profile (``conn.explain(q, analyze=True)`` only):
     #: an :class:`~repro.obs.analyze.AnalyzeReport` with per-operator

@@ -45,8 +45,8 @@ class ExecutionRecord:
     cache_hit: bool = False
     bundle_size: int = 0
     #: Wall-clock seconds per pipeline phase that ran in this call:
-    #: ``check`` / ``lookup`` / ``lift`` / ``optimize`` / ``verify`` /
-    #: ``codegen`` / ``execute`` / ``stitch``.
+    #: ``check`` / ``lookup`` / ``lift`` / ``optimize`` / ``codegen`` /
+    #: ``execute`` / ``stitch``.
     phases: Mapping[str, float] = field(default_factory=dict)
     #: One profile per bundle query (rows, seconds, and -- for
     #: ``explain-analyze`` -- operator/step profiles).

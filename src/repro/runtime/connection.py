@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from ..analysis import verify_bundle, verify_debug_enabled
+from ..analysis import lint_report, verify_bundle, verify_debug_enabled
 from ..core.bundle import Bundle, compile_exp
 from ..errors import ObservabilityError, QTypeError
 from ..frontend.q import Q, to_q
@@ -51,7 +51,7 @@ from ..obs import (
     build_report,
     phase,
 )
-from ..optimizer import PassStats
+from ..optimizer import PassStats, optimize_bundle
 from .catalog import Catalog
 from .plancache import CacheEntry, CacheKey, CacheStats, PlanCache
 from .stitch import stitch
@@ -62,7 +62,6 @@ class CompiledQuery:
     """A compiled program plus compilation accounting (for inspection)."""
 
     bundle: Bundle
-    optimized: bool
     #: Structural fingerprint of the source program (plan-cache identity).
     fingerprint: str | None = None
     #: Did the plan cache serve this compilation?
@@ -72,8 +71,8 @@ class CompiledQuery:
     #: backend actually generated code rather than reusing the cached
     #: artifact).
     timings: dict[str, float] = field(default_factory=dict)
-    #: Rewrite-pipeline statistics (``None`` when the optimizer did not
-    #: run for this call -- disabled, or the plan came from the cache).
+    #: Rewrite-pipeline statistics (``None`` when the plan came from the
+    #: cache).
     pass_stats: PassStats | None = None
     #: Plan-cache entry backing this compilation (shared codegen store).
     cache_entry: CacheEntry | None = field(default=None, repr=False)
@@ -95,8 +94,9 @@ class Connection:
     Each connection owns a :class:`PlanCache` of 128 plans; pass
     ``plan_cache`` to choose its size (``PlanCache(n)``) or to let many
     connections reuse each other's compiled plans (entries are keyed on
-    the compilation flags and the catalog's schema generation, so
-    sharing is always safe).
+    the program's fingerprint and the catalog's schema generation, so
+    sharing is always safe).  Every plan is loop-lifted, optimized and
+    verified: there is no switch to skip a stage.
 
     Every execution lands in :attr:`query_log` (the 32 most recent + 32
     slowest executions).  ``trace=False`` disables span recording
@@ -114,15 +114,10 @@ class Connection:
     """
 
     def __init__(self, backend: "str | Any | None" = None,
-                 catalog: Catalog | None = None, optimize: bool = True,
-                 decorrelate: bool = True,
+                 catalog: Catalog | None = None,
                  plan_cache: PlanCache | None = None, trace: bool = True,
                  statement_stats: bool = True):
         self.catalog = catalog or Catalog()
-        self.optimize = optimize
-        #: Join-graph isolation (expression normal form + decorrelated
-        #: filters); only ever disabled by the ablation benchmarks.
-        self.decorrelate = decorrelate
         self.backend = _resolve_backend(backend)
         self.plan_cache = (plan_cache if plan_cache is not None
                            else PlanCache())
@@ -226,13 +221,12 @@ class Connection:
         """Plan-cache hit/miss/eviction counters."""
         return self.plan_cache.stats
 
-    def compile(self, q: Any, use_cache: bool = True,
-                tracer=NULL_TRACER) -> CompiledQuery:
+    def compile(self, q: Any, tracer=NULL_TRACER) -> CompiledQuery:
         """Loop-lift and optimize a query without executing it (for
         inspection: nothing is recorded).
 
         Consults the plan cache first: a structurally identical program
-        compiled before (under the same flags and catalog schema) is
+        compiled before (under the same catalog schema) is
         returned without re-running the pipeline.  The ``Q`` handle
         keeps its fingerprint and table references, so compiling it
         again only re-checks those references against the live catalog.
@@ -244,39 +238,29 @@ class Connection:
                 self.catalog.check_reference(ref)
         with phase(tracer, timings, "lookup", "cache-lookup") as span:
             fp = qq.fingerprint()
-            key = CacheKey(fp, self.optimize, self.decorrelate,
-                           self.catalog.schema_generation)
-            entry = self.plan_cache.lookup(key) if use_cache else None
+            key = CacheKey(fp, self.catalog.schema_generation)
+            entry = self.plan_cache.lookup(key)
             span.set(hit=entry is not None)
         if entry is not None:
-            return CompiledQuery(entry.bundle, self.optimize, fingerprint=fp,
+            return CompiledQuery(entry.bundle, fingerprint=fp,
                                  cache_hit=True, timings=timings,
                                  cache_entry=entry)
 
         with phase(tracer, timings, "lift"):
-            bundle = compile_exp(qq.exp, decorrelate=self.decorrelate)
+            bundle = compile_exp(qq.exp)
         if verify_debug_enabled():
             # Debug mode: staged verification of the raw loop-lifting
             # output, before any rewrite touches it.
             with tracer.span("verify", stage="post-lift"):
                 verify_bundle(bundle, label="post-lift", mark=False)
-        stats = None
-        if self.optimize:
-            from ..optimizer import optimize_bundle
-            stats = PassStats()
-            with phase(tracer, timings, "optimize"):
-                bundle = optimize_bundle(bundle, stats, tracer,
-                                         table_rows=self._table_stats(),
-                                         backend=self.backend.name)
-        if not bundle.verified:
-            # optimize=False path: the backend still only ever receives
-            # verified plans.
-            with phase(tracer, timings, "verify", stage="final"):
-                verify_bundle(bundle, label="final")
-        entry = CacheEntry(bundle, pass_stats=stats)
-        if use_cache:
-            self.plan_cache.insert(key, entry)
-        return CompiledQuery(bundle, self.optimize, fingerprint=fp,
+        stats = PassStats()
+        with phase(tracer, timings, "optimize"):
+            bundle = optimize_bundle(bundle, stats, tracer,
+                                     table_rows=self._table_stats(),
+                                     backend=self.backend.name)
+        entry = self.plan_cache.insert(key, CacheEntry(bundle,
+                                                       pass_stats=stats))
+        return CompiledQuery(bundle, fingerprint=fp,
                              cache_hit=False, timings=timings,
                              pass_stats=stats, cache_entry=entry)
 
@@ -346,7 +330,6 @@ class Connection:
             analyze_report = build_analyze(
                 compiled.bundle, rec.queries, self.backend.name,
                 rec.duration, table_rows=table_rows)
-            from ..analysis.lint import lint_report
             findings = lint_report(compiled.bundle, analyze_report,
                                    table_rows)
         verify = verify_bundle(compiled.bundle, label="explain",

@@ -8,17 +8,14 @@ same table schemas (cf. Cheney et al., *Query shredding*, whose shredded
 query set is likewise a static artifact prepared once).
 
 :class:`PlanCache` exploits that: it maps a :class:`CacheKey` -- the
-program's structural fingerprint plus everything else compilation depends
-on (optimizer/decorrelation flags and the catalog's schema generation) --
+program's structural fingerprint plus the catalog's schema generation --
 to a :class:`CacheEntry` holding the post-optimization bundle *and* the
 per-backend generated code (SQL text, MIL programs, engine schedules),
 with LRU eviction at a configurable capacity.  Hits, misses, and
 evictions are counted so benchmarks and operators can observe cache
 effectiveness.
 
-A cache may be shared by many connections (it is guarded by a lock);
-entries never mix compilation flags because the flags are part of the
-key.
+A cache may be shared by many connections (it is guarded by a lock).
 """
 
 from __future__ import annotations
@@ -37,10 +34,6 @@ class CacheKey(NamedTuple):
     #: Structural fingerprint of the program (includes the declared
     #: schemas of every referenced table).
     fingerprint: str
-    #: Was the Pathfinder-style rewrite pipeline applied?
-    optimize: bool
-    #: Was join-graph isolation (normal form + decorrelation) applied?
-    decorrelate: bool
     #: The catalog's DDL generation when the plan was compiled; any
     #: CREATE/DROP bumps it, invalidating every prior entry.
     schema_generation: int

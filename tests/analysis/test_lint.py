@@ -2,23 +2,28 @@
 
 ``D500`` -- a measured row count outside the static bounds -- gets a
 dedicated trigger per place it can fire (query, operator, peak) on
-forged profiles, and the CLI gate is exercised end to end: clean exit 0
-on the golden workload (Table 1 at 100 *and* 800 categories), exit 1
-when ``--assume-rows`` claims a table is smaller than it is.
+forged profiles, and the lint runs over the golden workload on every
+backend: clean on it (Table 1 at 100 *and* 800 categories), and D500
+when the table statistics claim a table is smaller than it is.
 """
 
-import json
+import functools
 
 import pytest
 
-from repro import Connection
+from repro import Connection, fmap, pyq, tup
 from repro.algebra import LitTable, Select, TableScan
-from repro.analysis import lint
-from repro.analysis.lint import _parse_assume, lint_report
-from repro.bench.table1 import running_example_query
-from repro.bench.workloads import avalanche_dataset
+from repro.analysis import lint_report
 from repro.ftypes import BoolT, IntT
 from repro.obs.analyze import AnalyzeReport, OpProfile, QueryProfile
+from examples.workloads import (
+    avalanche_dataset,
+    orders_dataset,
+    paper_dataset,
+    running_example_query,
+)
+
+from ..conftest import BACKENDS
 
 
 def lit(n, *cols):
@@ -106,7 +111,7 @@ class TestD500:
 
 
 class TestExplain:
-    @pytest.mark.parametrize("backend", ["engine", "sqlite", "mil"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_the_running_example_at_800_categories_is_clean(self, backend):
         db = Connection(backend=backend, catalog=avalanche_dataset(800))
         report = db.explain(running_example_query(db), analyze=True)
@@ -122,44 +127,46 @@ class TestExplain:
         assert report.lint is None and "bounds lint" not in str(report)
 
 
-class TestCLI:
-    def test_golden_workload_is_clean(self, capsys):
-        assert lint.main([]) == 0
-        assert "clean" in capsys.readouterr().out
+@functools.cache
+def golden_workload(backend):
+    """``(bundle, analyze, table_rows)`` per program of the golden
+    workload on ``backend``: the running example on Figure 1 and on the
+    Table 1 instance at 100 and at 800 categories (the bounds hold at
+    every size), plus a nested-orders report."""
+    dbs = [Connection(backend=backend, catalog=catalog) for catalog in (
+        paper_dataset(), avalanche_dataset(100), avalanche_dataset(800),
+        orders_dataset(n_customers=25))]
+    queries = [running_example_query(db) for db in dbs[:3]]
+    orders = dbs[3].table("orders")
+    queries.append(fmap(lambda c: tup(c[1], pyq(
+        "[oid for (cid2, month, oid) in orders if cid2 == cid]",
+        orders=orders, cid=c[0])), dbs[3].table("customers")))
+    return [(db.compile(q).bundle, db.explain(q, analyze=True).analyze,
+             db._table_stats()) for db, q in zip(dbs, queries)]
 
-    def test_seeded_misestimate_trips_the_gate(self, capsys):
-        # The ISSUE's acceptance check: claiming a table is *smaller*
-        # than it is makes the bounds unsound, which must produce D500
-        # findings and a non-zero exit on every backend.
-        for backend in ("engine", "sqlite", "mil"):
-            rc = lint.main(["--backend", backend,
-                            "--assume-rows", "facilities=1"])
-            out = capsys.readouterr().out
-            assert rc == 1, backend
-            assert "D500" in out and "bounds finding(s)" in out
 
-    def test_a_larger_assumed_size_trips_only_the_lower_bounds(self, capsys):
+def findings(backend, **assumed):
+    return [diag for bundle, analyze, table_rows in golden_workload(backend)
+            for diag in lint_report(bundle, analyze,
+                                    {**table_rows, **assumed})]
+
+
+class TestGoldenWorkload:
+    def test_golden_workload_is_clean(self):
+        for backend in BACKENDS:
+            assert findings(backend) == [], backend
+
+    def test_seeded_misestimate_trips_the_gate(self):
+        # Claiming a table is *smaller* than it is makes the bounds
+        # unsound, which must produce D500 findings on every backend.
+        for backend in BACKENDS:
+            out = findings(backend, facilities=1)
+            assert out and {d.code for d in out} == {"D500"}, backend
+
+    def test_a_larger_assumed_size_trips_only_the_lower_bounds(self):
         # 100000 assumed rows: the scan's bounds are 100000..100000, so
         # the engine's operator profile (9 rows) falls below them; the
         # queries' own bounds start at 0 and stay satisfied.
-        assert lint.main(["--assume-rows", "facilities=100000"]) == 1
-        out = capsys.readouterr().out
-        assert "TableScan" in out and "the query" not in out
-
-    def test_json_output(self, capsys):
-        rc = lint.main(["--json", "--assume-rows", "facilities=1"])
-        assert rc == 1
-        findings = json.loads(capsys.readouterr().out)
-        assert findings and all(f["code"] == "D500" for f in findings)
-        assert {f["workload"] for f in findings} <= {
-            "running_example", "table1_100", "table1_800", "nested_orders"}
-
-    def test_there_is_no_ratio_budget(self):
-        with pytest.raises(SystemExit):
-            lint.main(["--ratio-budget", "8"])
-
-    def test_bad_assume_rows_rejected(self):
-        with pytest.raises(SystemExit):
-            _parse_assume(["facilities"])
-        with pytest.raises(ValueError):
-            _parse_assume(["facilities=lots"])
+        out = findings("engine", facilities=100000)
+        assert out and all(d.node_ref is not None for d in out)
+        assert any("TableScan" in d.message for d in out)

@@ -12,8 +12,7 @@ import pytest
 from repro import Connection, ffilter, group_with, nub, number, to_q
 from repro.algebra import Distinct, LitTable, Project
 from repro.analysis import PlanStore
-from repro.bench.table1 import running_example_query
-from repro.bench.workloads import paper_dataset
+from examples.workloads import paper_dataset, running_example_query
 from repro.errors import VerifyError
 from repro.optimizer.rewrites.properties import (
     REWRITES,
@@ -26,7 +25,7 @@ from ..conftest import run_all_ways
 
 
 def fired(db, q) -> dict:
-    return db.compile(q, use_cache=False).pass_stats.rewrites_fired
+    return db.compile(q).pass_stats.rewrites_fired
 
 
 class TestFiring:

@@ -5,7 +5,7 @@ import pytest
 from repro import Connection, fmap, group_with, to_q
 from repro.backends.mil import MILGenerator
 from repro.backends.mil import program as mil
-from repro.bench.table1 import running_example_query
+from examples.workloads import running_example_query
 from repro.errors import PartialFunctionError
 
 

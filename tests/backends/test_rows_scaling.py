@@ -11,8 +11,11 @@ than) doubles that sum: before, ``loop x meanings`` and the late
 
 from repro import Connection, pyq, qc
 from repro.algebra import postorder
-from repro.bench.table1 import running_example_query
-from repro.bench.workloads import avalanche_dataset, orders_dataset
+from examples.workloads import (
+    avalanche_dataset,
+    orders_dataset,
+    running_example_query,
+)
 
 from .test_sql_scaling import nested_orders_query
 

@@ -12,8 +12,11 @@ categories), two materialised CTEs joined by nested loops.
 import pytest
 
 from repro import Connection, fmap, fsum, group_with, pyq, the, tup
-from repro.bench.table1 import running_example_query
-from repro.bench.workloads import avalanche_dataset, orders_dataset
+from examples.workloads import (
+    avalanche_dataset,
+    orders_dataset,
+    running_example_query,
+)
 
 #: Progress-handler granularity (VM instructions per callback).
 TICK = 1000

@@ -17,8 +17,7 @@ import pytest
 
 from repro import Connection, PartialFunctionError, fmap, to_q
 from repro.backends.sql import SQLiteBackend, render_literal, sql_type
-from repro.bench.table1 import running_example_query
-from repro.bench.workloads import avalanche_dataset
+from examples.workloads import avalanche_dataset, running_example_query
 from repro.ftypes import BoolT, DateT, DoubleT, IntT, StringT, TimeT
 from repro.runtime import Catalog
 

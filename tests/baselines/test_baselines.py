@@ -12,8 +12,11 @@ from repro.baselines.haskelldb import (
 from repro.baselines.haskelldb import run_running_example as hdb_run
 from repro.baselines.linq import LinqSession
 from repro.baselines.linq import run_running_example as linq_run
-from repro.bench.table1 import run_dsh, running_example_query
-from repro.bench.workloads import avalanche_dataset
+from examples.workloads import (
+    avalanche_dataset,
+    run_dsh,
+    running_example_query,
+)
 from repro.errors import ExecutionError
 
 

@@ -9,8 +9,9 @@ import sys
 
 import pytest
 
+from examples.workloads import numbers_dataset, paper_dataset, run_raw
 from repro import Connection, fmap
-from repro.bench.workloads import numbers_dataset, paper_dataset
+from repro.errors import FerryError, PartialFunctionError
 from repro.expr import free_vars, normalize
 from repro.obs import ExecutionRecord
 from repro.runtime import Catalog
@@ -110,17 +111,44 @@ def check_normal_form(exp, catalog: Catalog, expected=None):
     return normal
 
 
-def run_all_ways(q, catalog: Catalog):
-    """Evaluate a query through the oracle and every backend; assert they
-    agree and return the common value (the differential-testing core)."""
-    expected = Interpreter(catalog).run(q.exp)
-    check_normal_form(q.exp, catalog, expected)
-    for backend in BACKENDS:
-        actual = Connection(backend=backend, catalog=catalog).run(q)
+def outcome(run):
+    """``("value", v)``, or ``("error", cls)`` for the ``FerryError``
+    subclass ``run()`` raised."""
+    try:
+        return "value", run()
+    except FerryError as err:
+        return "error", type(err)
+
+
+def run_all_ways(q, catalog: Catalog, backends=BACKENDS, raw=({},),
+                 lazy_partial: bool = False):
+    """The differential driver: evaluate ``q`` on the reference
+    interpreter, on each of ``backends`` and through each ``raw`` leg
+    (keyword arguments of ``run_raw``; the default runs the unoptimized
+    plans on the engine), assert that every executor returns the
+    interpreter's value or raises its ``FerryError`` subclass, and
+    return that value (or class).  A value also goes through the
+    normal-form check.
+
+    With ``lazy_partial``, where the interpreter raises
+    ``PartialFunctionError`` the executors only have to agree with each
+    other: the interpreter is strict, and the compiled plans evaluate a
+    partial operation only where a result needs it (a division whose
+    value nothing reads is pruned; ``maximum []`` under iteration drops
+    its row, open in the ROADMAP).
+    """
+    expected = outcome(lambda: Interpreter(catalog).run(q.exp))
+    if expected[0] == "value":
+        check_normal_form(q.exp, catalog, expected[1])
+    got = {backend: outcome(
+        lambda: Connection(backend=backend, catalog=catalog).run(q))
+        for backend in backends}
+    got.update({f"raw {leg}": outcome(lambda: run_raw(q, catalog, **leg))
+                for leg in raw})
+    if lazy_partial and expected == ("error", PartialFunctionError):
+        expected = got[backends[0]]
+    for executor, actual in got.items():
         assert actual == expected, (
-            f"backend {backend} disagrees with the reference semantics:\n"
+            f"{executor} disagrees with the reference semantics:\n"
             f"  expected {expected!r}\n  actual   {actual!r}")
-    # the optimizer must not change results either
-    raw = Connection(backend="engine", catalog=catalog, optimize=False).run(q)
-    assert raw == expected
-    return expected
+    return expected[1]

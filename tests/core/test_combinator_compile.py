@@ -55,7 +55,7 @@ from repro import (
     zip_q,
     zip_with,
 )
-from repro.bench.workloads import numbers_dataset
+from examples.workloads import numbers_dataset
 from repro.ftypes import IntT
 
 from ..conftest import run_all_ways

@@ -3,6 +3,7 @@ and the lifter's decorrelated-filter rule that compiles them."""
 
 import pytest
 
+from examples.workloads import run_raw
 from repro import Connection, ffilter, fmap, qc, table, to_q
 from repro.expr import AppE, conjuncts, normalize
 from repro.semantics import Interpreter
@@ -114,8 +115,8 @@ class TestDecorrelationSemantics:
         oracle = Interpreter(db.catalog).run(q.exp)
         check_normal_form(q.exp, db.catalog, oracle)
         assert db.run(q) == oracle
-        naive = Connection(catalog=db.catalog, decorrelate=False)
-        assert naive.run(q) == oracle
+        assert run_raw(q, db.catalog, optimize=True,
+                       decorrelate=False) == oracle
 
     def test_constant_key_filter(self, db):
         t = db.table("t")
@@ -149,13 +150,11 @@ class TestDecorrelationSemantics:
         assert db.run(q) == oracle
 
     def test_running_example_agrees_across_modes(self):
-        from repro.bench.table1 import running_example_query
-        from repro.bench.workloads import paper_dataset
-        results = []
-        for mode in (True, False):
-            db = Connection(catalog=paper_dataset(), decorrelate=mode)
-            results.append(db.run(running_example_query(db)))
-        assert results[0] == results[1]
+        from examples.workloads import paper_dataset, running_example_query
+        db = Connection(catalog=paper_dataset())
+        q = running_example_query(db)
+        assert db.run(q) == run_raw(q, db.catalog, optimize=True,
+                                    decorrelate=False)
 
 
 class TestDecorrelationScaling:
@@ -163,8 +162,7 @@ class TestDecorrelationScaling:
         """Row counts through the decorrelated plan grow linearly with the
         category count (the naive plan is quadratic)."""
         import time
-        from repro.bench.table1 import run_dsh
-        from repro.bench.workloads import avalanche_dataset
+        from examples.workloads import avalanche_dataset, run_dsh
 
         def cost(n):
             catalog = avalanche_dataset(n)

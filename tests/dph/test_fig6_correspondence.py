@@ -45,7 +45,7 @@ class TestAllThreeAgree:
 
     @pytest.mark.parametrize("n", [1, 8, 64])
     def test_random_sizes(self, n):
-        from repro.bench.workloads import sparse_vector
+        from examples.workloads import sparse_vector
         sv, v = sparse_vector(n, density=0.5, seed=n)
         if not sv:
             pytest.skip("empty sparse vector")

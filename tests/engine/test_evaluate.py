@@ -23,7 +23,7 @@ from repro.algebra import (
 )
 from repro import Connection
 from repro.backends.engine import Engine
-from repro.bench.workloads import paper_dataset
+from examples.workloads import paper_dataset
 from repro.errors import PartialFunctionError
 from repro.ftypes import BoolT, IntT, StringT
 from repro.runtime import Catalog

@@ -9,8 +9,11 @@ import pytest
 
 from repro import Connection, fmap, table, to_q
 from repro.algebra import node_count
-from repro.bench.table1 import running_example_variants
-from repro.bench.workloads import avalanche_dataset, orders_dataset
+from examples.workloads import (
+    avalanche_dataset,
+    orders_dataset,
+    running_example_variants,
+)
 from repro.core import bundle as bundle_module
 from repro.core.bundle import compile_exp
 from repro.errors import CompilationError

@@ -22,11 +22,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Connection, pyq, qc, table
-from repro.errors import FerryError, PartialFunctionError
+from repro import pyq, qc, table
+from repro.errors import FerryError
 from repro.runtime import Catalog
-from repro.semantics import Interpreter
 
+from ..conftest import run_all_ways
 from ..properties.support import prop_settings
 
 ROWS = {
@@ -38,8 +38,6 @@ CATALOG = Catalog()
 for _name, _rows in ROWS.items():
     CATALOG.create_table(_name, SCHEMAS[_name], _rows)
 ENV = {name: table(name, schema) for name, schema in SCHEMAS.items()}
-DBS = {b: Connection(backend=b, catalog=CATALOG)
-       for b in ("engine", "mil", "sqlite")}
 
 
 # ----------------------------------------------------------------------
@@ -273,28 +271,12 @@ def mutate(text, kind, pick, py):
 # the properties
 # ----------------------------------------------------------------------
 
-def outcome(run):
-    try:
-        return "value", run()
-    except FerryError as err:
-        return "error", type(err)
-
-
 def check(term, data):
     qc_text, py_text = term.render(py=False), term.render(py=True)
     via_qc, via_pyq = qc(qc_text, **ENV), pyq(py_text, **ENV)
     assert via_qc.fingerprint() == via_pyq.fingerprint(), (qc_text, py_text)
 
-    got = {backend: outcome(lambda: db.run(via_pyq))
-           for backend, db in DBS.items()}
-    expected = outcome(lambda: Interpreter(CATALOG).run(via_qc.exp))
-    if expected == ("error", PartialFunctionError):
-        # The interpreter is strict; the compiled plans evaluate a partial
-        # operation only where a result needs it: a division whose value
-        # nothing reads is pruned, and ``maximum []`` under iteration drops
-        # its row (open in the ROADMAP).  The backends still have to agree.
-        expected = got["engine"]
-    assert got == dict.fromkeys(DBS, expected), qc_text
+    run_all_ways(via_pyq, CATALOG, raw=(), lazy_partial=True)
 
     kind = data.draw(st.sampled_from(["drop", "unbound", "arity"]))
     pick = data.draw(st.integers(0, 10 ** 6))

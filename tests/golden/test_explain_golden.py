@@ -21,8 +21,7 @@ import re
 import pytest
 
 from repro import Connection
-from repro.bench.table1 import running_example_query
-from repro.bench.workloads import paper_dataset
+from examples.workloads import paper_dataset, running_example_query
 
 DATA = pathlib.Path(__file__).parent / "data"
 UPDATE = os.environ.get("UPDATE_GOLDENS") == "1"

@@ -1,6 +1,7 @@
 """Failure injection: every documented error path raises precisely."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -112,6 +113,14 @@ class TestSchemaFailures:
             [inf, inf]
         assert db.run(fmap(lambda x: x - inf, to_q([1.0]))) == [-inf]
         assert db.run(fsum(to_q([inf, 1.0]))) == inf
+
+    def test_a_nan_result_is_a_nan(self, db):
+        # sqlite stores the NaN of ``inf - inf`` and ``inf * 0`` as NULL;
+        # Ferry has no NULL, so the sqlite backend reads it back as NaN.
+        inf = float("inf")
+        assert math.isnan(db.run(fsum(to_q([inf, -inf]))))
+        nan, zero = db.run(fmap(lambda x: x * 0.0, to_q([inf, 1.0])))
+        assert math.isnan(nan) and zero == 0.0
 
     @pytest.mark.parametrize("text", ["\x00", "\ud800", "a\udfffb"],
                              ids=["nul", "lone-surrogate", "inner-surrogate"])

@@ -9,7 +9,7 @@ The expected result is the nested list printed in the paper:
      ("QLA", ["avoids query avalanches", ...])]
 """
 
-from repro.bench.table1 import running_example_query
+from examples.workloads import running_example_query
 
 
 def result_of(db):

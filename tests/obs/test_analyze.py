@@ -7,7 +7,7 @@ import pytest
 
 from repro import AnalyzeReport, Connection, to_q
 from repro.algebra import describe, postorder
-from repro.bench.table1 import running_example_query
+from examples.workloads import running_example_query
 from repro.obs import QueryProfile, build_analyze
 
 

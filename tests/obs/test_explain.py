@@ -3,7 +3,7 @@
 import json
 
 from repro import Connection, ExplainReport, fsum, to_q, tup
-from repro.bench.table1 import running_example_query
+from examples.workloads import running_example_query
 
 
 class TestExplainReport:
@@ -82,9 +82,3 @@ class TestExplainReport:
         assert data["bundle_size"] == 2
         assert [q["index"] for q in data["queries"]] == [1, 2]
         assert "timings" in data
-
-    def test_unoptimized_connection_explains_too(self, paper_catalog):
-        db = Connection(catalog=paper_catalog, optimize=False)
-        report = db.explain(running_example_query(db))
-        assert report.bundle_size == 2 and report.avalanche_ok
-        assert report.pass_stats is None

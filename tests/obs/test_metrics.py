@@ -5,7 +5,7 @@ counters."""
 import pytest
 
 from repro import Connection, to_q
-from repro.bench.table1 import running_example_query
+from examples.workloads import running_example_query
 
 
 class TestPipelineWiring:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Connection, QueryLog
-from repro.bench.table1 import running_example_query
+from examples.workloads import running_example_query
 from repro.errors import FerryError
 
 from ..conftest import execution_record

@@ -15,8 +15,11 @@ from __future__ import annotations
 import pytest
 
 from repro import Connection, to_q
-from repro.bench.table1 import running_example_query
-from repro.bench.workloads import numbers_dataset, paper_dataset
+from examples.workloads import (
+    numbers_dataset,
+    paper_dataset,
+    running_example_query,
+)
 from repro.errors import ObservabilityError
 from repro.obs import EVICTED, UNFINGERPRINTED, StatementStats
 

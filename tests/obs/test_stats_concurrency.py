@@ -16,7 +16,7 @@ import threading
 import pytest
 
 from repro import Connection
-from repro.bench.workloads import numbers_dataset
+from examples.workloads import numbers_dataset
 from repro.errors import VerifyError
 from repro.obs.stats import StatementStats
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro import CollectingSink, Connection, JsonLinesSink, ObservabilityError, to_q
-from repro.bench.table1 import running_example_query
+from examples.workloads import running_example_query
 from repro.obs.trace import NULL_TRACER, Tracer
 
 #: Spans the acceptance criteria require on a cold ``run``.

@@ -36,8 +36,7 @@ from repro.algebra import (
     position_column,
     postorder,
 )
-from repro.bench.table1 import running_example_query
-from repro.bench.workloads import paper_dataset
+from examples.workloads import paper_dataset, running_example_query
 from repro.core.bundle import compile_exp
 from repro.runtime import Catalog
 
@@ -137,7 +136,7 @@ def numberings(bundle):
 
 def compiled(q, cat=None):
     db = Connection(catalog=cat or catalog())
-    return db.compile(q, use_cache=False)
+    return db.compile(q)
 
 
 class TestPositionalScan:
@@ -161,7 +160,7 @@ class TestPositionalScan:
         cat = W.make_catalog(W.paper_mix_tables(1, 42))
         for program in W.CORPUS:
             db = Connection(backend="sqlite", catalog=cat)
-            bundle = db.compile(program.build(db), use_cache=False).bundle
+            bundle = db.compile(program.build(db)).bundle
             for node in postorder(*(q.plan for q in bundle.queries)):
                 assert not (isinstance(node, (RowNum, RowRank))
                             and isinstance(node.child, TableScan)), (
@@ -207,7 +206,7 @@ class TestPositionalScan:
 class TestOrderInlining:
     def test_the_running_example_sorts_once_by_columns(self):
         db = Connection(catalog=paper_dataset())
-        c = db.compile(running_example_query(db), use_cache=False)
+        c = db.compile(running_example_query(db))
         left = numberings(c.bundle)
         assert len(left) == 3
         # Q2: one sort on (position in the group, position in meanings,
@@ -249,7 +248,7 @@ class TestOrderInlining:
         cat = W.make_catalog(W.paper_mix_tables(1, 42))
         program = next(p for p in W.CORPUS if p.name == "nested_orders")
         db = Connection(catalog=cat)
-        c = db.compile(program.build(db), use_cache=False)
+        c = db.compile(program.build(db))
         assert len(numberings(c.bundle)) == 5
         assert "pos_order" not in c.pass_stats.rewrites_fired
         assert c.pass_stats.rewrites_gated == {}

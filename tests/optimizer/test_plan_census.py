@@ -31,8 +31,7 @@ from repro.algebra import (
     postorder,
 )
 from repro.analysis import PlanStore
-from repro.bench.table1 import running_example_variants
-from repro.bench.workloads import paper_dataset
+from examples.workloads import paper_dataset, running_example_variants
 from repro.optimizer.rewrites import properties as rules
 from repro.optimizer.rewrites import prune_unneeded_columns, simplify
 from repro.optimizer.rewrites.icols import _computes, demanded
@@ -48,7 +47,7 @@ PAPER_MIX = W.make_catalog(W.paper_mix_tables(1, 42))
 
 def compiled(program):
     db = Connection(catalog=PAPER_MIX)
-    return db.compile(program.build(db), use_cache=False)
+    return db.compile(program.build(db))
 
 
 def census(bundle) -> tuple[int, int]:
@@ -111,7 +110,7 @@ class TestCensus:
         db = Connection(catalog=paper_dataset())
         shapes = {
             name: [node_count(query.plan)
-                   for query in db.compile(q, use_cache=False).bundle.queries]
+                   for query in db.compile(q).bundle.queries]
             for name, q in running_example_variants(db).items()}
         assert shapes["qc"] == shapes["pyq"] == shapes["fluent"]
         assert sum(shapes["qc"]) <= 17 + 23
@@ -150,7 +149,7 @@ def compiled_by_name(name):
     if name in REGRESSIONS:
         build, _expected = REGRESSIONS[name]
         db = Connection(catalog=Catalog())
-        return db.compile(build(), use_cache=False)
+        return db.compile(build())
     return compiled(program(name))
 
 

@@ -22,8 +22,11 @@ from repro.algebra import (
     postorder,
 )
 from repro.analysis import PlanStore
-from repro.bench.table1 import running_example_query
-from repro.bench.workloads import orders_dataset, paper_dataset
+from examples.workloads import (
+    orders_dataset,
+    paper_dataset,
+    running_example_query,
+)
 from repro.core.bundle import compile_exp
 from repro.dph import FIG6_SV, FIG6_V, dotp_query
 from repro.frontend.q import to_q

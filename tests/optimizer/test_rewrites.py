@@ -22,8 +22,12 @@ from repro.algebra import (
 )
 from repro.analysis import PlanStore, check_plan
 from repro.backends.engine.evaluate import Engine
-from repro.bench.workloads import paper_dataset
-from repro.bench.table1 import running_example_query
+from examples.workloads import (
+    paper_dataset,
+    raw_bundle,
+    run_raw,
+    running_example_query,
+)
 from repro.ftypes import IntT
 from repro.obs.trace import NULL_TRACER
 from repro.runtime import Catalog
@@ -290,7 +294,7 @@ class TestNumberingRules:
         # the lifter's group_with spine
         db = Connection(catalog=paper_dataset())
         q = group_with(lambda r: r[0], db.table("features"))
-        compiled = db.compile(q, use_cache=False)
+        compiled = db.compile(q)
         assert compiled.pass_stats.rewrites_fired["rownum_rank"] == 1
         [rank] = [n for n in postorder(*(query.plan for query
                                          in compiled.bundle.queries))
@@ -300,9 +304,7 @@ class TestNumberingRules:
             if isinstance(n, RowNum) and not n.part
             and {c for c, _ in n.order} <= {c for c, _ in rank.order}]
         assert not numberings
-        raw = Connection(catalog=paper_dataset(), optimize=False)
-        assert db.run(q) == raw.run(
-            group_with(lambda r: r[0], raw.table("features")))
+        assert db.run(q) == run_raw(q, db.catalog)
 
 
 class TestOrderByColumns:
@@ -394,9 +396,8 @@ class TestOrderByColumns:
 
 class TestPipeline:
     def test_shrinks_running_example(self):
-        db = Connection(catalog=paper_dataset(), optimize=False)
-        compiled = db.compile(running_example_query(db))
-        for query in compiled.bundle.queries:
+        db = Connection(catalog=paper_dataset())
+        for query in raw_bundle(running_example_query(db)).queries:
             optimized = optimize_plan(query.plan)
             assert node_count(optimized) < node_count(query.plan)
             check_plan(optimized)
@@ -408,9 +409,7 @@ class TestPipeline:
         lambda t: fmap(lambda x: tup(x, fsum(t)), t),
     ])
     def test_optimizer_preserves_results(self, mk):
-        results = []
-        for optimize in (False, True):
-            db = Connection(optimize=optimize)
-            db.create_table("t", [("n", int)], [(i,) for i in range(8)])
-            results.append(db.run(mk(db.table("t"))))
-        assert results[0] == results[1]
+        db = Connection()
+        db.create_table("t", [("n", int)], [(i,) for i in range(8)])
+        q = mk(db.table("t"))
+        assert run_raw(q, db.catalog) == db.run(q)

@@ -29,6 +29,7 @@ from repro import (
     nub,
     tup,
 )
+from examples.workloads import raw_bundle
 from repro.analysis.cost import RowBounds, estimate_bundle
 from repro.backends.engine.evaluate import BundleCache, Engine
 from repro.runtime import Catalog
@@ -76,10 +77,8 @@ def check_bounds(q, catalog=None):
     """Compile (optimized, and not), materialize every node on the
     engine, and audit every node's bounds and width."""
     catalog = catalog if catalog is not None else Catalog()
-    for optimize in (True, False):
-        db = Connection(backend="engine", catalog=catalog,
-                        optimize=optimize)
-        bundle = db.compile(q, use_cache=False).bundle
+    db = Connection(catalog=catalog)
+    for bundle in (db.compile(q).bundle, raw_bundle(q)):
         engine = Engine(catalog)
         cache = BundleCache()
         bounds = RowBounds(db._table_stats())

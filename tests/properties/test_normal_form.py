@@ -11,11 +11,9 @@ the interpreter, with the rewrite on and off.
 
 from hypothesis import given
 
-from repro import Connection
 from repro.runtime import Catalog
-from repro.semantics import Interpreter
 
-from ..conftest import check_normal_form
+from ..conftest import check_normal_form, run_all_ways
 from .strategies import join_comprehension
 from .support import prop_settings
 
@@ -31,8 +29,5 @@ def test_normal_form_preserves_semantics(q):
 @prop_settings(25)
 @given(join_comprehension())
 def test_isolated_plans_agree_with_the_interpreter(q):
-    expected = Interpreter(CATALOG).run(q.exp)
-    for backend in ("engine", "sqlite"):
-        assert Connection(backend=backend, catalog=CATALOG).run(q) == expected
-    naive = Connection(catalog=CATALOG, decorrelate=False)
-    assert naive.run(q) == expected
+    run_all_ways(q, CATALOG, backends=("engine", "sqlite"),
+                 raw=[{"optimize": True, "decorrelate": False}])

@@ -13,6 +13,7 @@ actual rows -- a falsifier for the analysis layer the same way
 
 from hypothesis import given
 
+from examples.workloads import raw_bundle
 from repro import Connection, concat_map, nub, number, sort_with_desc, tup
 from repro.algebra import TableScan, postorder
 from repro.analysis import infer_properties
@@ -41,8 +42,8 @@ def check_inference(q):
 
 def audit(q, optimize, catalog=CATALOG):
     """Compile, materialize every node, and audit all inferred facts."""
-    db = Connection(backend="engine", catalog=catalog, optimize=optimize)
-    bundle = db.compile(q, use_cache=False).bundle
+    bundle = (Connection(catalog=catalog).compile(q).bundle if optimize
+              else raw_bundle(q))
     engine = Engine(catalog)
     cache = BundleCache()
     props_memo, schemas = {}, {}
@@ -140,8 +141,7 @@ class TestScanFacts:
             for optimize in (True, False):
                 audit(q, optimize, catalog)
         # ... and the audit had the facts to falsify
-        raw = Connection(catalog=catalog, optimize=False).compile(
-            number(t), use_cache=False).bundle
+        raw = raw_bundle(number(t))
         [scan] = [n for n in postorder(raw.queries[0].plan)
                   if isinstance(n, TableScan)]
         facts = infer_properties(scan)

@@ -14,12 +14,12 @@ ones (the ``property`` job).
 import pytest
 from hypothesis import given
 
+from examples.workloads import raw_bundle
 from repro import Connection
 from repro.algebra import postorder
 from repro.runtime import Catalog
-from repro.semantics import Interpreter
 
-from ..conftest import BACKENDS
+from ..conftest import BACKENDS, run_all_ways
 from .strategies import SPINE_PROGRAMS, shared_spine_program
 from .support import prop_settings
 from .test_property_inference import audit
@@ -46,20 +46,11 @@ def catalog_of(t_rows, u_rows) -> Catalog:
 def check(name, t_rows, u_rows):
     size, build = SPINE_PROGRAMS[name]
     catalog = catalog_of(t_rows, u_rows)
-
-    def query(db):
-        return build(db.table("t"), db.table("u"))
-
-    oracle = Connection(catalog=catalog)
-    expected = Interpreter(catalog).run(query(oracle).exp)
-    for backend in BACKENDS:
-        for optimize in (True, False):
-            db = Connection(backend=backend, catalog=catalog,
-                            optimize=optimize)
-            assert db.compile(query(db)).bundle.size == size
-            assert db.run(query(db)) == expected, (
-                f"{backend} diverged (optimize={optimize})")
-    return query(oracle), catalog
+    db = Connection(catalog=catalog)
+    q = build(db.table("t"), db.table("u"))
+    assert db.compile(q).bundle.size == raw_bundle(q).size == size
+    run_all_ways(q, catalog, raw=[{"backend": b} for b in BACKENDS])
+    return q, catalog
 
 
 @pytest.mark.tier1

@@ -20,8 +20,11 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import Connection
-from repro.bench.table1 import running_example_query
-from repro.bench.workloads import orders_dataset, paper_dataset
+from examples.workloads import (
+    orders_dataset,
+    paper_dataset,
+    running_example_query,
+)
 from repro.runtime import Catalog
 from repro.semantics import Interpreter
 

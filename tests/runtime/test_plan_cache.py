@@ -77,12 +77,14 @@ class TestCacheHits:
         warm = db.compile(squares(db))
         assert warm.bundle is cold.bundle
 
-    def test_use_cache_false_bypasses(self):
-        db = Connection(catalog=make_catalog())
-        db.compile(squares(db), use_cache=False)
-        db.compile(squares(db), use_cache=False)
-        assert db.cache_stats.lookups == 0
-        assert len(db.plan_cache) == 0
+    def test_shared_cache_shares_across_connections(self):
+        shared = PlanCache()
+        cat = make_catalog()
+        a = Connection(catalog=cat, plan_cache=shared)
+        b = Connection(catalog=cat, plan_cache=shared)
+        a.run(squares(a))
+        b.run(squares(b))
+        assert shared.stats.misses == 1 and shared.stats.hits == 1
 
     def test_codegen_cached_per_backend(self):
         db = Connection(backend="sqlite", catalog=make_catalog())
@@ -122,41 +124,12 @@ class TestInvalidation:
         assert prepared.execute() == [49]
 
 
-class TestFlagSeparation:
-    def test_optimize_flag_never_shares_entries(self):
-        shared = PlanCache()
-        cat = make_catalog()
-        opt = Connection(catalog=cat, optimize=True, plan_cache=shared)
-        raw = Connection(catalog=cat, optimize=False, plan_cache=shared)
-        assert opt.run(squares(opt)) == raw.run(squares(raw))
-        assert shared.stats.misses == 2 and shared.stats.hits == 0
-        assert len(shared) == 2
-
-    def test_decorrelate_flag_never_shares_entries(self):
-        shared = PlanCache()
-        cat = make_catalog()
-        a = Connection(catalog=cat, decorrelate=True, plan_cache=shared)
-        b = Connection(catalog=cat, decorrelate=False, plan_cache=shared)
-        a.compile(squares(a))
-        b.compile(squares(b))
-        assert shared.stats.misses == 2 and shared.stats.hits == 0
-
-    def test_shared_cache_shares_across_connections(self):
-        shared = PlanCache()
-        cat = make_catalog()
-        a = Connection(catalog=cat, plan_cache=shared)
-        b = Connection(catalog=cat, plan_cache=shared)
-        a.run(squares(a))
-        b.run(squares(b))
-        assert shared.stats.misses == 1 and shared.stats.hits == 1
-
-
 class TestLRUEviction:
     def test_unit_eviction_order(self):
         cache = PlanCache(capacity=2)
 
         def key(i):
-            return CacheKey(f"fp{i}", True, True, 0)
+            return CacheKey(f"fp{i}", 0)
 
         cache.insert(key(1), CacheEntry(bundle=None))
         cache.insert(key(2), CacheEntry(bundle=None))

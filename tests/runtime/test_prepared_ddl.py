@@ -10,7 +10,7 @@ the differential property suite.
 import pytest
 
 from repro import Connection
-from repro.bench.workloads import numbers_dataset
+from examples.workloads import numbers_dataset
 from repro.semantics import Interpreter
 
 BACKENDS = ("engine", "sqlite", "mil")

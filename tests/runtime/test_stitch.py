@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Connection, PartialFunctionError, SchemaError, nil, to_q
-from repro.bench.workloads import orders_dataset
+from examples.workloads import orders_dataset
 from repro.core import compile_exp
 from repro.errors import ExecutionError
 from repro.ftypes import IntT, ListT

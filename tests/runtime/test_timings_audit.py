@@ -7,7 +7,7 @@ children account (approximately) for the end-to-end wall time.
 """
 
 from repro import Connection
-from repro.bench.table1 import running_example_query
+from examples.workloads import running_example_query
 from repro.obs.trace import Tracer
 
 #: Phase keys documented on CompiledQuery.timings.
@@ -33,20 +33,13 @@ class TestCompileTimings:
         # a cache hit never re-runs the optimizer
         assert warm.pass_stats is None
 
-    def test_optimize_disabled_drops_the_optimize_key(self, paper_catalog):
-        db = Connection(catalog=paper_catalog, optimize=False)
-        compiled = db.compile(running_example_query(db))
-        # without the optimizer the bundle is not yet verified, so the
-        # final verifier pass runs (and is accounted) separately
-        assert set(compiled.timings) == (COLD_KEYS - {"optimize"}) | {"verify"}
-        assert compiled.pass_stats is None
-
     def test_cold_run_adds_codegen(self, paper_db):
         q = running_example_query(paper_db)
         paper_db.run(q)
         # the codegen timing lands on the CompiledQuery run() built; the
-        # next compile is warm, so check via a fresh uncached compile
-        cold = paper_db.compile(q, use_cache=False)
+        # next compile is warm, so check via a compile after a clear
+        paper_db.plan_cache.clear()
+        cold = paper_db.compile(q)
         paper_db._codegen(cold)
         assert "codegen" in cold.timings
 
@@ -95,11 +88,6 @@ class TestExecutionCounters:
         assert any_backend_db.queries_issued == size * 3
         assert any_backend_db.executions == 3
 
-    def test_uncached_compile_bypasses_stats(self, paper_db):
-        q = running_example_query(paper_db)
-        paper_db.compile(q, use_cache=False)
-        assert paper_db.cache_stats.lookups == 0
-
 
 class TestTraceAccounting:
     def test_phase_spans_sum_to_end_to_end_time(self, paper_db):
@@ -118,7 +106,7 @@ class TestTraceAccounting:
         # a traced phase's timing *is* its span's duration: one
         # measurement, so the two are equal, not merely close
         tracer = Tracer("compile")
-        compiled = paper_db.compile(q, use_cache=False, tracer=tracer)
+        compiled = paper_db.compile(q, tracer=tracer)
         trace = tracer.finish()
         for phase, span_name in (("check", "check"),
                                  ("lookup", "cache-lookup"),
