@@ -24,9 +24,7 @@ from .frontend import *  # noqa: F401,F403 - curated __all__
 from .frontend import __all__ as _frontend_all
 from .obs import (
     AnalyzeReport,
-    CollectingSink,
     ExplainReport,
-    JsonLinesSink,
     QueryLog,
     Trace,
 )
@@ -43,11 +41,9 @@ __version__ = "1.0.0"
 __all__ = list(_frontend_all) + [
     "AnalyzeReport",
     "Catalog",
-    "CollectingSink",
     "CompiledQuery",
     "Connection",
     "ExplainReport",
-    "JsonLinesSink",
     "PlanCache",
     "PreparedQuery",
     "QueryLog",

@@ -409,6 +409,13 @@ def _finish(schema: Schema, keys: "set[Key]", constants: dict,
     if card.hi is not None and card.hi <= 1:
         keys.add(frozenset())
     minimal = _minimize(keys)
+    # Dense within groups of one row: the run 1..n is the constant 1.
+    ones = {c: 1 for c, p in dense
+            if c in cols and c not in constants and p <= cols
+            and any(k <= p for k in minimal)}
+    if ones:
+        return _finish(schema, set(minimal), {**constants, **ones}, card,
+                       non_null, dense, provenance, order)
     if frozenset() in minimal and (card.hi is None or card.hi > 1):
         card = Card(card.lo, 1)
     constants = {c: v for c, v in constants.items() if c in cols}

@@ -7,8 +7,7 @@ optimizer, and every backend:
 * :mod:`repro.obs.record` -- the :class:`ExecutionRecord` a connection
   builds once per execution; the flight recorder and the statement
   stats are views of it;
-* :mod:`repro.obs.trace` -- per-execution span trees (``conn.last_trace``)
-  with pluggable sinks (JSON-lines export);
+* :mod:`repro.obs.trace` -- per-execution span trees (``conn.last_trace``);
 * :mod:`repro.obs.explain` -- the structured report behind
   ``Connection.explain``, including the runtime avalanche check;
 * :mod:`repro.obs.analyze` -- EXPLAIN ANALYZE: per-operator (engine) /
@@ -31,10 +30,7 @@ from .record import ExecutionRecord
 from .stats import EVICTED, UNFINGERPRINTED, StatementStats
 from .trace import (
     NULL_TRACER,
-    CollectingSink,
-    JsonLinesSink,
     NullTracer,
-    Sink,
     Span,
     Trace,
     Tracer,
@@ -47,16 +43,13 @@ __all__ = [
     "NULL_TRACER",
     "UNFINGERPRINTED",
     "AnalyzeReport",
-    "CollectingSink",
     "ExecutionRecord",
     "ExplainReport",
-    "JsonLinesSink",
     "NullTracer",
     "OpProfile",
     "QueryExplain",
     "QueryLog",
     "QueryProfile",
-    "Sink",
     "Span",
     "StatementStats",
     "Trace",

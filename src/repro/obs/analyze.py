@@ -26,9 +26,6 @@ queries whose per-operator cost, not count, varies with the data.
 Every execution returns one :class:`QueryProfile` per bundle query
 (``Backend.execute_bundle`` times each once); ``per_op=True`` -- what
 ``explain(analyze=True)`` asks for -- adds the operator/step profiles.
-Connections with a slow-query threshold build the annotated report from
-the same profiles when the threshold trips and promote it into the
-:class:`~repro.obs.querylog.QueryLog`.
 """
 
 from __future__ import annotations

@@ -61,8 +61,8 @@ class ExecutionRecord:
     #: The error's stable diagnostic code (``F101``, ``F302``, ...) when
     #: the exception carried one.
     error_code: "str | None" = None
-    #: Id correlating this record with its span tree and JSONL sink
-    #: lines (``None`` untraced).
+    #: Id correlating this record with its span tree (``None``
+    #: untraced).
     trace_id: "str | None" = None
     #: The span tree, when the connection traces.
     trace: "Trace | None" = field(default=None, repr=False)

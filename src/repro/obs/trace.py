@@ -12,11 +12,10 @@ Every ``Connection.run`` / ``PreparedQuery.execute`` records a span tree
     ├─ execute            (one per bundle query, attrs: query, rows)
     └─ stitch
 
-retrievable afterwards via ``conn.last_trace`` and exportable through
-pluggable sinks (e.g. :class:`JsonLinesSink`).  Spans carry wall-clock
-*and* CPU time plus free-form attributes, so the avalanche claim — a
-fixed number of ``execute`` spans regardless of data size — is directly
-visible in any trace.
+retrievable afterwards via ``conn.last_trace``.  Spans carry wall-clock
+time plus free-form attributes, so the avalanche claim — a fixed number
+of ``execute`` spans regardless of data size — is directly visible in
+any trace.
 
 Overhead is kept near zero: spans are ``__slots__`` objects, entering
 one costs two clock reads, and a :data:`NULL_TRACER` singleton turns the
@@ -25,11 +24,8 @@ whole machinery into no-ops when tracing is disabled.
 
 from __future__ import annotations
 
-import io
 import itertools
-import json
 import math
-import threading
 import time
 from typing import Any, Iterator
 
@@ -37,17 +33,14 @@ from typing import Any, Iterator
 class Span:
     """One timed step; a node of the trace tree."""
 
-    __slots__ = ("name", "attrs", "start", "duration", "cpu_time",
-                 "children", "_cpu_start")
+    __slots__ = ("name", "attrs", "start", "duration", "children")
 
     def __init__(self, name: str, attrs: dict[str, Any]):
         self.name = name
         self.attrs = attrs
         self.children: list[Span] = []
         self.start = time.perf_counter()
-        self._cpu_start = time.process_time()
         self.duration = 0.0
-        self.cpu_time = 0.0
 
     def set(self, **attrs: Any) -> None:
         """Attach (or overwrite) attributes on the live span."""
@@ -55,17 +48,13 @@ class Span:
 
     def _finish(self) -> None:
         wall = time.perf_counter() - self.start
-        cpu = time.process_time() - self._cpu_start
         # Children are strictly nested and sequential (stack discipline),
-        # so their totals can only exceed the parent's own reading through
-        # clock granularity -- process_time in particular ticks coarsely
-        # on some platforms.  Clamp the parent up to the children's sum so
+        # so their total can only exceed the parent's own reading through
+        # clock granularity.  Clamp the parent up to the children's sum so
         # the containment invariant holds exactly, bottom-up.
         if self.children:
             wall = max(wall, math.fsum(c.duration for c in self.children))
-            cpu = max(cpu, math.fsum(c.cpu_time for c in self.children))
         self.duration = wall
-        self.cpu_time = cpu
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Span({self.name!r}, {self.duration * 1e3:.3f}ms, "
@@ -100,8 +89,8 @@ class Trace:
         #: Wall-clock (epoch seconds) when the root span opened.
         self.started_at = started_at
         #: Process-unique id correlating this execution end-to-end: the
-        #: same id appears on the flight recorder entry, JSONL sink
-        #: records, and a statement's ``worst_trace_id``.
+        #: same id appears on the flight recorder entry and a statement's
+        #: ``worst_trace_id``.
         self.trace_id = trace_id
 
     @property
@@ -126,27 +115,6 @@ class Trace:
     def find_all(self, name: str) -> list[Span]:
         """Every span called ``name``, in depth-first order."""
         return [s for s, _ in self.iter_spans() if s.name == name]
-
-    def to_records(self) -> list[dict[str, Any]]:
-        """Flatten into JSON-able records (one per span).
-
-        Each record carries a per-trace span id and its parent's id, the
-        offset from the trace start, and wall/CPU durations in seconds.
-        """
-        ids: dict[int, int] = {}
-        records: list[dict[str, Any]] = []
-        for i, (span, parent) in enumerate(self.iter_spans()):
-            ids[id(span)] = i
-            records.append({
-                "span": i,
-                "parent": ids[id(parent)] if parent is not None else None,
-                "name": span.name,
-                "offset": span.start - self.root.start,
-                "duration": span.duration,
-                "cpu": span.cpu_time,
-                "attrs": span.attrs,
-            })
-        return records
 
     def render(self) -> str:
         """Human-readable indented tree with millisecond timings."""
@@ -271,67 +239,3 @@ class phase:
         else:
             handle.__exit__(*exc)
             self._into[self._key] = handle._span.duration
-
-
-class Sink:
-    """Interface for trace exporters: receives every finished trace."""
-
-    def emit(self, trace: Trace) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class CollectingSink(Sink):
-    """Keeps finished traces in a list (tests, interactive inspection)."""
-
-    def __init__(self) -> None:
-        self.traces: list[Trace] = []
-
-    def emit(self, trace: Trace) -> None:
-        self.traces.append(trace)
-
-
-class JsonLinesSink(Sink):
-    """Writes one JSON object per span, one per line (JSONL).
-
-    ``target`` is a file path or any text file-like object.  Records
-    carry the trace's process-unique ``trace`` id (the same ``trace_id``
-    the statement stats and the flight recorder reference) and its epoch
-    start timestamp, so lines from interleaved connections remain
-    groupable and joinable against the other observability surfaces.
-
-    Appends are thread-safe: each trace is serialized outside the lock
-    and written as one contiguous block, so concurrent writers never
-    interleave lines mid-record.
-    """
-
-    def __init__(self, target: "str | io.TextIOBase"):
-        if isinstance(target, str):
-            self._file = open(target, "a", encoding="utf-8")
-            self._owns = True
-        else:
-            self._file = target
-            self._owns = False
-        self._lock = threading.Lock()
-
-    def emit(self, trace: Trace) -> None:
-        trace_id = (trace.trace_id if trace.trace_id is not None
-                    else new_trace_id())
-        records = trace.to_records()
-        for record in records:
-            record["trace"] = trace_id
-            record["ts"] = trace.started_at
-        block = "".join(json.dumps(record, default=str) + "\n"
-                        for record in records)
-        with self._lock:
-            self._file.write(block)
-            self._file.flush()
-
-    def close(self) -> None:
-        if self._owns:
-            self._file.close()
-
-    def __enter__(self) -> "JsonLinesSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -19,8 +19,8 @@ Every execution is observable (``repro.obs``).  ``run``,
 ``PreparedQuery.execute`` and ``explain(analyze=True)`` share one
 execution path that records a span tree (``check`` → ``cache-lookup`` →
 ``lift`` → ``optimize`` per rewrite pass → ``codegen`` → one ``execute``
-span per bundle query → ``stitch``; :attr:`Connection.last_trace`, sinks
-via :meth:`Connection.add_sink`) and finishes by building one frozen
+span per bundle query → ``stitch``; :attr:`Connection.last_trace`) and
+finishes by building one frozen
 :class:`~repro.obs.ExecutionRecord`.  Everything else is a view of that
 record: the flight recorder (:attr:`Connection.query_log`) stores it
 and the per-fingerprint statement statistics
@@ -102,8 +102,8 @@ class Connection:
     slowest executions).  ``trace=False`` disables span recording
     entirely (the tracer becomes a shared no-op object, and reading
     :attr:`last_trace` raises :class:`~repro.errors.ObservabilityError`);
-    with tracing on but no sink installed the cost is a handful of
-    slotted span objects per execution.
+    with tracing on the cost is a handful of slotted span objects per
+    execution.
 
     ``statement_stats`` (default on) aggregates every execution into a
     per-fingerprint :class:`~repro.obs.StatementStats` -- calls, errors,
@@ -138,9 +138,6 @@ class Connection:
         self._last_trace: Trace | None = None
         #: Guards ``executions`` / ``queries_issued`` (see ``_publish``).
         self._lock = threading.Lock()
-        #: Trace exporters (``repro.obs.Sink``); every finished trace is
-        #: passed to each.
-        self.sinks: list[Any] = []
 
     # ------------------------------------------------------------------
     # observability plumbing
@@ -173,14 +170,6 @@ class Connection:
                 "construct it with statement_stats=True (the default) "
                 "to aggregate per-fingerprint workload telemetry")
         return self.stats.snapshot()
-
-    def add_sink(self, sink: Any) -> Any:
-        """Register a trace sink (e.g. ``JsonLinesSink``); returns it."""
-        self.sinks.append(sink)
-        return sink
-
-    def remove_sink(self, sink: Any) -> None:
-        self.sinks.remove(sink)
 
     def _publish(self, rec: ExecutionRecord) -> None:
         """Hand a finished record to its views: the connection's own
@@ -394,8 +383,6 @@ class Connection:
             trace = tracer.finish()
             if trace is not None:
                 self._last_trace = trace
-                for sink in self.sinks:
-                    sink.emit(trace)
             rec = ExecutionRecord(
                 kind, backend, started_at, duration, phases=phases,
                 trace_id=tracer.trace_id, trace=trace, **fields)

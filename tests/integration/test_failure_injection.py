@@ -24,6 +24,7 @@ from repro import (
     qc,
     queryable,
     table,
+    tail,
     the,
     to_q,
 )
@@ -198,6 +199,33 @@ class TestPartialOperations:
         assert db.run(q) == [1, 2]
 
 
+@pytest.mark.xfail(strict=True, reason="open (ROADMAP, partial operations "
+                   "under iteration): the iteration's row is dropped")
+class TestPartialOperationsUnderIteration:
+    def test_head_of_empty_per_row(self, db):
+        t = db.table("t")
+        with pytest.raises(PartialFunctionError):
+            db.run(fmap(lambda x: head(t.filter(lambda y: y > 100)), t))
+
+    def test_maximum_of_empty_comprehension_per_row(self, db):
+        with pytest.raises(PartialFunctionError):
+            db.run(qc("[maximum([0 | y <- t, False]) | x <- t]",
+                      t=db.table("t")))
+
+    def test_index_out_of_bounds_per_row(self, db):
+        t = db.table("t")
+        with pytest.raises(PartialFunctionError):
+            db.run(fmap(lambda x: index(t, x + 5), t))
+
+    def test_tail_of_empty(self, db):
+        t = db.table("t")
+        empty = t.filter(lambda y: y > 100)
+        with pytest.raises(PartialFunctionError):
+            db.run(fmap(lambda x: tail(empty), t))
+        with pytest.raises(PartialFunctionError):
+            db.run(tail(empty))
+
+
 class TestConstructionFailures:
     def test_general_folds(self):
         with pytest.raises(UnsupportedError):
@@ -220,12 +248,10 @@ class TestDocumentedDeviations:
         """`tail []` errors in Haskell and in the reference interpreter;
         relationally the rows simply vanish -- an empty result.  The
         deviation is documented in repro.core.lift_builtins."""
-        from repro import tail
         empty = db.table("t").filter(lambda n: n > 99)
         assert db.run(tail(empty)) == []
 
     def test_oracle_raises_for_tail_of_empty(self):
-        from repro import tail
         from repro.semantics import Interpreter
         with pytest.raises(PartialFunctionError):
             Interpreter().run(tail(nil(IntT)).exp)

@@ -14,25 +14,28 @@ from repro import Connection, fmap
 from repro.core import compile_exp
 from repro.ftypes import ListT, count_list_constructors
 
-from .strategies import any_query, int_list_query, nested_query
+from ..programs import programs
 
 SETTINGS = prop_settings(40)
 
 
 class TestBundleSizeEqualsListConstructors:
     @SETTINGS
-    @given(int_list_query())
-    def test_flat(self, q):
+    @given(programs("pipeline"))
+    def test_flat(self, program):
+        q = program.query
         assert compile_exp(q.exp).size == 1 == count_list_constructors(q.ty)
 
     @SETTINGS
-    @given(nested_query())
-    def test_nested(self, q):
+    @given(programs("nested"))
+    def test_nested(self, program):
+        q = program.query
         assert compile_exp(q.exp).size == 2 == count_list_constructors(q.ty)
 
     @SETTINGS
-    @given(any_query())
-    def test_any_list_result(self, q):
+    @given(programs("any"))
+    def test_any_list_result(self, program):
+        q = program.query
         bundle = compile_exp(q.exp)
         counted = count_list_constructors(q.ty)
         if isinstance(q.ty, ListT):
@@ -45,11 +48,12 @@ class TestBundleSizeEqualsListConstructors:
 
 class TestDataIndependence:
     @prop_settings(15)
-    @given(nested_query())
-    def test_same_program_same_bundle_for_any_instance(self, q):
+    @given(programs("nested"))
+    def test_same_program_same_bundle_for_any_instance(self, program):
         """The compiled artefact -- including the generated SQL script,
         temporary-table steps and all -- is identical regardless of how
         much data the tables hold."""
+        q = program.query
         texts = []
         for rows in (0, 3, 50):
             db = Connection(backend="sqlite")

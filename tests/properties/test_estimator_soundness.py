@@ -18,8 +18,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import (
-    Connection,
+from examples.workloads import raw_bundle
+from repro import Connection
+from repro.analysis.cost import RowBounds, estimate_bundle
+from repro.backends.engine.evaluate import BundleCache, Engine
+from repro.runtime import Catalog
+
+from ..programs import (
+    SPINE_PROGRAMS,
+    TABLE_DATA,
+    T,
+    U,
+    Program,
     append,
     concat_map,
     ffilter,
@@ -27,46 +37,34 @@ from repro import (
     fsum,
     length,
     nub,
+    programs,
     tup,
 )
-from examples.workloads import raw_bundle
-from repro.analysis.cost import RowBounds, estimate_bundle
-from repro.backends.engine.evaluate import BundleCache, Engine
-from repro.runtime import Catalog
-
-from .strategies import (
-    SPINE_PROGRAMS,
-    any_query,
-    int_list_query,
-    nested_query,
-    pair_rows,
-)
-from .support import prop_settings
+from .support import pair_rows, prop_settings
 from .test_shared_spines import INSTANCES, catalog_of
 
 SETTINGS = prop_settings(30)
 
-#: name -> builder over two ``(k, v)`` pair tables: flat programs, one
-#: per way a bound is derived from exact scans (``SPINE_PROGRAMS`` adds
-#: the nested ones).
+#: name -> program over the two ``(k, v)`` pair tables: flat programs,
+#: one per way a bound is derived from exact scans (``SPINE_PROGRAMS``
+#: adds the nested ones).
 FLAT_PROGRAMS = {
-    "scan": lambda t, u: t,
-    "filter": lambda t, u: ffilter(lambda r: r[1] > 0, t),
-    "join": lambda t, u: concat_map(
+    "scan": T,
+    "filter": ffilter(lambda r: r[1] > 0, T),
+    "join": concat_map(
         lambda a: fmap(lambda b: tup(a[1], b[1]),
-                       ffilter(lambda b: a[0] == b[0], u)), t),
-    "product": lambda t, u: concat_map(
-        lambda a: fmap(lambda b: a[1] + b[1], u), t),
-    "append": lambda t, u: append(fmap(lambda r: r[1], t),
-                                  fmap(lambda r: r[0], u)),
-    "nub": lambda t, u: nub(fmap(lambda r: r[0], t)),
-    "count": lambda t, u: length(t),
-    "sum_of_matches": lambda t, u: fmap(
+                       ffilter(lambda b: a[0] == b[0], U)), T),
+    "product": concat_map(lambda a: fmap(lambda b: a[1] + b[1], U), T),
+    "append": append(fmap(lambda r: r[1], T), fmap(lambda r: r[0], U)),
+    "nub": nub(fmap(lambda r: r[0], T)),
+    "count": length(T),
+    "sum_of_matches": fmap(
         lambda a: fsum(fmap(lambda b: b[1],
-                            ffilter(lambda b: a[0] == b[0], u))), t),
+                            ffilter(lambda b: a[0] == b[0], U))), T),
 }
-PROGRAMS = {**FLAT_PROGRAMS,
-            **{name: build for name, (_, build) in SPINE_PROGRAMS.items()}}
+PROGRAMS = {**{name: Program(term, TABLE_DATA)
+               for name, term in FLAT_PROGRAMS.items()},
+            **{name: program for name, (_, program) in SPINE_PROGRAMS.items()}}
 
 TABLES = {**INSTANCES,
           "one_row_each": ([(1, 1)], [(1, 2)]),
@@ -105,27 +103,25 @@ def check_bounds(q, catalog=None):
 
 def check_program(name, t_rows, u_rows):
     catalog = catalog_of(t_rows, u_rows)
-    oracle = Connection(catalog=catalog)
-    check_bounds(PROGRAMS[name](oracle.table("t"), oracle.table("u")),
-                 catalog)
+    check_bounds(PROGRAMS[name].query, catalog)
     return catalog
 
 
 class TestBoundsContainActuals:
     @SETTINGS
-    @given(int_list_query())
-    def test_flat(self, q):
-        check_bounds(q)
+    @given(programs("pipeline"))
+    def test_flat(self, program):
+        check_bounds(program.query)
 
     @SETTINGS
-    @given(nested_query())
-    def test_nested(self, q):
-        check_bounds(q)
+    @given(programs("nested"))
+    def test_nested(self, program):
+        check_bounds(program.query)
 
     @SETTINGS
-    @given(any_query())
-    def test_any(self, q):
-        check_bounds(q)
+    @given(programs("any"))
+    def test_any(self, program):
+        check_bounds(program.query)
 
     @prop_settings(60)
     @given(st.sampled_from(sorted(PROGRAMS)), pair_rows(), pair_rows())
@@ -143,7 +139,7 @@ def test_fixed_corpus(name, instance):
     # per query, the other two backends answer to the same bounds
     for backend in ("sqlite", "mil"):
         db = Connection(backend=backend, catalog=catalog)
-        q = PROGRAMS[name](db.table("t"), db.table("u"))
+        q = PROGRAMS[name].query
         report = db.explain(q, analyze=True)
         bounds = estimate_bundle(db.compile(q).bundle,
                                  table_rows=db._table_stats()).queries

@@ -14,20 +14,20 @@ from hypothesis import given
 from repro.runtime import Catalog
 
 from ..conftest import check_normal_form, run_all_ways
-from .strategies import join_comprehension
+from ..programs import programs
 from .support import prop_settings
 
 CATALOG = Catalog()
 
 
 @prop_settings(60)
-@given(join_comprehension())
-def test_normal_form_preserves_semantics(q):
-    check_normal_form(q.exp, CATALOG)
+@given(programs("join"))
+def test_normal_form_preserves_semantics(program):
+    check_normal_form(program.query.exp, CATALOG)
 
 
 @prop_settings(25)
-@given(join_comprehension())
-def test_isolated_plans_agree_with_the_interpreter(q):
-    run_all_ways(q, CATALOG, backends=("engine", "sqlite"),
+@given(programs("join"))
+def test_isolated_plans_agree_with_the_interpreter(program):
+    run_all_ways(program.query, CATALOG, backends=("engine", "sqlite"),
                  raw=[{"optimize": True, "decorrelate": False}])

@@ -20,8 +20,8 @@ from repro.analysis import infer_properties
 from repro.backends.engine.evaluate import BundleCache, Engine
 from repro.runtime import Catalog
 
-from .strategies import any_query, int_list_query, nested_query, pair_rows
-from .support import prop_settings
+from ..programs import programs
+from .support import pair_rows, prop_settings
 
 CATALOG = Catalog()
 SETTINGS = prop_settings(30)
@@ -35,7 +35,8 @@ def dense_ranks(by_values: list, directions: list) -> dict:
     return {value: rank for rank, value in enumerate(distinct, start=1)}
 
 
-def check_inference(q):
+def check_inference(program):
+    q = program.query
     for optimize in (True, False):
         audit(q, optimize)
 
@@ -105,19 +106,19 @@ def audit(q, optimize, catalog=CATALOG):
 
 class TestPropertyInference:
     @SETTINGS
-    @given(int_list_query())
-    def test_flat_pipelines(self, q):
-        check_inference(q)
+    @given(programs("pipeline"))
+    def test_flat_pipelines(self, program):
+        check_inference(program)
 
     @SETTINGS
-    @given(nested_query())
-    def test_nested_pipelines(self, q):
-        check_inference(q)
+    @given(programs("nested"))
+    def test_nested_pipelines(self, program):
+        check_inference(program)
 
     @prop_settings(20)
-    @given(any_query())
-    def test_mixed_shapes(self, q):
-        check_inference(q)
+    @given(programs("any"))
+    def test_mixed_shapes(self, program):
+        check_inference(program)
 
 
 class TestScanFacts:

@@ -110,6 +110,17 @@ CORPUS = {
     "rownum_dense_renumbering": (
         lambda: fmap(lambda p: p, number(number(to_q([7, 8])))),
         [((7, 1), 1), ((8, 2), 2)]),
+    # one distinct value makes one group, whose rank is dense in a
+    # one-row relation: unless inference knows it is the constant 1, a
+    # rank rewrite loses the root key (F190, the compile failed)
+    "filter_the_group_of_one_value": (
+        lambda: fmap(lambda g: ffilter(lambda y: y < 100, g),
+                     group_with(lambda x: cond(x > 5, x, x), to_q([1]))),
+        [[1]]),
+    "filter_the_group_of_one_repeated_value": (
+        lambda: fmap(lambda g: ffilter(lambda y: y < 100, g),
+                     group_with(lambda x: cond(x > 5, x, x), to_q([1, 1]))),
+        [[1, 1]]),
 }
 
 

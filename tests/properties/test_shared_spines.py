@@ -1,18 +1,15 @@
-"""Nested-result programs whose bundle members share one spine.
+"""Nested-result programs whose 2-4 bundle members share one spine.
 
-The optimizer rewrites a bundle as one DAG: the ``group_with`` /
-``sort_with`` spine every member reads is narrowed for the union of
-their demands, numbered once and executed once.  That makes cross-query
-sharing load-bearing, so these programs (2-4 bundle members each, see
-``strategies.SPINE_PROGRAMS``) are run optimized *and* as the lifter
-left them, on all three backends, against the reference interpreter --
-over a fixed set of instances (tier-1: empty tables, duplicate-heavy
-keys, whole duplicate rows, a one-sided empty join) and over generated
-ones (the ``property`` job).
+The optimizer builds the spine once, for the union of the members'
+demands.  ``programs.SPINE_PROGRAMS`` run optimized *and* as the lifter
+left them, on all three backends, against the interpreter -- on fixed
+instances (tier-1: empty tables, duplicate-heavy keys, whole duplicate
+rows, a one-sided empty join) and generated ones (``property``).
 """
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from examples.workloads import raw_bundle
 from repro import Connection
@@ -20,8 +17,8 @@ from repro.algebra import postorder
 from repro.runtime import Catalog
 
 from ..conftest import BACKENDS, run_all_ways
-from .strategies import SPINE_PROGRAMS, shared_spine_program
-from .support import prop_settings
+from ..programs import SPINE_PROGRAMS
+from .support import pair_rows, prop_settings
 from .test_property_inference import audit
 
 #: name -> (rows of t, rows of u); ``(k, v)`` pairs
@@ -44,10 +41,10 @@ def catalog_of(t_rows, u_rows) -> Catalog:
 
 
 def check(name, t_rows, u_rows):
-    size, build = SPINE_PROGRAMS[name]
+    size, program = SPINE_PROGRAMS[name]
     catalog = catalog_of(t_rows, u_rows)
     db = Connection(catalog=catalog)
-    q = build(db.table("t"), db.table("u"))
+    q = program.query
     assert db.compile(q).bundle.size == raw_bundle(q).size == size
     run_all_ways(q, catalog, raw=[{"backend": b} for b in BACKENDS])
     return q, catalog
@@ -68,6 +65,6 @@ def test_fixed_corpus(name, instance):
 
 
 @prop_settings(60)
-@given(shared_spine_program())
-def test_generated_instances(program):
-    check(*program)
+@given(st.sampled_from(sorted(SPINE_PROGRAMS)), pair_rows(), pair_rows())
+def test_generated_instances(name, t_rows, u_rows):
+    check(name, t_rows, u_rows)
