@@ -38,8 +38,21 @@ def postorder(*roots: Node) -> Iterator[Node]:
     """Yield every node reachable from ``roots`` (one plan, or the plans
     of a bundle) exactly once, children before parents."""
     seen: dict[int, Node] = {}
-    for root in roots:
-        fill(root, seen, lambda node: node)
+    for root in roots:  # :func:`fill` with ``node -> node``, inlined
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in seen:
+                stack.pop()
+                continue
+            ready = True
+            for child in node.children:
+                if id(child) not in seen:
+                    stack.append(child)
+                    ready = False
+            if ready:
+                seen[id(node)] = node
+                stack.pop()
     return iter(seen.values())
 
 
@@ -90,7 +103,10 @@ def _params_getter(cls: type) -> Callable[[Any], tuple[Any, ...]]:
              if f.name not in ("child", "left", "right")]
     if len(names) > 1:
         return attrgetter(*names)
-    return lambda node: tuple(getattr(node, name) for name in names)
+    if names:
+        get = attrgetter(*names)
+        return lambda node: (get(node),)
+    return lambda node: ()
 
 
 #: Per operator class: node -> the tuple of its non-child fields (every

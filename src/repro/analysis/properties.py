@@ -156,8 +156,7 @@ class Props:
     def has_key(self, cols: "frozenset[str] | set[str]") -> bool:
         """Is some inferred key a subset of ``cols`` (i.e. ``cols`` is a
         superkey)?"""
-        cols = frozenset(cols)
-        return any(k <= cols for k in self.keys)
+        return any(map(frozenset(cols).issuperset, self.keys))
 
     def is_dense(self, col: str, part: "frozenset[str] | tuple[str, ...]"
                  ) -> bool:
@@ -258,7 +257,7 @@ class PlanStore:
     """
 
     __slots__ = ("canonical", "twin", "pins", "props", "schemas",
-                 "rewritten", "visits", "inferences")
+                 "rewritten", "wider", "visits", "inferences")
 
     def __init__(self) -> None:
         #: structural key -> the interned node
@@ -270,6 +269,10 @@ class PlanStore:
         self.schemas: dict[int, Schema] = {}
         #: rewrite family -> ``id(interned node)`` -> its rewrite
         self.rewritten: dict[str, dict[int, Node]] = {}
+        #: ``id`` of a node a rule widened for one of its readers -> the
+        #: twin that hands up more columns; icols points every
+        #: projection of the node at it
+        self.wider: dict[int, Node] = {}
         #: work counters: rule applications per family, ``Props`` inferred
         self.visits: Counter[str] = Counter()
         self.inferences = 0
@@ -281,7 +284,7 @@ class PlanStore:
 
     def _adopt(self, node: Node) -> Node:
         canon = self.add(replace_children(
-            node, tuple(self.twin[id(c)] for c in node.children)))
+            node, tuple([self.twin[id(c)] for c in node.children])))
         if canon is not node:
             self.pins.append(node)  # its id stays a key of ``twin``
         return canon
@@ -307,7 +310,7 @@ class PlanStore:
 
         def once(node: Node) -> Node:
             self.visits[family] += 1
-            result = visit(node, tuple(memo[id(c)] for c in node.children))
+            result = visit(node, tuple([memo[id(c)] for c in node.children]))
             memo[id(result)] = result
             return result
 
@@ -412,7 +415,7 @@ def _finish(schema: Schema, keys: "set[Key]", constants: dict,
     # Dense within groups of one row: the run 1..n is the constant 1.
     ones = {c: 1 for c, p in dense
             if c in cols and c not in constants and p <= cols
-            and any(k <= p for k in minimal)}
+            and any(map(p.issuperset, minimal))}
     if ones:
         return _finish(schema, set(minimal), {**constants, **ones}, card,
                        non_null, dense, provenance, order)

@@ -67,7 +67,7 @@ class SQLiteBackend(Backend):
     def prepare_bundle(self, bundle: Bundle) -> list[GeneratedSQL]:
         """Generate the bundle's SQL statements (no execution)."""
         ensure_verified(bundle, "backend:sqlite")
-        return generate_bundle(bundle.queries, self.dialect)
+        return generate_bundle(bundle.queries, self.dialect, bundle.keys)
 
     def describe_prepared(self, prepared: "list[GeneratedSQL]") -> list[str]:
         """The bundle's script, split per query: each statement preceded

@@ -153,9 +153,13 @@ class Dialect:
     begin = "START TRANSACTION"
 
     def create_temp_table(self, name: str,
-                          columns: "Iterable[tuple[str, AtomT]]") -> str:
-        cols = ", ".join(f"{self.quote_ident(c)} {self.type_name(ty)}"
-                         for c, ty in columns)
+                          columns: "Iterable[tuple[str, AtomT]]",
+                          key: "str | None" = None) -> str:
+        """DDL of a temporary table; ``key`` names the column declared
+        its primary key (an ``Int``: on SQLite the rowid's alias)."""
+        cols = ", ".join(
+            f"{self.quote_ident(c)} {self.type_name(ty)}"
+            + (" PRIMARY KEY" if c == key else "") for c, ty in columns)
         return f"{self.create_temp} {self.temp_table_ref(name)} ({cols})"
 
     # -- literals ------------------------------------------------------

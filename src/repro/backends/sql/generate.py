@@ -20,6 +20,18 @@ SELECT``.  Each bundle member stays one row-returning ``WITH ... SELECT
 ... ORDER BY iter, pos`` over base tables and temporary tables, and lists
 the steps it depends on in build order.
 
+A step's table declares one ``Int`` column that alone is a key of its
+node (``Bundle.keys``, read off the optimizer's facts) as its primary
+key -- on SQLite the alias of the rowid, so the joins, groups and
+duplicate eliminations on a surrogate read the table's own B-tree
+instead of building an index every run (an anti-join on it probes the
+table as it stands, without a ``DISTINCT`` copy).  Ferry values are never NULL,
+so the alias never makes one up, and a key that did not hold would fail
+the ``INSERT`` rather than the answer.  A bundle that never went through
+``optimize_bundle`` gets steps without a key.  A literal table is one
+multi-row ``VALUES`` (a compound ``SELECT`` has at most 500 terms on
+SQLite).
+
 Base tables and temporary tables are referenced schema-qualified through
 the dialect, so no catalog table name can collide with a binding or a
 temporary table.  Engine quirks -- identifier quoting, type names,
@@ -34,7 +46,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Collection, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 from ...algebra import (
     AntiJoin,
@@ -121,10 +133,14 @@ def quote_ident(name: str) -> str:
 
 
 def generate_bundle(queries: Sequence[SerializedQuery],
-                    dialect: Dialect = SQLITE_DIALECT) -> list[GeneratedSQL]:
+                    dialect: Dialect = SQLITE_DIALECT,
+                    keys: "Mapping[Node, str] | None" = None
+                    ) -> list[GeneratedSQL]:
     """Generate the SQL of a whole bundle: per query one SELECT projecting
     ``iter, pos, items`` ordered by ``(iter, pos)``, plus the
-    temporary-table steps it reads."""
+    temporary-table steps it reads; ``keys`` (``Bundle.keys``) names the
+    ``Int`` key column a step's table declares its primary key."""
+    keys = keys or {}
     d = dialect
     plans = [list(postorder(query.plan)) for query in queries]
 
@@ -150,7 +166,8 @@ def generate_bundle(queries: Sequence[SerializedQuery],
     # Every node is rendered once: as the body of its table's INSERT, or
     # as a binding of the one block it is in (leaves: of each such block).
     memo: dict = {}
-    bodies = {id(node): _render(node, names, memo, d) for node in numbered}
+    bodies = {id(node): _render(node, names, memo, d, keys)
+              for node in numbered}
     ctes = {id(node): f"{names[id(node)]}"
                       f"({_select_list(_cols(node, memo), d)})"
                       f" AS (\n{bodies[id(node)]}\n)"
@@ -175,7 +192,8 @@ def generate_bundle(queries: Sequence[SerializedQuery],
                 schema = schema_of(node, memo)
                 step = first[id(node)] = Step(
                     name, ref, describe(node), len(schema),
-                    d.create_temp_table(name, schema.items()),
+                    d.create_temp_table(name, schema.items(),
+                                        keys.get(node)),
                     f"INSERT INTO {names[id(node)]}\n"
                     f"{bindings(_block(node, tables)[:-1])}"
                     f"{bodies[id(node)]}")
@@ -264,7 +282,8 @@ def _select_list(cols: list[str], d: Dialect) -> str:
     return ", ".join(d.quote_ident(c) for c in cols)
 
 
-def _render(node: Node, names: dict[int, str], memo, d: Dialect) -> str:
+def _render(node: Node, names: dict[int, str], memo, d: Dialect,
+            keys: "Mapping[Node, str]") -> str:
     q = d.quote_ident
 
     if isinstance(node, LitTable):
@@ -273,13 +292,12 @@ def _render(node: Node, names: dict[int, str], memo, d: Dialect) -> str:
                 f"CAST(NULL AS {d.type_name(ty)}) AS {q(n)}"
                 for n, ty in node.schema)
             return f"  SELECT {nulls} WHERE 0"
-        selects = []
-        for row in node.rows:
-            cells = ", ".join(
-                f"{d.literal(v, ty)} AS {q(n)}"
-                for v, (n, ty) in zip(row, node.schema))
-            selects.append(f"  SELECT {cells}")
-        return "\n  UNION ALL\n".join(selects)
+        # One multi-row VALUES: a compound SELECT may hold at most 500
+        # terms on SQLite; the binding's column list names the columns.
+        return "  VALUES " + ",\n         ".join(
+            "(" + ", ".join(d.literal(v, ty)
+                            for v, (_, ty) in zip(row, node.schema)) + ")"
+            for row in node.rows)
 
     if isinstance(node, TableScan):
         cols = ", ".join(f"{q(src)} AS {q(out)}"
@@ -351,13 +369,17 @@ def _render(node: Node, names: dict[int, str], memo, d: Dialect) -> str:
         # NULL; an outer join against the distinct keys keeps the NOT
         # EXISTS result (a NULL key matches nothing, so its row stays)
         # and still probes the right side through one index.
+        # Where one right column is a key already, the right side is
+        # joined as it stands: a keyed step probes its own B-tree.
         left, right = (names[id(c)] for c in node.children)
         base = ", ".join(f"l.{q(c)}" for c in _cols(node, memo))
         rkeys = ", ".join(q(rc) for _, rc in node.pairs)
         on = " AND ".join(f"r.{q(rc)} = l.{q(lc)}" for lc, rc in node.pairs)
+        if keys.get(node.right) not in {rc for _, rc in node.pairs}:
+            right = f"(SELECT DISTINCT {rkeys} FROM {right})"
         return (f"  SELECT {base}\n  FROM {left} AS l\n  LEFT JOIN "
-                f"(SELECT DISTINCT {rkeys} FROM {right}) AS r"
-                f"\n    ON {on}\n  WHERE r.{q(node.pairs[0][1])} IS NULL")
+                f"{right} AS r\n    ON {on}"
+                f"\n  WHERE r.{q(node.pairs[0][1])} IS NULL")
 
     if isinstance(node, UnionAll):
         left, right = (names[id(c)] for c in node.children)

@@ -76,6 +76,11 @@ class Bundle:
     #: compiled against (a ``repro.analysis.cost.BundleCost``), stamped
     #: by ``optimize_bundle``.  ``None`` until stamped.
     cost: "object | None" = None
+    #: Per node of the plans with one, an ``Int`` column that alone is a
+    #: key of it -- read off the optimizer's facts by ``optimize_bundle``
+    #: (empty before); the SQL generator makes it the primary key of the
+    #: node's temporary table.
+    keys: "dict[Node, str]" = field(default_factory=dict, repr=False)
     #: The ``repro.runtime.stitch.Stitcher`` compiled from ``root_ref``
     #: by the first ``stitch``, reused by every later one.
     stitcher: "object | None" = field(default=None, init=False,

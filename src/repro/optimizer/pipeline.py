@@ -21,19 +21,26 @@ nothing:
 = ``RowRank`` > ``Distinct`` = ``Select`` > ``Attach`` > the rest.
 Every rule removes an operator and adds only operators ranked below it:
 ``Distinct`` / ``Select`` -> its child, ``RowNum`` / ``RowRank`` ->
-``Project``, ``Cross`` with a unit literal -> ``Attach``-es, ``EqJoin``
--> its input, widened by projections.  The order rules (``order_inline``,
-``pos_order``) make the only reader of a numbering's number read the
-columns that number ranks instead -- a longer order list over a wider
-path -- and take the next icols to get there: it deletes the numbering.
-icols only drops columns and the operators computing them, and a merge
-removes a projection.  On the
-tree unfolding of the bundle every step therefore strictly lowers (the
-multiset of operator ranks, then total width) -- whatever the data and
-the backend, nothing is priced.  A sweep shrinks that measure or
-changes nothing, and the first that changes nothing stops the loop: its
-result is a fixpoint of both families, so no dead column and no
-mergeable projection is left.
+``Project`` (``surrogate_key`` too: a ``RowNum`` becomes a ``Project``
+onto a key column, which ranks strictly lower), ``Cross`` with a unit
+literal -> ``Attach``-es, ``EqJoin`` -> its input, widened by
+projections.  The order rules (``order_inline``, ``pos_order``) make the
+readers of a numbering's number read the columns that number ranks
+instead -- a longer order list over a wider path -- and take the next
+icols to get there: it deletes the numbering.  (``order_inline`` may go
+first while a query's ``pos`` still reads the number; ``pos_order``
+takes that reader in the same sweep.)  icols only drops columns and the
+operators computing them -- pointing the projections of a node a rule
+widened at its wider twin adds no operator -- and a merge removes a
+projection.  On the tree unfolding of the bundle every step therefore
+strictly lowers (the multiset of operator ranks, then total width) --
+whatever the data and the backend, nothing is priced.  A sweep shrinks
+that measure or changes nothing.  The loop stops after the first
+simplify that changes nothing, unless the icols before it merged a
+projection past one that other readers keep (``icols.MERGES``): a
+second icols would then narrow that one further, so another sweep runs.
+Either way its result is a fixpoint of both families, so no dead column
+and no mergeable projection is left.
 
 **The memo contract.**  A fact -- schema, ``Props``, a node's
 simplification -- is keyed by an interned node and never invalidated; a
@@ -58,7 +65,7 @@ from dataclasses import dataclass, field
 from operator import is_
 from typing import Any, Callable, Mapping, Sequence
 
-from ..algebra import Node, node_count
+from ..algebra import Node, node_count, postorder
 from ..analysis import (
     PlanStore,
     Props,
@@ -67,9 +74,11 @@ from ..analysis import (
     verify_debug_enabled,
 )
 from ..analysis.cost import estimate_bundle
-from ..core.bundle import Bundle, SerializedQuery
+from ..core.bundle import Bundle, NestRef, SerializedQuery, TupleRef
+from ..ftypes import IntT
 from ..obs.trace import NULL_TRACER
 from .rewrites import prune_unneeded_columns, simplify
+from .rewrites.icols import MERGES
 from .rewrites.properties import _self_verify
 
 #: The rewrite families a sweep alternates (``cse`` -- interning the raw
@@ -102,17 +111,20 @@ class PassStats:
 
 
 def _optimize(plans: "list[Node]", store: PlanStore, stats: PassStats,
-              tracer: Any, serial: "Sequence[tuple[str, str]]" = ()
-              ) -> "list[Node]":
+              tracer: Any, serial: "Sequence[tuple[str, str]]" = (),
+              links: "Sequence[Mapping[str, Sequence[tuple[int, str]]]]"
+              = ()) -> "list[Node]":
     """The roots of ``plans`` at the fixpoint of the module docstring;
     ``serial`` names the ``(iter, pos)`` columns of plans that are
-    bundle queries."""
+    bundle queries, ``links`` their columns the stitcher only matches
+    for equality, each with what it is matched against (:func:`_links`)."""
     debug = verify_debug_enabled()
     families: dict[str, Callable[["list[Node]"], "list[Node]"]] = {
         "cse": lambda roots: [store.intern(root) for root in roots],
         "icols": lambda roots: prune_unneeded_columns(roots, store),
         "simplify": lambda roots: simplify(
-            roots, store, stats.rewrites_fired, stats.rewrites_gated, serial),
+            roots, store, stats.rewrites_fired, stats.rewrites_gated, serial,
+            links),
     }
     sizes = [node_count(plan) for plan in plans]
     stats.plans += len(plans)
@@ -134,13 +146,17 @@ def _optimize(plans: "list[Node]", store: PlanStore, stats: PassStats,
         return new
 
     roots = run("cse", plans)
-    first = before = None
-    while before is None or not all(map(is_, roots, before)):
-        before = roots
-        roots = run("icols", before)
-        first = first or roots
-        roots = run("simplify", roots)
+    first = None
+    while True:
+        merges = store.visits[MERGES]
+        pruned = run("icols", roots)
+        first = first or pruned
+        unpruned, roots = roots, run("simplify", pruned)
         stats.rounds += 1
+        if all(map(is_, roots, pruned)) and (
+                store.visits[MERGES] == merges
+                or all(map(is_, pruned, unpruned))):
+            break
     fresh: dict[int, Props] = {}
     for old, new in zip(first, roots):
         if new is not old:
@@ -148,6 +164,42 @@ def _optimize(plans: "list[Node]", store: PlanStore, stats: PassStats,
     store.inferences += len(fresh)
     stats.nodes_after += sum(sizes)
     return roots
+
+
+def _bundle_keys(plans: "list[Node]", store: PlanStore) -> "dict[Node, str]":
+    """Per operator of ``plans`` with one, the first by name of its
+    ``Int`` columns that alone are a key of it (``Bundle.keys``)."""
+    keys = {}
+    for node in postorder(*plans):
+        schema = store.schema(node)
+        cols = sorted(c for k in store.infer(node).keys if len(k) == 1
+                      for c in k if schema.get(c) == IntT)
+        if node.children and cols:
+            keys[node] = cols[0]
+    return keys
+
+
+def _links(bundle: Bundle) -> "list[dict[str, tuple[tuple[int, str], ...]]]":
+    """Per query, the columns the stitcher only matches by equality, each
+    with the ``(query, column)`` it is matched against: a nested list's
+    surrogate and the ``iter`` of the query that holds the list.  (The
+    outermost ``iter`` is not among them: the stitcher reads the value
+    1 there.)"""
+    links: "list[dict[str, set[tuple[int, str]]]]" = [
+        {} for _ in bundle.queries]
+    todo = [(bundle.root_ref, 0)]
+    while todo:
+        ref, qi = todo.pop()
+        if isinstance(ref, NestRef):
+            item = bundle.queries[qi].item_cols[ref.index]
+            inner = bundle.queries[ref.query].iter_col
+            links[qi].setdefault(item, set()).add((ref.query, inner))
+            links[ref.query].setdefault(inner, set()).add((qi, item))
+            todo.append((ref.inner, ref.query))
+        elif isinstance(ref, TupleRef):
+            todo.extend((part, qi) for part in ref.parts)
+    return [{col: tuple(sorted(ends)) for col, ends in cols.items()}
+            for cols in links]
 
 
 def optimize_bundle(bundle: Bundle, stats: PassStats | None = None,
@@ -167,7 +219,8 @@ def optimize_bundle(bundle: Bundle, stats: PassStats | None = None,
         stats = PassStats()
     store = PlanStore()
     plans = _optimize([q.plan for q in bundle.queries], store, stats, tracer,
-                      [(q.iter_col, q.pos_col) for q in bundle.queries])
+                      [(q.iter_col, q.pos_col) for q in bundle.queries],
+                      _links(bundle))
     queries = [
         SerializedQuery(plan, q.iter_col, q.pos_col, q.item_cols,
                         q.item_types)
@@ -176,6 +229,7 @@ def optimize_bundle(bundle: Bundle, stats: PassStats | None = None,
     optimized = Bundle(bundle.result_ty, queries, bundle.root_ref,
                        bundle.root_is_list)
     verify_bundle(optimized, label="post-optimize", cache=store)
+    optimized.keys = _bundle_keys(plans, store)
     optimized.cost = estimate_bundle(optimized, backend=backend,
                                      table_rows=table_rows, cache=store)
     stats.nodes_interned += len(store.canonical)

@@ -9,7 +9,10 @@ rebuild narrows literal tables, scans (the position column a scan hands
 out goes like any other when nobody asks for it) and projections
 (merging the projections it rebuilds), and deletes attachments, scalar
 applications and numberings whose output column is dead, together with
-the demand they alone put on their inputs.
+the demand they alone put on their inputs.  Before the demand pass, the
+projections of a shared node that a simplify rule widened for one of
+its readers (``PlanStore.wider``) are pointed at the wider twin, so the
+node is widened for all of them and stays one node.
 
 Care is taken with operators whose *cardinality* depends on column
 content:
@@ -51,6 +54,14 @@ from ...analysis import PlanStore
 from .projmerge import merge_projection
 
 
+#: ``PlanStore.visits`` key counting projections icols merged past the
+#: projection below them.  A pass that merged none leaves every node
+#: read by the readers it was narrowed for, so a second pass would
+#: change nothing; one that did may have narrowed a projection that
+#: other readers keep for a reader that no longer reads it.
+MERGES = "icols merges"
+
+
 def demanded(roots: "list[Node]", store: PlanStore
              ) -> "tuple[list[Node], dict[int, set[str]]]":
     """The nodes of the bundle's DAG, children before parents, and per
@@ -75,12 +86,12 @@ def prune_unneeded_columns(roots: "list[Node]",
     ``roots``, then a bottom-up rebuild of what narrows -- a node whose
     every column is demanded and whose children stand is not rebuilt."""
     store = store or PlanStore()
-    roots = [store.intern(root) for root in roots]
+    roots = _twinned([store.intern(root) for root in roots], store)
     order, needed = demanded(roots, store)
     schemas = store.schemas
     rebuilt: dict[int, Node] = {}
     for node in order:
-        children = tuple(rebuilt[id(c)] for c in node.children)
+        children = tuple([rebuilt[id(c)] for c in node.children])
         n = needed[id(node)]
         if children == node.children and len(n) == len(schemas[id(node)]):
             rebuilt[id(node)] = node
@@ -89,6 +100,46 @@ def prune_unneeded_columns(roots: "list[Node]",
             rebuilt[id(node)] = _narrow(node, children, n, store)
             store.carry(node, rebuilt[id(node)])  # same rows, fewer columns
     return [rebuilt[id(root)] for root in roots]
+
+
+def _twinned(roots: "list[Node]", store: PlanStore) -> "list[Node]":
+    """``roots`` with every projection of a node a rule widened for one
+    of its readers (``PlanStore.wider``) reading the wider twin instead:
+    the same rows, and the columns the projection picks among more, so
+    that a shared node stays one node, however wide its readers need
+    it."""
+    wider = store.wider
+    if not wider:
+        return roots
+    wider = dict(wider)
+    store.wider.clear()  # pointed at once; the twins then stand alone
+
+    def inputs(node: Node) -> "tuple[Node, ...]":
+        if not isinstance(node, Project):
+            return node.children
+        child = node.child
+        while id(child) in wider:
+            child = wider[id(child)]
+        return (child,)
+
+    out: dict[int, Node] = {}
+    stack = list(roots)
+    while stack:
+        node = stack[-1]
+        if id(node) in out:
+            stack.pop()
+            continue
+        kids = inputs(node)
+        todo = [c for c in kids if id(c) not in out]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        out[id(node)] = new = store.rebuild(
+            node, tuple(out[id(c)] for c in kids))
+        if new is not node:
+            store.carry(node, new)
+    return [out[id(root)] for root in roots]
 
 
 # ----------------------------------------------------------------------
@@ -181,6 +232,10 @@ def _narrow(node: Node, children: tuple[Node, ...], n: set[str],
         return intern(TableScan(node.table, tuple(keep), pos))
 
     if isinstance(node, Project):
+        if isinstance(children[0], Project):
+            # merged past a projection that other readers may keep: what
+            # it was narrowed to served this one too (see ``MERGES``)
+            store.visits[MERGES] += 1
         cols = tuple((new, old) for new, old in node.cols if new in n)
         if not cols:
             # Nothing demanded: keep cardinality through any one column

@@ -19,6 +19,7 @@ def merge_projection(node: Project, store: PlanStore) -> Node:
         cols = tuple((new, inner[old]) for new, old in cols)
         child = child.child
     # Identity projection: same names, same order, no duplication.
-    if cols == tuple((c, c) for c in store.schema(child)):
+    schema = store.schema(child)
+    if len(cols) == len(schema) and cols == tuple(zip(schema, schema)):
         return child
     return node if child is node.child else store.add(Project(child, cols))

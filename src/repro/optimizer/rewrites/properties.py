@@ -21,12 +21,25 @@ produced the fact, and are accounted by name:
     the columns of ``b`` the join fetched: the loop-lifting compiler's
     surrogate-regeneration joins (:func:`_selfjoin_elim`).
 ``order_inline``  a ``RowNum`` / ``RowRank`` that orders by the number
-    ``n`` of a numbering below, which nothing else reads -> the same
-    over the columns ``n`` ranks, handed up to it; icols then deletes
-    the numbering below (:func:`_order_inline`).
+    ``n`` of a numbering below, which nothing else reads -- but a bundle
+    query's ``pos``, which ``pos_order`` takes next -> the same over the
+    columns ``n`` ranks, handed up to it; icols then deletes the
+    numbering below (:func:`_order_inline`).
 ``pos_order``  the ``pos`` of a bundle query's root, the number of one
     ``Int`` column with a numbering lineage -> that column: a root
     ``pos`` is an order, not a count (:func:`_pos_order`).
+``surrogate_key``  a ``RowNum`` over one partition whose number is only
+    ever compared for equality with itself -- joined to the same
+    numbering, grouped by, a partition, a query's ``iter`` or a nested
+    list's surrogate (:meth:`_Uses.surrogate`) -> ``Project[.., c <=
+    k]`` for an ``Int`` column ``k`` that is a key of the numbered rows,
+    usually a scan's position handed up to them: equal numbers and
+    equal keys pick the same rows (:func:`_surrogate_key`).
+
+A rule hands columns up (:func:`_widen`) only through nodes nobody else
+reads -- they would be computed twice -- but ``pos_order`` and
+``surrogate_key`` may widen a node that only projections read: icols
+then points all of them at the wider twin (``PlanStore.wider``).
 
 Nothing prices a candidate: each rule -- the two order rules together
 with the icols that follows them -- replaces a node by one of strictly
@@ -45,9 +58,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from ...algebra.ops import (
+    AntiJoin,
     Attach,
     BinApp,
     Cross,
@@ -60,6 +74,7 @@ from ...algebra.ops import (
     RowNum,
     RowRank,
     Select,
+    SemiJoin,
     UnionAll,
 )
 from ...algebra.dag import postorder, replace_children
@@ -73,14 +88,17 @@ from .projmerge import merge_projection
 #: Rewrite names, as accounted in ``PassStats.rewrites_fired`` /
 #: ``PassStats.rewrites_gated``.
 REWRITES = ("distinct_elim", "order_inline", "pos_order", "rownum_dense",
-            "rownum_rank", "select_true", "selfjoin_elim", "unit_cross")
+            "rownum_rank", "select_true", "selfjoin_elim", "surrogate_key",
+            "unit_cross")
 _FLIP = {"asc": "desc", "desc": "asc"}
 
 
 def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
              fired: "dict[str, int] | None" = None,
              gated: "dict[str, int] | None" = None,
-             serial: "Sequence[tuple[str, str]]" = ()) -> "list[Node]":
+             serial: "Sequence[tuple[str, str]]" = (),
+             links: "Sequence[Mapping[str, Sequence[tuple[int, str]]]]"
+             = ()) -> "list[Node]":
     """One sweep of the rules over the plans of a bundle, each interned
     node once for the life of ``store``.
 
@@ -92,27 +110,57 @@ def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
     is decided once, yet counts for every plan that contains it.
     ``serial`` names, per root that is a bundle query, its ``(iter,
     pos)`` columns: such a root is read in their order (``pos_order``).
+    ``links`` names, per such root, the columns the stitcher only
+    matches for equality -- a nested list's surrogate, the ``iter`` of
+    the query holding the list -- each with the ``(query, column)`` it is
+    matched against (``surrogate_key``).
     """
     store = store or PlanStore()
     done = store.rewritten.setdefault("simplify", {})
+    #: the roots ``pos_order`` was offered, and turned down
+    tried = store.rewritten.setdefault("pos_order", {}) if serial else {}
     decided: dict[int, list[tuple[str, bool]]] = {}
     roots = [store.intern(root) for root in roots]
+    if all(id(root) in done and (i >= len(serial) or id(root) in tried)
+           for i, root in enumerate(roots)):
+        return roots  # the last sweep left them as they are
     for root in roots:
         store.infer(root)  # carried from here on (``PlanStore.carry``)
     #: consumers per node of the bundle, and per node a visit returned
     nodes = list(postorder(*roots))
     uses = Counter(id(c) for node in nodes for c in node.children)
-    shared: Counter[int] = Counter()
-    parents: dict[int, list[Node]] = {}  # filled once a rule asks
+    #: per root that is a bundle query: its pos, and the columns the
+    #: stitcher matches, each with the roots' columns it matches them to
+    ends: "dict[int, list[tuple[str, _Links]]]" = {}
+    for i, (_, pos) in enumerate(serial):
+        ends.setdefault(id(roots[i]), []).append((pos, {
+            col: tuple((roots[j], other) for j, other in to)
+            for col, to in (links[i] if i < len(links) else {}).items()}))
+    shared = _Uses(nodes, ends, store)
 
-    def unread(node: Node, col: str) -> bool:
-        # (:func:`_unread` recurses, not this closure: one that names
-        # itself is a cycle, and would keep the store for the collector)
-        if not parents:
-            for parent in nodes:
-                for child in parent.children:
-                    parents.setdefault(id(child), []).append(parent)
-        return _unread(node, col, parents, store)
+    def visit(node: Node, children: tuple[Node, ...]) -> Node:
+        cur = store.rebuild(node, children)
+        while id(cur) not in done:  # a simplified node is its own result
+            store.carry(node, cur)
+            new = cur
+            if isinstance(cur, BinApp):
+                new = store.add(fold_binapp(cur))
+            elif isinstance(cur, Project):
+                new = merge_projection(cur, store)
+            if new is cur:
+                hit = _rewrite_node(cur, store, shared)
+                if hit is None and isinstance(cur, RowNum):
+                    hit = _surrogate_key(cur, node, store, shared)
+                if hit is None and isinstance(cur, (RowNum, RowRank)):
+                    hit = _order_inline(cur, store, shared,
+                                        partial(shared.unread, node))
+                new = hit and adopt(node, cur, hit)
+                if new is None:
+                    break
+            cur = new
+        shared[id(cur)] += uses[id(node)]
+        shared.origins.setdefault(id(cur), []).append(node)
+        return cur
 
     def adopt(origin: Node, cur: Node, hit: "tuple[str, Node]"
               ) -> "Node | None":
@@ -126,36 +174,19 @@ def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
         decided.setdefault(id(origin), []).append((hit[0], safe))
         return new if safe else None
 
-    def visit(node: Node, children: tuple[Node, ...]) -> Node:
-        cur = store.rebuild(node, children)
-        while id(cur) not in done:  # a simplified node is its own result
-            store.carry(node, cur)
-            new = cur
-            if isinstance(cur, BinApp):
-                new = store.add(fold_binapp(cur))
-            elif isinstance(cur, Project):
-                new = merge_projection(cur, store)
-            if new is cur:
-                hit = _rewrite_node(cur, store, shared)
-                if hit is None and isinstance(cur, (RowNum, RowRank)):
-                    hit = _order_inline(cur, store, shared,
-                                        partial(unread, node))
-                new = hit and adopt(node, cur, hit)
-                if new is None:
-                    break
-            cur = new
-        shared[id(cur)] += uses[id(node)]
-        return cur
-
     out = [store.rewrite("simplify", root, visit) for root in roots]
     # A query's root is read in (iter, pos) order, whichever node it came
     # out as (it may be one a visit met inside another plan).
     for i, cols in enumerate(serial):
+        if id(out[i]) in tried:
+            continue
         hit = (not uses[id(roots[i])] and isinstance(out[i], Project)
                and _pos_order(out[i], *cols, store, shared))
         new = hit and adopt(roots[i], out[i], hit)
         if new:
             out[i] = store.rewrite("simplify", new, visit)
+        else:
+            tried[id(out[i])] = out[i]
     for root in roots if decided else ():
         for node in postorder(root):
             for name, safe in decided.get(id(node), ()):
@@ -165,23 +196,179 @@ def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
     return out
 
 
-def _unread(node: Node, col: str, parents: "dict[int, list[Node]]",
-            store: PlanStore) -> bool:
-    """Does no consumer of ``node`` (``parents``: the consumers of every
-    node of the bundle) read its column ``col`` -- itself, or by handing
-    it up to one that does?  The reader of a root reads all of it."""
-    for parent in parents.get(id(node), ()):
-        if col in _own_reads(parent, store):
-            return False
-        ups = ([new for new, old in parent.cols if old == col]
-               if isinstance(parent, Project)
-               else [col] if col in store.schema(parent) else [])
-        if not all(_unread(parent, up, parents, store) for up in ups):
-            return False
-    return id(node) in parents
+#: A bundle query's columns the stitcher matches for equality -> the
+#: ``(root, column)`` of the queries they are matched against.
+_Links = dict[str, tuple[tuple[Node, str], ...]]
 
 
-def _rewrite_node(node: Node, store: PlanStore, shared: "Counter[int]"
+class _Uses(Counter):
+    """Who reads what in the bundle a sweep started from.  Counted: the
+    consumers of each node a visit returned, and ``origins`` the nodes
+    it came out of; found once a rule asks: the consumers of every node
+    of the bundle; ``ends``: per root that is a bundle query, its
+    ``pos`` and the columns the stitcher links by."""
+
+    def __init__(self, nodes: "list[Node]",
+                 ends: "dict[int, list[tuple[str, _Links]]]",
+                 store: PlanStore) -> None:
+        super().__init__()
+        self.nodes, self.ends, self.store = nodes, ends, store
+        self.origins: dict[int, list[Node]] = {}
+        self._parents: "dict[int, list[Node]] | None" = None
+        self._fixed: "set[int] | None" = None
+        self._surrogates: dict[tuple[int, str], bool] = {}
+        self._derived: dict[tuple[int, str, int], bool] = {}
+
+    def movable(self, node: Node) -> bool:
+        """Do projections alone read ``node``?  A rule may then widen it
+        for all of them (:func:`_widen`)."""
+        if self._fixed is None:  # read by a query, or not by a projection
+            self._fixed = set(self.ends).union(
+                id(c) for p in self.nodes if not isinstance(p, Project)
+                for c in p.children)
+        fixed = self._fixed
+        return not any(id(o) in fixed for o in self.origins.get(id(node), ()))
+
+    @property
+    def parents(self) -> "dict[int, list[Node]]":
+        if self._parents is None:
+            self._parents = {}
+            for parent in self.nodes:
+                for child in parent.children:
+                    self._parents.setdefault(id(child), []).append(parent)
+        return self._parents
+
+    def unread(self, node: Node, col: str) -> bool:
+        """Does no consumer of ``node`` read its column ``col`` -- itself,
+        or by handing it up to one that does?  The reader of a root reads
+        all of it, but for the ``pos`` of a bundle query, which
+        ``pos_order`` reads through."""
+        for parent in self.parents.get(id(node), ()):
+            if col in _own_reads(parent, self.store):
+                return False
+            ups = ([new for new, old in parent.cols if old == col]
+                   if isinstance(parent, Project)
+                   else [col] if col in self.store.schema(parent) else [])
+            if not all(self.unread(parent, up) for up in ups):
+                return False
+        if id(node) in self.ends:
+            return all(col == pos for pos, _ in self.ends[id(node)])
+        return id(node) in self.parents
+
+    def surrogate(self, made: Node, col: str) -> bool:
+        """Is the number ``col`` the numbering ``made`` gives only ever
+        compared for equality with itself?  Every reader, through
+        renames, must group by it (``GroupAggr``, ``Distinct``, a
+        partition), join it to a column of the same numbering
+        (:meth:`derives`), or be the stitcher matching a nested list's
+        surrogate with the ``iter`` of its query, the other end of the
+        same numbering too -- or order an unpartitioned numbering whose
+        number is such a surrogate itself.  Then any other key of the
+        numbered rows serves as well.  (A number only projections drop
+        is no surrogate: icols deletes it.)"""
+        known = self._surrogates.get((id(made), col))
+        if known is None:
+            known = self._surrogates[id(made), col] = self._linked_only(
+                made, col)
+        return known
+
+    def derives(self, node: Node, col: str, made: Node) -> bool:
+        """Is every value of column ``col`` of ``node`` the number
+        ``made`` gives one of its rows -- handed up through renames,
+        groups, unions and operators that only drop or repeat rows?"""
+        key = (id(node), col, id(made))
+        known = self._derived.get(key)
+        if known is None:
+            known = self._derived[key] = self._derives(node, col, made)
+        return known
+
+    def _derives(self, node: Node, col: str, made: Node) -> bool:
+        while node is not made or col != getattr(made, "col", None):
+            if isinstance(node, Project):
+                col = dict(node.cols)[col]
+            elif isinstance(node, UnionAll):
+                return all(self.derives(arm, col, made)
+                           for arm in node.children)
+            elif isinstance(node, GroupAggr):
+                if col not in node.group:
+                    return False
+            elif (node is made or not node.children
+                  or col in (getattr(node, "col", None),
+                             getattr(node, "out", None))):
+                return False  # computed here, not handed up
+            node = next(c for c in node.children
+                        if col in self.store.schema(c))
+        return True
+
+    def _linked_only(self, made: Node, col: str) -> bool:
+        parents, queries = self.parents, self.ends
+        todo, seen, read = [(made, col)], set(), False
+        while todo:
+            node, col = todo.pop()
+            if (id(node), col) in seen:
+                continue
+            seen.add((id(node), col))
+            ends = queries.get(id(node))
+            for _, link in ends or ():
+                to = link.get(col)
+                if to is None or not all(self.derives(root, other, made)
+                                         for root, other in to):
+                    return False  # an item, or matched to another number
+                read = True
+            readers = parents.get(id(node))
+            if readers is None and ends is None:
+                return False  # a plan's reader reads all of it
+            for parent in readers or ():
+                ups = self._links(parent, node, col, made)
+                if ups is None:
+                    return False
+                if not isinstance(parent, Project):
+                    read = True
+                for up in ups:
+                    todo.append((parent, up))
+        return read
+
+    def _links(self, parent: Node, child: Node, col: str, made: Node
+               ) -> "list[str] | None":
+        """The names under which ``parent`` hands up column ``col`` of
+        its input ``child`` -- ``None`` when it reads the column for more
+        than equality (:meth:`surrogate`)."""
+        store = self.store
+        if isinstance(parent, Project):
+            return [new for new, old in parent.cols if old == col]
+        if isinstance(parent, (RowNum, RowRank)):
+            # ordering by it renumbers the rows, which only a number that
+            # is a key or a rank -- equal exactly where the order is --
+            # and a surrogate itself hides
+            if col in (c for c, _ in parent.order) and (
+                    getattr(parent, "part", ()) or not self.surrogate(
+                        parent, parent.col)):
+                return None
+            return [col]
+        if isinstance(parent, GroupAggr):
+            if any(col == c for _, c, _ in parent.aggs):
+                return None
+            return [col] if col in parent.group else []
+        if isinstance(parent, (EqJoin, SemiJoin, AntiJoin)):
+            for at, other in ((0, 1), (1, 0)):
+                if parent.children[at] is not child:
+                    continue
+                for pair in parent.pairs:
+                    if pair[at] == col and not self.derives(
+                            parent.children[other], pair[other], made):
+                        return None
+            return [col] if col in store.schema(parent) else []
+        if isinstance(parent, UnionAll):
+            return ([col] if all(self.derives(arm, col, made)
+                                 for arm in parent.children) else None)
+        if isinstance(parent, (Distinct, Cross)):
+            return [col]
+        if col in _own_reads(parent, store):  # Select, BinApp, UnApp
+            return None
+        return [col]
+
+
+def _rewrite_node(node: Node, store: PlanStore, shared: _Uses
                   ) -> "tuple[str, Node] | None":
     """The candidate replacement for ``node`` -- ``(rewrite name,
     candidate)`` -- or ``None`` when no rewrite matches.  The caller
@@ -228,7 +415,7 @@ def _rewrite_node(node: Node, store: PlanStore, shared: "Counter[int]"
     return None
 
 
-def _selfjoin_elim(node: EqJoin, store: PlanStore, shared: "Counter[int]"
+def _selfjoin_elim(node: EqJoin, store: PlanStore, shared: _Uses
                    ) -> "tuple[str, Node] | None":
     """``EqJoin(d, Project(b))`` on a key column of ``b`` -> ``Project(d')``
     when ``d`` descends from ``b`` and still carries that column.
@@ -261,7 +448,7 @@ def _selfjoin_elim(node: EqJoin, store: PlanStore, shared: "Counter[int]"
 
 
 def _order_inline(node: "RowNum | RowRank", store: PlanStore,
-                  shared: "Counter[int]", unread: "Callable[[str], bool]"
+                  shared: _Uses, unread: "Callable[[str], bool]"
                   ) -> "tuple[str, Node] | None":
     """A numbering that orders by the number ``n`` of another one orders
     by what ``n`` ranks instead: ``n`` compares as those columns do
@@ -291,15 +478,73 @@ def _order_inline(node: "RowNum | RowRank", store: PlanStore,
     return None
 
 
+def _surrogate_key(node: RowNum, origin: Node, store: PlanStore,
+                   shared: _Uses) -> "tuple[str, Node] | None":
+    """A ``RowNum`` whose number is a surrogate only (what ``origin``,
+    the node it came out of, gives: :meth:`_Uses.surrogate`) and numbers
+    all rows as one partition gives each row its own number; any ``Int``
+    column that is a key of those rows tells them apart exactly as well
+    -> ``Project[.., c <= k]``.  The key is usually a scan's position,
+    handed up (:func:`_widen`) past operators that only drop or repeat
+    rows."""
+    if set(node.part) - store.infer(node.child).constants.keys():
+        return None
+    asked = False
+    for path, base, k in _int_keys(node.child, store, shared):
+        if not asked and not shared.surrogate(origin, node.col):
+            return None
+        asked, twins = True, {}
+        wide = _widen(path, base, ((k, k),), store, shared, twins)
+        if wide is not None and store.infer(wide).has_key({k}):
+            store.wider.update(twins)
+            cols = tuple((c, c) for c in store.schema(node.child))
+            return "surrogate_key", Project(wide, cols + ((node.col, k),))
+    return None
+
+
+def _int_keys(top: Node, store: PlanStore, shared: _Uses
+              ) -> "Iterator[tuple[list[tuple[Node, int]], Node, str]]":
+    """``(path, base, k)``, nearest first: a single ``Int`` column ``k``
+    that is a key of ``base`` and stays one of ``top`` once handed up
+    ``path`` (:func:`_trace`) -- a join on the way matches each of its
+    rows once (the other side's join columns are a key), a product with
+    at most one row -- and that path would not widen a node read other
+    than through projections (:func:`_widen`)."""
+    todo: "list[tuple[list[tuple[Node, int]], Node]]" = [([], top)]
+    seen: set[int] = set()
+    for path, base in todo:  # (grows as it goes)
+        if id(base) in seen:
+            continue
+        seen.add(id(base))
+        schema = store.schema(base)
+        for k in sorted(c for key in store.infer(base).keys
+                        if len(key) == 1 for c in key):
+            if schema.get(k) == IntT:
+                yield path, base, k
+        if isinstance(base, (Distinct, GroupAggr, UnionAll)):
+            continue  # a column handed up here would change the rows
+        if shared.get(id(base), 0) > 1 and not shared.movable(base):
+            continue
+        for at, arm in enumerate(base.children):
+            if isinstance(base, (SemiJoin, AntiJoin)) and at:
+                break
+            if isinstance(base, (EqJoin, Cross)):
+                other = store.infer(base.children[1 - at])
+                if not (other.card.at_most_one if isinstance(base, Cross)
+                        else other.has_key({p[1 - at] for p in base.pairs})):
+                    continue
+            todo.append((path + [(base, at)], arm))
+
+
 def _pos_order(root: Project, iter_col: str, pos_col: str, store: PlanStore,
-               shared: "Counter[int]") -> "tuple[str, Node] | None":
+               shared: _Uses) -> "tuple[str, Node] | None":
     """The root of a bundle query is read in ``(iter, pos)`` order and
     ``pos`` for nothing else: a ``pos`` that numbers one ``Int`` column
     ascending, within partitions ``iter`` fixes, is that column -- if it
     descends from a numbering itself, so that the verifier's order stage
     still finds the lineage of ``pos``."""
-    src = dict(root.cols)
-    hit = _ranked(root.child, src[pos_col], store, shared)
+    src, twins = dict(root.cols), {}
+    hit = _ranked(root.child, src[pos_col], store, shared, twins=twins)
     if hit is None:
         return None
     wide, by, within = hit
@@ -307,23 +552,29 @@ def _pos_order(root: Project, iter_col: str, pos_col: str, store: PlanStore,
             or not store.infer(wide).order_ok(by[0][0])  # (F201)
             or not _determines(wide, {src[iter_col]}, within, store)):
         return None
+    store.wider.update(twins)
     return "pos_order", Project(wide, tuple(
         (new, by[0][0] if new == pos_col else old) for new, old in root.cols))
 
 
-def _ranked(node: Node, col: str, store: PlanStore, shared: "Counter[int]",
-            unread: "Callable[[str], bool]" = lambda col: True
+def _ranked(node: Node, col: str, store: PlanStore, shared: _Uses,
+            unread: "Callable[[str], bool]" = lambda col: True,
+            twins: "dict[int, Node] | None" = None
             ) -> "tuple[Node, tuple, frozenset[str]] | None":
     """``(wide, by, within)`` when column ``col`` of ``node`` is the
     number a ``RowNum`` / ``RowRank`` below gives, handed up to ``node``
     alone and read by nothing on the way -- nor, says ``unread``, past
     ``node`` -- and ranks ``by`` within ``within`` there (:func:`_ranks`):
     ``wide`` is ``node`` handing up those columns as well.  (A
-    ``Distinct`` on the way reads the number: none is crossed.)  The
-    cheap questions come first: few candidates pass them."""
-    found = _trace(node, col, lambda n, c: shared.get(id(n), 0) > 1 or (
+    ``Distinct`` on the way reads the number: none is crossed.)  Given
+    ``twins``, the way may pass a node that several projections read
+    (:func:`_widen`).  The cheap questions come first: few candidates
+    pass them."""
+    found = _trace(node, col, lambda n, c: (
+        shared.get(id(n), 0) > 1 and (
+            twins is None or not shared.movable(n))) or (
         isinstance(n, (RowNum, RowRank)) and n.col == c), store)
-    if found is None or shared[id(found[1])] > 1 or not unread(col):
+    if found is None or shared.get(id(found[1]), 0) > 1 or not unread(col):
         return None
     path, made, _ = found
     for step in [step for step, _ in path] + [made]:
@@ -338,7 +589,8 @@ def _ranked(node: Node, col: str, store: PlanStore, shared: "Counter[int]",
         return None
     by, within = fact
     cols = sorted(within.union(o for o, _ in by))
-    wide = _widen(path, made, tuple((o, o) for o in cols), store, shared)
+    wide = _widen(path, made, tuple((o, o) for o in cols), store, shared,
+                  twins)
     return wide and (wide, by, within)
 
 
@@ -378,13 +630,17 @@ def _trace(node: Node, col: str, stop: "Callable[[Node, str], bool]",
 
 def _widen(path: "list[tuple[Node, int]]", base: Node,
            extra: "tuple[tuple[str, str], ...]", store: PlanStore,
-           shared: "Counter[int]") -> "Node | None":
+           shared: _Uses, twins: "dict[int, Node] | None" = None
+           ) -> "Node | None":
     """The top of ``path`` (:func:`_trace`) handing up, as ``extra`` (new
     name, column of ``base``), columns of the ``base`` row each of its
     rows descends from -- columns that follow from the traced one, or a
     ``Distinct`` on the way would tell more rows apart.  A step that
     hands them up already stands; one that has to change but has a
-    second consumer (it would be computed twice) gives ``None``."""
+    second consumer (it would be computed twice) gives ``None`` -- given
+    ``twins``, unless only projections read it: its wider twin is noted
+    there (for ``PlanStore.wider``: the next icols points them all at
+    it, so that it stays one node)."""
     have = store.schema(base)
     if any(new in have and new != old for new, old in extra):
         return None
@@ -407,7 +663,8 @@ def _widen(path: "list[tuple[Node, int]]", base: Node,
             return None  # the name means something else on the way up
         if wide is node.children[at] and not cols:
             wide = node
-        elif shared[id(node)] > 1:
+        elif shared.get(id(node), 0) > 1 and (twins is None
+                                    or not shared.movable(node)):
             return None
         elif isinstance(node, Project):
             wide = merge_projection(
@@ -416,6 +673,8 @@ def _widen(path: "list[tuple[Node, int]]", base: Node,
             kids = list(node.children)
             kids[at] = wide
             wide = store.add(replace_children(node, tuple(kids)))
+            if twins is not None:
+                twins[id(node)] = wide
     return wide
 
 

@@ -17,11 +17,15 @@ import pytest
 
 from repro import Connection, PartialFunctionError, fmap, to_q
 from repro.backends.sql import SQLiteBackend, render_literal, sql_type
-from examples.workloads import avalanche_dataset, running_example_query
+from examples.workloads import (
+    avalanche_dataset,
+    raw_bundle,
+    running_example_query,
+)
 from repro.ftypes import BoolT, DateT, DoubleT, IntT, StringT, TimeT
 from repro.runtime import Catalog
 
-from ..conftest import feature_meanings_query, run_all_ways
+from ..conftest import e2e_workloads, feature_meanings_query, run_all_ways
 
 
 @pytest.fixture()
@@ -118,6 +122,44 @@ class TestBundleScript:
             counts.append(len(sent))
             assert db.backend.statements_executed - before == 2 * 2
         assert counts[0] == counts[1]
+
+    def test_a_step_declares_the_int_key_its_node_has(self, db):
+        """A step whose node has a single-column ``Int`` key makes it the
+        table's primary key -- SQLite's rowid alias, which the joins,
+        groups and duplicate eliminations on it read instead of building
+        an index per run.  Nested orders' surrogates are such keys; the
+        running example's join step has none and declares none."""
+        W = e2e_workloads()
+        orders = Connection(backend="sqlite", catalog=W.make_catalog(
+            W.orders_tables(20, 1)))
+        program = next(p for p in W.CORPUS if p.name == "nested_orders")
+        code = orders.backend.prepare_bundle(
+            orders.compile(program.build(orders)).bundle)
+        steps = {step.name: step for gen in code for step in gen.steps}
+        assert all(step.create.count("PRIMARY KEY") == 1
+                   for step in steps.values())
+        [surrogate] = [step for step in steps.values()
+                       if step.op.startswith("RowNum") and "partition"
+                       not in step.op]
+        number = surrogate.op.split()[1]
+        assert f'"{number}" INTEGER PRIMARY KEY' in surrogate.create
+        # the orders without line items: an anti-join that probes the
+        # keyed step of the totals as it stands, no DISTINCT copy of it
+        assert "LEFT JOIN temp.ferry_m" in code[2].text
+        assert "DISTINCT" not in code[2].text
+        q1, q2 = db.backend.prepare_bundle(
+            db.compile(running_example_query(db)).bundle)
+        [join] = {step.name: step for step in q1.steps + q2.steps
+                  if step.op.startswith("EqJoin")}.values()
+        assert "PRIMARY KEY" not in join.create
+
+    def test_a_bundle_the_optimizer_never_saw_declares_no_key(self, db):
+        bundle = raw_bundle(running_example_query(db))
+        code = db.backend.prepare_bundle(bundle)
+        assert not any("PRIMARY KEY" in step.create
+                       for gen in code for step in gen.steps)
+        assert db.backend.execute_bundle(
+            bundle, db.catalog, prepared=code).rows
 
     def test_describe_prepared_prints_each_step_once(self, db):
         outer, inner = bundle_script(db, running_example_query(db))

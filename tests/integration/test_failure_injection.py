@@ -18,6 +18,7 @@ from repro import (
     head,
     index,
     last,
+    length,
     maximum_q,
     nil,
     nub,
@@ -224,6 +225,29 @@ class TestPartialOperationsUnderIteration:
             db.run(fmap(lambda x: tail(empty), t))
         with pytest.raises(PartialFunctionError):
             db.run(tail(empty))
+
+
+class TestLongLiteralLists:
+    """A literal list is one multi-row ``VALUES`` on SQLite, which caps a
+    compound ``SELECT`` at 500 terms; every backend agrees past it."""
+
+    @pytest.mark.parametrize("n", [600, 5000])
+    def test_length_and_sum(self, db, n):
+        assert db.run(length(to_q(list(range(n))))) == n
+        assert db.run(fsum(to_q(list(range(n))))) == n * (n - 1) // 2
+
+    @pytest.mark.parametrize("n", [600, 5000])
+    def test_a_dense_dot_product(self, db, n):
+        """Fig. 5's ``dotp`` with a dense vector of ``n`` elements."""
+        dense = to_q([float(i % 7) for i in range(n)])
+        sparse = to_q([(i, 0.5) for i in range(0, n, 97)])
+        got = db.run(fsum(fmap(lambda p: p[1] * index(dense, p[0]),
+                               sparse)))
+        assert got == sum(0.5 * float(i % 7) for i in range(0, n, 97))
+
+    def test_rows_of_tuples_keep_their_order(self, db):
+        rows = [(i, f"s{i}", i % 2 == 0) for i in range(700)]
+        assert db.run(to_q(rows)) == rows
 
 
 class TestConstructionFailures:

@@ -31,7 +31,9 @@ from repro import (
     sort_with,
     take,
     take_while,
+    the,
     to_q,
+    tup,
     zip_q,
 )
 from repro.ftypes import IntT
@@ -41,6 +43,9 @@ from ..conftest import run_all_ways
 
 EMPTY = lambda: nil(IntT)  # noqa: E731 - corpus shorthand
 DUPES = lambda: to_q([1, 1, 2, 1, 2, 2, 1])  # noqa: E731
+CUSTOMERS = lambda: to_q([(7, "g"), (2, "b"), (7, "h"), (5, "e")])  # noqa
+ORDERS = lambda: to_q([(7, 10), (2, 20), (7, 30), (9, 40)])  # noqa: E731
+ITEMS = lambda: to_q([(10, 1.5), (30, 2.0), (10, 0.5)])  # noqa: E731
 
 
 #: name -> (query builder, expected value) -- expected values double-check
@@ -121,6 +126,29 @@ CORPUS = {
         lambda: fmap(lambda g: ffilter(lambda y: y < 100, g),
                      group_with(lambda x: cond(x > 5, x, x), to_q([1, 1]))),
         [[1, 1]]),
+    # surrogate_key: the surrogate of a customer is its position; that
+    # of a customer's order pairs two positions -- customer 7 is held
+    # twice, so no one column keys those rows, and sums must not merge
+    "surrogates_of_grouped_rows_with_a_repeated_key": (
+        lambda: fmap(lambda g: fmap(lambda c: tup(c[1], fmap(
+            lambda o: o[1], ffilter(lambda o: o[0] == c[0], ORDERS()))), g),
+            group_with(lambda c: c[0] % 2, CUSTOMERS())),
+        [[("b", [20])], [("g", [10, 30]), ("h", [10, 30]), ("e", [])]]),
+    "per_order_sums_in_groups_under_a_repeated_key": (
+        lambda: fmap(lambda g: tup(the(fmap(lambda c: c[0] % 3, g)), fmap(
+            lambda c: fmap(lambda o: fsum(fmap(lambda i: i[1], ffilter(
+                lambda i: i[0] == o[1], ITEMS()))),
+                ffilter(lambda o: o[0] == c[0], ORDERS())), g)),
+            group_with(lambda c: c[0] % 3, CUSTOMERS())),
+        [(1, [[2.0, 2.0], [2.0, 2.0]]), (2, [[0.0], []])]),
+    # ... and where a number is read for more than equality it stays
+    "zip_of_two_numbered_lists": (
+        lambda: zip_q(number(to_q([30, 10, 20])), number(to_q([5, 6]))),
+        [((30, 1), (5, 1)), ((10, 2), (6, 2))]),
+    "the_of_each_group_and_its_length": (
+        lambda: fmap(lambda g: tup(the(fmap(lambda x: x % 2, g)), length(g)),
+                     group_with(lambda x: x % 2, DUPES())),
+        [(0, 3), (1, 4)]),
 }
 
 
