@@ -1,7 +1,7 @@
 """Static analysis over compiled plans: properties, bounds, verifier, lint.
 
 See :mod:`repro.analysis.properties` for the inferred property lattice
-(keys, constants, cardinality bounds, non-null sets, density and order
+(keys, constants, cardinality bounds, density and order
 provenance), :mod:`repro.analysis.cost` for the per-instance row bounds
 folded through the same lattice, :mod:`repro.analysis.verifier` for the
 staged plan verifier with its ``F1xx``/``F2xx``/``F3xx`` diagnostic

@@ -15,11 +15,6 @@ with
     columns whose value is the same in every row, with that value.
 ``card``
     cardinality bounds ``lo..hi`` (``hi=None`` means unbounded).
-``non_null``
-    columns that provably contain no ``None``.  The algebra's type
-    system has no Maybe/NULL, so this is almost always every column;
-    it is tracked anyway because the differential property tests cheaply
-    falsify it if an operator ever starts leaking ``None``.
 ``dense``
     *sound* density facts: ``(col, part)`` means that within every
     group of rows agreeing on the ``part`` columns, ``col`` carries
@@ -45,7 +40,7 @@ with
 
 Inference is sound for everything except ``provenance`` (documented
 above); the hypothesis differential suite checks ``keys``,
-``constants``, ``card``, ``non_null``, ``dense`` and ``order`` against
+``constants``, ``card``, ``dense`` and ``order`` against
 actually materialized engine relations.
 """
 
@@ -147,7 +142,6 @@ class Props:
     keys: frozenset[Key] = frozenset()
     constants: dict[str, Any] = field(default_factory=dict)
     card: Card = Card()
-    non_null: frozenset[str] = frozenset()
     dense: frozenset[DenseFact] = frozenset()
     provenance: frozenset[str] = frozenset()
     order: frozenset[OrderFact] = frozenset()
@@ -201,7 +195,7 @@ class Props:
         cols = schema.keys()
         return _finish(
             schema, {k for k in self.keys if k <= cols}, self.constants,
-            self.card, self.non_null, self.dense, self.provenance,
+            self.card, self.dense, self.provenance,
             frozenset((c, by, within) for c, by, within in self.order
                       if cols >= within.union({c}, (o for o, _ in by))))
 
@@ -371,8 +365,7 @@ def _minimize(keys: "set[Key]") -> frozenset[Key]:
 
 
 def _finish(schema: Schema, keys: "set[Key]", constants: dict,
-            card: Card, non_null: "frozenset[str]",
-            dense: "frozenset[DenseFact]",
+            card: Card, dense: "frozenset[DenseFact]",
             provenance: "frozenset[str]",
             order: "frozenset[OrderFact]" = frozenset()) -> Props:
     """Normalize the mutual implications between properties."""
@@ -418,12 +411,11 @@ def _finish(schema: Schema, keys: "set[Key]", constants: dict,
             and any(map(p.issuperset, minimal))}
     if ones:
         return _finish(schema, set(minimal), {**constants, **ones}, card,
-                       non_null, dense, provenance, order)
+                       dense, provenance, order)
     if frozenset() in minimal and (card.hi is None or card.hi > 1):
         card = Card(card.lo, 1)
     constants = {c: v for c, v in constants.items() if c in cols}
     return Props(schema, minimal, constants, card,
-                 non_null & cols,
                  frozenset((c, p) for c, p in dense
                            if c in cols and p <= cols),
                  provenance & cols, order)
@@ -431,24 +423,21 @@ def _finish(schema: Schema, keys: "set[Key]", constants: dict,
 
 def _scan_literal(node: LitTable, schema: Schema
                   ) -> ("tuple[set[Key], dict[str, Any], "
-                        "frozenset[str], frozenset[DenseFact]]"):
+                        "frozenset[DenseFact]]"):
     """Exact keys / constants / density for literal tables (loop
     relations, literal lists) by looking at the rows."""
     cols = list(schema)
     nrows = len(node.rows)
     keys: set[Key] = set()
     constants: dict[str, Any] = {}
-    non_null: set[str] = set(cols)
     dense: set[DenseFact] = set()
     if nrows == 0:
-        return keys, constants, frozenset(non_null), frozenset(dense)
+        return keys, constants, frozenset(dense)
     columns = {c: [row[i] for row in node.rows]
                for i, c in enumerate(cols)}
     for c in cols:
         vals = columns[c]
-        if any(v is None for v in vals):
-            non_null.discard(c)
-        elif all(v == vals[0] for v in vals):
+        if all(v == vals[0] for v in vals):
             constants[c] = vals[0]
     for c in cols:
         try:
@@ -464,7 +453,7 @@ def _scan_literal(node: LitTable, schema: Schema
 
     pair_budget = LIT_PAIR_BUDGET // max(nrows, 1)
     for c in cols:
-        if schema[c] != IntT or c not in non_null:
+        if schema[c] != IntT:
             continue
         if is_dense_seq(columns[c]):
             dense.add((c, frozenset()))
@@ -479,7 +468,7 @@ def _scan_literal(node: LitTable, schema: Schema
                 groups.setdefault(pv, []).append(cv)
             if all(is_dense_seq(g) for g in groups.values()):
                 dense.add((c, frozenset({p})))
-    return keys, constants, frozenset(non_null), frozenset(dense)
+    return keys, constants, frozenset(dense)
 
 
 def _renamed(cols: "frozenset[str]", renames: "dict[str, list[str]]"
@@ -570,31 +559,27 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
     card = row_bounds(node, kids, [p.card for p in kids])
 
     if isinstance(node, LitTable):
-        keys, constants, non_null, dense = _scan_literal(node, schema)
+        keys, constants, dense = _scan_literal(node, schema)
         prov = frozenset(c for c, _ in dense) if node.rows else frozenset(
             c for c in schema if schema[c] == IntT)
-        return _finish(schema, keys, constants, card, non_null, dense, prov)
+        return _finish(schema, keys, constants, card, dense, prov)
 
     if isinstance(node, TableScan):
-        # Catalog rows are validated against the declared atom types on
-        # insert, so scans never produce None.  The position numbers the
-        # rows 1..n -- as a row number, not as the rank of the columns: a
-        # table may hold a row twice, so no order fact (it would make
-        # the columns a key).
+        # The position numbers the rows 1..n -- as a row number, not as
+        # the rank of the columns: a table may hold a row twice, so no
+        # order fact (it would make the columns a key).
         pos = frozenset(node.pos[:1] if node.pos else ())
-        return _finish(schema, set(), {}, card, frozenset(schema),
+        return _finish(schema, set(), {}, card,
                        frozenset((c, frozenset()) for c in pos), pos)
 
     if isinstance(node, Attach):
         p = memo[id(node.child)]
         constants = dict(p.constants)
         constants[node.col] = node.value
-        non_null = p.non_null | ({node.col} if node.value is not None
-                                 else frozenset())
         prov = p.provenance | ({node.col} if node.value == 1
                                else frozenset())
-        return _finish(schema, set(p.keys), constants, card, non_null,
-                       p.dense, prov, p.order)
+        return _finish(schema, set(p.keys), constants, card, p.dense, prov,
+                       p.order)
 
     if isinstance(node, Project):
         p = memo[id(node.child)]
@@ -604,8 +589,6 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         keys = _rename_keys(p.keys, renames)
         constants = {new: p.constants[old] for new, old in node.cols
                      if old in p.constants}
-        non_null = frozenset(new for new, old in node.cols
-                             if old in p.non_null)
         dense = {(nc, part) for col, old_part in p.dense
                  for part in _renamed(old_part, renames)
                  for nc in renames.get(col, ())}
@@ -616,8 +599,8 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
              frozenset(renames[w][0] for w in within))
             for c, by, within in p.order
             if renames.keys() >= within.union({c}, (o for o, _ in by)))
-        return _finish(schema, keys, constants, card, non_null,
-                       frozenset(dense), prov, order)
+        return _finish(schema, keys, constants, card, frozenset(dense),
+                       prov, order)
 
     if isinstance(node, Select):
         p = memo[id(node.child)]
@@ -625,16 +608,16 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         # Downstream of the filter the selection column is always true.
         constants[node.col] = True
         # Filtering breaks density but not lineage.
-        return _finish(schema, set(p.keys), constants, card, p.non_null,
-                       frozenset(), p.provenance)
+        return _finish(schema, set(p.keys), constants, card, frozenset(),
+                       p.provenance)
 
     if isinstance(node, Distinct):
         p = memo[id(node.child)]
         keys = set(p.keys)
         keys.add(frozenset(schema))
         # The distinct rows hold the same order values: a rank stands.
-        return _finish(schema, keys, dict(p.constants), card, p.non_null,
-                       frozenset(), p.provenance, p.order)
+        return _finish(schema, keys, dict(p.constants), card, frozenset(),
+                       p.provenance, p.order)
 
     if isinstance(node, RowNum):
         p = memo[id(node.child)]
@@ -650,8 +633,8 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         if p.has_key({c for c, _ in node.order}.union(node.part)):
             # no ties: the row number is the dense rank
             order |= {(node.col, node.order, frozenset(node.part))}
-        return _finish(schema, keys, constants, card,
-                       p.non_null | {node.col}, frozenset(dense), prov, order)
+        return _finish(schema, keys, constants, card, frozenset(dense), prov,
+                       order)
 
     if isinstance(node, RowRank):
         p = memo[id(node.child)]
@@ -661,8 +644,8 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         # DENSE_RANK is dense 1..k globally, but k < nrows when order
         # keys tie, so (col, ()) is *not* a density fact w.r.t. rows;
         # it is also no key.  Lineage only.
-        return _finish(schema, set(p.keys), constants, card,
-                       p.non_null | {node.col}, p.dense, p.provenance,
+        return _finish(schema, set(p.keys), constants, card, p.dense,
+                       p.provenance,
                        p.order | {(node.col, node.order, frozenset())})
 
     if isinstance(node, Cross):
@@ -680,8 +663,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         for col, part in rp.dense:
             for lk in lp.keys:
                 dense.add((col, part | lk))
-        return _finish(schema, keys, constants, card,
-                       lp.non_null | rp.non_null, frozenset(dense),
+        return _finish(schema, keys, constants, card, frozenset(dense),
                        lp.provenance | rp.provenance)
 
     if isinstance(node, EqJoin):
@@ -715,14 +697,13 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
             if part == lcols:
                 for rk in rp.keys:
                     dense.add((col, part | rk))
-        return _finish(schema, keys, constants, card,
-                       lp.non_null | rp.non_null, frozenset(dense),
+        return _finish(schema, keys, constants, card, frozenset(dense),
                        lp.provenance | rp.provenance)
 
     if isinstance(node, (SemiJoin, AntiJoin)):
         lp = memo[id(node.left)]
         return _finish(schema, set(lp.keys), dict(lp.constants), card,
-                       lp.non_null, frozenset(), lp.provenance)
+                       frozenset(), lp.provenance)
 
     if isinstance(node, UnionAll):
         lp = memo[id(node.left)]
@@ -739,8 +720,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                 constants[c] = lv
         # Concatenating two provenant runs is the compiler's append /
         # take-while encoding; order pedigree survives (lint-grade).
-        return _finish(schema, set(), constants, card,
-                       lp.non_null & rp.non_null, frozenset(),
+        return _finish(schema, set(), constants, card, frozenset(),
                        lp.provenance & rp.provenance)
 
     if isinstance(node, GroupAggr):
@@ -754,16 +734,11 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                  if func in ("min", "max")
                  for k in p.keys if col in k and k - {col} <= group}
         constants = {c: v for c, v in p.constants.items() if c in group}
-        # Groups with no rows do not appear, so aggregates never see an
-        # empty input: sum/min/max/... of a non-empty group is non-None.
-        non_null = frozenset(c for c in group if c in p.non_null)
-        non_null |= {out for _, _, out in node.aggs}
         # The least or greatest position of a group orders the groups.
         prov = (group & p.provenance).union(
             out for func, col, out in node.aggs
             if func in ("min", "max") and col in p.provenance)
-        return _finish(schema, keys, constants, card, non_null,
-                       frozenset(), prov)
+        return _finish(schema, keys, constants, card, frozenset(), prov)
 
     if isinstance(node, BinApp):
         p = memo[id(node.child)]
@@ -779,14 +754,8 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         elif (node.op in _SAME_COL_CMP and isinstance(node.lhs, str)
               and node.lhs == node.rhs):
             constants[node.out] = _SAME_COL_CMP[node.op]
-        ins_non_null = all(
-            isinstance(o, Const) and o.value is not None
-            or isinstance(o, str) and o in p.non_null
-            for o in (node.lhs, node.rhs))
-        non_null = p.non_null | ({node.out} if ins_non_null
-                                 else frozenset())
-        return _finish(schema, set(p.keys), constants, card, non_null,
-                       p.dense, p.provenance, p.order)
+        return _finish(schema, set(p.keys), constants, card, p.dense,
+                       p.provenance, p.order)
 
     if isinstance(node, UnApp):
         p = memo[id(node.child)]
@@ -797,10 +766,8 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
             except (PartialFunctionError, ArithmeticError, TypeError,
                     ValueError, AttributeError):
                 pass
-        non_null = p.non_null | ({node.out} if node.col in p.non_null
-                                 else frozenset())
-        return _finish(schema, set(p.keys), constants, card, non_null,
-                       p.dense, p.provenance, p.order)
+        return _finish(schema, set(p.keys), constants, card, p.dense,
+                       p.provenance, p.order)
 
     # Unknown operator: schema_of above would have raised; this is for
     # completeness only.

@@ -9,7 +9,8 @@ from ...analysis import ensure_verified
 from ...core.bundle import Bundle
 from ...runtime.catalog import Catalog
 from ..base import Backend
-from .evaluate import BundleCache, Engine, compile_schedule
+from .evaluate import Engine, compile_schedule
+from .relation import Relation
 
 
 class EngineBackend(Backend):
@@ -19,7 +20,8 @@ class EngineBackend(Backend):
     loop-lifting compiler produced, which makes it both the fastest local
     option and the most direct check on the compilation itself.
 
-    Every bundle execution owns one :class:`BundleCache`, so subplans
+    Every bundle execution owns one memo, a ``dict`` from ``id(node)``
+    to its relation that all the bundle's queries fill, so subplans
     shared between bundle queries (the outer query's spine feeding each
     inner query) materialize once per bundle.
     """
@@ -41,12 +43,12 @@ class EngineBackend(Backend):
     def open_bundle(self, bundle: Bundle, catalog: Catalog,
                     prepared: "list[tuple[Node, ...]]"):
         engine = Engine(catalog)
-        cache = BundleCache()
+        values: dict[int, Relation] = {}
 
         def run_query(qi, ops):
             query = bundle.queries[qi]
             rel = engine.execute(query.plan, prepared[qi], profile=ops,
-                                 cache=cache)
+                                 values=values)
             ic = rel.column(query.iter_col)
             pc = rel.column(query.pos_col)
             items = [rel.column(c) for c in query.item_cols]

@@ -10,18 +10,19 @@ the fused bag-semantics kernels of Dong & Kjolstad).
 
 Shared subplans are evaluated once: within a query through the schedule
 (postorder visits each DAG node once), and *across* the queries of a
-bundle through a :class:`BundleCache` keyed on DAG node identity, so the
-outer query's spine feeding each inner query materializes once per
-bundle rather than once per query -- the engine-level image of the
-``WITH`` bindings in the generated SQL.
+bundle through one memo, a plain ``dict`` from ``id(node)`` to its
+:class:`Relation` that every query of the bundle fills, so the outer
+query's spine feeding each inner query materializes once per bundle
+rather than once per query -- the engine-level image of the ``WITH``
+bindings in the generated SQL.  Bundles run serially and each
+``execute_bundle`` call owns its memo, so nothing is shared between
+threads.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from itertools import repeat
-from typing import Callable
 
 from ...algebra import (
     AntiJoin,
@@ -61,65 +62,6 @@ def compile_schedule(root: Node) -> tuple[Node, ...]:
     return tuple(postorder(root))
 
 
-class BundleCache:
-    """Cross-query materialization cache, keyed on DAG node identity.
-
-    The queries of a bundle share plan DAG nodes (the outer query's
-    spine feeds each inner query; the optimizer hash-conses across the
-    whole bundle), so one cache per ``execute_bundle`` lets every shared
-    subplan materialize exactly once per bundle.
-
-    ``materialize`` has once-only semantics under concurrency: the first
-    caller to claim a node computes it while later callers block on the
-    claim's event and then read the finished relation (or re-raise the
-    computing thread's error).  ``values`` is only ever written by the
-    claim owner, so lock-free reads of finished entries are safe under
-    the GIL.
-
-    Bundles execute serially, so the claim protocol is never contended
-    and a plain dict would do.  It is still here only because of the
-    benchmark gate: it costs a constant ~3.5 us per node, so dropping it
-    makes ``paper_mix_engine`` 6 ms faster at 1, 2 and 4 copies alike,
-    and that constant saving alone raises the workload's ``scaling_x2``
-    by 13% against a 7% bound (CHANGES.md, PR 12).
-    """
-
-    __slots__ = ("values", "_claims", "_lock")
-
-    def __init__(self) -> None:
-        #: id(node) -> materialized Relation (complete entries only).
-        self.values: dict[int, Relation] = {}
-        self._claims: dict[int, tuple[threading.Event, list]] = {}
-        self._lock = threading.Lock()
-
-    def materialize(self, node: Node,
-                    compute: Callable[[], Relation]) -> Relation:
-        nid = id(node)
-        rel = self.values.get(nid)
-        if rel is not None:
-            return rel
-        with self._lock:
-            claim = self._claims.get(nid)
-            mine = claim is None
-            if mine:
-                claim = self._claims[nid] = (threading.Event(), [])
-        event, errbox = claim
-        if mine:
-            try:
-                rel = compute()
-                self.values[nid] = rel
-            except BaseException as err:
-                errbox.append(err)
-                raise
-            finally:
-                event.set()
-            return rel
-        event.wait()
-        if errbox:
-            raise errbox[0]
-        return self.values[nid]
-
-
 class Engine:
     """Evaluates algebra plans against a :class:`Catalog`."""
 
@@ -129,7 +71,7 @@ class Engine:
     def execute(self, root: Node,
                 schedule: "tuple[Node, ...] | None" = None,
                 profile: "list | None" = None,
-                cache: "BundleCache | None" = None) -> Relation:
+                values: "dict[int, Relation] | None" = None) -> Relation:
         """Evaluate the plan DAG rooted at ``root``.
 
         ``schedule`` is an optional precomputed evaluation order (the
@@ -143,31 +85,30 @@ class Engine:
         profiling loop is kept separate so unprofiled execution pays
         zero clock reads.
 
-        ``cache`` is the bundle-wide materialization cache (by default a
-        fresh one, sharing nothing): nodes already materialized by an
-        earlier query of the bundle are served from it, and nodes this
-        query materializes become visible to the rest of the bundle.
-        Cardinalities and widths reported to ``profile`` are unaffected
-        -- a cache hit reports the same relation, only with (near-)zero
-        exclusive time.
+        ``values`` is the bundle's memo, ``id(node)`` -> relation (by
+        default a fresh dict, sharing nothing): nodes an earlier query
+        of the bundle evaluated are read from it, and nodes this query
+        evaluates are added to it.  Cardinalities and widths reported
+        to ``profile`` are unaffected -- a hit reports the same
+        relation, only with (near-)zero exclusive time.
         """
         if schedule is None:
             schedule = compile_schedule(root)
-        if cache is None:
-            cache = BundleCache()
-        values = cache.values
+        if values is None:
+            values = {}
         if profile is None:
             for node in schedule:
-                cache.materialize(
-                    node, lambda node=node: self._eval(node, values))
+                if id(node) not in values:
+                    values[id(node)] = self._eval(node, values)
             return values[id(root)]
 
         from ...obs.analyze import OpProfile
         for ref, node in enumerate(schedule):
             rows_in = sum(values[id(c)].nrows for c in node.children)
             t0 = time.perf_counter()
-            rel = cache.materialize(
-                node, lambda node=node: self._eval(node, values))
+            rel = values.get(id(node))
+            if rel is None:
+                rel = values[id(node)] = self._eval(node, values)
             elapsed = time.perf_counter() - t0
             profile.append(OpProfile(ref=ref, op=describe(node),
                                      time=elapsed, rows_in=rows_in,

@@ -236,6 +236,20 @@ _FOLDS: dict[str, Callable[[Iterable[Any]], Any]] = {
 }
 
 
+def _nan_first(fold: Callable[[list[Any]], Any]
+               ) -> Callable[[Iterable[Any]], Any]:
+    """``fold`` (``min``/``max``) as IEEE 754-2019 ``minimum``/``maximum``:
+    a NaN in the group is the result, wherever it stands (Python's
+    ``min``/``max`` keep only a leading one)."""
+    def folded(values: Iterable[Any]) -> Any:
+        vs = list(values)
+        for v in vs:
+            if v != v:
+                return v
+        return fold(vs)
+    return folded
+
+
 def aggregate(func: str, values: Column,
               members: Sequence[Index]) -> list[Any]:
     """One aggregate value per group; ``count`` reads no ``values``."""
@@ -247,4 +261,8 @@ def aggregate(func: str, values: Column,
     fold = _FOLDS.get(func)
     if fold is None:  # pragma: no cover - schema validation rejects
         raise ExecutionError(f"unknown aggregate {func!r}")
+    # Only a NaN differs from itself: one C-level pass over the column,
+    # and columns without one (every Int and String column) fold as is.
+    if func in ("min", "max") and any(map(ne, values, values)):
+        fold = _nan_first(fold)
     return [fold(map(getv, m)) for m in members]

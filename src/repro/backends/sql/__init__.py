@@ -14,8 +14,6 @@ from .generate import (
     Step,
     generate_bundle,
     generate_sql,
-    render_literal,
-    sql_type,
 )
 
 __all__ = [
@@ -30,6 +28,4 @@ __all__ = [
     "generate_bundle",
     "generate_sql",
     "load_catalog",
-    "render_literal",
-    "sql_type",
 ]

@@ -73,7 +73,7 @@ from ...algebra import (
 )
 from ...core.bundle import SerializedQuery
 from ...errors import ExecutionError
-from ...ftypes import AtomT, DoubleT
+from ...ftypes import DoubleT
 from .dbapi import SQLITE_DIALECT, Dialect
 
 
@@ -114,22 +114,6 @@ class GeneratedSQL:
         parts = [f"-- @{step.ref} {step.op}\n{step.create};\n{step.insert};"
                  for step in self.steps if step.name not in built]
         return "\n".join(parts + [self.text])
-
-
-# Module-level helpers bound to the default (SQLite) dialect, kept for
-# callers that predate the dialect layer.
-
-def sql_type(ty: AtomT) -> str:
-    """Column type name for CREATE TABLE statements."""
-    return SQLITE_DIALECT.type_name(ty)
-
-
-def render_literal(value, ty: AtomT) -> str:
-    return SQLITE_DIALECT.literal(value, ty)
-
-
-def quote_ident(name: str) -> str:
-    return SQLITE_DIALECT.quote_ident(name)
 
 
 def generate_bundle(queries: Sequence[SerializedQuery],
@@ -390,9 +374,16 @@ def _render(node: Node, names: dict[int, str], memo, d: Dialect,
 
     if isinstance(node, GroupAggr):
         parts = [q(c) for c in node.group]
+        in_schema = schema_of(node.child, memo)
         for func, in_col, out_col in node.aggs:
-            parts.append(f"{_aggregate_sql(func, in_col, d)} AS "
-                         f"{q(out_col)}")
+            agg = _aggregate_sql(func, in_col, d)
+            if in_col and in_schema[in_col] == DoubleT and func in (
+                    "sum", "avg", "min", "max"):
+                # SQLite stores a NaN as NULL and these skip NULLs; a
+                # NaN propagates instead (NULL reads back as NaN).
+                agg = (f"CASE WHEN COUNT({q(in_col)}) = COUNT(*) "
+                       f"THEN {agg} END")
+            parts.append(f"{agg} AS {q(out_col)}")
         sql = f"  SELECT {', '.join(parts)}\n  FROM {child}"
         if node.group:
             sql += ("\n  GROUP BY "

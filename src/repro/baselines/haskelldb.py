@@ -22,10 +22,11 @@ import sqlite3
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..backends.sql.dbapi import SQLITE_DIALECT
-from ..backends.sql.generate import quote_ident, sql_type
+from ..backends.sql.dbapi import SQLITE_DIALECT, load_catalog
 from ..errors import ExecutionError
 from ..runtime.catalog import Catalog
+
+_quote = SQLITE_DIALECT.quote_ident
 
 
 # ----------------------------------------------------------------------
@@ -56,7 +57,7 @@ class ColRef(Expr):
     column: str
 
     def sql(self) -> str:
-        return f"{self.alias}.{quote_ident(self.column)}"
+        return f"{self.alias}.{_quote(self.column)}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,9 +145,9 @@ class Query:
         if not self.projections:
             raise ExecutionError("query projects no columns")
         head = "SELECT DISTINCT" if self.distinct else "SELECT"
-        cols = ", ".join(f"{e.sql()} AS {quote_ident(n)}"
+        cols = ", ".join(f"{e.sql()} AS {_quote(n)}"
                          for n, e in self.projections)
-        tables = ", ".join(f"{quote_ident(t)} AS {a}"
+        tables = ", ".join(f"{_quote(t)} AS {a}"
                            for a, t in self.tables)
         sql = f"{head} {cols} FROM {tables}"
         if self.conditions:
@@ -164,7 +165,7 @@ class HaskellDBSession:
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
         self._conn = sqlite3.connect(":memory:")
-        self._load()
+        load_catalog(self._conn, catalog, SQLITE_DIALECT)
         self.statements_executed = 0
 
     def query(self) -> Query:
@@ -183,20 +184,6 @@ class HaskellDBSession:
         static bound the result type permits (Table 1's shaming row)."""
         from ..analysis import avalanche_lint
         return avalanche_lint(result_ty, self.statements_executed)
-
-    def _load(self) -> None:
-        cur = self._conn.cursor()
-        for name in self.catalog.table_names():
-            schema = self.catalog.schema(name)
-            cols = ", ".join(f"{quote_ident(c)} {sql_type(t)}"
-                             for c, t in schema)
-            cur.execute(f"CREATE TABLE {quote_ident(name)} ({cols})")
-            marks = ", ".join("?" for _ in schema)
-            cur.executemany(
-                f"INSERT INTO {quote_ident(name)} VALUES ({marks})",
-                [tuple(SQLITE_DIALECT.to_db_value(v) for v in row)
-                 for row in self.catalog.rows(name)])
-        self._conn.commit()
 
 
 # ----------------------------------------------------------------------

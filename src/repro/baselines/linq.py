@@ -23,9 +23,10 @@ import random
 import sqlite3
 from typing import Any, Callable, Iterable
 
-from ..backends.sql.dbapi import SQLITE_DIALECT
-from ..backends.sql.generate import quote_ident, sql_type
+from ..backends.sql.dbapi import SQLITE_DIALECT, load_catalog
 from ..runtime.catalog import Catalog
+
+_quote = SQLITE_DIALECT.quote_ident
 
 
 class LinqSession:
@@ -35,27 +36,12 @@ class LinqSession:
         self.catalog = catalog
         self.shuffle = shuffle
         self._conn = sqlite3.connect(":memory:")
-        self._load()
+        load_catalog(self._conn, catalog, SQLITE_DIALECT)
         self.statements_executed = 0
 
     def table(self, name: str) -> "Queryable":
         cols = tuple(c for c, _ in self.catalog.schema(name))
         return Queryable(self, name, cols)
-
-    # ------------------------------------------------------------------
-    def _load(self) -> None:
-        cur = self._conn.cursor()
-        for name in self.catalog.table_names():
-            schema = self.catalog.schema(name)
-            cols = ", ".join(f"{quote_ident(c)} {sql_type(t)}"
-                             for c, t in schema)
-            cur.execute(f"CREATE TABLE {quote_ident(name)} ({cols})")
-            marks = ", ".join("?" for _ in schema)
-            cur.executemany(
-                f"INSERT INTO {quote_ident(name)} VALUES ({marks})",
-                [tuple(SQLITE_DIALECT.to_db_value(v) for v in row)
-                 for row in self.catalog.rows(name)])
-        self._conn.commit()
 
     def avalanche_diagnostics(self, result_ty: Any) -> list:
         """``F302`` lint: compare ``statements_executed`` against the
@@ -100,18 +86,18 @@ class Queryable:
         return SelectedQueryable(self, fn)
 
     def distinct_values(self, column: str) -> list[Any]:
-        sql = (f"SELECT DISTINCT {quote_ident(column)} "
-               f"FROM {quote_ident(self.table)}")
+        sql = (f"SELECT DISTINCT {_quote(column)} "
+               f"FROM {_quote(self.table)}")
         return [r[0] for r in self.session.execute(sql)]
 
     # -- enumeration ---------------------------------------------------
     def _sql(self) -> tuple[str, tuple]:
-        cols = ", ".join(quote_ident(c) for c in self.columns)
-        sql = f"SELECT {cols} FROM {quote_ident(self.table)}"
+        cols = ", ".join(_quote(c) for c in self.columns)
+        sql = f"SELECT {cols} FROM {_quote(self.table)}"
         params: tuple = ()
         if self.wheres:
             sql += " WHERE " + " AND ".join(
-                f"{quote_ident(c)} = ?" for c, _ in self.wheres)
+                f"{_quote(c)} = ?" for c, _ in self.wheres)
             params = tuple(v for _, v in self.wheres)
         return sql, params
 

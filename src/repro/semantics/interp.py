@@ -347,12 +347,21 @@ def _b_avg(e: AppE, args: list[Any]) -> Any:
     return float(sum(xs)) / len(xs)
 
 
+def _extremum(fold: Callable[[list[Any]], Any], xs: list[Any]) -> Any:
+    """``fold`` (``max``/``min``) as IEEE 754-2019 ``maximum``/``minimum``:
+    a NaN in ``xs`` is the result, wherever it stands."""
+    for x in xs:
+        if x != x:
+            return x
+    return fold(xs)
+
+
 def _b_maximum(e: AppE, args: list[Any]) -> Any:
-    return max(_nonempty(args[0], "maximum"))
+    return _extremum(max, _nonempty(args[0], "maximum"))
 
 
 def _b_minimum(e: AppE, args: list[Any]) -> Any:
-    return min(_nonempty(args[0], "minimum"))
+    return _extremum(min, _nonempty(args[0], "minimum"))
 
 
 def _b_and(e: AppE, args: list[Any]) -> Any:

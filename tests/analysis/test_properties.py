@@ -57,11 +57,6 @@ class TestLiterals:
         p = infer_properties(lit(("a", IntT)))
         assert p.card.empty and p.has_key(frozenset())
 
-    def test_non_null_scan(self):
-        p = infer_properties(lit(("a", StringT), rows=[("x",), (None,)]))
-        assert "a" not in p.non_null
-        assert infer_properties(UNIQ).non_null == {"i", "v"}
-
     def test_dense_literal_column_counts_as_order(self):
         dense = lit(("p", IntT), ("v", IntT), rows=[(2, 5), (1, 6)])
         p = infer_properties(dense)
@@ -72,12 +67,11 @@ class TestPositionalScan:
     SCAN = TableScan("t", (("a", "a", IntT), ("b", "b", StringT)),
                      ("p", "pos"))
 
-    def test_the_position_is_a_dense_non_null_key(self):
+    def test_the_position_is_a_dense_key(self):
         p = infer_properties(self.SCAN)
         assert list(p.schema) == ["a", "b", "p"] and p.schema["p"] == IntT
         assert p.has_key({"p"}) and not p.has_key({"a", "b"})
         assert p.is_dense("p", ()) and p.order_ok("p")
-        assert p.non_null == {"a", "b", "p"}
 
     def test_it_is_a_row_number_not_a_rank_of_the_columns(self):
         # a table may hold a row twice: an order fact "p ranks (a, b)"

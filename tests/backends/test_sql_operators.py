@@ -192,7 +192,7 @@ class TestOperatorsOnSQLite:
 
     def test_global_aggregate_of_no_rows_is_no_row(self):
         # not SQL's (0,) / NULL: ``analysis/properties.py`` infers
-        # non-null columns and Card(0..1) for this node
+        # Card(0..1) for this node
         empty = lt([], ("n", IntT))
         aggs = (("count", None, "c"), ("sum", "n", "s"))
         assert both_ways(GroupAggr(empty, (), aggs)) == []

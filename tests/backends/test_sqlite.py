@@ -16,7 +16,7 @@ import sqlite3
 import pytest
 
 from repro import Connection, PartialFunctionError, fmap, to_q
-from repro.backends.sql import SQLiteBackend, render_literal, sql_type
+from repro.backends.sql import SQLITE_DIALECT, SQLiteBackend
 from examples.workloads import (
     avalanche_dataset,
     raw_bundle,
@@ -273,19 +273,20 @@ class TestReservedNames:
 
 class TestDialect:
     def test_sql_types(self):
-        assert sql_type(IntT) == "INTEGER"
-        assert sql_type(BoolT) == "INTEGER"
-        assert sql_type(DoubleT) == "REAL"
-        assert sql_type(StringT) == "TEXT"
-        assert sql_type(DateT) == "TEXT"
+        type_name = SQLITE_DIALECT.type_name
+        assert type_name(IntT) == "INTEGER"
+        assert type_name(BoolT) == "INTEGER"
+        assert type_name(DoubleT) == "REAL"
+        assert type_name(StringT) == "TEXT"
+        assert type_name(DateT) == "TEXT"
 
     def test_literals(self):
-        assert render_literal(True, BoolT) == "1"
-        assert render_literal(3, IntT) == "3"
-        assert render_literal("o'hare", StringT) == "'o''hare'"
-        assert render_literal(datetime.date(2009, 6, 29), DateT) == \
-            "'2009-06-29'"
-        assert render_literal(datetime.time(12, 30), TimeT) == "'12:30:00'"
+        literal = SQLITE_DIALECT.literal
+        assert literal(True, BoolT) == "1"
+        assert literal(3, IntT) == "3"
+        assert literal("o'hare", StringT) == "'o''hare'"
+        assert literal(datetime.date(2009, 6, 29), DateT) == "'2009-06-29'"
+        assert literal(datetime.time(12, 30), TimeT) == "'12:30:00'"
 
 
 class TestExecution:

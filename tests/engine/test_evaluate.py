@@ -181,12 +181,15 @@ class TestScalarKernels:
         assert len(rows_of(engine, plan)) == 3
 
 
-class TestBundleCache:
+class TestBundleMemo:
     def test_each_shared_dag_node_materializes_once_per_bundle(
             self, monkeypatch):
         """The queries of a bundle share subplans (the outer spine feeds
         each inner query); across all three queries of a ``[[[.]]]``
-        bundle no DAG node is evaluated twice."""
+        bundle no DAG node is evaluated twice.  Each execution owns its
+        memo, so running the bundle twice evaluates every node exactly
+        twice -- a memo that leaked across executions would serve the
+        second run from the first."""
         db = Connection(catalog=paper_dataset())
         q = feature_meanings_query(db)
         schedules = db.backend.prepare_bundle(db.compile(q).bundle)
@@ -207,3 +210,7 @@ class TestBundleCache:
         assert any(any(inner for inner in outer) for outer in result)
         assert set(counts) == distinct
         assert set(counts.values()) == {1}
+
+        assert db.run(q) == result
+        assert set(counts) == distinct
+        assert set(counts.values()) == {2}

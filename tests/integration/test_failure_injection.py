@@ -15,11 +15,13 @@ from repro import (
     fmap,
     foldr,
     fsum,
+    group_with,
     head,
     index,
     last,
     length,
     maximum_q,
+    minimum_q,
     nil,
     nub,
     qc,
@@ -31,6 +33,8 @@ from repro import (
 )
 from repro.errors import FerryError
 from repro.ftypes import IntT
+from repro.runtime import Catalog
+from repro.semantics import Interpreter
 
 
 @pytest.fixture(params=("engine", "sqlite", "mil"))
@@ -162,6 +166,52 @@ class TestSchemaFailures:
         # its SQL text while the engine and MIL return something else.
         with pytest.raises(QTypeError, match="64-bit|NaN"):
             db.run(literal())
+
+
+INF = float("inf")
+AGGREGATES = {"sum": fsum, "avg": favg, "maximum": maximum_q,
+              "minimum": minimum_q}
+
+
+def everywhere(build, catalog):
+    """``build(db)``'s value on the interpreter and on every backend."""
+    values = [Interpreter(catalog).run(build(Connection(catalog=catalog)).exp)]
+    for backend in ("engine", "sqlite", "mil"):
+        db = Connection(backend=backend, catalog=catalog)
+        values.append(db.run(build(db)))
+    return values
+
+
+class TestNaNInAggregates:
+    """A NaN inside an aggregate's input is the aggregate's value, as
+    IEEE 754-2019 ``maximum``/``minimum`` have it, wherever it stands in
+    the list and on every executor.  ``x * 0.0`` makes one of ``-inf``
+    (sorted first) or ``inf`` (sorted last); sqlite stores that NaN as
+    NULL, which its ``SUM``/``AVG``/``MIN``/``MAX`` would skip."""
+
+    @pytest.mark.parametrize("agg", AGGREGATES)
+    @pytest.mark.parametrize("rows", [[1.0, -INF, 2.0], [1.0, 2.0, INF]],
+                             ids=["nan-first", "nan-last"])
+    def test_top_level(self, rows, agg):
+        catalog = Catalog()
+        catalog.create_table("t", [("x", float)], [(x,) for x in rows])
+        values = everywhere(lambda db: AGGREGATES[agg](
+            fmap(lambda x: x * 0.0, db.table("t"))), catalog)
+        assert all(map(math.isnan, values)), values
+
+    @pytest.mark.parametrize("agg", AGGREGATES)
+    def test_per_group(self, agg):
+        # group 1 holds its NaN first, group 2 last, group 3 none
+        catalog = Catalog()
+        catalog.create_table("t", [("g", int), ("x", float)], [
+            (1, 1.0), (1, -INF), (1, 2.0), (2, 1.0), (2, 2.0), (2, INF),
+            (3, 1.0), (3, 2.0)])
+        values = everywhere(lambda db: fmap(
+            lambda grp: AGGREGATES[agg](fmap(lambda r: r[1] * 0.0, grp)),
+            group_with(lambda r: r[0], db.table("t"))), catalog)
+        for first, last, clean in values:
+            assert math.isnan(first) and math.isnan(last) and clean == 0.0, \
+                values
 
 
 class TestPartialOperations:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from examples.workloads import raw_bundle
 from repro import Connection
 from repro.analysis.cost import RowBounds, estimate_bundle
-from repro.backends.engine.evaluate import BundleCache, Engine
+from repro.backends.engine.evaluate import Engine
 from repro.runtime import Catalog
 
 from ..programs import (
@@ -78,14 +78,14 @@ def check_bounds(q, catalog=None):
     db = Connection(catalog=catalog)
     for bundle in (db.compile(q).bundle, raw_bundle(q)):
         engine = Engine(catalog)
-        cache = BundleCache()
+        values = {}
         bounds = RowBounds(db._table_stats())
         for query in bundle.queries:
-            engine.execute(query.plan, cache=cache)
+            engine.execute(query.plan, values=values)
             bounds.of(query.plan)
 
         audited = 0
-        for nid, rel in cache.values.items():
+        for nid, rel in values.items():
             bound = bounds.memo.get(nid)
             if bound is None:
                 continue

@@ -1,14 +1,14 @@
 """Property: inferred plan properties hold on materialized relations.
 
 The inference engine (``repro.analysis.properties``) claims its ``keys``,
-``constants``, ``card``, ``non_null``, ``dense`` and ``order`` judgements
-are sound for every instance.  This suite compiles random well-typed
-pipelines -- optimized, and as the lifter left them, where the numbering
-chains the order facts are about still stand -- executes the bundle on
-the in-memory engine with a bundle cache (so every intermediate DAG
-node's relation is retained), and checks each judgement against the
-actual rows -- a falsifier for the analysis layer the same way
-``test_differential`` falsifies the backends.
+``constants``, ``card``, ``dense`` and ``order`` judgements are sound
+for every instance.  This suite compiles random well-typed pipelines --
+optimized, and as the lifter left them, where the numbering chains the
+order facts are about still stand -- executes the bundle on the
+in-memory engine with one memo for the whole bundle (so every
+intermediate DAG node's relation is retained), and checks each
+judgement against the actual rows -- a falsifier for the analysis layer
+the same way ``test_differential`` falsifies the backends.
 """
 
 from hypothesis import given
@@ -17,7 +17,7 @@ from examples.workloads import raw_bundle
 from repro import Connection, concat_map, nub, number, sort_with_desc, tup
 from repro.algebra import TableScan, postorder
 from repro.analysis import infer_properties
-from repro.backends.engine.evaluate import BundleCache, Engine
+from repro.backends.engine.evaluate import Engine
 from repro.runtime import Catalog
 
 from ..programs import programs
@@ -46,14 +46,14 @@ def audit(q, optimize, catalog=CATALOG):
     bundle = (Connection(catalog=catalog).compile(q).bundle if optimize
               else raw_bundle(q))
     engine = Engine(catalog)
-    cache = BundleCache()
+    values = {}
     props_memo, schemas = {}, {}
     for query in bundle.queries:
-        engine.execute(query.plan, cache=cache)
+        engine.execute(query.plan, values=values)
         infer_properties(query.plan, props_memo, schemas)
 
     audited = 0
-    for nid, rel in cache.values.items():
+    for nid, rel in values.items():
         props = props_memo.get(nid)
         if props is None:
             continue
@@ -66,9 +66,6 @@ def audit(q, optimize, catalog=CATALOG):
         for col, want in props.constants.items():
             assert all(v == want for v in rel.columns[idx[col]]), (
                 f"column {col!r} inferred constant {want!r} but varies")
-        for col in props.non_null:
-            assert None not in rel.columns[idx[col]], (
-                f"column {col!r} inferred non-null but holds None")
         for key in props.keys:
             cols = sorted(key)
             if cols:
@@ -122,7 +119,7 @@ class TestPropertyInference:
 
 
 class TestScanFacts:
-    """The positional scan's key / dense-from-1 / non-null facts (and the
+    """The positional scan's key / dense-from-1 facts (and the
     keys a least position gives a ``nub``) on generated base tables --
     empty, duplicate-heavy, with whole duplicate rows."""
 
@@ -147,4 +144,4 @@ class TestScanFacts:
                   if isinstance(n, TableScan)]
         facts = infer_properties(scan)
         assert facts.has_key({scan.pos[0]}) and facts.is_dense(scan.pos[0], ())
-        assert scan.pos[0] in facts.non_null and not facts.order
+        assert not facts.order
