@@ -44,11 +44,6 @@ class TestRuntimes:
         result, _ = benchmark(lambda: run_dsh(catalog, "engine"))
         assert len(result) == n
 
-    def test_dsh_running_example_mil(self, benchmark, avalanche_catalog):
-        n, catalog = avalanche_catalog
-        result, _ = benchmark(lambda: run_dsh(catalog, "mil"))
-        assert len(result) == n
-
 
 class TestAgreement:
     def test_both_systems_compute_the_same_answer(self, avalanche_catalog):

@@ -12,7 +12,7 @@ table scans make it blow up super-linearly.
 Usage:
     python examples/avalanche_table1.py                  # scaled default
     python examples/avalanche_table1.py -n 100 1000 4000 # pick your scale
-    python examples/avalanche_table1.py --backend mil --runs 5
+    python examples/avalanche_table1.py --backend sqlite -n 50 200
 """
 
 import argparse
@@ -29,7 +29,7 @@ def main() -> None:
     parser.add_argument("--runs", type=int, default=3,
                         help="measurement repetitions (the paper used 10)")
     parser.add_argument("--backend", default="engine",
-                        choices=("engine", "mil", "sqlite"),
+                        choices=("engine", "sqlite"),
                         help="DSH execution backend")
     args = parser.parse_args()
 

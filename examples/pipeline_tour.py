@@ -4,15 +4,14 @@
 For a small query this script prints every artefact the compiler
 produces: the comprehension source, the desugared combinator AST (step
 1), the loop-lifted table-algebra plan before and after optimization
-(steps 2-3), the generated SQL:1999 and MIL programs, the tabular results
-with their iter/pos/item columns (Figure 3 encodings, step 4-5), and the
-final stitched Python value (step 6).
+(steps 2-3), the generated SQL:1999 and the engine's column-at-a-time
+schedule, the tabular results with their iter/pos/item columns (Figure 3
+encodings, step 4-5), and the final stitched Python value (step 6).
 """
 
 from repro import Connection, qc
 from repro.algebra import node_count, operator_histogram, plan_text
 from repro.backends.engine import EngineBackend
-from repro.backends.mil import MILGenerator
 from repro.backends.sql import SQLiteBackend
 from repro.expr import pretty
 from workloads import raw_bundle
@@ -66,19 +65,17 @@ def main() -> None:
         print(part)
         print()
 
-    stage("generated MIL (the MonetDB-style column target)")
-    for i, q in enumerate(compiled.bundle.queries, start=1):
-        gen = MILGenerator()
-        program = gen.generate(
-            q.plan, (q.iter_col, q.pos_col) + q.item_cols)
-        lines = program.show().splitlines()
-        print(f"-- Q{i}: {len(lines) - 1} column instructions "
-              f"(first 10 shown)")
-        print("\n".join(lines[:10]))
-        print("...\n")
+    stage("engine schedule (the MonetDB/MIL-style column-at-a-time target)")
+    engine = EngineBackend()
+    schedules = engine.prepare_bundle(compiled.bundle)
+    for i, listing in enumerate(engine.describe_prepared(schedules),
+                                start=1):
+        print(f"-- Q{i}: {len(schedules[i - 1])} column operators")
+        print(listing)
+        print()
 
     stage("steps 4-5: tabular results (iter | pos | item..., Figure 3)")
-    result = EngineBackend().execute_bundle(compiled.bundle, db.catalog)
+    result = engine.execute_bundle(compiled.bundle, db.catalog, schedules)
     for i, rows in enumerate(result.rows, start=1):
         print(f"Q{i} rows:")
         for row in rows:

@@ -28,7 +28,7 @@ def main() -> None:
     parser.add_argument("--explain", action="store_true",
                         help="print the optimized table-algebra plans")
     parser.add_argument("--backend", default="engine",
-                        choices=("engine", "sqlite", "mil"))
+                        choices=("engine", "sqlite"))
     args = parser.parse_args()
 
     db = Connection(backend=args.backend, catalog=paper_dataset())

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate every number in EXPERIMENTS.md in one run.
 
-Covers Table 1 (both DSH backends), the optimizer / backend / nesting /
+Covers Table 1 (DSH on the engine), the optimizer / backend / nesting /
 order ablations, and the Figure 5/6 dot-product timings.  Takes a few
 minutes at the default scales; see EXPERIMENTS.md for the recorded
 reference output.
@@ -17,7 +17,6 @@ from workloads import (
     measure,
     numbers_dataset,
     raw_bundle,
-    run_dsh,
     run_raw,
     run_table1,
     running_example_query,
@@ -29,13 +28,6 @@ def main() -> None:
     print("=== TABLE 1 (DSH on the in-memory engine) ===", flush=True)
     print(format_table1(run_table1((100, 1000, 4000), runs=3,
                                    backend="engine")), flush=True)
-
-    print("\n=== TABLE 1, DSH column on the MIL backend ===", flush=True)
-    for n in (100, 1000, 4000):
-        catalog = avalanche_dataset(n)
-        run_dsh(catalog, "mil")  # warm-up
-        m = measure(lambda: run_dsh(catalog, "mil"), runs=3)
-        print(f"n={n:>5}: 2 queries, {m.show()}", flush=True)
 
     print("\n=== OPTIMIZER ABLATION (running example, n=150) ===",
           flush=True)
@@ -49,7 +41,7 @@ def main() -> None:
               f"runtime {m.show()}", flush=True)
 
     print("\n=== BACKEND ABLATION (running example) ===", flush=True)
-    for backend, n in (("engine", 150), ("mil", 150), ("sqlite", 25)):
+    for backend, n in (("engine", 150), ("sqlite", 25)):
         db = Connection(backend=backend, catalog=avalanche_dataset(n))
         q = running_example_query(db)
         db.run(q)  # warm-up (loads SQLite)

@@ -29,7 +29,6 @@ from typing import Any, Callable
 from repro import Connection, concat_map, fst, group_with, nub, pyq, qc, the, tup
 from repro.analysis import verify_bundle
 from repro.backends.engine import EngineBackend
-from repro.backends.mil import MILBackend
 from repro.backends.sql import SQLiteBackend
 from repro.baselines.haskelldb import HaskellDBSession
 from repro.baselines.haskelldb import run_running_example as haskelldb_example
@@ -219,8 +218,7 @@ def running_example_variants(db: Connection) -> dict:
 # the ablation hook: the compiler without Connection's pipeline
 # ----------------------------------------------------------------------
 
-_BACKENDS = {"engine": EngineBackend, "sqlite": SQLiteBackend,
-             "mil": MILBackend}
+_BACKENDS = {"engine": EngineBackend, "sqlite": SQLiteBackend}
 
 
 def raw_bundle(q: Any, optimize: bool = False,

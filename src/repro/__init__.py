@@ -4,8 +4,8 @@ A relational database serves as a *coprocessor* for Python: list-prelude
 programs over arbitrarily nested lists and tuples are compiled -- via
 loop-lifting and a Pathfinder-style table algebra -- into an
 avalanche-safe bundle of relational queries (one per list constructor in
-the result type), executed on a backend (in-memory engine, SQLite via
-generated SQL:1999, or a MIL-style column VM), and stitched back into
+the result type), executed on a backend (the in-memory column-at-a-time
+engine, or SQLite via generated SQL:1999), and stitched back into
 ordinary Python values.
 """
 

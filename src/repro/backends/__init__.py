@@ -1,4 +1,4 @@
-"""Query-execution backends: in-memory engine, SQL:1999/SQLite, MIL VM."""
+"""Query-execution backends: the in-memory column engine and SQL:1999/SQLite."""
 
 from .base import Backend, ExecutionResult
 

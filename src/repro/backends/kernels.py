@@ -2,10 +2,9 @@
 is computed over plain Python lists.
 
 The paper's MIL target processes whole columns (BATs) per primitive.
-Both executors of that model in this tree -- the in-memory engine, which
-walks an algebra plan, and the MIL VM, which runs a flat column program
--- assemble their operators from the pure functions below, so each
-algorithm lives in exactly one place.
+The in-memory engine is this tree's executor of that model: it walks an
+algebra plan's schedule and assembles every operator from the pure
+functions below, so each algorithm lives in exactly one place.
 
 A *column* is a list, positionally aligned with its relation's other
 columns and never mutated once built; an *index* is a sequence of row

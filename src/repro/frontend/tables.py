@@ -71,8 +71,3 @@ def table(name: str, schema: SchemaLike) -> Q:
     cols = normalize_schema(schema)
     ty = ListT(row_type(cols))
     return Q(TableE(name, cols, ty))
-
-
-def table_of(q: Q) -> TableE | None:
-    """The ``TableE`` node of a plain table reference, else ``None``."""
-    return q.exp if isinstance(q.exp, TableE) else None

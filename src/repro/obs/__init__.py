@@ -11,7 +11,8 @@ optimizer, and every backend:
 * :mod:`repro.obs.explain` -- the structured report behind
   ``Connection.explain``, including the runtime avalanche check;
 * :mod:`repro.obs.analyze` -- EXPLAIN ANALYZE: per-operator (engine) /
-  per-query (SQL, MIL) execution profiles and annotated plan trees;
+  per-query and per-step (SQL) execution profiles and annotated plan
+  trees;
 * :mod:`repro.obs.querylog` -- the flight recorder (N most recent + N
   slowest executions);
 * :mod:`repro.obs.stats` -- per-fingerprint workload statistics

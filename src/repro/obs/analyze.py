@@ -14,10 +14,7 @@ backend can observe:
   first; it records per-query wall time and row counts plus one
   :class:`OpProfile` per temporary-table step, under the shared node's
   ``@n`` -- the time to build the table (the node and the unshared
-  operators below it) and the rows it holds;
-* the **MIL** VM executes each bundle member as one opaque program, so
-  it records per-query wall time and row counts only (one
-  :class:`QueryProfile` each).
+  operators below it) and the rows it holds.
 
 The annotated plan rendering (op -> time%, rows, cumulative time) is the
 profiling image of the paper's Figure 3(b) bundles: a fixed number of
@@ -73,7 +70,7 @@ class QueryProfile:
     #: Result rows delivered.
     rows: int = 0
     #: Per-operator profiles (engine: all operators; sqlite: the
-    #: temporary-table steps this query built; empty on MIL).
+    #: temporary-table steps this query built; empty unless ``per_op``).
     ops: list[OpProfile] = field(default_factory=list)
 
     @property

@@ -5,7 +5,7 @@ opaque text: the program's fingerprint and plan-cache status, the bundle
 size checked *at run time* against the number of ``[·]`` constructors in
 the static result type (the paper's Section 3.2 avalanche invariant),
 the pretty-printed algebra DAG of every bundle member, and the backend's
-generated artifact (SQL text, MIL program, or engine schedule).  The
+generated artifact (SQL text or engine schedule).  The
 report is JSON-able via :meth:`ExplainReport.to_dict` and renders to the
 familiar ``-- Q1 ...`` text via ``str()``.
 """
@@ -30,8 +30,8 @@ class QueryExplain:
     plan: str
     #: Operator label -> node count for the plan DAG.
     operators: dict[str, int]
-    #: Backend-generated artifact (SQL text / MIL program / engine
-    #: schedule), or ``None`` if the backend produced nothing.
+    #: Backend-generated artifact (SQL text / engine schedule), or
+    #: ``None`` if the backend produced nothing.
     artifact: str | None = None
     #: Were inferred plan properties baked into ``plan``?
     #: (``conn.explain(q, properties=True)``.)
@@ -66,7 +66,7 @@ class ExplainReport:
     pass_stats: Any = None
     #: Execution-time profile (``conn.explain(q, analyze=True)`` only):
     #: an :class:`~repro.obs.analyze.AnalyzeReport` with per-operator
-    #: stats on the engine backend, per-query stats on SQL/MIL.
+    #: stats on the engine backend, per-query and per-step stats on SQL.
     analyze: Any = None
     #: Staged-verifier verdict over the compiled bundle
     #: (a :class:`repro.analysis.VerifyReport`), or ``None``.

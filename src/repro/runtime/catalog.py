@@ -1,8 +1,8 @@
 """The table catalog: schemas and heap copies of database-resident data.
 
 A :class:`Catalog` plays the role of the database schema plus its instance.
-Backends (the in-memory engine, the SQLite executor, the MIL VM) and the
-reference interpreter all read table data from a catalog, which guarantees
+Backends (the in-memory engine, the SQLite executor) and the reference
+interpreter all read table data from a catalog, which guarantees
 that every implementation sees the *same* canonical row order: rows sorted
 ascending by the full (alphabetically ordered) column tuple.  This is the
 deterministic base order on which the relational ``pos`` encoding of list

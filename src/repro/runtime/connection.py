@@ -288,7 +288,7 @@ class Connection:
         ``EXPLAIN ANALYZE`` -- it counts as a real execution) and attaches
         an :class:`~repro.obs.AnalyzeReport`: per-operator wall time,
         cardinalities, and peak intermediate width on the engine backend;
-        per-query timings and row counts on SQL/MIL, on SQL also per
+        per-query timings and row counts on SQL, and also per
         temporary-table step (the plan nodes shared inside the bundle).
 
         ``properties=True`` annotates every plan operator with its
@@ -473,8 +473,5 @@ def _resolve_backend(backend: "str | Any | None"):
     if backend == "sqlite":
         from ..backends.sql import SQLiteBackend
         return SQLiteBackend()
-    if backend == "mil":
-        from ..backends.mil import MILBackend
-        return MILBackend()
     raise QTypeError(f"unknown backend {backend!r}; "
-                     f"expected 'engine', 'sqlite', or 'mil'")
+                     f"expected 'engine' or 'sqlite'")

@@ -2,8 +2,8 @@
 
 This module defines *what embedded programs mean*: plain Haskell-98
 list-prelude semantics executed on ordinary Python values.  It is the
-oracle against which every compiled backend (in-memory algebra engine,
-generated SQL on SQLite, the MIL VM) is differentially tested -- the
+oracle against which every compiled backend (the in-memory column
+engine, generated SQL on SQLite) is differentially tested -- the
 paper's correctness claim is exactly that loop-lifted relational plans
 "faithfully preserve the DSH semantics on a relational back-end"
 (Section 3.2).

@@ -7,6 +7,7 @@ indices, C-level passes) as long as it answers like the loop.
 
 import random
 from functools import cmp_to_key
+from itertools import repeat
 
 import pytest
 
@@ -101,6 +102,8 @@ class TestScalarTables:
         assert k.BIN["mod"](7, 2) == 1
 
     def test_binary_and_unary_maps(self):
+        assert list(map(k.BIN["add"], [1, 2, 3], [10, 20, 30])) == [
+            11, 22, 33]
         assert list(map(k.BIN["cat"], ["a", "b"], ["x", "y"])) == ["ax", "by"]
         assert list(map(k.BIN["like"], ["abc", "xbc"], ["a%", "a%"])) == [
             True, False]
@@ -108,6 +111,11 @@ class TestScalarTables:
             True, False]
         assert list(map(k.UN["not"], [True, False])) == [False, True]
         assert list(map(k.UN["strlen"], ["", "abc"])) == [0, 3]
+
+    def test_a_constant_operand_on_either_side(self):
+        # the engine repeats a ``Const`` operand once per row
+        assert list(map(k.BIN["sub"], repeat(10, 2), [1, 2])) == [9, 8]
+        assert list(map(k.BIN["sub"], [1, 2], repeat(10, 2))) == [-9, -8]
 
     def test_covers_the_interpreters_operators(self):
         # The interpreter keeps its own tables (it is the oracle); the

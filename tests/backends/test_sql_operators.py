@@ -1,6 +1,6 @@
 """Per-operator code generation: every algebra operator round-trips
-through the SQL generator and SQLite, and through the MIL generator and
-its VM, with the same semantics the in-memory engine gives it."""
+through the SQL generator and SQLite with the same semantics the
+in-memory engine gives it."""
 
 import pytest
 
@@ -26,7 +26,6 @@ from repro.algebra import (
     schema_of,
 )
 from repro.backends.engine import Engine
-from repro.backends.mil import MILVM, MILGenerator
 from repro.backends.sql.backend import SQLiteBackend
 from repro.core.bundle import SerializedQuery
 from repro.errors import VerifyError
@@ -63,22 +62,14 @@ def sql_rows(plan: Node, backend: "SQLiteBackend | None" = None
     return sorted(row[2:] for row in rows)
 
 
-def mil_rows(plan: Node) -> list[tuple]:
-    """``plan``'s rows via a generated MIL column program on the VM."""
-    program = MILGenerator().generate(plan, tuple(schema_of(plan)))
-    return sorted(zip(*MILVM({}).run(program)))
-
-
 def both_ways(plan: Node):
-    """Execute via the engine, via generated SQL and via generated MIL;
-    assert equal bags."""
+    """Execute via the engine and via generated SQL; assert equal bags."""
     cols = tuple(schema_of(plan))
     engine_rel = Engine(Catalog()).execute(plan)
     idx = [engine_rel.col_index(c) for c in cols]
     engine_rows = sorted(tuple(r[i] for i in idx) for r in engine_rel.rows)
     rows = sql_rows(plan)
     assert rows == engine_rows
-    assert mil_rows(plan) == engine_rows
     return rows
 
 

@@ -97,7 +97,7 @@ class TestResultAgreement:
 
     def test_dsh_order_is_deterministic(self, paper_catalog):
         db1 = Connection(catalog=paper_catalog)
-        db2 = Connection(backend="mil", catalog=paper_catalog)
+        db2 = Connection(backend="sqlite", catalog=paper_catalog)
         assert (db1.run(running_example_query(db1))
                 == db2.run(running_example_query(db2)))
 

@@ -17,7 +17,7 @@ from repro.obs import ExecutionRecord
 from repro.runtime import Catalog
 from repro.semantics import Interpreter
 
-BACKENDS = ("engine", "sqlite", "mil")
+BACKENDS = ("engine", "sqlite")
 
 
 @functools.cache

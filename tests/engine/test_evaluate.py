@@ -23,7 +23,7 @@ from repro.algebra import (
 )
 from repro import Connection
 from repro.backends.engine import Engine
-from examples.workloads import paper_dataset
+from examples.workloads import paper_dataset, running_example_query
 from repro.errors import PartialFunctionError
 from repro.ftypes import BoolT, IntT, StringT
 from repro.runtime import Catalog
@@ -214,3 +214,25 @@ class TestBundleMemo:
         assert db.run(q) == result
         assert set(counts) == distinct
         assert set(counts.values()) == {2}
+
+
+class TestCatalogColumns:
+    def test_transposes_only_the_tables_the_plans_read(
+            self, paper_catalog, monkeypatch):
+        paper_catalog.create_table("audit", [("who", str)], [("nobody",)])
+        db = Connection(catalog=paper_catalog)
+        q = running_example_query(db)
+        want = db.run(q)  # cold: compile-time statistics read every table
+        # one transposition per referenced table, none of the others ...
+        assert sorted(paper_catalog._columns) == [
+            "facilities", "features", "meanings"]
+        kept = {t: dict(cols) for t, cols in paper_catalog._columns.items()}
+        reads = []
+        rows = paper_catalog.rows
+        monkeypatch.setattr(paper_catalog, "rows",
+                            lambda name: reads.append(name) or rows(name))
+        assert db.run(q) == want
+        # ... and none at all on a warm run: the scans share the columns
+        assert reads == []
+        for table, cols in paper_catalog._columns.items():
+            assert all(cols[c] is kept[table][c] for c in cols)

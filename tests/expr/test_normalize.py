@@ -79,8 +79,8 @@ class TestConvergence:
                 results[backend, name] = db.run(q)
                 budget = 4 * (self.INPUT_ROWS + report.total_rows)
                 for profile in report.queries:
-                    # no per-operator data on mil, nor for a sqlite
-                    # statement whose every step an earlier one built
+                    # no per-operator data for a sqlite statement
+                    # whose every step an earlier one built
                     if profile.ops:
                         assert profile.peak_rows <= budget
             assert sizes["qc"] == sizes["pyq"] == sizes["fluent"]

@@ -1,6 +1,6 @@
 """Front-end fuzz: ``programs("comprehension")``, partial operations under
 iteration included, as combinators, ``qc`` and ``pyq`` on the interpreter,
-the engine, the MIL VM and sqlite -- one value or one ``FerryError``
+the engine and sqlite -- one value or one ``FerryError``
 subclass (where the strict interpreter raises ``PartialFunctionError``
 the backends agree among themselves).  A rendering with one mutation (a
 dropped token, an unbound name, a builtin given too many arguments)

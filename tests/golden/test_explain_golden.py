@@ -1,10 +1,9 @@
 """Golden tests: committed codegen output for the paper's running example.
 
-The expected algebra pretty-print, SQL text, MIL program, and engine
-schedule for the Section 2 running example live under
-``tests/golden/data/``.  Any codegen or optimizer change that alters the
-emitted artifacts shows up here as a reviewable text diff instead of a
-silent behaviour shift.
+The expected algebra pretty-print, SQL text and engine schedule for
+the Section 2 running example live under ``tests/golden/data/``.  Any
+codegen or optimizer change that alters the emitted artifacts shows up
+here as a reviewable text diff instead of a silent behaviour shift.
 
 To regenerate after an intentional change:
 
@@ -61,7 +60,7 @@ def check_golden(name: str, actual: str) -> None:
             f"UPDATE_GOLDENS=1 and commit the diff.\n{diff}")
 
 
-@pytest.mark.parametrize("backend", ["engine", "sqlite", "mil"])
+@pytest.mark.parametrize("backend", ["engine", "sqlite"])
 def test_running_example_explain_matches_golden(backend):
     check_golden(f"running_example_{backend}", render(backend))
 
@@ -82,7 +81,7 @@ def render_analyze(backend: str) -> str:
     return _normalize_timings(report.analyze.render()) + "\n"
 
 
-@pytest.mark.parametrize("backend", ["engine", "sqlite", "mil"])
+@pytest.mark.parametrize("backend", ["engine", "sqlite"])
 def test_running_example_analyze_matches_golden(backend):
     check_golden(f"analyze_running_example_{backend}",
                  render_analyze(backend))
@@ -106,5 +105,4 @@ def test_goldens_agree_on_the_algebra_plans():
         return keep
     engine = plans("running_example_engine")
     assert engine == plans("running_example_sqlite")
-    assert engine == plans("running_example_mil")
     assert any("TableScan" in line for line in engine)

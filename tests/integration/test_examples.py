@@ -31,6 +31,7 @@ class TestExamples:
         out = run_example("pipeline_tour.py")
         assert "step 1" in out
         assert "ROW_NUMBER" in out
+        assert "-- Q1: 29 column operators" in out
         assert "[('eng', 260), ('ops', 175)]" in out
 
     def test_sparse_vector(self):

@@ -68,25 +68,29 @@ class TestEnginePerOperator:
 
 
 class TestOtherBackends:
-    """MIL runs each query as one opaque program: per-query granularity,
-    no operator breakdown.  SQLite adds one profile per temporary-table
-    step -- the plan nodes shared inside the bundle."""
+    """A plain run profiles each query as a whole: per-query
+    granularity, no operator breakdown.  SQLite's analyze adds one
+    profile per temporary-table step -- the plan nodes shared inside the
+    bundle."""
 
-    def test_per_query_profiles_mil(self, paper_catalog):
-        db = Connection(backend="mil", catalog=paper_catalog)
-        report = db.explain(running_example_query(db), analyze=True)
-        analyze = report.analyze
-        assert analyze.backend == "mil"
-        assert len(analyze.queries) == 2
-        assert analyze.total_rows > 0
-        for qp in analyze.queries:
+    def test_a_plain_run_profiles_per_query_only(self, paper_db):
+        q = running_example_query(paper_db)
+        paper_db.run(q)
+        record = paper_db.query_log.recent[0]
+        assert len(record.queries) == 2
+        for qp in record.queries:
             assert qp.ops == []
             assert qp.peak_width is None
             assert qp.peak_rows is None
             assert qp.rows > 0
             assert qp.time >= 0.0
+        assert record.peak_intermediate_rows is None
+        analyze = build_analyze(paper_db.compile(q).bundle, record.queries,
+                                "engine", record.execute_time)
+        assert analyze.total_rows == record.rows
         assert "peak_rows" not in analyze.render()
-        assert db.query_log.recent[0].peak_intermediate_rows is None
+        # a header per query, no annotated plan under it
+        assert [len(a.splitlines()) for a in analyze.annotated] == [1, 1]
 
     def test_sqlite_profiles_every_temp_table_step(self, paper_catalog):
         db = Connection(backend="sqlite", catalog=paper_catalog)
@@ -125,7 +129,7 @@ class TestOtherBackends:
 
     def test_all_backends_agree_on_rows(self, paper_catalog):
         rows = set()
-        for backend in ("engine", "sqlite", "mil"):
+        for backend in ("engine", "sqlite"):
             db = Connection(backend=backend, catalog=paper_catalog)
             report = db.explain(running_example_query(db), analyze=True)
             rows.add(tuple(qp.rows for qp in report.analyze.queries))

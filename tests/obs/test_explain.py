@@ -44,13 +44,6 @@ class TestExplainReport:
         for q in report.queries:
             assert "SELECT" in q.artifact
 
-    def test_mil_artifact_is_a_program(self, paper_catalog):
-        db = Connection(backend="mil", catalog=paper_catalog)
-        report = db.explain(running_example_query(db))
-        assert report.backend == "mil"
-        for q in report.queries:
-            assert ":=" in q.artifact and q.artifact.splitlines()[-1].startswith("return")
-
     def test_scalar_query_expected_size(self):
         db = Connection()
         report = db.explain(fsum(to_q([1, 2, 3])))

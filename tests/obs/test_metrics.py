@@ -30,7 +30,7 @@ class TestPipelineWiring:
         assert totals["rows"] > 0
         assert totals["rows"] == sum(r.rows for r in records)
 
-    @pytest.mark.parametrize("backend", ["engine", "sqlite", "mil"])
+    @pytest.mark.parametrize("backend", ["engine", "sqlite"])
     def test_every_backend_reports(self, paper_catalog, backend):
         db = Connection(backend=backend, catalog=paper_catalog)
         db.run(running_example_query(db))

@@ -3,7 +3,7 @@ inlining and the order-only root ``pos``, differentially.
 
 A wrong list order is the failure these rules could cause, and no census
 would see it: every program below runs through the reference
-interpreter, the engine, SQLite and the MIL VM, optimized and not
+interpreter, the engine and SQLite, optimized and not
 (``run_all_ways``), over tables built to make order matter -- duplicate
 rows, ties, an empty table, and user columns that bear the position
 column's own name.  The second half pins the plan shapes the rules are

@@ -1,7 +1,7 @@
 """The plan census: what the optimizer leaves behind, without a clock.
 
-Every ``RowNum``/``RowRank`` is a sort on the engine and the MIL VM and a
-window function in SQL, every node an operator somebody executes; the
+Every ``RowNum``/``RowRank`` is a sort on the engine and a window
+function in SQL, every node an operator somebody executes; the
 counts below are upper bounds on both, per bundle, for the paper's
 programs and the 24-program ``paper_mix`` corpus of the end-to-end
 benchmark.  They moved with the bundle-wide fixpoint (nested orders 80

@@ -72,7 +72,7 @@ class TestWorkDoneOnce:
 
     def test_counts_do_not_depend_on_backend_or_statistics(self, name):
         bundle, stats = optimized(name)
-        for kwargs in ({"backend": "sqlite"}, {"backend": "mil"},
+        for kwargs in ({"backend": "sqlite"},
                        {"table_rows": {"facilities": 10 ** 6,
                                        "customers": 10 ** 6}}):
             other, other_stats = optimized(name, **kwargs)
@@ -129,7 +129,7 @@ class TestFixpoint:
 
     def test_backends_receive_identical_algebra(self):
         texts = set()
-        for backend in ("engine", "sqlite", "mil"):
+        for backend in ("engine", "sqlite"):
             db = Connection(backend=backend, catalog=paper_dataset())
             texts.add(bundle_text(
                 db.compile(running_example_query(db)).bundle))

@@ -153,7 +153,7 @@ class TestIcols:
         check_plan(out)
         assert len(schema_of(out)) >= 1
 
-    @pytest.mark.parametrize("backend", ["engine", "sqlite", "mil"])
+    @pytest.mark.parametrize("backend", ["engine", "sqlite"])
     def test_a_scan_left_with_its_position_keeps_it(self, backend):
         # one sweep narrows the inner scan to its pos, the next demands
         # nothing of it: the pos stays, so the length stays right

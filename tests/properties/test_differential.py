@@ -2,8 +2,8 @@
 
 Random well-typed query pipelines (``tests/programs.py``, each rendered
 as combinators, ``qc`` and ``pyq``) are executed through the interpreter,
-the in-memory engine (optimized and unoptimized), SQLite via generated
-SQL, and the MIL VM (``run_all_ways``); all must agree on values *and*
+the in-memory engine (optimized and unoptimized) and SQLite via
+generated SQL (``run_all_ways``); all must agree on values *and*
 order.  This is the library's strongest correctness evidence for the
 paper's claim that the relational encodings "faithfully preserve the DSH
 semantics" (Section 3.2).

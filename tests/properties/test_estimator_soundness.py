@@ -10,8 +10,8 @@ reference they are held to.  It compiles programs over literal lists
 duplicate rows: the exact-``TableScan`` path is what makes the bounds
 finite), optimized and as the lifter left them, materializes every
 intermediate DAG node on the in-memory engine and audits each node's
-bounds and width; per query it holds the row counts sqlite and the MIL
-VM report to the same bounds.
+bounds and width; per query it holds the row counts sqlite reports to
+the same bounds.
 """
 
 import pytest
@@ -136,18 +136,17 @@ class TestBoundsContainActuals:
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_fixed_corpus(name, instance):
     catalog = check_program(name, *TABLES[instance])
-    # per query, the other two backends answer to the same bounds
-    for backend in ("sqlite", "mil"):
-        db = Connection(backend=backend, catalog=catalog)
-        q = PROGRAMS[name].query
-        report = db.explain(q, analyze=True)
-        bounds = estimate_bundle(db.compile(q).bundle,
-                                 table_rows=db._table_stats()).queries
-        assert len(bounds) == len(report.analyze.queries)
-        for bound, profile in zip(bounds, report.analyze.queries):
-            assert bound.contains(profile.rows), (
-                f"{backend} Q{profile.index}: bounds {bound.show()} "
-                f"exclude the measured {profile.rows} rows")
+    # per query, sqlite answers to the same bounds
+    db = Connection(backend="sqlite", catalog=catalog)
+    q = PROGRAMS[name].query
+    report = db.explain(q, analyze=True)
+    bounds = estimate_bundle(db.compile(q).bundle,
+                             table_rows=db._table_stats()).queries
+    assert len(bounds) == len(report.analyze.queries)
+    for bound, profile in zip(bounds, report.analyze.queries):
+        assert bound.contains(profile.rows), (
+            f"sqlite Q{profile.index}: bounds {bound.show()} "
+            f"exclude the measured {profile.rows} rows")
         assert report.lint == []
 
 

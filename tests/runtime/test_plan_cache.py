@@ -182,7 +182,7 @@ class TestAccounting:
 
 
 class TestResultCorrectness:
-    @pytest.mark.parametrize("backend", ["engine", "sqlite", "mil"])
+    @pytest.mark.parametrize("backend", ["engine", "sqlite"])
     def test_cached_results_identical(self, backend):
         db = Connection(backend=backend, catalog=make_catalog())
         cold = db.run(squares(db))
@@ -190,7 +190,7 @@ class TestResultCorrectness:
         assert db.cache_stats.hits >= 1
         assert cold == warm == [1, 4, 9]
 
-    @pytest.mark.parametrize("backend", ["engine", "sqlite", "mil"])
+    @pytest.mark.parametrize("backend", ["engine", "sqlite"])
     def test_prepared_matches_run(self, backend):
         db = Connection(backend=backend, catalog=make_catalog())
         nested = fmap(lambda x: fmap(lambda y: y + x, db.table("t")),

@@ -13,7 +13,7 @@ from repro import Connection
 from examples.workloads import numbers_dataset
 from repro.semantics import Interpreter
 
-BACKENDS = ("engine", "sqlite", "mil")
+BACKENDS = ("engine", "sqlite")
 
 
 def fresh_connection(backend):

@@ -63,6 +63,9 @@ class TestConnection:
     def test_unknown_backend(self):
         with pytest.raises(QTypeError):
             Connection(backend="oracle9i")
+        # the engine is the one column-at-a-time executor
+        with pytest.raises(QTypeError, match="'engine' or 'sqlite'"):
+            Connection(backend="mil")
 
     def test_run_plain_python_value(self):
         db = Connection()
