@@ -87,6 +87,21 @@ def test_running_example_analyze_matches_golden(backend):
                  render_analyze(backend))
 
 
+def render_properties(backend: str) -> str:
+    """The golden text for one backend's fullest EXPLAIN (analyze and
+    property annotations together), timings masked."""
+    db = Connection(backend=backend, catalog=paper_dataset())
+    report = db.explain(running_example_query(db), analyze=True,
+                        properties=True)
+    return _normalize_timings(str(report)) + "\n"
+
+
+@pytest.mark.parametrize("backend", ["engine", "sqlite"])
+def test_running_example_properties_match_golden(backend):
+    check_golden(f"properties_running_example_{backend}",
+                 render_properties(backend))
+
+
 def test_goldens_agree_on_the_algebra_plans():
     """The algebra section is backend-independent: every golden file must
     embed the identical optimized plans."""
