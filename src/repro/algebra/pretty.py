@@ -94,25 +94,23 @@ def plan_text(root: Node, annotations: "dict[int, str] | None" = None,
         ids[id(node)] = i
     lines: list[str] = []
     printed: set[int] = set()
-
-    def go(node: Node, depth: int) -> None:
+    stack = [(root, 0)]  # preorder, first child on top
+    while stack:
+        node, depth = stack.pop()
         ref = ids[id(node)]
         indent = "  " * depth
         if id(node) in printed:
             lines.append(f"{indent}@{ref} (shared, see above)")
-            return
+            continue
         printed.add(id(node))
         if earlier is not None and id(node) in earlier:
             lines.append(f"{indent}@{ref} (shared with {earlier[id(node)]})")
-            return
+            continue
         suffix = ""
         if annotations is not None and ref in annotations:
             suffix = f"  {annotations[ref]}"
         lines.append(f"{indent}@{ref} {describe(node)}{suffix}")
-        for child in node.children:
-            go(child, depth + 1)
-
-    go(root, 0)
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     if earlier is not None:
         earlier.update((nid, f"{label} @{ids[nid]}") for nid in printed
                        if nid not in earlier)

@@ -1,27 +1,24 @@
-"""Static analysis over compiled plans: properties, bounds, verifier, lint.
+"""Static analysis over compiled plans: properties, bounds, verifier.
 
 See :mod:`repro.analysis.properties` for the inferred property lattice
 (keys, constants, cardinality bounds, density and order
 provenance), :mod:`repro.analysis.cost` for the per-instance row bounds
-folded through the same lattice, :mod:`repro.analysis.verifier` for the
-staged plan verifier with its ``F1xx``/``F2xx``/``F3xx`` diagnostic
-codes, and :mod:`repro.analysis.lint` for the row-bounds lint
-(``D500``).
+folded through the same lattice, and :mod:`repro.analysis.verifier` for
+the staged plan verifier with its ``F1xx``/``F2xx``/``F3xx`` diagnostic
+codes.  EXPLAIN ANALYZE checks measured row counts against the bounds
+(``D500``, :mod:`repro.obs.explain`).
 """
 
 from .cost import (
     Bounds,
     BundleCost,
     RowBounds,
-    annotate_bounds,
     estimate_bundle,
 )
-from .lint import lint_report
 from .properties import (
     Card,
     PlanStore,
     Props,
-    annotate_plan,
     infer_properties,
 )
 from .verifier import (
@@ -49,8 +46,6 @@ __all__ = [
     "RowBounds",
     "STAGES",
     "VerifyReport",
-    "annotate_bounds",
-    "annotate_plan",
     "avalanche_lint",
     "check_avalanche",
     "check_order",
@@ -58,7 +53,6 @@ __all__ = [
     "ensure_verified",
     "estimate_bundle",
     "infer_properties",
-    "lint_report",
     "set_verify_debug",
     "verify_bundle",
     "verify_debug_enabled",

@@ -17,7 +17,7 @@ constant and no cost unit: nothing in the compiler prices a plan (its
 rewrites are property-driven and always shrink it), and a guess that
 can be wrong cannot be linted.  The bounds cannot: a measured row count
 outside them is a soundness bug in inference, which is what ``D500``
-(:mod:`repro.analysis.lint`) reports and what
+(:func:`repro.obs.explain.build_report`) reports and what
 ``tests/properties/test_estimator_soundness.py`` hunts for.
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..algebra.dag import fill, postorder
+from ..algebra.dag import fill
 from ..algebra.ops import Node
 from .properties import Card, PlanStore, row_bounds
 
@@ -109,13 +109,3 @@ def estimate_bundle(bundle: object, backend: str = "engine",
     bounds = RowBounds(table_rows, cache)
     return BundleCost(backend, [
         bounds.of(q.plan) for q in bundle.queries])  # type: ignore[attr-defined]
-
-
-def annotate_bounds(root: Node, bounds: RowBounds) -> dict[int, str]:
-    """Per-node ``[rows lo..hi w=N]`` annotations keyed by the
-    pretty-printer's postorder ``@n`` refs (merged into the EXPLAIN
-    property view)."""
-    bounds.of(root)
-    return {i: f"[rows {b.show()} w={b.width}]"
-            for i, b in enumerate(bounds.memo[id(node)]
-                                  for node in postorder(root))}

@@ -772,20 +772,3 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
     # Unknown operator: schema_of above would have raised; this is for
     # completeness only.
     return Props(schema)  # pragma: no cover
-
-
-# ----------------------------------------------------------------------
-# EXPLAIN annotations
-# ----------------------------------------------------------------------
-
-def annotate_plan(root: Node, memo: "dict[int, Props] | None" = None,
-                  schemas: "dict[int, Schema] | None" = None
-                  ) -> dict[int, str]:
-    """Per-node property annotations keyed by the pretty-printer's
-    postorder ``@n`` refs (feed into ``plan_text(root, annotations)``)."""
-    from ..algebra.dag import postorder
-    if memo is None:
-        memo = {}
-    infer_properties(root, memo, schemas)
-    return {i: memo[id(node)].show()
-            for i, node in enumerate(postorder(root))}

@@ -4,7 +4,6 @@ from .backend import SQLiteBackend
 from .dbapi import (
     SQLITE_DIALECT,
     Adapter,
-    Dialect,
     SQLiteAdapter,
     SQLiteDialect,
     load_catalog,
@@ -18,7 +17,6 @@ from .generate import (
 
 __all__ = [
     "Adapter",
-    "Dialect",
     "GeneratedSQL",
     "SQLITE_DIALECT",
     "SQLiteAdapter",

@@ -7,11 +7,10 @@ beyond a handful of quirks -- identifier quoting, type affinity names,
 window-function spellings, and how the FERRY_* scalar UDFs are
 registered -- so this module isolates exactly those quirks:
 
-* :class:`Dialect` renders the engine-specific SQL fragments (one
-  instance per target system; :data:`SQLITE_DIALECT` today).  The code
-  generator (``repro.backends.sql.generate``) asks the dialect for every
-  fragment it emits, so porting the backend to another SQL:1999 system
-  means writing one ``Dialect`` subclass, not touching the generator.
+* :class:`SQLiteDialect` renders the engine-specific SQL fragments
+  (its one instance is :data:`SQLITE_DIALECT`).  The code generator
+  (``repro.backends.sql.generate``) asks the dialect for every fragment
+  it emits, so the generator itself spells nothing engine-specific.
 * :class:`Adapter` is the connection factory: anything that can produce
   a PEP 249 connection, register the FERRY_* UDFs on it, and say which
   driver it used.  :class:`SQLiteAdapter` wraps ``sqlite3``
@@ -99,20 +98,24 @@ FERRY_UDFS: dict[str, tuple[int, Callable]] = {
 
 
 # ----------------------------------------------------------------------
-# dialects
+# the dialect
 # ----------------------------------------------------------------------
 
-class Dialect:
-    """SQL:1999 rendering quirks of one host engine.
+class SQLiteDialect:
+    """SQLite's spelling of SQL:1999.
 
-    The base class *is* the standard dialect; subclasses override only
-    what their engine spells differently.  Everything the generator
-    emits -- identifiers, literals, type names, window functions,
-    scalar operators -- goes through here.
+    Everything the generator emits -- identifiers, literals, type
+    names, window functions, scalar operators -- goes through here.
+    SQLite accepts the standard query fragments (it grew window
+    functions in 3.25); what it spells its own way is where tables live
+    -- catalog tables in schema ``main``, temporary ones in ``temp`` --
+    and the DDL and transaction around them.  An ``INTEGER PRIMARY
+    KEY`` is its alias of the rowid: the position column costs nothing
+    to store, and a scan delivers rows in its order.
     """
 
     #: Short identifier, reported by ``describe_prepared``.
-    name = "sql1999"
+    name = "sqlite"
 
     # -- identifiers and types -----------------------------------------
     def quote_ident(self, name: str) -> str:
@@ -136,21 +139,21 @@ class Dialect:
 
     # -- relations -----------------------------------------------------
     def table_ref(self, name: str) -> str:
-        """A catalog table in FROM/INSERT/DDL position.  Engines with a
-        schema to qualify it by override this, so that a catalog table
-        can never be taken for one of the generator's relations."""
-        return self.quote_ident(name)
+        """A catalog table in FROM/INSERT/DDL position, qualified by its
+        schema so that it can never be taken for one of the generator's
+        relations."""
+        return f"main.{self.quote_ident(name)}"
 
     def temp_table_ref(self, name: str) -> str:
         """A generator-named temporary table (``ferry_...``, a plain
         identifier) in FROM/INSERT/DDL position."""
-        return name
+        return f"temp.{name}"
 
     #: How the engine spells the start of a temporary-table definition.
-    create_temp = "CREATE LOCAL TEMPORARY TABLE"
+    create_temp = "CREATE TEMP TABLE"
     #: Opens the transaction a bundle's temporary tables live in (rolling
     #: it back drops them).
-    begin = "START TRANSACTION"
+    begin = "BEGIN"
 
     def create_temp_table(self, name: str,
                           columns: "Iterable[tuple[str, AtomT]]",
@@ -209,30 +212,8 @@ class Dialect:
                 TimeT: datetime.time.fromisoformat}.get(ty)
 
 
-class SQLiteDialect(Dialect):
-    """SQLite's rendering of the standard dialect.
-
-    SQLite accepts every query fragment the base dialect emits (it grew
-    window functions in 3.25); what it spells differently is where tables
-    live -- catalog tables in schema ``main``, temporary ones in ``temp``
-    -- and the DDL around them.  An ``INTEGER PRIMARY KEY`` is its alias
-    of the rowid: the position column costs nothing to store, and a scan
-    delivers rows in its order.
-    """
-
-    name = "sqlite"
-    create_temp = "CREATE TEMP TABLE"
-    begin = "BEGIN"
-
-    def table_ref(self, name: str) -> str:
-        return f"main.{self.quote_ident(name)}"
-
-    def temp_table_ref(self, name: str) -> str:
-        return f"temp.{name}"
-
-
-#: The default dialect (module-level singleton; the generator and both
-#: executors share it).
+#: The dialect (module-level singleton; the generator and the executor
+#: share it).
 SQLITE_DIALECT = SQLiteDialect()
 
 
@@ -244,14 +225,14 @@ class Adapter(Protocol):
     """A source of PEP 249 connections that can host FERRY bundles.
 
     Implementations pair a driver (``connect`` + ``register_udfs``) with
-    the :class:`Dialect` its SQL must be rendered in.  The returned
+    the :class:`SQLiteDialect` its SQL must be rendered in.  The returned
     object may be used from several threads, one at a time: the executor
     serializes every use of it under its own lock, so an adapter must
     not tie its connections to the thread that opened them.
     """
 
     #: The dialect this adapter's connections speak.
-    dialect: Dialect
+    dialect: SQLiteDialect
 
     def connect(self) -> Any:
         """Open a fresh PEP 249 connection with UDFs registered."""
@@ -265,7 +246,7 @@ class Adapter(Protocol):
 class SQLiteAdapter:
     """The stdlib ``sqlite3`` adapter (file-backed or ``:memory:``)."""
 
-    dialect: Dialect = SQLITE_DIALECT
+    dialect: SQLiteDialect = SQLITE_DIALECT
 
     def __init__(self, path: str = ":memory:"):
         self.path = path
@@ -290,7 +271,7 @@ class SQLiteAdapter:
 # catalog transfer
 # ----------------------------------------------------------------------
 
-def load_catalog(conn: Any, catalog: Catalog, dialect: Dialect,
+def load_catalog(conn: Any, catalog: Catalog, dialect: SQLiteDialect,
                  tables: "Iterable[str] | None" = None) -> None:
     """Load (or reload) the catalog instance into ``conn``.
 

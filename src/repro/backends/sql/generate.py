@@ -36,7 +36,7 @@ Base tables and temporary tables are referenced schema-qualified through
 the dialect, so no catalog table name can collide with a binding or a
 temporary table.  Engine quirks -- identifier quoting, type names,
 literal syntax, window-function and DDL spellings -- are delegated to a
-:class:`~repro.backends.sql.dbapi.Dialect` (default: SQLite); division
+:class:`~repro.backends.sql.dbapi.SQLiteDialect`; division
 and modulus are emitted as the UDF names the adapter registers so that
 Haskell's flooring ``div``/``mod`` semantics survive the translation.
 """
@@ -74,7 +74,7 @@ from ...algebra import (
 from ...core.bundle import SerializedQuery
 from ...errors import ExecutionError
 from ...ftypes import DoubleT
-from .dbapi import SQLITE_DIALECT, Dialect
+from .dbapi import SQLITE_DIALECT, SQLiteDialect
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class GeneratedSQL:
 
 
 def generate_bundle(queries: Sequence[SerializedQuery],
-                    dialect: Dialect = SQLITE_DIALECT,
+                    dialect: SQLiteDialect = SQLITE_DIALECT,
                     keys: "Mapping[Node, str] | None" = None
                     ) -> list[GeneratedSQL]:
     """Generate the SQL of a whole bundle: per query one SELECT projecting
@@ -196,7 +196,7 @@ def generate_bundle(queries: Sequence[SerializedQuery],
     return generated
 
 
-def _row_converter(query: SerializedQuery, d: Dialect
+def _row_converter(query: SerializedQuery, d: SQLiteDialect
                    ) -> "Callable[[tuple], tuple] | None":
     """The conversion of one fetched row of ``query``, built once per
     statement: only the item columns whose type the driver does not
@@ -221,7 +221,7 @@ def _row_converter(query: SerializedQuery, d: Dialect
 
 
 def generate_sql(query: SerializedQuery,
-                 dialect: Dialect = SQLITE_DIALECT) -> GeneratedSQL:
+                 dialect: SQLiteDialect = SQLITE_DIALECT) -> GeneratedSQL:
     """SQL for one query on its own: a bundle of one."""
     return generate_bundle([query], dialect)[0]
 
@@ -262,11 +262,11 @@ def _cols(node: Node, memo) -> list[str]:
     return list(schema_of(node, memo))
 
 
-def _select_list(cols: list[str], d: Dialect) -> str:
+def _select_list(cols: list[str], d: SQLiteDialect) -> str:
     return ", ".join(d.quote_ident(c) for c in cols)
 
 
-def _render(node: Node, names: dict[int, str], memo, d: Dialect,
+def _render(node: Node, names: dict[int, str], memo, d: SQLiteDialect,
             keys: "Mapping[Node, str]") -> str:
     q = d.quote_ident
 
@@ -425,7 +425,7 @@ def _render(node: Node, names: dict[int, str], memo, d: Dialect,
     raise ExecutionError(f"cannot generate SQL for {node.label}")
 
 
-def _aggregate_sql(func: str, in_col: "str | None", d: Dialect) -> str:
+def _aggregate_sql(func: str, in_col: "str | None", d: SQLiteDialect) -> str:
     if func == "count":
         return "COUNT(*)"
     col = d.quote_ident(in_col)
@@ -440,13 +440,13 @@ def _aggregate_sql(func: str, in_col: "str | None", d: Dialect) -> str:
     }[func]
 
 
-def _operand_sql(operand, d: Dialect) -> str:
+def _operand_sql(operand, d: SQLiteDialect) -> str:
     if isinstance(operand, Const):
         return d.literal(operand.value, operand.ty)
     return d.quote_ident(operand)
 
 
-def _binop_sql(node: BinApp, d: Dialect) -> str:
+def _binop_sql(node: BinApp, d: SQLiteDialect) -> str:
     a = _operand_sql(node.lhs, d)
     b = _operand_sql(node.rhs, d)
     simple = {

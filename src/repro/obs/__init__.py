@@ -9,10 +9,10 @@ optimizer, and every backend:
   stats are views of it;
 * :mod:`repro.obs.trace` -- per-execution span trees (``conn.last_trace``);
 * :mod:`repro.obs.explain` -- the structured report behind
-  ``Connection.explain``, including the runtime avalanche check;
-* :mod:`repro.obs.analyze` -- EXPLAIN ANALYZE: per-operator (engine) /
-  per-query and per-step (SQL) execution profiles and annotated plan
-  trees;
+  ``Connection.explain``, including the runtime avalanche check, the
+  annotated EXPLAIN ANALYZE plans and the ``D500`` row-bounds findings;
+* :mod:`repro.obs.analyze` -- EXPLAIN ANALYZE's records: per-operator
+  (engine) / per-query and per-step (SQL) execution profiles;
 * :mod:`repro.obs.querylog` -- the flight recorder (N most recent + N
   slowest executions);
 * :mod:`repro.obs.stats` -- per-fingerprint workload statistics
@@ -23,7 +23,6 @@ from .analyze import (
     AnalyzeReport,
     OpProfile,
     QueryProfile,
-    build_analyze,
 )
 from .explain import ExplainReport, QueryExplain, build_report
 from .querylog import QueryLog
@@ -55,7 +54,6 @@ __all__ = [
     "StatementStats",
     "Trace",
     "Tracer",
-    "build_analyze",
     "build_report",
     "new_trace_id",
     "phase",

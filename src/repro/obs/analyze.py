@@ -16,9 +16,10 @@ backend can observe:
   ``@n`` -- the time to build the table (the node and the unshared
   operators below it) and the rows it holds.
 
-The annotated plan rendering (op -> time%, rows, cumulative time) is the
-profiling image of the paper's Figure 3(b) bundles: a fixed number of
-queries whose per-operator cost, not count, varies with the data.
+The annotated plan rendering (op -> time%, rows, bounds, cumulative
+time; built by :func:`repro.obs.explain.build_report`) is the profiling
+image of the paper's Figure 3(b) bundles: a fixed number of queries
+whose per-operator cost, not count, varies with the data.
 
 Every execution returns one :class:`QueryProfile` per bundle query
 (``Backend.execute_bundle`` times each once); ``per_op=True`` -- what
@@ -28,7 +29,7 @@ Every execution returns one :class:`QueryProfile` per bundle query
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 
 @dataclass
@@ -121,74 +122,3 @@ class AnalyzeReport:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def _subtree_time(root, times: dict[int, float]) -> float:
-    """Inclusive time of ``root``'s subtree, counting shared DAG nodes
-    once (they are evaluated once -- the engine memoizes per node)."""
-    seen: set[int] = set()
-
-    def go(node) -> float:
-        if id(node) in seen:
-            return 0.0
-        seen.add(id(node))
-        return (times.get(id(node), 0.0)
-                + sum(go(child) for child in node.children))
-
-    return go(root)
-
-
-def build_analyze(bundle, queries: "Sequence[QueryProfile]", backend: str,
-                  total_time: float,
-                  table_rows: "dict[str, int] | None" = None
-                  ) -> AnalyzeReport:
-    """Assemble an :class:`AnalyzeReport` (with annotated plans) from
-    the per-query profiles ``Backend.execute_bundle`` returned.
-
-    ``table_rows`` (exact catalog statistics) seeds the static
-    ``bound=lo..hi`` annotations next to the measured actuals -- the
-    side-by-side view the row-bounds lint (``D500``) automates.
-    """
-    from ..algebra import plan_text, postorder
-    from ..analysis.cost import RowBounds
-
-    bounds = RowBounds(table_rows)
-    total = total_time or sum(q.time for q in queries) or 1.0
-    annotated: list[str] = []
-    earlier: dict[int, str] = {}  # nodes an earlier query printed
-    for profile, query in zip(queries, bundle.queries):
-        share = 100.0 * profile.time / total if total else 0.0
-        bound = bounds.of(query.plan).show()
-        peak = ("" if profile.peak_rows is None
-                else f"peak_rows={profile.peak_rows} ")
-        header = (f"-- Q{profile.index} (iter={query.iter_col}, "
-                  f"pos={query.pos_col}, "
-                  f"items={', '.join(query.item_cols)})"
-                  f"  [rows={profile.rows} bound={bound} {peak}"
-                  f"time={profile.time * 1e3:.3f} ms "
-                  f"({share:.1f}% of bundle)]")
-        chunk = [header]
-        if profile.ops:
-            nodes = list(postorder(query.plan))
-            times = {id(nodes[op.ref]): op.time for op in profile.ops}
-            ops_by_ref = {op.ref: op for op in profile.ops}
-            qtime = profile.time or sum(op.time for op in profile.ops) or 1.0
-            annotations = {}
-            for i, node in enumerate(nodes):
-                op = ops_by_ref.get(i)
-                if op is None:
-                    continue
-                cum = _subtree_time(node, times)
-                bound = bounds.memo[id(node)].show()
-                rows_in = "" if op.rows_in is None else f"in={op.rows_in} "
-                annotations[i] = (
-                    f"[{op.time * 1e3:.3f} ms {100.0 * op.time / qtime:.1f}% "
-                    f"| {rows_in}out={op.rows_out} "
-                    f"bound={bound} w={op.width} "
-                    f"cum={cum * 1e3:.3f} ms]")
-            chunk.append(plan_text(query.plan, annotations, earlier,
-                                   f"Q{profile.index}"))
-        annotated.append("\n".join(chunk))
-    return AnalyzeReport(backend=backend, total_time=total_time,
-                         queries=list(queries),
-                         annotated=annotated)

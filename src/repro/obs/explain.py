@@ -8,12 +8,33 @@ the pretty-printed algebra DAG of every bundle member, and the backend's
 generated artifact (SQL text or engine schedule).  The
 report is JSON-able via :meth:`ExplainReport.to_dict` and renders to the
 familiar ``-- Q1 ...`` text via ``str()``.
+
+:func:`build_report` is the one builder, a view over one
+:class:`~repro.analysis.PlanStore`: the staged verifier, the sound row
+bounds (:class:`~repro.analysis.RowBounds`), the property notes and the
+EXPLAIN ANALYZE annotations all read the facts it inferred once.  An
+analyze run prints every measured row count beside its bounds and, in
+the same walk, reports the one finding that cannot be noise (a
+:class:`~repro.analysis.Diagnostic`, stage ``"bounds"``):
+
+==========  =========================================================
+``D500``    a measured row count lies outside the static bounds: a
+            query's result (every backend), an operator's or
+            temporary-table step's output, or a query's peak
+            intermediate (where the backend profiles operators)
+==========  =========================================================
+
+A finding is a soundness bug in property inference (or a catalog
+statistic that is not the table's size), never a tuning matter, and it
+holds at every instance size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping
+
+from .analyze import AnalyzeReport, QueryProfile
 
 
 @dataclass
@@ -71,10 +92,9 @@ class ExplainReport:
     #: Staged-verifier verdict over the compiled bundle
     #: (a :class:`repro.analysis.VerifyReport`), or ``None``.
     verify: Any = None
-    #: Row-bounds lint findings (``D500``
-    #: :class:`repro.analysis.Diagnostic` records: a measured row count
-    #: outside its static bounds; only populated by
-    #: ``conn.explain(q, analyze=True)``), or ``None``.
+    #: Row-bounds findings (``D500`` :class:`repro.analysis.Diagnostic`
+    #: records: a measured row count outside its static bounds; only
+    #: populated by ``conn.explain(q, analyze=True)``), or ``None``.
     lint: Any = None
 
     @property
@@ -156,55 +176,121 @@ class ExplainReport:
 
 
 def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
-                 analyze: Any = None, properties: bool = False,
-                 verify: Any = None,
-                 table_rows: "dict[str, int] | None" = None,
-                 lint: Any = None) -> ExplainReport:
-    """Assemble an :class:`ExplainReport` from a ``CompiledQuery``, its
-    backend, the backend's per-query artifact renderings, and (for
-    ``analyze=True`` explains) the execution profile.
+                 table_rows: "Mapping[str, int] | None" = None,
+                 record: Any = None,
+                 properties: bool = False) -> ExplainReport:
+    """The one EXPLAIN builder: an :class:`ExplainReport` for a
+    ``CompiledQuery`` on ``backend``, with the backend's per-query
+    ``artifacts``.
 
-    ``properties=True`` renders each plan with per-node property *and*
-    row-bounds annotations (``repro.analysis.annotate_plan`` +
-    ``repro.analysis.annotate_bounds``, the latter seeded with the
-    ``table_rows`` catalog statistics) next to the ``@n`` refs;
-    ``verify`` attaches the staged verifier's report, ``lint`` the
-    row-bounds lint's findings.
+    One :class:`~repro.analysis.PlanStore` serves the whole report: the
+    staged verifier, the row bounds (seeded with the ``table_rows``
+    catalog statistics) and the property notes read the same inferred
+    facts, so every plan node is analysed once.  ``record`` is the
+    :class:`~repro.obs.ExecutionRecord` of an ``analyze=True`` run: one
+    walk per query then prints each measured count beside its bounds
+    and collects the ``D500`` findings.  ``properties=True`` appends to
+    every node its :class:`~repro.analysis.Props` and its
+    ``[rows lo..hi w=N]`` bounds, next to the ``@n`` refs.
     """
-    from ..algebra import operator_histogram, plan_text
+    from ..algebra import operator_histogram, plan_text, postorder
+    from ..analysis import (
+        Card,
+        Diagnostic,
+        PlanStore,
+        RowBounds,
+        verify_bundle,
+    )
     from ..ftypes import count_list_constructors
 
     bundle = compiled.bundle
-    queries = []
+    store = PlanStore()
+    verify = verify_bundle(bundle, label="explain", raise_on_error=False,
+                           mark=False, cache=store)
+    bounds = RowBounds(table_rows, store)
+    analyze = lint = None
+    if record is not None:
+        analyze = AnalyzeReport(backend.name, record.duration,
+                                list(record.queries))
+        lint = []
+        total = (analyze.total_time
+                 or sum(q.time for q in analyze.queries) or 1.0)
+    measured: dict[int, str] = {}  # nodes an earlier analyze plan printed
+
+    def measure(header: str, profile: QueryProfile, plan: Any,
+                nodes: "list[Any]") -> str:
+        """One query's EXPLAIN ANALYZE text -- ``header`` tagged with
+        the measured rows, time and share, then (where operators were
+        profiled) the plan with every operator's ``time% | in/out |
+        bound= | w= | cum=`` -- and, into ``lint``, its findings."""
+        qi = profile.index - 1
+
+        def check(what: str, rows: int, bound: Any, **where: Any) -> None:
+            if not bound.contains(rows):
+                lint.append(Diagnostic(
+                    "D500", "bounds", f"{what} measured {rows} rows, "
+                    f"outside the static bounds {bound.show()}",
+                    query=qi, **where))
+
+        root = bounds.memo[id(plan)]
+        check("the query", profile.rows, root)
+        peak = ("" if profile.peak_rows is None
+                else f"peak_rows={profile.peak_rows} ")
+        header = (f"{header}  [rows={profile.rows} bound={root.show()} "
+                  f"{peak}time={profile.time * 1e3:.3f} ms "
+                  f"({100.0 * profile.time / total:.1f}% of bundle)]")
+        if not profile.ops:
+            return header
+        times = {id(nodes[op.ref]): op.time for op in profile.ops}
+        qtime = profile.time or sum(op.time for op in profile.ops) or 1.0
+        annotations = {}
+        for op in profile.ops:
+            node = nodes[op.ref]
+            bound = bounds.memo[id(node)]
+            check(op.op, op.rows_out, bound, node_ref=op.ref)
+            # Inclusive time of the subtree, shared nodes counted once
+            # (the engine evaluates each once).
+            cum = sum(times.get(id(n), 0.0) for n in postorder(node))
+            rows_in = "" if op.rows_in is None else f"in={op.rows_in} "
+            annotations[op.ref] = (
+                f"[{op.time * 1e3:.3f} ms {100.0 * op.time / qtime:.1f}% "
+                f"| {rows_in}out={op.rows_out} "
+                f"bound={bound.show()} w={op.width} "
+                f"cum={cum * 1e3:.3f} ms]")
+        his = [bounds.memo[id(n)].hi for n in nodes]
+        if None not in his:
+            check("the peak intermediate", profile.peak_rows,
+                  Card(0, max(his)))
+        return "\n".join([header, plan_text(plan, annotations, measured,
+                                            f"Q{profile.index}")])
+
+    queries: list[QueryExplain] = []
     earlier: dict[int, str] = {}  # nodes an earlier query printed
-    if properties:
-        from ..analysis import (
-            PlanStore,
-            RowBounds,
-            annotate_bounds,
-            annotate_plan,
-        )
-        store = PlanStore()  # annotate_plan and the bounds share a walk
-        bounds = RowBounds(table_rows, store)
     for i, query in enumerate(bundle.queries):
-        artifact = artifacts[i] if i < len(artifacts) else None
-        annotations = None
+        nodes = list(postorder(query.plan))
+        bounds.of(query.plan)
+        notes = None
         if properties:
-            annotations = annotate_plan(query.plan, store.props,
-                                        store.schemas)
-            for ref, note in annotate_bounds(query.plan, bounds).items():
-                annotations[ref] = f"{annotations[ref]} {note}"
-        queries.append(QueryExplain(
+            notes = {}
+            for ref, node in enumerate(nodes):
+                b = bounds.memo[id(node)]
+                notes[ref] = (f"{store.infer(node).show()} "
+                              f"[rows {b.show()} w={b.width}]")
+        explained = QueryExplain(
             index=i + 1,
             iter_col=query.iter_col,
             pos_col=query.pos_col,
             item_cols=query.item_cols,
             item_types=tuple(t.show() for t in query.item_types),
-            plan=plan_text(query.plan, annotations, earlier, f"Q{i + 1}"),
+            plan=plan_text(query.plan, notes, earlier, f"Q{i + 1}"),
             operators=operator_histogram(query.plan),
-            artifact=artifact,
+            artifact=artifacts[i] if i < len(artifacts) else None,
             properties=properties,
-        ))
+        )
+        queries.append(explained)
+        if analyze is not None and i < len(analyze.queries):
+            analyze.annotated.append(measure(
+                explained.header, analyze.queries[i], query.plan, nodes))
     return ExplainReport(
         backend=backend.name,
         result_type=bundle.result_ty.show(),

@@ -29,14 +29,15 @@ and the per-fingerprint statement statistics
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from ..analysis import lint_report, verify_bundle, verify_debug_enabled
+from ..analysis import verify_bundle, verify_debug_enabled
 from ..core.bundle import Bundle, compile_exp
-from ..errors import ObservabilityError, QTypeError
+from ..errors import ObservabilityError, QTypeError, UnsupportedError
 from ..frontend.q import Q, to_q
 from ..frontend.tables import SchemaLike, table
 from ..obs import (
@@ -47,7 +48,6 @@ from ..obs import (
     StatementStats,
     Trace,
     Tracer,
-    build_analyze,
     build_report,
     phase,
 )
@@ -221,37 +221,44 @@ class Connection:
         again only re-checks those references against the live catalog.
         """
         timings: dict[str, float] = {}
-        with phase(tracer, timings, "check"):
-            qq = to_q(q)
-            for ref in qq.tables_referenced():
-                self.catalog.check_reference(ref)
-        with phase(tracer, timings, "lookup", "cache-lookup") as span:
-            fp = qq.fingerprint()
-            key = CacheKey(fp, self.catalog.schema_generation)
-            entry = self.plan_cache.lookup(key)
-            span.set(hit=entry is not None)
-        if entry is not None:
-            return CompiledQuery(entry.bundle, fingerprint=fp,
-                                 cache_hit=True, timings=timings,
-                                 cache_entry=entry)
+        try:
+            with phase(tracer, timings, "check"):
+                qq = to_q(q)
+                for ref in qq.tables_referenced():
+                    self.catalog.check_reference(ref)
+            with phase(tracer, timings, "lookup", "cache-lookup") as span:
+                fp = qq.fingerprint()
+                key = CacheKey(fp, self.catalog.schema_generation)
+                entry = self.plan_cache.lookup(key)
+                span.set(hit=entry is not None)
+            if entry is not None:
+                return CompiledQuery(entry.bundle, fingerprint=fp,
+                                     cache_hit=True, timings=timings,
+                                     cache_entry=entry)
 
-        with phase(tracer, timings, "lift"):
-            bundle = compile_exp(qq.exp)
-        if verify_debug_enabled():
-            # Debug mode: staged verification of the raw loop-lifting
-            # output, before any rewrite touches it.
-            with tracer.span("verify", stage="post-lift"):
-                verify_bundle(bundle, label="post-lift", mark=False)
-        stats = PassStats()
-        with phase(tracer, timings, "optimize"):
-            bundle = optimize_bundle(bundle, stats, tracer,
-                                     table_rows=self._table_stats(),
-                                     backend=self.backend.name)
-        entry = self.plan_cache.insert(key, CacheEntry(bundle,
-                                                       pass_stats=stats))
-        return CompiledQuery(bundle, fingerprint=fp,
-                             cache_hit=False, timings=timings,
-                             pass_stats=stats, cache_entry=entry)
+            with phase(tracer, timings, "lift"):
+                bundle = compile_exp(qq.exp)
+            if verify_debug_enabled():
+                # Debug mode: staged verification of the raw loop-lifting
+                # output, before any rewrite touches it.
+                with tracer.span("verify", stage="post-lift"):
+                    verify_bundle(bundle, label="post-lift", mark=False)
+            stats = PassStats()
+            with phase(tracer, timings, "optimize"):
+                bundle = optimize_bundle(bundle, stats, tracer,
+                                         table_rows=self._table_stats(),
+                                         backend=self.backend.name)
+            entry = self.plan_cache.insert(
+                key, CacheEntry(bundle, pass_stats=stats))
+            return CompiledQuery(bundle, fingerprint=fp,
+                                 cache_hit=False, timings=timings,
+                                 pass_stats=stats, cache_entry=entry)
+        except RecursionError:
+            raise UnsupportedError(
+                f"the program is nested too deeply to compile: the "
+                f"compiler's passes recurse once per nesting level and "
+                f"hit the nesting limit of {sys.getrecursionlimit()} "
+                f"Python frames (sys.getrecursionlimit())") from None
 
     def prepare(self, q: Any) -> "PreparedQuery":
         """Compile ``q`` (through the cache) into a reusable handle whose
@@ -297,7 +304,7 @@ class Connection:
         this catalog instance (``[rows lo..hi w=N]``) next to the ``@n``
         refs.  With ``analyze=True`` every measured row count is printed
         beside its bounds (``bound=lo..hi``) and the report carries the
-        row-bounds lint's findings (``D500``: a count outside them).
+        ``D500`` findings: the counts outside them.
 
         Returns an :class:`~repro.obs.ExplainReport`; ``print`` it (or
         call :meth:`~repro.obs.ExplainReport.render`) for the
@@ -305,28 +312,17 @@ class Connection:
         for a JSON-able one.
         """
         handle = self.prepare(q)
-        compiled = handle.compiled
-        artifacts = self.backend.describe_prepared(handle._code)
-        table_rows = self._table_stats()
-        analyze_report = findings = None
+        record = None
         if analyze:
             # A real execution of the prepared bundle, recorded like any
             # other.
-            rec = self._execute(
+            record = self._execute(
                 "explain-analyze",
-                lambda tracer: (compiled, handle._code, False),
+                lambda tracer: (handle.compiled, handle._code, False),
                 analyze=True)[1]
-            analyze_report = build_analyze(
-                compiled.bundle, rec.queries, self.backend.name,
-                rec.duration, table_rows=table_rows)
-            findings = lint_report(compiled.bundle, analyze_report,
-                                   table_rows)
-        verify = verify_bundle(compiled.bundle, label="explain",
-                               raise_on_error=False, mark=False)
-        return build_report(compiled, self.backend, artifacts,
-                            analyze=analyze_report, properties=properties,
-                            verify=verify, table_rows=table_rows,
-                            lint=findings)
+        return build_report(handle.compiled, self.backend,
+                            self.backend.describe_prepared(handle._code),
+                            self._table_stats(), record, properties)
 
     # ------------------------------------------------------------------
     def _execute(self, kind: str,

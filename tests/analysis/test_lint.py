@@ -1,10 +1,11 @@
-"""Unit tests of the row-bounds lint (``repro.analysis.lint``).
+"""The row-bounds findings of EXPLAIN ANALYZE (``D500``).
 
-``D500`` -- a measured row count outside the static bounds -- gets a
-dedicated trigger per place it can fire (query, operator, peak) on
-forged profiles, and the lint runs over the golden workload on every
-backend: clean on it (Table 1 at 100 *and* 800 categories), and D500
-when the table statistics claim a table is smaller than it is.
+``repro.obs.build_report`` checks every measured row count against its
+static bounds.  ``D500`` -- a count outside them -- gets a dedicated
+trigger per place it can fire (query, operator, peak) on forged
+execution records, and the builder runs over the golden workload on
+every backend: clean on it (Table 1 at 100 *and* 800 categories), and
+D500 when the table statistics claim a table is smaller than it is.
 """
 
 import functools
@@ -13,9 +14,10 @@ import pytest
 
 from repro import Connection, fmap, pyq, tup
 from repro.algebra import LitTable, Select, TableScan
-from repro.analysis import lint_report
-from repro.ftypes import BoolT, IntT
-from repro.obs.analyze import AnalyzeReport, OpProfile, QueryProfile
+from repro.core.bundle import Bundle, SerializedQuery
+from repro.ftypes import BoolT, IntT, ListT
+from repro.obs import ExecutionRecord, OpProfile, QueryProfile, build_report
+from repro.runtime.connection import CompiledQuery
 from examples.workloads import (
     avalanche_dataset,
     orders_dataset,
@@ -31,68 +33,62 @@ def lit(n, *cols):
     return LitTable(tuple((r,) * len(cols) for r in range(n)), tuple(cols))
 
 
-class FakeQuery:
-    def __init__(self, plan):
-        self.plan = plan
-
-
-class FakeBundle:
-    def __init__(self, *plans):
-        self.queries = [FakeQuery(p) for p in plans]
-
-
-def analyze_for(*profiles):
-    return AnalyzeReport(backend="engine",
-                         total_time=sum(p.time for p in profiles),
-                         queries=list(profiles))
+def forged_findings(plan, *profiles, table_rows=None):
+    """The findings of an EXPLAIN ANALYZE of a one-query bundle over
+    ``plan`` whose (forged) run measured ``profiles``."""
+    bundle = Bundle(ListT(IntT), [SerializedQuery(plan, "iter", "pos",
+                                                  (), ())],
+                    root_ref=None, root_is_list=True)
+    record = ExecutionRecord("explain-analyze", "engine", 0.0,
+                             sum(p.time for p in profiles),
+                             queries=profiles)
+    return build_report(CompiledQuery(bundle), Connection().backend, [],
+                        table_rows, record).lint
 
 
 class TestD500:
     def test_per_query_rows_misestimate(self):
-        plan = lit(2)
-        report = analyze_for(QueryProfile(index=1, time=0.0, rows=5000))
-        (out,) = lint_report(FakeBundle(plan), report)
+        (out,) = forged_findings(
+            lit(2), QueryProfile(index=1, time=0.0, rows=5000))
         assert (out.code, out.stage) == ("D500", "bounds")
         assert out.query == 0 and out.node_ref is None
         assert "5000" in out.message and "2..2" in out.message
 
     def test_rows_below_the_lower_bound_are_a_finding_too(self):
-        report = analyze_for(QueryProfile(index=1, time=0.0, rows=1))
-        (out,) = lint_report(FakeBundle(lit(2)), report)
+        (out,) = forged_findings(
+            lit(2), QueryProfile(index=1, time=0.0, rows=1))
         assert out.code == "D500" and "2..2" in out.message
 
     def test_accurate_estimate_is_clean(self):
-        report = analyze_for(QueryProfile(index=1, time=0.0, rows=2))
-        assert lint_report(FakeBundle(lit(2)), report) == []
+        assert forged_findings(
+            lit(2), QueryProfile(index=1, time=0.0, rows=2)) == []
 
     def test_any_count_inside_the_bounds_is_clean(self):
         # No ratio budget, no slack: 0..3 admits 0 and 3 alike ...
         rows = LitTable(((1, True), (2, False), (3, True)),
                         (("i", IntT), ("b", BoolT)))
         for n in (0, 2, 3):
-            report = analyze_for(QueryProfile(index=1, time=0.0, rows=n))
-            assert lint_report(FakeBundle(Select(rows, "b")), report) == []
+            assert forged_findings(Select(rows, "b"), QueryProfile(
+                index=1, time=0.0, rows=n)) == []
         # ... and 4 not, however close
-        report = analyze_for(QueryProfile(index=1, time=0.0, rows=4))
-        assert len(lint_report(FakeBundle(Select(rows, "b")), report)) == 1
+        assert len(forged_findings(Select(rows, "b"), QueryProfile(
+            index=1, time=0.0, rows=4))) == 1
 
     def test_open_bounds_never_alarm(self):
         scan = TableScan("t", (("c1", "a", IntT),))
         op = OpProfile(ref=0, op="TableScan", time=0.0, rows_in=0,
                        rows_out=10 ** 9, width=1)
-        report = analyze_for(
-            QueryProfile(index=1, time=0.0, rows=10 ** 9, ops=[op]))
-        assert lint_report(FakeBundle(scan), report) == []
+        profile = QueryProfile(index=1, time=0.0, rows=10 ** 9, ops=[op])
+        assert forged_findings(scan, profile) == []
         # the catalog statistic closes them
-        assert len(lint_report(FakeBundle(scan), report, {"t": 5})) == 3
+        assert len(forged_findings(scan, profile, table_rows={"t": 5})) == 3
 
     def test_per_operator_misestimate_carries_the_node_ref(self):
         plan = lit(2)
         op = OpProfile(ref=0, op="LitTable 2x2", time=0.0,
                        rows_in=0, rows_out=4000, width=2)
-        report = analyze_for(
-            QueryProfile(index=1, time=0.0, rows=2, ops=[op]))
-        findings = lint_report(FakeBundle(plan), report)
+        findings = forged_findings(
+            plan, QueryProfile(index=1, time=0.0, rows=2, ops=[op]))
         assert {d.code for d in findings} == {"D500"}
         (at_op,) = [d for d in findings if d.node_ref is not None]
         assert at_op.node_ref == 0 and "LitTable 2x2" in at_op.message
@@ -105,9 +101,8 @@ class TestD500:
         plan = lit(2)
         op = OpProfile(ref=0, op="LitTable 2x2", time=0.0,
                        rows_in=0, rows_out=2, width=2)
-        report = analyze_for(
-            QueryProfile(index=1, time=0.0, rows=2, ops=[op]))
-        assert lint_report(FakeBundle(plan), report) == []
+        assert forged_findings(
+            plan, QueryProfile(index=1, time=0.0, rows=2, ops=[op])) == []
 
 
 class TestExplain:
@@ -129,8 +124,9 @@ class TestExplain:
 
 @functools.cache
 def golden_workload(backend):
-    """``(bundle, analyze, table_rows)`` per program of the golden
-    workload on ``backend``: the running example on Figure 1 and on the
+    """``(connection, compiled, record)`` per program of the golden
+    workload on ``backend`` -- ``record`` is the ``ExecutionRecord`` of
+    its EXPLAIN ANALYZE: the running example on Figure 1 and on the
     Table 1 instance at 100 and at 800 categories (the bounds hold at
     every size), plus a nested-orders report."""
     dbs = [Connection(backend=backend, catalog=catalog) for catalog in (
@@ -141,14 +137,20 @@ def golden_workload(backend):
     queries.append(fmap(lambda c: tup(c[1], pyq(
         "[oid for (cid2, month, oid) in orders if cid2 == cid]",
         orders=orders, cid=c[0])), dbs[3].table("customers")))
-    return [(db.compile(q).bundle, db.explain(q, analyze=True).analyze,
-             db._table_stats()) for db, q in zip(dbs, queries)]
+    out = []
+    for db, q in zip(dbs, queries):
+        db.explain(q, analyze=True)
+        out.append((db, db.compile(q), db.query_log.recent[0]))
+    return out
 
 
 def findings(backend, **assumed):
-    return [diag for bundle, analyze, table_rows in golden_workload(backend)
-            for diag in lint_report(bundle, analyze,
-                                    {**table_rows, **assumed})]
+    """The findings over the golden workload's measured runs, with the
+    table statistics overridden by ``assumed``."""
+    return [diag for db, compiled, record in golden_workload(backend)
+            for diag in build_report(
+                compiled, db.backend, [],
+                {**db._table_stats(), **assumed}, record).lint]
 
 
 class TestGoldenWorkload:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from examples.workloads import numbers_dataset, paper_dataset, run_raw
-from repro import Connection, fmap
+from repro import Connection, fmap, to_q
 from repro.errors import FerryError, PartialFunctionError
 from repro.expr import free_vars, normalize
 from repro.obs import ExecutionRecord
@@ -95,6 +95,15 @@ def feature_meanings_query(db: Connection):
                 lambda m: m[1]),
             features.filter(lambda g: g[0] == f[1])),
         facilities)
+
+
+def map_chain(n: int):
+    """``[1, 2, 3]`` under ``n`` nested maps of ``x + 1``: a program
+    (and a plan) ``n`` levels deep."""
+    q = to_q([1, 2, 3])
+    for _ in range(n):
+        q = fmap(lambda x: x + 1, q)
+    return q
 
 
 def check_normal_form(exp, catalog: Catalog, expected=None):

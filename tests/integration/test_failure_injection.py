@@ -37,7 +37,7 @@ from repro.ftypes import IntT
 from repro.runtime import Catalog
 from repro.semantics import Interpreter
 
-from ..conftest import BACKENDS
+from ..conftest import BACKENDS, map_chain
 
 
 @pytest.fixture(params=BACKENDS)
@@ -398,6 +398,25 @@ class TestConstructionFailures:
         with pytest.raises(QTypeError) as err:
             fmap(lambda x: x + "a", to_q([1]))
         assert "map" in str(err.value)
+
+
+class TestNestingLimit:
+    """The expression passes recurse once per nesting level: a program
+    nested past Python's recursion limit is refused with a
+    ``FerryError`` by every entry point, and the connection lives on."""
+
+    @pytest.mark.parametrize("n", [400, 1000])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_too_deep_a_program_is_unsupported(self, backend, n):
+        db = Connection(backend=backend)
+        q = map_chain(n)
+        for call in (db.run, db.prepare, db.explain):
+            with pytest.raises(UnsupportedError, match="nesting limit"):
+                call(q)
+        (record,) = db.query_log.recent  # the run's
+        assert record.kind == "run" and record.rows is None
+        assert record.error.startswith("UnsupportedError(")
+        assert db.run(map_chain(2)) == [3, 4, 5]
 
 
 class TestDocumentedDeviations:

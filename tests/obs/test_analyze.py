@@ -8,7 +8,7 @@ import pytest
 from repro import AnalyzeReport, Connection, to_q
 from repro.algebra import describe, postorder
 from examples.workloads import running_example_query
-from repro.obs import QueryProfile, build_analyze
+from repro.obs import ExecutionRecord, QueryProfile, build_report
 
 
 class TestEnginePerOperator:
@@ -85,8 +85,8 @@ class TestOtherBackends:
             assert qp.rows > 0
             assert qp.time >= 0.0
         assert record.peak_intermediate_rows is None
-        analyze = build_analyze(paper_db.compile(q).bundle, record.queries,
-                                "engine", record.execute_time)
+        analyze = build_report(paper_db.compile(q), paper_db.backend, [],
+                               record=record).analyze
         assert analyze.total_rows == record.rows
         assert "peak_rows" not in analyze.render()
         # a header per query, no annotated plan under it
@@ -172,27 +172,26 @@ class TestReportSurface:
             assert q["peak_rows"] == max(op["rows_out"] for op in q["ops"])
 
     def test_cumulative_time_of_root_covers_the_query(self, paper_db):
-        """The root's inclusive subtree time equals the sum of every
-        operator's exclusive time (shared DAG nodes counted once)."""
-        q = running_example_query(paper_db)
-        compiled = paper_db.compile(q)
-        profiles = paper_db.explain(q, analyze=True).analyze.queries
-        from repro.obs.analyze import _subtree_time
-        from repro.algebra import postorder
-        for qp, query in zip(profiles, compiled.bundle.queries):
-            nodes = list(postorder(query.plan))
-            times = {id(n): op.time for n, op in zip(nodes, qp.ops)}
-            root_cum = _subtree_time(query.plan, times)
-            assert root_cum == pytest.approx(
-                sum(op.time for op in qp.ops))
+        """The root's rendered inclusive subtree time (``cum=``) equals
+        the sum of every operator's exclusive time (shared DAG nodes
+        counted once)."""
+        analyze = paper_db.explain(running_example_query(paper_db),
+                                   analyze=True).analyze
+        for qp, text in zip(analyze.queries, analyze.annotated):
+            root = text.splitlines()[1]
+            assert root.startswith(f"@{len(qp.ops) - 1} ")
+            (cum,) = re.findall(r"cum=(\d+\.\d+) ms\]$", root)
+            assert float(cum) == pytest.approx(
+                sum(op.time for op in qp.ops) * 1e3, abs=1e-3)
 
     def test_build_analyze_shares_and_totals(self, paper_db):
-        """Query shares are computed against the supplied bundle total."""
-        q = to_q([1, 2, 3])
-        compiled = paper_db.compile(q)
-        report = build_analyze(compiled.bundle,
-                               [QueryProfile(1, time=0.25, rows=3)],
-                               "engine", total_time=0.5)
+        """Query shares are computed against the recorded bundle
+        total."""
+        record = ExecutionRecord(
+            "explain-analyze", "engine", 0.0, 0.5,
+            queries=[QueryProfile(1, time=0.25, rows=3)])
+        report = build_report(paper_db.compile(to_q([1, 2, 3])),
+                              paper_db.backend, [], record=record).analyze
         assert report.total_time == 0.5
         assert report.total_rows == 3
         assert "(50.0% of bundle)" in report.annotated[0]

@@ -1,9 +1,17 @@
 """``Connection.explain``: the structured report and its render."""
 
 import json
+import re
+from itertools import product
+
+import pytest
 
 from repro import Connection, ExplainReport, fsum, to_q, tup
+from repro.algebra import postorder
+from repro.analysis import RowBounds, properties
 from examples.workloads import running_example_query
+
+from ..conftest import BACKENDS, map_chain
 
 
 class TestExplainReport:
@@ -75,3 +83,63 @@ class TestExplainReport:
         assert data["bundle_size"] == 2
         assert [q["index"] for q in data["queries"]] == [1, 2]
         assert "timings" in data
+
+
+class TestOneAnalysis:
+    """An explain analyses every plan node once: the verifier, the row
+    bounds, the property notes and the analyze annotations share one
+    plan store and one bounds fold."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_flag_combination_infers_each_node_once(
+            self, backend, paper_catalog, monkeypatch):
+        db = Connection(backend=backend, catalog=paper_catalog)
+        q = running_example_query(db)
+        plans = [query.plan for query in db.compile(q).bundle.queries]
+        assert len(list(postorder(*plans))) == 30
+        inferences, folds = [], []
+        infer, init = properties._infer_props, RowBounds.__init__
+
+        def counted_infer(node, *args):
+            inferences.append(node)
+            return infer(node, *args)
+
+        def counted_init(self, *args):
+            folds.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(properties, "_infer_props", counted_infer)
+        monkeypatch.setattr(RowBounds, "__init__", counted_init)
+        for analyze, props in product((False, True), repeat=2):
+            inferences.clear()
+            folds.clear()
+            db.explain(q, analyze=analyze, properties=props)
+            assert len(inferences) == 30, (analyze, props)
+            assert len(folds) <= 1, (analyze, props)
+
+
+class TestDeepPlans:
+    """Explaining walks plans with explicit stacks: a plan 300 maps deep
+    (the program runs) renders plain, analyzed and with properties."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_300_map_chain_explains(self, backend):
+        db = Connection(backend=backend)
+        q = map_chain(300)
+        assert db.run(q) == [301, 302, 303]
+        plain = db.explain(q)
+        (query,) = plain.queries
+        assert len(query.plan.splitlines()) > 600
+        analyzed = db.explain(q, analyze=True)
+        assert analyzed.lint == []
+        header, *plan = analyzed.analyze.annotated[0].splitlines()
+        assert "[rows=3 bound=3..3 " in header
+        if backend == "engine":  # every operator profiled
+            assert len(plan) > 600
+            assert re.search(r"\| in=\d+ out=3 bound=3\.\.3 w=\d+ cum=",
+                             plan[0])
+        else:  # no shared node, so no temporary-table step
+            assert plan == []
+        noted = db.explain(q, properties=True).queries[0].plan
+        assert noted.splitlines()[0].endswith(" w=3]")
+        assert "[rows 3..3 w=" in noted
