@@ -251,7 +251,7 @@ class PlanStore:
     """
 
     __slots__ = ("canonical", "twin", "pins", "props", "schemas",
-                 "rewritten", "wider", "visits", "inferences")
+                 "heights", "rewritten", "wider", "visits", "inferences")
 
     def __init__(self) -> None:
         #: structural key -> the interned node
@@ -261,6 +261,7 @@ class PlanStore:
         self.pins: list[Node] = []
         self.props: dict[int, Props] = {}
         self.schemas: dict[int, Schema] = {}
+        self.heights: dict[int, int] = {}
         #: rewrite family -> ``id(interned node)`` -> its rewrite
         self.rewritten: dict[str, dict[int, Node]] = {}
         #: ``id`` of a node a rule widened for one of its readers -> the
@@ -313,6 +314,16 @@ class PlanStore:
 
     def schema(self, node: Node) -> Schema:
         return schema_of(node, self.schemas)
+
+    def height(self, node: Node) -> int:
+        """The longest path from ``node`` down to a leaf (a leaf is 0):
+        it drops with every step down, so a node is never met below one
+        no higher than itself."""
+        heights = self.heights
+        known = heights.get(id(node))
+        return known if known is not None else fill(
+            node, heights, lambda n: 1 + max(
+                map(heights.__getitem__, map(id, n.children)), default=-1))
 
     def infer(self, node: Node) -> Props:
         """The facts about ``node``: carried over from the node it

@@ -27,7 +27,10 @@ class Relation:
     have length ``nrows``.  The engine treats relations as unordered
     (any observable order is established explicitly through ``RowNum``
     columns, exactly as on a real relational backend), so kernels are
-    free to return rows in whatever order is cheapest.
+    free to return rows in whatever order is cheapest -- an equi-join
+    returns its pairs in the probing side's order.
+    ``tests/engine/test_row_order.py`` holds the engine to that: every
+    operator's result shuffled, every answer unchanged.
     """
 
     __slots__ = ("cols", "columns", "nrows", "_index")

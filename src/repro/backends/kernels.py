@@ -15,7 +15,7 @@ positions to :func:`gather` by; the *identity index* ``range(n)`` says
 from __future__ import annotations
 
 from itertools import compress, groupby, repeat
-from operator import add, eq, ge, gt, le, lt, mul, ne, neg, sub
+from operator import add, eq, ge, gt, is_not, le, lt, mul, ne, neg, sub
 from typing import Any, Callable, Iterable, Sequence
 
 from ..errors import ExecutionError, PartialFunctionError
@@ -161,23 +161,46 @@ def _positions(keys: Iterable[Any]) -> dict[Any, list[int]]:
     return found
 
 
+def _probe(build: Column, probe: Column) -> "tuple[Index, Index] | None":
+    """Hash join on unique ``build`` keys: the aligned (build, probe)
+    positions of the matches, the probe side's positions ascending --
+    ``None`` when a build key repeats.
+
+    The whole probe column is looked up with one C-level ``map`` and the
+    misses are compressed out; when every probe matches, the probe index
+    is the identity index.
+    """
+    pos = dict(zip(build, range(len(build))))
+    if len(pos) != len(build):
+        return None
+    hits: list[Any] = list(map(pos.get, probe))
+    if None not in hits:
+        return hits, range(len(hits))
+    mask = list(map(is_not, hits, repeat(None)))
+    return list(compress(hits, mask)), list(compress(range(len(hits)), mask))
+
+
 def join_index(lkeys: Column, rkeys: Column) -> tuple[Index, Index]:
     """The equi-join of two key columns as aligned (left, right) indices.
 
-    When every probe matches exactly one build row the left index is the
-    identity index, so a 1:1 join passes its left columns through
-    untouched and gathers only the right side.
+    The hash is built on a side whose keys are unique -- the smaller
+    side is tried first (the right one on a tie): its dict is the
+    cheaper one to build, and to drop when a key repeats -- and the
+    other side probes it in C.  The probing side's index is the identity
+    index whenever each of its rows matches, so its columns pass through
+    ungathered: a 1:1 join against the compiler's keyed spines gathers
+    one side only.  The pairs come in the probing side's row order, not
+    left-major: relations are unordered (any order is an explicit
+    ``RowNum`` column).  Only when both sides repeat a key does a
+    per-row loop pair up each key's rows.
     """
-    pos = dict(zip(rkeys, range(len(rkeys))))
-    if len(pos) == len(rkeys):
-        # Unique build keys (the common case: the right side is keyed,
-        # e.g. the compiler's surrogate spines): probe the whole key
-        # column with one C-level map, then compress out the misses.
-        hits: list[Any] = list(map(pos.get, lkeys))
-        if None not in hits:
-            return range(len(hits)), hits
-        mask = [j is not None for j in hits]
-        return list(compress(range(len(hits)), mask)), list(compress(hits, mask))
+    sides = [(rkeys, lkeys, True), (lkeys, rkeys, False)]
+    if len(lkeys) < len(rkeys):
+        sides.reverse()
+    for build, probe, right in sides:
+        found = _probe(build, probe)
+        if found is not None:
+            return (found[1], found[0]) if right else found
     li: list[int] = []
     ri: list[int] = []
     get = _positions(rkeys).get

@@ -175,6 +175,33 @@ class ExplainReport:
         return self.render()
 
 
+def inclusive_times(nodes: "list[Any]", times: "list[float]"
+                    ) -> list[float]:
+    """Per node of a plan's postorder ``nodes``, the summed ``times`` of
+    its subplan, a node several paths reach counted once (the engine
+    evaluates it once): one bottom-up pass.  Each node carries the set
+    of postorder slots at and below it as the bits of an ``int``; a
+    node's sum is its own time plus its children's, less the times of
+    the slots two children share -- which only a DAG's joins have."""
+    slot = {id(n): i for i, n in enumerate(nodes)}
+    below: list[int] = []
+    cums: list[float] = []
+    for i, node in enumerate(nodes):
+        bits, cum = 1 << i, times[i]
+        for child in node.children:
+            j = slot[id(child)]
+            shared = bits & below[j]
+            cum += cums[j]
+            while shared:  # subtract what is counted already
+                low = shared & -shared
+                cum -= times[low.bit_length() - 1]
+                shared ^= low
+            bits |= below[j]
+        below.append(bits)
+        cums.append(cum)
+    return cums
+
+
 def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
                  table_rows: "Mapping[str, int] | None" = None,
                  record: Any = None,
@@ -241,16 +268,17 @@ def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
                   f"({100.0 * profile.time / total:.1f}% of bundle)]")
         if not profile.ops:
             return header
-        times = {id(nodes[op.ref]): op.time for op in profile.ops}
+        times = [0.0] * len(nodes)
+        for op in profile.ops:
+            times[op.ref] = op.time
+        cums = inclusive_times(nodes, times)
         qtime = profile.time or sum(op.time for op in profile.ops) or 1.0
         annotations = {}
         for op in profile.ops:
             node = nodes[op.ref]
             bound = bounds.memo[id(node)]
             check(op.op, op.rows_out, bound, node_ref=op.ref)
-            # Inclusive time of the subtree, shared nodes counted once
-            # (the engine evaluates each once).
-            cum = sum(times.get(id(n), 0.0) for n in postorder(node))
+            cum = cums[op.ref]
             rows_in = "" if op.rows_in is None else f"in={op.rows_in} "
             annotations[op.ref] = (
                 f"[{op.time * 1e3:.3f} ms {100.0 * op.time / qtime:.1f}% "

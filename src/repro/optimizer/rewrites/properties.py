@@ -436,8 +436,12 @@ def _selfjoin_elim(node: EqJoin, store: PlanStore, shared: _Uses
                       (anchor, tuple((c, c) for c in store.schema(anchor))))
         src = dict(cols)[acol]
         if store.infer(base).has_key({src}):
-            found = _trace(derived, dcol, lambda n, _: n is base, store)
-            wide = found and found[2] == src and _widen(
+            # The walk down from ``derived`` meets ``base``, if at all,
+            # at the first node no higher than it: stop there.
+            height = store.height(base)
+            found = _trace(derived, dcol,
+                           lambda n, _: store.height(n) <= height, store)
+            wide = found and found[1] is base and found[2] == src and _widen(
                 found[0], base, tuple(e for e in cols if e[1] != src),
                 store, shared)
             if wide:  # the key itself is there: ``dcol``

@@ -267,17 +267,46 @@ class TestJoins:
         li, ri = k.join_index([2, 1, 2], [1, 2])
         assert li == range(3)
         assert ri == [1, 0, 1]
-        # ... and only then: a miss or a duplicate build key gathers
+        # ... and only then: a miss gathers the probing side
         assert k.join_index([2, 9], [1, 2])[0] == [0]
-        assert k.join_index([2, 1], [1, 2, 2])[0] == [0, 0, 1]
+        # repeated right keys, unique left keys: the right side probes,
+        # so its index is the identity and only the left side gathers
+        li, ri = k.join_index([2, 1], [1, 2, 2])
+        assert ri == range(3)
+        assert li == [1, 0, 0]
+
+    def test_unique_left_keys_build_when_right_keys_repeat(self):
+        """The right side probes in its own row order: misses drop out,
+        and an empty left side matches nothing."""
+        assert k.join_index([3, 1], [1, 7, 3, 1, 9]) == ([1, 0, 1],
+                                                          [0, 2, 3])
+        assert k.join_index([5], [1, 1]) == ([], [])
+        assert k.join_index([], [1, 1]) == ([], [])
+        lcols = [[1, 1, 2], ["a", "b", "a"]]  # width-2 keys
+        rcols = [[1, 2, 1, 1, 3], ["b", "a", "b", "a", "a"]]
+        li, ri = k.join_index(k.key_column(lcols), k.key_column(rcols))
+        assert (li, ri) == ([1, 2, 1, 0], [0, 1, 2, 3])
+        assert join_pairs(lcols, rcols) == ref_join(lcols, rcols)
 
     @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("domain", [2, 6, 60])
     def test_against_nested_loops(self, width, domain):
+        """Each branch answers like the loop: only the right side's
+        keys are unique, only the left side's, or neither's."""
         rng = random.Random(width * 100 + domain)
-        for _ in range(10):
-            lcols = random_columns(rng, rng.randrange(0, 25), width, domain)
-            rcols = random_columns(rng, rng.randrange(0, 25), width, domain)
+
+        def side(unique):
+            cols = random_columns(rng, rng.randrange(0, 25), width, domain)
+            rows = rows_of(cols)
+            if unique:
+                rows = list(dict.fromkeys(rows))
+            elif rows:
+                rows.append(rows[0])
+            return [list(col) for col in zip(*rows)] or [[]] * width
+
+        for build in ["right", "left", "neither"] * 4:
+            lcols = side(unique=build == "left")
+            rcols = side(unique=build == "right")
             assert join_pairs(lcols, rcols) == ref_join(lcols, rcols)
 
     @pytest.mark.parametrize("width", [1, 2])

@@ -6,9 +6,12 @@ from itertools import product
 
 import pytest
 
+import repro.algebra
 from repro import Connection, ExplainReport, fsum, to_q, tup
-from repro.algebra import postorder
+from repro.algebra import EqJoin, LitTable, Project, Select, postorder
 from repro.analysis import RowBounds, properties
+from repro.ftypes import BoolT, IntT
+from repro.obs.explain import inclusive_times
 from examples.workloads import running_example_query
 
 from ..conftest import BACKENDS, map_chain
@@ -143,3 +146,42 @@ class TestDeepPlans:
         noted = db.explain(q, properties=True).queries[0].plan
         assert noted.splitlines()[0].endswith(" w=3]")
         assert "[rows 3..3 w=" in noted
+
+    def test_cum_walks_each_plan_once(self, monkeypatch):
+        """``cum=`` comes from one bottom-up pass per query, not from a
+        walk of every operator's subplan: the plan nodes explain visits
+        double, and no more, as the chain doubles."""
+        visited = []
+
+        def counted(*roots):
+            nodes = list(postorder(*roots))
+            visited.extend(nodes)
+            return iter(nodes)
+
+        monkeypatch.setattr(repro.algebra, "postorder", counted)
+        db = Connection()
+        seen = {}
+        for n in (150, 300):
+            q = map_chain(n)
+            plan = db.compile(q).bundle.queries[0].plan
+            visited.clear()
+            assert db.explain(q, analyze=True).lint == []
+            seen[n] = len(visited) / len(list(postorder(plan)))
+        assert seen[300] == seen[150] == 1
+
+
+class TestInclusiveTimes:
+    def test_a_node_two_paths_reach_counts_once(self):
+        """Two diamonds, one over the other: every node's sum equals
+        the naive sum over its subplan (times are powers of two, so both
+        sums are exact)."""
+        leaf = LitTable(((1, True),), (("a", IntT), ("b", BoolT)))
+        join = EqJoin(Select(leaf, "b"), Project(leaf, (("c", "a"),)),
+                      (("a", "c"),))
+        root = Project(EqJoin(join, Project(join, (("d", "a"),)),
+                              (("a", "d"),)), (("x", "a"),))
+        nodes = list(postorder(root))
+        times = [2.0 ** i for i in range(len(nodes))]
+        slot = {id(n): i for i, n in enumerate(nodes)}
+        assert inclusive_times(nodes, times) == [
+            sum(times[slot[id(m)]] for m in postorder(n)) for n in nodes]

@@ -37,6 +37,7 @@ from repro.optimizer.pipeline import _FAMILIES, _optimize
 from repro.runtime import Catalog
 
 from ..backends.test_sql_scaling import nested_orders_query
+from ..conftest import map_chain
 
 #: name -> (catalog, query builder): the running example, nested orders
 #: and Figure 5's dot product.
@@ -200,3 +201,26 @@ class GcTracer:
     def span(self, name, **attrs):
         gc.collect()
         return NULL_SPAN
+
+
+class TestDeepPlans:
+    def test_column_walks_grow_linearly_with_depth(self, monkeypatch):
+        """``selfjoin_elim`` follows a join column down to the subplan
+        it is joined back to; the walk stops at the first node no
+        higher than that subplan, so the steps of all the walks of a
+        compile double, and no more, as the program's depth doubles."""
+        from repro.optimizer.rewrites import properties as rules
+        steps = []
+        trace = rules._trace
+
+        def counted(node, col, stop, store):
+            return trace(node, col,
+                         lambda n, c: steps.append(n) or stop(n, c), store)
+
+        monkeypatch.setattr(rules, "_trace", counted)
+        seen = {}
+        for n in (150, 300):
+            steps.clear()
+            Connection().prepare(map_chain(n))
+            seen[n] = len(steps)
+        assert seen[300] <= 2.1 * seen[150]
