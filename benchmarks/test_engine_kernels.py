@@ -31,9 +31,9 @@ from repro.algebra import (
     Select,
     SemiJoin,
 )
-from repro.backends.engine.evaluate import Engine
+from repro.backends.engine.evaluate import lower
 from examples.workloads import run_dsh
-from repro.ftypes import BoolT, DoubleT, IntT
+from repro.ftypes import DoubleT, IntT
 from repro.runtime.catalog import Catalog
 
 #: Acceptance bar for the join/group hot paths (ISSUE acceptance
@@ -72,7 +72,7 @@ DIM_SCHEMA = (("k2", IntT), ("b", IntT), ("s", IntT))
 
 @pytest.fixture(scope="module")
 def kernel_env():
-    """Engine + pre-evaluated literal inputs at benchmark scale.
+    """Literal inputs at benchmark scale.
 
     Deliberately NOT shrunk under ``--quick``: a kernel iteration is
     ~10ms, and at small scale fixed per-kernel overhead drowns the
@@ -82,12 +82,18 @@ def kernel_env():
     fact, dim = _tables(n_rows, n_keys)
     lit_fact = LitTable(tuple(fact), FACT_SCHEMA)
     lit_dim = LitTable(tuple(dim), DIM_SCHEMA)
-    engine = Engine(Catalog())
-    memo = {}
-    memo[id(lit_fact)] = engine._eval(lit_fact, memo)
-    memo[id(lit_dim)] = engine._eval(lit_dim, memo)
-    return {"engine": engine, "memo": memo, "fact": fact, "dim": dim,
-            "lit_fact": lit_fact, "lit_dim": lit_dim, "n_rows": n_rows}
+    return {"fact": fact, "dim": dim, "lit_fact": lit_fact,
+            "lit_dim": lit_dim, "n_rows": n_rows}
+
+
+def operator(node):
+    """``node``'s lowered step over its inputs, run beforehand: each call
+    runs the operator alone and returns its ``(columns, nrows)``."""
+    _, steps, _ = lower([node])
+    catalog, slots = Catalog(), []
+    for step in steps[:-1]:
+        slots.append(step(slots, catalog))
+    return lambda: steps[-1](slots, catalog)
 
 
 # ----------------------------------------------------------------------
@@ -139,12 +145,13 @@ def seed_distinct(rows):
 class TestKernelSpeedups:
     def test_join_kernel_2x_over_seed(self, kernel_env):
         env = kernel_env
-        join = EqJoin(env["lit_fact"], env["lit_dim"], (("k", "k2"),))
-        columnar = best_of(lambda: env["engine"]._eval(join, env["memo"]))
+        join = operator(
+            EqJoin(env["lit_fact"], env["lit_dim"], (("k", "k2"),)))
+        columnar = best_of(join)
         seed = best_of(lambda: seed_eqjoin(env["fact"], env["dim"]))
 
-        rel = env["engine"]._eval(join, env["memo"])
-        assert sorted(zip(*rel.columns)) == sorted(
+        columns, _ = join()
+        assert sorted(zip(*columns)) == sorted(
             seed_eqjoin(env["fact"], env["dim"]))
 
         speedup = seed / columnar
@@ -154,13 +161,13 @@ class TestKernelSpeedups:
 
     def test_group_kernel_2x_over_seed(self, kernel_env):
         env = kernel_env
-        grp = GroupAggr(env["lit_fact"], ("k",),
-                        (("sum", "v", "s"), ("count", None, "c")))
-        columnar = best_of(lambda: env["engine"]._eval(grp, env["memo"]))
+        grp = operator(GroupAggr(env["lit_fact"], ("k",),
+                                 (("sum", "v", "s"), ("count", None, "c"))))
+        columnar = best_of(grp)
         seed = best_of(lambda: seed_group_sum_count(env["fact"]))
 
-        rel = env["engine"]._eval(grp, env["memo"])
-        assert sorted(zip(*rel.columns)) == sorted(
+        columns, _ = grp()
+        assert sorted(zip(*columns)) == sorted(
             seed_group_sum_count(env["fact"]))
 
         speedup = seed / columnar
@@ -174,45 +181,36 @@ class TestKernelSpeedups:
 # ----------------------------------------------------------------------
 
 class TestPerOperatorKernels:
-    def _mask_env(self, env):
-        """fact extended with a Boolean mask column (a != 0 mod 3)."""
-        mask = BinApp(env["lit_fact"], "eq", "g",
-                      _const(0), "m")
-        env["memo"].setdefault(id(mask),
-                               env["engine"]._eval(mask, env["memo"]))
-        return mask
-
     def test_select_kernel(self, benchmark, kernel_env):
         env = kernel_env
-        mask = self._mask_env(env)
-        node = Select(mask, "m")
-        rel = benchmark(lambda: env["engine"]._eval(node, env["memo"]))
-        assert rel.nrows == sum(
+        # fact extended with a Boolean mask column (g == 0)
+        mask = BinApp(env["lit_fact"], "eq", "g", _const(0), "m")
+        _, nrows = benchmark(operator(Select(mask, "m")))
+        assert nrows == sum(
             1 for row in env["fact"] if row[3] == 0)
 
     def test_distinct_kernel(self, benchmark, kernel_env):
         env = kernel_env
-        node = Distinct(env["lit_dim"])
-        rel = benchmark(lambda: env["engine"]._eval(node, env["memo"]))
-        assert rel.nrows == len(env["dim"])
+        _, nrows = benchmark(operator(Distinct(env["lit_dim"])))
+        assert nrows == len(env["dim"])
 
     def test_semijoin_kernel(self, benchmark, kernel_env):
         env = kernel_env
         node = SemiJoin(env["lit_fact"], env["lit_dim"], (("k", "k2"),))
-        rel = benchmark(lambda: env["engine"]._eval(node, env["memo"]))
-        assert rel.nrows == env["n_rows"]  # every key hits
+        _, nrows = benchmark(operator(node))
+        assert nrows == env["n_rows"]  # every key hits
 
     def test_rownum_kernel(self, benchmark, kernel_env):
         env = kernel_env
         node = RowNum(env["lit_fact"], "rn", (("a", "asc"),), ("g",))
-        rel = benchmark(lambda: env["engine"]._eval(node, env["memo"]))
-        assert max(rel.column("rn")) <= env["n_rows"]
+        columns, _ = benchmark(operator(node))
+        assert max(columns[-1]) <= env["n_rows"]
 
     def test_binapp_kernel(self, benchmark, kernel_env):
         env = kernel_env
         node = BinApp(env["lit_fact"], "mul", "v", "a", "out")
-        rel = benchmark(lambda: env["engine"]._eval(node, env["memo"]))
-        assert rel.nrows == env["n_rows"]
+        _, nrows = benchmark(operator(node))
+        assert nrows == env["n_rows"]
 
 
 def _const(value):

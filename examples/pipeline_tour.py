@@ -67,15 +67,16 @@ def main() -> None:
 
     stage("engine schedule (the MonetDB/MIL-style column-at-a-time target)")
     engine = EngineBackend()
-    schedules = engine.prepare_bundle(compiled.bundle)
-    for i, listing in enumerate(engine.describe_prepared(schedules),
-                                start=1):
-        print(f"-- Q{i}: {len(schedules[i - 1])} column operators")
+    program = engine.prepare_bundle(compiled.bundle)
+    print(f"one program of {len(program.steps)} steps, one per distinct "
+          f"operator of the bundle")
+    for i, listing in enumerate(engine.describe_prepared(program), start=1):
+        print(f"-- Q{i}: {len(listing.splitlines())} column operators")
         print(listing)
         print()
 
     stage("steps 4-5: tabular results (iter | pos | item..., Figure 3)")
-    result = engine.execute_bundle(compiled.bundle, db.catalog, schedules)
+    result = engine.execute_bundle(compiled.bundle, db.catalog, program)
     for i, rows in enumerate(result.rows, start=1):
         print(f"Q{i} rows:")
         for row in rows:

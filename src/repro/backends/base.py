@@ -11,7 +11,7 @@ the paper's Table 1 (query avalanches).
 
 Code generation is split from execution so prepared queries can skip it:
 :meth:`Backend.prepare_bundle` produces the backend's generated artefact
-(SQL text, engine schedules) without touching data, and
+(SQL text, the engine's bundle program) without touching data, and
 :meth:`Backend.execute_bundle` accepts that artefact back via its
 ``prepared`` argument.  The runtime's plan cache stores the artefacts per
 backend, so a repeated program re-runs *only* the data-dependent part.

@@ -2,9 +2,9 @@
 is computed over plain Python lists.
 
 The paper's MIL target processes whole columns (BATs) per primitive.
-The in-memory engine is this tree's executor of that model: it walks an
-algebra plan's schedule and assembles every operator from the pure
-functions below, so each algorithm lives in exactly one place.
+The in-memory engine is this tree's executor of that model: every step
+of the program it lowers a bundle into assembles its operator from the
+pure functions below, so each algorithm lives in exactly one place.
 
 A *column* is a list, positionally aligned with its relation's other
 columns and never mutated once built; an *index* is a sequence of row
@@ -14,8 +14,10 @@ positions to :func:`gather` by; the *identity index* ``range(n)`` says
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import compress, groupby, repeat
-from operator import add, eq, ge, gt, is_not, le, lt, mul, ne, neg, sub
+from operator import (add, eq, ge, gt, is_not, itemgetter, le, lt, mul, ne,
+                      neg, sub)
 from typing import Any, Callable, Iterable, Sequence
 
 from ..errors import ExecutionError, PartialFunctionError
@@ -90,12 +92,17 @@ def table_columns(catalog: Catalog, table: str,
     return [by_name[col] for col in cols]
 
 
-def gather(col: Column, index: Index) -> Column:
-    """``col`` at the positions of ``index``; the identity index aliases
-    the column (columns are immutable, so sharing one costs nothing)."""
-    if index == range(len(col)):
-        return col
-    return list(map(col.__getitem__, index))
+def gather(cols: Sequence[Column], index: Index) -> list[Column]:
+    """Every column of ``cols`` at the positions of ``index``: one
+    C-level ``itemgetter`` over the index serves them all, and the
+    identity index shares them (columns are immutable, so sharing one
+    costs nothing)."""
+    if not cols or index == range(len(cols[0])):
+        return list(cols)
+    if len(index) < 2:  # ``itemgetter`` of one position is no tuple
+        return [[col[i] for i in index] for col in cols]
+    pick = itemgetter(*index)
+    return [list(pick(col)) for col in cols]
 
 
 def key_column(cols: Sequence[Column]) -> Column:
@@ -122,13 +129,20 @@ def sort_perm(keys: Sequence[tuple[Column, bool]], nrows: int) -> list[int]:
 def row_number(perm: Index, part: Sequence[Column]) -> list[int]:
     """1, 2, 3, ... along ``perm``, restarting per distinct ``part``
     key.  Numbers are written back through the permutation, so the
-    input's row order is kept and no column needs gathering."""
+    input's row order is kept and no column needs gathering.
+
+    A ``perm`` sorted by the partition first (as the engine's is) holds
+    each partition's rows in one run, numbered by comparing each key
+    with the one before; only when a key comes back after its run ended
+    does a counter per key number the rows."""
     out = [0] * len(perm)
     if not part:
         for n, i in enumerate(perm, start=1):
             out[i] = n
         return out
     keys = key_column(part)
+    if _number_runs(perm, keys, out):
+        return out
     counters: dict[Any, int] = {}
     for i in perm:
         key = keys[i]
@@ -136,6 +150,28 @@ def row_number(perm: Index, part: Sequence[Column]) -> list[int]:
         counters[key] = n
         out[i] = n
     return out
+
+
+def _number_runs(perm: Index, keys: Column, out: list[int]) -> bool:
+    """Number each run of equal keys along ``perm`` 1, 2, ...; ``False``
+    when a key comes back after its run ended.  A key that equals the
+    one before continues its run; any other key, a NaN included, that
+    a ``dict`` would take for an earlier one is a comeback, so the
+    numbers are the per-key counts wherever this returns ``True``."""
+    started: set[Any] = set()
+    prev: Any = object()  # equal to no key
+    n = 0
+    for i in perm:
+        key = keys[i]
+        if key == prev:
+            n += 1
+        elif key in started:
+            return False
+        else:
+            started.add(key)
+            prev, n = key, 1
+        out[i] = n
+    return True
 
 
 def dense_rank(perm: Index, cols: Sequence[Column]) -> list[int]:
@@ -237,20 +273,60 @@ def cross_index(nl: int, nr: int) -> tuple[Index, Index]:
     return [i for i in range(nl) for _ in range(nr)], list(range(nr)) * nl
 
 
-def group_members(cols: Sequence[Column],
-                  nrows: int) -> tuple[list[Column], list[list[int]]]:
-    """Group ``nrows`` rows by the key over ``cols``: one output column
-    of distinct values per key column, and each group's member positions,
-    both in first-occurrence order.
+def group_aggregate(cols: Sequence[Column], nrows: int,
+                    aggs: Sequence[tuple[str, Column]]
+                    ) -> tuple[list[Column], int]:
+    """Group ``nrows`` rows by the key over ``cols`` and fold each
+    ``(func, values)`` of ``aggs`` per group: the distinct values of
+    each key column, then one column per aggregate, both in the keys'
+    first-occurrence order -- and the number of groups.
 
-    Without key columns every row has the same (empty) key, so there is
-    one group iff there are rows (SQL semantics at the algebra level: no
-    rows, no group, no output row).
+    A single group folds the whole column.  Otherwise ``count`` is a
+    C-level ``Counter`` over the keys and ``min``/``max`` one pass over
+    ``(key, value)`` pairs, so neither builds a group's member list;
+    ``sum``/``avg``/``all``/``any`` (and ``min``/``max`` over a column
+    holding a NaN) fold each group's members.  Without key columns
+    every row has the same (empty) key, so there is one group iff there
+    are rows (SQL semantics at the algebra level: no rows, no group, no
+    output row).
     """
-    keys = key_column(cols) if cols else repeat((), nrows)
-    members = list(_positions(keys).values())
-    firsts = [rows[0] for rows in members]
-    return [gather(col, firsts) for col in cols], members
+    keys = key_column(cols) if cols else [()] * nrows
+    groups = dict.fromkeys(keys)  # the distinct keys, first occurrence first
+    if len(cols) == 1:
+        out: list[Column] = [list(groups)]
+    else:
+        out = [list(col) for col in zip(*groups)] or [[] for _ in cols]
+    many = len(groups) != 1
+    members: "Sequence[Index] | None" = None if many else [range(nrows)]
+    for func, values in aggs:
+        if func == "count" and many:
+            out.append(list(map(Counter(keys).__getitem__, groups)))
+        elif (func in ("min", "max") and many
+              and not any(map(ne, values, values))):
+            out.append(_extremes(keys, values, groups, func == "max"))
+        else:
+            if members is None:
+                members = list(_positions(keys).values())
+            out.append(aggregate(func, values, members))
+    return out, len(groups)
+
+
+def _extremes(keys: Column, values: Column, groups: Iterable[Any],
+              largest: bool) -> list[Any]:
+    """Per group (in ``groups``' order) its least or largest value, the
+    first of equal ones as ``min``/``max`` keep it: each key starts at
+    its first value (one C-level ``dict`` build back to front) and only
+    a strictly better value replaces it."""
+    best = dict(zip(reversed(keys), reversed(values)))
+    if largest:
+        for key, value in zip(keys, values):
+            if value > best[key]:
+                best[key] = value
+    else:
+        for key, value in zip(keys, values):
+            if value < best[key]:
+                best[key] = value
+    return list(map(best.__getitem__, groups))
 
 
 _FOLDS: dict[str, Callable[[Iterable[Any]], Any]] = {
@@ -274,7 +350,8 @@ def _nan_first(fold: Callable[[list[Any]], Any]
 
 def aggregate(func: str, values: Column,
               members: Sequence[Index]) -> list[Any]:
-    """One aggregate value per group; ``count`` reads no ``values``."""
+    """One aggregate value per group, folded over the group's
+    ``members`` (row positions); ``count`` reads no ``values``."""
     if func == "count":
         return list(map(len, members))
     getv = values.__getitem__

@@ -49,68 +49,63 @@ _END = "\x1e"
 
 def exp_fingerprint(exp: Exp) -> str:
     """Hex SHA-256 fingerprint of ``exp``'s structure (alpha-invariant)."""
-    hasher = hashlib.sha256()
-    for token in _tokens(exp, ()):
-        hasher.update(token.encode("utf-8", "surrogatepass"))
-    return hasher.hexdigest()
+    text = "".join(_tokens(exp, ()))
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def _tokens(e: Exp, bound: tuple[str, ...]):
     """Yield the canonical token stream of ``e``.
 
     ``bound`` lists enclosing lambda parameters, innermost last; a bound
-    ``VarE`` is emitted as its de Bruijn index into that list.
+    ``VarE`` is emitted as its de Bruijn index into that list.  The walk
+    keeps its own stack of pending ``(node, bound)`` pairs and tokens
+    (programs nest thousands of levels deep), so every token costs the
+    same whatever its depth.
     """
-    if isinstance(e, LitE):
-        yield f"lit{_SEP}{e.ty.name}{_SEP}{e.value!r}{_END}"
-    elif isinstance(e, VarE):
-        for depth, name in enumerate(reversed(bound)):
-            if name == e.name:
-                yield f"var{_SEP}{depth}{_END}"
-                return
-        # Free variables cannot occur in a closed top-level program, but
-        # fingerprinting stays total: fall back to the literal name.
-        yield f"freevar{_SEP}{e.name}{_SEP}{e.ty.show()}{_END}"
-    elif isinstance(e, TableE):
-        cols = ",".join(f"{n}:{t.name}" for n, t in e.columns)
-        yield f"table{_SEP}{e.name}{_SEP}{cols}{_END}"
-    elif isinstance(e, TupleE):
-        yield f"tuple{_SEP}{len(e.parts)}"
-        for p in e.parts:
-            yield from _tokens(p, bound)
-        yield _END
-    elif isinstance(e, ListE):
-        yield f"list{_SEP}{e.ty.show()}{_SEP}{len(e.elems)}"
-        for x in e.elems:
-            yield from _tokens(x, bound)
-        yield _END
-    elif isinstance(e, LamE):
-        yield f"lam{_SEP}{e.param_ty.show()}"
-        yield from _tokens(e.body, bound + (e.param,))
-        yield _END
-    elif isinstance(e, AppE):
-        yield f"app{_SEP}{e.fun}{_SEP}{len(e.args)}"
-        for a in e.args:
-            yield from _tokens(a, bound)
-        yield _END
-    elif isinstance(e, TupleElemE):
-        yield f"elem{_SEP}{e.index}"
-        yield from _tokens(e.tup, bound)
-        yield _END
-    elif isinstance(e, IfE):
-        yield "if"
-        yield from _tokens(e.cond, bound)
-        yield from _tokens(e.then_, bound)
-        yield from _tokens(e.else_, bound)
-        yield _END
-    elif isinstance(e, BinOpE):
-        yield f"binop{_SEP}{e.op}"
-        yield from _tokens(e.lhs, bound)
-        yield from _tokens(e.rhs, bound)
-        yield _END
-    elif isinstance(e, UnOpE):
-        yield f"unop{_SEP}{e.op}"
-        yield from _tokens(e.operand, bound)
-        yield _END
-    else:  # pragma: no cover - the front end only builds the nodes above
-        raise TypeError(f"cannot fingerprint {e!r}")
+    todo: list = [(e, bound)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            yield item
+            continue
+        e, bound = item
+        if isinstance(e, LitE):
+            yield f"lit{_SEP}{e.ty.name}{_SEP}{e.value!r}{_END}"
+        elif isinstance(e, VarE):
+            for depth, name in enumerate(reversed(bound)):
+                if name == e.name:
+                    yield f"var{_SEP}{depth}{_END}"
+                    break
+            else:
+                # Free variables cannot occur in a closed top-level
+                # program, but fingerprinting stays total: fall back to
+                # the literal name.
+                yield f"freevar{_SEP}{e.name}{_SEP}{e.ty.show()}{_END}"
+        elif isinstance(e, TableE):
+            cols = ",".join(f"{n}:{t.name}" for n, t in e.columns)
+            yield f"table{_SEP}{e.name}{_SEP}{cols}{_END}"
+        else:
+            if isinstance(e, TupleE):
+                head, parts = f"tuple{_SEP}{len(e.parts)}", e.parts
+            elif isinstance(e, ListE):
+                head = f"list{_SEP}{e.ty.show()}{_SEP}{len(e.elems)}"
+                parts = e.elems
+            elif isinstance(e, LamE):
+                head, parts = f"lam{_SEP}{e.param_ty.show()}", (e.body,)
+                bound += (e.param,)
+            elif isinstance(e, AppE):
+                head, parts = f"app{_SEP}{e.fun}{_SEP}{len(e.args)}", e.args
+            elif isinstance(e, TupleElemE):
+                head, parts = f"elem{_SEP}{e.index}", (e.tup,)
+            elif isinstance(e, IfE):
+                head, parts = "if", (e.cond, e.then_, e.else_)
+            elif isinstance(e, BinOpE):
+                head, parts = f"binop{_SEP}{e.op}", (e.lhs, e.rhs)
+            elif isinstance(e, UnOpE):
+                head, parts = f"unop{_SEP}{e.op}", (e.operand,)
+            else:  # pragma: no cover - the front end only builds the above
+                raise TypeError(f"cannot fingerprint {e!r}")
+            yield head
+            # the node's parts, first on top, then its terminator
+            todo.append(_END)
+            todo.extend((part, bound) for part in reversed(parts))

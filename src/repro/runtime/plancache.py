@@ -10,7 +10,7 @@ query set is likewise a static artifact prepared once).
 :class:`PlanCache` exploits that: it maps a :class:`CacheKey` -- the
 program's structural fingerprint plus the catalog's schema generation --
 to a :class:`CacheEntry` holding the post-optimization bundle *and* the
-per-backend generated code (SQL text, engine schedules),
+per-backend generated code (SQL text, the engine's bundle program),
 with LRU eviction at a configurable capacity.  Hits, misses, and
 evictions are counted so benchmarks and operators can observe cache
 effectiveness.
@@ -58,7 +58,7 @@ class CacheEntry:
 
     bundle: Bundle
     #: Per-backend generated artefacts, keyed by ``Backend.name``
-    #: ("sqlite" -> SQL text, "engine" -> schedules), filled in
+    #: ("sqlite" -> SQL text, "engine" -> bundle program), filled in
     #: lazily the first time each backend executes the bundle.
     codegen: dict[str, Any] = field(default_factory=dict)
     #: Optimizer pass statistics recorded when the plan was compiled.

@@ -166,15 +166,19 @@ class TestColumns:
         assert k.table_columns(catalog, "t", ["a", "pos"]) == [[7], [1]]
 
     def test_gather(self):
-        col = ["a", "b", "c"]
-        assert k.gather(col, [2, 0, 2]) == ["c", "a", "c"]
-        assert k.gather(col, []) == []
-        assert k.gather(col, range(2)) == ["a", "b"]
+        col, other = ["a", "b", "c"], [1, 2, 3]
+        assert k.gather([col], [2, 0, 2]) == [["c", "a", "c"]]
+        assert k.gather([col, other], [2, 0]) == [["c", "a"], [3, 1]]
+        assert k.gather([col, other], [1]) == [["b"], [2]]
+        assert k.gather([col], []) == [[]]
+        assert k.gather([col], range(2)) == [["a", "b"]]
+        assert k.gather([], [0, 0]) == []
+        assert all(type(c) is list for c in k.gather([col, other], [0, 1]))
 
     def test_gather_by_the_identity_index_aliases(self):
         col = ["a", "b", "c"]
-        assert k.gather(col, range(3)) is col
-        assert k.gather(col, [0, 1, 2]) is not col
+        assert k.gather([col], range(3))[0] is col
+        assert k.gather([col], [0, 1, 2])[0] is not col
 
     def test_key_column(self):
         a, b = [1, 2], ["x", "y"]
@@ -224,6 +228,21 @@ class TestSortAndNumber:
         perm = [3, 2, 0, 1]
         assert k.row_number(perm, part) == ref_row_number(perm, part) == [
             2, 3, 1, 1]
+
+    def test_row_number_over_nan_partition_keys(self):
+        """A NaN is no partition key like the others: one NaN object
+        read twice is one partition (as a ``dict`` sees it), two NaN
+        objects are two, and a NaN sorted into the middle of a partition
+        splits its run without splitting its numbers."""
+        nan, other = float("nan"), float("nan")
+        for keys, perm in (([nan, 1.0, nan], [0, 2, 1]),
+                           ([nan, 1.0, other], [0, 2, 1]),
+                           ([1.0, nan, 1.0], [0, 1, 2]),
+                           ([(1.0, nan), (2.0, nan), (1.0, nan)],
+                            [0, 1, 2])):
+            part = [keys] if not isinstance(keys[0], tuple) else [
+                [a for a, _ in keys], [b for _, b in keys]]
+            assert k.row_number(perm, part) == ref_row_number(perm, part)
 
     def test_unpartitioned_row_number_is_a_permutation_rank(self):
         assert k.row_number([2, 0, 1], []) == [2, 3, 1]
@@ -347,29 +366,55 @@ class TestJoins:
 # grouping and aggregation
 # ----------------------------------------------------------------------
 
+def ref_aggregate(func, values, members):
+    """Fold each group's values; ``min``/``max`` of a group holding a
+    NaN is NaN, wherever it stands."""
+    out = []
+    for m in members:
+        xs = [values[i] for i in m]
+        nans = [x for x in xs if x != x]
+        out.append(nans[0] if func in ("min", "max") and nans
+                   else REF_AGG[func](xs))
+    return out
+
+
+def same(a, b):
+    """Equal values, a NaN equal to a NaN, and of the same type (so
+    ``-0.0`` differs from ``0.0`` only by ``repr``)."""
+    return len(a) == len(b) and all(
+        type(x) is type(y) and (x != x and y != y or repr(x) == repr(y))
+        for x, y in zip(a, b))
+
+
+NAN = float("nan")
+
+
 class TestGroups:
     @pytest.mark.parametrize("width", [1, 2])
     def test_group_members_in_first_occurrence_order(self, width):
         rng = random.Random(width)
         for n in (0, 1, 30):
             cols = random_columns(rng, n, width, 3)
-            key_columns, members = k.group_members(cols, n)
-            keys, want = ref_groups(cols, n)
-            assert members == want
-            assert len(key_columns) == width
-            assert (rows_of(key_columns) if keys else []) == keys
+            out, ngroups = k.group_aggregate(cols, n, [("count", ())])
+            keys, members = ref_groups(cols, n)
+            assert ngroups == len(keys)
+            assert len(out) == width + 1
+            assert (rows_of(out[:width]) if keys else []) == keys
+            assert out[width] == list(map(len, members))
 
     def test_global_group_exists_iff_there_are_rows(self):
-        assert k.group_members([], 3) == ([], [[0, 1, 2]])
-        assert k.group_members([], 0) == ([], [])
+        assert k.group_aggregate([], 3, [("count", ())]) == ([[3]], 1)
+        assert k.group_aggregate([], 0, [("count", ())]) == ([[]], 0)
+        assert k.group_aggregate([], 2, []) == ([], 1)
 
     @pytest.mark.parametrize("func", ["count", "sum", "min", "max", "avg"])
     def test_numeric_aggregates(self, func):
         values = [4, 1, 7, 1, 3]
         for cols, n in (([[1, 2, 1, 2, 1]], 5), ([], 5), ([], 0)):
-            _, members = k.group_members(cols, n)
-            got = k.aggregate(func, () if func == "count" else values,
-                              members)
+            _, members = ref_groups(cols, n)
+            out, _ = k.group_aggregate(
+                cols, n, [(func, () if func == "count" else values)])
+            got = out[-1]
             assert got == [REF_AGG[func]([values[i] for i in m])
                            for m in members]
             assert [type(v) for v in got] == [
@@ -378,6 +423,41 @@ class TestGroups:
     @pytest.mark.parametrize("func", ["all", "any"])
     def test_boolean_aggregates(self, func):
         values = [True, False, True, True]
-        _, members = k.group_members([["a", "a", "b", "b"]], 4)
-        assert k.aggregate(func, values, members) == [
-            REF_AGG[func]([True, False]), REF_AGG[func]([True, True])]
+        out, _ = k.group_aggregate([["a", "a", "b", "b"]], 4,
+                                   [(func, values)])
+        assert out[-1] == [REF_AGG[func]([True, False]),
+                           REF_AGG[func]([True, True])]
+
+    @pytest.mark.parametrize("width", [0, 1, 2])
+    @pytest.mark.parametrize("nan", ["none", "first", "last"])
+    def test_against_the_naive_reference(self, width, nan):
+        """Every aggregate of one grouping at once, over random doubles
+        (a NaN at a group's first or last row, or none), against the
+        loop over each group's members."""
+        funcs = ["count", "sum", "min", "max", "avg"]
+        rng = random.Random(width)
+        for n in (0, 1, 7, 40):
+            cols = random_columns(rng, n, width, 3)
+            values = [float(rng.randrange(-5, 5)) for _ in range(n)]
+            keys, members = ref_groups(cols, n)
+            if nan != "none" and members:
+                group = members[-1]
+                values[group[0 if nan == "first" else -1]] = NAN
+            out, ngroups = k.group_aggregate(
+                cols, n, [(f, () if f == "count" else values)
+                          for f in funcs])
+            assert ngroups == len(keys) == len(members)
+            assert (rows_of(out[:width]) if width else [()] * ngroups
+                    ) == keys
+            for func, got in zip(funcs, out[width:]):
+                want = (list(map(len, members)) if func == "count"
+                        else ref_aggregate(func, values, members))
+                assert same(got, want), func
+
+    @pytest.mark.parametrize("func", ["min", "max"])
+    def test_min_max_keep_the_first_of_equal_values(self, func):
+        """``0.0 == -0.0``: a group's extreme is the first of equal
+        values, as Python's ``min``/``max`` pick it."""
+        for values in ([0.0, -0.0], [-0.0, 0.0]):
+            out, _ = k.group_aggregate([["g", "g"]], 2, [(func, values)])
+            assert same(out[-1], [REF_AGG[func](values)])

@@ -20,15 +20,17 @@ from repro.algebra import (
     TableScan,
     UnApp,
     UnionAll,
+    postorder,
 )
 from repro import Connection
-from repro.backends.engine import Engine
+from repro.backends.engine import Engine, EngineBackend
 from examples.workloads import paper_dataset, running_example_query
 from repro.errors import PartialFunctionError
 from repro.ftypes import BoolT, IntT, StringT
 from repro.runtime import Catalog
 
 from ..conftest import feature_meanings_query
+from ..optimizer import test_surrogate_keys as surrogate
 
 
 @pytest.fixture()
@@ -181,31 +183,56 @@ class TestScalarKernels:
         assert len(rows_of(engine, plan)) == 3
 
 
+def counted_steps(monkeypatch) -> dict[int, int]:
+    """Count, per plan node, how often its lowered step runs in the
+    programs the engine backend prepares from now on."""
+    counts: dict[int, int] = {}
+    plain = EngineBackend.prepare_bundle
+
+    def counting(step, key):
+        def counted(slots, catalog):
+            counts[key] = counts.get(key, 0) + 1
+            return step(slots, catalog)
+        return counted
+
+    def prepare(self, bundle):
+        program = plain(self, bundle)
+        program.steps[:] = [counting(step, id(node)) for node, step
+                            in zip(program.nodes, program.steps)]
+        return program
+
+    monkeypatch.setattr(EngineBackend, "prepare_bundle", prepare)
+    return counts
+
+
+def nested_orders_program():
+    return surrogate.nested_orders(), surrogate.catalog()
+
+
+def running_example_program():
+    catalog = paper_dataset()
+    return running_example_query(Connection(catalog=catalog)), catalog
+
+
 class TestBundleMemo:
     def test_each_shared_dag_node_materializes_once_per_bundle(
             self, monkeypatch):
         """The queries of a bundle share subplans (the outer spine feeds
         each inner query); across all three queries of a ``[[[.]]]``
         bundle no DAG node is evaluated twice.  Each execution owns its
-        memo, so running the bundle twice evaluates every node exactly
-        twice -- a memo that leaked across executions would serve the
+        slots, so running the bundle twice evaluates every node exactly
+        twice -- slots that leaked across executions would serve the
         second run from the first."""
         db = Connection(catalog=paper_dataset())
         q = feature_meanings_query(db)
-        schedules = db.backend.prepare_bundle(db.compile(q).bundle)
-        assert len(schedules) == 3
-        distinct = {id(node) for schedule in schedules for node in schedule}
-        assert sum(map(len, schedules)) > len(distinct), \
+        plans = [query.plan for query in db.compile(q).bundle.queries]
+        assert len(plans) == 3
+        distinct = {id(node) for plan in plans for node in postorder(plan)}
+        assert sum(len(list(postorder(plan))) for plan in plans) > len(
+            distinct), \
             "the bundle's queries must share nodes for this test to bite"
 
-        counts: dict[int, int] = {}
-        original = Engine._eval
-
-        def counting_eval(self, node, memo):
-            counts[id(node)] = counts.get(id(node), 0) + 1
-            return original(self, node, memo)
-
-        monkeypatch.setattr(Engine, "_eval", counting_eval)
+        counts = counted_steps(monkeypatch)
         result = db.run(q)
         assert any(any(inner for inner in outer) for outer in result)
         assert set(counts) == distinct
@@ -213,6 +240,31 @@ class TestBundleMemo:
 
         assert db.run(q) == result
         assert set(counts) == distinct
+        assert set(counts.values()) == {2}
+
+    @pytest.mark.parametrize("program", [running_example_program,
+                                         nested_orders_program],
+                             ids=["running_example", "nested_orders"])
+    def test_one_step_per_distinct_node_run_once_per_execution(
+            self, program, monkeypatch):
+        """A bundle lowers to exactly one step per distinct node of its
+        plans, and an execution runs each step once: twice over two
+        executions."""
+        q, catalog = program()
+        db = Connection(catalog=catalog)
+        bundle = db.compile(q).bundle
+        prepared = db.backend.prepare_bundle(bundle)
+        plans = [query.plan for query in bundle.queries]
+        assert len(prepared.steps) == len(list(postorder(*plans)))
+        assert len(prepared.steps) < sum(
+            len(list(postorder(plan))) for plan in plans), \
+            "the bundle's queries must share nodes for this test to bite"
+
+        counts = counted_steps(monkeypatch)
+        result = db.run(q)
+        assert len(counts) == len(prepared.steps)
+        assert set(counts.values()) == {1}
+        assert db.run(q) == result
         assert set(counts.values()) == {2}
 
 

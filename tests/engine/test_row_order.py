@@ -1,11 +1,11 @@
 """Relations are unordered: no engine answer depends on the row order in
 which an operator hands its result on.
 
-``Relation`` lets every kernel return rows in whatever order is
-cheapest (an equi-join, say, in the order of the side that probes),
-because every order a program can observe is an explicit ``RowNum``
-column.  Here every operator but a base-table scan (whose row order is
-the stored list order, read as the scan's ``pos``) passes its result on
+Every kernel may return rows in whatever order is cheapest (an
+equi-join, say, in the order of the side that probes), because every
+order a program can observe is an explicit ``RowNum`` column.  Here
+every lowered step but a base-table scan's (whose row order is the
+stored list order, read as the scan's ``pos``) passes its result on
 under a seeded random permutation, and each program must still return
 the reference interpreter's value.  A kernel, rewrite or stitcher that
 starts to lean on an operator's input order fails here.
@@ -22,7 +22,8 @@ from examples.workloads import (
 )
 from repro import Connection
 from repro.algebra import TableScan
-from repro.backends.engine import Engine
+from repro.backends.engine import EngineBackend
+from repro.backends.kernels import gather
 from repro.runtime import Catalog
 from repro.semantics import Interpreter
 
@@ -34,22 +35,31 @@ SEEDS = (1, 2, 3)
 
 @pytest.fixture(params=SEEDS)
 def shuffled(request, monkeypatch):
-    """Every engine operator's result, but a scan's, in a random row
-    order; returns the row counts of the results it shuffles."""
+    """Every engine step's result, but a scan's, in a random row order;
+    returns the row counts of the results it shuffles."""
     rng = random.Random(request.param)
-    plain = Engine._eval
+    plain = EngineBackend.prepare_bundle
     counts: list[int] = []
 
-    def shuffling(self, node, memo):
-        rel = plain(self, node, memo)
-        if isinstance(node, TableScan) or rel.nrows < 2:
-            return rel
-        perm = list(range(rel.nrows))
-        rng.shuffle(perm)
-        counts.append(rel.nrows)
-        return rel.gathered(perm)
+    def shuffling(step):
+        def shuffled_step(slots, catalog):
+            columns, nrows = step(slots, catalog)
+            if nrows < 2:
+                return columns, nrows
+            perm = list(range(nrows))
+            rng.shuffle(perm)
+            counts.append(nrows)
+            return gather(columns, perm), nrows
+        return shuffled_step
 
-    monkeypatch.setattr(Engine, "_eval", shuffling)
+    def prepare(self, bundle):
+        program = plain(self, bundle)
+        program.steps[:] = [
+            step if isinstance(node, TableScan) else shuffling(step)
+            for node, step in zip(program.nodes, program.steps)]
+        return program
+
+    monkeypatch.setattr(EngineBackend, "prepare_bundle", prepare)
     return counts
 
 

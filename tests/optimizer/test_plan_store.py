@@ -8,6 +8,7 @@ inference walk sneaking in" -- the same numbers on every machine.
 """
 
 import gc
+import sys
 
 import pytest
 
@@ -195,6 +196,24 @@ class TestCostGate:
         assert stats.rewrites_gated == {}
 
 
+def lines_run(code, fn) -> int:
+    """The lines run in frames of ``code`` while ``fn()`` runs."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code is code else None)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return count
+
+
 class GcTracer:
     """A tracer that collects garbage at every family boundary."""
 
@@ -223,4 +242,17 @@ class TestDeepPlans:
             steps.clear()
             Connection().prepare(map_chain(n))
             seen[n] = len(steps)
+        assert seen[300] <= 2.1 * seen[150]
+
+    def test_derivation_walks_grow_linearly_with_depth(self):
+        """``surrogate_key`` asks whether a column is handed up from a
+        numbering (``_Uses.derives``): a walk of a few steps per
+        question, so the lines it runs over a compile double, and no
+        more, as the depth doubles (its self time under cProfile can
+        look steeper: the cyclic collector runs inside it)."""
+        from repro.optimizer.rewrites.properties import _Uses
+        seen = {n: lines_run(_Uses._derives.__code__,
+                             lambda: Connection().prepare(map_chain(n)))
+                for n in (150, 300)}
+        assert seen[150] > 0
         assert seen[300] <= 2.1 * seen[150]

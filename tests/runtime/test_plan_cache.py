@@ -1,10 +1,17 @@
 """Plan-cache correctness: fingerprints, hits, invalidation, eviction."""
 
+import sys
+
 import pytest
 
 from repro import Connection, PlanCache, fmap, table, to_q
 from repro.runtime import Catalog
+from examples.workloads import paper_dataset, running_example_query
+from repro.expr import fingerprint
+from repro.expr.fingerprint import exp_fingerprint
 from repro.runtime.plancache import CacheEntry, CacheKey
+
+from ..conftest import map_chain
 
 
 def make_catalog():
@@ -49,6 +56,39 @@ class TestFingerprint:
         from repro import nil
         from repro.ftypes import IntT, StringT
         assert nil(IntT).fingerprint() != nil(StringT).fingerprint()
+
+    def test_digests_are_pinned(self):
+        """Plan-cache keys are stable across releases of the walk."""
+        assert exp_fingerprint(map_chain(3).exp) == (
+            "8baa7ff7ba279ecd4622ca6f2f41e5cd"
+            "fa33111dea7dc9017f5720430ed89ebe")
+        db = Connection(catalog=paper_dataset())
+        assert exp_fingerprint(running_example_query(db).exp) == (
+            "38c45f99858978f8ac1364da150b20db"
+            "1d25a3dcbb223d6ef4cf5b245c572224")
+
+    def test_token_steps_grow_linearly_with_depth(self):
+        """The token walk keeps its own stack: a program twice as deep
+        resumes it twice as often, not four times (a recursive
+        generator resumes every enclosing frame for each token)."""
+        code = fingerprint._tokens.__code__
+        steps = {}
+        for n in (150, 300):
+            exp = map_chain(n).exp
+            count = 0
+
+            def tracer(frame, event, arg):
+                nonlocal count
+                count += frame.f_code is code
+
+            sys.settrace(tracer)
+            try:
+                exp_fingerprint(exp)
+            finally:
+                sys.settrace(None)
+            steps[n] = count
+        assert steps[150] > 150
+        assert steps[300] <= 2.1 * steps[150]
 
 
 class TestCacheHits:
