@@ -2,8 +2,9 @@
 quickstart workload.
 
 The layer must be safe to leave on: with ``trace=True`` (the default)
-a ``run`` allocates only a handful of slotted
-span objects and reads a few clocks.  These tests pin that promise by
+a ``run`` only takes a trace id for its execution record -- the span
+tree is a view of that record, built when someone reads it, so a run
+nobody asks about builds no span.  These tests pin that promise by
 timing the quickstart workload -- the paper's running example, warm plan
 cache, engine backend -- in each mode against a ``trace=False`` control
 and requiring the instrumented time to stay within 5%.

@@ -46,6 +46,7 @@ actually materialized engine relations.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
@@ -448,7 +449,7 @@ def _scan_literal(node: LitTable, schema: Schema
                for i, c in enumerate(cols)}
     for c in cols:
         vals = columns[c]
-        if all(v == vals[0] for v in vals):
+        if all(_identical(v, vals[0]) for v in vals):
             constants[c] = vals[0]
     for c in cols:
         try:
@@ -515,6 +516,19 @@ def _operand_const(operand: "str | Const",
 
 _UNKNOWN = object()
 
+
+def _signed_zero(v: Any) -> bool:
+    """Is ``v`` a float zero, equal to the zero of the other sign?"""
+    return isinstance(v, float) and v == 0.0
+
+
+def _identical(a: Any, b: Any) -> bool:
+    """``a == b``, telling ``-0.0`` from ``0.0``: a constant column is
+    read into arithmetic (``constfold``), where the sign shows."""
+    return a == b and not (_signed_zero(a) and
+                           math.copysign(1.0, a) != math.copysign(1.0, b))
+
+
 #: Comparison ops folded when both operands are the *same column*.
 _SAME_COL_CMP = {"eq": True, "le": True, "ge": True,
                  "lt": False, "gt": False, "ne": False}
@@ -549,12 +563,14 @@ def row_bounds(node: Node, kids: "list[Props]", cards: "list[Card]",
         return cards[0].times(cards[1])
     if isinstance(node, EqJoin):
         # A side whose join columns are a key matches each row of the
-        # other side at most once.
+        # other side at most once -- and no join outgrows the product
+        # (an empty keyed side leaves no row).
+        product = cards[0].times(cards[1]).filtered()
         if kids[1].has_key({r for _, r in node.pairs}):
-            return cards[0].filtered()
+            return cards[0].filtered().meet(product)
         if kids[0].has_key({l for l, _ in node.pairs}):
-            return cards[1].filtered()
-        return cards[0].times(cards[1]).filtered()
+            return cards[1].filtered().meet(product)
+        return product
     if isinstance(node, UnionAll):
         return cards[0].plus(cards[1])
     if isinstance(node, GroupAggr):
@@ -691,12 +707,15 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
             keys |= set(rp.keys)
         constants = dict(lp.constants)
         constants.update(rp.constants)
-        # Equality propagates constants across the join pairs.
+        # Equality propagates constants across the join pairs -- but
+        # not a float zero: ``0.0 = -0.0`` matches rows of either sign.
         for lc, rc in node.pairs:
             if lc in constants and rc not in constants:
-                constants[rc] = constants[lc]
+                if not _signed_zero(constants[lc]):
+                    constants[rc] = constants[lc]
             elif rc in constants and lc not in constants:
-                constants[lc] = constants[rc]
+                if not _signed_zero(constants[rc]):
+                    constants[lc] = constants[rc]
         dense: set[DenseFact] = set()
         # A right-side run dense per exactly the join columns survives:
         # each left row pulls in one complete partition group.
@@ -727,7 +746,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                 lv = rv
             if rp.card.empty:
                 rv = lv
-            if lv is not _UNKNOWN and lv == rv:
+            if lv is not _UNKNOWN and _identical(lv, rv):
                 constants[c] = lv
         # Concatenating two provenant runs is the compiler's append /
         # take-while encoding; order pedigree survives (lint-grade).

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from ..algebra.dag import postorder
 from ..algebra.ops import Node
@@ -255,33 +255,28 @@ def avalanche_lint(result_ty: Type, statements: int,
 # ----------------------------------------------------------------------
 
 def verify_bundle(bundle: Any, label: str = "final",
-                  stages: Iterable[str] = STAGES,
                   raise_on_error: bool = True,
                   mark: bool = True,
                   cache: Any = None) -> VerifyReport:
-    """Run the selected verifier stages over a whole bundle.
+    """Run the three verifier stages over a whole bundle.
 
     One :class:`~repro.analysis.PlanStore` serves every query, so plans
     that share subDAGs (the compiler's cross-query sharing) are walked
     once.  Passing the optimizer's store as ``cache`` makes verification
     incremental over the analysis the pipeline already did.  On success
-    with all stages selected the bundle is stamped ``verified`` --
+    the bundle is stamped ``verified`` (unless ``mark=False``) --
     backends skip re-verification of bundles the connection pipeline
     already checked.
     """
-    stages = tuple(stages)
-    report = VerifyReport(label=label, stages=stages)
+    report = VerifyReport(label=label)
     store: PlanStore = cache if cache is not None else PlanStore()
-    if "structural" in stages:
-        for i, query in enumerate(bundle.queries):
-            check_plan(query.plan, store.schemas, query=i,
-                       collect=report.diagnostics)
-    if "order" in stages:
-        for i, query in enumerate(bundle.queries):
-            report.diagnostics.extend(check_order(query, i, store))
-    if "avalanche" in stages:
-        report.diagnostics.extend(check_avalanche(bundle))
-    if not report.diagnostics and mark and set(STAGES) <= set(stages):
+    for i, query in enumerate(bundle.queries):
+        check_plan(query.plan, store.schemas, query=i,
+                   collect=report.diagnostics)
+    for i, query in enumerate(bundle.queries):
+        report.diagnostics.extend(check_order(query, i, store))
+    report.diagnostics.extend(check_avalanche(bundle))
+    if not report.diagnostics and mark:
         bundle.verified = True
     if raise_on_error:
         report.raise_if_failed()

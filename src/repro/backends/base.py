@@ -17,20 +17,20 @@ Code generation is split from execution so prepared queries can skip it:
 backend, so a repeated program re-runs *only* the data-dependent part.
 
 The per-query loop is shared: :meth:`Backend.execute_bundle` runs and
-times each bundle query (span, profile, row count); a backend supplies
+times each bundle query (profile, row count); a backend supplies
 :meth:`Backend.open_bundle` -- set up the bundle, run query *i*.
 """
 
 from __future__ import annotations
 
 import abc
+import time
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..core.bundle import Bundle
 from ..obs.analyze import OpProfile, QueryProfile
-from ..obs.trace import NULL_TRACER, phase
 from ..runtime.catalog import Catalog
 
 #: ``run_query(i, ops)``: rows of bundle query ``i`` (0-based), sorted
@@ -81,7 +81,7 @@ class Backend(abc.ABC):
         on error."""
 
     def execute_bundle(self, bundle: Bundle, catalog: Catalog,
-                       prepared: Any = None, tracer=NULL_TRACER,
+                       prepared: Any = None,
                        per_op: bool = False) -> ExecutionResult:
         """Execute every query of the bundle against the catalog.
 
@@ -89,29 +89,24 @@ class Backend(abc.ABC):
         result for this very bundle; the backend then skips code
         generation and goes straight to execution.
 
-        Each query is timed once: ``tracer`` (a
-        :class:`repro.obs.Tracer`) receives one ``execute`` span per
-        bundle query, tagged with the query index and its result row
-        count -- the trace-level image of the avalanche metric -- and
-        the same measurement comes back as that query's
-        :class:`~repro.obs.QueryProfile`.  ``per_op`` (EXPLAIN ANALYZE)
+        Each query is timed once, into its
+        :class:`~repro.obs.QueryProfile` with its result row count (the
+        span tree shows one ``execute`` span per profile: the avalanche
+        metric made visible).  ``per_op`` (EXPLAIN ANALYZE)
         adds per-operator profiles on the engine and one profile per
         temporary-table step on sqlite.
         """
         if prepared is None:
             prepared = self.prepare_bundle(bundle)
-        took: dict[str, float] = {}
         results: list[list[tuple]] = []
         profiles: list[QueryProfile] = []
         with self.open_bundle(bundle, catalog, prepared) as run_query:
             for qi in range(len(bundle.queries)):
                 ops: "list[OpProfile] | None" = [] if per_op else None
-                with phase(tracer, took, "execute", query=qi + 1,
-                           backend=self.name) as span:
-                    rows = run_query(qi, ops)
-                    span.set(rows=len(rows))
-                results.append(rows)
-                profiles.append(QueryProfile(qi + 1, took["execute"],
+                t0 = time.perf_counter()
+                rows = run_query(qi, ops)
+                profiles.append(QueryProfile(qi + 1, time.perf_counter() - t0,
                                              len(rows), ops or []))
+                results.append(rows)
         return ExecutionResult(results, queries_issued=len(results),
                                profiles=profiles)

@@ -5,7 +5,7 @@ compliant relational system.  The paper used PostgreSQL 9.0; here any
 PEP 249 driver can play that role through the adapter layer in
 :mod:`repro.backends.sql.dbapi` (the default adapter wraps the stdlib
 ``sqlite3``: window functions, CTEs).  Catalog tables are loaded once per
-catalog version; each bundle member is a single row-returning SQL
+catalog schema generation; each bundle member is a single row-returning SQL
 statement, so the connection's statement count directly measures
 avalanches (Table 1).  Plan nodes shared inside the bundle are built once
 as temporary tables ahead of the first statement that reads them
@@ -58,7 +58,8 @@ class SQLiteBackend(Backend):
         #: Serializes bundles on ``_conn``: the catalog load and a
         #: script's transaction + temporary tables cannot interleave.
         self._lock = threading.Lock()
-        #: Catalog (identity, version) currently loaded into ``_conn``.
+        #: Catalog (identity, schema generation) currently loaded into
+        #: ``_conn``.
         self._loaded: "tuple[int, int] | None" = None
         #: SQL statements executed over this backend's lifetime.
         self.statements_executed = 0
@@ -161,7 +162,7 @@ class SQLiteBackend(Backend):
 
     # ------------------------------------------------------------------
     def _ensure_loaded(self, catalog: Catalog) -> None:
-        key = (id(catalog), catalog.version)
+        key = (id(catalog), catalog.schema_generation)
         if self._loaded == key:
             return
         load_catalog(self._conn, catalog, self.dialect)

@@ -7,7 +7,8 @@ optimizer, and every backend:
 * :mod:`repro.obs.record` -- the :class:`ExecutionRecord` a connection
   builds once per execution; the flight recorder and the statement
   stats are views of it;
-* :mod:`repro.obs.trace` -- per-execution span trees (``conn.last_trace``);
+* :mod:`repro.obs.trace` -- the span tree (``conn.last_trace``), a
+  read-only view of one record;
 * :mod:`repro.obs.explain` -- the structured report behind
   ``Connection.explain``, including the runtime avalanche check, the
   annotated EXPLAIN ANALYZE plans and the ``D500`` row-bounds findings;
@@ -28,24 +29,14 @@ from .explain import ExplainReport, QueryExplain, build_report
 from .querylog import QueryLog
 from .record import ExecutionRecord
 from .stats import EVICTED, UNFINGERPRINTED, StatementStats
-from .trace import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Trace,
-    Tracer,
-    new_trace_id,
-    phase,
-)
+from .trace import Span, Trace, new_trace_id
 
 __all__ = [
     "EVICTED",
-    "NULL_TRACER",
     "UNFINGERPRINTED",
     "AnalyzeReport",
     "ExecutionRecord",
     "ExplainReport",
-    "NullTracer",
     "OpProfile",
     "QueryExplain",
     "QueryLog",
@@ -53,8 +44,6 @@ __all__ = [
     "Span",
     "StatementStats",
     "Trace",
-    "Tracer",
     "build_report",
     "new_trace_id",
-    "phase",
 ]

@@ -4,9 +4,9 @@
 ``run`` / ``PreparedQuery.execute`` / ``explain(analyze=True)`` (and one
 of kind ``"prepare"`` per compile-only call) in a single finish step and
 publishes it.  Everything else in :mod:`repro.obs` is a view of it: the
-flight recorder stores the record itself and :class:`StatementStats`
-folds it into its fingerprint's aggregate -- so the views agree by
-construction.
+flight recorder stores the record itself, :class:`StatementStats` folds
+it into its fingerprint's aggregate and :attr:`ExecutionRecord.trace`
+renders it as a span tree -- so the views agree by construction.
 
 The unit of the record is the bundle query, whose count loop-lifting
 fixes from the result type alone: a record is small and bounded whatever
@@ -16,6 +16,7 @@ the data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 from .analyze import QueryProfile
@@ -64,8 +65,12 @@ class ExecutionRecord:
     #: Id correlating this record with its span tree (``None``
     #: untraced).
     trace_id: "str | None" = None
-    #: The span tree, when the connection traces.
-    trace: "Trace | None" = field(default=None, repr=False)
+
+    @cached_property
+    def trace(self) -> "Trace | None":
+        """The span tree of this call, a view built on first access
+        (``None`` untraced)."""
+        return None if self.trace_id is None else Trace(self)
 
     @property
     def executed(self) -> bool:
@@ -102,6 +107,6 @@ class ExecutionRecord:
             "error": self.error,
             "code": self.error_code,
             "trace_id": self.trace_id,
-            "traced": self.trace is not None,
+            "traced": self.trace_id is not None,
         }
 

@@ -61,9 +61,10 @@ structural stage also runs at every family boundary.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from operator import is_
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..algebra import Node, node_count, postorder
 from ..analysis import (
@@ -76,7 +77,6 @@ from ..analysis import (
 from ..analysis.cost import estimate_bundle
 from ..core.bundle import Bundle, NestRef, SerializedQuery, TupleRef
 from ..ftypes import IntT
-from ..obs.trace import NULL_TRACER
 from .rewrites import prune_unneeded_columns, simplify
 from .rewrites.icols import MERGES
 from .rewrites.properties import _self_verify
@@ -94,6 +94,9 @@ class PassStats:
     plans: int = 0
     #: Sweeps (icols + simplify) performed over the bundle.
     rounds: int = 0
+    #: Wall-clock seconds per rewrite family (``cse``, ``icols``,
+    #: ``simplify``), summed over the sweeps.
+    family_seconds: dict[str, float] = field(default_factory=dict)
     #: DAG nodes before/after, summed over plans.
     nodes_before: int = 0
     nodes_after: int = 0
@@ -111,7 +114,7 @@ class PassStats:
 
 
 def _optimize(plans: "list[Node]", store: PlanStore, stats: PassStats,
-              tracer: Any, serial: "Sequence[tuple[str, str]]" = (),
+              serial: "Sequence[tuple[str, str]]" = (),
               links: "Sequence[Mapping[str, Sequence[tuple[int, str]]]]"
               = ()) -> "list[Node]":
     """The roots of ``plans`` at the fixpoint of the module docstring;
@@ -126,20 +129,15 @@ def _optimize(plans: "list[Node]", store: PlanStore, stats: PassStats,
             roots, store, stats.rewrites_fired, stats.rewrites_gated, serial,
             links),
     }
-    sizes = [node_count(plan) for plan in plans]
     stats.plans += len(plans)
-    stats.nodes_before += sum(sizes)
+    stats.nodes_before += sum(map(node_count, plans))
+    seconds = stats.family_seconds
 
     def run(name: str, roots: "list[Node]") -> "list[Node]":
-        """One family over the bundle: one span, one delta."""
-        removed = 0
-        with tracer.span(name, round=stats.rounds) as sp:
-            new = families[name](roots)
-            for i, root in enumerate(new):
-                if root is not roots[i]:
-                    before, sizes[i] = sizes[i], node_count(root)
-                    removed += before - sizes[i]
-            sp.set(removed=removed)
+        """One family over the bundle, timed."""
+        t0 = time.perf_counter()
+        new = families[name](roots)
+        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t0
         if debug:
             for root in new:
                 check_plan(root, store.schemas)
@@ -162,7 +160,7 @@ def _optimize(plans: "list[Node]", store: PlanStore, stats: PassStats,
         if new is not old:
             _self_verify(old, new, store, fresh)
     store.inferences += len(fresh)
-    stats.nodes_after += sum(sizes)
+    stats.nodes_after += sum(map(node_count, roots))
     return roots
 
 
@@ -203,7 +201,6 @@ def _links(bundle: Bundle) -> "list[dict[str, tuple[tuple[int, str], ...]]]":
 
 
 def optimize_bundle(bundle: Bundle, stats: PassStats | None = None,
-                    tracer: Any = NULL_TRACER,
                     table_rows: "Mapping[str, int] | None" = None,
                     backend: str = "engine") -> Bundle:
     """Optimize every query of a bundle, as one multi-root DAG.
@@ -218,7 +215,7 @@ def optimize_bundle(bundle: Bundle, stats: PassStats | None = None,
     if stats is None:
         stats = PassStats()
     store = PlanStore()
-    plans = _optimize([q.plan for q in bundle.queries], store, stats, tracer,
+    plans = _optimize([q.plan for q in bundle.queries], store, stats,
                       [(q.iter_col, q.pos_col) for q in bundle.queries],
                       _links(bundle))
     queries = [

@@ -1,8 +1,8 @@
 """Constant folding over column-wise scalar applications.
 
-* ``BinApp`` whose operand column is produced by an ``Attach`` of a
-  constant reads the constant directly (the dead ``Attach`` then falls to
-  icols);
+* ``BinApp`` whose operand column is constant -- as property inference
+  shows it, through any ``Attach``, ``Project``, join or literal below --
+  reads the constant directly (a dead producer then falls to icols);
 * ``BinApp`` over two constants becomes an ``Attach`` of the folded value.
 
 (``Select`` on a constant-``True`` column is the property rule
@@ -12,23 +12,25 @@
 from __future__ import annotations
 
 from ...algebra import Attach, BinApp, Const, Node
+from ...analysis import PlanStore
 from ...errors import PartialFunctionError
 from ...expr.exp import BOOL_OPS, CMP_OPS
 from ...ftypes import AtomT, BoolT
 from ...semantics.interp import _binop
 
 
-def fold_binapp(node: BinApp) -> Node:
-    """``node`` with constant operands read out of the ``Attach`` below
-    it and, when both are constant, folded into an ``Attach`` -- or
-    ``node`` itself."""
-    lhs, rhs = node.lhs, node.rhs
-    child = node.child
-    if isinstance(child, Attach):
-        if lhs == child.col:
-            lhs = Const(child.value, child.ty)
-        if rhs == child.col:
-            rhs = Const(child.value, child.ty)
+def fold_binapp(node: BinApp, store: PlanStore) -> Node:
+    """``node`` with the operand columns ``store`` infers constant read
+    as constants and, when both are constant, folded into an ``Attach``
+    -- or ``node`` itself."""
+    props = store.infer(node.child)
+
+    def operand(x: "str | Const") -> "str | Const":
+        if isinstance(x, str) and x in props.constants:
+            return Const(props.constants[x], props.schema[x])
+        return x
+
+    lhs, rhs = operand(node.lhs), operand(node.rhs)
     if isinstance(lhs, Const) and isinstance(rhs, Const):
         try:
             value = _binop(node.op, lhs.value, rhs.value)

@@ -144,7 +144,7 @@ def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
             store.carry(node, cur)
             new = cur
             if isinstance(cur, BinApp):
-                new = store.add(fold_binapp(cur))
+                new = store.add(fold_binapp(cur, store))
             elif isinstance(cur, Project):
                 new = merge_projection(cur, store)
             if new is cur:

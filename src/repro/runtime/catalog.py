@@ -31,12 +31,11 @@ class Catalog:
         self._rows: dict[str, list[tuple]] = {}
         #: Per table scanned so far: its rows as columns (:meth:`columns`).
         self._columns: dict[str, dict[str, list]] = {}
-        #: Incremented on every schema/data change; backends use it to
-        #: know when to (re)load the instance.
-        self.version = 0
-        #: Incremented on every DDL statement (CREATE/DROP TABLE).  The
-        #: plan cache bakes this into its keys, so any schema change
-        #: invalidates previously compiled plans (repro.runtime.plancache).
+        #: Incremented on every DDL statement (CREATE/DROP TABLE), the
+        #: only way to change schema or data.  The plan cache bakes this
+        #: into its keys, so any schema change invalidates previously
+        #: compiled plans (repro.runtime.plancache), and backends use it
+        #: to know when to (re)load the instance.
         self.schema_generation = 0
 
     # ------------------------------------------------------------------
@@ -80,7 +79,6 @@ class Catalog:
         checked.sort(key=_sort_key)
         self._schemas[name] = cols
         self._rows[name] = checked
-        self.version += 1
         self.schema_generation += 1
 
     def create_table_from_records(self, cls: type,
@@ -98,7 +96,6 @@ class Catalog:
         del self._schemas[name]
         del self._rows[name]
         self._columns.pop(name, None)
-        self.version += 1
         self.schema_generation += 1
 
     # ------------------------------------------------------------------

@@ -17,14 +17,14 @@ prepared-query handle.
 
 Every execution is observable (``repro.obs``).  ``run``,
 ``PreparedQuery.execute`` and ``explain(analyze=True)`` share one
-execution path that records a span tree (``check`` → ``cache-lookup`` →
-``lift`` → ``optimize`` per rewrite pass → ``codegen`` → one ``execute``
-span per bundle query → ``stitch``; :attr:`Connection.last_trace`) and
-finishes by building one frozen
-:class:`~repro.obs.ExecutionRecord`.  Everything else is a view of that
-record: the flight recorder (:attr:`Connection.query_log`) stores it
-and the per-fingerprint statement statistics
-(:meth:`Connection.statement_stats`) fold it in.
+execution path that times each phase once and finishes by building one
+frozen :class:`~repro.obs.ExecutionRecord`.  Everything else is a view
+of that record: the flight recorder (:attr:`Connection.query_log`)
+stores it, the per-fingerprint statement statistics
+(:meth:`Connection.statement_stats`) fold it in, and the span tree
+(``check`` → ``cache-lookup`` → ``lift`` → ``optimize`` → ``codegen`` →
+one ``execute`` span per bundle query → ``stitch``;
+:attr:`Connection.last_trace`) renders it.
 """
 
 from __future__ import annotations
@@ -41,15 +41,13 @@ from ..errors import ObservabilityError, QTypeError, UnsupportedError
 from ..frontend.q import Q, to_q
 from ..frontend.tables import SchemaLike, table
 from ..obs import (
-    NULL_TRACER,
     ExecutionRecord,
     ExplainReport,
     QueryLog,
     StatementStats,
     Trace,
-    Tracer,
     build_report,
-    phase,
+    new_trace_id,
 )
 from ..optimizer import PassStats, optimize_bundle
 from .catalog import Catalog
@@ -99,11 +97,11 @@ class Connection:
     verified: there is no switch to skip a stage.
 
     Every execution lands in :attr:`query_log` (the 32 most recent + 32
-    slowest executions).  ``trace=False`` disables span recording
-    entirely (the tracer becomes a shared no-op object, and reading
-    :attr:`last_trace` raises :class:`~repro.errors.ObservabilityError`);
-    with tracing on the cost is a handful of slotted span objects per
-    execution.
+    slowest executions).  Its span tree (:attr:`last_trace`) is a view
+    of that record, built only when read, so it costs a run nothing.
+    ``trace=False`` gives records no trace id and no span tree, and
+    reading :attr:`last_trace` raises
+    :class:`~repro.errors.ObservabilityError`.
 
     ``statement_stats`` (default on) aggregates every execution into a
     per-fingerprint :class:`~repro.obs.StatementStats` -- calls, errors,
@@ -127,7 +125,7 @@ class Connection:
         self.queries_issued = 0
         #: Number of ``run``/``PreparedQuery.execute`` calls.
         self.executions = 0
-        #: Record span trees for every execution?
+        #: Give every execution a trace id and a span tree?
         self.trace_enabled = trace
         #: The flight recorder: N most recent + N slowest executions.
         self.query_log = QueryLog()
@@ -135,7 +133,9 @@ class Connection:
         #: for FERRY); ``None`` when ``statement_stats=False``.
         self.stats: "StatementStats | None" = (
             StatementStats() if statement_stats else None)
-        self._last_trace: Trace | None = None
+        #: The most recent traced execution (its record renders
+        #: :attr:`last_trace`).
+        self._last_traced: ExecutionRecord | None = None
         #: Guards ``executions`` / ``queries_issued`` (see ``_publish``).
         self._lock = threading.Lock()
 
@@ -156,7 +156,8 @@ class Connection:
                 "tracing is disabled on this connection; construct it "
                 "with trace=True (the default) to record span trees, "
                 "or read the flight recorder via conn.query_log")
-        return self._last_trace
+        rec = self._last_traced
+        return None if rec is None else rec.trace
 
     def statement_stats(self) -> dict[str, Any]:
         """Snapshot of the per-fingerprint workload aggregates (the
@@ -210,7 +211,7 @@ class Connection:
         """Plan-cache hit/miss/eviction counters."""
         return self.plan_cache.stats
 
-    def compile(self, q: Any, tracer=NULL_TRACER) -> CompiledQuery:
+    def compile(self, q: Any) -> CompiledQuery:
         """Loop-lift and optimize a query without executing it (for
         inspection: nothing is recorded).
 
@@ -222,32 +223,33 @@ class Connection:
         """
         timings: dict[str, float] = {}
         try:
-            with phase(tracer, timings, "check"):
-                qq = to_q(q)
-                for ref in qq.tables_referenced():
-                    self.catalog.check_reference(ref)
-            with phase(tracer, timings, "lookup", "cache-lookup") as span:
-                fp = qq.fingerprint()
-                key = CacheKey(fp, self.catalog.schema_generation)
-                entry = self.plan_cache.lookup(key)
-                span.set(hit=entry is not None)
+            t0 = time.perf_counter()
+            qq = to_q(q)
+            for ref in qq.tables_referenced():
+                self.catalog.check_reference(ref)
+            t1 = time.perf_counter()
+            fp = qq.fingerprint()
+            key = CacheKey(fp, self.catalog.schema_generation)
+            entry = self.plan_cache.lookup(key)
+            t2 = time.perf_counter()
+            timings.update(check=t1 - t0, lookup=t2 - t1)
             if entry is not None:
                 return CompiledQuery(entry.bundle, fingerprint=fp,
                                      cache_hit=True, timings=timings,
                                      cache_entry=entry)
 
-            with phase(tracer, timings, "lift"):
-                bundle = compile_exp(qq.exp)
+            bundle = compile_exp(qq.exp)
+            timings["lift"] = time.perf_counter() - t2
             if verify_debug_enabled():
                 # Debug mode: staged verification of the raw loop-lifting
                 # output, before any rewrite touches it.
-                with tracer.span("verify", stage="post-lift"):
-                    verify_bundle(bundle, label="post-lift", mark=False)
+                verify_bundle(bundle, label="post-lift", mark=False)
             stats = PassStats()
-            with phase(tracer, timings, "optimize"):
-                bundle = optimize_bundle(bundle, stats, tracer,
-                                         table_rows=self._table_stats(),
-                                         backend=self.backend.name)
+            t3 = time.perf_counter()
+            bundle = optimize_bundle(bundle, stats,
+                                     table_rows=self._table_stats(),
+                                     backend=self.backend.name)
+            timings["optimize"] = time.perf_counter() - t3
             entry = self.plan_cache.insert(
                 key, CacheEntry(bundle, pass_stats=stats))
             return CompiledQuery(bundle, fingerprint=fp,
@@ -280,8 +282,7 @@ class Connection:
     def run(self, q: Any) -> Any:
         """Execute a query and return its result as a plain Python value
         (the paper's ``fromQ``)."""
-        return self._execute(
-            "run", lambda tracer: (*self._prepare(q, tracer), True))[0]
+        return self._execute("run", lambda: (*self._prepare(q), True))[0]
 
     def explain(self, q: Any, analyze: bool = False,
                 properties: bool = False) -> ExplainReport:
@@ -318,7 +319,7 @@ class Connection:
             # other.
             record = self._execute(
                 "explain-analyze",
-                lambda tracer: (handle.compiled, handle._code, False),
+                lambda: (handle.compiled, handle._code, False),
                 analyze=True)[1]
         return build_report(handle.compiled, self.backend,
                             self.backend.describe_prepared(handle._code),
@@ -326,83 +327,73 @@ class Connection:
 
     # ------------------------------------------------------------------
     def _execute(self, kind: str,
-                 plan: "Callable[[Any], tuple[CompiledQuery, Any, bool]]",
+                 plan: "Callable[[], tuple[CompiledQuery, Any, bool]]",
                  analyze: bool = False) -> "tuple[Any, ExecutionRecord]":
         """The one execution path: obtain the plan, run the bundle on
         the backend, stitch -- and, whatever happened, finish by
         building and publishing the one record of it.
 
-        ``plan(tracer)`` returns ``(compiled, code, fresh)``; ``fresh``
-        says the compile ran inside this execution, so its phases and
-        cache verdict belong to this record (otherwise the plan came
+        ``plan()`` returns ``(compiled, code, fresh)``; ``fresh`` says
+        the compile ran inside this execution, so its phases and cache
+        verdict belong to this record (otherwise the plan came
         ready-made from a prepared handle: a hit, no compile phases).
         ``analyze`` is EXPLAIN ANALYZE: operator/step profiles, no trace.
         """
         started_at, t0 = time.time(), time.perf_counter()
-        tracer = (Tracer(kind, backend=self.backend.name)
-                  if self.trace_enabled and not analyze else NULL_TRACER)
+        traced = self.trace_enabled and not analyze
         backend = self.backend.name
         phases: dict[str, float] = {}
         #: The record's fields, known as far as the execution got.
         fields: dict[str, Any] = {}
         try:
-            compiled, code, fresh = plan(tracer)
+            compiled, code, fresh = plan()
             bundle = compiled.bundle
             fields.update(fingerprint=compiled.fingerprint,
                           cache_hit=compiled.cache_hit if fresh else True,
                           bundle_size=bundle.size)
             if fresh:
                 phases.update(compiled.timings)
-                tracer.root.set(**fields)
-            else:
-                tracer.root.set(fingerprint=compiled.fingerprint,
-                                bundle_size=bundle.size)
-            # No span of its own: the per-query ``execute`` spans sit
-            # directly under the root.
-            with phase(NULL_TRACER, phases, "execute"):
-                result = self.backend.execute_bundle(
-                    bundle, self.catalog, prepared=code, tracer=tracer,
-                    per_op=analyze)
-            rows = sum(len(r) for r in result.rows)
-            fields.update(queries=result.profiles, rows=rows,
+            t1 = time.perf_counter()
+            result = self.backend.execute_bundle(
+                bundle, self.catalog, prepared=code, per_op=analyze)
+            t2 = time.perf_counter()
+            phases["execute"] = t2 - t1
+            fields.update(queries=result.profiles,
+                          rows=sum(len(r) for r in result.rows),
                           queries_issued=result.queries_issued)
-            with phase(tracer, phases, "stitch") as span:
-                value = stitch(bundle, result.rows)
-                span.set(rows=rows)
+            value = stitch(bundle, result.rows)
+            phases["stitch"] = time.perf_counter() - t2
         except Exception as err:
             err_code = getattr(err, "code", None)
             fields.update(error=repr(err), error_code=(
                 err_code if isinstance(err_code, str) else None))
             raise
         finally:
-            duration = time.perf_counter() - t0
-            trace = tracer.finish()
-            if trace is not None:
-                self._last_trace = trace
             rec = ExecutionRecord(
-                kind, backend, started_at, duration, phases=phases,
-                trace_id=tracer.trace_id, trace=trace, **fields)
+                kind, backend, started_at, time.perf_counter() - t0,
+                phases=phases, trace_id=new_trace_id() if traced else None,
+                **fields)
+            if traced:
+                self._last_traced = rec
             self._publish(rec)
         return value, rec
 
-    def _prepare(self, q: Any, tracer=NULL_TRACER
-                 ) -> "tuple[CompiledQuery, Any]":
+    def _prepare(self, q: Any) -> "tuple[CompiledQuery, Any]":
         """Compile ``q`` and generate (or fetch) the backend's code."""
-        compiled = self.compile(q, tracer=tracer)
-        return compiled, self._codegen(compiled, tracer)
+        compiled = self.compile(q)
+        return compiled, self._codegen(compiled)
 
-    def _codegen(self, compiled: CompiledQuery, tracer=NULL_TRACER) -> Any:
+    def _codegen(self, compiled: CompiledQuery) -> Any:
         """The backend's generated code for ``compiled``, reusing (and
         filling) the plan-cache entry's per-backend codegen store."""
         entry = compiled.cache_entry
         name = self.backend.name
         code = entry.codegen.get(name) if entry is not None else None
         if code is not None:
-            with tracer.span("codegen", backend=name, cached=True):
-                return code
-        with phase(tracer, compiled.timings, "codegen", backend=name,
-                   cached=False):
-            code = self.backend.prepare_bundle(compiled.bundle)
+            return code
+        t0 = time.perf_counter()
+        code = self.backend.prepare_bundle(compiled.bundle)
+        compiled.timings["codegen"] = time.perf_counter() - t0
         if entry is not None and code is not None:
             entry.codegen[name] = code
         return code
@@ -447,13 +438,13 @@ class PreparedQuery:
         """Run the prepared bundle and stitch the result."""
         return self.connection._execute("execute-prepared", self._plan)[0]
 
-    def _plan(self, tracer) -> "tuple[CompiledQuery, Any, bool]":
+    def _plan(self) -> "tuple[CompiledQuery, Any, bool]":
         conn = self.connection
         if conn.catalog.schema_generation == self._schema_generation:
             return self.compiled, self._code, False
         # DDL since prepare(): re-validate and recompile, as part of
         # this execution.
-        self.compiled, self._code = conn._prepare(self._q, tracer)
+        self.compiled, self._code = conn._prepare(self._q)
         self._schema_generation = conn.catalog.schema_generation
         return self.compiled, self._code, True
 

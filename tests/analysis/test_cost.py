@@ -61,6 +61,14 @@ class TestRowEstimates:
         dup = LitTable(((1,), (1,)), (("i", IntT),))
         assert bounds(EqJoin(right, dup, (("j", "i"),))) == (0, 2)
 
+    def test_an_empty_keyed_side_leaves_no_row(self):
+        # the empty right side is keyed on j (it has no two rows), so
+        # the key rule applies -- and the product still bounds it
+        empty = LitTable((), (("j", IntT), ("w", IntT)))
+        assert bounds(EqJoin(lit(3), empty, (("i", "j"),))) == (0, 0)
+        dup = LitTable(((1,), (1,)), (("i", IntT),))
+        assert bounds(EqJoin(empty, dup, (("j", "i"),))) == (0, 0)
+
     def test_keyless_join_is_bounded_by_the_product(self):
         dup = LitTable(((1,), (1,)), (("j", IntT),))
         left = LitTable(((1,), (1,), (1,)), (("i", IntT),))

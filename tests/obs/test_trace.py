@@ -1,10 +1,10 @@
-"""Trace spans: the run/execute span tree and the tracer primitives."""
+"""The span tree: a read-only view of the execution record."""
 
 import pytest
 
-from repro import Connection, ObservabilityError, to_q
+from repro import Connection, FerryError, ObservabilityError, to_q
 from examples.workloads import running_example_query
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs import trace as trace_module
 
 #: Spans the acceptance criteria require on a cold ``run``.
 COLD_PHASES = {"check", "cache-lookup", "lift", "optimize", "codegen",
@@ -33,14 +33,6 @@ class TestRunSpanTree:
             assert span.attrs["query"] == i
             assert span.attrs["backend"] == any_backend_db.backend.name
             assert span.attrs["rows"] >= 0
-
-    def test_optimize_has_per_pass_children(self, paper_db):
-        paper_db.run(running_example_query(paper_db))
-        optimize = paper_db.last_trace.find("optimize")
-        passes = {child.name for child in optimize.children}
-        assert {"cse", "icols", "simplify"} == passes
-        for child in optimize.children:
-            assert "round" in child.attrs and "removed" in child.attrs
 
     def test_warm_run_skips_lift_and_optimize(self, paper_db):
         q = running_example_query(paper_db)
@@ -96,55 +88,28 @@ class TestPreparedTrace:
 
 
 class TestTracerPrimitives:
-    def test_nested_span_tree_shape(self):
-        tracer = Tracer("root", kind="test")
-        with tracer.span("a"):
-            with tracer.span("a1"):
-                pass
-        with tracer.span("b") as sp:
-            sp.set(rows=7)
-        trace = tracer.finish()
-        assert [s.name for s, _ in trace.iter_spans()] == \
-            ["root", "a", "a1", "b"]
-        assert trace.find("b").attrs == {"rows": 7}
+    """``Span`` and ``Trace`` as the view builds them from a record."""
+
+    def test_nested_span_tree_shape(self, paper_db):
+        paper_db.run(running_example_query(paper_db))
+        trace = paper_db.last_trace
+        assert [s.name for s, _ in trace.iter_spans()] == [
+            "run", "check", "cache-lookup", "lift", "optimize", "codegen",
+            "execute", "execute", "stitch"]
         parents = {s.name: (p.name if p else None)
                    for s, p in trace.iter_spans()}
-        assert parents == {"root": None, "a": "root", "a1": "a", "b": "root"}
+        assert parents.pop("run") is None
+        assert set(parents.values()) == {"run"}
+        assert trace.find("execute") is trace.find_all("execute")[0]
+        assert trace.find("verify") is None
 
-    def test_render_mentions_names_and_attrs(self):
-        tracer = Tracer("run", backend="engine")
-        with tracer.span("execute", query=1):
-            pass
-        text = tracer.finish().render()
-        assert "run" in text and "execute" in text and "query=1" in text
-
-    def test_null_tracer_is_inert(self):
-        with NULL_TRACER.span("anything", x=1) as sp:
-            sp.set(y=2)
-        NULL_TRACER.root.set(z=3)
-        assert NULL_TRACER.finish() is None
-
-    def test_child_totals_clamped_to_parent(self):
-        """Regression: clock granularity could make the children's summed
-        wall time exceed their parent's own reading.  ``Span._finish``
-        clamps the parent up to the children's sum, so the containment
-        invariant holds exactly at every level."""
-        tracer = Tracer("root")
-        with tracer.span("outer"):
-            with tracer.span("inner-1") as sp:
-                # forge a coarse-clock artifact: the child claims more
-                # time than the parent's clocks will have seen
-                sp.start -= 2.0
-            with tracer.span("inner-2"):
-                pass
-        trace = tracer.finish()
-        for span, _ in trace.iter_spans():
-            if span.children:
-                assert sum(c.duration for c in span.children) \
-                    <= span.duration
-        # the forged value really was extreme enough to need the clamp
-        assert trace.find("outer").duration >= 2.0
-        assert trace.root.duration >= 2.0
+    def test_render_mentions_names_and_attrs(self, paper_db):
+        paper_db.run(running_example_query(paper_db))
+        text = paper_db.last_trace.render()
+        assert text == str(paper_db.last_trace)
+        assert text.splitlines()[0].startswith("run  [")
+        assert "backend='engine'" in text and "query=1" in text
+        assert len(text.splitlines()) == 9
 
     def test_real_trace_respects_containment(self, paper_db):
         """On a live trace the invariant must hold without tolerance
@@ -155,42 +120,109 @@ class TestTracerPrimitives:
                 assert sum(c.duration for c in span.children) \
                     <= span.duration
 
-    def test_exception_still_closes_spans(self):
-        tracer = Tracer("root")
-        with pytest.raises(ValueError):
-            with tracer.span("boom"):
-                raise ValueError("x")
-        trace = tracer.finish()
-        assert trace.find("boom").duration >= 0.0
-        # the stack unwound: a later span is a sibling, not a child
-        tracer2 = Tracer("root")
-        try:
-            with tracer2.span("first"):
-                raise ValueError
-        except ValueError:
-            pass
-        with tracer2.span("second"):
-            pass
-        trace2 = tracer2.finish()
-        assert [s.name for s in trace2.root.children] == ["first", "second"]
+    def test_exception_still_closes_spans(self, paper_db):
+        """A failed run keeps a trace of what it finished: the root, and
+        no phase it did not complete; the next run's trace is its own."""
+        with pytest.raises(FerryError):
+            paper_db.run(to_q([1]).map(lambda x: x // 0))
+        failed = paper_db.last_trace
+        assert failed.root.attrs["cache_hit"] is False
+        assert failed.find("execute") is None
+        assert failed.find("stitch") is None
+        assert failed.duration >= sum(s.duration for s in
+                                      failed.root.children)
+        paper_db.run(to_q([1, 2]))
+        assert paper_db.last_trace is not failed
+        assert paper_db.last_trace.find("stitch").attrs["rows"] == 2
+
+
+class TestViewFidelity:
+    """The tree shows the record's numbers: nothing is measured twice."""
+
+    @staticmethod
+    def fields(rec):
+        """Span name -> the record fields its spans show, in order."""
+        shown = {name: [rec.phases[key]] for name, key in (
+            ("check", "check"), ("cache-lookup", "lookup"),
+            ("lift", "lift"), ("optimize", "optimize"),
+            ("codegen", "codegen"), ("stitch", "stitch"))
+            if key in rec.phases}
+        shown["execute"] = [q.time for q in rec.queries]
+        return shown
+
+    def check(self, db):
+        rec = db.query_log.recent[0]
+        trace = db.last_trace
+        assert trace is rec.trace and trace.trace_id == rec.trace_id
+        assert trace.root.name == rec.kind
+        assert trace.duration == rec.duration
+        assert trace.started_at == rec.started_at
+        shown = self.fields(rec)
+        for name, values in shown.items():
+            assert [s.duration for s in trace.find_all(name)] == values
+        assert [s.attrs["rows"] for s in trace.find_all("execute")] == \
+            [q.rows for q in rec.queries]
+        assert trace.find("stitch").attrs["rows"] == rec.rows
+        return trace
+
+    def test_every_span_duration_is_its_record_field(self, any_backend_db):
+        db = any_backend_db
+        q = running_example_query(db)
+        db.run(q)
+        self.check(db)
+        db.run(q)
+        warm = self.check(db)
+        # a cached plan's code is handed over, not generated: the span
+        # shows no time
+        assert warm.find("codegen").attrs["cached"] is True
+        assert warm.find("codegen").duration == 0.0
+        db.prepare(q).execute()
+        self.check(db)
+
+    def test_a_warm_run_builds_no_span(self, paper_db, monkeypatch):
+        built = []
+        init = trace_module.Span.__init__
+
+        def counted(self, name, *args, **attrs):
+            built.append(name)
+            init(self, name, *args, **attrs)
+
+        monkeypatch.setattr(trace_module.Span, "__init__", counted)
+        q = running_example_query(paper_db)
+        for _ in range(3):
+            paper_db.run(q)
+        assert built == []
+        trace = paper_db.last_trace  # the root and its 6 children
+        assert built == ["check", "cache-lookup", "codegen", "execute",
+                         "execute", "stitch", "run"]
+        # built once, then cached
+        assert paper_db.last_trace is trace and len(built) == 7
+
+    def test_untraced_records_carry_no_trace(self, paper_catalog):
+        db = Connection(catalog=paper_catalog, trace=False)
+        db.run(to_q([1, 2]))
+        [rec] = db.query_log.recent
+        assert rec.trace_id is None and rec.trace is None
+        assert rec.summary()["traced"] is False
+
+    def test_explain_analyze_records_carry_no_trace(self, paper_db):
+        q = running_example_query(paper_db)
+        paper_db.run(q)
+        traced = paper_db.last_trace
+        paper_db.explain(q, analyze=True)
+        rec = paper_db.query_log.recent[0]
+        assert rec.kind == "explain-analyze" and rec.trace is None
+        assert paper_db.last_trace is traced
 
 
 class TestTraceIds:
-    def test_tracer_owns_a_stable_id_from_birth(self):
-        tracer = Tracer("run")
-        tid = tracer.trace_id
-        assert isinstance(tid, str) and tid
-        with tracer.span("a"):
-            pass
-        assert tracer.trace_id == tid
-        assert tracer.finish().trace_id == tid
-
-    def test_trace_ids_are_unique_per_tracer(self):
-        ids = {Tracer("run").trace_id for _ in range(100)}
-        assert len(ids) == 100
-
-    def test_null_tracer_has_no_id(self):
-        assert NULL_TRACER.trace_id is None
+    def test_trace_ids_are_unique_per_execution(self, paper_db):
+        q = to_q([1, 2])
+        for _ in range(100):
+            paper_db.run(q)
+        ids = {rec.trace_id for rec in paper_db.query_log.recent}
+        assert len(ids) == len(paper_db.query_log.recent)
+        assert all(isinstance(tid, str) and tid for tid in ids)
 
     def test_entry_trace_id_matches_the_retained_trace(self, paper_db):
         paper_db.run(running_example_query(paper_db))

@@ -32,8 +32,7 @@ from repro.core.bundle import compile_exp
 from repro.dph import FIG6_SV, FIG6_V, dotp_query
 from repro.frontend.q import to_q
 from repro.ftypes import IntT
-from repro.obs.trace import NULL_SPAN, NULL_TRACER
-from repro.optimizer import PassStats, optimize_bundle
+from repro.optimizer import PassStats, optimize_bundle, pipeline
 from repro.optimizer.pipeline import _FAMILIES, _optimize
 from repro.runtime import Catalog
 
@@ -85,6 +84,13 @@ class TestWorkDoneOnce:
                 assert getattr(other_stats, field) == getattr(stats, field)
 
 
+class TestFamilyTimes:
+    def test_optimize_times_every_family(self):
+        _, stats = optimized("running_example")
+        assert set(stats.family_seconds) == {"cse", *_FAMILIES}
+        assert all(t > 0.0 for t in stats.family_seconds.values())
+
+
 class TestInterning:
     @pytest.mark.parametrize("name", PROGRAMS)
     def test_equal_subplans_of_different_queries_are_one_object(self, name):
@@ -96,10 +102,11 @@ class TestInterning:
                 assert seen.setdefault(node_key(node), node) is node
 
     @pytest.mark.parametrize("name", PROGRAMS)
-    def test_every_fact_hangs_off_a_pinned_node(self, name):
+    def test_every_fact_hangs_off_a_pinned_node(self, name, monkeypatch):
+        collect_between_families(monkeypatch)
         store = PlanStore()
         _optimize([q.plan for q in raw_bundle(name).queries], store,
-                  PassStats(), tracer=GcTracer())
+                  PassStats())
         pinned = {id(n) for n in store.canonical.values()}
         pinned.update(id(n) for n in store.pins)
         facts = [store.props, store.schemas, store.twin,
@@ -108,12 +115,14 @@ class TestInterning:
             assert memo and set(memo) <= pinned
 
     @pytest.mark.parametrize("name", PROGRAMS)
-    def test_collecting_garbage_between_families_changes_nothing(self, name):
+    def test_collecting_garbage_between_families_changes_nothing(
+            self, name, monkeypatch):
         """The ``id()``-reuse regression: with facts keyed by ``id`` and
         a node freed mid-compile, a later node can inherit its schema."""
         raw = raw_bundle(name)
         calm = optimize_bundle(raw, PassStats())
-        shaken = optimize_bundle(raw, PassStats(), tracer=GcTracer())
+        collect_between_families(monkeypatch)
+        shaken = optimize_bundle(raw, PassStats())
         assert bundle_text(shaken) == bundle_text(calm)
         assert shaken.verified and shaken.cost is not None
 
@@ -150,7 +159,7 @@ class TestCostGate:
 
     def optimize(self, plan):
         stats = PassStats()
-        [out] = _optimize([plan], PlanStore(), stats, NULL_TRACER)
+        [out] = _optimize([plan], PlanStore(), stats)
         return out, stats
 
     def test_a_tie_fires(self):
@@ -214,12 +223,13 @@ def lines_run(code, fn) -> int:
     return count
 
 
-class GcTracer:
-    """A tracer that collects garbage at every family boundary."""
-
-    def span(self, name, **attrs):
-        gc.collect()
-        return NULL_SPAN
+def collect_between_families(monkeypatch):
+    """Collect garbage before every ``icols`` and ``simplify`` call of
+    the pipeline: at each family boundary."""
+    for name in ("prune_unneeded_columns", "simplify"):
+        family = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda *args, family=family: (
+            gc.collect(), family(*args))[1])
 
 
 class TestDeepPlans:

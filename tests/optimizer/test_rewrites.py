@@ -29,7 +29,6 @@ from examples.workloads import (
     running_example_query,
 )
 from repro.ftypes import IntT
-from repro.obs.trace import NULL_TRACER
 from repro.runtime import Catalog
 from repro.optimizer import PassStats
 from repro.optimizer.pipeline import _optimize
@@ -38,7 +37,7 @@ from repro.optimizer.rewrites import prune_unneeded_columns, simplify
 
 def optimize_plan(plan):
     """The pipeline over a bundle of one plan."""
-    [out] = _optimize([plan], PlanStore(), PassStats(), NULL_TRACER)
+    [out] = _optimize([plan], PlanStore(), PassStats())
     return out
 
 
@@ -96,11 +95,21 @@ class TestConstFold:
         out = fold_constants(plan)
         assert out.value is True
 
+    #: two rows, so that ``a`` is no constant
+    ROWS = LitTable(((1,), (2,)), (("a", IntT),))
+
     def test_reads_through_attach(self):
-        plan = BinApp(Attach(leaf("a"), "k", 7, IntT), "add", "k", "a", "c")
+        plan = BinApp(Attach(self.ROWS, "k", 7, IntT), "add", "k", "a", "c")
         out = fold_constants(plan)
-        assert isinstance(out, BinApp)
+        assert isinstance(out, BinApp) and out.rhs == "a"
         assert isinstance(out.lhs, Const) and out.lhs.value == 7
+
+    def test_reads_through_project(self):
+        renamed = Project(Attach(self.ROWS, "k", 7, IntT),
+                          (("j", "k"), ("a", "a")))
+        out = fold_constants(BinApp(renamed, "add", "a", "j", "c"))
+        assert isinstance(out, BinApp) and out.lhs == "a"
+        assert isinstance(out.rhs, Const) and out.rhs.value == 7
 
     def test_division_by_zero_not_folded(self):
         plan = BinApp(leaf("a"), "idiv", Const(1, IntT), Const(0, IntT), "c")
@@ -330,7 +339,7 @@ class TestOrderByColumns:
 
     def optimized(self, plan, serial=(), same_rows=True):
         stats = PassStats()
-        [out] = _optimize([plan], PlanStore(), stats, NULL_TRACER, serial)
+        [out] = _optimize([plan], PlanStore(), stats, serial)
         assert not same_rows or rows_of(out) == rows_of(plan)
         return out, stats.rewrites_fired
 

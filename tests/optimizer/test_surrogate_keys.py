@@ -45,7 +45,6 @@ from repro.algebra import (
 )
 from repro.analysis import PlanStore
 from repro.ftypes import IntT
-from repro.obs.trace import NULL_TRACER
 from repro.optimizer.pipeline import PassStats, _optimize
 
 from ..conftest import e2e_workloads, run_all_ways
@@ -200,7 +199,7 @@ class TestReaders:
         root = Project(inner, (("i", iter_col), ("pos", pos), ("x", item)))
         stats = PassStats()
         outer, inner = _optimize(
-            [self.OUTER, root], PlanStore(), stats, NULL_TRACER,
+            [self.OUTER, root], PlanStore(), stats,
             [("o", "q"), ("i", "pos")],
             [{"s": ((1, "i"),)}, {"i": ((0, "s"),)}])
         fired = stats.rewrites_fired.get("surrogate_key", 0)

@@ -37,9 +37,12 @@ from repro import (
     zip_q,
 )
 from repro.ftypes import IntT
-from repro.runtime import Catalog
+from repro.runtime import Catalog, Connection
+from repro.semantics import Interpreter
 
-from ..conftest import run_all_ways
+from .. import programs
+from ..conftest import BACKENDS, run_all_ways
+from ..programs import PAIR, Comp, Gen, Program, Var
 
 EMPTY = lambda: nil(IntT)  # noqa: E731 - corpus shorthand
 DUPES = lambda: to_q([1, 1, 2, 1, 2, 2, 1])  # noqa: E731
@@ -159,3 +162,42 @@ def test_regression_corpus(name):
     assert value == expected, (
         f"corpus case {name!r}: all engines agree but the common value "
         f"changed: expected {expected!r}, got {value!r}")
+
+
+def _join_over_an_empty_filtered_source():
+    """A join comprehension whose middle generator draws from an empty
+    filtered literal: the keyed join over it was bounded by its other
+    side, not by the (empty) product, and self-verification (``F190``)
+    rejected the valid plan."""
+    def comprehension(v):
+        a, c = Var("a"), Var("c")
+        return Comp(programs.tup(a[0], c[1]), (
+            Gen("a", Var("xs0")),
+            Gen("b", programs.ffilter(lambda y: y[0] == y[0], Var("xs1"))),
+            Gen("c", programs.ffilter(lambda z: (a[0] != v) & (z[0] == v),
+                                      Var("xs2")))))
+    return Program(programs.fmap(comprehension, Var("xs3")), {
+        "xs0": to_q([(0, 0)]), "xs1": nil(PAIR),
+        "xs2": to_q([(0, 0), (0, 0)]), "xs3": to_q([0, 1, 2, 3])})
+
+
+#: name -> (program of the one test grammar, expected value)
+PROGRAMS = {
+    "join_over_an_empty_filtered_source": (
+        _join_over_an_empty_filtered_source, [[], [], [], []]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_program_corpus(name):
+    make, expected = PROGRAMS[name]
+    assert run_all_ways(make().query, Catalog()) == expected
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_multiplying_by_one_keeps_the_sign_of_zero(backend):
+    """``0.0 == -0.0``, so the differential driver cannot see a lost
+    sign; compare the floats' reprs."""
+    q = fmap(lambda x: x * 1.0, to_q([0.0, -0.0]))
+    assert repr(Interpreter(Catalog()).run(q.exp)) == "[0.0, -0.0]"
+    assert repr(Connection(backend=backend).run(q)) == "[0.0, -0.0]"

@@ -54,9 +54,12 @@ class TestCatalog:
 
     def test_version_bumps(self):
         cat = Catalog()
-        v0 = cat.version
+        v0 = cat.schema_generation
         cat.create_table("t", [("n", int)])
-        assert cat.version > v0
+        v1 = cat.schema_generation
+        assert v1 > v0
+        cat.drop_table("t")
+        assert cat.schema_generation > v1
 
 
 class TestConnection:

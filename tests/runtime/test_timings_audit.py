@@ -8,7 +8,6 @@ children account (approximately) for the end-to-end wall time.
 
 from repro import Connection
 from examples.workloads import running_example_query
-from repro.obs.trace import Tracer
 
 #: Phase keys documented on CompiledQuery.timings.
 COLD_KEYS = {"check", "lookup", "lift", "optimize"}
@@ -103,17 +102,18 @@ class TestTraceAccounting:
 
     def test_span_durations_match_compile_timings(self, paper_db):
         q = running_example_query(paper_db)
-        # a traced phase's timing *is* its span's duration: one
-        # measurement, so the two are equal, not merely close
-        tracer = Tracer("compile")
-        compiled = paper_db.compile(q, tracer=tracer)
-        trace = tracer.finish()
+        # a phase's span shows its timing: one measurement, so the two
+        # are equal, not merely close
+        paper_db.run(q)
+        [rec] = paper_db.query_log.recent
+        trace = paper_db.last_trace
         for phase, span_name in (("check", "check"),
                                  ("lookup", "cache-lookup"),
-                                 ("lift", "lift"), ("optimize", "optimize")):
+                                 ("lift", "lift"), ("optimize", "optimize"),
+                                 ("codegen", "codegen")):
             span = trace.find(span_name)
             assert span is not None
-            assert span.duration == compiled.timings[phase]
+            assert span.duration == rec.phases[phase]
 
     def test_execute_spans_cover_the_bundle(self, paper_db):
         q = running_example_query(paper_db)
