@@ -23,7 +23,6 @@ from .errors import (
 from .frontend import *  # noqa: F401,F403 - curated __all__
 from .frontend import __all__ as _frontend_all
 from .obs import (
-    AnalyzeReport,
     ExplainReport,
     QueryLog,
     Trace,
@@ -39,7 +38,6 @@ from .runtime import (
 __version__ = "1.0.0"
 
 __all__ = list(_frontend_all) + [
-    "AnalyzeReport",
     "Catalog",
     "CompiledQuery",
     "Connection",

@@ -1,22 +1,10 @@
 """SQL:1999 code generation and the DB-API executor."""
 
 from .backend import SQLiteBackend
-from .dbapi import (
-    SQLITE_DIALECT,
-    Adapter,
-    SQLiteAdapter,
-    SQLiteDialect,
-    load_catalog,
-)
-from .generate import (
-    GeneratedSQL,
-    Step,
-    generate_bundle,
-    generate_sql,
-)
+from .dbapi import SQLITE_DIALECT, SQLiteAdapter, SQLiteDialect, load_catalog
+from .generate import GeneratedSQL, Step, generate_bundle
 
 __all__ = [
-    "Adapter",
     "GeneratedSQL",
     "SQLITE_DIALECT",
     "SQLiteAdapter",
@@ -24,6 +12,5 @@ __all__ = [
     "SQLiteDialect",
     "Step",
     "generate_bundle",
-    "generate_sql",
     "load_catalog",
 ]

@@ -1,19 +1,19 @@
 """Executing generated SQL on an off-the-shelf RDBMS via DB-API.
 
 Step 4 of Figure 2: the bundle's SQL statements run on a standards-
-compliant relational system.  The paper used PostgreSQL 9.0; here any
-PEP 249 driver can play that role through the adapter layer in
-:mod:`repro.backends.sql.dbapi` (the default adapter wraps the stdlib
-``sqlite3``: window functions, CTEs).  Catalog tables are loaded once per
-catalog schema generation; each bundle member is a single row-returning SQL
-statement, so the connection's statement count directly measures
-avalanches (Table 1).  Plan nodes shared inside the bundle are built once
-as temporary tables ahead of the first statement that reads them
-(``generate.Step``) -- a fixed number of auxiliary statements per
-program, whatever the data -- inside one transaction that is always
-rolled back, so no run leaves a table or an open transaction behind.
-A backend runs one bundle at a time: a lock spans the catalog load and
-the script, so threads sharing one connection take turns.
+compliant relational system.  The paper used PostgreSQL 9.0; here the
+stdlib ``sqlite3`` plays that role (window functions, CTEs), opened by
+the adapter in :mod:`repro.backends.sql.dbapi`.  Catalog tables are
+loaded once per catalog schema generation; each bundle member is a
+single row-returning SQL statement, so the connection's statement count
+directly measures avalanches (Table 1).  Plan nodes shared inside the
+bundle are built once as temporary tables ahead of the first statement
+that reads them (``generate.Step``) -- a fixed number of auxiliary
+statements per program, whatever the data -- inside one transaction
+that is always rolled back, so no run leaves a table or an open
+transaction behind.  A backend runs one bundle at a time: a lock spans
+the catalog load and the script, so threads sharing one connection take
+turns.
 """
 
 from __future__ import annotations
@@ -29,30 +29,22 @@ from ...obs.analyze import OpProfile
 from ...runtime.catalog import Catalog
 from ..base import Backend
 from .dbapi import (
-    Adapter,
     SQLiteAdapter,
     clear_udf_error,
     load_catalog,
     take_udf_error,
 )
-from .generate import GeneratedSQL, generate_bundle, generate_sql
+from .generate import GeneratedSQL, generate_bundle
 
 
 class SQLiteBackend(Backend):
-    """Generates dialect-rendered SQL:1999 and executes it over DB-API.
-
-    Named for its default host: with no explicit adapter this runs on
-    in-memory SQLite.  Any :class:`~repro.backends.sql.dbapi.Adapter`
-    can be substituted; the generator takes its quirks from
-    ``adapter.dialect``.
-    """
+    """Generates dialect-rendered SQL:1999 and executes it over DB-API
+    on SQLite (in memory unless ``path`` names a database file)."""
 
     name = "sqlite"
 
-    def __init__(self, path: str = ":memory:",
-                 adapter: "Adapter | None" = None):
-        self.adapter: Adapter = (SQLiteAdapter(path) if adapter is None
-                                 else adapter)
+    def __init__(self, path: str = ":memory:"):
+        self.adapter = SQLiteAdapter(path)
         self.dialect = self.adapter.dialect
         self._conn = self.adapter.connect()
         #: Serializes bundles on ``_conn``: the catalog load and a
@@ -101,10 +93,6 @@ class SQLiteBackend(Backend):
                 yield run_query
 
     # ------------------------------------------------------------------
-    def generate(self, query: SerializedQuery) -> GeneratedSQL:
-        """SQL for one bundle member on its own (a bundle of one)."""
-        return generate_sql(query, self.dialect)
-
     def run_sql(self, gen: GeneratedSQL,
                 query: SerializedQuery) -> list[tuple]:
         """Execute one generated statement (``query``'s) standalone --

@@ -11,10 +11,9 @@ registered -- so this module isolates exactly those quirks:
   (its one instance is :data:`SQLITE_DIALECT`).  The code generator
   (``repro.backends.sql.generate``) asks the dialect for every fragment
   it emits, so the generator itself spells nothing engine-specific.
-* :class:`Adapter` is the connection factory: anything that can produce
-  a PEP 249 connection, register the FERRY_* UDFs on it, and say which
-  driver it used.  :class:`SQLiteAdapter` wraps ``sqlite3``
-  (file-or-memory).
+* :class:`SQLiteAdapter` is the connection factory: it opens a PEP 249
+  ``sqlite3`` connection (file-or-memory), registers the FERRY_* UDFs
+  on it, and says which driver it used.
 * :func:`load_catalog` transfers a :class:`~repro.runtime.catalog.Catalog`
   instance into a connection (CREATE TABLE + executemany INSERT), every
   row with its position in the catalog's canonical order.
@@ -33,7 +32,7 @@ import datetime
 import math
 import sqlite3
 import threading
-from typing import Any, Callable, Iterable, Protocol
+from typing import Any, Callable, Iterable
 
 from ...algebra.ops import position_column
 from ...errors import ExecutionError, PartialFunctionError
@@ -218,33 +217,13 @@ SQLITE_DIALECT = SQLiteDialect()
 
 
 # ----------------------------------------------------------------------
-# adapters (PEP 249 connection factories)
+# the adapter (PEP 249 connection factory)
 # ----------------------------------------------------------------------
 
-class Adapter(Protocol):
-    """A source of PEP 249 connections that can host FERRY bundles.
-
-    Implementations pair a driver (``connect`` + ``register_udfs``) with
-    the :class:`SQLiteDialect` its SQL must be rendered in.  The returned
-    object may be used from several threads, one at a time: the executor
-    serializes every use of it under its own lock, so an adapter must
-    not tie its connections to the thread that opened them.
-    """
-
-    #: The dialect this adapter's connections speak.
-    dialect: SQLiteDialect
-
-    def connect(self) -> Any:
-        """Open a fresh PEP 249 connection with UDFs registered."""
-        ...
-
-    def describe(self) -> str:
-        """Human-readable driver identification (for EXPLAIN output)."""
-        ...
-
-
 class SQLiteAdapter:
-    """The stdlib ``sqlite3`` adapter (file-backed or ``:memory:``)."""
+    """The stdlib ``sqlite3`` adapter (file-backed or ``:memory:``):
+    opens connections speaking :attr:`dialect`, with the UDFs
+    registered."""
 
     dialect: SQLiteDialect = SQLITE_DIALECT
 

@@ -220,12 +220,6 @@ def _row_converter(query: SerializedQuery, d: SQLiteDialect
     return convert
 
 
-def generate_sql(query: SerializedQuery,
-                 dialect: SQLiteDialect = SQLITE_DIALECT) -> GeneratedSQL:
-    """SQL for one query on its own: a bundle of one."""
-    return generate_bundle([query], dialect)[0]
-
-
 def _divides(node: Node) -> bool:
     """A division is a step of its own: inside one statement, SQLite may
     test it on rows that a later join drops, and a division by zero must
@@ -405,7 +399,10 @@ def _render(node: Node, names: dict[int, str], memo, d: SQLiteDialect,
         col = q(node.col)
         expr = {
             "not": f"(NOT {col})",
-            "neg": f"(-{col})",
+            # SQLite evaluates ``-x`` as ``0 - x``, which makes the
+            # negation of ``0.0`` ``0.0``; a product keeps the sign of
+            # zero, and integers stay integers.
+            "neg": f"({col} * -1)",
             "abs": f"ABS({col})",
             "to_double": f"CAST({col} AS REAL)",
             "upper": f"UPPER({col})",

@@ -5,36 +5,31 @@ The pipeline's instrumentation layer, shared by the runtime, the
 optimizer, and every backend:
 
 * :mod:`repro.obs.record` -- the :class:`ExecutionRecord` a connection
-  builds once per execution; the flight recorder and the statement
-  stats are views of it;
+  builds once per execution, and :class:`Totals`, the additive fold of
+  those records that is the connection's one running account;
 * :mod:`repro.obs.trace` -- the span tree (``conn.last_trace``), a
   read-only view of one record;
 * :mod:`repro.obs.explain` -- the structured report behind
   ``Connection.explain``, including the runtime avalanche check, the
   annotated EXPLAIN ANALYZE plans and the ``D500`` row-bounds findings;
-* :mod:`repro.obs.analyze` -- EXPLAIN ANALYZE's records: per-operator
-  (engine) / per-query and per-step (SQL) execution profiles;
+* :mod:`repro.obs.analyze` -- the execution profiles a record carries:
+  per-query, plus per-operator (engine) / per-step (SQL) for EXPLAIN
+  ANALYZE;
 * :mod:`repro.obs.querylog` -- the flight recorder (N most recent + N
-  slowest executions);
+  slowest executions, and the :class:`Totals` of every record);
 * :mod:`repro.obs.stats` -- per-fingerprint workload statistics
   (``pg_stat_statements`` for FERRY), bounded and thread-safe.
 """
 
-from .analyze import (
-    AnalyzeReport,
-    OpProfile,
-    QueryProfile,
-)
+from .analyze import OpProfile, QueryProfile
 from .explain import ExplainReport, QueryExplain, build_report
 from .querylog import QueryLog
-from .record import ExecutionRecord
-from .stats import EVICTED, UNFINGERPRINTED, StatementStats
+from .record import ExecutionRecord, Totals
+from .stats import UNFINGERPRINTED, StatementStats
 from .trace import Span, Trace, new_trace_id
 
 __all__ = [
-    "EVICTED",
     "UNFINGERPRINTED",
-    "AnalyzeReport",
     "ExecutionRecord",
     "ExplainReport",
     "OpProfile",
@@ -43,6 +38,7 @@ __all__ = [
     "QueryProfile",
     "Span",
     "StatementStats",
+    "Totals",
     "Trace",
     "build_report",
     "new_trace_id",

@@ -1,9 +1,10 @@
 """EXPLAIN ANALYZE: execution-time profiles of compiled bundles.
 
 ``conn.explain(q, analyze=True)`` actually *runs* the bundle (like
-PostgreSQL's ``EXPLAIN ANALYZE``) and attaches an :class:`AnalyzeReport`
-to the :class:`~repro.obs.ExplainReport`.  Granularity follows what each
-backend can observe:
+PostgreSQL's ``EXPLAIN ANALYZE``) and keeps that run's
+:class:`~repro.obs.ExecutionRecord` as the
+:class:`~repro.obs.ExplainReport`'s ``analyze``.  Its profiles follow
+what each backend can observe:
 
 * the in-memory **engine** interprets the algebra DAG node by node, so it
   records one :class:`OpProfile` per operator -- exclusive wall time,
@@ -89,36 +90,3 @@ class QueryProfile:
         return {"index": self.index, "time": self.time, "rows": self.rows,
                 "peak_width": self.peak_width, "peak_rows": self.peak_rows,
                 "ops": [op.to_dict() for op in self.ops]}
-
-
-@dataclass
-class AnalyzeReport:
-    """Everything ``explain(analyze=True)`` measured while executing."""
-
-    backend: str
-    #: Wall-clock seconds for the whole bundle execution.
-    total_time: float
-    queries: list[QueryProfile] = field(default_factory=list)
-    #: Annotated plan renderings, one per query: the ``-- Qn`` header
-    #: tagged with rows/time/share, then (where operators were profiled)
-    #: the plan tree with per-operator time%, rows, and cumulative time.
-    annotated: list[str] = field(default_factory=list)
-
-    @property
-    def total_rows(self) -> int:
-        return sum(q.rows for q in self.queries)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"backend": self.backend, "total_time": self.total_time,
-                "total_rows": self.total_rows,
-                "queries": [q.to_dict() for q in self.queries]}
-
-    def render(self) -> str:
-        lines = [f"== analyze (backend={self.backend}, "
-                 f"total={self.total_time * 1e3:.3f} ms, "
-                 f"rows={self.total_rows}) =="]
-        lines.extend(self.annotated)
-        return "\n".join(lines)
-
-    def __str__(self) -> str:
-        return self.render()

@@ -34,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .analyze import AnalyzeReport, QueryProfile
+from .analyze import QueryProfile
+from .record import ExecutionRecord
 
 
 @dataclass
@@ -85,10 +86,16 @@ class ExplainReport:
     timings: dict[str, float] = field(default_factory=dict)
     #: Optimizer pass statistics (``None`` on cache hits).
     pass_stats: Any = None
-    #: Execution-time profile (``conn.explain(q, analyze=True)`` only):
-    #: an :class:`~repro.obs.analyze.AnalyzeReport` with per-operator
-    #: stats on the engine backend, per-query and per-step stats on SQL.
-    analyze: Any = None
+    #: The :class:`~repro.obs.ExecutionRecord` of the analyze run
+    #: (``conn.explain(q, analyze=True)`` only): its ``queries`` carry
+    #: per-operator profiles on the engine backend, per-query and
+    #: per-step ones on SQL.
+    analyze: "ExecutionRecord | None" = None
+    #: Annotated plan renderings of the analyze run, one per query: the
+    #: ``-- Qn`` header tagged with rows/time/share, then (where
+    #: operators were profiled) the plan tree with per-operator time%,
+    #: rows, bounds and cumulative time.
+    annotated: list[str] = field(default_factory=list)
     #: Staged-verifier verdict over the compiled bundle
     #: (a :class:`repro.analysis.VerifyReport`), or ``None``.
     verify: Any = None
@@ -125,8 +132,12 @@ class ExplainReport:
                 "plan": q.plan,
                 "artifact": q.artifact,
             } for q in self.queries],
-            "analyze": (self.analyze.to_dict()
-                        if self.analyze is not None else None),
+            "analyze": None if self.analyze is None else {
+                "backend": self.analyze.backend,
+                "duration": self.analyze.duration,
+                "rows": self.analyze.rows,
+                "queries": [q.to_dict() for q in self.analyze.queries],
+            },
             "verify": (self.verify.to_dict()
                        if self.verify is not None else None),
             "lint": ([d.to_dict() for d in self.lint]
@@ -168,8 +179,16 @@ class ExplainReport:
                 lines.append(f"-- {self.backend} artifact for Q{q.index}")
                 lines.append(q.artifact)
         if self.analyze is not None:
-            lines.append(self.analyze.render())
+            lines.append(self.render_analyze())
         return "\n".join(lines)
+
+    def render_analyze(self) -> str:
+        """The EXPLAIN ANALYZE section: the run's totals, then the
+        annotated plans."""
+        a = self.analyze
+        return "\n".join([f"== analyze (backend={a.backend}, "
+                          f"total={a.duration * 1e3:.3f} ms, "
+                          f"rows={a.rows}) ==", *self.annotated])
 
     def __str__(self) -> str:
         return self.render()
@@ -204,7 +223,7 @@ def inclusive_times(nodes: "list[Any]", times: "list[float]"
 
 def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
                  table_rows: "Mapping[str, int] | None" = None,
-                 record: Any = None,
+                 record: "ExecutionRecord | None" = None,
                  properties: bool = False) -> ExplainReport:
     """The one EXPLAIN builder: an :class:`ExplainReport` for a
     ``CompiledQuery`` on ``backend``, with the backend's per-query
@@ -235,13 +254,12 @@ def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
     verify = verify_bundle(bundle, label="explain", raise_on_error=False,
                            mark=False, cache=store)
     bounds = RowBounds(table_rows, store)
-    analyze = lint = None
+    lint = None
+    annotated: list[str] = []
     if record is not None:
-        analyze = AnalyzeReport(backend.name, record.duration,
-                                list(record.queries))
         lint = []
-        total = (analyze.total_time
-                 or sum(q.time for q in analyze.queries) or 1.0)
+        total = (record.duration
+                 or sum(q.time for q in record.queries) or 1.0)
     measured: dict[int, str] = {}  # nodes an earlier analyze plan printed
 
     def measure(header: str, profile: QueryProfile, plan: Any,
@@ -316,9 +334,9 @@ def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
             properties=properties,
         )
         queries.append(explained)
-        if analyze is not None and i < len(analyze.queries):
-            analyze.annotated.append(measure(
-                explained.header, analyze.queries[i], query.plan, nodes))
+        if record is not None and i < len(record.queries):
+            annotated.append(measure(
+                explained.header, record.queries[i], query.plan, nodes))
     return ExplainReport(
         backend=backend.name,
         result_type=bundle.result_ty.show(),
@@ -330,7 +348,8 @@ def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
         queries=queries,
         timings=dict(compiled.timings),
         pass_stats=compiled.pass_stats,
-        analyze=analyze,
+        analyze=record,
+        annotated=annotated,
         verify=verify,
         lint=lint,
     )

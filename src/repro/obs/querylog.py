@@ -9,6 +9,12 @@ rows and times, and (on a traced connection) the full span tree.
 Memory is strictly bounded: the recent side is a ``deque(maxlen=N)``,
 the slow side a size-N min-heap keyed on duration, so a long-running
 service never grows the log past ``2N`` entries regardless of traffic.
+
+:meth:`QueryLog.record` is also the connection's one running account:
+it folds every record it is handed (``prepare`` records included, which
+it does not retain) into :attr:`QueryLog.totals`.  ``recorded``,
+``error_count`` and ``error_codes`` here, ``Connection.executions`` and
+``queries_issued`` and the statement totals are fields of that fold.
 All mutation happens under one lock; reads return snapshots.
 """
 
@@ -20,7 +26,7 @@ import threading
 from collections import deque
 from typing import Any
 
-from .record import ExecutionRecord
+from .record import ExecutionRecord, Totals
 
 
 class QueryLog:
@@ -37,28 +43,38 @@ class QueryLog:
         #: fastest of the retained slowest, evicted first.
         self._slow_heap: list[tuple[float, int, ExecutionRecord]] = []
         self._seq = itertools.count()
-        #: Total executions ever recorded (not bounded by the buffers).
-        self.recorded = 0
-        #: Executions that raised.
-        self.error_count = 0
-        #: Failed executions per stable diagnostic code (cumulative,
-        #: unbounded in *count* but keyed on the small fixed code set).
-        self.error_codes: dict[str, int] = {}
+        #: Every record ever handed in, folded (not bounded by the
+        #: buffers).  Read-only outside :meth:`record`.
+        self.totals = Totals()
 
     def record(self, entry: ExecutionRecord) -> None:
+        """Fold ``entry`` into :attr:`totals`; retain it if it executed."""
         with self._lock:
-            self.recorded += 1
-            if entry.error is not None:
-                self.error_count += 1
-                if entry.error_code is not None:
-                    self.error_codes[entry.error_code] = \
-                        self.error_codes.get(entry.error_code, 0) + 1
+            self.totals.add(entry)
+            if not entry.executed:
+                return
             self._recent.append(entry)
             item = (entry.duration, next(self._seq), entry)
             if len(self._slow_heap) < self._slow_bound:
                 heapq.heappush(self._slow_heap, item)
             elif item[0] > self._slow_heap[0][0]:
                 heapq.heapreplace(self._slow_heap, item)
+
+    @property
+    def recorded(self) -> int:
+        """Executions ever recorded, completed or failed."""
+        return self.totals.attempts
+
+    @property
+    def error_count(self) -> int:
+        """Executions that raised."""
+        return self.totals.errors
+
+    @property
+    def error_codes(self) -> dict[str, int]:
+        """Failed executions per stable diagnostic code (cumulative)."""
+        with self._lock:
+            return dict(self.totals.error_codes)
 
     @property
     def recent(self) -> list[ExecutionRecord]:
@@ -90,8 +106,13 @@ class QueryLog:
                     return entry
         return None
 
+    def totals_snapshot(self) -> dict[str, Any]:
+        """JSON-able copy of :attr:`totals`, taken under the lock."""
+        with self._lock:
+            return self.totals.snapshot()
+
     def clear(self) -> None:
-        """Drop every retained entry (cumulative counts are kept)."""
+        """Drop every retained entry (the totals are kept)."""
         with self._lock:
             self._recent.clear()
             self._slow_heap.clear()
@@ -104,9 +125,9 @@ class QueryLog:
                        sorted(self._slow_heap,
                               key=lambda t: (-t[0], -t[1]))]
             return {
-                "recorded": self.recorded,
-                "errors": self.error_count,
-                "error_codes": dict(self.error_codes),
+                "recorded": self.totals.attempts,
+                "errors": self.totals.errors,
+                "error_codes": dict(self.totals.error_codes),
                 "recent": recent,
                 "slowest": slowest,
             }

@@ -7,6 +7,9 @@ publishes it.  Everything else in :mod:`repro.obs` is a view of it: the
 flight recorder stores the record itself, :class:`StatementStats` folds
 it into its fingerprint's aggregate and :attr:`ExecutionRecord.trace`
 renders it as a span tree -- so the views agree by construction.
+The flight recorder also keeps the connection's one running account, a
+:class:`Totals` fold of every record it is handed; the connection's
+counters and the statement totals read that fold.
 
 The unit of the record is the bundle query, whose count loop-lifting
 fixes from the result type alone: a record is small and bounded whatever
@@ -110,3 +113,59 @@ class ExecutionRecord:
             "traced": self.trace_id is not None,
         }
 
+
+class Totals:
+    """The additive fold of execution records: the one running account
+    of a workload.  A ``prepare`` record adds its compile time and cache
+    hit; an executed one also counts a call (or an error, by code), its
+    rows, its queries and its execute and total seconds.  Sums only:
+    folding a record costs a few additions."""
+
+    __slots__ = ("calls", "errors", "error_codes", "cache_hits", "rows",
+                 "queries", "compile_time", "execute_time", "total_time")
+
+    def __init__(self) -> None:
+        self.calls = 0
+        self.errors = 0
+        #: Errors per stable diagnostic code (``F101``, ``F302``, ...).
+        self.error_codes: dict[str, int] = {}
+        self.cache_hits = 0
+        self.rows = 0
+        #: Relational queries issued (the Table 1 avalanche metric).
+        self.queries = 0
+        self.compile_time = 0.0
+        self.execute_time = 0.0
+        self.total_time = 0.0
+
+    def add(self, rec: ExecutionRecord) -> None:
+        self.compile_time += rec.compile_time
+        if rec.cache_hit:
+            self.cache_hits += 1
+        if not rec.executed:
+            return  # a prepare: compile cost and cache traffic, no call
+        if rec.error is not None:
+            self.errors += 1
+            if rec.error_code:
+                self.error_codes[rec.error_code] = \
+                    self.error_codes.get(rec.error_code, 0) + 1
+        else:
+            self.calls += 1
+        if rec.rows:
+            self.rows += rec.rows
+        self.queries += rec.queries_issued
+        self.execute_time += rec.execute_time
+        self.total_time += rec.duration
+
+    @property
+    def attempts(self) -> int:
+        """Executed calls, completed or failed."""
+        return self.calls + self.errors
+
+    def snapshot(self) -> dict[str, Any]:
+        return {"calls": self.calls, "errors": self.errors,
+                "error_codes": dict(self.error_codes),
+                "cache_hits": self.cache_hits, "rows": self.rows,
+                "queries": self.queries,
+                "compile_time": self.compile_time,
+                "execute_time": self.execute_time,
+                "total_time": self.total_time}

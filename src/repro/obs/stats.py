@@ -18,11 +18,10 @@ erroring, or regressing?" without retaining per-run records:
   (``QueryLog.find_trace``) from the flight recorder's span tree.
 
 Memory is strictly bounded: at most ``capacity`` fingerprints are
-tracked (LRU on last call), and evicted entries *fold into an overflow
-bucket* instead of vanishing -- the totals across ``statements`` plus
-``evicted`` reconcile exactly with the connection's own counters
-(``executions``, ``queries_issued``) no matter how hostile the
-workload's fingerprint cardinality is.
+tracked (LRU on last call); an evicted fingerprint is dropped and
+counted in ``evicted_statements``.  The workload totals are not summed
+here: they are the connection's one running account, the flight
+recorder's :class:`~repro.obs.record.Totals` fold, which evicts nothing.
 
 All mutation happens under one lock; reads return plain-dict snapshots.
 """
@@ -33,12 +32,10 @@ import threading
 from collections import OrderedDict, deque
 from typing import Any
 
-from .record import ExecutionRecord
+from .record import ExecutionRecord, Totals
 
 #: Fingerprint bucket for executions that failed before fingerprinting.
 UNFINGERPRINTED = "<unfingerprinted>"
-#: Synthetic fingerprint naming the eviction overflow bucket.
-EVICTED = "<evicted>"
 
 
 def _quantile(sorted_values: "list[float]", q: float) -> "float | None":
@@ -49,60 +46,31 @@ def _quantile(sorted_values: "list[float]", q: float) -> "float | None":
     return sorted_values[idx]
 
 
-class StatementEntry:
+class StatementEntry(Totals):
     """Aggregate telemetry for one fingerprint (internal; snapshot to
-    read)."""
+    read): the additive :class:`Totals` fold of its records plus its
+    latency extremes, reservoir and worst call."""
 
-    __slots__ = (
-        "fingerprint", "calls", "errors", "cache_hits", "rows", "queries",
-        "compile_time", "execute_time", "total_time", "min_time",
-        "max_time", "error_codes", "durations",
-        "first_seen", "last_seen", "worst_trace_id", "folded",
-    )
+    __slots__ = ("fingerprint", "min_time", "max_time", "durations",
+                 "first_seen", "last_seen", "worst_trace_id")
 
     def __init__(self, fingerprint: str, reservoir: int):
+        super().__init__()
         self.fingerprint = fingerprint
-        self.calls = 0
-        self.errors = 0
-        self.cache_hits = 0
-        self.rows = 0
-        self.queries = 0
-        self.compile_time = 0.0
-        self.execute_time = 0.0
-        self.total_time = 0.0
         self.min_time = float("inf")
         self.max_time = 0.0
-        #: Errors per stable diagnostic code (``F101``, ``F302``, ...).
-        self.error_codes: dict[str, int] = {}
         #: Recent durations (bounded) backing the p50/p95/p99 estimates.
         self.durations: deque[float] = deque(maxlen=reservoir)
         self.first_seen = 0.0
         self.last_seen = 0.0
         #: ``trace_id`` of the slowest call seen.
         self.worst_trace_id: "str | None" = None
-        #: Distinct fingerprints folded into this entry (overflow bucket).
-        self.folded = 0
 
-    # ------------------------------------------------------------------
     def record(self, rec: ExecutionRecord) -> None:
-        self.compile_time += rec.compile_time
-        if rec.cache_hit:
-            self.cache_hits += 1
+        self.add(rec)
         if not rec.executed:
-            return  # a prepare: compile cost and cache traffic, no call
-        if rec.error is not None:
-            self.errors += 1
-            if rec.error_code:
-                self.error_codes[rec.error_code] = \
-                    self.error_codes.get(rec.error_code, 0) + 1
-        else:
-            self.calls += 1
-        if rec.rows:
-            self.rows += rec.rows
-        self.queries += rec.queries_issued
-        self.execute_time += rec.execute_time
+            return
         duration = rec.duration
-        self.total_time += duration
         if duration < self.min_time:
             self.min_time = duration
         if duration >= self.max_time:
@@ -114,59 +82,21 @@ class StatementEntry:
             self.first_seen = rec.started_at
         self.last_seen = rec.started_at
 
-    def fold(self, other: "StatementEntry") -> None:
-        """Absorb an evicted entry's *exact* totals (identity is lost,
-        arithmetic is not)."""
-        self.calls += other.calls
-        self.errors += other.errors
-        self.cache_hits += other.cache_hits
-        self.rows += other.rows
-        self.queries += other.queries
-        self.compile_time += other.compile_time
-        self.execute_time += other.execute_time
-        self.total_time += other.total_time
-        self.min_time = min(self.min_time, other.min_time)
-        if other.max_time >= self.max_time:
-            self.max_time = other.max_time
-            self.worst_trace_id = other.worst_trace_id or \
-                self.worst_trace_id
-        for code, n in other.error_codes.items():
-            self.error_codes[code] = self.error_codes.get(code, 0) + n
-        if not self.first_seen or (other.first_seen and
-                                   other.first_seen < self.first_seen):
-            self.first_seen = other.first_seen
-        self.last_seen = max(self.last_seen, other.last_seen)
-        self.folded += 1 + other.folded
-
-    # ------------------------------------------------------------------
-    @property
-    def attempts(self) -> int:
-        return self.calls + self.errors
-
     def snapshot(self) -> dict[str, Any]:
         sample = sorted(self.durations)
-        mean = self.total_time / self.attempts if self.attempts else 0.0
+        attempts = self.attempts
         return {
             "fingerprint": self.fingerprint,
-            "calls": self.calls,
-            "errors": self.errors,
-            "cache_hits": self.cache_hits,
-            "rows": self.rows,
-            "queries": self.queries,
-            "compile_time": self.compile_time,
-            "execute_time": self.execute_time,
-            "total_time": self.total_time,
-            "mean_time": mean,
-            "min_time": self.min_time if self.attempts else None,
-            "max_time": self.max_time if self.attempts else None,
+            **super().snapshot(),
+            "mean_time": self.total_time / attempts if attempts else 0.0,
+            "min_time": self.min_time if attempts else None,
+            "max_time": self.max_time if attempts else None,
             "p50": _quantile(sample, 0.50),
             "p95": _quantile(sample, 0.95),
             "p99": _quantile(sample, 0.99),
-            "error_codes": dict(self.error_codes),
             "first_seen": self.first_seen,
             "last_seen": self.last_seen,
             "worst_trace_id": self.worst_trace_id,
-            "folded": self.folded,
         }
 
 
@@ -174,10 +104,10 @@ class StatementStats:
     """Thread-safe, bounded per-fingerprint aggregator.
 
     ``capacity`` bounds the number of *tracked* fingerprints: when a new
-    one would exceed it, the least-recently-called entry folds into the
-    :data:`EVICTED` overflow bucket, keeping workload-wide totals exact.
-    ``reservoir`` bounds the per-entry duration sample backing the
-    quantile estimates (totals are never sampled).
+    one would exceed it, the least-recently-called entry is dropped and
+    counted in :attr:`evicted_statements`.  ``reservoir`` bounds the
+    per-entry duration sample backing the quantile estimates (the sums
+    are never sampled).
     """
 
     def __init__(self, capacity: int = 512, reservoir: int = 128):
@@ -190,8 +120,7 @@ class StatementStats:
         self.reservoir = reservoir
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, StatementEntry]" = OrderedDict()
-        self._evicted: "StatementEntry | None" = None
-        #: Distinct fingerprints ever folded into the overflow bucket.
+        #: Fingerprints dropped to keep within ``capacity``.
         self.evicted_statements = 0
 
     def __len__(self) -> int:
@@ -210,7 +139,7 @@ class StatementStats:
 
     def _touch(self, key: str) -> StatementEntry:
         """Get-or-create ``key``'s entry, maintaining LRU order and the
-        eviction-into-overflow invariant.  Callers hold the lock."""
+        capacity bound.  Callers hold the lock."""
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
@@ -218,51 +147,36 @@ class StatementStats:
         entry = StatementEntry(key, self.reservoir)
         self._entries[key] = entry
         if len(self._entries) > self.capacity:
-            _, victim = self._entries.popitem(last=False)
-            if self._evicted is None:
-                self._evicted = StatementEntry(EVICTED, self.reservoir)
-            self._evicted.fold(victim)
+            self._entries.popitem(last=False)
             self.evicted_statements += 1
         return entry
 
     # ------------------------------------------------------------------
     def get(self, fingerprint: str) -> "dict[str, Any] | None":
         """Snapshot of one fingerprint's aggregate (``None`` if not
-        tracked; it may have been folded into the overflow bucket)."""
+        tracked, or evicted)."""
         with self._lock:
             entry = self._entries.get(fingerprint)
             return entry.snapshot() if entry is not None else None
 
     def snapshot(self) -> dict[str, Any]:
-        """JSON-able view: per-statement aggregates (busiest first by
-        total time), the eviction overflow bucket, and exact workload
-        totals across both."""
+        """JSON-able view: per-statement aggregates, busiest first by
+        total time."""
         with self._lock:
             entries = [entry.snapshot()
                        for entry in self._entries.values()]
-            evicted = (self._evicted.snapshot()
-                       if self._evicted is not None else None)
             evicted_statements = self.evicted_statements
         entries.sort(key=lambda e: -e["total_time"])
-        pool = entries + ([evicted] if evicted else [])
-        totals = {
-            key: sum(e[key] for e in pool)
-            for key in ("calls", "errors", "cache_hits", "rows",
-                        "queries", "compile_time", "execute_time",
-                        "total_time")
-        }
         return {
             "capacity": self.capacity,
             "tracked": len(entries),
             "evicted_statements": evicted_statements,
             "statements": entries,
-            "evicted": evicted,
-            "totals": totals,
         }
 
     def reset(self) -> None:
-        """Drop every aggregate (capacity/reservoir are kept)."""
+        """Drop every per-statement aggregate (capacity/reservoir are
+        kept; the workload totals live in the flight recorder)."""
         with self._lock:
             self._entries.clear()
-            self._evicted = None
             self.evicted_statements = 0

@@ -20,7 +20,9 @@ Every execution is observable (``repro.obs``).  ``run``,
 execution path that times each phase once and finishes by building one
 frozen :class:`~repro.obs.ExecutionRecord`.  Everything else is a view
 of that record: the flight recorder (:attr:`Connection.query_log`)
-stores it, the per-fingerprint statement statistics
+stores it and folds it into the connection's one running account
+(``executions``, ``queries_issued`` and the statement totals read that
+fold), the per-fingerprint statement statistics
 (:meth:`Connection.statement_stats`) fold it in, and the span tree
 (``check`` → ``cache-lookup`` → ``lift`` → ``optimize`` → ``codegen`` →
 one ``execute`` span per bundle query → ``stitch``;
@@ -30,7 +32,6 @@ one ``execute`` span per bundle query → ``stitch``;
 from __future__ import annotations
 
 import sys
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
@@ -107,8 +108,9 @@ class Connection:
     per-fingerprint :class:`~repro.obs.StatementStats` -- calls, errors,
     cache hits, rows, per-phase compile/execute time, latency quantiles,
     and the worst call's trace id -- read back via
-    :meth:`statement_stats` (bounded at 512 tracked fingerprints;
-    evictions fold into an overflow bucket so totals stay exact).
+    :meth:`statement_stats` (bounded at 512 tracked fingerprints; an
+    evicted one is dropped and counted, and the workload totals, kept by
+    the flight recorder, stay exact).
     """
 
     def __init__(self, backend: "str | Any | None" = None,
@@ -119,15 +121,10 @@ class Connection:
         self.backend = _resolve_backend(backend)
         self.plan_cache = (plan_cache if plan_cache is not None
                            else PlanCache())
-        #: Total number of relational queries issued over this connection's
-        #: lifetime (Table 1 instrumentation).  Counts *executions*: a
-        #: plan served from the cache still issues its queries.
-        self.queries_issued = 0
-        #: Number of ``run``/``PreparedQuery.execute`` calls.
-        self.executions = 0
         #: Give every execution a trace id and a span tree?
         self.trace_enabled = trace
-        #: The flight recorder: N most recent + N slowest executions.
+        #: The flight recorder: N most recent + N slowest executions,
+        #: and the totals of every record published.
         self.query_log = QueryLog()
         #: Per-fingerprint workload aggregates (``pg_stat_statements``
         #: for FERRY); ``None`` when ``statement_stats=False``.
@@ -136,12 +133,23 @@ class Connection:
         #: The most recent traced execution (its record renders
         #: :attr:`last_trace`).
         self._last_traced: ExecutionRecord | None = None
-        #: Guards ``executions`` / ``queries_issued`` (see ``_publish``).
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # observability plumbing
     # ------------------------------------------------------------------
+    @property
+    def queries_issued(self) -> int:
+        """Relational queries issued over this connection's lifetime
+        (Table 1 instrumentation).  Counts *executions*: a plan served
+        from the cache still issues its queries."""
+        return self.query_log.totals.queries
+
+    @property
+    def executions(self) -> int:
+        """Completed ``run`` / ``PreparedQuery.execute`` /
+        ``explain(analyze=True)`` calls."""
+        return self.query_log.totals.calls
+
     @property
     def last_trace(self) -> "Trace | None":
         """The span tree of the most recent traced execution.
@@ -161,8 +169,8 @@ class Connection:
 
     def statement_stats(self) -> dict[str, Any]:
         """Snapshot of the per-fingerprint workload aggregates (the
-        ``pg_stat_statements`` view): busiest statements first, the
-        eviction overflow bucket, and exact workload totals.  Raises
+        ``pg_stat_statements`` view): busiest statements first, and the
+        exact workload ``totals`` -- the flight recorder's fold.  Raises
         :class:`~repro.errors.ObservabilityError` when the connection
         was built with ``statement_stats=False``."""
         if self.stats is None:
@@ -170,18 +178,14 @@ class Connection:
                 "statement statistics are disabled on this connection; "
                 "construct it with statement_stats=True (the default) "
                 "to aggregate per-fingerprint workload telemetry")
-        return self.stats.snapshot()
+        snap = self.stats.snapshot()
+        snap["totals"] = self.query_log.totals_snapshot()
+        return snap
 
     def _publish(self, rec: ExecutionRecord) -> None:
-        """Hand a finished record to its views: the connection's own
-        counters and the flight recorder (executions only), then the
-        statement stats."""
-        if rec.executed:
-            with self._lock:
-                if rec.error is None:
-                    self.executions += 1
-                self.queries_issued += rec.queries_issued
-            self.query_log.record(rec)
+        """Hand a finished record to its views: the flight recorder (the
+        connection's running account), then the statement stats."""
+        self.query_log.record(rec)
         if self.stats is not None:
             self.stats.record(rec)
 
@@ -293,10 +297,11 @@ class Connection:
         artifact per query.
 
         ``analyze=True`` additionally *executes* the bundle (like SQL's
-        ``EXPLAIN ANALYZE`` -- it counts as a real execution) and attaches
-        an :class:`~repro.obs.AnalyzeReport`: per-operator wall time,
-        cardinalities, and peak intermediate width on the engine backend;
-        per-query timings and row counts on SQL, and also per
+        ``EXPLAIN ANALYZE`` -- it counts as a real execution), keeps its
+        :class:`~repro.obs.ExecutionRecord` as ``report.analyze`` and
+        annotates the plans with what it measured: per-operator wall
+        time, cardinalities, and peak intermediate width on the engine
+        backend; per-query timings and row counts on SQL, and also per
         temporary-table step (the plan nodes shared inside the bundle).
 
         ``properties=True`` annotates every plan operator with its

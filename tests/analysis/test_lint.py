@@ -114,7 +114,7 @@ class TestExplain:
         assert "bounds lint   : clean" in report.render(plans=False)
         assert report.to_dict()["lint"] == []
         # every measured count is printed beside its bounds
-        assert "rows=1600 bound=0.." in report.analyze.annotated[1]
+        assert "rows=1600 bound=0.." in report.annotated[1]
 
     def test_plain_explain_does_not_lint(self):
         db = Connection(catalog=avalanche_dataset(10))

@@ -97,4 +97,4 @@ def test_nested_orders_rows_follow_the_shared_spine():
     data_rows = sum(len(catalog.rows(t)) for t in catalog.table_names())
     # 48 operators and no numbering of the line items: 5.6 operator rows
     # per input + result row (8.9 with one spine per query, 80 operators)
-    assert counts[-1] <= 6.5 * (data_rows + report.total_rows)
+    assert counts[-1] <= 6.5 * (data_rows + report.rows)

@@ -27,6 +27,7 @@ from repro.algebra import (
 )
 from repro.backends.engine import Engine
 from repro.backends.sql.backend import SQLiteBackend
+from repro.backends.sql.generate import generate_bundle
 from repro.core.bundle import SerializedQuery
 from repro.errors import VerifyError
 from repro.ftypes import BoolT, DoubleT, IntT, StringT
@@ -58,7 +59,7 @@ def sql_rows(plan: Node, backend: "SQLiteBackend | None" = None
         backend = SQLiteBackend()
         backend._ensure_loaded(Catalog())
     query = serialized(plan)
-    rows = backend.run_sql(backend.generate(query), query)
+    rows = backend.run_sql(generate_bundle([query])[0], query)
     return sorted(row[2:] for row in rows)
 
 
@@ -158,7 +159,7 @@ class TestOperatorsOnSQLite:
         right = Project(ranked, (("b", "n"), ("pb", "p")))
         plan = EqJoin(left, right, (("pa", "pb"),))
         query = serialized(plan)
-        gen = SQLiteBackend().generate(query)
+        gen = generate_bundle([query])[0]
         assert [step.op for step in gen.steps] == [
             "RowNum p := row_number(order by n asc)"]
         assert gen.text.count("temp.ferry_m0000") == 2

@@ -77,7 +77,7 @@ class TestConvergence:
                                for query in db.compile(q).bundle.queries]
                 report = db.explain(q, analyze=True).analyze
                 results[backend, name] = db.run(q)
-                budget = 4 * (self.INPUT_ROWS + report.total_rows)
+                budget = 4 * (self.INPUT_ROWS + report.rows)
                 for profile in report.queries:
                     # no per-operator data for a sqlite statement
                     # whose every step an earlier one built

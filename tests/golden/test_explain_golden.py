@@ -78,7 +78,7 @@ def render_analyze(backend: str) -> str:
     per-query plans with timings masked."""
     db = Connection(backend=backend, catalog=paper_dataset())
     report = db.explain(running_example_query(db), analyze=True)
-    return _normalize_timings(report.analyze.render()) + "\n"
+    return _normalize_timings(report.render_analyze()) + "\n"
 
 
 @pytest.mark.parametrize("backend", ["engine", "sqlite"])

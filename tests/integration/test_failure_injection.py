@@ -297,6 +297,27 @@ class TestIntOverflow:
             self.catalog())
 
 
+@pytest.mark.xfail(strict=True, reason="open (ROADMAP, literal tables): "
+                   "a REAL column stores an integral float as an "
+                   "integer, so a stored -0.0 reads back as 0.0")
+class TestStoredNegativeZero:
+    """Catalog tables and temporary-table steps declare a ``Double``
+    column ``REAL``; SQLite's affinity writes ``-0.0`` as the integer
+    0, so the sign is lost wherever a value is stored rather than
+    computed.  Compared by ``repr``: ``-0.0 == 0.0``."""
+
+    def test_a_catalog_table(self):
+        catalog = Catalog()
+        catalog.create_table("t", [("x", float)], [(-0.0,), (1.0,)])
+        assert_one_outcome(lambda db: db.table("t"), catalog)
+
+    def test_a_step_table(self):
+        # a division is a temporary-table step of its own
+        assert_one_outcome(
+            lambda db: fmap(lambda x: x / 1.0, to_q([-0.0, 1.0])),
+            Catalog())
+
+
 class TestPartialOperations:
     def test_head_of_empty(self, db):
         with pytest.raises(PartialFunctionError):

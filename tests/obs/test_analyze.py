@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from repro import AnalyzeReport, Connection, to_q
+from repro import Connection, to_q
 from repro.algebra import describe, postorder
 from examples.workloads import running_example_query
 from repro.obs import ExecutionRecord, QueryProfile, build_report
@@ -19,7 +19,9 @@ class TestEnginePerOperator:
         report = paper_db.explain(running_example_query(paper_db),
                                   analyze=True)
         analyze = report.analyze
-        assert isinstance(analyze, AnalyzeReport)
+        # the analyze run's own record, as the flight recorder holds it
+        assert analyze is paper_db.query_log.recent[0]
+        assert analyze.kind == "explain-analyze"
         assert analyze.backend == "engine"
         assert len(analyze.queries) == 2
         for qp in analyze.queries:
@@ -53,7 +55,7 @@ class TestEnginePerOperator:
             assert qp.peak_width == max(op.width for op in qp.ops)
             assert qp.peak_rows == max(op.rows_out for op in qp.ops)
             assert f"peak_rows={qp.peak_rows} " in \
-                report.analyze.annotated[qp.index - 1].splitlines()[0]
+                report.annotated[qp.index - 1].splitlines()[0]
         record = paper_db.query_log.recent[0]
         assert record.peak_intermediate_rows == max(
             qp.peak_rows for qp in report.analyze.queries)
@@ -85,12 +87,13 @@ class TestOtherBackends:
             assert qp.rows > 0
             assert qp.time >= 0.0
         assert record.peak_intermediate_rows is None
-        analyze = build_report(paper_db.compile(q), paper_db.backend, [],
-                               record=record).analyze
-        assert analyze.total_rows == record.rows
-        assert "peak_rows" not in analyze.render()
+        report = build_report(paper_db.compile(q), paper_db.backend, [],
+                              record=record)
+        assert report.analyze is record
+        assert f"rows={record.rows}) ==" in report.render_analyze()
+        assert "peak_rows" not in report.render_analyze()
         # a header per query, no annotated plan under it
-        assert [len(a.splitlines()) for a in analyze.annotated] == [1, 1]
+        assert [len(a.splitlines()) for a in report.annotated] == [1, 1]
 
     def test_sqlite_profiles_every_temp_table_step(self, paper_catalog):
         db = Connection(backend="sqlite", catalog=paper_catalog)
@@ -123,7 +126,7 @@ class TestOtherBackends:
         for qp, ref_qp in zip(report.analyze.queries, reference.queries):
             for op in qp.ops:
                 assert op.rows_out == ref_qp.ops[op.ref].rows_out
-        rendered = report.analyze.render()
+        rendered = report.render_analyze()
         assert "in=" not in rendered
         assert rendered.count("| out=") == 3
 
@@ -165,7 +168,9 @@ class TestReportSurface:
         data = json.loads(json.dumps(report.to_dict()))
         analyze = data["analyze"]
         assert analyze["backend"] == "engine"
-        assert analyze["total_rows"] == report.analyze.total_rows
+        assert analyze["rows"] == report.analyze.rows == sum(
+            q["rows"] for q in analyze["queries"])
+        assert analyze["duration"] == report.analyze.duration
         assert [q["index"] for q in analyze["queries"]] == [1, 2]
         for q in analyze["queries"]:
             assert q["peak_width"] == max(op["width"] for op in q["ops"])
@@ -175,9 +180,9 @@ class TestReportSurface:
         """The root's rendered inclusive subtree time (``cum=``) equals
         the sum of every operator's exclusive time (shared DAG nodes
         counted once)."""
-        analyze = paper_db.explain(running_example_query(paper_db),
-                                   analyze=True).analyze
-        for qp, text in zip(analyze.queries, analyze.annotated):
+        report = paper_db.explain(running_example_query(paper_db),
+                                  analyze=True)
+        for qp, text in zip(report.analyze.queries, report.annotated):
             root = text.splitlines()[1]
             assert root.startswith(f"@{len(qp.ops) - 1} ")
             (cum,) = re.findall(r"cum=(\d+\.\d+) ms\]$", root)
@@ -188,10 +193,10 @@ class TestReportSurface:
         """Query shares are computed against the recorded bundle
         total."""
         record = ExecutionRecord(
-            "explain-analyze", "engine", 0.0, 0.5,
+            "explain-analyze", "engine", 0.0, 0.5, rows=3,
             queries=[QueryProfile(1, time=0.25, rows=3)])
         report = build_report(paper_db.compile(to_q([1, 2, 3])),
-                              paper_db.backend, [], record=record).analyze
-        assert report.total_time == 0.5
-        assert report.total_rows == 3
+                              paper_db.backend, [], record=record)
+        assert report.render_analyze().startswith(
+            "== analyze (backend=engine, total=500.000 ms, rows=3) ==")
         assert "(50.0% of bundle)" in report.annotated[0]

@@ -135,7 +135,7 @@ class TestDeepPlans:
         assert len(query.plan.splitlines()) > 600
         analyzed = db.explain(q, analyze=True)
         assert analyzed.lint == []
-        header, *plan = analyzed.analyze.annotated[0].splitlines()
+        header, *plan = analyzed.annotated[0].splitlines()
         assert "[rows=3 bound=3..3 " in header
         if backend == "engine":  # every operator profiled
             assert len(plan) > 600

@@ -2,12 +2,13 @@
 view.
 
 Two layers under test.  First the :class:`StatementStats` aggregator
-itself: exact counts, the LRU-eviction-into-overflow invariant (totals
-stay exact no matter the fingerprint cardinality), quantiles, and the
-compile-only accounting path.  Second the wiring: every
-``Connection.run`` (and ``explain(analyze=True)``, which executes too)
-must land in the stats with numbers that *reconcile exactly* against
-the connection's own counters and its flight recorder.
+itself: exact counts, LRU eviction (an evicted fingerprint is dropped
+and counted), quantiles, and the compile-only accounting path.  Second
+the wiring: every ``Connection.run`` (and ``explain(analyze=True)``,
+which executes too) lands in the flight recorder's one fold of the
+workload -- the statement totals, the connection's counters and the
+recorder's counts are all fields of it -- and in its statement's
+aggregate, whatever the stats evicted.
 """
 
 from __future__ import annotations
@@ -21,16 +22,18 @@ from examples.workloads import (
     running_example_query,
 )
 from repro.errors import ObservabilityError
-from repro.obs import EVICTED, UNFINGERPRINTED, StatementStats
+from repro.obs import UNFINGERPRINTED, StatementStats
 
 from ..conftest import execution_record as rec
 
 
 def reconcile(conn: Connection) -> None:
-    """Assert a fresh connection's stats totals equal its own counters
-    and its flight recorder (every record still retained)."""
+    """Assert a fresh connection's stats totals, its own counters and
+    its flight recorder's counts are fields of the recorder's one fold,
+    and equal its retained records (every record still retained)."""
     log = conn.query_log
     totals = conn.statement_stats()["totals"]
+    assert totals == log.totals.snapshot()
     # ``executions`` counts completed executions; the log records failed
     # ones too, counting them in ``error_count``.
     assert conn.executions == log.recorded - log.error_count == \
@@ -110,26 +113,41 @@ class TestStatementStatsUnit:
         stats.record(rec("fp2", 0.1))  # evicts fp1
         stats.reset()
         snap = stats.snapshot()
-        assert snap["tracked"] == 0
-        assert snap["evicted"] is None
-        assert snap["totals"]["calls"] == 0
+        assert snap["tracked"] == 0 and snap["statements"] == []
+        assert snap["evicted_statements"] == 0
 
 
 class TestEvictionInvariant:
-    def test_eviction_folds_into_overflow_keeping_totals_exact(self):
-        stats = StatementStats(capacity=4)
+    def test_eviction_keeps_the_totals_exact(self, paper_catalog):
+        """Sixteen of twenty statements are evicted; the totals are the
+        flight recorder's fold, which evicts nothing."""
+        conn = Connection(catalog=paper_catalog)
+        conn.stats = StatementStats(capacity=4)
         for i in range(20):
-            stats.record(rec(f"fp{i}", 0.01, rows=3, queries_issued=2))
-        snap = stats.snapshot()
+            conn.run(to_q([i, i + 1, i + 2]))
+        snap = conn.statement_stats()
         assert snap["tracked"] == 4
         assert snap["evicted_statements"] == 16
-        assert snap["evicted"]["fingerprint"] == EVICTED
-        assert snap["evicted"]["folded"] == 16
-        # The invariant: totals across tracked + evicted are exact.
-        assert snap["totals"]["calls"] == 20
+        assert "evicted" not in snap
+        assert sum(s["calls"] for s in snap["statements"]) == 4
+        assert snap["totals"]["calls"] == conn.executions == 20
         assert snap["totals"]["rows"] == 60
-        assert snap["totals"]["queries"] == 40
-        assert snap["totals"]["total_time"] == pytest.approx(0.2)
+        assert snap["totals"]["queries"] == conn.queries_issued == 20
+        assert snap["totals"]["total_time"] == pytest.approx(
+            sum(r.duration for r in conn.query_log.recent))
+        reconcile(conn)
+
+    def test_reset_and_clear_keep_the_totals(self, paper_db):
+        q = running_example_query(paper_db)
+        paper_db.run(q)
+        paper_db.run(q)
+        before = paper_db.statement_stats()["totals"]
+        paper_db.stats.reset()
+        paper_db.query_log.clear()
+        snap = paper_db.statement_stats()
+        assert snap["statements"] == [] and paper_db.query_log.recent == []
+        assert snap["totals"] == before
+        assert paper_db.executions == 2 == paper_db.query_log.recorded
 
     def test_lru_evicts_least_recently_called(self):
         stats = StatementStats(capacity=2)
@@ -141,13 +159,18 @@ class TestEvictionInvariant:
         assert stats.get("hot") is not None
         assert stats.get("new") is not None
 
-    def test_evicted_bucket_carries_worst_case_forward(self):
+    def test_an_evicted_statement_is_dropped_and_counted(self):
         stats = StatementStats(capacity=1)
         stats.record(rec("slow", 9.0, trace_id="tt"))
         stats.record(rec("fast", 0.1))  # evicts "slow"
         snap = stats.snapshot()
-        assert snap["evicted"]["max_time"] == pytest.approx(9.0)
-        assert snap["evicted"]["worst_trace_id"] == "tt"
+        assert stats.get("slow") is None
+        assert [s["fingerprint"] for s in snap["statements"]] == ["fast"]
+        assert snap["evicted_statements"] == 1
+        # back again: a fresh aggregate, no memory of the first one
+        stats.record(rec("slow", 0.2))
+        assert stats.get("slow")["max_time"] == pytest.approx(0.2)
+        assert stats.snapshot()["evicted_statements"] == 2
 
 
 class TestConnectionWiring:
@@ -249,6 +272,7 @@ class TestMetricsReconciliation:
         record = conn.stats.record
         monkeypatch.setattr(conn.stats, "record",
                             lambda rec: (published.append(rec), record(rec)))
+        fold = conn.query_log.totals
         totals = conn.statement_stats()["totals"]
         logged, failed = conn.query_log.recorded, conn.query_log.error_count
         executions, issued = conn.executions, conn.queries_issued
@@ -281,6 +305,8 @@ class TestMetricsReconciliation:
 
         # statement stats
         after = conn.statement_stats()["totals"]
+        codes = after.pop("error_codes")
+        assert codes == {r.error_code: 1 for r in executed if r.error_code}
         delta = {key: after[key] - totals[key] for key in after}
         assert delta["calls"] == sum(r.error is None for r in executed)
         assert delta["errors"] == sum(r.error is not None for r in executed)
@@ -296,3 +322,11 @@ class TestMetricsReconciliation:
         # the connection's own counters
         assert conn.executions - executions == delta["calls"]
         assert conn.queries_issued - issued == delta["queries"]
+
+        # ... and all of them are fields of the flight recorder's fold
+        assert after == {k: v for k, v in fold.snapshot().items()
+                         if k != "error_codes"}
+        assert (conn.executions, conn.queries_issued) == \
+            (fold.calls, fold.queries)
+        assert (conn.query_log.recorded, conn.query_log.error_count) == \
+            (fold.calls + fold.errors, fold.errors)

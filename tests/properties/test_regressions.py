@@ -201,3 +201,12 @@ def test_multiplying_by_one_keeps_the_sign_of_zero(backend):
     q = fmap(lambda x: x * 1.0, to_q([0.0, -0.0]))
     assert repr(Interpreter(Catalog()).run(q.exp)) == "[0.0, -0.0]"
     assert repr(Connection(backend=backend).run(q)) == "[0.0, -0.0]"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_negating_flips_the_sign_of_zero(backend):
+    """SQLite evaluated a negation as ``0 - x``, which turns ``0.0``
+    into ``0.0``; compare the floats' reprs."""
+    q = fmap(lambda x: -x, to_q([0.0, -0.0]))
+    assert repr(Interpreter(Catalog()).run(q.exp)) == "[-0.0, 0.0]"
+    assert repr(Connection(backend=backend).run(q)) == "[-0.0, 0.0]"
