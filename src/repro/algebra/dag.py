@@ -11,60 +11,59 @@ from .ops import BinApp, Const, Node
 T = TypeVar("T")
 
 
-def fill(root: Node, memo: dict[int, T], compute: Callable[[Node], T]) -> T:
-    """``memo[id(n)] = compute(n)`` for every node of ``root``'s plan the
+def fill(root: Node, memo: dict[Node, T], compute: Callable[[Node], T]) -> T:
+    """``memo[n] = compute(n)`` for every node of ``root``'s plan the
     memo does not hold yet, children before parents (iterative -- plans
     can be thousands of operators deep).  The walk never descends below
-    a node already in ``memo``, so a memo that outlives the call must
-    belong to something that keeps its nodes alive."""
+    a node already in ``memo``."""
     stack = [root]
     while stack:
         node = stack[-1]
-        if id(node) in memo:
+        if node in memo:
             stack.pop()
             continue
         ready = True
         for child in node.children:
-            if id(child) not in memo:
+            if child not in memo:
                 stack.append(child)
                 ready = False
         if ready:
-            memo[id(node)] = compute(node)
+            memo[node] = compute(node)
             stack.pop()
-    return memo[id(root)]
+    return memo[root]
 
 
 def postorder(*roots: Node) -> Iterator[Node]:
     """Yield every node reachable from ``roots`` (one plan, or the plans
     of a bundle) exactly once, children before parents."""
-    seen: dict[int, Node] = {}
+    seen: dict[Node, Node] = {}
     for root in roots:  # :func:`fill` with ``node -> node``, inlined
         stack = [root]
         while stack:
             node = stack[-1]
-            if id(node) in seen:
+            if node in seen:
                 stack.pop()
                 continue
             ready = True
             for child in node.children:
-                if id(child) not in seen:
+                if child not in seen:
                     stack.append(child)
                     ready = False
             if ready:
-                seen[id(node)] = node
+                seen[node] = node
                 stack.pop()
-    return iter(seen.values())
+    return iter(seen)
 
 
 def node_count(root: Node) -> int:
     """Number of distinct operator nodes in the plan DAG (shared subplans
     counted once) -- the plan-size metric of the optimizer ablation."""
-    seen = {id(root)}
+    seen = {root}
     stack = [root]
     while stack:
         for child in stack.pop().children:
-            if id(child) not in seen:
-                seen.add(id(child))
+            if child not in seen:
+                seen.add(child)
                 stack.append(child)
     return len(seen)
 
@@ -84,7 +83,7 @@ def contains(root: Node, predicate: Callable[[Node], bool]) -> bool:
 
 
 def rewrite_dag(root: Node, visit: Callable[[Node, tuple[Node, ...]], Node],
-                memo: dict[int, Node] | None = None) -> Node:
+                memo: dict[Node, Node] | None = None) -> Node:
     """Rebuild a DAG bottom-up.
 
     ``visit`` receives each node together with its (already rewritten)
@@ -93,9 +92,9 @@ def rewrite_dag(root: Node, visit: Callable[[Node, tuple[Node, ...]], Node],
     distinct node is visited once -- once per ``memo`` (see
     :func:`fill`), when the caller carries one across calls.
     """
-    results: dict[int, Node] = {} if memo is None else memo
+    results: dict[Node, Node] = {} if memo is None else memo
     return fill(root, results, lambda node: visit(
-        node, tuple(results[id(c)] for c in node.children)))
+        node, tuple(results[c] for c in node.children)))
 
 
 def _params_getter(cls: type) -> Callable[[Any], tuple[Any, ...]]:
@@ -123,7 +122,7 @@ def node_key(node: Node) -> tuple[Any, ...]:
     if cls is BinApp:  # spell ``Const`` operands out structurally
         params = tuple((Const, p.value, p.ty) if type(p) is Const else p
                        for p in params)
-    return (cls, params, *map(id, node.children))
+    return (cls, params, *node.children)
 
 
 def replace_children(node: Node, children: tuple[Node, ...]) -> Node:

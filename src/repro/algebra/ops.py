@@ -30,9 +30,9 @@ Operator inventory (the classic Pathfinder set):
 ===============  ====================================================
 
 Nodes use *identity* equality (``eq=False``): plans are DAGs with heavy
-sharing, and structural equality would be exponential.  Common
-subexpression elimination (``repro.optimizer.rewrites.cse``) performs its
-own hash-consing.
+sharing, and structural equality would be exponential.  A node is
+therefore its own memo key, and common subexpression elimination
+(``repro.analysis.PlanStore.intern``) performs its own hash-consing.
 """
 
 from __future__ import annotations

@@ -76,7 +76,7 @@ def _operand(op) -> str:
 
 
 def plan_text(root: Node, annotations: "dict[int, str] | None" = None,
-              earlier: "dict[int, str] | None" = None,
+              earlier: "dict[Node, str] | None" = None,
               label: str = "") -> str:
     """Indented tree rendering; shared subplans are printed once and then
     referenced by number.
@@ -89,22 +89,22 @@ def plan_text(root: Node, annotations: "dict[int, str] | None" = None,
     printed to where (``"Q1 @8"``), a plan refers to those instead of
     printing them again, and records its own under ``label``.
     """
-    ids: dict[int, int] = {}
+    ids: dict[Node, int] = {}
     for i, node in enumerate(postorder(root)):
-        ids[id(node)] = i
+        ids[node] = i
     lines: list[str] = []
-    printed: set[int] = set()
+    printed: set[Node] = set()
     stack = [(root, 0)]  # preorder, first child on top
     while stack:
         node, depth = stack.pop()
-        ref = ids[id(node)]
+        ref = ids[node]
         indent = "  " * depth
-        if id(node) in printed:
+        if node in printed:
             lines.append(f"{indent}@{ref} (shared, see above)")
             continue
-        printed.add(id(node))
-        if earlier is not None and id(node) in earlier:
-            lines.append(f"{indent}@{ref} (shared with {earlier[id(node)]})")
+        printed.add(node)
+        if earlier is not None and node in earlier:
+            lines.append(f"{indent}@{ref} (shared with {earlier[node]})")
             continue
         suffix = ""
         if annotations is not None and ref in annotations:
@@ -112,8 +112,8 @@ def plan_text(root: Node, annotations: "dict[int, str] | None" = None,
         lines.append(f"{indent}@{ref} {describe(node)}{suffix}")
         stack.extend((child, depth + 1) for child in reversed(node.children))
     if earlier is not None:
-        earlier.update((nid, f"{label} @{ids[nid]}") for nid in printed
-                       if nid not in earlier)
+        earlier.update((node, f"{label} @{ids[node]}") for node in printed
+                       if node not in earlier)
     return "\n".join(lines)
 
 
@@ -122,7 +122,7 @@ def bundle_text(bundle) -> str:
     its ``-- Qn`` header (the classic ``explain`` text layout); a subplan
     an earlier query printed is referred to, not repeated."""
     chunks = []
-    earlier: dict[int, str] = {}
+    earlier: dict[Node, str] = {}
     for i, query in enumerate(bundle.queries, start=1):
         chunks.append(f"-- Q{i} (iter={query.iter_col}, "
                       f"pos={query.pos_col}, "
@@ -133,13 +133,13 @@ def bundle_text(bundle) -> str:
 
 def plan_dot(root: Node, name: str = "plan") -> str:
     """Graphviz DOT rendering of the plan DAG."""
-    ids: dict[int, int] = {}
+    ids: dict[Node, int] = {}
     lines = [f"digraph {name} {{", "  node [shape=box, fontsize=10];"]
     for i, node in enumerate(postorder(root)):
-        ids[id(node)] = i
+        ids[node] = i
         text = describe(node).replace('"', r"\"")
         lines.append(f'  n{i} [label="{text}"];')
         for child in node.children:
-            lines.append(f"  n{i} -> n{ids[id(child)]};")
+            lines.append(f"  n{i} -> n{ids[child]};")
     lines.append("}")
     return "\n".join(lines)

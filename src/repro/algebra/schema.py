@@ -38,7 +38,7 @@ from .ops import (
 Schema = dict[str, AtomT]
 
 
-def schema_of(node: Node, memo: dict[int, Schema] | None = None) -> Schema:
+def schema_of(node: Node, memo: dict[Node, Schema] | None = None) -> Schema:
     """Infer (and validate) the output schema of ``node``.
 
     Pass a shared ``memo`` when inferring over a DAG to avoid re-walking
@@ -47,7 +47,7 @@ def schema_of(node: Node, memo: dict[int, Schema] | None = None) -> Schema:
     """
     if memo is None:
         memo = {}
-    cached = memo.get(id(node))
+    cached = memo.get(node)
     if cached is not None:
         return cached
     return fill(node, memo, lambda current: _infer(current, memo))
@@ -76,7 +76,7 @@ def _col(node: Node, schema: Schema, col: str) -> AtomT:
         raise AssertionError  # pragma: no cover
 
 
-def _infer(node: Node, memo: dict[int, Schema]) -> Schema:
+def _infer(node: Node, memo: dict[Node, Schema]) -> Schema:
     """``node``'s schema from its children's, which ``memo`` holds."""
     if isinstance(node, LitTable):
         out = {}
@@ -99,7 +99,7 @@ def _infer(node: Node, memo: dict[int, Schema]) -> Schema:
         return out
 
     if isinstance(node, Attach):
-        child = memo[id(node.child)]
+        child = memo[node.child]
         if node.col in child:
             _fail(node, f"column {node.col!r} already exists", code="F102")
         out = dict(child)
@@ -107,7 +107,7 @@ def _infer(node: Node, memo: dict[int, Schema]) -> Schema:
         return out
 
     if isinstance(node, Project):
-        child = memo[id(node.child)]
+        child = memo[node.child]
         out = {}
         for new, old in node.cols:
             if new in out:
@@ -116,17 +116,17 @@ def _infer(node: Node, memo: dict[int, Schema]) -> Schema:
         return out
 
     if isinstance(node, Select):
-        child = memo[id(node.child)]
+        child = memo[node.child]
         if _col(node, child, node.col) != BoolT:
             _fail(node, f"selection column {node.col!r} is not Bool",
                   code="F103")
         return dict(child)
 
     if isinstance(node, Distinct):
-        return dict(memo[id(node.child)])
+        return dict(memo[node.child])
 
     if isinstance(node, (RowNum, RowRank)):
-        child = memo[id(node.child)]
+        child = memo[node.child]
         if node.col in child:
             _fail(node, f"column {node.col!r} already exists", code="F102")
         if not node.order:
@@ -143,8 +143,8 @@ def _infer(node: Node, memo: dict[int, Schema]) -> Schema:
         return out
 
     if isinstance(node, (Cross, EqJoin, SemiJoin, AntiJoin)):
-        left = memo[id(node.left)]
-        right = memo[id(node.right)]
+        left = memo[node.left]
+        right = memo[node.right]
         if isinstance(node, (EqJoin, SemiJoin, AntiJoin)):
             if not node.pairs:
                 _fail(node, "join requires at least one column pair")
@@ -164,15 +164,15 @@ def _infer(node: Node, memo: dict[int, Schema]) -> Schema:
         return out
 
     if isinstance(node, UnionAll):
-        left = memo[id(node.left)]
-        right = memo[id(node.right)]
+        left = memo[node.left]
+        right = memo[node.right]
         if left != right:
             _fail(node, f"schemas differ: {_show(left)} vs {_show(right)}",
                   code="F106")
         return dict(left)
 
     if isinstance(node, GroupAggr):
-        child = memo[id(node.child)]
+        child = memo[node.child]
         out: Schema = {}
         for col in node.group:
             out[col] = _col(node, child, col)
@@ -196,7 +196,7 @@ def _infer(node: Node, memo: dict[int, Schema]) -> Schema:
         return out
 
     if isinstance(node, BinApp):
-        child = memo[id(node.child)]
+        child = memo[node.child]
         if node.out in child:
             _fail(node, f"column {node.out!r} already exists", code="F102")
         lty = _operand_ty(node, child, node.lhs)
@@ -224,7 +224,7 @@ def _infer(node: Node, memo: dict[int, Schema]) -> Schema:
         return out
 
     if isinstance(node, UnApp):
-        child = memo[id(node.child)]
+        child = memo[node.child]
         if node.out in child:
             _fail(node, f"column {node.out!r} already exists", code="F102")
         ity = _col(node, child, node.col)

@@ -49,8 +49,7 @@ class RowBounds:
     ``table_rows`` maps table names to exact row counts; a table it
     does not name scans as ``0..*``.  ``store`` is the compile's
     :class:`~repro.analysis.PlanStore`: the fold reads the properties
-    the pipeline already inferred, and the store keeps the memo's nodes
-    alive.
+    the pipeline already inferred.
     """
 
     __slots__ = ("table_rows", "store", "memo")
@@ -59,12 +58,12 @@ class RowBounds:
                  store: "PlanStore | None" = None):
         self.table_rows = table_rows
         self.store = store if store is not None else PlanStore()
-        self.memo: dict[int, Bounds] = {}
+        self.memo: dict[Node, Bounds] = {}
 
     def of(self, node: Node) -> Bounds:
         """The :class:`Bounds` of ``node`` (and, in ``memo``, of every
         node below it)."""
-        return self.memo.get(id(node)) or fill(node, self.memo, self._bound)
+        return self.memo.get(node) or fill(node, self.memo, self._bound)
 
     def _bound(self, node: Node) -> Bounds:
         # ``infer`` per node, not once at the root: facts *carried* to a
@@ -75,7 +74,7 @@ class RowBounds:
         # is their intersection.
         card = mine.card.meet(row_bounds(
             node, [infer(c) for c in node.children],
-            [self.memo[id(c)] for c in node.children], self.table_rows))
+            [self.memo[c] for c in node.children], self.table_rows))
         return Bounds(card.lo, card.hi, len(mine.schema))
 
 

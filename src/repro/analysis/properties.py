@@ -244,31 +244,28 @@ class PlanStore:
     of a bundle -- are one object, so common-subexpression elimination
     is construction and "this rewrite changed nothing" is ``is``.
     Schema, :class:`Props` and each rewrite family's result
-    (:meth:`rewrite`) hang off a node by ``id()`` and are never
+    (:meth:`rewrite`) are keyed by the node itself and are never
     invalidated -- a rewrite makes a *new* node -- so a node is analysed
-    and rewritten once per compile, whoever asks.  That is sound only
-    while no ``id()`` is recycled: the store keeps every node it was
-    shown alive (``canonical`` the interned ones, ``pins`` the rest).
+    and rewritten once per compile, whoever asks.
     """
 
-    __slots__ = ("canonical", "twin", "pins", "props", "schemas",
+    __slots__ = ("canonical", "twin", "props", "schemas",
                  "heights", "rewritten", "wider", "visits", "inferences")
 
     def __init__(self) -> None:
         #: structural key -> the interned node
         self.canonical: dict[tuple[Any, ...], Node] = {}
-        #: ``id`` of every node :meth:`intern` saw -> its interned twin
-        self.twin: dict[int, Node] = {}
-        self.pins: list[Node] = []
-        self.props: dict[int, Props] = {}
-        self.schemas: dict[int, Schema] = {}
-        self.heights: dict[int, int] = {}
-        #: rewrite family -> ``id(interned node)`` -> its rewrite
-        self.rewritten: dict[str, dict[int, Node]] = {}
-        #: ``id`` of a node a rule widened for one of its readers -> the
-        #: twin that hands up more columns; icols points every
-        #: projection of the node at it
-        self.wider: dict[int, Node] = {}
+        #: every node :meth:`intern` saw -> its interned twin
+        self.twin: dict[Node, Node] = {}
+        self.props: dict[Node, Props] = {}
+        self.schemas: dict[Node, Schema] = {}
+        self.heights: dict[Node, int] = {}
+        #: rewrite family -> interned node -> its rewrite
+        self.rewritten: dict[str, dict[Node, Node]] = {}
+        #: a node a rule widened for one of its readers -> the twin
+        #: that hands up more columns; icols points every projection
+        #: of the node at it
+        self.wider: dict[Node, Node] = {}
         #: work counters: rule applications per family, ``Props`` inferred
         self.visits: Counter[str] = Counter()
         self.inferences = 0
@@ -276,19 +273,16 @@ class PlanStore:
     def intern(self, root: Node) -> Node:
         """The interned node structurally equal to ``root``; what of
         ``root``'s plan the store has not seen is hash-consed in."""
-        return self.twin.get(id(root)) or fill(root, self.twin, self._adopt)
+        return self.twin.get(root) or fill(root, self.twin, self._adopt)
 
     def _adopt(self, node: Node) -> Node:
-        canon = self.add(replace_children(
-            node, tuple([self.twin[id(c)] for c in node.children])))
-        if canon is not node:
-            self.pins.append(node)  # its id stays a key of ``twin``
-        return canon
+        return self.add(replace_children(
+            node, tuple([self.twin[c] for c in node.children])))
 
     def add(self, node: Node) -> Node:
         """:meth:`intern` for a node built over interned children."""
         canon = self.canonical.setdefault(node_key(node), node)
-        self.twin[id(canon)] = canon
+        self.twin[canon] = canon
         return canon
 
     def rebuild(self, node: Node, children: tuple[Node, ...]) -> Node:
@@ -306,12 +300,12 @@ class PlanStore:
 
         def once(node: Node) -> Node:
             self.visits[family] += 1
-            result = visit(node, tuple([memo[id(c)] for c in node.children]))
-            memo[id(result)] = result
+            result = visit(node, tuple([memo[c] for c in node.children]))
+            memo[result] = result
             return result
 
         root = self.intern(root)
-        return memo.get(id(root)) or fill(root, memo, once)
+        return memo.get(root) or fill(root, memo, once)
 
     def schema(self, node: Node) -> Schema:
         return schema_of(node, self.schemas)
@@ -321,19 +315,18 @@ class PlanStore:
         it drops with every step down, so a node is never met below one
         no higher than itself."""
         heights = self.heights
-        known = heights.get(id(node))
+        known = heights.get(node)
         return known if known is not None else fill(
             node, heights, lambda n: 1 + max(
-                map(heights.__getitem__, map(id, n.children)), default=-1))
+                map(heights.__getitem__, n.children), default=-1))
 
     def infer(self, node: Node) -> Props:
         """The facts about ``node``: carried over from the node it
         rewrites (:meth:`carry`) or inferred, once."""
-        return self.props.get(id(node)) or fill(node, self.props, self._infer)
+        return self.props.get(node) or fill(node, self.props, self._infer)
 
     def _infer(self, node: Node) -> Props:
         self.inferences += 1
-        self.pins.append(node)  # its id stays a key of ``props``
         return _infer_props(node, self.props, self.schemas)
 
     def carry(self, old: Node, new: Node) -> None:
@@ -341,20 +334,20 @@ class PlanStore:
         subset of them): every fact about ``old`` that only names
         columns ``new`` still has is a fact about ``new``, without
         inferring it again."""
-        facts = self.props.get(id(old))
-        if facts is not None and id(new) not in self.props:
-            self.props[id(new)] = facts.restricted(self.schema(new))
+        facts = self.props.get(old)
+        if facts is not None and new not in self.props:
+            self.props[new] = facts.restricted(self.schema(new))
 
 
-def infer_properties(node: Node, memo: "dict[int, Props] | None" = None,
-                     schemas: "dict[int, Schema] | None" = None) -> Props:
+def infer_properties(node: Node, memo: "dict[Node, Props] | None" = None,
+                     schemas: "dict[Node, Schema] | None" = None) -> Props:
     """Infer :class:`Props` for ``node``, memoized over the shared DAG
     (iteratively -- plans can be thousands of operators deep).  Pass the
     same ``memo``/``schemas`` across calls to analyze shared subplans
-    once; the caller keeps the nodes alive meanwhile."""
-    props: dict[int, Props] = {} if memo is None else memo
-    known: dict[int, Schema] = {} if schemas is None else schemas
-    return props.get(id(node)) or fill(
+    once."""
+    props: dict[Node, Props] = {} if memo is None else memo
+    known: dict[Node, Schema] = {} if schemas is None else schemas
+    return props.get(node) or fill(
         node, props, lambda current: _infer_props(current, props, known))
 
 
@@ -579,10 +572,10 @@ def row_bounds(node: Node, kids: "list[Props]", cards: "list[Card]",
     return cards[0]  # one output row per input row
 
 
-def _infer_props(node: Node, memo: "dict[int, Props]",
-                 schemas: "dict[int, Schema]") -> Props:
+def _infer_props(node: Node, memo: "dict[Node, Props]",
+                 schemas: "dict[Node, Schema]") -> Props:
     schema = schema_of(node, schemas)
-    kids = [memo[id(c)] for c in node.children]
+    kids = [memo[c] for c in node.children]
     card = row_bounds(node, kids, [p.card for p in kids])
 
     if isinstance(node, LitTable):
@@ -600,7 +593,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                        frozenset((c, frozenset()) for c in pos), pos)
 
     if isinstance(node, Attach):
-        p = memo[id(node.child)]
+        p = memo[node.child]
         constants = dict(p.constants)
         constants[node.col] = node.value
         prov = p.provenance | ({node.col} if node.value == 1
@@ -609,7 +602,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                        p.order)
 
     if isinstance(node, Project):
-        p = memo[id(node.child)]
+        p = memo[node.child]
         renames: dict[str, list[str]] = {}
         for new, old in node.cols:
             renames.setdefault(old, []).append(new)
@@ -630,7 +623,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                        prov, order)
 
     if isinstance(node, Select):
-        p = memo[id(node.child)]
+        p = memo[node.child]
         constants = dict(p.constants)
         # Downstream of the filter the selection column is always true.
         constants[node.col] = True
@@ -639,7 +632,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                        p.provenance)
 
     if isinstance(node, Distinct):
-        p = memo[id(node.child)]
+        p = memo[node.child]
         keys = set(p.keys)
         keys.add(frozenset(schema))
         # The distinct rows hold the same order values: a rank stands.
@@ -647,7 +640,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                        p.provenance, p.order)
 
     if isinstance(node, RowNum):
-        p = memo[id(node.child)]
+        p = memo[node.child]
         keys = set(p.keys)
         keys.add(frozenset(node.part) | {node.col})
         constants = dict(p.constants)
@@ -664,7 +657,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                        order)
 
     if isinstance(node, RowRank):
-        p = memo[id(node.child)]
+        p = memo[node.child]
         constants = dict(p.constants)
         if p.card.at_most_one:
             constants[node.col] = 1
@@ -676,8 +669,8 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                        p.order | {(node.col, node.order, frozenset())})
 
     if isinstance(node, Cross):
-        lp = memo[id(node.left)]
-        rp = memo[id(node.right)]
+        lp = memo[node.left]
+        rp = memo[node.right]
         keys = {lk | rk for lk in lp.keys for rk in rp.keys}
         constants = dict(lp.constants)
         constants.update(rp.constants)
@@ -694,8 +687,8 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                        lp.provenance | rp.provenance)
 
     if isinstance(node, EqJoin):
-        lp = memo[id(node.left)]
-        rp = memo[id(node.right)]
+        lp = memo[node.left]
+        rp = memo[node.right]
         lcols = frozenset(l for l, _ in node.pairs)
         rcols = frozenset(r for _, r in node.pairs)
         right_unique = rp.has_key(rcols)
@@ -731,13 +724,13 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                        lp.provenance | rp.provenance)
 
     if isinstance(node, (SemiJoin, AntiJoin)):
-        lp = memo[id(node.left)]
+        lp = memo[node.left]
         return _finish(schema, set(lp.keys), dict(lp.constants), card,
                        frozenset(), lp.provenance)
 
     if isinstance(node, UnionAll):
-        lp = memo[id(node.left)]
-        rp = memo[id(node.right)]
+        lp = memo[node.left]
+        rp = memo[node.right]
         constants = {}
         for c in schema:
             lv = lp.constants.get(c, _UNKNOWN)
@@ -754,7 +747,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                        lp.provenance & rp.provenance)
 
     if isinstance(node, GroupAggr):
-        p = memo[id(node.child)]
+        p = memo[node.child]
         group = frozenset(node.group)
         keys = {group}
         keys |= {k for k in p.keys if k <= group}
@@ -771,7 +764,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
         return _finish(schema, keys, constants, card, frozenset(), prov)
 
     if isinstance(node, BinApp):
-        p = memo[id(node.child)]
+        p = memo[node.child]
         constants = dict(p.constants)
         lv = _operand_const(node.lhs, p.constants)
         rv = _operand_const(node.rhs, p.constants)
@@ -788,7 +781,7 @@ def _infer_props(node: Node, memo: "dict[int, Props]",
                        p.provenance, p.order)
 
     if isinstance(node, UnApp):
-        p = memo[id(node.child)]
+        p = memo[node.child]
         constants = dict(p.constants)
         if node.col in p.constants:
             try:

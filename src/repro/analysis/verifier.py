@@ -142,7 +142,7 @@ def set_verify_debug(enabled: "bool | None") -> "bool | None":
 # structural stage (subsumes the old algebra.validate)
 # ----------------------------------------------------------------------
 
-def check_plan(root: Node, schemas: "dict[int, Schema] | None" = None,
+def check_plan(root: Node, schemas: "dict[Node, Schema] | None" = None,
                query: "int | None" = None,
                collect: "list[Diagnostic] | None" = None) -> None:
     """Structural verification: full schema inference over the DAG.
@@ -155,23 +155,23 @@ def check_plan(root: Node, schemas: "dict[int, Schema] | None" = None,
     """
     if schemas is None:
         schemas = {}
-    refs: dict[int, int] = {}
+    refs: dict[Node, int] = {}
     for i, node in enumerate(postorder(root)):
-        refs[id(node)] = i
-        if id(node) in schemas:
+        refs[node] = i
+        if node in schemas:
             continue
         try:
-            schemas[id(node)] = _infer(node, schemas)
+            schemas[node] = _infer(node, schemas)
         except CompilationError as err:
             code = getattr(err, "code", None) or "F104"
-            ref = refs.get(id(getattr(err, "node", node)), i)
+            ref = refs.get(getattr(err, "node", node), i)
             diag = Diagnostic(code, "structural", str(err), query=query,
                               node_ref=ref)
             if collect is None:
                 raise VerifyError(f"{code} @{ref}: {err}", code=code,
                                   diagnostics=[diag]) from err
             collect.append(diag)
-            schemas[id(node)] = {}
+            schemas[node] = {}
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +183,7 @@ def check_order(query: Any, index: int, store: PlanStore
     """Order verification of one bundle member (standard form + ``pos``
     pedigree).  ``query`` is a ``SerializedQuery``."""
     out: list[Diagnostic] = []
-    schema = store.schemas.get(id(query.plan))
+    schema = store.schemas.get(query.plan)
     if schema is None or not schema:
         return out  # structural stage already failed this plan
     expected = [query.iter_col, query.pos_col, *query.item_cols]

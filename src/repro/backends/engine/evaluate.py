@@ -62,44 +62,43 @@ Cols = tuple[str, ...]
 
 
 def lower(roots: Iterable[Node]
-          ) -> tuple[list[Node], list[Step], list[Cols]]:
+          ) -> tuple[dict[Node, int], list[Step], list[Cols]]:
     """Every distinct node reachable from ``roots``, children before
-    parents, as one step each -- with the node and its column names,
-    by step number."""
-    index: dict[int, int] = {}
-    nodes: list[Node] = []
+    parents, as one step each -- with each node's step number (in step
+    order) and, by step number, its column names."""
+    index: dict[Node, int] = {}
     steps: list[Step] = []
     cols: list[Cols] = []
     for node in postorder(*roots):
-        ins = [index[id(child)] for child in node.children]
+        ins = [index[child] for child in node.children]
         lowering = _LOWER.get(type(node))
         if lowering is None:
             raise ExecutionError(f"engine cannot evaluate {node.label}")
         out, step = lowering(node, ins, [cols[i] for i in ins])
-        index[id(node)] = len(nodes)
-        nodes.append(node)
+        index[node] = len(steps)
         steps.append(step)
         cols.append(out)
-    return nodes, steps, cols
+    return index, steps, cols
 
 
 class BundleProgram:
     """A bundle lowered once: the engine's prepared artifact.
 
-    ``steps[k]`` computes node ``nodes[k]``; query ``i``'s plan is
-    ``nodes[roots[i]]``, and the query is the first to need the steps
+    ``steps[k]`` computes node ``nodes[k]``, whose ``index`` is ``k``;
+    query ``i``'s plan is ``nodes[roots[i]]``, and the query is the
+    first to need the steps
     ``ends[i - 1]`` up to ``ends[i]`` (the queries run in bundle order).
     ``outputs[i]`` reads the ``(iter, pos, item...)`` columns of its root
     slot.
     """
 
-    __slots__ = ("nodes", "steps", "ends", "roots", "outputs")
+    __slots__ = ("index", "nodes", "steps", "ends", "roots", "outputs")
 
     def __init__(self, bundle: Bundle):
         plans = [query.plan for query in bundle.queries]
-        self.nodes, self.steps, cols = lower(plans)
-        index = {id(node): k for k, node in enumerate(self.nodes)}
-        self.roots = tuple(index[id(plan)] for plan in plans)
+        self.index, self.steps, cols = lower(plans)
+        self.nodes = list(self.index)
+        self.roots = tuple(map(self.index.__getitem__, plans))
         ends, end = [], 0
         for root in self.roots:
             end = max(end, root + 1)
@@ -136,11 +135,10 @@ class BundleProgram:
     def _profiled(self, qi: int, slots: list, catalog: Catalog,
                   profile: list) -> None:
         from ...obs.analyze import OpProfile
-        steps = self.steps
-        index = {id(node): k for k, node in enumerate(self.nodes)}
+        steps, index = self.steps, self.index
         for ref, node in enumerate(postorder(self.nodes[self.roots[qi]])):
-            rows_in = sum(slots[index[id(c)]][1] for c in node.children)
-            k = index[id(node)]
+            rows_in = sum(slots[index[c]][1] for c in node.children)
+            k = index[node]
             t0 = time.perf_counter()
             if slots[k] is None:
                 slots[k] = steps[k](slots, catalog)
@@ -167,16 +165,16 @@ class Engine:
         self.catalog = catalog
 
     def execute(self, root: Node,
-                values: "dict[int, Relation] | None" = None) -> Relation:
+                values: "dict[Node, Relation] | None" = None) -> Relation:
         """The relation of the plan rooted at ``root``; ``values``, when
-        given, receives ``id(node)`` -> relation for every node of it."""
+        given, receives ``node`` -> relation for every node of it."""
         nodes, steps, cols = lower([root])
         slots: list = []
         for step in steps:
             slots.append(step(slots, self.catalog))
         if values is not None:
             for node, names, slot in zip(nodes, cols, slots):
-                values[id(node)] = Relation(names, *slot)
+                values[node] = Relation(names, *slot)
         return Relation(cols[-1], *slots[-1])
 
 

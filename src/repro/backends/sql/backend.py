@@ -50,9 +50,10 @@ class SQLiteBackend(Backend):
         #: Serializes bundles on ``_conn``: the catalog load and a
         #: script's transaction + temporary tables cannot interleave.
         self._lock = threading.Lock()
-        #: Catalog (identity, schema generation) currently loaded into
-        #: ``_conn``.
-        self._loaded: "tuple[int, int] | None" = None
+        #: The catalog currently loaded into ``_conn``, and its schema
+        #: generation then.  Held, not its address: a freed catalog's
+        #: address may be a fresh one's.
+        self._loaded: "tuple[Catalog, int] | None" = None
         #: SQL statements executed over this backend's lifetime.
         self.statements_executed = 0
 
@@ -150,8 +151,9 @@ class SQLiteBackend(Backend):
 
     # ------------------------------------------------------------------
     def _ensure_loaded(self, catalog: Catalog) -> None:
-        key = (id(catalog), catalog.schema_generation)
-        if self._loaded == key:
+        generation = catalog.schema_generation
+        if self._loaded is not None and self._loaded[0] is catalog \
+                and self._loaded[1] == generation:
             return
         load_catalog(self._conn, catalog, self.dialect)
-        self._loaded = key
+        self._loaded = (catalog, generation)

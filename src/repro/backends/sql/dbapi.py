@@ -131,6 +131,13 @@ class SQLiteDialect:
             TimeT: "TEXT",
         }[ty]
 
+    def column_def(self, name: str, ty: AtomT) -> str:
+        """A CREATE TABLE column.  A ``Double`` one is declared with no
+        type: ``REAL`` affinity stores an integral float as an integer,
+        so a stored ``-0.0`` would read back as ``0.0``."""
+        col = self.quote_ident(name)
+        return col if ty == DoubleT else f"{col} {self.type_name(ty)}"
+
     #: Type of a catalog table's position column
     #: (:func:`~repro.algebra.position_column`): the key rows are stored
     #: and scanned by.
@@ -159,9 +166,9 @@ class SQLiteDialect:
                           key: "str | None" = None) -> str:
         """DDL of a temporary table; ``key`` names the column declared
         its primary key (an ``Int``: on SQLite the rowid's alias)."""
-        cols = ", ".join(
-            f"{self.quote_ident(c)} {self.type_name(ty)}"
-            + (" PRIMARY KEY" if c == key else "") for c, ty in columns)
+        cols = ", ".join(self.column_def(c, ty)
+                         + (" PRIMARY KEY" if c == key else "")
+                         for c, ty in columns)
         return f"{self.create_temp} {self.temp_table_ref(name)} ({cols})"
 
     # -- literals ------------------------------------------------------
@@ -269,7 +276,7 @@ def load_catalog(conn: Any, catalog: Catalog, dialect: SQLiteDialect,
         ref = dialect.table_ref(name)
         pos = position_column(c for c, _ in schema)
         cols = ", ".join([f"{q(pos)} {dialect.position_type}"] + [
-            f"{q(c)} {dialect.type_name(ty)}" for c, ty in schema])
+            dialect.column_def(c, ty) for c, ty in schema])
         cur.execute(f"CREATE TABLE {ref} ({cols})")
         placeholders = ", ".join("?" * (len(schema) + 1))
         rows = [(i, *map(dialect.to_db_value, row))

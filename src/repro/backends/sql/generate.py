@@ -129,58 +129,58 @@ def generate_bundle(queries: Sequence[SerializedQuery],
     plans = [list(postorder(query.plan)) for query in queries]
 
     # Consumers per node over the whole bundle, then relation names.
-    consumers = Counter(id(query.plan) for query in queries)
+    consumers = Counter(query.plan for query in queries)
     numbered: list[Node] = []
-    seen: set[int] = set()
+    seen: set[Node] = set()
     for plan in plans:
         for node in plan:
-            if id(node) not in seen:
-                seen.add(id(node))
+            if node not in seen:
+                seen.add(node)
                 numbered.append(node)
-                consumers.update(id(child) for child in node.children)
-    names: dict[int, str] = {}
-    tables: dict[int, str] = {}  # shared node -> unqualified table name
+                consumers.update(node.children)
+    names: dict[Node, str] = {}
+    tables: dict[Node, str] = {}  # shared node -> unqualified table name
     for i, node in enumerate(numbered):
-        if node.children and (consumers[id(node)] > 1 or _divides(node)):
-            tables[id(node)] = f"ferry_m{len(tables):04d}"
-            names[id(node)] = d.temp_table_ref(tables[id(node)])
+        if node.children and (consumers[node] > 1 or _divides(node)):
+            tables[node] = f"ferry_m{len(tables):04d}"
+            names[node] = d.temp_table_ref(tables[node])
         else:
-            names[id(node)] = f"t{i:04d}"
+            names[node] = f"t{i:04d}"
 
     # Every node is rendered once: as the body of its table's INSERT, or
     # as a binding of the one block it is in (leaves: of each such block).
     memo: dict = {}
-    bodies = {id(node): _render(node, names, memo, d, keys)
+    bodies = {node: _render(node, names, memo, d, keys)
               for node in numbered}
-    ctes = {id(node): f"{names[id(node)]}"
+    ctes = {node: f"{names[node]}"
                       f"({_select_list(_cols(node, memo), d)})"
-                      f" AS (\n{bodies[id(node)]}\n)"
-            for node in numbered if id(node) not in tables}
+                      f" AS (\n{bodies[node]}\n)"
+            for node in numbered if node not in tables}
 
     def bindings(block: list[Node]) -> str:
         """The ``WITH`` clause binding every node of ``block``."""
         if not block:
             return ""
-        return "WITH\n" + ",\n".join(ctes[id(n)] for n in block) + "\n"
+        return "WITH\n" + ",\n".join(ctes[n] for n in block) + "\n"
 
-    first: dict[int, Step] = {}  # shared node -> its step where first met
+    first: dict[Node, Step] = {}  # shared node -> its step where first met
     generated = []
     for query, plan in zip(queries, plans):
         steps = []
         for ref, node in enumerate(plan):
-            name = tables.get(id(node))
+            name = tables.get(node)
             if name is None:
                 continue
-            step = first.get(id(node))
+            step = first.get(node)
             if step is None:
                 schema = schema_of(node, memo)
-                step = first[id(node)] = Step(
+                step = first[node] = Step(
                     name, ref, describe(node), len(schema),
                     d.create_temp_table(name, schema.items(),
                                         keys.get(node)),
-                    f"INSERT INTO {names[id(node)]}\n"
+                    f"INSERT INTO {names[node]}\n"
                     f"{bindings(_block(node, tables)[:-1])}"
-                    f"{bodies[id(node)]}")
+                    f"{bodies[node]}")
             steps.append(step if step.ref == ref else replace(step, ref=ref))
         root = query.plan
         out_cols = (query.iter_col, query.pos_col) + query.item_cols
@@ -188,9 +188,9 @@ def generate_bundle(queries: Sequence[SerializedQuery],
         # A root that is not a table is bound like any other node and
         # then projected: its body may be a compound SELECT, which cannot
         # take the ORDER BY itself.
-        block = [] if id(root) in tables else _block(root, tables)
+        block = [] if root in tables else _block(root, tables)
         text = (f"{bindings(block)}SELECT {_select_list(out_cols, d)}\n"
-                f"FROM {names[id(root)]}\nORDER BY {order};")
+                f"FROM {names[root]}\nORDER BY {order};")
         generated.append(GeneratedSQL(text, out_cols, tuple(steps),
                                       _row_converter(query, d)))
     return generated
@@ -227,23 +227,23 @@ def _divides(node: Node) -> bool:
     return isinstance(node, BinApp) and node.op in ("div", "idiv", "mod")
 
 
-def _block(root: Node, tables: "dict[int, str]") -> list[Node]:
+def _block(root: Node, tables: "dict[Node, str]") -> list[Node]:
     """``root``'s block in postorder (``root`` last): the nodes reachable
     from it without passing through a temporary table."""
     block: list[Node] = []
-    seen: set[int] = set()
+    seen: set[Node] = set()
     stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
-        if id(node) in seen:
+        if node in seen:
             continue
         if expanded:
-            seen.add(id(node))
+            seen.add(node)
             block.append(node)
         else:
             stack.append((node, True))
             for child in node.children:
-                if id(child) not in seen and id(child) not in tables:
+                if child not in seen and child not in tables:
                     stack.append((child, False))
     return block
 
@@ -260,7 +260,7 @@ def _select_list(cols: list[str], d: SQLiteDialect) -> str:
     return ", ".join(d.quote_ident(c) for c in cols)
 
 
-def _render(node: Node, names: dict[int, str], memo, d: SQLiteDialect,
+def _render(node: Node, names: dict[Node, str], memo, d: SQLiteDialect,
             keys: "Mapping[Node, str]") -> str:
     q = d.quote_ident
 
@@ -282,7 +282,7 @@ def _render(node: Node, names: dict[int, str], memo, d: SQLiteDialect,
                          for out, src, _ in node.outputs)
         return f"  SELECT {cols}\n  FROM {d.table_ref(node.table)}"
 
-    child = names[id(node.children[0])] if node.children else None
+    child = names[node.children[0]] if node.children else None
 
     if isinstance(node, Attach):
         base = _select_list(_cols(node.children[0], memo), d)
@@ -318,12 +318,12 @@ def _render(node: Node, names: dict[int, str], memo, d: SQLiteDialect,
                 f"{q(node.col)}\n  FROM {child}")
 
     if isinstance(node, Cross):
-        left, right = (names[id(c)] for c in node.children)
+        left, right = (names[c] for c in node.children)
         base = _select_list(_cols(node, memo), d)
         return f"  SELECT {base}\n  FROM {left}, {right}"
 
     if isinstance(node, EqJoin):
-        left, right = (names[id(c)] for c in node.children)
+        left, right = (names[c] for c in node.children)
         base = _select_list(_cols(node, memo), d)
         on = " AND ".join(f"l.{q(lc)} = r.{q(rc)}" for lc, rc in node.pairs)
         return (f"  SELECT {base}\n  FROM {left} AS l\n  JOIN {right} AS r"
@@ -333,7 +333,7 @@ def _render(node: Node, names: dict[int, str], memo, d: SQLiteDialect,
         # Uncorrelated IN: the host evaluates the subquery once (SQLite
         # into an ephemeral index) instead of once per outer row.  A NULL
         # key makes IN unknown, which WHERE drops -- as EXISTS would.
-        left, right = (names[id(c)] for c in node.children)
+        left, right = (names[c] for c in node.children)
         base = _select_list(_cols(node, memo), d)
         lkeys = ", ".join(q(lc) for lc, _ in node.pairs)
         rkeys = ", ".join(q(rc) for _, rc in node.pairs)
@@ -349,7 +349,7 @@ def _render(node: Node, names: dict[int, str], memo, d: SQLiteDialect,
         # and still probes the right side through one index.
         # Where one right column is a key already, the right side is
         # joined as it stands: a keyed step probes its own B-tree.
-        left, right = (names[id(c)] for c in node.children)
+        left, right = (names[c] for c in node.children)
         base = ", ".join(f"l.{q(c)}" for c in _cols(node, memo))
         rkeys = ", ".join(q(rc) for _, rc in node.pairs)
         on = " AND ".join(f"r.{q(rc)} = l.{q(lc)}" for lc, rc in node.pairs)
@@ -360,7 +360,7 @@ def _render(node: Node, names: dict[int, str], memo, d: SQLiteDialect,
                 f"\n  WHERE r.{q(node.pairs[0][1])} IS NULL")
 
     if isinstance(node, UnionAll):
-        left, right = (names[id(c)] for c in node.children)
+        left, right = (names[c] for c in node.children)
         cols = _cols(node, memo)
         base = _select_list(cols, d)
         return (f"  SELECT {base}\n  FROM {left}"

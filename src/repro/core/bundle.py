@@ -110,7 +110,7 @@ class Bundle:
 def serialize(vec: Vec, result_ty: Type) -> Bundle:
     """Lower a compiled root vector into a query bundle."""
     queries: list[SerializedQuery] = []
-    memo: dict[int, int] = {}
+    memo: dict[int, int] = {}  # by id(): a ``Vec`` compares structurally
 
     def emit(v: Vec) -> int:
         qid = memo.get(id(v))

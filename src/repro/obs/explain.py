@@ -202,13 +202,13 @@ def inclusive_times(nodes: "list[Any]", times: "list[float]"
     of postorder slots at and below it as the bits of an ``int``; a
     node's sum is its own time plus its children's, less the times of
     the slots two children share -- which only a DAG's joins have."""
-    slot = {id(n): i for i, n in enumerate(nodes)}
+    slot = {n: i for i, n in enumerate(nodes)}
     below: list[int] = []
     cums: list[float] = []
     for i, node in enumerate(nodes):
         bits, cum = 1 << i, times[i]
         for child in node.children:
-            j = slot[id(child)]
+            j = slot[child]
             shared = bits & below[j]
             cum += cums[j]
             while shared:  # subtract what is counted already
@@ -260,7 +260,7 @@ def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
         lint = []
         total = (record.duration
                  or sum(q.time for q in record.queries) or 1.0)
-    measured: dict[int, str] = {}  # nodes an earlier analyze plan printed
+    measured: dict[Any, str] = {}  # nodes an earlier analyze plan printed
 
     def measure(header: str, profile: QueryProfile, plan: Any,
                 nodes: "list[Any]") -> str:
@@ -277,7 +277,7 @@ def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
                     f"outside the static bounds {bound.show()}",
                     query=qi, **where))
 
-        root = bounds.memo[id(plan)]
+        root = bounds.memo[plan]
         check("the query", profile.rows, root)
         peak = ("" if profile.peak_rows is None
                 else f"peak_rows={profile.peak_rows} ")
@@ -294,7 +294,7 @@ def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
         annotations = {}
         for op in profile.ops:
             node = nodes[op.ref]
-            bound = bounds.memo[id(node)]
+            bound = bounds.memo[node]
             check(op.op, op.rows_out, bound, node_ref=op.ref)
             cum = cums[op.ref]
             rows_in = "" if op.rows_in is None else f"in={op.rows_in} "
@@ -303,7 +303,7 @@ def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
                 f"| {rows_in}out={op.rows_out} "
                 f"bound={bound.show()} w={op.width} "
                 f"cum={cum * 1e3:.3f} ms]")
-        his = [bounds.memo[id(n)].hi for n in nodes]
+        his = [bounds.memo[n].hi for n in nodes]
         if None not in his:
             check("the peak intermediate", profile.peak_rows,
                   Card(0, max(his)))
@@ -311,7 +311,7 @@ def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
                                             f"Q{profile.index}")])
 
     queries: list[QueryExplain] = []
-    earlier: dict[int, str] = {}  # nodes an earlier query printed
+    earlier: dict[Any, str] = {}  # nodes an earlier query printed
     for i, query in enumerate(bundle.queries):
         nodes = list(postorder(query.plan))
         bounds.of(query.plan)
@@ -319,7 +319,7 @@ def build_report(compiled: Any, backend: Any, artifacts: list[str | None],
         if properties:
             notes = {}
             for ref, node in enumerate(nodes):
-                b = bounds.memo[id(node)]
+                b = bounds.memo[node]
                 notes[ref] = (f"{store.infer(node).show()} "
                               f"[rows {b.show()} w={b.width}]")
         explained = QueryExplain(

@@ -44,8 +44,7 @@ and no mergeable projection is left.
 
 **The memo contract.**  A fact -- schema, ``Props``, a node's
 simplification -- is keyed by an interned node and never invalidated; a
-rewrite makes a *new* node, and the store keeps every node it was shown
-alive, so no ``id()`` key is recycled.  A node's rewrite holds the same
+rewrite makes a *new* node.  A node's rewrite holds the same
 rows under the same names, so its ``Props`` are
 *carried* to it, not inferred again (``PlanStore.carry``): inference
 runs once on the pruned raw plans and then only on what the rules
@@ -155,7 +154,7 @@ def _optimize(plans: "list[Node]", store: PlanStore, stats: PassStats,
                 store.visits[MERGES] == merges
                 or all(map(is_, pruned, unpruned))):
             break
-    fresh: dict[int, Props] = {}
+    fresh: dict[Node, Props] = {}
     for old, new in zip(first, roots):
         if new is not old:
             _self_verify(old, new, store, fresh)

@@ -63,14 +63,14 @@ MERGES = "icols merges"
 
 
 def demanded(roots: "list[Node]", store: PlanStore
-             ) -> "tuple[list[Node], dict[int, set[str]]]":
+             ) -> "tuple[list[Node], dict[Node, set[str]]]":
     """The nodes of the bundle's DAG, children before parents, and per
     node the columns some consumer reads.  A root's full output is
     demanded; a node shared by several queries serves the union of their
     demands (and therefore stays one node)."""
-    needed: dict[int, set[str]] = {}
+    needed: dict[Node, set[str]] = {}
     for root in roots:
-        needed.setdefault(id(root), set()).update(store.schema(root))
+        needed.setdefault(root, set()).update(store.schema(root))
     order = list(postorder(*roots))
     schemas = store.schemas  # now holds every node of the bundle
     # Parents precede children in reversed postorder.
@@ -89,17 +89,17 @@ def prune_unneeded_columns(roots: "list[Node]",
     roots = _twinned([store.intern(root) for root in roots], store)
     order, needed = demanded(roots, store)
     schemas = store.schemas
-    rebuilt: dict[int, Node] = {}
+    rebuilt: dict[Node, Node] = {}
     for node in order:
-        children = tuple([rebuilt[id(c)] for c in node.children])
-        n = needed[id(node)]
-        if children == node.children and len(n) == len(schemas[id(node)]):
-            rebuilt[id(node)] = node
+        children = tuple([rebuilt[c] for c in node.children])
+        n = needed[node]
+        if children == node.children and len(n) == len(schemas[node]):
+            rebuilt[node] = node
         else:
             store.visits["icols"] += 1
-            rebuilt[id(node)] = _narrow(node, children, n, store)
-            store.carry(node, rebuilt[id(node)])  # same rows, fewer columns
-    return [rebuilt[id(root)] for root in roots]
+            rebuilt[node] = _narrow(node, children, n, store)
+            store.carry(node, rebuilt[node])  # same rows, fewer columns
+    return [rebuilt[root] for root in roots]
 
 
 def _twinned(roots: "list[Node]", store: PlanStore) -> "list[Node]":
@@ -118,40 +118,40 @@ def _twinned(roots: "list[Node]", store: PlanStore) -> "list[Node]":
         if not isinstance(node, Project):
             return node.children
         child = node.child
-        while id(child) in wider:
-            child = wider[id(child)]
+        while child in wider:
+            child = wider[child]
         return (child,)
 
-    out: dict[int, Node] = {}
+    out: dict[Node, Node] = {}
     stack = list(roots)
     while stack:
         node = stack[-1]
-        if id(node) in out:
+        if node in out:
             stack.pop()
             continue
         kids = inputs(node)
-        todo = [c for c in kids if id(c) not in out]
+        todo = [c for c in kids if c not in out]
         if todo:
             stack.extend(todo)
             continue
         stack.pop()
-        out[id(node)] = new = store.rebuild(
-            node, tuple(out[id(c)] for c in kids))
+        out[node] = new = store.rebuild(
+            node, tuple(out[c] for c in kids))
         if new is not node:
             store.carry(node, new)
-    return [out[id(root)] for root in roots]
+    return [out[root] for root in roots]
 
 
 # ----------------------------------------------------------------------
 # demand propagation (top-down)
 # ----------------------------------------------------------------------
 
-def _demand(node: Node, needed: dict[int, set[str]],
-            schemas: dict[int, Schema]) -> None:
-    n = needed[id(node)]
+def _demand(node: Node, needed: dict[Node, set[str]],
+            schemas: dict[Node, Schema]) -> None:
+    n = needed[node]
 
     def want(child: Node, cols: Iterable[str]) -> None:
-        needed.setdefault(id(child), set()).update(cols)
+        needed.setdefault(child, set()).update(cols)
 
     made = _computes(node)
     if made is not None:
@@ -162,13 +162,13 @@ def _demand(node: Node, needed: dict[int, set[str]],
     elif isinstance(node, Select):
         want(node.child, n | {node.col})
     elif isinstance(node, Distinct):
-        want(node.child, schemas[id(node.child)])
+        want(node.child, schemas[node.child])
     elif isinstance(node, Cross):
-        lsch = set(schemas[id(node.left)])
+        lsch = set(schemas[node.left])
         want(node.left, n & lsch)
         want(node.right, n - lsch)
     elif isinstance(node, EqJoin):
-        lsch = set(schemas[id(node.left)])
+        lsch = set(schemas[node.left])
         want(node.left, (n & lsch) | {l for l, _ in node.pairs})
         want(node.right, (n - lsch) | {r for _, r in node.pairs})
     elif isinstance(node, (SemiJoin, AntiJoin)):

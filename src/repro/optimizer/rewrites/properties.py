@@ -119,28 +119,28 @@ def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
     done = store.rewritten.setdefault("simplify", {})
     #: the roots ``pos_order`` was offered, and turned down
     tried = store.rewritten.setdefault("pos_order", {}) if serial else {}
-    decided: dict[int, list[tuple[str, bool]]] = {}
+    decided: dict[Node, list[tuple[str, bool]]] = {}
     roots = [store.intern(root) for root in roots]
-    if all(id(root) in done and (i >= len(serial) or id(root) in tried)
+    if all(root in done and (i >= len(serial) or root in tried)
            for i, root in enumerate(roots)):
         return roots  # the last sweep left them as they are
     for root in roots:
         store.infer(root)  # carried from here on (``PlanStore.carry``)
     #: consumers per node of the bundle, and per node a visit returned
     nodes = list(postorder(*roots))
-    uses = Counter(id(c) for node in nodes for c in node.children)
+    uses = Counter(c for node in nodes for c in node.children)
     #: per root that is a bundle query: its pos, and the columns the
     #: stitcher matches, each with the roots' columns it matches them to
-    ends: "dict[int, list[tuple[str, _Links]]]" = {}
+    ends: "dict[Node, list[tuple[str, _Links]]]" = {}
     for i, (_, pos) in enumerate(serial):
-        ends.setdefault(id(roots[i]), []).append((pos, {
+        ends.setdefault(roots[i], []).append((pos, {
             col: tuple((roots[j], other) for j, other in to)
             for col, to in (links[i] if i < len(links) else {}).items()}))
     shared = _Uses(nodes, ends, store)
 
     def visit(node: Node, children: tuple[Node, ...]) -> Node:
         cur = store.rebuild(node, children)
-        while id(cur) not in done:  # a simplified node is its own result
+        while cur not in done:  # a simplified node is its own result
             store.carry(node, cur)
             new = cur
             if isinstance(cur, BinApp):
@@ -158,8 +158,8 @@ def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
                 if new is None:
                     break
             cur = new
-        shared[id(cur)] += uses[id(node)]
-        shared.origins.setdefault(id(cur), []).append(node)
+        shared[cur] += uses[node]
+        shared.origins.setdefault(cur, []).append(node)
         return cur
 
     def adopt(origin: Node, cur: Node, hit: "tuple[str, Node]"
@@ -171,25 +171,25 @@ def simplify(roots: "list[Node]", store: "PlanStore | None" = None,
         if isinstance(new, Project):
             new = merge_projection(new, store)
         safe = all(map(store.infer(new).has_key, store.infer(cur).keys))
-        decided.setdefault(id(origin), []).append((hit[0], safe))
+        decided.setdefault(origin, []).append((hit[0], safe))
         return new if safe else None
 
     out = [store.rewrite("simplify", root, visit) for root in roots]
     # A query's root is read in (iter, pos) order, whichever node it came
     # out as (it may be one a visit met inside another plan).
     for i, cols in enumerate(serial):
-        if id(out[i]) in tried:
+        if out[i] in tried:
             continue
-        hit = (not uses[id(roots[i])] and isinstance(out[i], Project)
+        hit = (not uses[roots[i]] and isinstance(out[i], Project)
                and _pos_order(out[i], *cols, store, shared))
         new = hit and adopt(roots[i], out[i], hit)
         if new:
             out[i] = store.rewrite("simplify", new, visit)
         else:
-            tried[id(out[i])] = out[i]
+            tried[out[i]] = out[i]
     for root in roots if decided else ():
         for node in postorder(root):
-            for name, safe in decided.get(id(node), ()):
+            for name, safe in decided.get(node, ()):
                 counts = fired if safe else gated
                 if counts is not None:
                     counts[name] = counts.get(name, 0) + 1
@@ -209,33 +209,33 @@ class _Uses(Counter):
     ``pos`` and the columns the stitcher links by."""
 
     def __init__(self, nodes: "list[Node]",
-                 ends: "dict[int, list[tuple[str, _Links]]]",
+                 ends: "dict[Node, list[tuple[str, _Links]]]",
                  store: PlanStore) -> None:
         super().__init__()
         self.nodes, self.ends, self.store = nodes, ends, store
-        self.origins: dict[int, list[Node]] = {}
-        self._parents: "dict[int, list[Node]] | None" = None
-        self._fixed: "set[int] | None" = None
-        self._surrogates: dict[tuple[int, str], bool] = {}
-        self._derived: dict[tuple[int, str, int], bool] = {}
+        self.origins: dict[Node, list[Node]] = {}
+        self._parents: "dict[Node, list[Node]] | None" = None
+        self._fixed: "set[Node] | None" = None
+        self._surrogates: dict[tuple[Node, str], bool] = {}
+        self._derived: dict[tuple[Node, str, Node], bool] = {}
 
     def movable(self, node: Node) -> bool:
         """Do projections alone read ``node``?  A rule may then widen it
         for all of them (:func:`_widen`)."""
         if self._fixed is None:  # read by a query, or not by a projection
             self._fixed = set(self.ends).union(
-                id(c) for p in self.nodes if not isinstance(p, Project)
+                c for p in self.nodes if not isinstance(p, Project)
                 for c in p.children)
         fixed = self._fixed
-        return not any(id(o) in fixed for o in self.origins.get(id(node), ()))
+        return not any(o in fixed for o in self.origins.get(node, ()))
 
     @property
-    def parents(self) -> "dict[int, list[Node]]":
+    def parents(self) -> "dict[Node, list[Node]]":
         if self._parents is None:
             self._parents = {}
             for parent in self.nodes:
                 for child in parent.children:
-                    self._parents.setdefault(id(child), []).append(parent)
+                    self._parents.setdefault(child, []).append(parent)
         return self._parents
 
     def unread(self, node: Node, col: str) -> bool:
@@ -243,7 +243,7 @@ class _Uses(Counter):
         or by handing it up to one that does?  The reader of a root reads
         all of it, but for the ``pos`` of a bundle query, which
         ``pos_order`` reads through."""
-        for parent in self.parents.get(id(node), ()):
+        for parent in self.parents.get(node, ()):
             if col in _own_reads(parent, self.store):
                 return False
             ups = ([new for new, old in parent.cols if old == col]
@@ -251,9 +251,9 @@ class _Uses(Counter):
                    else [col] if col in self.store.schema(parent) else [])
             if not all(self.unread(parent, up) for up in ups):
                 return False
-        if id(node) in self.ends:
-            return all(col == pos for pos, _ in self.ends[id(node)])
-        return id(node) in self.parents
+        if node in self.ends:
+            return all(col == pos for pos, _ in self.ends[node])
+        return node in self.parents
 
     def surrogate(self, made: Node, col: str) -> bool:
         """Is the number ``col`` the numbering ``made`` gives only ever
@@ -266,9 +266,9 @@ class _Uses(Counter):
         number is such a surrogate itself.  Then any other key of the
         numbered rows serves as well.  (A number only projections drop
         is no surrogate: icols deletes it.)"""
-        known = self._surrogates.get((id(made), col))
+        known = self._surrogates.get((made, col))
         if known is None:
-            known = self._surrogates[id(made), col] = self._linked_only(
+            known = self._surrogates[made, col] = self._linked_only(
                 made, col)
         return known
 
@@ -276,7 +276,7 @@ class _Uses(Counter):
         """Is every value of column ``col`` of ``node`` the number
         ``made`` gives one of its rows -- handed up through renames,
         groups, unions and operators that only drop or repeat rows?"""
-        key = (id(node), col, id(made))
+        key = (node, col, made)
         known = self._derived.get(key)
         if known is None:
             known = self._derived[key] = self._derives(node, col, made)
@@ -305,17 +305,17 @@ class _Uses(Counter):
         todo, seen, read = [(made, col)], set(), False
         while todo:
             node, col = todo.pop()
-            if (id(node), col) in seen:
+            if (node, col) in seen:
                 continue
-            seen.add((id(node), col))
-            ends = queries.get(id(node))
+            seen.add((node, col))
+            ends = queries.get(node)
             for _, link in ends or ():
                 to = link.get(col)
                 if to is None or not all(self.derives(root, other, made)
                                          for root, other in to):
                     return False  # an item, or matched to another number
                 read = True
-            readers = parents.get(id(node))
+            readers = parents.get(node)
             if readers is None and ends is None:
                 return False  # a plan's reader reads all of it
             for parent in readers or ():
@@ -515,11 +515,11 @@ def _int_keys(top: Node, store: PlanStore, shared: _Uses
     at most one row -- and that path would not widen a node read other
     than through projections (:func:`_widen`)."""
     todo: "list[tuple[list[tuple[Node, int]], Node]]" = [([], top)]
-    seen: set[int] = set()
+    seen: set[Node] = set()
     for path, base in todo:  # (grows as it goes)
-        if id(base) in seen:
+        if base in seen:
             continue
-        seen.add(id(base))
+        seen.add(base)
         schema = store.schema(base)
         for k in sorted(c for key in store.infer(base).keys
                         if len(key) == 1 for c in key):
@@ -527,7 +527,7 @@ def _int_keys(top: Node, store: PlanStore, shared: _Uses
                 yield path, base, k
         if isinstance(base, (Distinct, GroupAggr, UnionAll)):
             continue  # a column handed up here would change the rows
-        if shared.get(id(base), 0) > 1 and not shared.movable(base):
+        if shared.get(base, 0) > 1 and not shared.movable(base):
             continue
         for at, arm in enumerate(base.children):
             if isinstance(base, (SemiJoin, AntiJoin)) and at:
@@ -563,7 +563,7 @@ def _pos_order(root: Project, iter_col: str, pos_col: str, store: PlanStore,
 
 def _ranked(node: Node, col: str, store: PlanStore, shared: _Uses,
             unread: "Callable[[str], bool]" = lambda col: True,
-            twins: "dict[int, Node] | None" = None
+            twins: "dict[Node, Node] | None" = None
             ) -> "tuple[Node, tuple, frozenset[str]] | None":
     """``(wide, by, within)`` when column ``col`` of ``node`` is the
     number a ``RowNum`` / ``RowRank`` below gives, handed up to ``node``
@@ -575,10 +575,10 @@ def _ranked(node: Node, col: str, store: PlanStore, shared: _Uses,
     (:func:`_widen`).  The cheap questions come first: few candidates
     pass them."""
     found = _trace(node, col, lambda n, c: (
-        shared.get(id(n), 0) > 1 and (
+        shared.get(n, 0) > 1 and (
             twins is None or not shared.movable(n))) or (
         isinstance(n, (RowNum, RowRank)) and n.col == c), store)
-    if found is None or shared.get(id(found[1]), 0) > 1 or not unread(col):
+    if found is None or shared.get(found[1], 0) > 1 or not unread(col):
         return None
     path, made, _ = found
     for step in [step for step, _ in path] + [made]:
@@ -603,9 +603,9 @@ def _own_reads(node: Node, store: PlanStore) -> "set[str]":
     made = _computes(node)
     if made is not None:
         return made[1]
-    needed: dict[int, set[str]] = {id(node): set()}
+    needed: dict[Node, set[str]] = {node: set()}
     _demand(node, needed, store.schemas)
-    return set().union(*(needed.get(id(c), ()) for c in node.children))
+    return set().union(*(needed.get(c, ()) for c in node.children))
 
 
 def _trace(node: Node, col: str, stop: "Callable[[Node, str], bool]",
@@ -634,7 +634,7 @@ def _trace(node: Node, col: str, stop: "Callable[[Node, str], bool]",
 
 def _widen(path: "list[tuple[Node, int]]", base: Node,
            extra: "tuple[tuple[str, str], ...]", store: PlanStore,
-           shared: _Uses, twins: "dict[int, Node] | None" = None
+           shared: _Uses, twins: "dict[Node, Node] | None" = None
            ) -> "Node | None":
     """The top of ``path`` (:func:`_trace`) handing up, as ``extra`` (new
     name, column of ``base``), columns of the ``base`` row each of its
@@ -667,7 +667,7 @@ def _widen(path: "list[tuple[Node, int]]", base: Node,
             return None  # the name means something else on the way up
         if wide is node.children[at] and not cols:
             wide = node
-        elif shared.get(id(node), 0) > 1 and (twins is None
+        elif shared.get(node, 0) > 1 and (twins is None
                                     or not shared.movable(node)):
             return None
         elif isinstance(node, Project):
@@ -678,7 +678,7 @@ def _widen(path: "list[tuple[Node, int]]", base: Node,
             kids[at] = wide
             wide = store.add(replace_children(node, tuple(kids)))
             if twins is not None:
-                twins[id(node)] = wide
+                twins[node] = wide
     return wide
 
 
@@ -740,7 +740,7 @@ def _ranks(made: "RowNum | RowRank", store: PlanStore
 
 
 def _self_verify(old_root: Node, new_root: Node, cache: PlanStore,
-                 fresh: "dict[int, Props] | None" = None) -> None:
+                 fresh: "dict[Node, Props] | None" = None) -> None:
     """Re-run inference on the rewritten plan and diff it against the
     original: the schema must be identical (names, types, order) and no
     inferred root key may be lost.  ``fresh`` is the memo of that re-run

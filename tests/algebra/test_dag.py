@@ -104,7 +104,7 @@ class TestPretty:
         assert text[2].strip() == "@1 (shared with Q1 @1)"
         assert text[3].strip() == "@1 (shared, see above)"
         assert len(text) == 4 and "LitTable" not in "".join(text)
-        assert earlier[id(second)] == "Q2 @3"
+        assert earlier[second] == "Q2 @3"
         # without the map every plan stands alone
         assert "shared with" not in plan_text(second)
 

@@ -336,6 +336,23 @@ class TestExecution:
         db.create_table("t", [("n", int)], [(5,), (6,)])
         assert db.run(db.table("t")) == [5, 6]
 
+    def test_a_fresh_catalog_at_a_freed_ones_address_is_loaded(self):
+        """The backend holds the catalog it loaded: a fresh catalog that
+        lands at a freed one's address, with the same schema generation,
+        is loaded, not taken for the freed one."""
+        backend = SQLiteBackend()
+        db = Connection(backend=backend)
+        db.create_table("t", [("n", int)], [(0,)])
+        bundle = db.compile(fmap(lambda x: x + 0, db.table("t"))).bundle
+        code = backend.prepare_bundle(bundle)
+        for v in range(1, 300):
+            catalog = Catalog()
+            catalog.create_table("t", [("n", int)], [(v,)])
+            [rows] = backend.execute_bundle(bundle, catalog,
+                                            prepared=code).rows
+            assert [row[-1] for row in rows] == [v]
+            del catalog
+
     def test_empty_table(self):
         db = Connection(backend="sqlite")
         db.create_table("t", [("n", int)], [])

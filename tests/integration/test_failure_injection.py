@@ -297,13 +297,10 @@ class TestIntOverflow:
             self.catalog())
 
 
-@pytest.mark.xfail(strict=True, reason="open (ROADMAP, literal tables): "
-                   "a REAL column stores an integral float as an "
-                   "integer, so a stored -0.0 reads back as 0.0")
 class TestStoredNegativeZero:
     """Catalog tables and temporary-table steps declare a ``Double``
-    column ``REAL``; SQLite's affinity writes ``-0.0`` as the integer
-    0, so the sign is lost wherever a value is stored rather than
+    column with no type: ``REAL`` affinity would write ``-0.0`` as the
+    integer 0, losing the sign wherever a value is stored rather than
     computed.  Compared by ``repr``: ``-0.0 == 0.0``."""
 
     def test_a_catalog_table(self):

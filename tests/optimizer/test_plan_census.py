@@ -172,14 +172,14 @@ def unfolded_ranks(plan) -> list[int]:
     """How many operators of each rank, highest rank first, the tree
     unfolding of ``plan`` holds (multisets over a total order compare
     as these lists do)."""
-    counts: dict[int, list[int]] = {}
+    counts: dict = {}
     for node in postorder(plan):
         mine = [0] * (1 + max(RANK.values()))
         mine[-1 - RANK.get(type(node), 0)] = 1
         for child in node.children:
-            mine = [a + b for a, b in zip(mine, counts[id(child)])]
-        counts[id(node)] = mine
-    return counts[id(plan)]
+            mine = [a + b for a, b in zip(mine, counts[child])]
+        counts[node] = mine
+    return counts[plan]
 
 
 class TestTermination:
@@ -230,7 +230,7 @@ class TestTidy:
         order, needed = demanded(roots, store)
         for node in order:
             made = _computes(node)
-            assert made is None or made[0] in needed[id(node)], (
+            assert made is None or made[0] in needed[node], (
                 f"{name}: dead {type(node).__name__} {made[0]}")
 
     def test_no_projection_is_left_to_merge(self, name):

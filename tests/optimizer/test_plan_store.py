@@ -16,6 +16,7 @@ from repro import Connection
 from repro.algebra import (
     Distinct,
     LitTable,
+    Node,
     Project,
     RowRank,
     bundle_text,
@@ -102,17 +103,18 @@ class TestInterning:
                 assert seen.setdefault(node_key(node), node) is node
 
     @pytest.mark.parametrize("name", PROGRAMS)
-    def test_every_fact_hangs_off_a_pinned_node(self, name, monkeypatch):
+    def test_every_fact_is_keyed_by_its_node(self, name, monkeypatch):
+        """A fact keyed by the node itself keeps that node alive, so no
+        later node can inherit it."""
         collect_between_families(monkeypatch)
         store = PlanStore()
         _optimize([q.plan for q in raw_bundle(name).queries], store,
                   PassStats())
-        pinned = {id(n) for n in store.canonical.values()}
-        pinned.update(id(n) for n in store.pins)
         facts = [store.props, store.schemas, store.twin,
                  *store.rewritten.values()]
-        for memo in facts:
-            assert memo and set(memo) <= pinned
+        assert all(facts)
+        for memo in (*facts, store.heights, store.wider):
+            assert all(isinstance(key, Node) for key in memo)
 
     @pytest.mark.parametrize("name", PROGRAMS)
     def test_collecting_garbage_between_families_changes_nothing(

@@ -181,10 +181,38 @@ def _join_over_an_empty_filtered_source():
         "xs2": to_q([(0, 0), (0, 0)]), "xs3": to_q([0, 1, 2, 3])})
 
 
+def _ys(x, op):
+    """``filter (\\y -> y op x) t``: a nested list per element."""
+    return programs.ffilter(lambda y: programs.Bin(op, y, x), Var("t"))
+
+
+def _on_t(term):
+    return Program(term, {"t": to_q([1, 2, 3])})
+
+
 #: name -> (program of the one test grammar, expected value)
 PROGRAMS = {
     "join_over_an_empty_filtered_source": (
         _join_over_an_empty_filtered_source, [[], [], [], []]),
+    # merging lists of tuples that hold a nested list re-keys each
+    # side's inner lists, part by part of the tuple (``_remap_nests``)
+    "append_of_tuples_holding_a_list": (
+        lambda: _on_t(programs.append(
+            programs.fmap(lambda x: programs.tup(x, _ys(x, "<")), Var("t")),
+            programs.fmap(lambda x: programs.tup(x * 10, _ys(x, ">")),
+                          Var("t")))),
+        [(1, []), (2, [1]), (3, [1, 2]), (10, [2, 3]), (20, [3]), (30, [])]),
+    "cond_of_tuples_holding_a_list": (
+        lambda: _on_t(programs.fmap(lambda x: programs.cond(
+            x > 1, programs.tup(x, _ys(x, "<")),
+            programs.tup(0 - x, _ys(x, ">="))), Var("t"))),
+        [(-1, [1, 2, 3]), (2, [1]), (3, [1, 2])]),
+    "append_of_tuples_holding_a_list_two_deep": (
+        lambda: _on_t(programs.append(*(programs.fmap(
+            lambda x, op=op: programs.tup(x, programs.tup(x + 1, _ys(x, op))),
+            Var("t")) for op in ("<", ">")))),
+        [(1, (2, [])), (2, (3, [1])), (3, (4, [1, 2])),
+         (1, (2, [2, 3])), (2, (3, [3])), (3, (4, []))]),
 }
 
 
