@@ -11,9 +11,12 @@ bundle are built once as temporary tables ahead of the first statement
 that reads them (``generate.Step``) -- a fixed number of auxiliary
 statements per program, whatever the data -- inside one transaction
 that is always rolled back, so no run leaves a table or an open
-transaction behind.  A backend runs one bundle at a time: a lock spans
-the catalog load and the script, so threads sharing one connection take
-turns.
+transaction behind.  The catalog columns a bundle probes in its joins
+(``GeneratedSQL.probes``) are indexed once per loaded catalog, ahead of
+the transaction, so the rollback keeps them and a reload drops them
+with their tables.  A backend runs one bundle at a time: a lock spans
+the catalog load, the indexes and the script, so threads sharing one
+connection take turns.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ class SQLiteBackend(Backend):
         #: generation then.  Held, not its address: a freed catalog's
         #: address may be a fresh one's.
         self._loaded: "tuple[Catalog, int] | None" = None
+        #: Probed ``(table, column)`` -> the index built on it, over the
+        #: tables loaded now.
+        self._indexes: dict[tuple[str, str], str] = {}
         #: SQL statements executed over this backend's lifetime.
         self.statements_executed = 0
 
@@ -90,6 +96,7 @@ class SQLiteBackend(Backend):
 
         with self._lock:
             self._ensure_loaded(catalog)
+            self._ensure_indexed(prepared)
             with self._script():
                 yield run_query
 
@@ -100,8 +107,10 @@ class SQLiteBackend(Backend):
         its steps, then the SELECT -- and convert values back.
 
         Does *not* bump ``statements_executed`` -- a bundle execution does."""
-        with self._lock, self._script():
-            return self._run(gen, set(), None)
+        with self._lock:
+            self._ensure_indexed([gen])
+            with self._script():
+                return self._run(gen, set(), None)
 
     @contextmanager
     def _script(self):
@@ -155,5 +164,28 @@ class SQLiteBackend(Backend):
         if self._loaded is not None and self._loaded[0] is catalog \
                 and self._loaded[1] == generation:
             return
+        self._indexes.clear()  # the load drops them with their tables
         load_catalog(self._conn, catalog, self.dialect)
         self._loaded = (catalog, generation)
+
+    def _ensure_indexed(self, prepared: "list[GeneratedSQL]") -> None:
+        """Index every catalog column ``prepared`` probes that has none
+        yet.  An automatic index would be rebuilt on every run.  Index
+        names share the catalog tables' namespace (case-insensitively):
+        ``ferry_iNNNN``, skipping any a table or an index bears."""
+        missing = dict.fromkeys(pair for gen in prepared
+                                for pair in gen.probes
+                                if pair not in self._indexes)
+        if not missing:
+            return
+        taken = set(self._indexes.values())
+        if self._loaded is not None:
+            taken.update(name.lower()
+                         for name in self._loaded[0].table_names())
+        n = 0
+        for table, column in missing:
+            while (name := f"ferry_i{n:04d}") in taken:
+                n += 1
+            taken.add(name)
+            self._send(self.dialect.create_index(name, table, column))
+            self._indexes[table, column] = name

@@ -27,8 +27,12 @@ duplicate eliminations on a surrogate read the table's own B-tree
 instead of building an index every run (an anti-join on it probes the
 table as it stands, without a ``DISTINCT`` copy).  Ferry values are never NULL,
 so the alias never makes one up, and a key that did not hold would fail
-the ``INSERT`` rather than the answer.  A bundle that never went through
-``optimize_bundle`` gets steps without a key.  A literal table is one
+the ``INSERT`` rather than the answer.  A step numbering its rows
+without a partition, by a number that is its key, leaves the numbering
+to that rowid instead of a ``ROW_NUMBER()`` window.  A bundle that never
+went through ``optimize_bundle`` gets steps without a key.  Each
+statement also lists the catalog columns its joins probe
+(``GeneratedSQL.probes``), which the host indexes.  A literal table is one
 multi-row ``VALUES`` (a compound ``SELECT`` has at most 500 terms on
 SQLite).
 
@@ -107,6 +111,9 @@ class GeneratedSQL:
     #: Fetched row -> result row, or ``None`` when the driver's values
     #: are the atoms already (no ``Bool``/``Double``/``Date``/``Time`` item).
     convert: "Callable[[tuple], tuple] | None" = None
+    #: The catalog ``(table, column)`` pairs that ``steps`` and ``text``
+    #: probe in a join, which the host indexes before running them.
+    probes: tuple[tuple[str, str], ...] = ()
 
     def script(self, built: Collection[str] = ()) -> str:
         """What running this statement sends, as text: the steps whose
@@ -147,11 +154,20 @@ def generate_bundle(queries: Sequence[SerializedQuery],
         else:
             names[node] = f"t{i:04d}"
 
+    # A step numbering its rows without a partition, whose number is its
+    # key, leaves the number to the table: the key is the rowid's alias,
+    # and SQLite gives the rows of an ``INSERT ... SELECT ... ORDER BY``
+    # into a fresh table the rowids 1, 2, ... in that order.
+    by_rowid = {node for node in tables if isinstance(node, RowNum)
+                and not node.part and keys.get(node) == node.col}
+
     # Every node is rendered once: as the body of its table's INSERT, or
     # as a binding of the one block it is in (leaves: of each such block).
     memo: dict = {}
-    bodies = {node: _render(node, names, memo, d, keys)
+    bodies = {node: _render(node, names, memo, d, keys, node in by_rowid)
               for node in numbered}
+    probes = {node: _probes(node, tables, memo) for node in numbered
+              if isinstance(node, (EqJoin, SemiJoin, AntiJoin))}
     ctes = {node: f"{names[node]}"
                       f"({_select_list(_cols(node, memo), d)})"
                       f" AS (\n{bodies[node]}\n)"
@@ -174,11 +190,15 @@ def generate_bundle(queries: Sequence[SerializedQuery],
             step = first.get(node)
             if step is None:
                 schema = schema_of(node, memo)
+                into = names[node]
+                if node in by_rowid:
+                    numbered_cols = _cols(node.children[0], memo)
+                    into += f"({_select_list(numbered_cols, d)})"
                 step = first[node] = Step(
                     name, ref, describe(node), len(schema),
                     d.create_temp_table(name, schema.items(),
                                         keys.get(node)),
-                    f"INSERT INTO {names[node]}\n"
+                    f"INSERT INTO {into}\n"
                     f"{bindings(_block(node, tables)[:-1])}"
                     f"{bodies[node]}")
             steps.append(step if step.ref == ref else replace(step, ref=ref))
@@ -191,8 +211,11 @@ def generate_bundle(queries: Sequence[SerializedQuery],
         block = [] if root in tables else _block(root, tables)
         text = (f"{bindings(block)}SELECT {_select_list(out_cols, d)}\n"
                 f"FROM {names[root]}\nORDER BY {order};")
+        probed = dict.fromkeys(pair for node in plan
+                               for pair in probes.get(node, ()))
         generated.append(GeneratedSQL(text, out_cols, tuple(steps),
-                                      _row_converter(query, d)))
+                                      _row_converter(query, d),
+                                      tuple(probed)))
     return generated
 
 
@@ -225,6 +248,47 @@ def _divides(node: Node) -> bool:
     test it on rows that a later join drops, and a division by zero must
     raise only on the rows that reach it."""
     return isinstance(node, BinApp) and node.op in ("div", "idiv", "mod")
+
+
+def _probes(join: Node, tables: "dict[Node, str]", memo
+            ) -> list[tuple[str, str]]:
+    """The catalog columns ``join`` compares, on either side."""
+    found = []
+    for lc, rc in join.pairs:
+        for side, col in ((join.children[0], lc), (join.children[1], rc)):
+            pair = _base_column(side, col, tables, memo)
+            if pair is not None:
+                found.append(pair)
+    return found
+
+
+def _base_column(node: Node, col: str, tables: "dict[Node, str]", memo
+                 ) -> "tuple[str, str] | None":
+    """The ``(table, column)`` that ``col`` of ``node`` reads, followed
+    through renames and through the joins of ``node``'s block -- SQLite
+    flattens those into one loop nest, so it probes the catalog table
+    itself -- or ``None`` where the column is made, numbered, grouped or
+    read from a temporary table, or is a table's position column (its
+    rowid already)."""
+    while node not in tables:
+        if isinstance(node, TableScan):
+            if node.pos is not None and col == node.pos[0]:
+                return None
+            return next((node.table, src)
+                        for out, src, _ in node.columns if out == col)
+        if isinstance(node, Project):
+            col = dict(node.cols)[col]
+        elif isinstance(node, Attach):
+            if col == node.col:
+                return None
+        elif isinstance(node, (EqJoin, Cross)):
+            if col not in schema_of(node.children[0], memo):
+                node = node.children[1]
+                continue
+        elif not isinstance(node, (SemiJoin, AntiJoin)):
+            return None
+        node = node.children[0]
+    return None
 
 
 def _block(root: Node, tables: "dict[Node, str]") -> list[Node]:
@@ -261,7 +325,7 @@ def _select_list(cols: list[str], d: SQLiteDialect) -> str:
 
 
 def _render(node: Node, names: dict[Node, str], memo, d: SQLiteDialect,
-            keys: "Mapping[Node, str]") -> str:
+            keys: "Mapping[Node, str]", by_rowid: bool) -> str:
     q = d.quote_ident
 
     if isinstance(node, LitTable):
@@ -309,6 +373,9 @@ def _render(node: Node, names: dict[Node, str], memo, d: SQLiteDialect,
         base = _select_list(_cols(node.children[0], memo), d)
         order = ", ".join(f"{q(c)} {dr.upper()}"
                           for c, dr in node.order)
+        if by_rowid:
+            # the table's rowid numbers the rows as they are inserted
+            return f"  SELECT {base}\n  FROM {child}\n  ORDER BY {order}"
         if isinstance(node, RowNum):
             window = d.row_number(node.part, order)
         else:

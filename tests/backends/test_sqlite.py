@@ -15,8 +15,21 @@ import sqlite3
 
 import pytest
 
-from repro import Connection, PartialFunctionError, fmap, to_q
-from repro.backends.sql import SQLITE_DIALECT, SQLiteBackend
+from repro import (
+    Connection,
+    PartialFunctionError,
+    fmap,
+    fsum,
+    group_with,
+    sort_with,
+    sort_with_desc,
+    the,
+    to_q,
+    tup,
+)
+from repro.algebra import Project, RowNum
+from repro.backends.engine import Engine
+from repro.backends.sql import SQLITE_DIALECT, SQLiteBackend, generate_bundle
 from examples.workloads import (
     avalanche_dataset,
     raw_bundle,
@@ -26,6 +39,11 @@ from repro.ftypes import BoolT, DateT, DoubleT, IntT, StringT, TimeT
 from repro.runtime import Catalog
 
 from ..conftest import e2e_workloads, feature_meanings_query, run_all_ways
+from .test_sql_operators import lt, serialized
+
+W = e2e_workloads()
+NESTED_ORDERS = next(p for p in W.CORPUS if p.name == "nested_orders")
+INF = float("inf")
 
 
 @pytest.fixture()
@@ -50,6 +68,54 @@ def statements_sent(db, q) -> list[str]:
     finally:
         db.backend._conn.set_trace_callback(None)
     return sent
+
+
+def orders_db(n_customers: int) -> Connection:
+    """Nested orders' tables at ``n_customers``, on sqlite."""
+    return Connection(backend="sqlite", catalog=W.make_catalog(
+        W.orders_tables(n_customers, 1)))
+
+
+def probed(db, q) -> list[tuple[str, str]]:
+    """The catalog columns ``q``'s statements probe."""
+    return sorted({pair for gen in db.backend.prepare_bundle(
+        db.compile(q).bundle) for pair in gen.probes})
+
+
+def index_names(backend: SQLiteBackend) -> dict[str, tuple[str, str]]:
+    """The indexes ``main`` holds: name -> (table, its one column)."""
+    conn = backend._conn
+    q = SQLITE_DIALECT.quote_ident
+    return {name: (table, *(r[2] for r in conn.execute(
+                f"PRAGMA main.index_info({q(name)})")))
+            for name, table in conn.execute(
+                "SELECT name, tbl_name FROM sqlite_master "
+                "WHERE type = 'index'")}
+
+
+def query_plans(db, q) -> list[tuple[str, list[str]]]:
+    """``EXPLAIN QUERY PLAN`` of every step's ``INSERT`` and every
+    statement of ``q``'s warm run: (the step's operator or the
+    statement, its plan lines)."""
+    db.run(q)
+    conn = db.backend._conn
+    plans = []
+    built: set[str] = set()
+    conn.execute("BEGIN")
+    try:
+        for gen in db.backend.prepare_bundle(db.compile(q).bundle):
+            for step in gen.steps:
+                if step.name not in built:
+                    built.add(step.name)
+                    conn.execute(step.create)
+                    plans.append((step.op, [r[-1] for r in conn.execute(
+                        "EXPLAIN QUERY PLAN " + step.insert)]))
+                    conn.execute(step.insert)
+            plans.append((gen.text, [r[-1] for r in conn.execute(
+                "EXPLAIN QUERY PLAN " + gen.text)]))
+    finally:
+        conn.rollback()
+    return plans
 
 
 def assert_idle(backend: SQLiteBackend) -> None:
@@ -129,12 +195,9 @@ class TestBundleScript:
         groups and duplicate eliminations on it read instead of building
         an index per run.  Nested orders' surrogates are such keys; the
         running example's join step has none and declares none."""
-        W = e2e_workloads()
-        orders = Connection(backend="sqlite", catalog=W.make_catalog(
-            W.orders_tables(20, 1)))
-        program = next(p for p in W.CORPUS if p.name == "nested_orders")
+        orders = orders_db(20)
         code = orders.backend.prepare_bundle(
-            orders.compile(program.build(orders)).bundle)
+            orders.compile(NESTED_ORDERS.build(orders)).bundle)
         steps = {step.name: step for gen in code for step in gen.steps}
         assert all(step.create.count("PRIMARY KEY") == 1
                    for step in steps.values())
@@ -180,6 +243,167 @@ class TestBundleScript:
         for gen, query, rows in zip(code, bundle.queries, bundle_rows):
             assert backend.run_sql(gen, query) == rows
             assert_idle(backend)
+
+
+class TestProbedIndexes:
+    """The catalog columns a bundle's joins probe carry an index, built
+    once per loaded catalog; sqlite would otherwise build an automatic
+    index on each of them on every run."""
+
+    def test_the_columns_the_paper_programs_probe(self, db):
+        assert probed(db, running_example_query(db)) == [
+            ("features", "fac"), ("features", "feature"),
+            ("meanings", "feature")]
+        orders = orders_db(20)
+        assert probed(orders, NESTED_ORDERS.build(orders)) == [
+            ("lineitems", "oid"), ("orders", "cid")]
+
+    def test_an_index_is_built_once_per_catalog_generation(self):
+        db = orders_db(20)
+        report = NESTED_ORDERS.build(db)
+        customers, orders = db.table("customers"), db.table("orders")
+        per_customer = fmap(lambda c: fmap(
+            lambda o: o[2], orders.filter(lambda o: o[0] == c[0])), customers)
+        assert ("orders", "cid") in probed(db, per_customer)
+        indexed = sorted(set(probed(db, report) + probed(db, per_customer)))
+
+        def built(*runs) -> list[str]:
+            sent: list[str] = []
+            db.backend._conn.set_trace_callback(sent.append)
+            try:
+                for q in runs:
+                    db.run(q)
+            finally:
+                db.backend._conn.set_trace_callback(None)
+            return [s for s in sent if s.startswith("CREATE INDEX")]
+
+        # two bundles that probe orders.cid share its index
+        assert len(built(report, report, per_customer, report)) == len(
+            indexed)
+        assert sorted(index_names(db.backend).values()) == indexed
+        assert built(report, per_customer) == []
+        # a reload drops every index with its table; the next runs
+        # build them again, once
+        db.create_table("extra", [("n", int)], [(1,)])
+        assert len(built(report, per_customer, report)) == len(indexed)
+        assert sorted(index_names(db.backend).values()) == indexed
+        db.catalog.drop_table("extra")
+        assert len(built(per_customer)) == len(probed(db, per_customer))
+        assert sorted(index_names(db.backend).values()) == probed(
+            db, per_customer)
+        assert_idle(db.backend)
+
+    @pytest.mark.parametrize("program", ["running example", "nested orders"])
+    def test_no_run_builds_an_automatic_index_on_a_catalog_table(
+            self, program):
+        if program == "nested orders":
+            db = orders_db(200)
+            q = NESTED_ORDERS.build(db)
+        else:
+            db = Connection(backend="sqlite", catalog=avalanche_dataset(20))
+            q = running_example_query(db)
+        plans = query_plans(db, q)
+        assert len(plans) > 3
+        automatic = [(what, line) for what, lines in plans for line in lines
+                     if line.startswith(("SEARCH main.", "SCAN main."))
+                     and "AUTOMATIC" in line]
+        assert automatic == []
+        assert any("USING INDEX ferry_i" in line
+                   for _, lines in plans for line in lines)
+
+
+class TestRowidNumbering:
+    """A step numbering its rows without a partition, whose number is its
+    key, has no window: its ``INSERT`` selects the other columns in the
+    numbering's order, and the table's rowid numbers them."""
+
+    #: How a report arranges each region's customers: as stored, by
+    #: name descending, by ``score * 0.0`` (a NaN for the one customer
+    #: of its region scored ``inf``, ``-0.0`` for a negative score).
+    ARRANGE = {
+        "stored": lambda g: g,
+        "desc": lambda g: sort_with_desc(lambda c: c[1], g),
+        "double": lambda g: sort_with(lambda c: c[3] * 0.0, g),
+    }
+
+    @staticmethod
+    def catalog(empty: "str | None") -> Catalog:
+        tables = {
+            "customers": ([("cid", int), ("name", str), ("region", str),
+                           ("score", float)], [
+                (1, "ann", "EU", 2.0), (2, "bob", "EU", -1.0),
+                (3, "cy", "US", INF), (4, "di", "EU", 0.0),
+                (5, "ed", "APAC", -0.0), (6, "fay", "APAC", 0.5)]),
+            "orders": ([("oid", int), ("cid", int), ("month", int)], [
+                (10, 1, 3), (11, 2, 1), (12, 3, 2), (13, 1, 1),
+                (14, 5, 4), (15, 6, 2), (16, 2, 5)]),
+            "lineitems": ([("oid", int), ("line", int), ("price", float)], [
+                (10, 1, 1.5), (11, 1, -0.0), (12, 1, 2.0), (12, 2, 0.25),
+                (14, 1, 3.0), (16, 1, -2.5), (16, 2, 0.0)]),
+        }
+        if empty is not None:
+            tables[empty] = (tables[empty][0], [])
+        return W.make_catalog(tables)
+
+    @staticmethod
+    def report(db, arrange):
+        """Nested orders' shape: per region, each customer's name, score
+        times zero and order totals."""
+        customers, orders, lineitems = (
+            db.table(t) for t in ("customers", "orders", "lineitems"))
+
+        def totals(c):
+            return fmap(lambda o: fsum(fmap(
+                lambda li: li[2], lineitems.filter(lambda li: li[1] == o[2]))),
+                orders.filter(lambda o: o[0] == c[0]))
+
+        return fmap(lambda g: tup(
+            the(fmap(lambda c: c[2], g)),
+            fmap(lambda c: tup(c[1], c[3] * 0.0, totals(c)), arrange(g))),
+            group_with(lambda c: c[2], customers))
+
+    @staticmethod
+    def rowid_steps(db, q) -> list:
+        """The steps of ``q`` that number their rows by the rowid."""
+        code = db.backend.prepare_bundle(db.compile(q).bundle)
+        return [step for step in {step.name: step for gen in code
+                                  for step in gen.steps}.values()
+                if step.op.startswith("RowNum") and "OVER (" not in
+                step.insert]
+
+    def test_nested_orders_numbers_its_pairs_without_a_window(self):
+        db = orders_db(20)
+        [step] = self.rowid_steps(db, NESTED_ORDERS.build(db))
+        assert "partition" not in step.op
+        number = step.op.split()[1]
+        assert f'"{number}" INTEGER PRIMARY KEY' in step.create
+        assert f'"{number}"' not in step.insert
+        assert "ORDER BY" in step.insert
+
+    @pytest.mark.parametrize("empty", [None, "customers", "orders"])
+    @pytest.mark.parametrize("arrange", ARRANGE)
+    def test_keyed_numberings_agree_with_the_engine(self, arrange, empty):
+        catalog = self.catalog(empty)
+        db = Connection(backend="sqlite", catalog=catalog)
+        q = self.report(db, self.ARRANGE[arrange])
+        assert self.rowid_steps(db, q)
+        run_all_ways(q, catalog)
+
+    def test_a_descending_order_numbers_as_the_window_does(self):
+        rows = lt([(1, "a"), (2, "c"), (2, "b"), (3, "a")],
+                  ("k", IntT), ("s", StringT))
+        num = RowNum(rows, "n", (("k", "desc"), ("s", "asc")))
+        queries = [serialized(num),
+                   serialized(Project(num, (("m", "n"), ("t", "s"))))]
+        gen = generate_bundle(queries, keys={num: "n"})[0]
+        assert "OVER (" not in gen.steps[0].insert
+        backend = SQLiteBackend()
+        backend._ensure_loaded(Catalog())
+        got = sorted(row[2:] for row in backend.run_sql(gen, queries[0]))
+        assert got == [(1, "a", 4), (2, "b", 2), (2, "c", 3), (3, "a", 1)]
+        rel = Engine(Catalog()).execute(num)
+        idx = [rel.col_index(c) for c in ("k", "s", "n")]
+        assert got == sorted(tuple(r[i] for i in idx) for r in rel.rows)
 
 
 class TestRowConversion:
@@ -269,6 +493,44 @@ class TestReservedNames:
         code = sqlite.backend.prepare_bundle(sqlite.compile(nested).bundle)
         assert code[0].steps[0].name == "ferry_m0000"
         assert run_all_ways(nested, catalog) == [[11, 21], [12, 22]]
+
+    def test_tables_named_like_indexes(self):
+        """Indexes share the catalog tables' namespace, case-insensitively:
+        the generated names skip every table's, and never repeat."""
+        catalog = Catalog()
+        catalog.create_table("ferry_i0000", [("k", int), ("v", str)],
+                             [(1, "a"), (2, "b"), (3, "c")])
+        catalog.create_table("FERRY_I0001", [("k", int), ("w", int)],
+                             [(1, 10), (1, 11), (2, 20)])
+        catalog.create_table('ferry_i0002" ON x', [('k"', int), ("x y", int)],
+                             [(2, 5), (3, 6)])
+        db = Connection(catalog=catalog)
+        a, b, c = (db.table(name) for name in (
+            "ferry_i0000", "FERRY_I0001", 'ferry_i0002" ON x'))
+        q = fmap(lambda r: tup(
+            r[1],
+            fmap(lambda s: s[1], b.filter(lambda s: s[0] == r[0])),
+            fmap(lambda t: t[1], c.filter(lambda t: t[0] == r[0]))), a)
+        assert run_all_ways(q, catalog) == [
+            ("a", [10, 11], []), ("b", [20], [5]), ("c", [], [6])]
+        sqlite = Connection(backend="sqlite", catalog=catalog)
+        probes = probed(sqlite, q)
+        assert probes == [("FERRY_I0001", "k"), ('ferry_i0002" ON x', 'k"')]
+        sqlite.run(q)
+        indexes = index_names(sqlite.backend)
+        assert sorted(indexes.values()) == probes
+        assert sorted(indexes) == ["ferry_i0002", "ferry_i0003"]
+        # a later bundle's index skips the tables' names and the
+        # indexes' already built
+        later = fmap(lambda s: fmap(
+            lambda r: r[1], a.filter(lambda r: r[0] == s[0])), b)
+        assert ("ferry_i0000", "k") in probed(sqlite, later)
+        assert run_all_ways(later, catalog) == [["a"], ["a"], ["b"]]
+        sqlite.run(later)
+        indexes = index_names(sqlite.backend)
+        assert indexes["ferry_i0004"] == ("ferry_i0000", "k")
+        assert not ({name.lower() for name in indexes}
+                    & {name.lower() for name in catalog.table_names()})
 
 
 class TestDialect:

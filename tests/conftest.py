@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import math
 import pathlib
+import struct
 import sys
 
 import pytest
@@ -113,11 +115,25 @@ def check_normal_form(exp, catalog: Catalog, expected=None):
     if expected is None:
         expected = Interpreter(catalog).run(exp)
     normal = normalize(exp)
-    assert Interpreter(catalog).run(normal) == expected
+    assert same(Interpreter(catalog).run(normal), expected)
     assert normal.ty == exp.ty
     assert free_vars(normal) <= free_vars(exp)
     assert normalize(normal) is normal
     return normal
+
+
+def same(a, b) -> bool:
+    """Whether two outcomes are one value: atoms of one type (``True`` is
+    not ``1``), floats by bit pattern (every NaN is one value, and
+    ``-0.0`` is not ``0.0``), lists and tuples element by element."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return (math.isnan(a) and math.isnan(b)
+                or struct.pack("<d", a) == struct.pack("<d", b))
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same, a, b))
+    return a == b
 
 
 def outcome(run):
@@ -157,7 +173,7 @@ def run_all_ways(q, catalog: Catalog, backends=BACKENDS, raw=({},),
     if lazy_partial and expected == ("error", PartialFunctionError):
         expected = got[backends[0]]
     for executor, actual in got.items():
-        assert actual == expected, (
+        assert same(actual, expected), (
             f"{executor} disagrees with the reference semantics:\n"
             f"  expected {expected!r}\n  actual   {actual!r}")
     return expected[1]
