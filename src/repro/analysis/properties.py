@@ -31,8 +31,9 @@ with
     rows.  Numbering the same run again is then a ``Project``.
 ``provenance``
     *lineage-grade* order pedigree: columns that descend from a
-    ``RowNum`` (or an equivalent dense source) through operators that
-    preserve the "this column encodes list order" reading.  Unlike
+    ``RowNum``, a ``RowRank`` (or an equivalent dense source) through
+    operators that preserve the "this column encodes list order"
+    reading.  Unlike
     ``dense`` this is a lint signal -- the order verifier (``F2xx``)
     uses it to flag plans whose ``pos`` column has no row-numbering
     lineage at all, without false-positiving on prefixes/unions whose
@@ -75,7 +76,7 @@ from ..algebra.ops import (
 )
 from ..algebra.schema import Schema, schema_of
 from ..errors import PartialFunctionError
-from ..ftypes import IntT
+from ..ftypes import BoolT, IntT, StringT
 from ..semantics.interp import _binop, _unop
 
 #: Antichain size cap: key sets beyond this are dropped (smallest kept).
@@ -196,7 +197,9 @@ class Props:
         cols = schema.keys()
         return _finish(
             schema, {k for k in self.keys if k <= cols}, self.constants,
-            self.card, self.dense, self.provenance,
+            self.card, frozenset((c, p) for c, p in self.dense
+                                 if c in cols and p <= cols),
+            self.provenance,
             frozenset((c, by, within) for c, by, within in self.order
                       if cols >= within.union({c}, (o for o, _ in by))))
 
@@ -527,6 +530,28 @@ _SAME_COL_CMP = {"eq": True, "le": True, "ge": True,
                  "lt": False, "gt": False, "ne": False}
 
 
+#: Types whose equality is identity: a row that passes ``x eq k`` holds
+#: ``k`` itself (not a ``Double``: ``-0.0 eq 0.0``).
+_PINNABLE = (IntT, BoolT, StringT)
+
+
+def _pinned(node: Select, schema: Schema, constants: "dict[str, Any]"
+            ) -> "dict[str, Any]":
+    """The column a selection pins: ``Select c`` over ``c := x eq k``, a
+    constant ``k`` of a type in ``_PINNABLE``, leaves only rows where
+    ``x`` is ``k``."""
+    test = node.child
+    if not (isinstance(test, BinApp) and test.out == node.col
+            and test.op == "eq"):
+        return {}
+    for col, other in ((test.lhs, test.rhs), (test.rhs, test.lhs)):
+        value = _operand_const(other, constants)
+        if (isinstance(col, str) and col not in constants
+                and value is not _UNKNOWN and schema[col] in _PINNABLE):
+            return {col: value}
+    return {}
+
+
 # ----------------------------------------------------------------------
 # per-operator rules
 # ----------------------------------------------------------------------
@@ -627,6 +652,7 @@ def _infer_props(node: Node, memo: "dict[Node, Props]",
         constants = dict(p.constants)
         # Downstream of the filter the selection column is always true.
         constants[node.col] = True
+        constants.update(_pinned(node, schema, p.constants))
         # Filtering breaks density but not lineage.
         return _finish(schema, set(p.keys), constants, card, frozenset(),
                        p.provenance)
@@ -659,13 +685,14 @@ def _infer_props(node: Node, memo: "dict[Node, Props]",
     if isinstance(node, RowRank):
         p = memo[node.child]
         constants = dict(p.constants)
-        if p.card.at_most_one:
-            constants[node.col] = 1
+        if p.card.at_most_one or p.constants.keys() >= {
+                c for c, _ in node.order}:
+            constants[node.col] = 1  # (all rows tie)
         # DENSE_RANK is dense 1..k globally, but k < nrows when order
         # keys tie, so (col, ()) is *not* a density fact w.r.t. rows;
-        # it is also no key.  Lineage only.
+        # it is also no key.  Lineage only: a rank encodes an order.
         return _finish(schema, set(p.keys), constants, card, p.dense,
-                       p.provenance,
+                       p.provenance | {node.col},
                        p.order | {(node.col, node.order, frozenset())})
 
     if isinstance(node, Cross):

@@ -9,14 +9,14 @@ single row-returning SQL statement, so the connection's statement count
 directly measures avalanches (Table 1).  Plan nodes shared inside the
 bundle are built once as temporary tables ahead of the first statement
 that reads them (``generate.Step``) -- a fixed number of auxiliary
-statements per program, whatever the data -- inside one transaction
-that is always rolled back, so no run leaves a table or an open
-transaction behind.  The catalog columns a bundle probes in its joins
+statements per program, whatever the data -- inside one transaction that
+is always rolled back, so no run leaves a table or an open transaction
+behind.  The catalog columns a bundle probes in its joins
 (``GeneratedSQL.probes``) are indexed once per loaded catalog, ahead of
-the transaction, so the rollback keeps them and a reload drops them
-with their tables.  A backend runs one bundle at a time: a lock spans
-the catalog load, the indexes and the script, so threads sharing one
-connection take turns.
+the transaction, so the rollback keeps them and a reload drops them with
+their tables; each index covers its table, in list order.  A backend
+runs one bundle at a time: a lock spans the catalog load, the indexes
+and the script, so threads sharing one connection take turns.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import threading
 import time
 from contextlib import contextmanager
 
+from ...algebra.ops import position_column
 from ...analysis import ensure_verified
 from ...core.bundle import Bundle, SerializedQuery
 from ...errors import ExecutionError
@@ -172,20 +173,27 @@ class SQLiteBackend(Backend):
         """Index every catalog column ``prepared`` probes that has none
         yet.  An automatic index would be rebuilt on every run.  Index
         names share the catalog tables' namespace (case-insensitively):
-        ``ferry_iNNNN``, skipping any a table or an index bears."""
+        ``ferry_iNNNN``, skipping any a table or an index bears.
+
+        An index covers its table: the probed column, then the position,
+        then every other column, so a probe reads the index alone.  The
+        position comes second so that the rows of one probed value still
+        come in list order -- the order an aggregate over them (a
+        ``Double`` sum: addition is not associative) adds them in."""
         missing = dict.fromkeys(pair for gen in prepared
                                 for pair in gen.probes
                                 if pair not in self._indexes)
-        if not missing:
-            return
+        if not missing or self._loaded is None:
+            return  # (no table to index: the script fails on its own)
+        catalog = self._loaded[0]
         taken = set(self._indexes.values())
-        if self._loaded is not None:
-            taken.update(name.lower()
-                         for name in self._loaded[0].table_names())
+        taken.update(name.lower() for name in catalog.table_names())
         n = 0
         for table, column in missing:
             while (name := f"ferry_i{n:04d}") in taken:
                 n += 1
             taken.add(name)
-            self._send(self.dialect.create_index(name, table, column))
+            names = [c for c, _ in catalog.schema(table)]
+            self._send(self.dialect.create_index(name, table, dict.fromkeys(
+                [column, position_column(names), *names])))
             self._indexes[table, column] = name

@@ -171,11 +171,13 @@ class SQLiteDialect:
                          for c, ty in columns)
         return f"{self.create_temp} {self.temp_table_ref(name)} ({cols})"
 
-    def create_index(self, name: str, table: str, column: str) -> str:
-        """DDL of an index on a catalog table's column; ``name`` shares
+    def create_index(self, name: str, table: str,
+                     columns: "Iterable[str]") -> str:
+        """DDL of an index on a catalog table's columns; ``name`` shares
         the catalog tables' namespace."""
+        cols = ", ".join(map(self.quote_ident, columns))
         return (f"CREATE INDEX {self.table_ref(name)} ON "
-                f"{self.quote_ident(table)} ({self.quote_ident(column)})")
+                f"{self.quote_ident(table)} ({cols})")
 
     # -- literals ------------------------------------------------------
     def literal(self, value: Any, ty: AtomT) -> str:

@@ -30,8 +30,11 @@ so the alias never makes one up, and a key that did not hold would fail
 the ``INSERT`` rather than the answer.  A step numbering its rows
 without a partition, by a number that is its key, leaves the numbering
 to that rowid instead of a ``ROW_NUMBER()`` window.  A bundle that never
-went through ``optimize_bundle`` gets steps without a key.  Each
-statement also lists the catalog columns its joins probe
+went through ``optimize_bundle`` gets steps without a key.  A numbering
+lists only the columns its readers read, and a rank that only a row
+numbering reads is computed in that numbering's ``SELECT``: SQLite runs
+windows as co-routines that copy every column listed.  Each statement
+also lists the catalog columns its joins probe
 (``GeneratedSQL.probes``), which the host indexes.  A literal table is one
 multi-row ``VALUES`` (a compound ``SELECT`` has at most 500 terms on
 SQLite).
@@ -161,20 +164,51 @@ def generate_bundle(queries: Sequence[SerializedQuery],
     by_rowid = {node for node in tables if isinstance(node, RowNum)
                 and not node.part and keys.get(node) == node.col}
 
+    # A numbering that only projections read lists only the columns they
+    # keep (and its own, and its table's key): SQLite runs a window as a
+    # co-routine, which copies every column its SELECT lists, and a step
+    # stores them all.
+    memo: dict = {}
+    listed = {node: _cols(node, memo) for node in numbered}
+    readers: dict[Node, list[Node]] = {}
+    for node in numbered:
+        for child in node.children:
+            readers.setdefault(child, []).append(node)
+    for node, by in readers.items():
+        projections = [p for p in by if isinstance(p, Project)]
+        if isinstance(node, (RowNum, RowRank)) and consumers[node] == len(
+                projections):
+            read = {node.col, keys.get(node)}
+            read.update(old for p in projections for _, old in p.cols)
+            kept = [c for c in listed[node] if c in read]
+            if len(kept) > 1 or node not in by_rowid:  # (one to insert)
+                listed[node] = kept
+
+    # A rank that only a row numbering reads is computed in the same
+    # SELECT: a partition or an order by the rank is one by the columns it
+    # ranks, and SQLite sorts for both windows in one co-routine.
+    folded: dict[Node, RowRank] = {}
+    for node, by in readers.items():
+        if isinstance(node, RowRank) and node not in tables and consumers[
+                node] == 1 and isinstance(by[0], RowNum):
+            folded[by[0]] = node
+
     # Every node is rendered once: as the body of its table's INSERT, or
     # as a binding of the one block it is in (leaves: of each such block).
-    memo: dict = {}
-    bodies = {node: _render(node, names, memo, d, keys, node in by_rowid)
+    bodies = {node: _render(node, names, memo, d, keys, node in by_rowid,
+                            listed[node], folded.get(node))
               for node in numbered}
     probes = {node: _probes(node, tables, memo) for node in numbered
               if isinstance(node, (EqJoin, SemiJoin, AntiJoin))}
     ctes = {node: f"{names[node]}"
-                      f"({_select_list(_cols(node, memo), d)})"
+                      f"({_select_list(listed[node], d)})"
                       f" AS (\n{bodies[node]}\n)"
-            for node in numbered if node not in tables}
+            for node in numbered
+            if node not in tables and node not in folded.values()}
 
     def bindings(block: list[Node]) -> str:
         """The ``WITH`` clause binding every node of ``block``."""
+        block = [n for n in block if n in ctes]
         if not block:
             return ""
         return "WITH\n" + ",\n".join(ctes[n] for n in block) + "\n"
@@ -190,13 +224,14 @@ def generate_bundle(queries: Sequence[SerializedQuery],
             step = first.get(node)
             if step is None:
                 schema = schema_of(node, memo)
+                cols = listed[node]
                 into = names[node]
                 if node in by_rowid:
-                    numbered_cols = _cols(node.children[0], memo)
+                    numbered_cols = [c for c in cols if c != node.col]
                     into += f"({_select_list(numbered_cols, d)})"
                 step = first[node] = Step(
-                    name, ref, describe(node), len(schema),
-                    d.create_temp_table(name, schema.items(),
+                    name, ref, describe(node), len(cols),
+                    d.create_temp_table(name, [(c, schema[c]) for c in cols],
                                         keys.get(node)),
                     f"INSERT INTO {into}\n"
                     f"{bindings(_block(node, tables)[:-1])}"
@@ -325,7 +360,8 @@ def _select_list(cols: list[str], d: SQLiteDialect) -> str:
 
 
 def _render(node: Node, names: dict[Node, str], memo, d: SQLiteDialect,
-            keys: "Mapping[Node, str]", by_rowid: bool) -> str:
+            keys: "Mapping[Node, str]", by_rowid: bool,
+            listed: list[str], rank: "RowRank | None") -> str:
     q = d.quote_ident
 
     if isinstance(node, LitTable):
@@ -370,19 +406,33 @@ def _render(node: Node, names: dict[Node, str], memo, d: SQLiteDialect,
         return f"  SELECT DISTINCT {base}\n  FROM {child}"
 
     if isinstance(node, (RowNum, RowRank)):
-        base = _select_list(_cols(node.children[0], memo), d)
-        order = ", ".join(f"{q(c)} {dr.upper()}"
-                          for c, dr in node.order)
+        spec, part = node.order, getattr(node, "part", ())
+        # the windows come last: each numbering appends its column
+        windows: list[str] = []
+        if rank is not None:
+            # the rank folded in is our input: select from its input, and
+            # order and partition by what it ranks where we read it
+            child = names[rank.child]
+            spec, part = _unrank(spec, rank), tuple(
+                o for c in part for o in ([o for o, _ in rank.order]
+                                          if c == rank.col else [c]))
+            if rank.col in listed:
+                # "binding due to rank operator" (appendix)
+                windows.append(f"{d.dense_rank(_order_sql(rank.order, d))}"
+                               f" AS {q(rank.col)}")
+        base = _select_list([c for c in listed if c not in (
+            node.col, getattr(rank, "col", None))], d)
+        order = _order_sql(spec, d)
+        items = [base] * bool(base) + windows
         if by_rowid:
             # the table's rowid numbers the rows as they are inserted
-            return f"  SELECT {base}\n  FROM {child}\n  ORDER BY {order}"
-        if isinstance(node, RowNum):
-            window = d.row_number(node.part, order)
-        else:
-            # "binding due to rank operator" (appendix)
-            window = d.dense_rank(order)
-        return (f"  SELECT {base},\n         {window} AS "
-                f"{q(node.col)}\n  FROM {child}")
+            return (f"  SELECT {', '.join(items)}\n"
+                    f"  FROM {child}\n  ORDER BY {order}")
+        items.append(f"{d.row_number(part, order)} AS {q(node.col)}"
+                     if isinstance(node, RowNum) else
+                     f"{d.dense_rank(order)} AS {q(node.col)}")
+        return ("  SELECT " + ",\n         ".join(items)
+                + f"\n  FROM {child}")
 
     if isinstance(node, Cross):
         left, right = (names[c] for c in node.children)
@@ -487,6 +537,21 @@ def _render(node: Node, names: dict[Node, str], memo, d: SQLiteDialect,
                 f"\n  FROM {child}")
 
     raise ExecutionError(f"cannot generate SQL for {node.label}")
+
+
+def _order_sql(order: "tuple[tuple[str, str], ...]", d: SQLiteDialect
+               ) -> str:
+    return ", ".join(f"{d.quote_ident(c)} {dr.upper()}" for c, dr in order)
+
+
+def _unrank(order: "tuple[tuple[str, str], ...]", rank: RowRank
+            ) -> "tuple[tuple[str, str], ...]":
+    """``order`` with ``rank``'s number replaced by the columns it ranks
+    -- over the same rows, the two order alike."""
+    flip = {"asc": "desc", "desc": "asc"}
+    return tuple(pair for c, dr in order for pair in (
+        [(o, od if dr == "asc" else flip[od]) for o, od in rank.order]
+        if c == rank.col else [(c, dr)]))
 
 
 def _aggregate_sql(func: str, in_col: "str | None", d: SQLiteDialect) -> str:

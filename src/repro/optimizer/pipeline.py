@@ -24,23 +24,25 @@ Every rule removes an operator and adds only operators ranked below it:
 ``Project`` (``surrogate_key`` too: a ``RowNum`` becomes a ``Project``
 onto a key column, which ranks strictly lower), ``Cross`` with a unit
 literal -> ``Attach``-es, ``EqJoin`` -> its input, widened by
-projections.  The order rules (``order_inline``, ``pos_order``) make the
-readers of a numbering's number read the columns that number ranks
-instead -- a longer order list over a wider path -- and take the next
-icols to get there: it deletes the numbering.  (``order_inline`` may go
-first while a query's ``pos`` still reads the number; ``pos_order``
-takes that reader in the same sweep.)  icols only drops columns and the
-operators computing them -- pointing the projections of a node a rule
-widened at its wider twin adds no operator -- and a merge removes a
-projection.  On the tree unfolding of the bundle every step therefore
-strictly lowers (the multiset of operator ranks, then total width) --
-whatever the data and the backend, nothing is priced.  A sweep shrinks
-that measure or changes nothing.  The loop stops after the first
-simplify that changes nothing, unless the icols before it merged a
-projection past one that other readers keep (``icols.MERGES``): a
-second icols would then narrow that one further, so another sweep runs.
-Either way its result is a fixpoint of both families, so no dead column
-and no mergeable projection is left.
+projections and ``Attach``-es.  The order rules (``order_inline``,
+``pos_order``) make the readers of a numbering's number read the columns
+that number ranks instead -- a longer order list over a wider path --
+and take the next icols to get there: it deletes the numbering.
+(``order_inline`` may go first while a query's ``pos`` still reads the
+number; ``pos_order`` takes that reader in the same sweep.)  icols only
+drops columns and the operators computing them -- pointing the
+projections of a node a rule widened at its wider twin adds no operator
+-- and a merge removes a projection.  ``const_spec`` keeps the numbering
+and drops a constant column from its order or partition.  On the tree
+unfolding of the bundle every step therefore strictly lowers (the
+multiset of operator ranks, then the total length of the numberings'
+specs, then total width) -- whatever the data and the backend, nothing
+is priced.  A sweep shrinks that measure or changes nothing.  The loop
+stops after the first simplify that changes nothing, unless the icols
+before it merged a projection past one that other readers keep
+(``icols.MERGES``): a second icols would then narrow that one further,
+so another sweep runs.  Either way its result is a fixpoint of both
+families, so no dead column and no mergeable projection is left.
 
 **The memo contract.**  A fact -- schema, ``Props``, a node's
 simplification -- is keyed by an interned node and never invalidated; a
@@ -65,7 +67,7 @@ from dataclasses import dataclass, field
 from operator import is_
 from typing import Callable, Mapping, Sequence
 
-from ..algebra import Node, node_count, postorder
+from ..algebra import Node, RowNum, node_count, postorder
 from ..analysis import (
     PlanStore,
     Props,
@@ -165,14 +167,16 @@ def _optimize(plans: "list[Node]", store: PlanStore, stats: PassStats,
 
 def _bundle_keys(plans: "list[Node]", store: PlanStore) -> "dict[Node, str]":
     """Per operator of ``plans`` with one, the first by name of its
-    ``Int`` columns that alone are a key of it (``Bundle.keys``)."""
+    ``Int`` columns that alone are a key of it (``Bundle.keys``) -- a
+    ``RowNum``'s own number before any: a table's rowid can number it."""
     keys = {}
     for node in postorder(*plans):
         schema = store.schema(node)
         cols = sorted(c for k in store.infer(node).keys if len(k) == 1
                       for c in k if schema.get(c) == IntT)
         if node.children and cols:
-            keys[node] = cols[0]
+            own = isinstance(node, RowNum) and node.col in cols
+            keys[node] = node.col if own else cols[0]
     return keys
 
 

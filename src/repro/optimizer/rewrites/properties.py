@@ -11,6 +11,9 @@ produced the fact, and are accounted by name:
     ``True`` in ``q`` -- also through projections, joins or ``x == x``.
 ``rownum_dense``  ``RowNum c := row_number(order by o asc partition by
     P)`` -> ``Project[.., c <= o]`` when ``o`` is dense-from-1 per ``P``.
+``const_spec``  a ``RowNum`` / ``RowRank`` ordered or partitioned by a
+    column that is constant -> the same without it: it orders and
+    partitions nothing (an outermost list's ``iter``).
 ``rownum_rank``  ``RowNum`` / ``RowRank`` ``c`` by an order (within a
     partition) that an *order fact* says column ``n`` already numbers
     -> ``Project[.., c <= n]``: a second numbering of the same run.
@@ -19,7 +22,10 @@ produced the fact, and are accounted by name:
 ``selfjoin_elim``  ``EqJoin(d, Project(b))`` on a key column of ``b``
     that ``d``, a descendant of ``b``, still carries -> ``d`` widened by
     the columns of ``b`` the join fetched: the loop-lifting compiler's
-    surrogate-regeneration joins (:func:`_selfjoin_elim`).
+    surrogate-regeneration joins.  The same for an anchor
+    ``Distinct(Project_P(b))`` keyed by the join column: ``group_with``'s
+    join of each group's members back to the distinct group rank
+    (:func:`_selfjoin_elim`).
 ``order_inline``  a ``RowNum`` / ``RowRank`` that orders by the number
     ``n`` of a numbering below, which nothing else reads -- but a bundle
     query's ``pos``, which ``pos_order`` takes next -> the same over the
@@ -87,9 +93,9 @@ from .projmerge import merge_projection
 
 #: Rewrite names, as accounted in ``PassStats.rewrites_fired`` /
 #: ``PassStats.rewrites_gated``.
-REWRITES = ("distinct_elim", "order_inline", "pos_order", "rownum_dense",
-            "rownum_rank", "select_true", "selfjoin_elim", "surrogate_key",
-            "unit_cross")
+REWRITES = ("const_spec", "distinct_elim", "order_inline", "pos_order",
+            "rownum_dense", "rownum_rank", "select_true", "selfjoin_elim",
+            "surrogate_key", "unit_cross")
 _FLIP = {"asc": "desc", "desc": "asc"}
 
 
@@ -393,10 +399,16 @@ def _rewrite_node(node: Node, store: PlanStore, shared: _Uses
         if (src is None and isinstance(node, RowNum) and len(order) == 1
                 and order[0][1] == "asc" and cp.is_dense(order[0][0], part)):
             name, src = "rownum_dense", order[0][0]
-        if src is None:
-            return None
-        cols = tuple((c, c) for c in store.schema(node.child))
-        return name, Project(node.child, cols + ((node.col, src),))
+        if src is not None:
+            cols = tuple((c, c) for c in store.schema(node.child))
+            return name, Project(node.child, cols + ((node.col, src),))
+        # ... nor partition anything: a shorter spec numbers alike.
+        spec: "dict[str, tuple]" = {"order": tuple(order) or node.order[:1]}
+        if isinstance(node, RowNum):
+            spec["part"] = tuple(c for c in part if c not in cp.constants)
+        if any(len(v) < len(getattr(node, k)) for k, v in spec.items()):
+            return "const_spec", replace(node, **spec)
+        return None
 
     if isinstance(node, Project) and isinstance(node.child, Cross):
         # Under a projection (where every loop-lifted product sits) the
@@ -417,38 +429,80 @@ def _rewrite_node(node: Node, store: PlanStore, shared: _Uses
 
 def _selfjoin_elim(node: EqJoin, store: PlanStore, shared: _Uses
                    ) -> "tuple[str, Node] | None":
-    """``EqJoin(d, Project(b))`` on a key column of ``b`` -> ``Project(d')``
-    when ``d`` descends from ``b`` and still carries that column.
+    """``EqJoin(d, a)`` on a column ``k`` of an anchor ``a`` that is one
+    row per value of ``k`` of a subplan ``b`` -> ``Project(d')`` when
+    ``d`` descends from ``b`` and still carries ``b``'s ``k``.
 
-    This is the loop-lifting compiler's surrogate-regeneration idiom: a
+    The anchor is ``b`` or a projection of it, ``k`` a key of ``b``: the
+    loop-lifting compiler's surrogate-regeneration idiom, where a
     numbered subplan ``b`` is filtered, joined and renamed into ``d``
-    and then joined back to (a projection of) ``b`` on the surrogate
-    that keys it, to re-attach columns of ``b``.  Every row of ``d``
-    meets exactly the row of ``b`` it descends from, so the join goes
-    once ``d'`` hands those columns up itself (:func:`_widen`)."""
+    and then joined back to ``b`` on the surrogate that keys it, to
+    re-attach columns of ``b``.  Or it is ``Distinct(Project_P(b))``,
+    under projections, keyed by ``k``: ``group_with``'s spine, where
+    each group's members are joined back to the distinct group rank.
+    Either way every row of ``d`` meets exactly one anchor row, which
+    holds the values of the ``b`` row it descends from, so the join goes
+    once ``d'`` hands those columns up itself (:func:`_widen`).  Where a
+    node of a group spine has other readers (it is shared by every
+    query), ``d'`` attaches those constant in ``b`` instead."""
     if len(node.pairs) != 1:
         return None
     for (derived, dcol), (anchor, acol) in (
             zip(node.children, node.pairs[0]),
             zip(node.children[::-1], node.pairs[0][::-1])):
-        base, cols = ((anchor.child, anchor.cols)
-                      if isinstance(anchor, Project) else
-                      (anchor, tuple((c, c) for c in store.schema(anchor))))
+        base, cols, grouped = _anchored(anchor, acol, store)
+        if base is None:
+            continue
         src = dict(cols)[acol]
-        if store.infer(base).has_key({src}):
-            # The walk down from ``derived`` meets ``base``, if at all,
-            # at the first node no higher than it: stop there.
-            height = store.height(base)
-            found = _trace(derived, dcol,
-                           lambda n, _: store.height(n) <= height, store)
-            wide = found and found[1] is base and found[2] == src and _widen(
-                found[0], base, tuple(e for e in cols if e[1] != src),
-                store, shared)
-            if wide:  # the key itself is there: ``dcol``
-                same = {new: dcol for new, old in cols if old == src}
-                return "selfjoin_elim", Project(wide, tuple(
-                    (c, same.get(c, c)) for c in store.schema(node)))
+        # The walk down from ``derived`` meets ``base``, if at all, at the
+        # first node no higher than it: stop there.
+        height = store.height(base)
+        found = _trace(derived, dcol,
+                       lambda n, _: store.height(n) <= height, store)
+        if not found or found[1] is not base or found[2] != src:
+            continue
+        extra = tuple(e for e in cols if e[1] != src)
+        wide = _widen(found[0], base, extra, store, shared)
+        consts: "Mapping[str, object]" = {}
+        if wide is None and grouped:  # a shared spine: attach constants
+            consts = store.infer(base).constants
+            wide = _widen(found[0], base, tuple(
+                e for e in extra if e[1] not in consts), store, shared)
+        if wide:  # the key itself is there: ``dcol``
+            types = store.schema(base)
+            for new, old in extra:
+                if old in consts:
+                    wide = Attach(wide, new, consts[old], types[old])
+            same = {new: dcol for new, old in cols if old == src}
+            return "selfjoin_elim", Project(wide, tuple(
+                (c, same.get(c, c)) for c in store.schema(node)))
     return None
+
+
+def _anchored(anchor: Node, col: str, store: PlanStore
+              ) -> "tuple[Node | None, tuple[tuple[str, str], ...], bool]":
+    """``(b, cols, grouped)`` when ``anchor`` holds one row per value of its
+    column ``col`` in some ``b`` (:func:`_selfjoin_elim`): it is ``b``
+    under projections, ``col`` a key of ``b``, or a ``Distinct`` of
+    (a projection of) ``b`` under projections, ``col`` a key of the
+    ``Distinct`` (``grouped``).  ``cols`` pairs each column of ``anchor``
+    with the column of ``b`` it holds; ``b`` is ``None`` when there is
+    none."""
+    cols = tuple((c, c) for c in store.schema(anchor))
+    distinct: "Distinct | None" = None
+    node, key = anchor, col
+    while isinstance(node, Project) or (
+            isinstance(node, Distinct) and distinct is None):
+        if isinstance(node, Distinct):
+            distinct, key = node, dict(cols)[col]
+        else:
+            src = dict(node.cols)
+            cols = tuple((new, src[old]) for new, old in cols)
+        node = node.child
+    if not store.infer(distinct or node).has_key(
+            {key if distinct else dict(cols)[col]}):
+        return None, (), False
+    return node, cols, distinct is not None
 
 
 def _order_inline(node: "RowNum | RowRank", store: PlanStore,
@@ -546,7 +600,9 @@ def _pos_order(root: Project, iter_col: str, pos_col: str, store: PlanStore,
     ``pos`` for nothing else: a ``pos`` that numbers one ``Int`` column
     ascending, within partitions ``iter`` fixes, is that column -- if it
     descends from a numbering itself, so that the verifier's order stage
-    still finds the lineage of ``pos``."""
+    still finds the lineage of ``pos``, and is unique per ``iter`` where
+    ``pos`` is shown to be (ties of that column are duplicate rows, which
+    the number told apart)."""
     src, twins = dict(root.cols), {}
     hit = _ranked(root.child, src[pos_col], store, shared, twins=twins)
     if hit is None:
@@ -555,6 +611,10 @@ def _pos_order(root: Project, iter_col: str, pos_col: str, store: PlanStore,
     if ([d for _, d in by] != ["asc"] or store.schema(wide)[by[0][0]] != IntT
             or not store.infer(wide).order_ok(by[0][0])  # (F201)
             or not _determines(wide, {src[iter_col]}, within, store)):
+        return None
+    it = src[iter_col]
+    if store.infer(root.child).has_key({it, src[pos_col]}) and not (
+            store.infer(wide).has_key({it, by[0][0]})):
         return None
     store.wider.update(twins)
     return "pos_order", Project(wide, tuple(

@@ -27,7 +27,7 @@ from repro.algebra import (
 )
 from repro.analysis import Card, infer_properties
 from repro.backends.engine.evaluate import Engine
-from repro.ftypes import BoolT, IntT, StringT
+from repro.ftypes import BoolT, DoubleT, IntT, StringT
 from repro.runtime import Catalog
 
 
@@ -132,6 +132,17 @@ class TestUnaryRules:
         num = RowNum(DUPS, "p", (("v", "asc"),), ("i",))
         assert infer_properties(num).is_dense("p", ())
 
+    def test_a_rank_of_tied_rows_is_one(self):
+        rank = RowRank(DUPS, "r", (("i", "asc"),))
+        assert infer_properties(rank).constants["r"] == 1
+
+    def test_restricting_drops_the_keys_of_dropped_columns(self):
+        num = RowNum(DUPS, "p", (("v", "asc"),))
+        p = infer_properties(num).restricted(
+            infer_properties(Project(num, (("i", "i"), ("v", "v")))).schema)
+        assert all(k <= {"i", "v"} for k in p.keys)
+        assert not p.dense
+
     def test_constant_one_is_dense_per_superkey(self):
         one = Attach(UNIQ, "p", 1, IntT)
         assert infer_properties(one).is_dense("p", ("v",))
@@ -228,6 +239,39 @@ class TestScalarApplications:
         assert infer_properties(ne).constants["u"] is False
         # strict comparisons of a column with itself are constant False
         assert infer_properties(lt).constants["w"] is False
+
+
+class TestEqualitySelection:
+    """``Select c`` over ``c := x eq k`` leaves rows where ``x`` is the
+    constant ``k`` -- unless ``x`` is a ``Double``: ``-0.0 eq 0.0``."""
+
+    @staticmethod
+    def selected(rows, ty, k):
+        t = lit(("x", ty), ("n", IntT), rows=rows)
+        return infer_properties(Select(BinApp(t, "eq", "x", Const(k, ty),
+                                              "c"), "c"))
+
+    def test_an_int_is_pinned(self):
+        p = self.selected([(1, 1), (1, 2), (2, 1)], IntT, 1)
+        assert p.constants["x"] == 1
+        # a key that held x loses it: {x, n} narrows to {n}
+        assert p.has_key({"n"})
+
+    def test_a_string_is_pinned_either_side(self):
+        t = lit(("x", StringT), rows=[("a",), ("b",)])
+        p = infer_properties(Select(BinApp(
+            t, "eq", Const("a", StringT), "x", "c"), "c"))
+        assert p.constants["x"] == "a"
+
+    def test_a_double_is_not(self):
+        p = self.selected([(0.0, 1), (-0.0, 2)], DoubleT, 0.0)
+        assert "x" not in p.constants
+
+    def test_a_row_number_of_one_leaves_its_partition_a_key(self):
+        num = RowNum(DUPS, "p", (("v", "asc"),), ("v",))
+        first = Select(BinApp(num, "eq", "p", Const(1, IntT), "c"), "c")
+        assert infer_properties(first).has_key({"v"})
+        assert not infer_properties(num).has_key({"v"})
 
 
 class TestBinaryRules:

@@ -61,8 +61,10 @@ class TestFiring:
         # per plan: the spine both queries share counts for each
         assert counts["unit_cross"] == 4      # the unit loop, 3 tables
         assert counts["rownum_rank"] == 2     # the groups' second numbering
-        assert counts["selfjoin_elim"] == 13  # surrogate re-attachments
-        assert counts["order_inline"] == 3    # Q2 sorts once, by columns
+        # surrogate re-attachments, and the group spine's join-backs
+        assert counts["selfjoin_elim"] == 16
+        assert counts["order_inline"] == 4    # Q2 sorts once, by columns
+        assert counts["const_spec"] == 3      # the constant iter leaves
         assert counts["pos_order"] == 1       # Q2's pos is the least of them
         assert run_all_ways(running_example_query(db), paper_dataset())
 

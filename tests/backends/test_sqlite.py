@@ -82,8 +82,8 @@ def probed(db, q) -> list[tuple[str, str]]:
         db.compile(q).bundle) for pair in gen.probes})
 
 
-def index_names(backend: SQLiteBackend) -> dict[str, tuple[str, str]]:
-    """The indexes ``main`` holds: name -> (table, its one column)."""
+def index_columns(backend: SQLiteBackend) -> dict[str, tuple[str, ...]]:
+    """The indexes ``main`` holds: name -> (table, its columns...)."""
     conn = backend._conn
     q = SQLITE_DIALECT.quote_ident
     return {name: (table, *(r[2] for r in conn.execute(
@@ -91,6 +91,11 @@ def index_names(backend: SQLiteBackend) -> dict[str, tuple[str, str]]:
             for name, table in conn.execute(
                 "SELECT name, tbl_name FROM sqlite_master "
                 "WHERE type = 'index'")}
+
+
+def index_names(backend: SQLiteBackend) -> dict[str, tuple[str, str]]:
+    """The indexes ``main`` holds: name -> (table, the column it is on)."""
+    return {name: cols[:2] for name, cols in index_columns(backend).items()}
 
 
 def query_plans(db, q) -> list[tuple[str, list[str]]]:
@@ -132,9 +137,13 @@ class TestAppendixGolden:
             db.compile(running_example_query(db)).bundle)
         assert len(code) == 2
 
-    def test_outer_query_has_distinct_binding(self, db):
+    def test_outer_query_has_no_distinct_binding(self, db):
+        # The appendix binds the distinct group rank and joins each
+        # group's members back to it; both joins are 1:1, so the
+        # optimizer drops them and the distinct binding with them.
         outer, _inner = bundle_script(db, running_example_query(db))
-        assert "SELECT DISTINCT" in outer
+        assert "DISTINCT" not in outer
+        assert "JOIN" not in outer
 
     def test_queries_use_rank_operators(self, db):
         outer, inner = bundle_script(db, running_example_query(db))
@@ -165,19 +174,20 @@ class TestBundleScript:
     def test_each_shared_node_is_materialised_once_per_bundle(self, db):
         q = running_example_query(db)
         q1, q2 = db.backend.prepare_bundle(db.compile(q).bundle)
-        # Q1 and Q2 both read the first table ...
+        # Q1 and Q2 both read the one table: the group spine, each
+        # group's members numbered with the group rank beside them ...
         assert q1.steps[0].name == "ferry_m0000"
         assert "ferry_m0000" in [step.name for step in q2.steps]
         tables = {step.name for step in q1.steps + q2.steps}
-        assert len(tables) == 3
-        # ... and the run creates it, like every other one, once
+        assert len(tables) == 1
+        # ... and the run creates it once
         sent = statements_sent(db, q)
         created = [s for s in sent if s.startswith("CREATE TEMP TABLE")]
-        assert len(created) == len(set(created)) == 3
-        assert sum(s.startswith("INSERT INTO temp.") for s in sent) == 3
-        # 8 auxiliary statements (BEGIN, 3 x CREATE + INSERT, ROLLBACK)
+        assert len(created) == len(set(created)) == 1
+        assert sum(s.startswith("INSERT INTO temp.") for s in sent) == 1
+        # 4 auxiliary statements (BEGIN, CREATE + INSERT, ROLLBACK)
         # around the bundle's two
-        assert len(sent) == 10
+        assert len(sent) == 6
 
     def test_statement_count_is_independent_of_the_data(self):
         counts = []
@@ -193,8 +203,10 @@ class TestBundleScript:
         """A step whose node has a single-column ``Int`` key makes it the
         table's primary key -- SQLite's rowid alias, which the joins,
         groups and duplicate eliminations on it read instead of building
-        an index per run.  Nested orders' surrogates are such keys; the
-        running example's join step has none and declares none."""
+        an index per run.  Nested orders' surrogates are such keys, and
+        the running example's one step is keyed by the facilities'
+        positions; the shared sum of Figure 5's dot product has none and
+        declares none."""
         orders = orders_db(20)
         code = orders.backend.prepare_bundle(
             orders.compile(NESTED_ORDERS.build(orders)).bundle)
@@ -212,9 +224,14 @@ class TestBundleScript:
         assert "DISTINCT" not in code[2].text
         q1, q2 = db.backend.prepare_bundle(
             db.compile(running_example_query(db)).bundle)
-        [join] = {step.name: step for step in q1.steps + q2.steps
-                  if step.op.startswith("EqJoin")}.values()
-        assert "PRIMARY KEY" not in join.create
+        [spine] = {step.name: step for step in q1.steps + q2.steps}.values()
+        assert spine.create.count("INTEGER PRIMARY KEY") == 1
+        mix = Connection(backend="sqlite", catalog=W.make_catalog(
+            W.paper_mix_tables(1, 42)))
+        dotp = next(p for p in W.CORPUS if p.name == "dotp")
+        [shared] = mix.backend.prepare_bundle(
+            mix.compile(dotp.build(mix)).bundle)[0].steps
+        assert "PRIMARY KEY" not in shared.create
 
     def test_a_bundle_the_optimizer_never_saw_declares_no_key(self, db):
         bundle = raw_bundle(running_example_query(db))
@@ -228,7 +245,7 @@ class TestBundleScript:
         outer, inner = bundle_script(db, running_example_query(db))
         for part in (outer, inner):
             assert part.startswith("-- dialect sqlite")
-        assert (outer + inner).count("CREATE TEMP TABLE") == 3
+        assert (outer + inner).count("CREATE TEMP TABLE") == 1
         assert outer.count("temp.ferry_m0000 (") == 1
         assert inner.count("temp.ferry_m0000 (") == 0
 
@@ -293,6 +310,23 @@ class TestProbedIndexes:
             db, per_customer)
         assert_idle(db.backend)
 
+    def test_sums_over_a_probe_add_in_list_order(self):
+        """The line items of one order come off the covering index in
+        list order, so a ``Double`` sum adds them as the interpreter
+        does: ``1e16, -1e16, 1.0`` sums to ``1.0`` in that order and to
+        ``0.0`` in price order."""
+        catalog = W.make_catalog({  # rows (line, oid, price), (cid, oid)
+            "orders": ([("oid", int), ("cid", int)], [(1, 7), (2, 7)]),
+            "lineitems": ([("oid", int), ("line", int), ("price", float)], [
+                (1, 1, 1e16), (2, 2, 5.0), (1, 3, -1e16), (1, 4, 1.0)])})
+        db = Connection(backend="sqlite", catalog=catalog)
+        orders, lines = db.table("orders"), db.table("lineitems")
+        q = fmap(lambda o: fsum(fmap(lambda li: li[2], lines.filter(
+            lambda li: li[1] == o[1]))), orders)
+        assert run_all_ways(q, catalog) == [1.0, 5.0]
+        assert any(line.startswith("SEARCH main.lineitems USING COVERING")
+                   for _, plan in query_plans(db, q) for line in plan)
+
     @pytest.mark.parametrize("program", ["running example", "nested orders"])
     def test_no_run_builds_an_automatic_index_on_a_catalog_table(
             self, program):
@@ -303,13 +337,17 @@ class TestProbedIndexes:
             db = Connection(backend="sqlite", catalog=avalanche_dataset(20))
             q = running_example_query(db)
         plans = query_plans(db, q)
-        assert len(plans) > 3
+        assert len(plans) >= 3  # a step and the two or three statements
         automatic = [(what, line) for what, lines in plans for line in lines
                      if line.startswith(("SEARCH main.", "SCAN main."))
                      and "AUTOMATIC" in line]
         assert automatic == []
-        assert any("USING INDEX ferry_i" in line
-                   for _, lines in plans for line in lines)
+        # every probe of a catalog table reads its index alone
+        searches = [line for _, lines in plans for line in lines
+                    if line.startswith("SEARCH main.")]
+        assert searches
+        assert all("USING COVERING INDEX ferry_i" in line
+                   for line in searches), searches
 
 
 class TestRowidNumbering:
@@ -388,6 +426,19 @@ class TestRowidNumbering:
         q = self.report(db, self.ARRANGE[arrange])
         assert self.rowid_steps(db, q)
         run_all_ways(q, catalog)
+
+    def test_an_outermost_numbering_drops_its_constant_partition(self):
+        """The outermost list's ``iter`` is one constant: sorting it
+        partitions by nothing, so its numbering is a keyed step that the
+        rowid numbers."""
+        catalog = self.catalog(None)
+        db = Connection(backend="sqlite", catalog=catalog)
+        orders, lines = db.table("orders"), db.table("lineitems")
+        q = fmap(lambda o: tup(o[2], fmap(lambda li: li[2], lines.filter(
+            lambda li: li[1] == o[2]))), sort_with_desc(lambda o: o[1], orders))
+        [step] = self.rowid_steps(db, q)
+        assert "partition" not in step.op
+        assert run_all_ways(q, catalog)[:2] == [(16, [-2.5, 0.0]), (14, [3.0])]
 
     def test_a_descending_order_numbers_as_the_window_does(self):
         rows = lt([(1, "a"), (2, "c"), (2, "b"), (3, "a")],
@@ -519,6 +570,11 @@ class TestReservedNames:
         sqlite.run(q)
         indexes = index_names(sqlite.backend)
         assert sorted(indexes.values()) == probes
+        # each covers its table: the probed column, the position (the
+        # rows of one value in list order), then every other column
+        assert sorted(index_columns(sqlite.backend).values()) == [
+            ("FERRY_I0001", "k", "pos", "w"),
+            ('ferry_i0002" ON x', 'k"', "pos", "x y")]
         assert sorted(indexes) == ["ferry_i0002", "ferry_i0003"]
         # a later bundle's index skips the tables' names and the
         # indexes' already built

@@ -99,7 +99,7 @@ class TestOneAnalysis:
         db = Connection(backend=backend, catalog=paper_catalog)
         q = running_example_query(db)
         plans = [query.plan for query in db.compile(q).bundle.queries]
-        assert len(list(postorder(*plans))) == 30
+        assert len(list(postorder(*plans))) == 23
         inferences, folds = [], []
         infer, init = properties._infer_props, RowBounds.__init__
 
@@ -117,7 +117,7 @@ class TestOneAnalysis:
             inferences.clear()
             folds.clear()
             db.explain(q, analyze=analyze, properties=props)
-            assert len(inferences) == 30, (analyze, props)
+            assert len(inferences) == 23, (analyze, props)
             assert len(folds) <= 1, (analyze, props)
 
 

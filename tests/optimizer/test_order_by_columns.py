@@ -209,13 +209,13 @@ class TestOrderInlining:
         c = db.compile(running_example_query(db))
         left = numberings(c.bundle)
         assert len(left) == 3
-        # Q2: one sort on (position in the group, position in meanings,
-        # position in features) where four numberings fed each other
+        # Q2: one sort on (position in facilities, position in meanings,
+        # position in features) where a chain of numberings fed each other
         [q2] = [n for n in postorder(c.bundle.queries[1].plan)
                 if isinstance(n, RowNum)
                 and n not in list(postorder(c.bundle.queries[0].plan))]
         assert len(q2.order) == 3 and q2.part
-        assert c.pass_stats.rewrites_fired["order_inline"] == 3
+        assert c.pass_stats.rewrites_fired["order_inline"] == 4
         # ... and its root pos is the least of those numbers, not their
         # renumbering
         assert c.pass_stats.rewrites_fired["pos_order"] == 1
