@@ -19,7 +19,7 @@ import pytest
 
 from repro import Connection, fmap, fsum, group_with
 from examples.workloads import numbers_dataset
-from repro.dph import from_list, sum_s
+from examples.comparisons import from_list, sum_s
 
 N = 3000
 GROUPS = 60

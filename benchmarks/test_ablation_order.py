@@ -11,7 +11,7 @@ costs.
 
 
 from repro import Connection, fmap, ffilter, reverse, sort_with
-from repro.baselines.linq import LinqSession
+from examples.comparisons import LinqSession
 from examples.workloads import numbers_dataset
 
 N = 4000

@@ -10,8 +10,8 @@ in-memory algebra engine; all three must produce the same value.
 import pytest
 
 from repro import Connection
-from examples.workloads import sparse_vector
-from repro.dph import dotp_comprehension, dotp_query, dotp_vectorised, from_list
+from examples.comparisons import dotp_comprehension, dotp_vectorised, from_list
+from examples.workloads import dotp_query, sparse_vector
 
 SIZES = (256, 2048)
 

@@ -9,10 +9,16 @@ reference output.
 
 from repro import Connection, ffilter, fmap, fsum, group_with, reverse, sort_with
 from repro.algebra import node_count
-from repro.baselines.linq import LinqSession
-from repro.dph import dotp_comprehension, dotp_query, dotp_vectorised, from_list, sum_s
+from comparisons import (
+    LinqSession,
+    dotp_comprehension,
+    dotp_vectorised,
+    from_list,
+    sum_s,
+)
 from workloads import (
     avalanche_dataset,
+    dotp_query,
     format_table1,
     measure,
     numbers_dataset,

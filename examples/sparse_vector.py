@@ -12,15 +12,8 @@ import argparse
 
 from repro import Connection
 from repro.algebra import BinApp, EqJoin, GroupAggr, postorder
-from workloads import measure, sparse_vector
-from repro.dph import (
-    FIG6_SV,
-    FIG6_V,
-    dotp_comprehension,
-    dotp_query,
-    dotp_vectorised,
-    from_list,
-)
+from comparisons import dotp_comprehension, dotp_vectorised, from_list
+from workloads import FIG6_SV, FIG6_V, dotp_query, measure, sparse_vector
 
 
 def correspondence(plan) -> dict[str, int]:

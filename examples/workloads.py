@@ -7,9 +7,12 @@
 * :func:`numbers_dataset`, :func:`orders_dataset`, :func:`sparse_vector`
   -- micro-workloads for the nested-data example, Figures 5/6 and the
   ablations;
-* :func:`running_example_query` (and its three spellings), the Table 1
-  harness (:func:`run_table1`, :func:`format_table1`) and criterion-style
-  timing (:func:`measure`);
+* :func:`running_example_query` (and its three spellings) and
+  :func:`dotp_query`, Figure 5's program as a DSH query;
+* the HaskellDB baseline (:class:`HaskellDBSession`, Figure 4), the
+  ``F302`` lint that flags its avalanche (:func:`avalanche_lint`), the
+  Table 1 harness (:func:`run_table1`, :func:`format_table1`) and
+  criterion-style timing (:func:`measure`);
 * :func:`raw_bundle` / :func:`run_raw` -- the ablation hook: the
   compiler with the optimizer or join-graph isolation switched off,
   which ``Connection`` does not offer.
@@ -22,18 +25,21 @@ tests and benchmarks, run from the repository root, as
 from __future__ import annotations
 
 import random
+import sqlite3
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro import Connection, concat_map, fst, group_with, nub, pyq, qc, the, tup
-from repro.analysis import verify_bundle
+from repro import (Connection, concat_map, fmap, fst, fsum, group_with, index,
+                   nub, pyq, qc, the, tup)
+from repro.analysis import Diagnostic, verify_bundle
 from repro.backends.engine import EngineBackend
 from repro.backends.sql import SQLiteBackend
-from repro.baselines.haskelldb import HaskellDBSession
-from repro.baselines.haskelldb import run_running_example as haskelldb_example
+from repro.backends.sql.dbapi import SQLITE_DIALECT, load_catalog
 from repro.core.bundle import Bundle, compile_exp
-from repro.frontend.q import to_q
+from repro.errors import ExecutionError
+from repro.frontend.q import Q, to_q
+from repro.ftypes import Type, count_list_constructors
 from repro.optimizer import optimize_bundle
 from repro.runtime import Catalog
 from repro.runtime.stitch import stitch
@@ -161,7 +167,7 @@ def sparse_vector(n: int, density: float = 0.1,
 
 
 # ----------------------------------------------------------------------
-# the running example
+# the paper's programs as DSH queries
 # ----------------------------------------------------------------------
 
 def running_example_query(db: Connection):
@@ -214,6 +220,20 @@ def running_example_variants(db: Connection) -> dict:
     }
 
 
+def dotp_query(sv: list[tuple[int, float]], v: list[float]) -> Q:
+    """Figure 5's ``dotp sv v = sumP [: x * (v !: i) | (i, x) <- sv :]``
+    as a DSH query (Figure 6, right).  ``v !: i`` becomes positional
+    indexing ``v !! i`` (0-based), which loop-lifting compiles into an
+    equi-join on the ``pos`` column."""
+    vq = to_q(v)
+    return fsum(fmap(lambda p: p[1] * index(vq, p[0]), to_q(sv)))
+
+
+#: The concrete arrays of Figure 6.
+FIG6_SV: list[tuple[int, float]] = [(1, 0.1), (3, 1.0), (4, 0.0)]
+FIG6_V: list[float] = [10.0, 20.0, 30.0, 40.0, 50.0]
+
+
 # ----------------------------------------------------------------------
 # the ablation hook: the compiler without Connection's pipeline
 # ----------------------------------------------------------------------
@@ -239,6 +259,217 @@ def run_raw(q: Any, catalog: Catalog, optimize: bool = False,
     bundle = raw_bundle(q, optimize, decorrelate)
     return stitch(bundle, _BACKENDS[backend]().execute_bundle(
         bundle, catalog).rows)
+
+
+# ----------------------------------------------------------------------
+# the HaskellDB baseline (Figure 4 / Table 1)
+# ----------------------------------------------------------------------
+#
+# HaskellDB [17] builds each SQL query declaratively and type-safely, but
+# a program that iterates over one query's results and issues a follow-up
+# query per row produces a query avalanche (Section 4.1).  Figure 4
+# reformulates the running example that way: ``getCats`` fetches the
+# distinct categories, then ``doQuery . getCatFeatures`` runs once per
+# category -- 1 + #categories statements against Ferry's constant 2.
+# ``do_query`` compiles one ``Query`` to one SQL statement and executes it
+# at once on SQLite: the measured baseline, intentionally not
+# avalanche-safe.
+
+_quote = SQLITE_DIALECT.quote_ident
+
+
+class Expr:
+    """A scalar expression usable in ``restrict``/``project``."""
+
+    def __eq__(self, other: Any) -> "Expr":  # type: ignore[override]
+        return BinExpr("=", self, constant(other))
+
+    def __and__(self, other: "Expr") -> "Expr":
+        return BinExpr("AND", self, other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def sql(self) -> str:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True, eq=False)
+class ColRef(Expr):
+    alias: str
+    column: str
+
+    def sql(self) -> str:
+        return f"{self.alias}.{_quote(self.column)}"
+
+
+@dataclass(frozen=True, eq=False)
+class Constant(Expr):
+    value: Any
+
+    def sql(self) -> str:
+        v = self.value
+        if isinstance(v, bool):
+            return "1" if v else "0"
+        if isinstance(v, (int, float)):
+            return repr(v)
+        return "'" + str(v).replace("'", "''") + "'"
+
+
+@dataclass(frozen=True, eq=False)
+class BinExpr(Expr):
+    op: str
+    lhs: Expr
+    rhs: Expr
+
+    def sql(self) -> str:
+        return f"({self.lhs.sql()} {self.op} {self.rhs.sql()})"
+
+
+def constant(value: Any) -> Expr:
+    """Lift a Python value into the expression language (HaskellDB's
+    ``constant``)."""
+    return value if isinstance(value, Expr) else Constant(value)
+
+
+class Rel:
+    """A table brought into scope by ``Query.table``; HaskellDB's
+    ``facs ! cat`` field access becomes attribute access."""
+
+    def __init__(self, alias: str, columns: tuple[str, ...]):
+        self._alias = alias
+        self._columns = columns
+
+    def __getattr__(self, name: str) -> ColRef:
+        if name.startswith("_"):
+            raise AttributeError(name)
+        if name not in self._columns:
+            raise ExecutionError(f"table alias {self._alias!r} has no "
+                                 f"column {name!r}")
+        return ColRef(self._alias, name)
+
+
+@dataclass
+class Query:
+    """One declarative query under construction (HaskellDB's ``Query``)."""
+
+    catalog: Catalog
+    tables: list[tuple[str, str]] = field(default_factory=list)
+    conditions: list[Expr] = field(default_factory=list)
+    projections: list[tuple[str, Expr]] = field(default_factory=list)
+    distinct: bool = False
+
+    def table(self, name: str) -> Rel:
+        """Bring a database table into scope."""
+        columns = tuple(c for c, _ in self.catalog.schema(name))
+        alias = f"a{len(self.tables):04d}"
+        self.tables.append((alias, name))
+        return Rel(alias, columns)
+
+    def restrict(self, condition: Expr) -> None:
+        """Add a WHERE condition."""
+        self.conditions.append(condition)
+
+    def project(self, **cols: "Expr | Any") -> None:
+        """Choose the output columns."""
+        for name, expr in cols.items():
+            self.projections.append((name, constant(expr)))
+
+    def unique(self) -> None:
+        """Request duplicate elimination (HaskellDB's ``unique``)."""
+        self.distinct = True
+
+    def sql(self) -> str:
+        if not self.projections:
+            raise ExecutionError("query projects no columns")
+        head = "SELECT DISTINCT" if self.distinct else "SELECT"
+        cols = ", ".join(f"{e.sql()} AS {_quote(n)}"
+                         for n, e in self.projections)
+        tables = ", ".join(f"{_quote(t)} AS {a}"
+                           for a, t in self.tables)
+        sql = f"{head} {cols} FROM {tables}"
+        if self.conditions:
+            sql += " WHERE " + " AND ".join(c.sql() for c in self.conditions)
+        return sql
+
+
+class HaskellDBSession:
+    """Executes ``Query`` objects one statement at a time (``doQuery``).
+
+    ``statements_executed`` counts every SQL statement -- the avalanche
+    metric of Table 1.
+    """
+
+    def __init__(self, catalog: Catalog):
+        self.catalog = catalog
+        self._conn = sqlite3.connect(":memory:")
+        load_catalog(self._conn, catalog, SQLITE_DIALECT)
+        self.statements_executed = 0
+
+    def query(self) -> Query:
+        """Start building a new query."""
+        return Query(self.catalog)
+
+    def do_query(self, q: Query) -> list[dict[str, Any]]:
+        """Compile to one SQL statement, execute, fetch (``doQuery``)."""
+        cursor = self._conn.execute(q.sql())
+        self.statements_executed += 1
+        names = [d[0] for d in cursor.description]
+        return [dict(zip(names, row)) for row in cursor.fetchall()]
+
+
+def get_cats(session: HaskellDBSession) -> Query:
+    """``getCats``: the distinct facility categories."""
+    q = session.query()
+    facs = q.table("facilities")
+    q.project(cat=facs.cat)
+    q.unique()
+    return q
+
+
+def get_cat_features(session: HaskellDBSession, cat: str) -> Query:
+    """``getCatFeatures cat``: feature meanings for one category."""
+    q = session.query()
+    facs = q.table("facilities")
+    feats = q.table("features")
+    means = q.table("meanings")
+    q.restrict((feats.feature == means.feature)
+               & (facs.cat == cat)
+               & (facs.fac == feats.fac))
+    q.project(meaning=means.meaning)
+    q.unique()
+    return q
+
+
+def haskelldb_example(session: HaskellDBSession
+                      ) -> list[tuple[str, list[str]]]:
+    """The full Figure 4 program: one query for the categories, then one
+    query per category -- the avalanche."""
+    cats = session.do_query(get_cats(session))
+    return [(row["cat"],
+             [m["meaning"] for m in
+              session.do_query(get_cat_features(session, row["cat"]))])
+            for row in cats]
+
+
+def avalanche_lint(result_ty: Type, statements: int,
+                   root_is_list: bool = True) -> list[Diagnostic]:
+    """``F302``: lint an *observed* statement count against the static
+    bound -- Table 1's shaming row.
+
+    HaskellDB- and LINQ-style execution issues one statement per inner
+    list (1 + N for the running example), while the static type licenses
+    one query per ``[.]`` constructor (one more for a scalar root).
+    Returns an ``F302`` diagnostic when ``statements`` exceeds the bound,
+    and nothing when the execution was avalanche-safe.
+    """
+    n = count_list_constructors(result_ty)
+    bound = n if root_is_list else n + 1
+    if statements <= bound:
+        return []
+    return [Diagnostic(
+        "F302", "avalanche",
+        f"query avalanche: {statements} statements issued where the "
+        f"static result type {result_ty.show()} permits {bound}")]
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,10 @@ See :mod:`repro.analysis.properties` for the inferred property lattice
 (keys, constants, cardinality bounds, density and order
 provenance), :mod:`repro.analysis.cost` for the per-instance row bounds
 folded through the same lattice, and :mod:`repro.analysis.verifier` for
-the staged plan verifier with its ``F1xx``/``F2xx``/``F3xx`` diagnostic
-codes.  EXPLAIN ANALYZE checks measured row counts against the bounds
-(``D500``, :mod:`repro.obs.explain`).
+the staged plan verifier with its ``F1xx``/``F2xx`` diagnostic codes
+and the static avalanche check ``F301``.  EXPLAIN ANALYZE checks
+measured row counts against the bounds (``D500``,
+:mod:`repro.obs.explain`).
 """
 
 from .cost import (
@@ -25,7 +26,6 @@ from .verifier import (
     STAGES,
     Diagnostic,
     VerifyReport,
-    avalanche_lint,
     check_avalanche,
     check_order,
     check_plan,
@@ -46,7 +46,6 @@ __all__ = [
     "RowBounds",
     "STAGES",
     "VerifyReport",
-    "avalanche_lint",
     "check_avalanche",
     "check_order",
     "check_plan",

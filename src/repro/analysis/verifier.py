@@ -19,8 +19,6 @@ checks them in three stages with stable diagnostic codes:
 ``F202``   order: root schema not in standard ``iter|pos|item`` form
 ``F203``   order: item column type differs from the declared type
 ``F301``   avalanche: bundle size differs from the static prediction
-``F302``   avalanche: observed statement count exceeds the static
-           bound (the HaskellDB/LINQ baseline lint)
 =========  ===========================================================
 
 The verifier runs (a) after loop-lifting and after *every* optimizer
@@ -43,7 +41,7 @@ from ..algebra.dag import postorder
 from ..algebra.ops import Node
 from ..algebra.schema import Schema, _infer
 from ..errors import CompilationError, VerifyError
-from ..ftypes import IntT, Type, count_list_constructors
+from ..ftypes import IntT
 from .properties import PlanStore
 
 #: Stage names, in checking order.
@@ -227,27 +225,6 @@ def check_avalanche(bundle: Any) -> list[Diagnostic]:
         "F301", "avalanche",
         f"bundle has {bundle.size} queries; the static result type "
         f"{bundle.result_ty.show()} predicts {bundle.expected_size}")]
-
-
-def avalanche_lint(result_ty: Type, statements: int,
-                   root_is_list: bool = True) -> list[Diagnostic]:
-    """Lint an *observed* statement count against the static bound.
-
-    This is the baseline shaming device: HaskellDB- and LINQ-style
-    execution issues one statement per inner list (1 + N for the
-    running example), while the static type only licenses one query per
-    ``[.]`` constructor.  Returns an ``F302`` diagnostic when the
-    observed count exceeds the bound, and nothing when the execution
-    was avalanche-safe.
-    """
-    n = count_list_constructors(result_ty)
-    bound = n if root_is_list else n + 1
-    if statements <= bound:
-        return []
-    return [Diagnostic(
-        "F302", "avalanche",
-        f"query avalanche: {statements} statements issued where the "
-        f"static result type {result_ty.show()} permits {bound}")]
 
 
 # ----------------------------------------------------------------------

@@ -62,7 +62,7 @@ class ExecutionRecord:
     queries_issued: int = 0
     #: ``repr`` of the raised exception, for failed calls.
     error: "str | None" = None
-    #: The error's stable diagnostic code (``F101``, ``F302``, ...) when
+    #: The error's stable diagnostic code (``F101``, ``F201``, ...) when
     #: the exception carried one.
     error_code: "str | None" = None
     #: Id correlating this record with its span tree (``None``
@@ -127,7 +127,7 @@ class Totals:
     def __init__(self) -> None:
         self.calls = 0
         self.errors = 0
-        #: Errors per stable diagnostic code (``F101``, ``F302``, ...).
+        #: Errors per stable diagnostic code (``F101``, ``F201``, ...).
         self.error_codes: dict[str, int] = {}
         self.cache_hits = 0
         self.rows = 0

@@ -14,6 +14,7 @@ specification, not an execution engine.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable
 
 from ..errors import PartialFunctionError, QTypeError
@@ -114,49 +115,54 @@ def like_match(value: str, pattern: str) -> bool:
     return _re.fullmatch(regex, value) is not None
 
 
+#: Scalar operators by name: the reference meaning of ``BinOpE``/``UnOpE``
+#: (kept apart from the engine's kernels, which are tested against it).
+_BINOPS: dict[str, Callable[[Any, Any], Any]] = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+    "idiv": operator.floordiv,
+    "mod": operator.mod,
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+    "and": lambda x, y: x and y,
+    "or": lambda x, y: x or y,
+    "min": min,
+    "max": max,
+    "cat": operator.add,
+    "like": like_match,
+}
+
+_UNOPS: dict[str, Callable[[Any], Any]] = {
+    "not": operator.not_,
+    "neg": operator.neg,
+    "abs": abs,
+    "to_double": float,
+    "upper": lambda x: x.upper(),
+    "lower": lambda x: x.lower(),
+    "strlen": len,
+    "year": lambda d: d.year,
+    "month": lambda d: d.month,
+    "day": lambda d: d.day,
+    "hour": lambda t: t.hour,
+    "minute": lambda t: t.minute,
+    "second": lambda t: t.second,
+}
+
+
 def _binop(op: str, a: Any, b: Any) -> Any:
     if op in ("div", "idiv", "mod") and b == 0:
         raise PartialFunctionError("division by zero")
-    table: dict[str, Callable[[Any, Any], Any]] = {
-        "add": lambda x, y: x + y,
-        "sub": lambda x, y: x - y,
-        "mul": lambda x, y: x * y,
-        "div": lambda x, y: x / y,
-        "idiv": lambda x, y: x // y,
-        "mod": lambda x, y: x % y,
-        "eq": lambda x, y: x == y,
-        "ne": lambda x, y: x != y,
-        "lt": lambda x, y: x < y,
-        "le": lambda x, y: x <= y,
-        "gt": lambda x, y: x > y,
-        "ge": lambda x, y: x >= y,
-        "and": lambda x, y: x and y,
-        "or": lambda x, y: x or y,
-        "min": min,
-        "max": max,
-        "cat": lambda x, y: x + y,
-        "like": like_match,
-    }
-    return table[op](a, b)
+    return _BINOPS[op](a, b)
 
 
 def _unop(op: str, a: Any) -> Any:
-    table: dict[str, Callable[[Any], Any]] = {
-        "not": lambda x: not x,
-        "neg": lambda x: -x,
-        "abs": abs,
-        "to_double": float,
-        "upper": lambda x: x.upper(),
-        "lower": lambda x: x.lower(),
-        "strlen": len,
-        "year": lambda d: d.year,
-        "month": lambda d: d.month,
-        "day": lambda d: d.day,
-        "hour": lambda t: t.hour,
-        "minute": lambda t: t.minute,
-        "second": lambda t: t.second,
-    }
-    return table[op](a)
+    return _UNOPS[op](a)
 
 
 # ----------------------------------------------------------------------

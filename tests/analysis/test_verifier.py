@@ -1,6 +1,6 @@
 """The staged plan verifier: diagnostic codes, stages, and debug mode.
 
-Every code in the F1xx/F2xx/F3xx table is triggered at least once on a
+Every code in the F1xx/F2xx/F301 table is triggered at least once on a
 deliberately broken plan or bundle, and the happy path (a well-formed
 bundle in standard ``iter|pos|item`` form) is pinned as diagnostic-free.
 """
@@ -11,7 +11,6 @@ from repro.algebra import LitTable, Project, RowNum
 from repro.analysis import (
     STAGES,
     Diagnostic,
-    avalanche_lint,
     check_plan,
     ensure_verified,
     set_verify_debug,
@@ -105,17 +104,6 @@ class TestAvalancheStage:
         bundle.queries.append(bundle.queries[0])
         report = verify_bundle(bundle, label="test", raise_on_error=False)
         assert "F301" in [d.code for d in report.diagnostics]
-
-    def test_observed_statement_lint_is_f302(self):
-        ty = ListT(ListT(IntT))  # two [.] constructors: bound 2
-        assert avalanche_lint(ty, 2) == []
-        diags = avalanche_lint(ty, 7)
-        assert [d.code for d in diags] == ["F302"]
-        assert "7 statements" in diags[0].message
-
-    def test_scalar_root_gets_one_extra_statement(self):
-        assert avalanche_lint(IntT, 1, root_is_list=False) == []
-        assert avalanche_lint(IntT, 2, root_is_list=False)
 
 
 class TestReportAndStamp:

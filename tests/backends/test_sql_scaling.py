@@ -1,8 +1,8 @@
 """The SQL path's scaling gate, without a clock.
 
-SQLite's progress handler fires every N virtual-machine instructions, so
-counting its calls during one warm ``Connection.run`` measures the work
-the generated SQL makes the database do -- the same number on every
+SQLite's progress handler can fire on every virtual-machine instruction,
+so counting its calls during one warm ``Connection.run`` measures the
+work the generated SQL makes the database do -- the same number on every
 machine and on every run.  Doubling the data must at most (a little more
 than) double it: before shared plan nodes became temporary tables the
 running example grew 4.0x per doubling (53.6 M instructions at 20
@@ -18,8 +18,6 @@ from examples.workloads import (
     running_example_query,
 )
 
-#: Progress-handler granularity (VM instructions per callback).
-TICK = 1000
 #: Allowed growth of the instruction count per doubling of the data.
 MAX_GROWTH = 2.3
 
@@ -49,22 +47,22 @@ def nested_orders_query(db: Connection):
 
 
 def vm_instructions(db: Connection, q) -> int:
-    """VM instructions of one warm ``run``, to the nearest ``TICK``."""
+    """VM instructions of one warm ``run``, counted one by one."""
     db.run(q)  # loads the catalog, fills the plan cache
-    ticks = 0
+    count = 0
 
     def tick() -> int:
-        nonlocal ticks
-        ticks += 1
+        nonlocal count
+        count += 1
         return 0
 
     conn = db.backend._conn
-    conn.set_progress_handler(tick, TICK)
+    conn.set_progress_handler(tick, 1)
     try:
         db.run(q)
     finally:
-        conn.set_progress_handler(None, TICK)
-    return ticks * TICK
+        conn.set_progress_handler(None, 1)
+    return count
 
 
 @pytest.mark.parametrize("dataset, build, sizes", [

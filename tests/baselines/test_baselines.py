@@ -4,20 +4,20 @@ order guarantees, versus Ferry's constant-size bundle."""
 import pytest
 
 from repro import Connection
-from repro.baselines.haskelldb import (
+from examples.comparisons import LinqSession
+from examples.comparisons import linq_example as linq_run
+from examples.workloads import (
     HaskellDBSession,
+    avalanche_dataset,
+    avalanche_lint,
     get_cat_features,
     get_cats,
-)
-from repro.baselines.haskelldb import run_running_example as hdb_run
-from repro.baselines.linq import LinqSession
-from repro.baselines.linq import run_running_example as linq_run
-from examples.workloads import (
-    avalanche_dataset,
     run_dsh,
     running_example_query,
 )
+from examples.workloads import haskelldb_example as hdb_run
 from repro.errors import ExecutionError
+from repro.ftypes import IntT, ListT
 
 
 class TestHaskellDBQueryBuilder:
@@ -88,12 +88,13 @@ class TestResultAgreement:
                 == {k: frozenset(v) for k, v in dsh})
 
     def test_linq_loses_order(self, paper_catalog):
-        ordered = LinqSession(paper_catalog, shuffle=False)
-        shuffled = LinqSession(paper_catalog, shuffle=True)
-        a = linq_run(ordered)
-        b = linq_run(shuffled)
-        assert ({k: frozenset(v) for k, v in a}
-                == {k: frozenset(v) for k, v in b})
+        # the same groups and meanings, in another order
+        linq = linq_run(LinqSession(paper_catalog))
+        db = Connection(catalog=paper_catalog)
+        dsh = db.run(running_example_query(db))
+        assert linq != dsh
+        assert ({k: frozenset(v) for k, v in linq}
+                == {k: frozenset(v) for k, v in dsh})
 
     def test_dsh_order_is_deterministic(self, paper_catalog):
         db1 = Connection(catalog=paper_catalog)
@@ -112,7 +113,7 @@ class TestAvalancheLint:
         hdb_run(session)
         db = Connection(catalog=catalog)
         ty = running_example_query(db).ty
-        diags = session.avalanche_diagnostics(ty)
+        diags = avalanche_lint(ty, session.statements_executed)
         assert [d.code for d in diags] == ["F302"]
         assert "6 statements" in diags[0].message
 
@@ -121,12 +122,11 @@ class TestAvalancheLint:
         session = LinqSession(catalog)
         linq_run(session)
         db = Connection(catalog=catalog)
-        diags = session.avalanche_diagnostics(running_example_query(db).ty)
+        diags = avalanche_lint(running_example_query(db).ty,
+                               session.statements_executed)
         assert [d.code for d in diags] == ["F302"]
 
     def test_ferry_bundle_is_verified_not_flagged(self):
-        from repro.analysis import avalanche_lint
-
         catalog = avalanche_dataset(5)
         db = Connection(catalog=catalog)
         query = running_example_query(db)
@@ -141,5 +141,16 @@ class TestAvalancheLint:
         session.do_query(get_cats(session))
         db = Connection(catalog=catalog)
         # one statement against a two-[.] type: within the static bound
-        assert session.avalanche_diagnostics(
-            running_example_query(db).ty) == []
+        assert avalanche_lint(running_example_query(db).ty,
+                              session.statements_executed) == []
+
+    def test_observed_statement_lint_is_f302(self):
+        ty = ListT(ListT(IntT))  # two [.] constructors: bound 2
+        assert avalanche_lint(ty, 2) == []
+        diags = avalanche_lint(ty, 7)
+        assert [d.code for d in diags] == ["F302"]
+        assert "7 statements" in diags[0].message
+
+    def test_scalar_root_gets_one_extra_statement(self):
+        assert avalanche_lint(IntT, 1, root_is_list=False) == []
+        assert avalanche_lint(IntT, 2, root_is_list=False)

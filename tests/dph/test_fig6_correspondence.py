@@ -22,14 +22,8 @@ from repro.algebra import (
     contains,
     postorder,
 )
-from repro.dph import (
-    FIG6_SV,
-    FIG6_V,
-    dotp_comprehension,
-    dotp_query,
-    dotp_vectorised,
-    from_list,
-)
+from examples.comparisons import dotp_comprehension, dotp_vectorised, from_list
+from examples.workloads import FIG6_SV, FIG6_V, dotp_query, sparse_vector
 
 
 class TestAllThreeAgree:
@@ -45,7 +39,6 @@ class TestAllThreeAgree:
 
     @pytest.mark.parametrize("n", [1, 8, 64])
     def test_random_sizes(self, n):
-        from examples.workloads import sparse_vector
         sv, v = sparse_vector(n, density=0.5, seed=n)
         if not sv:
             pytest.skip("empty sparse vector")

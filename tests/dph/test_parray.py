@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dph import (
+from examples.comparisons import (
     FlatArray,
     NestedArray,
     TupleArray,

@@ -25,12 +25,14 @@ from repro.algebra import (
 )
 from repro.analysis import PlanStore
 from examples.workloads import (
+    FIG6_SV,
+    FIG6_V,
+    dotp_query,
     orders_dataset,
     paper_dataset,
     running_example_query,
 )
 from repro.core.bundle import compile_exp
-from repro.dph import FIG6_SV, FIG6_V, dotp_query
 from repro.frontend.q import to_q
 from repro.ftypes import IntT
 from repro.optimizer import PassStats, optimize_bundle, pipeline
